@@ -268,10 +268,6 @@ class CdcEngine:
             partitioner.max_part_id(),
             salt_hash_version=salt_v,
         )
-        # read-splitting: without an explicit block count, a 2-file tail
-        # round yields ~2 read tasks and normalize can't use the cluster
-        # (splits land on parquet row-group boundaries)
-        read_blocks = self._read_parallelism()
         if cfg.exchange == "task":
             return self._apply_task_exchange(
                 t0,
@@ -288,6 +284,10 @@ class CdcEngine:
                 min_wm,
                 _noop_report,
             )
+        # read-splitting: without an explicit block count, a 2-file tail
+        # round yields ~2 read tasks and normalize can't use the cluster
+        # (splits land on parquet row-group boundaries)
+        read_blocks = self._read_parallelism()
         if cfg.exchange == "actor":
             report = self._apply_actor_exchange(
                 t0,
@@ -436,7 +436,8 @@ class CdcEngine:
         # Ray Data plan objects are reference cycles; without an explicit
         # collect the dropped per-round Datasets pin their materialized
         # blocks in the object store across rounds (measured: +0.5 GB and
-        # 2x slower apply by round 4 of a replay). ~10 ms, once per round.
+        # 2x slower apply by round 4 of a replay). Costs 70-87 ms of driver
+        # CPU per round on a warmed driver tracking ~137k objects.
         del delta, combined, meta_ds
         import gc
 
@@ -726,17 +727,17 @@ class CdcEngine:
     ) -> dict:
         """Single-materialization apply round: fused read+normalize+split
         tasks emit one plasma object per (task, bucket); per-bucket merge
-        tasks consume their ref column zero-copy. No sort, no boundary
+        tasks take their ref column as top-level args, which Ray resolves
+        (zero-copy) before the task runs. No sort, no boundary
         sampling, no second pass over the delta — see stages/taskshuffle.py
         for the copy-count and retry/lineage contract."""
-        import gc
-
         import ray
 
         from radiant_portal_pipeline_ray.stages.taskshuffle import (
             chunk_units,
             enumerate_units,
             fan_subsplit,
+            merge_bucket_count,
             merge_bucket_task,
             split_task,
             two_level_plan,
@@ -758,9 +759,7 @@ class CdcEngine:
             if ray.is_initialized()
             else 8
         )
-        # enough buckets that one bucket-merge never gates the round, few
-        # enough that the (tasks × buckets) object count stays bounded
-        n_buckets = max(8, min(2 * cpus, partitioner.max_part_id() + 1))
+        n_buckets = merge_bucket_count(cpus, partitioner.max_part_id() + 1)
 
         pending = dict(current.pending_migrations) if current else {}
         migration_parts: set[int] = set()
@@ -843,8 +842,7 @@ class CdcEngine:
                 [list(r[1:]) for r in returns], None, n_buckets, n_groups
             )
         else:
-            mat = [list(r[1:]) for r in returns]
-            bucket_cols = [[row[b] for row in mat] for b in range(n_buckets)]
+            bucket_cols = [[r[1 + b] for r in returns] for b in range(n_buckets)]
         _lap("plan")
 
         events_pushed = 0
@@ -911,16 +909,16 @@ class CdcEngine:
         )
         merge_refs = [
             merge_bucket_task.remote(
-                kernel,
-                bucket_cols[b],
-                sorted(extra.get(b, [])),
+                kernel, sorted(extra.get(b, [])), *bucket_cols[b]
             )
             for b in active
         ]
         meta_rows = [m for sub in ray.get(merge_refs) for m in sub]
         _lap("merge")
-        del bucket_cols, returns, merge_refs
-        gc.collect()
+        # release the round's plasma objects before the commit; the refs
+        # form no cycles, so dropping them frees the objects without a
+        # gc.collect()
+        del bucket_cols, returns, stats_refs, merge_refs
         return self._post_merge(
             t0,
             timings,

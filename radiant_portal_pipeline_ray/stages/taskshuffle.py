@@ -19,8 +19,9 @@ This exchange is the minimal-copy shape:
   via static multi-returns (each its own plasma object, owned by the
   driver, reconstructable from task lineage on worker loss)
 
-  one raw Ray task per bucket: zero-copy ``ray.get`` of its column of the
-  ref matrix → concat → per-part slices → ``MergeKernel.merge_partition``
+  one raw Ray task per bucket: its column of the ref matrix arrives as
+  top-level task args (Ray resolves them zero-copy before the task runs)
+  → concat → per-part slices → ``MergeKernel.merge_partition``
 
 The delta is materialized into the object store exactly ONCE (the bucket
 sub-tables); there is no sort, no boundary sampling, and no driver-side
@@ -82,6 +83,13 @@ def enumerate_units(
             md = pq.read_metadata(p, filesystem=filesystem)
         units.extend((p, rg) for rg in range(md.num_row_groups))
     return units
+
+
+def merge_bucket_count(cpus: int, n_parts: int) -> int:
+    """Merge fan-out of an apply round: 2×CPUs buckets (the same rule as
+    the split side's ``chunk_units(units, 2 * cpus)``), never more than
+    there are partitions to merge."""
+    return max(1, min(2 * cpus, n_parts))
 
 
 def chunk_units(
@@ -536,14 +544,15 @@ def exchange_join(
 
 @ray.remote
 def merge_bucket_task(
-    kernel: MergeKernel, refs: list, extra_parts: list[int]
+    kernel: MergeKernel, extra_parts: list[int], *tables: pa.Table | None
 ) -> list[dict]:
-    """Merge + stage every partition in one bucket. ``refs`` is this bucket's
-    column of the split-output matrix (nested ObjectRefs — resolved here with
-    a zero-copy ``ray.get``). ``extra_parts``: changed partitions owned by
-    this bucket that shuffled no rows (e.g. local-carry-only partitions) —
+    """Merge + stage every partition in one bucket. ``tables`` is this
+    bucket's column of the split-output matrix, passed as top-level
+    ObjectRef args so Ray resolves them before the task starts (None = an
+    empty split output). ``extra_parts``: changed partitions owned by this
+    bucket that shuffled no rows (e.g. local-carry-only partitions) —
     merged from an empty delta so their carried state still re-stages."""
-    tables = [t for t in ray.get(list(refs)) if t is not None and t.num_rows]
+    tables = [t for t in tables if t is not None and t.num_rows]
     metas: list[dict] = []
     if tables:
         all_rows = pa.concat_tables(tables, promote_options="permissive")
