@@ -64,6 +64,7 @@ from radiant_portal_pipeline_ray.stages.normalize import (
     make_part_scout,
     make_snapshot_caster,
 )
+from radiant_portal_pipeline_ray.state import lakescan
 from radiant_portal_pipeline_ray.state.manifest import (
     CommitConflict,
     Lake,
@@ -71,6 +72,7 @@ from radiant_portal_pipeline_ray.state.manifest import (
     PartitionState,
 )
 from radiant_portal_pipeline_ray.state.partitioner import Partitioner
+from radiant_portal_pipeline_ray.state.zonemaps import plan_files, prune_expression
 
 _INTERNAL_NAMES = {f.name for f in INTERNAL_FIELDS}
 
@@ -1314,22 +1316,15 @@ class CdcEngine:
                 c for c in generate_checks(man.schema) if c.name not in have
             ]
             qa = run_checks(self.read_snapshot(), checks)
-            files = [
-                self.lake.abspath(f)
-                for st in man.partitions.values()
-                for f in st.files
-            ]
+            files = [f for st in man.partitions.values() for f in st.files]
             if files:
                 # cross-table exclusivity (A8 analogue): a url must never be
                 # both live and tombstoned in one committed snapshot
-                pafs = self.lake.pyarrow_fs()
-                live = rd.read_parquet(
-                    files, columns=["url"], filter=~pc.field("deleted"),
-                    filesystem=pafs,
+                live = lakescan.scan(
+                    self.lake, man, files, ["url"], ~pc.field("deleted")
                 )
-                tomb = rd.read_parquet(
-                    files, columns=["url"], filter=pc.field("deleted"),
-                    filesystem=pafs,
+                tomb = lakescan.scan(
+                    self.lake, man, files, ["url"], pc.field("deleted")
                 )
                 ce = cross_exclusive(live, tomb, "url")
                 qa["checks"]["live_tombstone_exclusive"] = ce
@@ -1561,37 +1556,26 @@ class CdcEngine:
         math, ``state/zonemaps.py``); the exact interval filter is then
         pushed into the surviving files' scan, so the result equals an
         unpruned read + filter. Files lacking stats are read, never
-        dropped."""
+        dropped.
+
+        Planning reads no parquet footer either: the read tasks come
+        straight from the manifest's file list, bytes and schema
+        (``state/lakescan.py``), and every block, zero-row ones included,
+        carries the projected schema."""
         man = (
             self.lake.read_manifest(version)
             if version is not None
             else self.lake.current_manifest()
         )
-        if man:
-            from radiant_portal_pipeline_ray.state.zonemaps import (
-                plan_files,
-                prune_expression,
-            )
-
-            rels, _ = plan_files(man, prune)
-            files = [self.lake.abspath(f) for f in rels]
-        else:
-            files = []
-        if not files:
-            sch = man.schema if man and man.schema else CHANGELOG_SCHEMA
-            empty = pa.Table.from_arrays(
-                [pa.array([], type=f.type) for f in sch], schema=sch
-            )
-            return rd.from_arrow(empty)
+        if not man or man.schema is None:
+            return rd.from_arrow(CHANGELOG_SCHEMA.empty_table())
+        rels, _ = plan_files(man, prune)
         filt = None if include_tombstones else ~pc.field("deleted")
         if prune:
             expr = prune_expression(prune)
             if expr is not None:
                 filt = expr if filt is None else filt & expr
-        return rd.read_parquet(
-            files, columns=columns, filter=filt,
-            filesystem=self.lake.pyarrow_fs(),
-        )
+        return lakescan.scan(self.lake, man, rels, columns, filt)
 
     def read_changes(
         self, v_from: int, v_to: int, n_buckets: int = 64
@@ -1660,8 +1644,6 @@ class CdcEngine:
         verbatim and its data is never read. Only changed/new partitions
         re-scan. Equality with the full recompute is pinned in
         ``tests/test_snapshot_checksums.py``."""
-        import ray.data as rd
-
         from radiant_portal_pipeline_ray.stages.qa import (
             partition_checksums,
             verify_checksum_fingerprint,
@@ -1689,19 +1671,13 @@ class CdcEngine:
         prior_kept = prior.filter(
             pc.is_in(prior.column("part"), value_set=pa.array(kept, pa.int64()))
         )
-        files = [
-            self.lake.abspath(f)
-            for p in changed
-            for f in man_to.partitions[p].files
-        ]
+        files = [f for p in changed for f in man_to.partitions[p].files]
         if not files:
             fresh = prior_kept.slice(0, 0)
         else:
-            ds = rd.read_parquet(
-                files,
-                columns=["part", "url", "lsn", "text"],
-                filter=~pc.field("deleted"),
-                filesystem=self.lake.pyarrow_fs(),
+            ds = lakescan.scan(
+                self.lake, man_to, files,
+                ["part", "url", "lsn", "text"], ~pc.field("deleted"),
             )
             fresh = partition_checksums(
                 ds, "part", ["url", "lsn", "text"], hash_fn=hash_fn

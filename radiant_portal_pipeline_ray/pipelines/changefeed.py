@@ -7,7 +7,9 @@ Scale shape:
   identical at both versions cannot contain a change (commits rewrite a
   partition's files whenever any of its rows change), so its data is never
   read. A typical incremental round touches a handful of partitions — the
-  diff reads only those, O(changed) not O(table).
+  diff reads only those, O(changed) not O(table). Planning that read
+  opens no parquet footer: its tasks come from the manifest's file list
+  and bytes (``state/lakescan.py``).
 - The changed partitions' rows (``url, lsn, deleted`` only — never payload
   columns) flow through one keyed task exchange and a vectorized per-bucket
   full-outer join; classification is pure Arrow compute.
@@ -29,28 +31,16 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
+from radiant_portal_pipeline_ray.state import lakescan
+
 _DIFF_COLS = ["url", "lsn", "deleted"]
 
 
 def _version_side(engine, man, changed: list[int]) -> "rd.Dataset":
     files = [
-        engine.lake.abspath(f)
-        for p in changed
-        if p in man.partitions
-        for f in man.partitions[p].files
+        f for p in changed if p in man.partitions for f in man.partitions[p].files
     ]
-    if not files:
-        empty = pa.table(
-            {
-                "url": pa.array([], type=pa.string()),
-                "lsn": pa.array([], type=pa.int64()),
-                "deleted": pa.array([], type=pa.bool_()),
-            }
-        )
-        return rd.from_arrow(empty)
-    return rd.read_parquet(
-        files, columns=_DIFF_COLS, filesystem=engine.lake.pyarrow_fs()
-    )
+    return lakescan.scan(engine.lake, man, files, _DIFF_COLS)
 
 
 def _diff_kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:

@@ -75,6 +75,7 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     exchange_group,
     exchange_join,
 )
+from radiant_portal_pipeline_ray.state import lakescan
 
 logger = logging.getLogger(__name__)
 
@@ -476,7 +477,7 @@ class SignatureIndex:
             p for p in parts if files_of(m_from, p) != files_of(m_to, p)
         )
         files = [
-            engine.lake.abspath(f)
+            f
             for p in changed_parts
             if p in m_to.partitions
             for f in m_to.partitions[p].files
@@ -496,18 +497,13 @@ class SignatureIndex:
             # small increment: push the url set into the changed-partition
             # scan itself — no exchange, no second pass
             urls = _as_array(small.column("url"))
-            return rd.read_parquet(
-                files,
-                columns=["url", "text", "deleted"],
-                filesystem=engine.lake.pyarrow_fs(),
-                filter=(~pc.field("deleted")) & pc.field("url").isin(urls),
-            ).select_columns(["url", "text"])
-        snap = rd.read_parquet(
-            files,
-            columns=["url", "text", "deleted"],
-            filesystem=engine.lake.pyarrow_fs(),
-            filter=~pc.field("deleted"),
-        ).select_columns(["url", "text"])
+            return lakescan.scan(
+                engine.lake, m_to, files, ["url", "text"],
+                (~pc.field("deleted")) & pc.field("url").isin(urls),
+            )
+        snap = lakescan.scan(
+            engine.lake, m_to, files, ["url", "text"], ~pc.field("deleted")
+        )
 
         def semi(left: pa.Table, right: pa.Table) -> pa.Table:
             # left = snapshot rows, right = changed urls (one row per url)

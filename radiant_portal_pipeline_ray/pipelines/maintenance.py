@@ -34,9 +34,9 @@ import time
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data as rd
 
 from radiant_portal_pipeline_ray.config import EngineConfig
+from radiant_portal_pipeline_ray.state import lakescan
 from radiant_portal_pipeline_ray.state.manifest import (
     CommitConflict,
     Lake,
@@ -209,7 +209,7 @@ def compact(
 
     txn_id = lake.new_txn_id()
     staging = lake.staging_dir(txn_id)
-    files = [lake.abspath(f) for st in todo.values() for f in st.files]
+    files = [f for st in todo.values() for f in st.files]
     rewriter = _make_rewriter(
         txn_id,
         staging,
@@ -244,7 +244,7 @@ def compact(
         return pa.concat_tables(metas)
 
     meta_rows = exchange_group(
-        rd.read_parquet(files, filesystem=lake.pyarrow_fs()),
+        lakescan.scan(lake, current, files),
         ["part"],
         64,
         rewrite_bucket,
@@ -445,10 +445,8 @@ def reshard(
         ]
         return pa.concat_tables(metas)
 
-    files = [
-        lake.abspath(f) for st in current.partitions.values() for f in st.files
-    ]
-    ds = rd.read_parquet(files, filesystem=lake.pyarrow_fs()).map_batches(
+    files = [f for st in current.partitions.values() for f in st.files]
+    ds = lakescan.scan(lake, current, files).map_batches(
         route, batch_format="pyarrow"
     )
     n_buckets = max(16, min(new_n_parts, 256))

@@ -23,6 +23,12 @@ This exchange is the minimal-copy shape:
   top-level task args (Ray resolves them zero-copy before the task runs)
   → concat → per-part slices → ``MergeKernel.merge_partition``
 
+Every task here that consumes other tasks' outputs (the CDC merge, the
+generic exchange's split, apply and join tasks below, and the level-2
+``subsplit_task``) takes its refs as top-level args, never via ``ray.get``
+inside the task: a task blocked in ``ray.get`` releases its CPU, and Ray
+starts one more worker process to fill the slot.
+
 The delta is materialized into the object store exactly ONCE (the bucket
 sub-tables); there is no sort, no boundary sampling, and no driver-side
 row data. Grouping on a known small integer key domain is the one
@@ -243,7 +249,8 @@ def split_task(
 # operators): same single-materialization shape as the CDC split/merge above,
 # parameterized by key columns and a per-bucket kernel. Replaces
 # ``groupby(bucket).map_groups`` (Ray Data's sort-based all-to-all) for
-# operators that only need hash co-location, not a global order.
+# operators that only need hash co-location, not a global order. The input
+# plan runs once: it is materialized before its schema is read.
 # ---------------------------------------------------------------------------
 
 _KNUTH = np.uint64(0x9E3779B97F4A7C15)
@@ -271,10 +278,10 @@ def bucket_ids(batch: pa.Table, keys: list[str], n_buckets: int) -> np.ndarray:
 
 
 @ray.remote
-def bucket_split_task(refs: list, keys: list[str], n_buckets: int):
+def bucket_split_task(keys: list[str], n_buckets: int, *blocks: pa.Table):
     """Concat a chunk of Dataset blocks → split by key-hash bucket. Returns
     one sub-table (or None) per bucket via static multi-returns."""
-    tabs = [t for t in ray.get(list(refs)) if t.num_rows]
+    tabs = [t for t in blocks if t.num_rows]
     if not tabs:
         return tuple([None] * n_buckets) if n_buckets > 1 else None
     t = pa.concat_tables(tabs, promote_options="permissive").combine_chunks()
@@ -302,18 +309,21 @@ def _concat_or_empty(tabs: list, schema: pa.Schema) -> pa.Table:
 
 
 @ray.remote
-def bucket_apply_task(fn, refs: list, schema: pa.Schema) -> pa.Table:
-    """Unary per-bucket kernel over one bucket's ref column."""
-    return fn(_concat_or_empty(ray.get(list(refs)), schema))
+def bucket_apply_task(fn, schema: pa.Schema, *tables: pa.Table | None) -> pa.Table:
+    """Unary per-bucket kernel over one bucket's column of sub-tables."""
+    return fn(_concat_or_empty(tables, schema))
 
 
 @ray.remote
 def bucket_join_task(
-    fn, l_refs: list, r_refs: list, l_schema: pa.Schema, r_schema: pa.Schema
+    fn, l_schema: pa.Schema, r_schema: pa.Schema, n_left: int,
+    *tables: pa.Table | None,
 ) -> pa.Table:
-    """Binary per-bucket kernel (join) over aligned bucket columns."""
-    lt = _concat_or_empty(ray.get(list(l_refs)), l_schema)
-    rt = _concat_or_empty(ray.get(list(r_refs)), r_schema)
+    """Binary per-bucket kernel (join) over aligned bucket columns: the
+    first ``n_left`` of ``tables`` are the left side's, the rest the
+    right's."""
+    lt = _concat_or_empty(tables[:n_left], l_schema)
+    rt = _concat_or_empty(tables[n_left:], r_schema)
     return fn(lt, rt)
 
 
@@ -363,14 +373,16 @@ def two_level_plan(
 
 
 @ray.remote
-def subsplit_task(refs: list, keys: list[str] | None, n_buckets: int, n_groups: int):
+def subsplit_task(
+    keys: list[str] | None, n_buckets: int, n_groups: int, *tables: pa.Table | None
+):
     """Second exchange level: one GROUP's level-1 sub-tables → that group's
     final buckets. Level 1 grouped rows by ``hash % G``; because G | B and
     both levels share the hash, every row here satisfies ``bucket % G ==
     g`` and the local index is ``bucket // G``. ``keys=None`` selects the
     CDC part-modulo bucketing (``bucket = part % B``)."""
     n_local = n_buckets // n_groups
-    tabs = [t for t in ray.get(list(refs)) if t is not None and t.num_rows]
+    tabs = [t for t in tables if t is not None and t.num_rows]
     if not tabs:
         return tuple([None] * n_local) if n_local > 1 else None
     t = pa.concat_tables(tabs, promote_options="permissive").combine_chunks()
@@ -402,7 +414,7 @@ def fan_subsplit(
     sub = subsplit_task.options(num_returns=n_local) if n_local > 1 else subsplit_task
     cols: list[list] = [[] for _ in range(n_buckets)]
     for g in range(n_groups):
-        outs = sub.remote([row[g] for row in mat], keys, n_buckets, n_groups)
+        outs = sub.remote(keys, n_buckets, n_groups, *[row[g] for row in mat])
         outs = [outs] if n_local == 1 else list(outs)
         for j, r in enumerate(outs):
             cols[g + n_groups * j] = [r]
@@ -431,7 +443,7 @@ def _split_refs(
     if plan is not None:
         n_groups, n_buckets = plan
         task = bucket_split_task.options(num_returns=n_groups) if n_groups > 1 else bucket_split_task
-        mat = [task.remote(ch, keys, n_groups) for ch in chunks]
+        mat = [task.remote(keys, n_groups, *ch) for ch in chunks]
         if n_groups == 1:
             mat = [[r] for r in mat]
         else:
@@ -444,7 +456,7 @@ def _split_refs(
         }
         return cols, n_buckets
     task = bucket_split_task.options(num_returns=n_buckets) if n_buckets > 1 else bucket_split_task
-    mat = [task.remote(ch, keys, n_buckets) for ch in chunks]
+    mat = [task.remote(keys, n_buckets, *ch) for ch in chunks]
     if n_buckets == 1:
         mat = [[r] for r in mat]
     else:
@@ -474,13 +486,15 @@ def exchange_group(ds, keys: list[str], n_buckets: int, fn):
     plasma materialization, no sort."""
     import ray.data as rd
 
-    sch = ds.schema(fetch_if_missing=True)
+    # materialize BEFORE asking for the schema: on a lazy plan ending in
+    # map_batches, schema() would execute the whole plan once more
+    ds = ds.materialize()
+    sch = ds.schema()
     if sch is None:
         # zero-block input: grouping is a no-op (matches groupby().map_groups
         # on an empty dataset — the kernel is never invoked)
         return ds
     schema = pa.schema(sch.base_schema)
-    ds = ds.materialize()
     refs = ds.to_arrow_refs()
     nbytes = int(ds.size_bytes() or 0)
     if nbytes <= _DRIVER_LOCAL_BYTES:
@@ -494,7 +508,7 @@ def exchange_group(ds, keys: list[str], n_buckets: int, fn):
     n_buckets = _clamp_buckets(n_buckets, nbytes)
     cols, n_buckets = _split_refs(refs, keys, n_buckets, nbytes)
     out = [
-        bucket_apply_task.remote(fn, cols[b], schema) for b in range(n_buckets)
+        bucket_apply_task.remote(fn, schema, *cols[b]) for b in range(n_buckets)
     ]
     return rd.from_arrow_refs(out)
 
@@ -513,8 +527,8 @@ def exchange_join(
     as empty tables with the correct schema so outer joins stay exact."""
     import ray.data as rd
 
-    l_sch = left.schema(fetch_if_missing=True)
-    r_sch = right.schema(fetch_if_missing=True)
+    left, right = left.materialize(), right.materialize()
+    l_sch, r_sch = left.schema(), right.schema()
     if l_sch is None or r_sch is None:
         # a zero-BLOCK side (e.g. from_arrow_refs([])) carries no schema, so
         # a typed empty bucket table can't be synthesized for the kernel;
@@ -526,7 +540,6 @@ def exchange_join(
         )
     l_schema = pa.schema(l_sch.base_schema)
     r_schema = pa.schema(r_sch.base_schema)
-    left, right = left.materialize(), right.materialize()
     l_refs = left.to_arrow_refs()
     r_refs = right.to_arrow_refs()
     l_bytes = int(left.size_bytes() or 0)
@@ -536,7 +549,9 @@ def exchange_join(
     r_cols, nb_r = _split_refs(r_refs, right_keys, n_buckets, r_bytes)
     assert nb_l == nb_r == n_buckets  # pow2 B is invariant under two-level G
     out = [
-        bucket_join_task.remote(fn, l_cols[b], r_cols[b], l_schema, r_schema)
+        bucket_join_task.remote(
+            fn, l_schema, r_schema, len(l_cols[b]), *l_cols[b], *r_cols[b]
+        )
         for b in range(n_buckets)
     ]
     return rd.from_arrow_refs(out)

@@ -235,7 +235,11 @@ class Boto3S3FileSystem(AbstractFileSystem):
                         "type": "file",
                         "mtime": o.get("LastModified"),
                     }
-        except ClientError:
+        except ClientError as e:
+            # only a missing bucket means "nothing there"; AccessDenied,
+            # throttling or a 5xx must never read as an empty listing
+            if _err_code(e) not in ("NoSuchBucket", "404") and _http_status(e) != 404:
+                raise
             return {} if detail else []
         if not out and key:
             # find() on an exact file key returns that file

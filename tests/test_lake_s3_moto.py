@@ -13,7 +13,6 @@ integration-tests its lake against a MinIO container
 (`tests/integration/fixtures_docker.py:20-28`).
 """
 
-import logging
 import os
 import threading
 
@@ -32,33 +31,6 @@ from radiant_portal_pipeline_ray.state.manifest import (
     PartitionState,
 )
 from radiant_portal_pipeline_ray.state.s3boto import Boto3S3FileSystem
-
-
-@pytest.fixture(scope="module")
-def moto_s3():
-    """Threaded moto S3 server on an ephemeral port; env vars route both
-    driver-side ``Lake("s3://…")`` construction and boto3 credential
-    resolution at it. Ray workers need no env: the fs instance pickles
-    with the endpoint baked in."""
-    from moto.server import ThreadedMotoServer
-
-    logging.getLogger("werkzeug").setLevel(logging.CRITICAL)
-    server = ThreadedMotoServer(ip_address="127.0.0.1", port=0)
-    server.start()
-    port = server._server.socket.getsockname()[1]
-    endpoint = f"http://127.0.0.1:{port}"
-    keys = ("AWS_ENDPOINT_URL", "AWS_ACCESS_KEY_ID", "AWS_SECRET_ACCESS_KEY")
-    saved = {k: os.environ.get(k) for k in keys}
-    os.environ["AWS_ENDPOINT_URL"] = endpoint
-    os.environ["AWS_ACCESS_KEY_ID"] = "graft-test"
-    os.environ["AWS_SECRET_ACCESS_KEY"] = "graft-test"
-    yield endpoint
-    for k, v in saved.items():
-        if v is None:
-            os.environ.pop(k, None)
-        else:
-            os.environ[k] = v
-    server.stop()
 
 
 def _mk_bucket(name: str) -> None:
@@ -145,6 +117,32 @@ def test_boto3fs_pickle_carries_resolved_endpoint(moto_s3):
         os.environ["AWS_ENDPOINT_URL"] = saved
     assert fs2.endpoint_url == fs.endpoint_url == moto_s3
     assert fs2.cat_file("fs-pickle/k") == b"v"
+
+
+def test_boto3fs_find_raises_on_access_denied(moto_s3):
+    """find() may read a listing as empty only when the bucket is missing:
+    an AccessDenied on ListObjectsV2 (injected into the client's request
+    pipeline) must propagate, or GC and the tail loop would take a denied
+    lake for an empty one."""
+    from botocore.awsrequest import AWSResponse
+    from botocore.exceptions import ClientError
+
+    _mk_bucket("fs-denied")
+    # a private instance: the hook below must not leak into the cached one
+    fs = Boto3S3FileSystem(skip_instance_cache=True)
+    fs.pipe_file("fs-denied/a/x.bin", b"0")
+    assert fs.find("no-such-bucket/a") == []
+
+    def deny(**_kw):
+        body = {
+            "Error": {"Code": "AccessDenied", "Message": "Access Denied"},
+            "ResponseMetadata": {"HTTPStatusCode": 403},
+        }
+        return AWSResponse("http://denied", 403, {}, None), body
+
+    fs.client.meta.events.register("before-call.s3.ListObjectsV2", deny)
+    with pytest.raises(ClientError, match="AccessDenied"):
+        fs.find("fs-denied/a")
 
 
 # -- manifest CAS on the wire -------------------------------------------------

@@ -153,7 +153,7 @@ def test_split_refs_empty_input(ray_session):
     # downstream kernel sees a typed empty table
     schema = pa.schema([("k", pa.int64()), ("v", pa.int64())])
     out = ray.get(
-        ts.bucket_apply_task.remote(lambda t: t, cols[0], schema)
+        ts.bucket_apply_task.remote(lambda t: t, schema, *cols[0])
     )
     assert out.num_rows == 0 and out.schema == schema
 
