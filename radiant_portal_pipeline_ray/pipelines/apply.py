@@ -389,20 +389,17 @@ class CdcEngine:
                 st = current.partitions.get(p)
                 if not st:
                     continue
-                paths_p = [self.lake.abspath(f) for f in st.files]
                 if p in migration_parts:
-                    old_files.extend(paths_p)
-                elif paths_p:
-                    local_carry[p] = paths_p
+                    old_files += lakescan.part_files(current, [p])
+                elif st.files:
+                    local_carry[p] = [self.lake.abspath(f) for f in st.files]
         if old_files:
             caster = make_snapshot_caster(
                 union_schema, cfg.n_parts, partitioner.salt_map,
                 salt_hash_version=self._salt_v,
             )
-            old_ds = rd.read_parquet(
-                old_files,
-                override_num_blocks=read_blocks,
-                filesystem=self.lake.pyarrow_fs(),
+            old_ds = lakescan.scan(
+                self.lake, current, old_files, override_num_blocks=read_blocks
             ).map_batches(
                 caster, batch_format="pyarrow", batch_size=cfg.normalize_batch_size
             )
@@ -998,12 +995,11 @@ class CdcEngine:
             for d, old_parts in pending.items():
                 migration_parts.update(old_parts)
                 migration_parts.update(partitioner.salt_map.get(d, []))
-            mig_files: list[str] = []
-            if current:
-                for p in sorted(migration_parts):
-                    st = current.partitions.get(p)
-                    if st:
-                        mig_files.extend(self.lake.abspath(f) for f in st.files)
+            mig_files = (
+                lakescan.part_files(current, sorted(migration_parts))
+                if current
+                else []
+            )
 
             # one exchange branch per schema group (normalize aligns schemas
             # INSIDE the transform, so raw reads must not be unioned)
@@ -1022,10 +1018,9 @@ class CdcEngine:
                     salt_hash_version=self._salt_v,
                 )
                 st_ds = build_exchange(
-                    rd.read_parquet(
-                        mig_files,
+                    lakescan.scan(
+                        self.lake, current, mig_files,
                         override_num_blocks=read_blocks,
-                        filesystem=self.lake.pyarrow_fs(),
                     ),
                     caster,
                     shards,
@@ -1316,7 +1311,7 @@ class CdcEngine:
                 c for c in generate_checks(man.schema) if c.name not in have
             ]
             qa = run_checks(self.read_snapshot(), checks)
-            files = [f for st in man.partitions.values() for f in st.files]
+            files = lakescan.part_files(man)
             if files:
                 # cross-table exclusivity (A8 analogue): a url must never be
                 # both live and tombstoned in one committed snapshot
@@ -1569,13 +1564,15 @@ class CdcEngine:
         )
         if not man or man.schema is None:
             return rd.from_arrow(CHANGELOG_SCHEMA.empty_table())
-        rels, _ = plan_files(man, prune)
+        files = lakescan.part_files(man)
         filt = None if include_tombstones else ~pc.field("deleted")
         if prune:
+            kept = set(plan_files(man, prune)[0])
+            files = [fb for fb in files if fb[0] in kept]
             expr = prune_expression(prune)
             if expr is not None:
                 filt = expr if filt is None else filt & expr
-        return lakescan.scan(self.lake, man, rels, columns, filt)
+        return lakescan.scan(self.lake, man, files, columns, filt)
 
     def read_changes(
         self, v_from: int, v_to: int, n_buckets: int = 64
@@ -1671,7 +1668,7 @@ class CdcEngine:
         prior_kept = prior.filter(
             pc.is_in(prior.column("part"), value_set=pa.array(kept, pa.int64()))
         )
-        files = [f for p in changed for f in man_to.partitions[p].files]
+        files = lakescan.part_files(man_to, changed)
         if not files:
             fresh = prior_kept.slice(0, 0)
         else:

@@ -37,9 +37,17 @@ _DIFF_COLS = ["url", "lsn", "deleted"]
 
 
 def _version_side(engine, man, changed: list[int]) -> "rd.Dataset":
-    files = [
-        f for p in changed if p in man.partitions for f in man.partitions[p].files
-    ]
+    files = lakescan.part_files(man, changed)
+    if not files:
+        # a quarantine-only first commit has no schema to project
+        empty = pa.table(
+            {
+                "url": pa.array([], type=pa.string()),
+                "lsn": pa.array([], type=pa.int64()),
+                "deleted": pa.array([], type=pa.bool_()),
+            }
+        )
+        return rd.from_arrow(empty)
     return lakescan.scan(engine.lake, man, files, _DIFF_COLS)
 
 

@@ -476,12 +476,7 @@ class SignatureIndex:
         changed_parts = sorted(
             p for p in parts if files_of(m_from, p) != files_of(m_to, p)
         )
-        files = [
-            f
-            for p in changed_parts
-            if p in m_to.partitions
-            for f in m_to.partitions[p].files
-        ]
+        files = lakescan.part_files(m_to, changed_parts)
         if not files:
             return rd.from_arrow(
                 _empty(pa.schema([("url", pa.string()), ("text", pa.string())]))

@@ -209,7 +209,6 @@ def compact(
 
     txn_id = lake.new_txn_id()
     staging = lake.staging_dir(txn_id)
-    files = [f for st in todo.values() for f in st.files]
     rewriter = _make_rewriter(
         txn_id,
         staging,
@@ -244,7 +243,7 @@ def compact(
         return pa.concat_tables(metas)
 
     meta_rows = exchange_group(
-        lakescan.scan(lake, current, files),
+        lakescan.scan(lake, current, lakescan.part_files(current, todo)),
         ["part"],
         64,
         rewrite_bucket,
@@ -445,8 +444,7 @@ def reshard(
         ]
         return pa.concat_tables(metas)
 
-    files = [f for st in current.partitions.values() for f in st.files]
-    ds = lakescan.scan(lake, current, files).map_batches(
+    ds = lakescan.scan(lake, current, lakescan.part_files(current)).map_batches(
         route, batch_format="pyarrow"
     )
     n_buckets = max(16, min(new_n_parts, 256))

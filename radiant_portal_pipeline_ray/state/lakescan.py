@@ -39,28 +39,37 @@ def _read_files(paths, filesystem, schema, out, columns, filt):
         yield out.empty_table()
 
 
+def part_files(man, parts=None) -> list[tuple[str, int]]:
+    """``(path, bytes)`` of each file of ``parts`` of ``man`` (every
+    partition when None): lake-relative paths, with the partition's bytes
+    split evenly over its files. Costs O(files of ``parts``)."""
+    sel = (
+        man.partitions.values()
+        if parts is None
+        else [man.partitions[p] for p in parts if p in man.partitions]
+    )
+    return [(f, st.bytes // len(st.files)) for st in sel for f in st.files]
+
+
+def _project(schema: pa.Schema, columns) -> pa.Schema:
+    schema = schema.remove_metadata()
+    if columns is None:
+        return schema
+    return pa.schema([schema.field(c) for c in columns])
+
+
 class LakeScan(Datasource):
-    """Read ``files`` (lake-relative paths of ``man``) without a plan-time
-    footer pass. Sizes are the manifest's partition bytes split evenly over
-    the partition's files."""
+    """Read ``files``, ``(lake-relative path, bytes)`` pairs of ``man`` as
+    :func:`part_files` gives them, without a plan-time footer pass."""
 
     def __init__(self, lake, man, files, columns=None, filter=None):
         self._schema = man.schema.remove_metadata()
-        self.schema = (
-            pa.schema([self._schema.field(c) for c in columns])
-            if columns is not None
-            else self._schema
-        )
-        size = {
-            f: st.bytes // len(st.files)
-            for st in man.partitions.values()
-            for f in st.files
-        }
-        paths = [lake.abspath(f) for f in files]
+        self.schema = _project(self._schema, columns)
+        paths = [lake.abspath(f) for f, _ in files]
         if lake.filesystem is None:
             # read tasks may run in another working directory
             paths = [os.path.abspath(p) for p in paths]
-        self._files = [(p, size[f]) for p, f in zip(paths, files)]
+        self._files = [(p, b) for p, (_, b) in zip(paths, files)]
         self._fs = lake.pyarrow_fs() or pafs.LocalFileSystem()
         self._columns = columns
         self._filter = filter
@@ -87,10 +96,15 @@ class LakeScan(Datasource):
         return tasks
 
 
-def scan(lake, man, files, columns=None, filter=None) -> "rd.Dataset":
-    """Dataset over lake-relative ``files`` of manifest ``man``; an empty
-    file list yields one empty block with the projected schema."""
-    src = LakeScan(lake, man, files, columns, filter)
+def scan(
+    lake, man, files, columns=None, filter=None, override_num_blocks=None
+) -> "rd.Dataset":
+    """Dataset over ``files`` (:func:`part_files` pairs) of manifest
+    ``man``; an empty file list yields one empty block with the projected
+    schema."""
     if not files:
-        return rd.from_arrow(src.schema.empty_table())
-    return rd.read_datasource(src)
+        return rd.from_arrow(_project(man.schema, columns).empty_table())
+    return rd.read_datasource(
+        LakeScan(lake, man, files, columns, filter),
+        override_num_blocks=override_num_blocks,
+    )

@@ -180,12 +180,12 @@ def test_pruned_scan_blocks_carry_projected_schema(ray_session, tmp_path):
 def test_lake_scan_plans_from_manifest_sizes(ray_session, tmp_path):
     """Planning touches no footer: the size estimate is the manifest's
     partition bytes, and the read tasks cover every planned file once."""
-    from radiant_portal_pipeline_ray.state.lakescan import LakeScan
+    from radiant_portal_pipeline_ray.state.lakescan import LakeScan, part_files
 
     eng = _replay(str(tmp_path / "lake"), tmp_path)
     man = eng.lake.current_manifest()
     files = [f for st in man.partitions.values() for f in st.files]
-    src = LakeScan(eng.lake, man, files, columns=["url"])
+    src = LakeScan(eng.lake, man, part_files(man), columns=["url"])
     total = sum(st.bytes for st in man.partitions.values())
     assert 0 < src.estimate_inmemory_data_size() <= total
     assert total - src.estimate_inmemory_data_size() < len(files)
@@ -242,3 +242,102 @@ def test_exchanges_run_their_input_once(ray_session, tmp_path):
     )
     assert sum(_collect(joined).column("n").to_pylist()) == 50 * n_blocks
     assert (calls("l"), calls("r")) == (n_blocks, 2)
+
+
+def test_change_feed_from_quarantine_only_first_commit(ray_session, tmp_path):
+    """A first batch of only malformed events commits a manifest with no
+    schema and no partitions; the change feed from that version must still
+    equal the driver-side diff."""
+    from radiant_portal_pipeline_ray.schemas import CHANGELOG_SCHEMA
+
+    bad = pa.table(
+        {
+            "lsn": pa.array([1, 2], pa.int64()),
+            "op": pa.array(["Z", "I"], pa.string()),
+            "url": pa.array(["https://bad.org/a", None], pa.string()),
+            "warc_ts": pa.array([0, 0], pa.timestamp("us")),
+            "html": pa.array([b"x", b"y"], pa.binary()),
+            "text": pa.array([None, None], pa.string()),
+            "lang": pa.array(["en", "en"], pa.string()),
+        },
+        schema=CHANGELOG_SCHEMA,
+    )
+    import pyarrow.parquet as pq
+
+    pq.write_table(bad, str(tmp_path / "bad.parquet"))
+    good = generate_changelog(
+        str(tmp_path / "cl"),
+        ChangelogSpec(n_urls=100, n_events=300, n_batches=1, seed=7),
+    )
+    eng = CdcEngine(str(tmp_path / "lake"), CFG)
+    assert eng.apply([str(tmp_path / "bad.parquet")])["rows_quarantined"] == 2
+    assert eng.lake.read_manifest(1).schema is None
+    eng.apply(good)
+
+    ch = _sorted(_collect(eng.read_changes(1, 2)))
+    got = list(zip(*(ch.column(c).to_pylist() for c in ch.column_names)))
+    want = _expected_changes(eng, 1, 2)
+    assert want and got == want
+
+
+def _hot_batch(path, n: int, lsn0: int) -> str:
+    import pyarrow.parquet as pq
+
+    t = pa.table(
+        {
+            "url": [f"https://hot.org/p/{i:05d}" for i in range(n)]
+            + [f"https://cold{i}.org/" for i in range(8)],
+            "warc_ts": pa.array(
+                [1_700_000_000 + lsn0 + i for i in range(n + 8)], pa.timestamp("us")
+            ),
+            "html": pa.array([b"<p>x</p>"] * (n + 8), pa.binary()),
+            "op": ["I"] * (n + 8),
+            "lsn": pa.array([lsn0 + i for i in range(n + 8)], pa.int64()),
+        }
+    )
+    pq.write_table(t, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("exchange", ["sort", "actor"])
+def test_migration_reads_bypass_read_parquet(ray_session, tmp_path, monkeypatch, exchange):
+    """The sort and actor paths read a salting migration's carried
+    partitions through the manifest-planned scan, never through
+    ``ray.data.read_parquet`` (which still reads the changelog), and commit
+    what the task exchange commits."""
+    from radiant_portal_pipeline_ray.state import lakescan
+
+    # round 1 stays under the salt threshold, round 2 crosses it (the
+    # decision is deferred), round 3 executes the migration
+    paths = [
+        _hot_batch(tmp_path / f"b{i}.parquet", n, 1000 * i)
+        for i, n in enumerate((10, 40, 40))
+    ]
+    kw = dict(n_parts=4, salt_threshold_rows=20, salt_target_rows=10)
+    ref = CdcEngine(str(tmp_path / "task"), EngineConfig(exchange="task", **kw))
+    for p in paths:
+        ref.apply([p])
+
+    root = str(tmp_path / exchange)
+    read_parquet, scan = rd.read_parquet, lakescan.scan
+    migration_scans = []
+
+    def changelog_only(files, *a, **kw):
+        assert not any(str(f).startswith(root) for f in files), files
+        return read_parquet(files, *a, **kw)
+
+    def counted(*a, override_num_blocks=None, **kw):
+        if override_num_blocks is not None:
+            migration_scans.append(a[2])
+        return scan(*a, override_num_blocks=override_num_blocks, **kw)
+
+    monkeypatch.setattr(rd, "read_parquet", changelog_only)
+    monkeypatch.setattr(lakescan, "scan", counted)
+    eng = CdcEngine(root, EngineConfig(exchange=exchange, **kw))
+    for p in paths[:2]:
+        eng.apply([p])
+    assert "hot.org" in eng.lake.current_manifest().pending_migrations
+    eng.apply([paths[2]])
+    assert not eng.lake.current_manifest().pending_migrations
+    assert migration_scans and all(migration_scans)
+    assert _sorted(eng.snapshot_table()).equals(_sorted(ref.snapshot_table()))
