@@ -738,6 +738,7 @@ class CdcEngine:
             fan_subsplit,
             merge_bucket_count,
             merge_bucket_task,
+            merge_layer_summary,
             split_task,
             two_level_plan,
         )
@@ -869,11 +870,13 @@ class CdcEngine:
 
         # stable changed partitions merge their committed files locally
         local_carry: dict[int, list[str]] = {}
+        carry_bytes: dict[int, int] = {}
         if current:
             for p in sorted(changed_parts - migration_parts):
                 st = current.partitions.get(p)
                 if st and st.files:
                     local_carry[p] = [self.lake.abspath(f) for f in st.files]
+                    carry_bytes[p] = st.bytes
         _lap("scout")
 
         from radiant_portal_pipeline_ray.stages.merge import MergeKernel
@@ -896,6 +899,7 @@ class CdcEngine:
             union_schema=union_schema,
             filesystem=lake_fs,
             fault_inject=cfg.fault_inject,
+            local_carry_bytes=carry_bytes,
         )
         # changed parts that shuffled no rows (local-carry-only partitions of
         # a migrating domain) still need a merge pass from an empty delta
@@ -912,13 +916,15 @@ class CdcEngine:
             )
             for b in active
         ]
-        meta_rows = [m for sub in ray.get(merge_refs) for m in sub]
+        results = ray.get(merge_refs)
+        meta_rows = [m for metas, _ in results for m in metas]
+        merge_layers = merge_layer_summary(active, [lay for _, lay in results])
         _lap("merge")
         # release the round's plasma objects before the commit; the refs
         # form no cycles, so dropping them frees the objects without a
         # gc.collect()
         del bucket_cols, returns, stats_refs, merge_refs
-        return self._post_merge(
+        report = self._post_merge(
             t0,
             timings,
             _lap,
@@ -932,6 +938,8 @@ class CdcEngine:
             noop_report,
             quarantine=quarantine_info,
         )
+        report["merge_layers"] = merge_layers
+        return report
 
     # ------------------------------------------------------------------
     def _apply_actor_exchange(

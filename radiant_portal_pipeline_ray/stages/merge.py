@@ -1,17 +1,27 @@
-"""Per-partition LWW merge + staged Parquet writer (``groupby(part).map_groups``).
+"""LWW merge + staged Parquet writer: one vectorized pass per batch of
+partitions.
 
-One group = one partition's carried-forward snapshot rows (``op='S'``) plus
-its fresh change events. The merge is fully vectorized and deterministic:
+Input: the change events of one or more partitions (a merge task's whole
+bucket) plus each partition's carried-forward snapshot rows (``op='S'``),
+read locally from its committed files. The merge is fully vectorized and
+deterministic:
 
-  sort by (url, warc_ts, lsn)  →  keep the last row per url (LWW)
-  →  drop urls whose winner is a delete tombstone
+  stable sort by (part, url, warc_ts, lsn), delta rows before carried rows
+  →  keep the last row per (part, url) (LWW)
+  →  flag urls whose winner is a delete tombstone
   →  re-attach stable doc_ids (existing urls keep theirs; new urls get
      ``part << shift | seq`` allocated deterministically in url order from
      the partition's persisted counter)
-  →  write url-sorted Parquet file(s) into ``_staging/<txn>/part=<P>/``
-  →  return ONE small metadata row (files, counts, max lsn, lineage metrics)
+  →  per partition: write url-sorted Parquet file(s) into
+     ``_staging/<txn>/part=<P>/`` and return ONE small metadata dict
+     (files, counts, max lsn, lineage metrics)
 
-Determinism matters: a retried Ray task re-executes the same group and
+Every step but the write is a segment operation over the sorted rows, so
+its fixed cost is paid once per batch, not once per partition; within a
+partition the sort order, the tie-breaks and hence the output are those of
+a merge of that partition alone.
+
+Determinism matters: a retried Ray task re-executes the same bucket and
 writes byte-identical files (same sort, same tie-breaks, same allocation
 order), which is what makes the two-phase commit exactly-once under
 retries (SURVEY §7.5 "Custom LWW semantics under retries").
@@ -23,12 +33,14 @@ copy-partition carry-forward ``NOT IN delta AND NOT IN deleted``
 (`radiant/dags/sql/radiant/germline_snv_occurrence_copy_partition.sql:1-3`)
 and the AUTO_INCREMENT id dictionary
 (`radiant/dags/sql/radiant/init/variant_lookup_create_table.sql:1-7`) —
-collapsed into one per-partition vectorized kernel.
+collapsed into one vectorized kernel.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -59,11 +71,37 @@ META_SCHEMA = pa.schema(
     ]
 )
 
+#: the merge's in-task layers, in seconds (``merge_parts(..., layers=)``):
+#: carried-row read, LWW kernel, Parquet encode + staged write
+MERGE_LAYERS = ("carry_read_s", "lww_s", "write_s")
+
+#: heavy-hitter domains reported per partition
+_TOP_DOMAINS = 16
+
+
+def carry_batches(
+    parts: list[int], carry_bytes: dict[int, int], limit: int
+) -> list[list[int]]:
+    """Consecutive runs of ``parts`` whose carried bytes sum to at most
+    ``limit``. A partition is never split: one larger than ``limit`` forms
+    a batch of its own."""
+    batches: list[list[int]] = []
+    size = 0
+    for p in parts:
+        b = int(carry_bytes.get(p, 0))
+        if batches and size + b <= limit:
+            batches[-1].append(p)
+            size += b
+        else:
+            batches.append([p])
+            size = b
+    return batches
+
 
 class MergeKernel:
-    """Shared per-partition LWW merge + staged-write kernel, used by BOTH
-    exchange implementations (the Dataset ``groupby(part).map_groups`` sort
-    path and the streaming actor exchange in stages/exchange.py)."""
+    """The LWW merge + staged-write kernel. The task exchange's merge tasks
+    call ``merge_parts`` once per bucket; the sort and actor exchanges merge
+    one partition per call through ``merge_partition``."""
 
     def __init__(
         self,
@@ -78,6 +116,7 @@ class MergeKernel:
         union_schema: pa.Schema | None = None,
         filesystem=None,
         fault_inject: tuple | None = None,
+        local_carry_bytes: dict[int, int] | None = None,
     ):
         self.txn_id = txn_id
         self.staging_dir = staging_dir
@@ -87,11 +126,14 @@ class MergeKernel:
         self.target_rows_per_file = target_rows_per_file
         self.compression = compression
         self.local_carry_files = dict(local_carry_files or {})
+        #: committed bytes of each local-carry partition (the manifest's
+        #: ``PartitionState.bytes``): sizes the batches of ``merge_parts``
+        self.local_carry_bytes = dict(local_carry_bytes or {})
         self.union_schema = union_schema
         #: fsspec filesystem for an object-store lake (None = local paths).
-        #: pyarrow wraps it natively in read_table/write_table; the kernel
-        #: ships to merge tasks, so the fs must be picklable (LocalFileSystem
-        #: and real object-store fs classes are; memory:// is driver-only).
+        #: The kernel ships to merge tasks, so the fs must be picklable
+        #: (LocalFileSystem and real object-store fs classes are; memory://
+        #: is driver-only).
         self.filesystem = filesystem
         #: tests only — ``("merge", dir)`` kills the first merge worker ONCE,
         #: after it has staged a partition's files (the partial-write case a
@@ -99,186 +141,288 @@ class MergeKernel:
         self.fault_inject = fault_inject
 
     def merge_partition(self, group: pa.Table, part: int) -> dict:
-        """One partition's event rows (+ shuffled carried rows, if routing is
-        changing) → url-sorted staged file(s) + one metadata dict."""
-        carry = self.local_carry_files.get(part)
-        if carry:
-            # stable partition: carried-forward rows read LOCALLY from the
-            # committed per-partition lake files — they never shuffled.
-            # Threaded per-file reads: a partition that missed compaction can
-            # carry many small files, and serial I/O inside this one merge
-            # task would become the round's straggler. Per-file (not
-            # multi-file-dataset) reads keep permissive schema promotion for
-            # files written before a schema evolution.
-            def _read(p):
-                return pq.read_table(p, filesystem=self.filesystem)
+        """One partition's event rows → url-sorted staged file(s) + one
+        metadata dict."""
+        return self.merge_parts(group, [part])[0]
 
-            if len(carry) > 1:
-                from concurrent.futures import ThreadPoolExecutor
+    def merge_parts(
+        self,
+        delta: pa.Table,
+        parts: list[int],
+        layers: dict[str, float] | None = None,
+        batch_bytes: int | None = None,
+    ) -> list[dict]:
+        """Merge and stage every partition in ``parts``; one metadata dict
+        per partition, in ``parts`` order. ``delta`` holds their change rows
+        (rows of other partitions are ignored); a partition with none still
+        re-stages its carried rows. ``batch_bytes`` bounds the carried bytes
+        merged in one pass: consecutive partitions are batched up to it.
+        ``layers`` accumulates the seconds of each of ``MERGE_LAYERS``."""
+        if layers is None:
+            layers = dict.fromkeys(MERGE_LAYERS, 0.0)
+        batches = (
+            carry_batches(parts, self.local_carry_bytes, batch_bytes)
+            if batch_bytes is not None
+            else [list(parts)]
+        )
+        delta_parts = delta.column("part").to_numpy(zero_copy_only=False)
+        metas: list[dict] = []
+        for batch in batches:
+            keep = np.isin(delta_parts, batch)
+            rows = delta if keep.all() else delta.filter(pa.array(keep))
+            metas.extend(self._merge_batch(rows, batch, layers))
+        return metas
 
-                with ThreadPoolExecutor(min(4, len(carry))) as ex:
-                    tables = list(ex.map(_read, carry))
-            else:
-                tables = [_read(carry[0])]
-            old = pa.concat_tables(tables, promote_options="permissive")
-            old = align_table(old, self.union_schema or group.schema)
-            n_old = old.num_rows
-            old = old.set_column(
-                old.schema.get_field_index("op"),
-                pa.field("op", pa.string()),
-                pa.array(["S"] * n_old, type=pa.string()),
-            )
-            old = old.set_column(
-                old.schema.get_field_index("part"),
-                pa.field("part", pa.int32()),
-                pa.array(np.full(n_old, part, dtype=np.int32)),
-            )
-            group = pa.concat_tables(
-                [align_table(group, old.schema), old]
-            ).combine_chunks()
+    def _read_carry(self, parts: list[int], schema: pa.Schema) -> pa.Table | None:
+        """The carried-forward rows of ``parts`` (``op='S'``, ``part`` set),
+        read locally from the committed lake files, or None if none carry.
+        Per-file reads keep permissive schema promotion for files written
+        before a schema evolution; they run threaded because a partition
+        that missed compaction can carry many small files."""
+        files, file_part = [], []
+        for p in parts:
+            for f in self.local_carry_files.get(p, ()):
+                files.append(f)
+                file_part.append(p)
+        if not files:
+            return None
+
+        def _read(path):
+            if self.filesystem is None:
+                with pq.ParquetFile(path) as pf:
+                    return pf.read()
+            with self.filesystem.open(path, "rb") as fh:
+                return pq.ParquetFile(fh).read()
+
+        if len(files) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(min(4, len(files))) as ex:
+                tables = list(ex.map(_read, files))
+        else:
+            tables = [_read(files[0])]
+        old = pa.concat_tables(tables, promote_options="permissive")
+        old = align_table(old, schema)
+        n = old.num_rows
+        old = old.set_column(
+            old.schema.get_field_index("op"),
+            pa.field("op", pa.string()),
+            pa.repeat(pa.scalar("S", pa.string()), n),
+        )
+        return old.set_column(
+            old.schema.get_field_index("part"),
+            pa.field("part", pa.int32()),
+            pa.array(
+                np.repeat(
+                    np.array(file_part, dtype=np.int32),
+                    [t.num_rows for t in tables],
+                )
+            ),
+        )
+
+    def _merge_batch(
+        self, delta: pa.Table, parts: list[int], layers: dict[str, float]
+    ) -> list[dict]:
+        t0 = time.perf_counter()
+        old = self._read_carry(parts, self.union_schema or delta.schema)
+        if old is not None:
+            table = pa.concat_tables([align_table(delta, old.schema), old])
+        else:
+            table = delta
+        table = table.combine_chunks()
+        t1 = time.perf_counter()
+        layers["carry_read_s"] += t1 - t0
 
         # Copy discipline: the wide columns (html, text) are never taken for
         # the full sorted table. Only narrow key columns sort-materialize;
         # the single full-width copy is the winners-only take (~rows/keys of
-        # the group, typically 30-50%). Byte-identical output to the naive
-        # full-sort path — same sort, same tie-breaks.
-        idx = pc.sort_indices(
-            group,
+        # the batch, typically 30-50%). Within a partition this is the order
+        # of a merge of that partition alone: the sort is stable and delta
+        # rows precede carried rows.
+        idx_np = pc.sort_indices(
+            table,
             sort_keys=[
+                ("part", "ascending"),
                 ("url", "ascending"),
                 ("warc_ts", "ascending"),
                 ("lsn", "ascending"),
             ],
+        ).to_numpy().astype(np.int64)
+        n = len(idx_np)
+        op = table.column("op")
+        is_state = pc.fill_null(pc.equal(op, "S"), False).to_numpy(
+            zero_copy_only=False
         )
-        idx_np = idx.to_numpy(zero_copy_only=False)
-
-        ops_all = group.column("op").to_numpy(zero_copy_only=False)
-        is_state_all = ops_all == "S"
-        events_in = int((~is_state_all).sum())
-        lsn_all = group.column("lsn").to_numpy(zero_copy_only=False)
-        ev_lsn = lsn_all[~is_state_all]
-        max_lsn = int(ev_lsn.max()) if len(ev_lsn) else -1
-
-        urls_sorted = pc.take(group.column("url"), idx)
-        if isinstance(urls_sorted, pa.ChunkedArray):
-            urls_sorted = urls_sorted.combine_chunks()
-        urls = urls_sorted.to_numpy(zero_copy_only=False)
-        n = len(urls)
-        last = np.empty(n, dtype=bool)
-        if n:
-            last[:-1] = urls[:-1] != urls[1:]
-            last[-1] = True
-        winner_idx = idx_np[last]
-        winners = group.take(pa.array(winner_idx)).combine_chunks()
-        w_ops = ops_all[winner_idx]
-
-        # tombstone semantics: a winning delete is RETAINED as a flagged row
-        # so later out-of-order events lose to it (see schemas.INTERNAL_FIELDS)
-        prev_deleted = (
-            pc.fill_null(winners.column("deleted"), False)
+        is_del = pc.fill_null(pc.equal(op, "D"), False).to_numpy(
+            zero_copy_only=False
+        )
+        is_upsert = pc.fill_null(
+            pc.is_in(op, value_set=pa.array(["I", "U"])), False
+        ).to_numpy(zero_copy_only=False)
+        part_all = table.column("part").to_numpy(zero_copy_only=False)
+        lsn_all = table.column("lsn").to_numpy(zero_copy_only=False)
+        deleted_all = (
+            pc.fill_null(table.column("deleted"), False)
             .to_numpy(zero_copy_only=False)
             .astype(bool)
         )
-        deleted_flag = np.where(
-            w_ops == "D", True, np.where(w_ops == "S", prev_deleted, False)
-        )
-        live = winners.set_column(
-            winners.schema.get_field_index("deleted"),
-            pa.field("deleted", pa.bool_()),
-            pa.array(deleted_flag, type=pa.bool_()),
-        )
-        live_ops = w_ops
 
-        # stable doc_id: existing urls keep theirs (url → doc_id from carried
-        # state rows), new urls get deterministic sequential ids in url order.
-        # Narrow (url, doc_id, deleted) projections of the state rows only —
-        # never a full-width state copy.
-        state_mask = pa.array(is_state_all)
-        state_urls = group.column("url").filter(state_mask)
-        if isinstance(state_urls, pa.ChunkedArray):
-            state_urls = state_urls.combine_chunks()
-        state_docs = group.column("doc_id").filter(state_mask)
-        if isinstance(state_docs, pa.ChunkedArray):
-            state_docs = state_docs.combine_chunks()
-        doc = live.column("doc_id")
-        if len(state_urls):
-            lookup = pc.take(
-                state_docs,
-                pc.index_in(live.column("url"), value_set=state_urls),
-            )
-            doc = pc.coalesce(doc, lookup)
-        if isinstance(doc, pa.ChunkedArray):
-            doc = doc.combine_chunks()
+        # batch-local partition index of every row: per-partition counts
+        # are bincounts over it
+        order = sorted(parts)
+        k = len(order)
+        part_ids = np.array(order, dtype=np.int64)
+        pi_all = np.searchsorted(part_ids, part_all)
+        ev = ~is_state
+        events_in = np.bincount(pi_all[ev], minlength=k)
+        max_lsn = np.full(k, -1, dtype=np.int64)
+        np.maximum.at(max_lsn, pi_all[ev], lsn_all[ev])
+
+        # segments = runs of one (part, url) in sort order; the last row of
+        # a segment wins
+        ps = part_all[idx_np]
+        us = table.column("url").take(pa.array(idx_np)).to_numpy(
+            zero_copy_only=False
+        )
+        last = np.ones(n, dtype=bool)
+        last[:-1] = (ps[:-1] != ps[1:]) | (us[:-1] != us[1:])
+        seg = np.cumsum(last) - last  # segment of each sorted row
+        winner_idx = idx_np[last]
+        winners = table.take(pa.array(winner_idx)).combine_chunks()
+        w_state = is_state[winner_idx]
+        w_del = is_del[winner_idx]
+        w_pi = pi_all[winner_idx]
+
+        # tombstone semantics: a winning delete is RETAINED as a flagged row
+        # so later out-of-order events lose to it (see schemas.INTERNAL_FIELDS)
+        deleted_flag = w_del | (w_state & deleted_all[winner_idx])
+
+        # stable doc_id: existing urls keep theirs (the doc_id of the
+        # segment's first carried row in input order), new urls get
+        # deterministic sequential ids in url order per partition
+        s_state = is_state[idx_np]
+        first_state = np.full(len(winner_idx), n, dtype=np.int64)
+        np.minimum.at(first_state, seg[s_state], idx_np[s_state])
+        live_state = s_state & ~deleted_all[idx_np]
+        had_live = np.bincount(seg[live_state], minlength=len(winner_idx)) > 0
+        lookup = table.column("doc_id").take(
+            pa.array(first_state, mask=first_state == n)
+        )
+        doc = pc.coalesce(winners.column("doc_id"), lookup)
         missing = pc.is_null(doc).to_numpy(zero_copy_only=False)
-        doc_np = (
-            pc.fill_null(doc, 0).to_numpy(zero_copy_only=False).astype(np.int64)
+        doc_np = pc.fill_null(doc, 0).to_numpy(zero_copy_only=False).astype(
+            np.int64
         )
-        seq0 = int(self.next_doc_seq.get(part, 0))
-        n_new = int(missing.sum())
-        if n_new:
-            base = np.int64(part) << np.int64(self.doc_id_part_shift)
-            doc_np[missing] = base + seq0 + np.arange(n_new, dtype=np.int64)
-        doc = pa.array(doc_np, type=pa.int64())
-        live = live.set_column(
-            live.schema.get_field_index("doc_id"), pa.field("doc_id", pa.int64()), doc
+        seq0 = np.array(
+            [int(self.next_doc_seq.get(p, 0)) for p in order], dtype=np.int64
         )
+        n_new = np.bincount(w_pi[missing], minlength=k)
+        # rank of each missing winner among its partition's missing ones
+        # (winners are in partition order)
+        rank = np.cumsum(missing) - missing
+        rank -= (np.cumsum(n_new) - n_new)[w_pi]
+        base = part_ids << np.int64(self.doc_id_part_shift)
+        doc_np[missing] = (base + seq0)[w_pi[missing]] + rank[missing]
 
         # lineage metrics
         live_mask = ~deleted_flag
-        n_tombstones = int(deleted_flag.sum())
-        rows_carried = int(((live_ops == "S") & live_mask).sum())
-        rows_upserted = int(((live_ops == "I") | (live_ops == "U")).sum())
-        state_deleted = group.column("deleted").filter(state_mask)
-        if isinstance(state_deleted, pa.ChunkedArray):
-            state_deleted = state_deleted.combine_chunks()
-        old_live_urls = state_urls.filter(
-            pc.equal(pc.fill_null(state_deleted, False), False)
+        tombstones = np.bincount(w_pi[deleted_flag], minlength=k)
+        rows_carried = np.bincount(w_pi[w_state & live_mask], minlength=k)
+        rows_upserted = np.bincount(w_pi[is_upsert[winner_idx]], minlength=k)
+        rows_deleted = np.bincount(w_pi[w_del & had_live], minlength=k)
+        top_domains = self._top_domains(
+            winners.column("url").filter(pa.array(live_mask)),
+            w_pi[live_mask],
+            k,
         )
-        del_winner_urls = winners.column("url").filter(pa.array(w_ops == "D"))
-        if isinstance(del_winner_urls, pa.ChunkedArray):
-            del_winner_urls = del_winner_urls.combine_chunks()
-        hit = pc.index_in(del_winner_urls, value_set=old_live_urls)
-        rows_deleted = int(pc.sum(pc.is_valid(hit)).as_py() or 0)
 
-        # heavy-hitter domain counts (deferred-salting feed, top 16)
-        import json as _json
+        # project to the snapshot schema (drops op)
+        cols = []
+        for f in self.snapshot_schema:
+            if f.name == "doc_id":
+                col = pa.array(doc_np, type=pa.int64())
+            elif f.name == "deleted":
+                col = pa.array(deleted_flag, type=pa.bool_())
+            else:
+                col = winners.column(f.name)
+            cols.append(col.cast(f.type))
+        out = pa.Table.from_arrays(cols, schema=self.snapshot_schema)
+        w_bounds = np.searchsorted(w_pi, np.arange(k + 1))
+        t2 = time.perf_counter()
+        layers["lww_s"] += t2 - t1
 
+        metas = {}
+        for i, p in enumerate(order):
+            lo, hi = int(w_bounds[i]), int(w_bounds[i + 1])
+            files, nbytes, stats = self._write_part(p, out.slice(lo, hi - lo))
+            metas[p] = {
+                "part": p,
+                "files": files,
+                "rows": hi - lo - int(tombstones[i]),
+                "tombstones": int(tombstones[i]),
+                "bytes": nbytes,
+                "max_lsn": int(max_lsn[i]),
+                "rows_upserted": int(rows_upserted[i]),
+                "rows_deleted": int(rows_deleted[i]),
+                "rows_carried": int(rows_carried[i]),
+                "events_in": int(events_in[i]),
+                "next_doc_seq": int(seq0[i] + n_new[i]),
+                "top_domains": top_domains[i],
+                "file_stats": json.dumps(stats),
+            }
+        layers["write_s"] += time.perf_counter() - t2
+        return [metas[p] for p in parts]
+
+    @staticmethod
+    def _top_domains(urls: pa.Array, pi: np.ndarray, k: int) -> list[str]:
+        """JSON {domain: live rows} of each partition's top domains, most
+        rows first, ties by domain (the deferred-salting feed)."""
         from radiant_portal_pipeline_ray.functions.hashing import extract_domain
 
-        live_rows_mask = pa.array(live_mask)
-        live_urls = live.filter(live_rows_mask).column("url")
-        doms = extract_domain(live_urls)
-        dom_counts = (
-            pa.table({"d": doms})
-            .group_by("d")
+        counts = (
+            pa.table({"p": pi, "d": extract_domain(urls)})
+            .group_by(["p", "d"])
             .aggregate([("d", "count")])
-            .rename_columns(["d", "n"])
         )
-        dc_sorted = dom_counts.take(
+        counts = counts.take(
             pc.sort_indices(
-                dom_counts, sort_keys=[("n", "descending"), ("d", "ascending")]
-            )
-        ).slice(0, 16)
-        top_domains = _json.dumps(
-            dict(
-                zip(dc_sorted.column("d").to_pylist(), dc_sorted.column("n").to_pylist())
+                counts,
+                sort_keys=[
+                    ("p", "ascending"),
+                    ("d_count", "descending"),
+                    ("d", "ascending"),
+                ],
             )
         )
+        cp = counts.column("p").to_numpy()
+        starts = np.searchsorted(cp, np.arange(k + 1))
+        rank = np.arange(len(cp)) - starts[cp]
+        top = counts.filter(pa.array(rank < _TOP_DOMAINS))
+        tp = top.column("p").to_numpy()
+        doms = top.column("d").to_pylist()
+        ns = top.column("d_count").to_pylist()
+        bounds = np.searchsorted(tp, np.arange(k + 1))
+        return [
+            json.dumps(
+                dict(zip(doms[bounds[i] : bounds[i + 1]], ns[bounds[i] : bounds[i + 1]]))
+            )
+            for i in range(k)
+        ]
 
-        # project to the snapshot schema (drops op) and write staged files
-        cols = [live.column(f.name).cast(f.type) for f in self.snapshot_schema]
-        out = pa.Table.from_arrays(cols, schema=self.snapshot_schema)
+    def _write_part(self, part: int, out: pa.Table) -> tuple[list, int, list]:
+        """Stage one partition's merged rows as ``target_rows_per_file``
+        slices; returns (file names, bytes, per-file zone maps)."""
+        from radiant_portal_pipeline_ray.state.zonemaps import file_stats
+
         if self.filesystem is None:
             part_dir = os.path.join(self.staging_dir, f"part={part}")
             os.makedirs(part_dir, exist_ok=True)
         else:
             part_dir = f"{self.staging_dir}/part={part}"
             self.filesystem.makedirs(part_dir, exist_ok=True)
-        from radiant_portal_pipeline_ray.state.zonemaps import file_stats
-
         files, total_bytes, stats = [], 0, []
         tpf = self.target_rows_per_file
-        n_files = max(1, -(-out.num_rows // tpf)) if out.num_rows else 0
+        n_files = -(-out.num_rows // tpf)
         for i in range(n_files):
             chunk = out.slice(i * tpf, tpf)
             fn = f"{self.txn_id}-{part}-{i:04d}.parquet"
@@ -303,22 +447,7 @@ class MergeKernel:
             from radiant_portal_pipeline_ray.chaos import maybe_die_once
 
             maybe_die_once(self.fault_inject, "merge")
-
-        return {
-            "part": part,
-            "files": files,
-            "rows": out.num_rows - n_tombstones,
-            "tombstones": n_tombstones,
-            "bytes": total_bytes,
-            "max_lsn": max_lsn,
-            "rows_upserted": rows_upserted,
-            "rows_deleted": rows_deleted,
-            "rows_carried": rows_carried,
-            "events_in": events_in,
-            "next_doc_seq": seq0 + n_new,
-            "top_domains": top_domains,
-            "file_stats": _json.dumps(stats),
-        }
+        return files, total_bytes, stats
 
 
 def meta_dict_to_table(m: dict) -> pa.Table:

@@ -21,7 +21,9 @@ This exchange is the minimal-copy shape:
 
   one raw Ray task per bucket: its column of the ref matrix arrives as
   top-level task args (Ray resolves them zero-copy before the task runs)
-  → concat → per-part slices → ``MergeKernel.merge_partition``
+  → concat → ``MergeKernel.merge_parts``: one vectorized LWW pass over
+  the bucket's partitions (batched by carried bytes), then one staged
+  write per partition
 
 Every task here that consumes other tasks' outputs (the CDC merge, the
 generic exchange's split, apply and join tasks below, and the level-2
@@ -70,7 +72,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from radiant_portal_pipeline_ray.stages.merge import MergeKernel
+from radiant_portal_pipeline_ray.stages.merge import MERGE_LAYERS, MergeKernel
 
 
 def enumerate_units(
@@ -560,38 +562,48 @@ def exchange_join(
 @ray.remote
 def merge_bucket_task(
     kernel: MergeKernel, extra_parts: list[int], *tables: pa.Table | None
-) -> list[dict]:
-    """Merge + stage every partition in one bucket. ``tables`` is this
-    bucket's column of the split-output matrix, passed as top-level
-    ObjectRef args so Ray resolves them before the task starts (None = an
-    empty split output). ``extra_parts``: changed partitions owned by this
-    bucket that shuffled no rows (e.g. local-carry-only partitions) —
-    merged from an empty delta so their carried state still re-stages."""
+) -> tuple[list[dict], dict[str, float]]:
+    """Merge + stage every partition in one bucket with
+    ``MergeKernel.merge_parts``: one LWW pass per batch of partitions whose
+    carried bytes fit ``_TARGET_BUCKET_BYTES``. ``tables`` is this bucket's
+    column of the split-output matrix, passed as top-level ObjectRef args
+    so Ray resolves them before the task starts (None = an empty split
+    output). ``extra_parts``: changed partitions owned by this bucket that
+    shuffled no rows (e.g. local-carry-only partitions) — merged from an
+    empty delta so their carried state still re-stages. Returns the
+    per-partition metadata and the task's ``MERGE_LAYERS`` seconds."""
     tables = [t for t in tables if t is not None and t.num_rows]
-    metas: list[dict] = []
     if tables:
-        all_rows = pa.concat_tables(tables, promote_options="permissive")
-        parts = all_rows.column("part").to_numpy(zero_copy_only=False)
-        order = np.argsort(parts, kind="stable")
-        sorted_t = all_rows.take(pa.array(order)).combine_chunks()
-        sp = parts[order]
-        bounds = np.flatnonzero(np.diff(sp)) + 1
-        starts = np.concatenate([[0], bounds, [len(sp)]])
-        for i in range(len(starts) - 1):
-            lo, hi = int(starts[i]), int(starts[i + 1])
-            if lo == hi:
-                continue
-            part = int(sp[lo])
-            metas.append(kernel.merge_partition(sorted_t.slice(lo, hi - lo), part))
-    done = {m["part"] for m in metas}
-    empty = None
-    for p in extra_parts:
-        if p in done:
-            continue
-        if empty is None:
-            sch = kernel.union_schema
-            empty = pa.Table.from_arrays(
-                [pa.array([], type=f.type) for f in sch], schema=sch
-            )
-        metas.append(kernel.merge_partition(empty, p))
-    return metas
+        delta = pa.concat_tables(tables, promote_options="permissive")
+    else:
+        sch = kernel.union_schema
+        delta = pa.Table.from_arrays(
+            [pa.array([], type=f.type) for f in sch], schema=sch
+        )
+    seen = np.unique(delta.column("part").to_numpy(zero_copy_only=False))
+    parts = [int(p) for p in seen]
+    parts += sorted(set(extra_parts) - set(parts))
+    layers = dict.fromkeys(MERGE_LAYERS, 0.0)
+    metas = kernel.merge_parts(
+        delta, parts, layers=layers, batch_bytes=_TARGET_BUCKET_BYTES
+    )
+    return metas, layers
+
+
+def merge_layer_summary(
+    buckets: list[int], layers: list[dict[str, float]]
+) -> dict:
+    """Fold the merge tasks' ``MERGE_LAYERS`` seconds (``layers[i]`` from
+    the task of bucket ``buckets[i]``, at least one task): per layer the
+    sum over tasks and the per-task max, plus the bucket whose task spent
+    the most seconds."""
+    out: dict = {}
+    for name in MERGE_LAYERS:
+        vals = [lay[name] for lay in layers]
+        out[name] = round(sum(vals), 6)
+        out[name.removesuffix("_s") + "_max_s"] = round(max(vals), 6)
+    totals = [sum(lay.values()) for lay in layers]
+    i = int(np.argmax(totals))
+    out["slowest_bucket"] = buckets[i]
+    out["slowest_bucket_s"] = round(totals[i], 6)
+    return out

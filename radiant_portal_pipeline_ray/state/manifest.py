@@ -65,23 +65,44 @@ _MANIFEST_RE = re.compile(r"^manifest-v(\d{12})\.json$")
 _MEMORY_CAS_LOCK = threading.Lock()
 
 
+#: the error codes a lost conditional PUT carries: S3, GCS JSON API, Azure
+_PRECONDITION_CODES = frozenset(
+    {"PreconditionFailed", "conditionNotMet", "ConditionNotMet", "BlobAlreadyExists"}
+)
+#: text fallback for errors without a structured status: one of the codes
+#: as a whole word, or an HTTP 412 at the start of the message
+_PRECONDITION_TEXT = re.compile(
+    r"\b(?:%s)\b|^\s*(?:HTTP\s*)?412\b" % "|".join(sorted(_PRECONDITION_CODES))
+)
+
+
 def _is_precondition_failure(e: Exception) -> bool:
     """Did a conditional PUT lose its race? Matched across backends without
-    importing their SDKs: GCS surfaces 412 'conditionNotMet' (gcsfs
-    HttpError), Azure ResourceExistsError / 'BlobAlreadyExists'
-    (azure-core via adlfs), S3 'PreconditionFailed'."""
+    importing their SDKs, from the structured status first: botocore's
+    ``response["Error"]["Code"]`` / HTTP status (S3 ``PreconditionFailed``),
+    gcsfs ``HttpError.code`` (412, ``conditionNotMet``), azure-core's
+    ``ResourceExistsError`` / ``error_code`` / ``status_code``
+    (``BlobAlreadyExists``). Only an error with none of these falls back to
+    its text, so a message that merely contains "412" (a key, a byte count)
+    is not a lost race."""
     if type(e).__name__ == "ResourceExistsError":
         return True
-    s = str(e)
-    return any(
-        tok in s
-        for tok in (
-            "PreconditionFailed",
-            "conditionNotMet",
-            "BlobAlreadyExists",
-            "412",
-        )
-    )
+    response = getattr(e, "response", None)
+    if isinstance(response, dict):
+        code = (response.get("Error") or {}).get("Code")
+        status = (response.get("ResponseMetadata") or {}).get("HTTPStatusCode")
+        return code in _PRECONDITION_CODES or status == 412
+    for attr in ("error_code", "code", "status_code", "status"):
+        v = getattr(e, attr, None)
+        if v is None:
+            continue
+        if isinstance(v, str) and not v.isdigit():
+            return v in _PRECONDITION_CODES
+        try:
+            return int(v) == 412
+        except (TypeError, ValueError):
+            continue
+    return bool(_PRECONDITION_TEXT.search(str(e)))
 
 
 class CommitConflict(Exception):
@@ -525,7 +546,7 @@ class Lake:
             except FileExistsError:
                 return False
             except OSError as e:
-                if "PreconditionFailed" in str(e) or "412" in str(e):
+                if _is_precondition_failure(e):
                     return False
                 raise
         if proto in ("gs", "gcs"):

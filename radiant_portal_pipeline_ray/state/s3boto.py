@@ -367,7 +367,13 @@ def _rebuild_fs(endpoint_url, region_name, key, secret, client_kwargs):
 class Boto3S3File(AbstractBufferedFile):
     """Ranged-GET reads; single-PUT writes that escalate to a multipart
     upload when the buffered data crosses one block (5 MiB — the S3
-    multipart minimum part size, so every non-final part is compliant)."""
+    multipart minimum part size, so every non-final part is compliant).
+
+    A multipart upload that cannot complete is aborted: when a part upload
+    or the completion fails (in ``write`` or in ``close``), and on
+    ``discard``. S3 keeps (and bills) the parts of an unaborted upload
+    indefinitely. After a failure the file writes nothing, rather than an
+    object missing parts."""
 
     def _fetch_range(self, start, end):
         if start >= end:
@@ -386,9 +392,33 @@ class Boto3S3File(AbstractBufferedFile):
 
     def _initiate_upload(self):
         self._mpu_id = None
+        self._mpu_failed = False
         self._parts: list[dict] = []
 
+    def _abort_upload(self):
+        mpu_id, self._mpu_id = getattr(self, "_mpu_id", None), None
+        if mpu_id is None:
+            return
+        bucket, key = self.fs._split(self.path)
+        self.fs.client.abort_multipart_upload(
+            Bucket=bucket, Key=key, UploadId=mpu_id
+        )
+
+    def discard(self):
+        """Throw the file away: abort its upload; ``close`` writes nothing."""
+        self._abort_upload()
+        self.closed = True
+
+    def close(self):
+        if getattr(self, "_mpu_failed", False):
+            # the write that hit the failure raised it; the upload is aborted
+            self.closed = True
+            return
+        super().close()
+
     def _upload_chunk(self, final=False):
+        if self._mpu_failed:
+            raise OSError(f"multipart upload of {self.path} failed; aborted")
         bucket, key = self.fs._split(self.path)
         data = self.buffer.getvalue()
         if final and self._mpu_id is None:
@@ -396,6 +426,15 @@ class Boto3S3File(AbstractBufferedFile):
             self.fs.client.put_object(Bucket=bucket, Key=key, Body=data)
             self.fs.invalidate_cache(self.fs._parent(self.path))
             return True
+        try:
+            self._upload_part(bucket, key, data, final)
+        except BaseException:
+            self._mpu_failed = True
+            self._abort_upload()
+            raise
+        return True
+
+    def _upload_part(self, bucket, key, data, final):
         if self._mpu_id is None:
             self._mpu_id = self.fs.client.create_multipart_upload(
                 Bucket=bucket, Key=key
@@ -417,8 +456,8 @@ class Boto3S3File(AbstractBufferedFile):
                 UploadId=self._mpu_id,
                 MultipartUpload={"Parts": self._parts},
             )
+            self._mpu_id = None
             self.fs.invalidate_cache(self.fs._parent(self.path))
-        return True
 
 
 _REGISTERED = False

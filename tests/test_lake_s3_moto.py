@@ -145,6 +145,51 @@ def test_boto3fs_find_raises_on_access_denied(moto_s3):
         fs.find("fs-denied/a")
 
 
+def _fail_call(**_kw):
+    body = {
+        "Error": {"Code": "InvalidRequest", "Message": "injected failure"},
+        "ResponseMetadata": {"HTTPStatusCode": 400},
+    }
+    from botocore.awsrequest import AWSResponse
+
+    return AWSResponse("http://failed", 400, {}, None), body
+
+
+def _open_uploads(fs, bucket):
+    return fs.client.list_multipart_uploads(Bucket=bucket).get("Uploads", [])
+
+
+@pytest.mark.parametrize("op", ["UploadPart", "CompleteMultipartUpload"])
+def test_boto3fs_failed_multipart_upload_is_aborted(moto_s3, op):
+    """A write past one block goes multipart; when a part upload or the
+    completion fails, the upload is aborted (no parts left behind) and no
+    object appears."""
+    from botocore.exceptions import ClientError
+
+    bucket = f"fs-mpu-{op.lower()}"
+    _mk_bucket(bucket)
+    fs = Boto3S3FileSystem(skip_instance_cache=True)
+    fs.client.meta.events.register(f"before-call.s3.{op}", _fail_call)
+    with pytest.raises(ClientError, match="injected failure"):
+        with fs.open(f"{bucket}/a/big.bin", "wb") as f:
+            f.write(b"x" * (5 * 2**20 + 1))
+            f.write(b"y")
+    assert _open_uploads(fs, bucket) == []
+    assert not fs.exists(f"{bucket}/a/big.bin")
+
+
+def test_boto3fs_discard_aborts_the_upload(moto_s3):
+    _mk_bucket("fs-discard")
+    fs = Boto3S3FileSystem(skip_instance_cache=True)
+    f = fs.open("fs-discard/a/big.bin", "wb")
+    f.write(b"x" * (5 * 2**20 + 1))
+    assert len(_open_uploads(fs, "fs-discard")) == 1
+    f.discard()
+    f.close()
+    assert _open_uploads(fs, "fs-discard") == []
+    assert not fs.exists("fs-discard/a/big.bin")
+
+
 # -- manifest CAS on the wire -------------------------------------------------
 
 

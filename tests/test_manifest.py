@@ -80,3 +80,35 @@ def test_gc_orphans(tmp_lake):
     removed = lake.gc_orphans(staging_age_s=0.0)
     assert "data/part=0/orphan.parquet" in removed
     assert os.path.exists(lake.abspath("data/part=0/keep.parquet"))
+
+
+def test_precondition_failure_reads_the_structured_status():
+    """Only a real lost CAS counts: an error whose text merely contains
+    "412" (a byte count, a version number) is not one."""
+    from radiant_portal_pipeline_ray.state.manifest import (
+        _is_precondition_failure as lost,
+    )
+
+    def err(msg, **attrs):
+        e = Exception(msg)
+        for k, v in attrs.items():
+            setattr(e, k, v)
+        return e
+
+    assert not lost(OSError("short read: got 412 of 4096 bytes"))
+    assert not lost(OSError("no such key manifests/manifest-v000000000412.json"))
+    # botocore ClientError shape
+    s3 = {"Error": {"Code": "PreconditionFailed"}, "ResponseMetadata": {"HTTPStatusCode": 412}}
+    assert lost(err("An error occurred", response=s3))
+    slow = {"Error": {"Code": "SlowDown"}, "ResponseMetadata": {"HTTPStatusCode": 503}}
+    assert not lost(err("SlowDown after 412 ms", response=slow))
+    # gcsfs HttpError.code, azure-core error_code / status_code
+    assert lost(err("At least one precondition did not hold", code=412))
+    assert not lost(err("object 412 not found", code=404))
+    assert lost(err("The condition specified was not met", error_code="ConditionNotMet"))
+    assert lost(err("Precondition Failed", status_code=412))
+    # text fallback for errors without a structured status
+    assert lost(OSError("PreconditionFailed: 412"))
+    assert lost(OSError("412 Precondition Failed"))
+    assert lost(OSError("conditionNotMet"))
+
