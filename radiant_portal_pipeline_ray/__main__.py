@@ -5,7 +5,7 @@ contract). Subcommands mirror the reference's operational surface
 (import-part run / maintenance / data-QA,
 `radiant/dags/import_radiant.py`, `radiant/dags/data_integrity_starrocks.py`):
 
-    apply    --lake L --changelog DIR_OR_FILES [--n-parts N] [--exchange task|sort|actor]
+    apply    --lake L --changelog DIR_OR_FILES [--n-parts N]
     tail     --lake L --changelog DIR [--poll-s S] [--max-rounds N]
              [--idle-exit K] [--batch-files B]   # WAL tail loop, resumable
     compact  --lake L [--min-files K] [--purge-tombstones]
@@ -54,8 +54,6 @@ def _engine(args):
     cfg = EngineConfig()
     if getattr(args, "n_parts", None):
         cfg.n_parts = args.n_parts
-    if getattr(args, "exchange", None):
-        cfg.exchange = args.exchange
     return CdcEngine(_resolve_lake(args), cfg)
 
 
@@ -72,7 +70,6 @@ def main(argv: list[str] | None = None) -> int:
     _tenant_args(ap)
     ap.add_argument("--changelog", required=True, nargs="+")
     ap.add_argument("--n-parts", type=int, default=None)
-    ap.add_argument("--exchange", choices=["task", "sort", "actor"], default=None)
 
     tp = sub.add_parser(
         "tail",

@@ -7,7 +7,7 @@ Reference analogue: resource profiles + partition capacity knobs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -22,13 +22,13 @@ class EngineConfig:
     # --- partitioning ---------------------------------------------------
     #: number of base hash partitions (part = stable_hash(domain) % n_parts).
     n_parts: int = 8
-    #: a domain whose cumulative row count exceeds this is salted across
-    #: multiple partitions (hot-key handling, north rule axes A+B).
     #: url→salt-slot hash for a NEW lake: 2 = vectorized polars/xxhash
     #: (default), 1 = legacy per-row CRC-32. An EXISTING lake always keeps
     #: the version its manifest records — this knob only seeds empty lakes
     #: (fleet-compat pin).
     salt_hash_version_default: int = 2
+    #: a domain whose cumulative row count exceeds this is salted across
+    #: multiple partitions (hot-key handling, north rule axes A+B).
     salt_threshold_rows: int = 250_000
     #: target rows per salted sub-partition when splitting a hot domain.
     salt_target_rows: int = 150_000
@@ -58,41 +58,6 @@ class EngineConfig:
     #: alternative for pipelines whose keyed state must outlive a shuffle.
     doc_id_part_shift: int = 40
 
-    # --- exchange -------------------------------------------------------
-    #: how event rows reach their partition's merge task:
-    #: - "task": fused read+normalize+split tasks → per-bucket merge tasks
-    #:   (stages/taskshuffle.py) — the delta hits the object store exactly
-    #:   once, no sort, no boundary sampling; per-task lineage retries.
-    #: - "sort": Ray Data ``groupby(part).map_groups`` sort shuffle —
-    #:   per-task retries, but the delta transits plasma ~3× (materialize →
-    #:   sort slices → reduce concat) and normalize must fully materialize
-    #:   before the sort samples boundaries (an idle barrier per round).
-    #: - "actor": streaming shard-actor exchange (stages/exchange.py) —
-    #:   normalize overlaps the exchange, no barrier; at-least-once pushes
-    #:   (safe: LWW merge is idempotent to duplicate delivery), whole-round
-    #:   restart on shard-actor loss. For deployments where the exchange
-    #:   crosses a network and push-streaming beats plasma staging.
-    #: Default "task": minimal memory traffic — measured ~2× faster per
-    #: round than "sort" at 32 CPUs AND it stops the sort's page-fault storm
-    #: from poisoning the next round's reads (BASELINE.md round-3 notes).
-    exchange: str = "task"
-
-    # --- ray data knobs -------------------------------------------------
-    #: batch size for normalize map_batches; html payloads are ~KB so this
-    #: keeps batches in the tens-of-MB range.
-    normalize_batch_size: int = 8192
-    #: blocks for the changelog/snapshot reads feeding the apply. ``None``
-    #: derives 2 × cluster CPUs at apply time. Without this, a round that
-    #: tails a couple of changelog files gets a couple of read tasks and the
-    #: CPU-heavy normalize stage runs at parallelism ≈ n_files — it can't
-    #: use the cluster. Splitting happens at parquet row-group granularity.
-    read_parallelism: int | None = None
-    #: probe changed partitions from a column-pruned (url, lsn) read instead
-    #: of materializing the normalized delta. Use when the tail is mostly
-    #: pre-watermark (resume from a long backlog); the default eager
-    #: materialization is faster when most events are fresh.
-    sparse_scout: bool = False
-
     # --- maintenance ----------------------------------------------------
     #: event-time horizon for tombstone purge: a delete tombstone may be
     #: dropped only when its warc_ts is older than (max observed warc_ts −
@@ -114,8 +79,5 @@ class EngineConfig:
     #: The first matching task after the sentinel dir is empty hard-exits
     #: its worker process (a REAL worker death — Ray's task retry, the
     #: deterministic staged-file names and the manifest CAS must absorb it).
-    #: See chaos.py and tests/test_chaos.py. Always ``None`` in production;
-    #: wired on the default task exchange.
+    #: See chaos.py and tests/test_chaos.py. Always ``None`` in production.
     fault_inject: tuple | None = None
-
-    extra: dict = field(default_factory=dict)

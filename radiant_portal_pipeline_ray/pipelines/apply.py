@@ -6,23 +6,19 @@ One ``CdcEngine.apply(changelog)`` call is one incremental ingest round
 loop `radiant/dags/import_radiant.py:48-210`):
 
   1. read the committed manifest (watermarks, salt map, schema, counters)
-  2. changed partitions are discovered BY the merge itself (a group only
-     forms where rows exist; the carried-file map is offered for every
-     committed partition as metadata) — no separate scout/unique pass over
-     the delta; ``cfg.sparse_scout`` instead probes a column-pruned
-     (url+lsn) read when the tail is mostly pre-watermark (salting
-     decisions come from the merge's heavy-hitter counts, applied NEXT
-     round)
+  2. changed partitions are discovered BY the exchange itself: each split
+     task reports the partitions it routed rows to (events above their
+     partition's watermark), so there is no separate scout pass over the
+     delta (salting decisions come from the merge's heavy-hitter counts,
+     applied NEXT round)
   3. schema discovery over changelog footers → widen-only unification with
      the snapshot schema (add / widen / drop evolution)
-  4. the delta exchange (default ``cfg.exchange='task'``,
-     stages/taskshuffle.py): fused read+normalize+split tasks — one per
-     row-group chunk, with lsn row-group pruning — emit one plasma object
-     per partition bucket; the delta is materialized exactly once, with no
-     sort and no boundary sampling. (``'sort'`` keeps the Dataset
-     ``groupby(part).map_groups`` path: read → normalize ``map_batches`` →
-     materialize → sort shuffle; ``'actor'`` streams pushes into shard
-     actors — see stages/exchange.py.)
+  4. the delta exchange (stages/taskshuffle.py): fused
+     read+normalize+split tasks — one per row-group chunk, with lsn
+     row-group pruning — emit one plasma object per partition bucket; the
+     delta is materialized exactly once, with no sort and no boundary
+     sampling. Malformed events are split off with a ``reason`` and
+     committed to the quarantine (dead-letter) file of the round
   5. carried-forward side: a STABLE changed partition's committed files are
      read locally INSIDE its merge task (the lake layout is already
      part-partitioned) — only partitions under a salt migration, whose
@@ -36,8 +32,8 @@ loop `radiant/dags/import_radiant.py:48-210`):
      fails fast if a concurrent writer advanced a merged partition)
 
 Only tiny metadata ever reaches the driver; data flows Arrow-zero-copy
-through Ray's streaming executor with ONE keyed exchange carrying the
-delta — at steady state the change stream, never the table.
+through the object store with ONE keyed exchange carrying the delta — at
+steady state the change stream, never the table.
 """
 
 from __future__ import annotations
@@ -58,10 +54,8 @@ from radiant_portal_pipeline_ray.schemas import (
     INTERNAL_FIELDS,
     unify_schemas,
 )
-from radiant_portal_pipeline_ray.stages.merge import make_merge_writer
 from radiant_portal_pipeline_ray.stages.normalize import (
     make_event_normalizer,
-    make_part_scout,
     make_snapshot_caster,
 )
 from radiant_portal_pipeline_ray.state import lakescan
@@ -117,18 +111,6 @@ class CdcEngine:
         #: into partitions another concurrent job owns, and the loser's
         #: events land below the winner's advanced watermark — silent loss.
         self.freeze_routing = False
-        #: when True, stash ``Dataset.stats()`` of the last apply's normalize
-        #: and merge stages on the engine (perf debugging only)
-        self.debug_stats = False
-        self.last_stats: dict[str, str] = {}
-
-    def _read_parallelism(self) -> int:
-        if self.cfg.read_parallelism:
-            return self.cfg.read_parallelism
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        return 2 * cpus
 
     # ------------------------------------------------------------------
     def apply(self, changelog: str | list[str]) -> dict:
@@ -236,15 +218,12 @@ class CdcEngine:
 
         with ThreadPoolExecutor(max_workers=16) as ex:
             file_metas = dict(zip(paths, ex.map(pq.read_metadata, paths)))
-        file_schemas: dict[bytes, tuple[pa.Schema, list[str]]] = {}
+        file_schemas: dict[bytes, pa.Schema] = {}
         for p in paths:
             sch = file_metas[p].schema.to_arrow_schema()
             sch = pa.schema([pa.field(f.name, f.type) for f in sch])  # drop metadata
-            key = sch.serialize().to_pybytes()
-            file_schemas.setdefault(key, (sch, []))[1].append(p)
-        event_schema = unify_schemas(
-            [CHANGELOG_SCHEMA] + [s for s, _ in file_schemas.values()]
-        )
+            file_schemas.setdefault(sch.serialize().to_pybytes(), sch)
+        event_schema = unify_schemas([CHANGELOG_SCHEMA] + list(file_schemas.values()))
         new_data_fields = [
             f for f in event_schema if f.name not in ("op", "lsn")
         ]
@@ -259,199 +238,19 @@ class CdcEngine:
         snapshot_schema = pa.schema(list(data_schema) + INTERNAL_FIELDS)
         union_schema = pa.schema([pa.field("op", pa.string())] + list(snapshot_schema))
 
-        # ---- delta plan: read → normalize ---------------------------------
-        filt = (pc.field("lsn") > pa.scalar(min_wm)) if current else None
-        normalizer = make_event_normalizer(
-            event_schema,
-            union_schema,
-            cfg.n_parts,
-            partitioner.salt_map,
-            watermarks,
-            partitioner.max_part_id(),
-            salt_hash_version=salt_v,
-        )
-        if cfg.exchange == "task":
-            return self._apply_task_exchange(
-                t0,
-                timings,
-                _lap,
-                current,
-                partitioner,
-                paths,
-                file_metas,
-                event_schema,
-                union_schema,
-                snapshot_schema,
-                watermarks,
-                min_wm,
-                _noop_report,
-            )
-        # read-splitting: without an explicit block count, a 2-file tail
-        # round yields ~2 read tasks and normalize can't use the cluster
-        # (splits land on parquet row-group boundaries)
-        read_blocks = self._read_parallelism()
-        if cfg.exchange == "actor":
-            report = self._apply_actor_exchange(
-                t0,
-                timings,
-                _lap,
-                current,
-                partitioner,
-                file_schemas,
-                filt,
-                read_blocks,
-                event_schema,
-                union_schema,
-                snapshot_schema,
-                watermarks,
-                _noop_report,
-            )
-            return report
-        delta = None
-        for _, (sch, group_paths) in sorted(file_schemas.items()):
-            # prune incoming text at the decode (recomputed from html)
-            cols = [c for c in sch.names if c != "text"] if "text" in sch.names else None
-            ds = rd.read_parquet(
-                group_paths, filter=filt, columns=cols,
-                override_num_blocks=read_blocks,
-            ).map_batches(
-                normalizer,
-                batch_format="pyarrow",
-                batch_size=cfg.normalize_batch_size,
-            )
-            delta = ds if delta is None else delta.union(ds)
-        _lap("plan")
-
-        # ---- changed partitions + pending migrations ----------------------
-        # Default: materialize the normalized delta ONCE and probe it for
-        # parts. Materializing beats keeping the chain lazy into the merge's
-        # sort: Ray's sort re-samples its (lazy) input for range boundaries,
-        # which re-executes the expensive normalize (measured: lazy chain was
-        # ~30% slower end-to-end at sf0.1 on 8 and 32 CPUs).
-        # cfg.sparse_scout instead probes a column-pruned (url, lsn) read —
-        # the right tradeoff when the tail is mostly pre-watermark (resume /
-        # replay-from-backlog) and normalizing it eagerly would be wasted.
-        pending = dict(current.pending_migrations) if current else {}
-        if cfg.sparse_scout:
-            scout = make_part_scout(
-                cfg.n_parts,
-                partitioner.salt_map,
-                watermarks,
-                partitioner.max_part_id(),
-                salt_hash_version=self._salt_v,
-            )
-            parts_in_delta: set[int] | None = set()
-            for _, (sch, group_paths) in sorted(file_schemas.items()):
-                sc = rd.read_parquet(
-                    group_paths, columns=["url", "lsn"], filter=filt
-                ).map_batches(scout, batch_format="pyarrow")
-                uniq = sc.unique("part")  # None when all pre-watermark
-                parts_in_delta.update(int(p) for p in (uniq or []))
-            delta_has_rows = bool(parts_in_delta)
-        else:
-            delta = delta.materialize()
-            if self.debug_stats:
-                self.last_stats["normalize"] = delta.stats()
-            # No separate unique() pass over the delta: a merge group only
-            # forms for a partition that actually has rows, so the carried
-            # side below can be offered for EVERY committed partition
-            # (metadata-only map) and unchanged partitions simply never
-            # merge. Saves one all-to-all per round.
-            parts_in_delta = None  # unknown without an extra pass
-            delta_has_rows = bool(delta.count())  # metadata on materialized
-        if not delta_has_rows and not pending:
-            return _noop_report(0)
-        _lap("scout")
-
-        # ---- carried-forward side -----------------------------------------
-        # Routing is only changing for partitions involved in a pending salt
-        # migration; ONLY their carried rows enter the shuffle (the snapshot
-        # caster re-routes them). Every other changed partition's carried
-        # rows are read LOCALLY inside its merge task from the committed
-        # per-partition files — the exchange carries just the delta.
-        migration_parts: set[int] = set()
-        for d, old_parts in pending.items():
-            migration_parts.update(old_parts)
-            migration_parts.update(partitioner.salt_map.get(d, []))
-        combined = delta
-        old_files = []
-        local_carry: dict[int, list[str]] = {}
-        if current:
-            # candidate carried partitions: the scouted delta set when known
-            # (sparse_scout), else every committed partition — local_carry is
-            # a metadata-only map and the merge only reads a partition's
-            # carried files if that partition actually formed a group.
-            if parts_in_delta is None:
-                candidates = set(current.partitions) | migration_parts
-            else:
-                candidates = set(parts_in_delta) | migration_parts
-            for p in sorted(candidates):
-                st = current.partitions.get(p)
-                if not st:
-                    continue
-                if p in migration_parts:
-                    old_files += lakescan.part_files(current, [p])
-                elif st.files:
-                    local_carry[p] = [self.lake.abspath(f) for f in st.files]
-        if old_files:
-            caster = make_snapshot_caster(
-                union_schema, cfg.n_parts, partitioner.salt_map,
-                salt_hash_version=self._salt_v,
-            )
-            old_ds = lakescan.scan(
-                self.lake, current, old_files, override_num_blocks=read_blocks
-            ).map_batches(
-                caster, batch_format="pyarrow", batch_size=cfg.normalize_batch_size
-            )
-            if not cfg.sparse_scout:
-                # same rationale as the delta: the merge sort re-samples lazy
-                # inputs, re-running the snapshot read+cast
-                old_ds = old_ds.materialize()
-            combined = old_ds if not delta_has_rows else delta.union(old_ds)
-
-        # ---- per-partition LWW merge + staged write -----------------------
-        txn_id = self.lake.new_txn_id()
-        staging = self.lake.staging_dir(txn_id)
-        writer = make_merge_writer(
-            txn_id=txn_id,
-            staging_dir=staging,
-            snapshot_schema=snapshot_schema,
-            next_doc_seq={
-                p: st.next_doc_seq
-                for p, st in (current.partitions.items() if current else [])
-            },
-            doc_id_part_shift=cfg.doc_id_part_shift,
-            target_rows_per_file=cfg.target_rows_per_file,
-            compression=cfg.compression,
-            local_carry_files=local_carry,
-            union_schema=union_schema,
-            filesystem=self.lake.filesystem,
-        )
-        meta_ds = combined.groupby("part").map_groups(writer, batch_format="pyarrow")
-        meta_rows = meta_ds.take_all()
-        if self.debug_stats:
-            self.last_stats["merge"] = meta_ds.stats()
-        _lap("merge")
-        # Ray Data plan objects are reference cycles; without an explicit
-        # collect the dropped per-round Datasets pin their materialized
-        # blocks in the object store across rounds (measured: +0.5 GB and
-        # 2x slower apply by round 4 of a replay). Costs 70-87 ms of driver
-        # CPU per round on a warmed driver tracking ~137k objects.
-        del delta, combined, meta_ds
-        import gc
-
-        gc.collect()
-        return self._post_merge(
+        return self._apply_task_exchange(
             t0,
             timings,
             _lap,
             current,
             partitioner,
-            meta_rows,
-            pending,
-            txn_id,
+            paths,
+            file_metas,
+            event_schema,
+            union_schema,
             snapshot_schema,
             watermarks,
+            min_wm,
             _noop_report,
         )
 
@@ -724,12 +523,13 @@ class CdcEngine:
         min_wm,
         noop_report,
     ) -> dict:
-        """Single-materialization apply round: fused read+normalize+split
-        tasks emit one plasma object per (task, bucket); per-bucket merge
-        tasks take their ref column as top-level args, which Ray resolves
-        (zero-copy) before the task runs. No sort, no boundary
-        sampling, no second pass over the delta — see stages/taskshuffle.py
-        for the copy-count and retry/lineage contract."""
+        """The apply round's exchange, merge and commit: fused
+        read+normalize+split tasks emit one plasma object per (task,
+        bucket); per-bucket merge tasks take their ref column as top-level
+        args, which Ray resolves (zero-copy) before the task runs. No sort,
+        no boundary sampling, no second pass over the delta — see
+        stages/taskshuffle.py for the copy-count and retry/lineage
+        contract."""
         import ray
 
         from radiant_portal_pipeline_ray.stages.taskshuffle import (
@@ -752,7 +552,6 @@ class CdcEngine:
             watermarks,
             partitioner.max_part_id(),
             salt_hash_version=self._salt_v,
-            quarantine=True,
         )
         cpus = (
             int(ray.cluster_resources().get("CPU", 8))
@@ -767,11 +566,13 @@ class CdcEngine:
             migration_parts.update(old_parts)
             migration_parts.update(partitioner.salt_map.get(d, []))
         mig_files: list[str] = []
+        mig_bytes = 0  # on-disk bytes, as the manifest records them
         if current:
             for p in sorted(migration_parts):
                 st = current.partitions.get(p)
                 if st:
                     mig_files.extend(self.lake.abspath(f) for f in st.files)
+                    mig_bytes += st.bytes
 
         # fused read+normalize+split fan-out (row-group-granular chunks);
         # migrating partitions' carried rows go through the same exchange
@@ -787,26 +588,16 @@ class CdcEngine:
         # second-level split when the (tasks × buckets) ref matrix would
         # exceed the driver budget: split tasks emit G group objects, one
         # subsplit task per group fans them to the final buckets
-        delta_bytes = 0
-        for p in paths:
-            md = file_metas.get(p) if file_metas else None
-            if md is not None:
-                delta_bytes += sum(
-                    md.row_group(i).total_byte_size
-                    for i in range(md.num_row_groups)
-                )
-        delta_bytes = delta_bytes or (len(units) << 24)
+        delta_bytes = sum(
+            md.row_group(i).total_byte_size
+            for md in (file_metas[p] for p in paths)
+            for i in range(md.num_row_groups)
+        ) or (len(units) << 24)
         # migration rounds push the rewritten partitions' carried rows
         # through the SAME split/subsplit tasks — count their bytes too, or
         # a small-delta/big-migration round under-sizes n_groups and one
         # subsplit task concatenates far more than the per-group heap bound
-        for f in mig_files:
-            try:
-                delta_bytes += (
-                    lake_fs.size(f) if lake_fs is not None else os.path.getsize(f)
-                )
-            except (OSError, FileNotFoundError):
-                pass
+        delta_bytes += mig_bytes
         plan = two_level_plan(
             len(chunks) + len(mig_chunks), n_buckets, delta_bytes
         )
@@ -845,12 +636,10 @@ class CdcEngine:
             bucket_cols = [[r[1 + b] for r in returns] for b in range(n_buckets)]
         _lap("plan")
 
-        events_pushed = 0
         parts_seen: set[int] = set()
         q_tabs: list = []
         q_dropped = 0
         for s in ray.get(stats_refs):
-            events_pushed += int(s["events"])
             parts_seen.update(int(p) for p in s["parts"])
             if s.get("quarantine") is not None:
                 q_tabs.append(s["quarantine"])
@@ -937,192 +726,10 @@ class CdcEngine:
             watermarks,
             noop_report,
             quarantine=quarantine_info,
+            merge_layers=merge_layers,
         )
         report["merge_layers"] = merge_layers
         return report
-
-    # ------------------------------------------------------------------
-    def _apply_actor_exchange(
-        self,
-        t0,
-        timings,
-        _lap,
-        current,
-        partitioner,
-        file_schemas,
-        filt,
-        read_blocks,
-        event_schema,
-        union_schema,
-        snapshot_schema,
-        watermarks,
-        noop_report,
-    ) -> dict:
-        """Streaming apply round: normalize map tasks push partition-routed
-        sub-tables into shard actors WHILE reading (no sort, no boundary
-        sampling, no materialize barrier); per-shard finalize merges + stages.
-        See stages/exchange.py for the exchange's retry/failure contract."""
-        import gc
-
-        import ray
-
-        from radiant_portal_pipeline_ray.stages.exchange import (
-            MergeShard,
-            run_exchange,
-        )
-
-        cfg = self.cfg
-        normalizer = make_event_normalizer(
-            event_schema,
-            union_schema,
-            cfg.n_parts,
-            partitioner.salt_map,
-            watermarks,
-            partitioner.max_part_id(),
-            salt_hash_version=self._salt_v,
-        )
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized()
-            else 8
-        )
-        n_shards = max(4, min(cpus, partitioner.max_part_id() + 1))
-        shards = [MergeShard.remote(i, n_shards) for i in range(n_shards)]
-        _lap("plan")
-        try:
-            from radiant_portal_pipeline_ray.stages.exchange import (
-                build_exchange,
-                consume_stats,
-            )
-
-            # migration topology is known from the committed manifest, so the
-            # delta exchange AND the migrating-partition carried exchange are
-            # built upfront and consumed in ONE streaming execution
-            pending = dict(current.pending_migrations) if current else {}
-            migration_parts: set[int] = set()
-            for d, old_parts in pending.items():
-                migration_parts.update(old_parts)
-                migration_parts.update(partitioner.salt_map.get(d, []))
-            mig_files = (
-                lakescan.part_files(current, sorted(migration_parts))
-                if current
-                else []
-            )
-
-            # one exchange branch per schema group (normalize aligns schemas
-            # INSIDE the transform, so raw reads must not be unioned)
-            stats = None
-            for _, (sch, group_paths) in sorted(file_schemas.items()):
-                cols = [c for c in sch.names if c != "text"] if "text" in sch.names else None
-                ds = rd.read_parquet(
-                    group_paths, filter=filt, columns=cols,
-                    override_num_blocks=read_blocks,
-                )
-                st_ds = build_exchange(ds, normalizer, shards, n_shards)
-                stats = st_ds if stats is None else stats.union(st_ds)
-            if mig_files:
-                caster = make_snapshot_caster(
-                    union_schema, cfg.n_parts, partitioner.salt_map,
-                    salt_hash_version=self._salt_v,
-                )
-                st_ds = build_exchange(
-                    lakescan.scan(
-                        self.lake, current, mig_files,
-                        override_num_blocks=read_blocks,
-                    ),
-                    caster,
-                    shards,
-                    n_shards,
-                )
-                stats = st_ds if stats is None else stats.union(st_ds)
-            events_pushed, parts_seen = consume_stats(stats)
-
-            changed_parts = set(parts_seen)
-            for d, old_parts in pending.items():
-                changed_parts.update(old_parts)
-                changed_parts.update(partitioner.salt_map.get(d, []))
-            if not changed_parts:
-                return noop_report(0)
-
-            # stable changed partitions merge their committed files locally
-            local_carry: dict[int, list[str]] = {}
-            if current:
-                for p in sorted(changed_parts - migration_parts):
-                    st = current.partitions.get(p)
-                    if st and st.files:
-                        local_carry[p] = [
-                            self.lake.abspath(f) for f in st.files
-                        ]
-            _lap("scout")
-
-            # ---- per-shard finalize: merge + staged write -----------------
-            from radiant_portal_pipeline_ray.stages.merge import MergeKernel
-
-            txn_id = self.lake.new_txn_id()
-            staging = self.lake.staging_dir(txn_id)
-            kernel = MergeKernel(
-                txn_id=txn_id,
-                staging_dir=staging,
-                snapshot_schema=snapshot_schema,
-                next_doc_seq={
-                    p: st.next_doc_seq
-                    for p, st in (
-                        current.partitions.items() if current else []
-                    )
-                },
-                doc_id_part_shift=cfg.doc_id_part_shift,
-                target_rows_per_file=cfg.target_rows_per_file,
-                compression=cfg.compression,
-                local_carry_files=local_carry,
-                union_schema=union_schema,
-                filesystem=self.lake.filesystem,
-            )
-            # changed parts that never pushed a row (e.g. local-carry-only
-            # partitions of a migrating domain) still need a merge pass
-            silent = changed_parts - parts_seen
-            extra = {i: [] for i in range(n_shards)}
-            for p in silent:
-                extra[p % n_shards].append(p)
-            # Finalize = the CPU-heavy merge+write. Shard actors are
-            # num_cpus=0 (they must coexist with the map stage while
-            # buffering), so Ray's scheduler would happily run EVERY
-            # shard's finalize at once regardless of the cluster's CPU
-            # budget — on a small cluster that oversubscribes cores (and
-            # makes a num_cpus=N session lie about N). Throttle in-flight
-            # finalizes to the CPU budget instead.
-            window = max(1, int(ray.cluster_resources().get("CPU", n_shards)))
-            pending_refs = [
-                s.finalize.remote(kernel, extra[i])
-                for i, s in enumerate(shards[:window])
-            ]
-            queued = list(enumerate(shards))[window:]
-            metas = []
-            while pending_refs:
-                done, pending_refs = ray.wait(pending_refs, num_returns=1)
-                metas.append(ray.get(done[0]))
-                if queued:
-                    i, s = queued.pop(0)
-                    pending_refs.append(s.finalize.remote(kernel, extra[i]))
-            meta_rows = [m for sub in metas for m in sub]
-            _lap("merge")
-        finally:
-            for s in shards:
-                ray.kill(s)
-            del shards
-            gc.collect()
-        return self._post_merge(
-            t0,
-            timings,
-            _lap,
-            current,
-            partitioner,
-            meta_rows,
-            pending,
-            txn_id,
-            snapshot_schema,
-            watermarks,
-            noop_report,
-        )
 
     # ------------------------------------------------------------------
     def _write_quarantine(
@@ -1228,10 +835,11 @@ class CdcEngine:
         watermarks,
         noop_report,
         quarantine: dict | None = None,
+        merge_layers: dict | None = None,
     ) -> dict:
-        """Shared tail of an apply round (both exchange paths): salting
-        decisions from merge metadata, watermark seeding, two-phase commit,
-        report assembly, optional post-commit QA."""
+        """Tail of an apply round: salting decisions from merge metadata,
+        watermark seeding, two-phase commit, report assembly, optional
+        post-commit QA."""
         events_seen = sum(int(m["events_in"]) for m in meta_rows)
         if not meta_rows:
             return noop_report(events_seen)
@@ -1285,6 +893,7 @@ class CdcEngine:
             wm_seed=wm_seed,
             timings=timings,
             quarantine=quarantine,
+            merge_layers=merge_layers,
         )
         _lap("commit")
         if quarantine is not None:
@@ -1348,6 +957,7 @@ class CdcEngine:
         wm_seed: dict[int, int] | None = None,
         timings: dict | None = None,
         quarantine: dict | None = None,
+        merge_layers: dict | None = None,
     ) -> dict:
         """Rebuild-manifest-and-retry loop; analogue of the reference's
         Iceberg commit retry (`radiant/tasks/iceberg/utils.py:73-96`).
@@ -1501,6 +1111,9 @@ class CdcEngine:
                             "files": sum(len(m["files"]) for m in meta_rows),
                         },
                         "timings_s": dict(timings or {}),
+                        # the merge tasks' in-task layers; kept out of
+                        # timings_s, which holds only the phase laps
+                        "merge_layers": dict(merge_layers or {}),
                     },
                 },
             )

@@ -49,28 +49,6 @@ import pyarrow.parquet as pq
 
 from radiant_portal_pipeline_ray.schemas import align_table
 
-META_SCHEMA = pa.schema(
-    [
-        pa.field("part", pa.int32()),
-        pa.field("files", pa.list_(pa.string())),
-        pa.field("rows", pa.int64()),
-        pa.field("tombstones", pa.int64()),
-        pa.field("bytes", pa.int64()),
-        pa.field("max_lsn", pa.int64()),
-        pa.field("rows_upserted", pa.int64()),
-        pa.field("rows_deleted", pa.int64()),
-        pa.field("rows_carried", pa.int64()),
-        pa.field("events_in", pa.int64()),
-        pa.field("next_doc_seq", pa.int64()),
-        #: JSON {domain: live_rows} for the partition's top domains — the
-        #: driver's heavy-hitter feed for deferred salting decisions
-        pa.field("top_domains", pa.string()),
-        #: JSON list of per-file zone maps aligned with ``files``
-        #: (state/zonemaps.py) — manifest-level data skipping at read time
-        pa.field("file_stats", pa.string()),
-    ]
-)
-
 #: the merge's in-task layers, in seconds (``merge_parts(..., layers=)``):
 #: carried-row read, LWW kernel, Parquet encode + staged write
 MERGE_LAYERS = ("carry_read_s", "lww_s", "write_s")
@@ -99,9 +77,9 @@ def carry_batches(
 
 
 class MergeKernel:
-    """The LWW merge + staged-write kernel. The task exchange's merge tasks
-    call ``merge_parts`` once per bucket; the sort and actor exchanges merge
-    one partition per call through ``merge_partition``."""
+    """The LWW merge + staged-write kernel. The apply round's merge tasks
+    call ``merge_parts`` once per bucket; ``merge_partition`` is the
+    one-partition form (perfbench/layers.py times the kernel with it)."""
 
     def __init__(
         self,
@@ -449,41 +427,3 @@ class MergeKernel:
             maybe_die_once(self.fault_inject, "merge")
         return files, total_bytes, stats
 
-
-def meta_dict_to_table(m: dict) -> pa.Table:
-    return pa.Table.from_pydict({k: [m[k]] for k in META_SCHEMA.names}, schema=META_SCHEMA)
-
-
-def make_merge_writer(
-    txn_id: str,
-    staging_dir: str,
-    snapshot_schema: pa.Schema,
-    next_doc_seq: dict[int, int],
-    doc_id_part_shift: int,
-    target_rows_per_file: int,
-    compression: str,
-    local_carry_files: dict[int, list[str]] | None = None,
-    union_schema: pa.Schema | None = None,
-    filesystem=None,
-):
-    """Dataset ``groupby(part).map_groups`` wrapper around MergeKernel (the
-    sort-exchange path; stages/exchange.py is the streaming path)."""
-    kernel = MergeKernel(
-        txn_id,
-        staging_dir,
-        snapshot_schema,
-        next_doc_seq,
-        doc_id_part_shift,
-        target_rows_per_file,
-        compression,
-        local_carry_files,
-        union_schema,
-        filesystem=filesystem,
-    )
-
-    def merge_group(group: pa.Table) -> pa.Table:
-        group = group.combine_chunks()
-        part = group.column("part")[0].as_py()
-        return meta_dict_to_table(kernel.merge_partition(group, part))
-
-    return merge_group

@@ -1,7 +1,9 @@
-"""Changelog normalization stage (stateless, vectorized ``map_batches``).
+"""Changelog normalization: the transform of the apply round's split tasks
+(stateless, vectorized, zero-copy Arrow in / Arrow out).
 
-Per event batch (zero-copy Arrow in / Arrow out):
-  1. align to the unified changelog schema (schema evolution: add/widen/drop),
+Per event batch:
+  1. align to the unified changelog schema (schema evolution: add/widen/drop)
+     and split malformed events off into a quarantine table,
   2. recompute ``text = extract_text(html)`` — the committed snapshot NEVER
      trusts the incoming ``text`` column, which enforces the byte-identical
      per-row invariant by construction,
@@ -21,13 +23,9 @@ batch kernel; the watermark predicate mirrors
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-logger = logging.getLogger(__name__)
 
 from radiant_portal_pipeline_ray.functions.hashing import assign_parts, extract_domain
 from radiant_portal_pipeline_ray.functions.text import extract_text
@@ -89,17 +87,18 @@ def make_event_normalizer(
     watermarks: dict[int, int],
     max_part_id: int,
     salt_hash_version: int = 2,
-    quarantine: bool = False,
+    quarantine: bool = True,
 ):
-    """Build the map_batches fn. All captured state is small and immutable
-    (schemas + salt map + watermark dict) — broadcast once per task by Ray's
-    closure serialization.
+    """Build the split tasks' transform. All captured state is small and
+    immutable (schemas + salt map + watermark dict) — broadcast once per
+    task by Ray's closure serialization.
 
-    ``quarantine=True`` (the task-exchange apply path): the fn returns
-    ``(valid_table, quarantine_table | None)`` — malformed events are split
-    off with a ``reason`` column instead of crashing the round or silently
-    corrupting routing. With ``quarantine=False`` (legacy exchange paths)
-    malformed rows are DROPPED with a warning."""
+    The fn returns ``(valid_table, quarantine_table | None)``: malformed
+    events are split off with a ``reason`` column instead of crashing the
+    round or silently corrupting routing. There is no other mode:
+    ``quarantine=False`` is refused."""
+    if not quarantine:
+        raise ValueError("make_event_normalizer always quarantines")
     wm_arr = np.full(max_part_id + 1, -1, dtype=np.int64)
     for p, w in watermarks.items():
         if p <= max_part_id:
@@ -115,25 +114,7 @@ def make_event_normalizer(
                 pa.field("reason", pa.string()), reasons.filter(bad)
             )
             t = t.filter(pc.invert(bad))
-            if not quarantine:
-                logger.warning(
-                    "dropping %d malformed change events (no quarantine on "
-                    "this exchange path): %s",
-                    qt.num_rows,
-                    dict(
-                        zip(
-                            *np.unique(
-                                qt.column("reason").to_numpy(
-                                    zero_copy_only=False
-                                ),
-                                return_counts=True,
-                            )
-                        )
-                    ),
-                )
-                qt = None
-        out = _normalize_valid(t)
-        return (out, qt) if quarantine else out
+        return _normalize_valid(t), qt
 
     def _normalize_valid(t: pa.Table) -> pa.Table:
         text = extract_text(t.column("html"))
@@ -155,38 +136,6 @@ def make_event_normalizer(
         return align_table(t, union_schema)
 
     return normalize
-
-
-def make_part_scout(
-    n_parts: int,
-    salt_map: dict[str, list[int]],
-    watermarks: dict[int, int],
-    max_part_id: int,
-    salt_hash_version: int = 2,
-):
-    """Changed-partition probe over a column-pruned (url, lsn) read: emits
-    the distinct partition ids that have at least one event ABOVE the
-    partition's committed watermark. KBs of I/O per changelog file, so the
-    full-payload delta plan can stay lazy (no mid-apply materialization)."""
-    wm_arr = np.full(max_part_id + 1, -1, dtype=np.int64)
-    for p, w in watermarks.items():
-        if p <= max_part_id:
-            wm_arr[p] = w
-
-    def scout(batch: pa.Table) -> pa.Table:
-        urls = batch.column("url")
-        domains = extract_domain(urls)
-        parts = assign_parts(
-            urls, domains, n_parts, salt_map, salt_hash_version
-        )
-        lsn = batch.column("lsn").to_numpy(zero_copy_only=False)
-        pnp = parts.to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = lsn > wm_arr[pnp]
-        return pa.table(
-            {"part": pa.array(np.unique(pnp[keep]).astype(np.int32))}
-        )
-
-    return scout
 
 
 def make_snapshot_caster(

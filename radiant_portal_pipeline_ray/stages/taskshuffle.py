@@ -1,17 +1,13 @@
 """Task-based keyed exchange for the CDC merge (single-materialization shuffle).
 
-Why a third exchange next to the Dataset sort path and the actor push path?
-Measured on the bench replay (BASELINE.md): Ray Data's sort-based
-``groupby(part).map_groups`` moves the full-width delta through plasma
-three times (materialize → SortMap slices → SortReduce concat) plus a
-boundary-sampling pass, and the page-fault cost of that traffic on a
-shared VM *poisons every subsequent phase* (a post-sort read burns 10-20×
-the CPU of the same read pre-sort — almost all kernel time). The actor
-exchange avoids the sort but pays per-push serialization into long-lived
-actor buffers and serializes merges behind ``num_cpus=0`` finalize
-throttling.
-
-This exchange is the minimal-copy shape:
+Why not Ray Data's ``groupby(part).map_groups``? Measured on the bench
+replay (BASELINE.md, round 3): the sort-based shuffle moves the full-width
+delta through plasma three times (materialize → SortMap slices →
+SortReduce concat) plus a boundary-sampling pass, and the page-fault cost
+of that traffic on a shared VM *poisons every subsequent phase* (a
+post-sort read burns 10-20× the CPU of the same read pre-sort — almost
+all kernel time). The apply round's only exchange is therefore this
+minimal-copy shape:
 
   one raw Ray task per changelog chunk: read its row groups (pyarrow,
   worker-local, no object store) → transform (normalize / snapshot-cast)
@@ -34,10 +30,9 @@ starts one more worker process to fill the slot.
 The delta is materialized into the object store exactly ONCE (the bucket
 sub-tables); there is no sort, no boundary sampling, and no driver-side
 row data. Grouping on a known small integer key domain is the one
-primitive ``ray.data.Dataset`` can't express without a sort — same
-justification as stages/exchange.py, with tasks instead of actors so every
-intermediate lives in plasma (spillable, zero-copy reads) and merge
-parallelism is scheduler-native.
+primitive ``ray.data.Dataset`` can't express without a sort; plain tasks
+keep every intermediate in plasma (spillable, zero-copy reads) and make
+merge parallelism scheduler-native.
 
 Exactly-once: split tasks are deterministic pure functions of
 (files, row groups, transform), so Ray lineage reconstruction after a lost

@@ -96,15 +96,10 @@ class LakeScan(Datasource):
         return tasks
 
 
-def scan(
-    lake, man, files, columns=None, filter=None, override_num_blocks=None
-) -> "rd.Dataset":
+def scan(lake, man, files, columns=None, filter=None) -> "rd.Dataset":
     """Dataset over ``files`` (:func:`part_files` pairs) of manifest
     ``man``; an empty file list yields one empty block with the projected
     schema."""
     if not files:
         return rd.from_arrow(_project(man.schema, columns).empty_table())
-    return rd.read_datasource(
-        LakeScan(lake, man, files, columns, filter),
-        override_num_blocks=override_num_blocks,
-    )
+    return rd.read_datasource(LakeScan(lake, man, files, columns, filter))

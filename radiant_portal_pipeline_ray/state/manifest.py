@@ -707,11 +707,32 @@ class Lake:
         """Advisory mutex over tags.json read-modify-write AND gc's
         manifest-pruning phase, built on the same put-if-absent CAS as
         manifest commits (ADVICE r4: two concurrent tag writes silently
-        dropped one; set_tag's versions() check raced gc pruning). A lock
-        left by a crashed process is broken after _TAG_LOCK_STALE_S."""
+        dropped one; set_tag's versions() check raced gc pruning).
+
+        A lock left by a crashed process is broken after _TAG_LOCK_STALE_S,
+        and only by the waiter that wins a put-if-absent claim keyed by the
+        stale holder's token: two waiters that both saw the stale lock
+        would otherwise both remove it, the second deleting the lock the
+        first had just acquired. The winner removes the lock only if it
+        still holds that token, then drops its claim."""
         import contextlib
 
         lake = self
+
+        def _token(path: str) -> bytes | None:
+            try:
+                if lake.filesystem is not None:
+                    return lake.filesystem.cat_file(path)
+                with open(path, "rb") as f:
+                    return f.read()
+            except (FileNotFoundError, OSError):
+                return None
+
+        def _remove_quietly(path: str) -> None:
+            try:
+                lake._remove(path)
+            except (FileNotFoundError, OSError):
+                pass
 
         @contextlib.contextmanager
         def _held():
@@ -721,12 +742,16 @@ class Lake:
             while not lake._put_manifest_if_absent(
                 lock_path, txn.encode(), txn
             ):
+                # the holder's token is read BEFORE the lock's age, so a
+                # stale age never belongs to a lock newer than the token
+                holder = _token(lock_path)
                 age = time.time() - lake._mtime(lock_path, default=time.time())
-                if age > lake._TAG_LOCK_STALE_S:
-                    try:  # stale holder crashed: break the lock and retry
-                        lake._remove(lock_path)
-                    except (FileNotFoundError, OSError):
-                        pass
+                if holder is not None and age > lake._TAG_LOCK_STALE_S:
+                    claim = f"{lock_path}.break-{holder.hex()[:64]}"
+                    if lake._put_manifest_if_absent(claim, txn.encode(), txn):
+                        if _token(lock_path) == holder:
+                            _remove_quietly(lock_path)
+                        _remove_quietly(claim)
                     continue
                 if time.time() > deadline:
                     raise TimeoutError(
@@ -737,10 +762,10 @@ class Lake:
             try:
                 yield
             finally:
-                try:
-                    lake._remove(lock_path)
-                except (FileNotFoundError, OSError):
-                    pass
+                # a holder slower than the stale threshold may have lost
+                # the lock to a breaker: never remove a successor's lock
+                if _token(lock_path) == txn.encode():
+                    _remove_quietly(lock_path)
 
         return _held()
 

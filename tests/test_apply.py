@@ -24,9 +24,14 @@ from radiant_portal_pipeline_ray.sources.generator import (
 DATA_COLS = ["url", "warc_ts", "html", "text", "lang", "lsn"]
 
 
-def oracle_final_state(paths: list[str], extra_cols: list[str] | None = None):
-    """Independent LWW oracle: last (warc_ts, lsn) writer per url, deletes drop."""
-    cols = DATA_COLS + (extra_cols or [])
+def oracle_final_state(
+    paths: list[str],
+    extra_cols: list[str] | None = None,
+    cols: list[str] | None = None,
+):
+    """Independent LWW oracle: last (warc_ts, lsn) writer per url, deletes
+    drop. Projects ``cols``, default ``DATA_COLS`` plus ``extra_cols``."""
+    cols = cols or DATA_COLS + (extra_cols or [])
     con = duckdb.connect()
     files = ",".join(f"'{p}'" for p in paths)
     q = f"""

@@ -46,7 +46,8 @@ def _normalize(path, event_schema, union_schema):
         event_schema, union_schema, N_PARTS, {}, {}, N_PARTS - 1
     )
     t = pq.read_table(path)
-    return norm(t.select([n for n in event_schema.names if n in t.column_names]))
+    valid, _ = norm(t.select([n for n in event_schema.names if n in t.column_names]))
+    return valid
 
 
 def _kernel(staging, snapshot, union, carry=None, seq=None, carry_bytes=None):
@@ -346,3 +347,19 @@ def test_apply_reports_merge_layers(ray_session, tmp_path):
         assert ml["slowest_bucket"] >= 0 and ml["slowest_bucket_s"] >= 0
         # the phase laps stay plain numbers
         assert all(isinstance(v, float) for v in rep["timings"].values())
+
+
+def test_manifest_records_merge_layers(ray_session, tmp_path):
+    """Each merge commit's manifest carries the report's merge layers in
+    ``stage_metrics``, next to (not inside) the phase laps."""
+    from radiant_portal_pipeline_ray.pipelines.apply import CdcEngine
+
+    paths = generate_changelog(
+        str(tmp_path / "cl"), ChangelogSpec(n_urls=300, n_events=1200, n_batches=2)
+    )
+    eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
+    for p in paths:
+        rep = eng.apply([p])
+        sm = eng.lake.current_manifest().metrics["stage_metrics"]
+        assert sm["merge_layers"] == rep["merge_layers"]
+        assert "merge_layers" not in sm["timings_s"]

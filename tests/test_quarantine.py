@@ -97,17 +97,6 @@ def test_all_malformed_batch_commits_quarantine_only(ray_session, tmp_path):
     assert eng.read_quarantine().count() == len(bad)
 
 
-def test_legacy_exchange_drops_malformed_with_warning(ray_session, tmp_path):
-    good, bad = _mixed_rows()
-    p = _write(tmp_path / "cl.parquet", good + bad)
-    eng = CdcEngine(
-        str(tmp_path / "lake"), EngineConfig(n_parts=4, exchange="sort")
-    )
-    rep = eng.apply([p])
-    assert rep.get("rows_quarantined") is None
-    assert eng.read_snapshot().count() == len(good)
-
-
 def test_quarantine_files_survive_compaction(ray_session, tmp_path):
     good, bad = _mixed_rows()
     p = _write(tmp_path / "cl.parquet", good + bad)

@@ -187,3 +187,61 @@ def test_stale_tag_lock_broken(tmp_path, monkeypatch):
     lake.set_tag("recovered", 1)  # breaks the stale lock, then proceeds
     assert lake.tags() == {"recovered": 1}
     assert not lake._exists(lock_path)
+
+
+def test_stale_tag_lock_break_admits_one_holder(tmp_path, monkeypatch):
+    """Two waiters both read a stale tags.lock's age before either breaks
+    it; the second reaches the break only after the first has acquired.
+    At most one of them may ever be inside the critical section."""
+    import threading
+    import time
+
+    from radiant_portal_pipeline_ray.state.manifest import Lake
+
+    lake = Lake(str(tmp_path / "lk"))
+    lock_path = lake._join(lake.manifest_dir, "tags.lock")
+    assert lake._put_manifest_if_absent(lock_path, b"crashed", "deadtxn000000000")
+    real_mtime = lake._mtime
+    both_read_stale = threading.Barrier(2, timeout=10)
+    a_inside = threading.Event()
+    seen: set[str] = set()
+
+    def mtime(path, default=0.0):
+        me = threading.current_thread().name
+        if path != lock_path or me in seen:
+            return real_mtime(path, default)
+        seen.add(me)
+        both_read_stale.wait()
+        if me == "B":
+            assert a_inside.wait(10)
+        return 0.0  # the crashed holder's age: far past the threshold
+
+    monkeypatch.setattr(lake, "_mtime", mtime)
+    count_lock = threading.Lock()
+    inside, peak, errs = 0, 0, []
+
+    def waiter():
+        nonlocal inside, peak
+        try:
+            with lake._tag_lock():
+                with count_lock:
+                    inside += 1
+                    peak = max(peak, inside)
+                if threading.current_thread().name == "A":
+                    a_inside.set()
+                    time.sleep(0.5)  # hold while B reaches its break
+                with count_lock:
+                    inside -= 1
+        except Exception as e:  # surface, don't swallow
+            errs.append(e)
+
+    ts = [threading.Thread(target=waiter, name=n) for n in ("A", "B")]
+    for t in ts:
+        t.start()
+    for t in ts:
+        t.join(30)
+    assert not any(t.is_alive() for t in ts)
+    assert not errs
+    assert peak == 1
+    assert not lake._exists(lock_path)
+    assert [n for n in lake._listdir(lake.manifest_dir) if "tags.lock" in n] == []
