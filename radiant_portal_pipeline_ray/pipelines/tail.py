@@ -4,16 +4,20 @@ reference analogue: the Airflow-scheduled periodic import run,
 `radiant/dags/import_radiant.py:48-210`, re-expressed as a driver loop over
 the exactly-once apply).
 
-Each poll is **O(new files)**, not O(directory history):
+Each poll reads parquet FOOTERS only, never data pages:
 
 - The manifest carries a ``consumed_inputs`` ledger (input basename →
   max lsn) recorded ATOMICALLY with the commit that consumed it — file
   consumption inherits the lake's exactly-once CAS, no side-channel state.
+  A file is consumed when its ledger entry matches its max lsn
+  (``is_consumed``, the one rule the tail and the apply round share).
 - The ledger is bounded: commits prune entries whose ``max_lsn`` is at or
   below the lake's min watermark, because such a file is PROVABLY a no-op
   to re-apply (every partition's watermark drops all of its events). The
   tail re-derives that proof for pruned/unknown files from the parquet
-  FOOTER alone (row-group lsn statistics — no data pages read).
+  FOOTER alone (row-group lsn statistics — no data pages read). A file
+  with a null or negative lsn proves nothing by its lsns: its max lsn is
+  ``UNPROVABLE``, so its entry is never pruned.
 - A file that is neither in the ledger nor footer-provable is applied;
   if a crash happened after its commit but the ledger write raced, the
   re-apply is still a no-op by the LWW watermark (idempotence is the
@@ -35,10 +39,21 @@ import pyarrow.parquet as pq
 
 logger = logging.getLogger(__name__)
 
+#: ``input_max_lsn`` of a file nothing but an exact ledger match can prove
+#: consumed (an unreadable footer, or a null or negative lsn)
+UNPROVABLE = 1 << 62
+
 
 def input_max_lsn(path: str) -> int:
     """Max lsn of a changelog file from row-group statistics (footer-only);
-    falls back to a single-column read when stats are absent."""
+    falls back to a single-column read when stats are absent.
+
+    Returns ``UNPROVABLE`` unless every lsn is valid (non-null, ≥ 0): a
+    ``bad_lsn`` row says nothing about what was committed, so such a file
+    must be neither skipped by the watermark nor pruned from the ledger —
+    only an exact ledger match proves it consumed."""
+    from radiant_portal_pipeline_ray.stages.taskshuffle import valid_lsn_max
+
     try:
         md = pq.ParquetFile(path).metadata
         if md.num_row_groups > 0:
@@ -51,34 +66,51 @@ def input_max_lsn(path: str) -> int:
                 mx = None
                 for rg in range(md.num_row_groups):
                     st = md.row_group(rg).column(idx).statistics
-                    if st is None or not st.has_min_max:
+                    v = valid_lsn_max(st)
+                    if v is None:
                         mx = None
                         break
-                    mx = int(st.max) if mx is None else max(mx, int(st.max))
+                    mx = v if mx is None else max(mx, v)
                 if mx is not None:
                     return mx
         col = pq.read_table(path, columns=["lsn"]).column("lsn")
+        if col.null_count or (len(col) and pc.min(col).as_py() < 0):
+            return UNPROVABLE
         v = pc.max(col).as_py()
         return int(v) if v is not None else -1
     except Exception:  # unreadable footer → never skippable, never prunable
-        return 1 << 62
+        return UNPROVABLE
+
+
+def is_consumed(man, path: str, max_lsn: int | None = None) -> bool:
+    """Whether a commit up to manifest ``man`` provably consumed the input
+    at ``path``: its basename is in the ``consumed_inputs`` ledger with the
+    same max lsn, or its every event is at or below the min watermark.
+    ``max_lsn`` is the file's ``input_max_lsn`` when the caller has it; it
+    is read from the footer otherwise. The tail skips such an input, and
+    an apply round does not quarantine its malformed rows again."""
+    if man is None:
+        return False
+    ledger = man.consumed_inputs
+    min_wm = man.min_watermark()
+    if os.path.basename(path) not in ledger and min_wm < 0:
+        return False  # nothing can prove it; skip the footer read
+    if max_lsn is None:
+        max_lsn = input_max_lsn(path)
+    return ledger.get(os.path.basename(path)) == max_lsn or (
+        0 <= min_wm and max_lsn <= min_wm
+    )
 
 
 def pending_inputs(engine, changelog_dir: str) -> list[str]:
     """Changelog files not yet provably consumed, in name order (the
     generator emits lsn-ordered batch files, so name order is lsn order)."""
     man = engine.lake.current_manifest()
-    ledger = man.consumed_inputs if man else {}
-    min_wm = man.min_watermark() if man else -1
-    out = []
-    for path in sorted(glob.glob(os.path.join(changelog_dir, "*.parquet"))):
-        base = os.path.basename(path)
-        if base in ledger:
-            continue
-        if min_wm >= 0 and input_max_lsn(path) <= min_wm:
-            continue  # footer-provable no-op (pruned ledger entry)
-        out.append(path)
-    return out
+    return [
+        path
+        for path in sorted(glob.glob(os.path.join(changelog_dir, "*.parquet")))
+        if not is_consumed(man, path)
+    ]
 
 
 def tail(

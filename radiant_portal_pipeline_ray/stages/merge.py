@@ -8,6 +8,9 @@ deterministic:
 
   stable sort by (part, url, warc_ts, lsn), delta rows before carried rows
   →  keep the last row per (part, url) (LWW)
+  →  ``text = extract_text(html)`` for the delta winners only (the split
+     tasks ship events with null text); carried winners keep their
+     committed text verbatim
   →  flag urls whose winner is a delete tombstone
   →  re-attach stable doc_ids (existing urls keep theirs; new urls get
      ``part << shift | seq`` allocated deterministically in url order from
@@ -19,7 +22,10 @@ deterministic:
 Every step but the write is a segment operation over the sorted rows, so
 its fixed cost is paid once per batch, not once per partition; within a
 partition the sort order, the tie-breaks and hence the output are those of
-a merge of that partition alone.
+a merge of that partition alone. Extraction works row by row, so running
+it over the winners alone writes the same bytes as running it over every
+event: only the rows that survive the merge pay for it (Delta Lake's MERGE
+rule).
 
 Determinism matters: a retried Ray task re-executes the same bucket and
 writes byte-identical files (same sort, same tie-breaks, same allocation
@@ -47,11 +53,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from radiant_portal_pipeline_ray.functions.text import extract_text
 from radiant_portal_pipeline_ray.schemas import align_table
 
 #: the merge's in-task layers, in seconds (``merge_parts(..., layers=)``):
-#: carried-row read, LWW kernel, Parquet encode + staged write
-MERGE_LAYERS = ("carry_read_s", "lww_s", "write_s")
+#: carried-row read, LWW kernel, html→text of the delta winners, Parquet
+#: encode + staged write
+MERGE_LAYERS = ("carry_read_s", "lww_s", "extract_s", "write_s")
 
 #: heavy-hitter domains reported per partition
 _TOP_DOMAINS = 16
@@ -314,6 +322,11 @@ class MergeKernel:
             k,
         )
 
+        t2 = time.perf_counter()
+        text = self._winner_text(winners, w_state)
+        t3 = time.perf_counter()
+        layers["extract_s"] += t3 - t2
+
         # project to the snapshot schema (drops op)
         cols = []
         for f in self.snapshot_schema:
@@ -321,13 +334,15 @@ class MergeKernel:
                 col = pa.array(doc_np, type=pa.int64())
             elif f.name == "deleted":
                 col = pa.array(deleted_flag, type=pa.bool_())
+            elif f.name == "text":
+                col = text
             else:
                 col = winners.column(f.name)
             cols.append(col.cast(f.type))
         out = pa.Table.from_arrays(cols, schema=self.snapshot_schema)
         w_bounds = np.searchsorted(w_pi, np.arange(k + 1))
-        t2 = time.perf_counter()
-        layers["lww_s"] += t2 - t1
+        t4 = time.perf_counter()
+        layers["lww_s"] += (t2 - t1) + (t4 - t3)
 
         metas = {}
         for i, p in enumerate(order):
@@ -348,8 +363,25 @@ class MergeKernel:
                 "top_domains": top_domains[i],
                 "file_stats": json.dumps(stats),
             }
-        layers["write_s"] += time.perf_counter() - t2
+        layers["write_s"] += time.perf_counter() - t4
         return [metas[p] for p in parts]
+
+    @staticmethod
+    def _winner_text(winners: pa.Table, w_state: np.ndarray) -> pa.Array:
+        """The winners' ``text``: ``extract_text(html)`` for every delta
+        winner (deletes included: null html gives null text), the committed
+        text verbatim for every carried winner."""
+        text = winners.column("text")
+        delta = ~w_state
+        if not delta.any():
+            return text
+        if delta.all():
+            return extract_text(winners.column("html"))
+        mask = pa.array(delta)
+        fresh = extract_text(winners.column("html").filter(mask))
+        return pc.replace_with_mask(
+            text.combine_chunks(), mask, fresh.combine_chunks().cast(text.type)
+        )
 
     @staticmethod
     def _top_domains(urls: pa.Array, pi: np.ndarray, k: int) -> list[str]:

@@ -4,9 +4,11 @@
 Per event batch:
   1. align to the unified changelog schema (schema evolution: add/widen/drop)
      and split malformed events off into a quarantine table,
-  2. recompute ``text = extract_text(html)`` — the committed snapshot NEVER
-     trusts the incoming ``text`` column, which enforces the byte-identical
-     per-row invariant by construction,
+  2. null the ``text`` column — the committed snapshot NEVER trusts the
+     incoming ``text``; the merge computes ``text = extract_text(html)``
+     for the LWW winners only (stages/merge.py), so the split tasks spend
+     no extraction on events that lose and ship no text through the
+     object store,
   3. extract ``domain(url)`` and assign the partition id (salt-aware),
   4. drop events at-or-below the partition's committed watermark
      (idempotent re-delivery / resume),
@@ -28,7 +30,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from radiant_portal_pipeline_ray.functions.hashing import assign_parts, extract_domain
-from radiant_portal_pipeline_ray.functions.text import extract_text
 from radiant_portal_pipeline_ray.schemas import align_table
 
 
@@ -46,7 +47,6 @@ def invalid_event_reasons(t: pa.Table) -> pa.Array | None:
     op = t.column("op")
     lsn = t.column("lsn")
     html = t.column("html")
-    f = pa.scalar(False)
     url_bad = pc.or_(
         pc.is_null(url), pc.fill_null(pc.equal(url, ""), True)
     )
@@ -64,7 +64,6 @@ def invalid_event_reasons(t: pa.Table) -> pa.Array | None:
     any_bad = pc.or_(pc.or_(url_bad, op_bad), pc.or_(lsn_bad, html_bad))
     if not pc.any(any_bad).as_py():
         return None
-    del f
     u = url_bad.to_numpy(zero_copy_only=False)
     o = op_bad.to_numpy(zero_copy_only=False)
     ls = lsn_bad.to_numpy(zero_copy_only=False)
@@ -105,6 +104,10 @@ def make_event_normalizer(
             wm_arr[p] = w
 
     def normalize(batch: pa.Table):
+        # incoming text is never exchanged: align pads the dropped column
+        # with typed nulls
+        if "text" in batch.column_names:
+            batch = batch.drop_columns(["text"])
         t = align_table(batch, event_schema)
         qt = None
         reasons = invalid_event_reasons(t)
@@ -117,10 +120,6 @@ def make_event_normalizer(
         return _normalize_valid(t), qt
 
     def _normalize_valid(t: pa.Table) -> pa.Table:
-        text = extract_text(t.column("html"))
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        t = t.set_column(t.schema.get_field_index("text"), "text", text)
         urls = t.column("url")
         domains = extract_domain(urls)
         parts = assign_parts(

@@ -61,6 +61,7 @@ Partitioning assumptions (the knobs this operator relies on):
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -68,6 +69,11 @@ import pyarrow.parquet as pq
 import ray
 
 from radiant_portal_pipeline_ray.stages.merge import MERGE_LAYERS, MergeKernel
+
+#: a split task's in-task figures (its stats' ``layers``): row-group read
+#: and decode, the transform (normalize / snapshot-cast), the bucket split,
+#: in seconds; and the bytes of the bucket tables it returns
+SCOUT_LAYERS = ("read_s", "normalize_s", "split_s", "bytes_out")
 
 
 def enumerate_units(
@@ -105,6 +111,22 @@ def chunk_units(
     return [units[i : i + size] for i in range(0, len(units), size)]
 
 
+def valid_lsn_max(st) -> int | None:
+    """A row group's max lsn when its lsn column statistics ``st`` prove
+    every lsn valid (non-null, ≥ 0); None when they cannot — a row group
+    with a ``bad_lsn`` row must be read, never pruned by its max."""
+    if (
+        st is None
+        or not st.has_min_max
+        or not st.has_null_count
+        or st.null_count
+        or st.min is None
+        or st.min < 0
+    ):
+        return None
+    return int(st.max)
+
+
 def _lsn_col_index(md) -> int:
     for i in range(md.num_columns):
         if md.row_group(0).column(i).path_in_schema == "lsn":
@@ -121,24 +143,32 @@ def split_task(
     filesystem=None,
     exclude_cols: tuple = (),
     fault_inject: tuple | None = None,
+    consumed: frozenset = frozenset(),
 ):
     """Read assigned row groups → transform → split by bucket. Returns
     ``(stats, bucket_0, ..., bucket_{n-1})`` — launch with
     ``.options(num_returns=n_buckets + 1)``. Empty buckets return None.
+    ``stats["layers"]`` holds the task's ``SCOUT_LAYERS``.
 
     ``fault_inject`` (tests only): ``("scout", dir)`` makes the first such
     task hard-kill its worker once — see ``chaos.maybe_die_once``.
 
-    ``min_lsn`` enables row-group pruning on lsn max statistics (resume /
-    replay-from-backlog rounds where most of the tail is pre-watermark);
-    exact per-partition watermark filtering happens inside ``transform``.
+    ``min_lsn`` enables row-group pruning on lsn statistics
+    (``valid_lsn_max``; resume / replay-from-backlog rounds where most of
+    the tail is pre-watermark); exact per-partition watermark filtering
+    happens inside ``transform``.
 
     ``exclude_cols`` prunes columns at the parquet decode: the normalizer
     path passes ``("text",)`` because the committed snapshot NEVER trusts
-    incoming text (it recomputes ``extract_text(html)``) — the changelog's
-    text column is ~40% of its bytes, all wasted decode (measured 1.3×
-    scout speedup at 2M events). The caster path passes nothing: carried
+    incoming text (the normalizer nulls it and the merge computes
+    ``extract_text(html)`` for the LWW winners) — the changelog's text
+    column is ~40% of its bytes, all wasted decode (measured 1.3× scout
+    speedup at 2M events). The caster path passes nothing: carried
     snapshot rows keep their committed text verbatim.
+
+    ``consumed``: input paths an earlier commit already consumed. Their
+    malformed rows are already in the quarantine, so they are not
+    returned again.
     """
     from radiant_portal_pipeline_ray.chaos import maybe_die_once
 
@@ -161,6 +191,15 @@ def split_task(
     q_rows = 0
     q_dropped = 0
     _Q_CAP = 100_000
+    layers = dict.fromkeys(SCOUT_LAYERS, 0.0)
+    t_mark = time.perf_counter()
+
+    def _lap(name: str) -> None:
+        nonlocal t_mark
+        now = time.perf_counter()
+        layers[name] += now - t_mark
+        t_mark = now
+
     for p, rgs in by_file.items():
         pf = (
             pq.ParquetFile(filesystem.open(p, "rb"))
@@ -173,13 +212,8 @@ def split_task(
             if ci >= 0:
                 kept = []
                 for rg in rgs:
-                    st = md.row_group(rg).column(ci).statistics
-                    if (
-                        st is not None
-                        and st.has_min_max
-                        and st.max is not None
-                        and st.max <= min_lsn
-                    ):
+                    mx = valid_lsn_max(md.row_group(rg).column(ci).statistics)
+                    if mx is not None and mx <= min_lsn:
                         continue
                     kept.append(rg)
                 rgs = kept
@@ -189,14 +223,14 @@ def split_task(
                 c for c in pf.schema_arrow.names if c not in exclude_cols
             ]
         for rg in rgs:
-            t = transform(
-                pf.read_row_group(rg, columns=read_cols)
-                if read_cols is not None
-                else pf.read_row_group(rg)
-            )
+            _lap("read_s")  # the file open and row-group pruning
+            t = pf.read_row_group(rg, columns=read_cols)
+            _lap("read_s")
+            t = transform(t)
+            _lap("normalize_s")
             if isinstance(t, tuple):
                 t, qt = t
-                if qt is not None and qt.num_rows:
+                if qt is not None and qt.num_rows and p not in consumed:
                     take = min(qt.num_rows, _Q_CAP - q_rows)
                     if take > 0:
                         q_tables.append(qt.slice(0, take))
@@ -216,25 +250,22 @@ def split_task(
                 if hi > lo:
                     per_bucket[b].append(ts.slice(lo, hi - lo))
             parts_seen.update(np.unique(parts).astype(int).tolist())
+            _lap("split_s")
 
     quarantine = (
         pa.concat_tables(q_tables, promote_options="permissive").combine_chunks()
         if q_tables
         else None
     )
-    if not events:
-        stats = {"events": 0, "parts": []}
-        if quarantine is not None:
-            stats["quarantine"] = quarantine
-            stats["quarantine_dropped"] = q_dropped
-        return tuple([stats] + [None] * n_buckets)
     buckets: list[pa.Table | None] = [
         pa.concat_tables(bl, promote_options="permissive").combine_chunks()
         if bl
         else None
         for bl in per_bucket
     ]
-    stats = {"events": events, "parts": sorted(parts_seen)}
+    _lap("split_s")
+    layers["bytes_out"] = sum(b.nbytes for b in buckets if b is not None)
+    stats = {"events": events, "parts": sorted(parts_seen), "layers": layers}
     if quarantine is not None:
         stats["quarantine"] = quarantine
         stats["quarantine_dropped"] = q_dropped
@@ -585,20 +616,23 @@ def merge_bucket_task(
     return metas, layers
 
 
-def merge_layer_summary(
-    buckets: list[int], layers: list[dict[str, float]]
+def layer_summary(
+    names: tuple[str, ...], ids: list[int], layers: list[dict], label: str
 ) -> dict:
-    """Fold the merge tasks' ``MERGE_LAYERS`` seconds (``layers[i]`` from
-    the task of bucket ``buckets[i]``, at least one task): per layer the
-    sum over tasks and the per-task max, plus the bucket whose task spent
-    the most seconds."""
+    """Fold per-task layer figures (``layers[i]`` from task ``ids[i]``, at
+    least one task): per layer the sum over tasks and the per-task max
+    (``<layer>_max_s`` for a ``<layer>_s``, ``<layer>_max`` otherwise),
+    plus ``slowest_<label>``: the task that spent the most seconds, and
+    ``slowest_<label>_s``: those seconds."""
     out: dict = {}
-    for name in MERGE_LAYERS:
+    for name in names:
         vals = [lay[name] for lay in layers]
+        stem = name.removesuffix("_s")
         out[name] = round(sum(vals), 6)
-        out[name.removesuffix("_s") + "_max_s"] = round(max(vals), 6)
-    totals = [sum(lay.values()) for lay in layers]
+        out[stem + ("_max_s" if stem != name else "_max")] = round(max(vals), 6)
+    secs = [n for n in names if n.endswith("_s")]
+    totals = [sum(lay[n] for n in secs) for lay in layers]
     i = int(np.argmax(totals))
-    out["slowest_bucket"] = buckets[i]
-    out["slowest_bucket_s"] = round(totals[i], 6)
+    out[f"slowest_{label}"] = ids[i]
+    out[f"slowest_{label}_s"] = round(totals[i], 6)
     return out

@@ -7,23 +7,27 @@ every partition in files of at most 40 rows and its files become round 2's
 carried state. Round 1 predates the ``lang`` column, round 2 deletes urls
 that are live in the carry, re-touches carried tombstones, adds new urls,
 and leaves one carried partition without events (a silent partition, as
-``extra_parts`` hands it over)."""
+``extra_parts`` hands it over). Both rounds' changelogs carry a wrong
+``text``: the reference merge extracts the delta winners' text from their
+html, so a kernel that trusts or skips it fails."""
 
 import hashlib
 import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
 from radiant_portal_pipeline_ray.config import EngineConfig
+from radiant_portal_pipeline_ray.functions.text import extract_text
 from radiant_portal_pipeline_ray.schemas import CHANGELOG_SCHEMA, INTERNAL_FIELDS
 from radiant_portal_pipeline_ray.sources.generator import (
     ChangelogSpec,
     generate_changelog,
 )
-from radiant_portal_pipeline_ray.stages import taskshuffle
+from radiant_portal_pipeline_ray.stages import merge, taskshuffle
 from radiant_portal_pipeline_ray.stages.merge import (
     MERGE_LAYERS,
     MergeKernel,
@@ -39,6 +43,14 @@ def _schemas(event_schema):
     data = [f for f in event_schema if f.name not in ("op", "lsn")]
     snapshot = pa.schema(data + INTERNAL_FIELDS)
     return snapshot, pa.schema([pa.field("op", pa.string())] + list(snapshot))
+
+
+def _corrupt_text(path):
+    """Rewrite a changelog file with a wrong ``text`` on every row."""
+    t = pq.read_table(path)
+    i = t.schema.get_field_index("text")
+    wrong = pa.array(["wrong text"] * t.num_rows, pa.string())
+    pq.write_table(t.set_column(i, "text", wrong), path)
 
 
 def _normalize(path, event_schema, union_schema):
@@ -83,8 +95,6 @@ def _reference_merge(k: MergeKernel, group: pa.Table, part: int) -> dict:
     by url among the carried rows, per-partition counts and top domains.
     Stages its files like the kernel, under ``k.staging_dir``."""
     import json
-
-    import pyarrow.compute as pc
 
     from radiant_portal_pipeline_ray.functions.hashing import extract_domain
     from radiant_portal_pipeline_ray.schemas import align_table
@@ -141,6 +151,11 @@ def _reference_merge(k: MergeKernel, group: pa.Table, part: int) -> dict:
         u for u, d in zip(state.column("url").to_pylist(), state.column("deleted").to_pylist())
         if not d
     }
+    extracted = extract_text(winners.column("html")).to_pylist()
+    text = [
+        t if o == "S" else x
+        for t, x, o in zip(winners.column("text").to_pylist(), extracted, w_ops)
+    ]
     w_urls = winners.column("url").to_pylist()
     live_urls = [u for u, d in zip(w_urls, deleted) if not d]
     dom_counts = {}
@@ -154,6 +169,8 @@ def _reference_merge(k: MergeKernel, group: pa.Table, part: int) -> dict:
             col = pa.array(docs, pa.int64())
         elif f.name == "deleted":
             col = pa.array(deleted, pa.bool_())
+        elif f.name == "text":
+            col = pa.array(text, pa.string())
         else:
             col = winners.column(f.name)
         cols.append(col.cast(f.type))
@@ -199,6 +216,8 @@ def round2(tmp_path_factory):
         delete_ratio=0.15,
     )
     paths = generate_changelog(str(tmp / "cl"), spec)
+    for p in paths:
+        _corrupt_text(p)
 
     # round 1: written before ``lang`` existed
     ev1 = pa.schema([f for f in CHANGELOG_SCHEMA if f.name != "lang"])
@@ -225,6 +244,7 @@ def round2(tmp_path_factory):
     parts = seen + [silent]
     return {
         "tmp": tmp,
+        "paths": paths,
         "delta": delta2,
         "parts": parts,
         "silent": silent,
@@ -345,13 +365,20 @@ def test_apply_reports_merge_layers(ray_session, tmp_path):
             assert ml[name] >= 0
             assert 0 <= ml[name.removesuffix("_s") + "_max_s"] <= ml[name]
         assert ml["slowest_bucket"] >= 0 and ml["slowest_bucket_s"] >= 0
+        sl = rep["scout_layers"]
+        for name in taskshuffle.SCOUT_LAYERS:
+            stem = name.removesuffix("_s")
+            mx = sl[stem + ("_max_s" if stem != name else "_max")]
+            assert 0 <= mx <= sl[name]
+        assert sl["bytes_out"] > 0
+        assert sl["slowest_task"] >= 0 and sl["slowest_task_s"] >= 0
         # the phase laps stay plain numbers
         assert all(isinstance(v, float) for v in rep["timings"].values())
 
 
 def test_manifest_records_merge_layers(ray_session, tmp_path):
-    """Each merge commit's manifest carries the report's merge layers in
-    ``stage_metrics``, next to (not inside) the phase laps."""
+    """Each merge commit's manifest carries the report's scout and merge
+    layers in ``stage_metrics``, next to (not inside) the phase laps."""
     from radiant_portal_pipeline_ray.pipelines.apply import CdcEngine
 
     paths = generate_changelog(
@@ -362,4 +389,106 @@ def test_manifest_records_merge_layers(ray_session, tmp_path):
         rep = eng.apply([p])
         sm = eng.lake.current_manifest().metrics["stage_metrics"]
         assert sm["merge_layers"] == rep["merge_layers"]
+        assert sm["scout_layers"] == rep["scout_layers"]
         assert "merge_layers" not in sm["timings_s"]
+        assert "scout_layers" not in sm["timings_s"]
+
+
+def _delta_winners(r) -> int:
+    """Rows of ``r["delta"]`` that win LWW against each other and the
+    carried rows: last by (warc_ts, lsn) per (part, url), delta rows
+    before carried rows on a tie."""
+    import pandas as pd
+
+    cols = ["part", "url", "warc_ts", "lsn"]
+    delta = r["delta"].select(cols).to_pandas().assign(carried=False)
+    carried = [
+        pq.read_table(f, columns=cols[1:]).to_pandas().assign(part=p, carried=True)
+        for p in r["parts"]
+        for f in r["carry"].get(p, ())
+    ]
+    rows = pd.concat([delta] + carried, ignore_index=True)
+    rows = rows.sort_values(cols, kind="stable")
+    last = rows.groupby(["part", "url"], sort=False).tail(1)
+    return int((~last["carried"]).sum())
+
+
+def test_merge_extracts_text_for_delta_winners_only(round2, monkeypatch):
+    r = round2
+    extracted = []
+
+    def counting(html):
+        extracted.append(len(html))
+        return extract_text(html)
+
+    monkeypatch.setattr(merge, "extract_text", counting)
+    snap, union = r["schemas"]
+    k = _kernel(
+        r["tmp"] / "counted", snap, union,
+        carry=r["carry"], seq=r["seq"], carry_bytes=r["carry_bytes"],
+    )
+    k.merge_parts(r["delta"], r["parts"])
+    winners = _delta_winners(r)
+    assert sum(extracted) == winners
+    assert 0 < winners < r["delta"].num_rows
+
+
+def test_carried_winner_text_survives_verbatim(round2, tmp_path):
+    """Carried rows hold a sentinel text no html extracts to: every carried
+    winner writes it verbatim, every delta winner writes its html's text."""
+    r = round2
+    carry = {}
+    for p, files in r["carry"].items():
+        carry[p] = []
+        for i, f in enumerate(files):
+            t = pq.read_table(f)
+            sentinel = [f"SENTINEL {u}" for u in t.column("url").to_pylist()]
+            t = t.set_column(
+                t.schema.get_field_index("text"), "text",
+                pa.array(sentinel, pa.string()),
+            )
+            path = str(tmp_path / f"carry-{p}-{i}.parquet")
+            pq.write_table(t, path)
+            carry[p].append(path)
+    snap, union = r["schemas"]
+    k = _kernel(
+        tmp_path / "staged", snap, union,
+        carry=carry, seq=r["seq"], carry_bytes=r["carry_bytes"],
+    )
+    metas = k.merge_parts(r["delta"], r["parts"])
+    out = pa.concat_tables(
+        [
+            pq.read_table(os.path.join(k.staging_dir, f"part={m['part']}", f))
+            for m in metas
+            for f in m["files"]
+        ]
+    )
+    live = out.filter(pc.invert(out.column("deleted")))
+    urls = live.column("url").to_pylist()
+    texts = live.column("text").to_pylist()
+    fresh = extract_text(live.column("html")).to_pylist()
+    kept = [t == f"SENTINEL {u}" for u, t in zip(urls, texts)]
+    assert sum(kept) == sum(m["rows_carried"] for m in metas) > 0
+    assert all(t == x for t, x, c in zip(texts, fresh, kept) if not c)
+    assert not all(kept)
+
+
+def test_split_output_carries_no_text(round2, tmp_path):
+    """The split tasks ship events with a null ``text`` even when the
+    caller reads the changelog's (wrong) text column, and report their
+    in-task layers."""
+    path = round2["paths"][1]
+    assert pq.read_table(path).column("text").null_count == 0
+    _, union = round2["schemas"]
+    norm = make_event_normalizer(
+        CHANGELOG_SCHEMA, union, N_PARTS, {}, {}, N_PARTS - 1
+    )
+    units = taskshuffle.enumerate_units([path])
+    out = taskshuffle.split_task._function(units, norm, 3, None)
+    stats, buckets = out[0], [b for b in out[1:] if b is not None]
+    assert sum(b.num_rows for b in buckets) == stats["events"] > 0
+    for b in buckets:
+        assert b.column("text").null_count == b.num_rows
+    assert set(stats["layers"]) == set(taskshuffle.SCOUT_LAYERS)
+    assert stats["layers"]["bytes_out"] == sum(b.nbytes for b in buckets)
+    assert all(v >= 0 for v in stats["layers"].values())

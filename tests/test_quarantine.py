@@ -107,3 +107,85 @@ def test_quarantine_files_survive_compaction(ray_session, tmp_path):
     compact(str(tmp_path / "lake"), min_files=1)
     eng2 = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
     assert eng2.read_quarantine().count() == len(bad)
+
+
+def test_redelivered_input_is_not_quarantined_again(ray_session, tmp_path):
+    good, bad = _mixed_rows()
+    mixed = _write(tmp_path / "cl.parquet", good + bad)
+    only_bad = _write(tmp_path / "bad.parquet", bad)
+    eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
+    eng.apply([mixed])
+    eng.apply([only_bad])  # a quarantine-only commit
+    v = eng.lake.current_manifest().version
+    for paths in ([mixed], [only_bad], [mixed, only_bad]):
+        rep = eng.apply(paths)
+        assert rep["noop"] is True, (paths, rep)
+        assert eng.lake.current_manifest().version == v
+    assert eng.read_quarantine().count() == 2 * len(bad)
+    assert eng.read_snapshot().count() == len(good)
+
+
+def test_old_and_new_input_commit_only_the_new_rows(ray_session, tmp_path):
+    good, bad = _mixed_rows()
+    old = _write(tmp_path / "old.parquet", good + bad)
+    new_good = [
+        {"lsn": 200 + i, "op": "I", "url": f"https://ok.org/q/{i}",
+         "html": f"<p>new {i}</p>".encode()}
+        for i in range(5)
+    ]
+    new_bad = [
+        {"lsn": 300, "op": "I", "url": None, "html": b"<p>y</p>"},
+        {"lsn": 301, "op": "X", "url": "https://ok.org/q/1", "html": b"y"},
+    ]
+    new = _write(tmp_path / "new.parquet", new_good + new_bad)
+    eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
+    eng.apply([old])
+    rep = eng.apply([old, new])
+    assert rep["rows_quarantined"] == len(new_bad)
+    assert rep["rows_upserted"] == len(new_good)
+    assert eng.read_snapshot().count() == len(good) + len(new_good)
+    assert eng.read_quarantine().count() == len(bad) + len(new_bad)
+
+
+def _every_partition_rows(eng, n_domains=40):
+    """Valid events over enough domains that every base partition commits
+    state, so the lake's min watermark is at least 0."""
+    return [
+        {"lsn": 1 + i, "op": "I", "url": f"https://d{i}.org/p",
+         "html": f"<p>d {i}</p>".encode()}
+        for i in range(n_domains)
+    ]
+
+
+def test_bad_lsn_rows_of_a_new_input_are_quarantined_under_a_watermark(
+    ray_session, tmp_path
+):
+    """Null and negative lsns prove nothing about what was committed: a new
+    input of such rows, or one whose valid events sit at or below every
+    watermark, still commits its malformed rows — exactly once."""
+    eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
+    eng.apply([_write(tmp_path / "base.parquet", _every_partition_rows(eng))])
+    assert eng.lake.current_manifest().min_watermark() >= 0
+    bad_lsn = [
+        {"lsn": None, "op": "I", "url": "https://d1.org/p", "html": b"x"},
+        {"lsn": -7, "op": "U", "url": "https://d2.org/p", "html": b"x"},
+        {"lsn": -1, "op": "I", "url": "https://d3.org/p", "html": b"x"},
+    ]
+    only_bad = _write(tmp_path / "bad_lsn.parquet", bad_lsn)
+    old_valid = _write(
+        tmp_path / "old_valid.parquet",
+        [{"lsn": 1, "op": "U", "url": "https://d0.org/p", "html": b"<p>o</p>"}]
+        + bad_lsn,
+    )
+    for path in (only_bad, old_valid):
+        v = eng.lake.current_manifest().version
+        rep = eng.apply([path])
+        assert rep.get("noop") is not True, (path, rep)
+        assert rep["rows_quarantined"] == len(bad_lsn)
+        assert eng.lake.current_manifest().version == v + 1
+    assert eng.read_quarantine().count() == 2 * len(bad_lsn)
+    # both are in the ledger now: a redelivery is a no-op
+    v = eng.lake.current_manifest().version
+    assert eng.apply([only_bad, old_valid])["noop"] is True
+    assert eng.lake.current_manifest().version == v
+    assert eng.read_quarantine().count() == 2 * len(bad_lsn)

@@ -102,6 +102,22 @@ def test_ledger_pruned_by_watermark_and_footer_proof(ray_session, tmp_path):
     assert tail(eng2, str(cl), poll_s=0.0, idle_exit=1) == []
 
 
+def test_ledger_matches_name_and_max_lsn(ray_session, tmp_path):
+    """The tail and the apply round share one consumed rule: a file whose
+    name is in the ledger but whose max lsn differs is new content."""
+    cl = tmp_path / "cl"
+    cl.mkdir()
+    _write_batch(cl / "b0000.parquet", 0, 200)
+    eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
+    tail(eng, str(cl), poll_s=0.0, idle_exit=1)
+    assert pending_inputs(eng, str(cl)) == []
+    p = _write_batch(cl / "b0000.parquet", 500, 100)  # same name, new events
+    assert pending_inputs(eng, str(cl)) == [p]
+    reports = tail(eng, str(cl), poll_s=0.0, idle_exit=1)
+    assert [r["consumed_files"] for r in reports] == [["b0000.parquet"]]
+    assert pending_inputs(eng, str(cl)) == []
+
+
 def test_old_manifest_without_ledger_loads(ray_session, tmp_path):
     """Manifests committed before the ledger existed must round-trip."""
     from radiant_portal_pipeline_ray.state.manifest import Manifest
