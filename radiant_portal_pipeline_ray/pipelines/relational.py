@@ -6,6 +6,13 @@ DuckDB (column names match 1:1). Float aggregates are emitted as
 fixed-point BIGINTs (``*_c`` cents, ``*_e4`` ten-thousandths) so Ray and
 DuckDB agree bit-for-bit regardless of summation order.
 
+Every ``PARTITION BY … ORDER BY`` entry (windows, sessions, ordered
+per-group picks) is one ``aggregates.window`` call. The operator owns the
+keyed exchange, one lexsort per bucket, the group geometry (``Groups``,
+incl. a segment-bounded searchsorted), the typed output, the final sort and
+the empty cases; the entry supplies only ``kernel(cols, groups)``, a few
+vectorized numpy lines over all of a bucket's groups.
+
 Registry shape: ``QUERIES[name] = (fn(sf_dir) -> Dataset|Table, oracle_sql)``.
 """
 
@@ -22,9 +29,11 @@ import ray.data as rd
 from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
 
 from radiant_portal_pipeline_ray.stages.aggregates import (
+    Groups,
     count_distinct_groupby,
     partial_final_groupby,
     topk_per_key,
+    window,
 )
 from radiant_portal_pipeline_ray.stages.hashjoin import hash_partitioned_join
 from radiant_portal_pipeline_ray.stages.joins import (
@@ -49,6 +58,21 @@ def _pq(sf_dir: str, table: str) -> str:
 
 def _to_cents(col, scale=100):
     return pc.cast(pc.round(pc.multiply(col, float(scale))), pa.int64())
+
+
+def _cents(values: np.ndarray) -> np.ndarray:
+    """``_to_cents`` of a window kernel's numpy column."""
+    return _to_cents(values).to_numpy(zero_copy_only=False)
+
+
+def _schema(*names: str, strings: tuple = ()) -> pa.Schema:
+    """A window query's output schema: int64 columns, except ``strings``."""
+    return pa.schema(
+        [(n, pa.string() if n in strings else pa.int64()) for n in names]
+    )
+
+
+_HOUR_US = 3_600_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -700,46 +724,19 @@ def q_order_overlap_windows(sf_dir: str):
     )
     win = 90 * 86_400_000_000  # 90 days in µs
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        """All of a bucket's customers in one pass: lexsort by (custkey,
-        start), then the sorted-sweep overlap count runs per customer SEGMENT
-        (searchsorted is bounded to each segment — same O(n log n), no
-        per-customer Ray group dispatch)."""
-        g = g.combine_chunks()
-        cust = g.column("o_custkey").to_numpy(zero_copy_only=False)
-        starts = pc.cast(g.column("o_orderdate"), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        keys_all = g.column("o_orderkey").to_numpy(zero_copy_only=False)
-        order = np.lexsort((starts, cust))
-        c, s, keys = cust[order], starts[order], keys_all[order]
+    def overlaps(c, g):
+        """Interval i overlaps j ⇔ s[j] <= e[i] and e[j] >= s[i]. A
+        customer's starts are sorted, and so are its ends e = s + win: count
+        j with s[j] <= e[i] minus j with e[j] < s[i], both searches bounded
+        to the customer."""
+        s = c["o_orderdate"]
         e = s + win
-        n_rows = len(c)
-        n = np.empty(n_rows, dtype=np.int64)
-        seg_starts = np.concatenate(
-            [[0], np.flatnonzero(c[1:] != c[:-1]) + 1, [n_rows]]
-        ) if n_rows else np.array([0, 0])
-        # interval i overlaps j ⇔ s[j] <= e[i] and e[j] >= s[i];
-        # with sorted starts: count j with s[j] <= e[i] minus j with e[j] < s[i]
-        for i in range(len(seg_starts) - 1):
-            lo_i, hi_i = int(seg_starts[i]), int(seg_starts[i + 1])
-            if lo_i == hi_i:
-                continue
-            ss, ee = s[lo_i:hi_i], e[lo_i:hi_i]
-            hi = np.searchsorted(ss, ee, side="right")
-            lo = np.searchsorted(np.sort(ee), ss, side="left")
-            n[lo_i:hi_i] = hi - lo
-        return pa.table(
-            {
-                "o_orderkey": pa.array(keys, type=pa.int64()),
-                "n_overlaps": pa.array(n[:n_rows], type=pa.int64()),
-            }
-        )
+        n = g.searchsorted(s, e, "right") - g.searchsorted(e, s, "left")
+        return {"n_overlaps": n}
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(orders, ["o_custkey"], 64, per_bucket).sort(
-        "o_orderkey"
+    return window(
+        orders, "o_custkey", ["o_orderdate"], overlaps,
+        _schema("o_orderkey", "n_overlaps"), sort_by=["o_orderkey"],
     )
 
 
@@ -1052,69 +1049,28 @@ def q_left_join_rank1(sf_dir: str):
 )
 def q_user_sessions(sf_dir: str, gap_us: int = 1_800_000_000, n_partitions: int = 64):
     """Sessionize each user's event stream: a gap > 30 min starts a new
-    session. Users co-locate through the keyed task shuffle; each bucket
-    sessionizes ALL its users in one vectorized pass (lexsort → gap flags →
-    per-user cumulative session numbers → one arrow group_by)."""
+    session. One window pass: gap flags split each user into sessions,
+    numbered by a per-user count of session starts."""
     ev = read_parquet_clean(
         _pq(sf_dir, "events"), columns=["user_id", "ts", "event_id"]
     )
 
-    def sessionize(group: pa.Table) -> pa.Table:
-        u = group.column("user_id").to_numpy(zero_copy_only=False)
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        eid = group.column("event_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, u))
-        u, ts = u[order], ts[order]
-        n = len(u)
-        if n == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "session_no": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                    "duration_us": pa.array([], pa.int64()),
-                }
-            )
-        new_s = np.ones(n, dtype=np.int64)
-        same_user = u[1:] == u[:-1]
-        small_gap = (ts[1:] - ts[:-1]) <= gap_us
-        new_s[1:] = np.where(same_user & small_gap, 0, 1)
-        # per-user cumulative session number: global cumsum minus the
-        # cumsum just before each user's first row
-        cum = np.cumsum(new_s)
-        user_start = np.concatenate([[True], ~same_user])
-        base = np.zeros(n, dtype=np.int64)
-        starts = np.flatnonzero(user_start)
-        base_vals = cum[starts] - new_s[starts]
-        lens = np.diff(np.append(starts, n))
-        base = np.repeat(base_vals, lens)
-        session_no = cum - base
-        t = pa.table(
-            {
-                "user_id": pa.array(u, type=pa.int64()),
-                "session_no": pa.array(session_no, type=pa.int64()),
-                "ts_us": pa.array(ts, type=pa.int64()),
-            }
-        )
-        g = t.group_by(["user_id", "session_no"]).aggregate(
-            [("ts_us", "count"), ("ts_us", "min"), ("ts_us", "max")]
-        )
-        dur = pc.subtract(g.column("ts_us_max"), g.column("ts_us_min"))
-        return pa.table(
-            {
-                "user_id": g.column("user_id"),
-                "session_no": g.column("session_no"),
-                "n_events": pc.cast(g.column("ts_us_count"), pa.int64()),
-                "duration_us": pc.cast(dur, pa.int64()),
-            }
-        )
+    def sessionize(c, g):
+        ts = c["ts"]
+        sess = Groups(g.first | np.append(False, np.diff(ts) > gap_us))
+        cum = np.cumsum(sess.first)
+        session_no = cum - g.spread(cum[g.starts]) + 1
+        return {
+            "user_id": c["user_id"][sess.starts],
+            "session_no": session_no[sess.starts],
+            "n_events": sess.lens,
+            "duration_us": ts[sess.ends] - ts[sess.starts],
+        }
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(ev, ["user_id"], n_partitions, sessionize).sort(
-        ["user_id", "session_no"]
+    return window(
+        ev, "user_id", ["ts", "event_id"], sessionize,
+        _schema("user_id", "session_no", "n_events", "duration_us"),
+        n_partitions, sort_by=["user_id", "session_no"],
     )
 
 
@@ -1444,9 +1400,8 @@ def q_rollup_revenue(sf_dir: str):
 
 # ---------------------------------------------------------------------------
 # Window function: per-key running cumulative sum (ordered prefix aggregate).
-# Keys co-locate through the keyed task shuffle; each bucket computes ALL its
-# keys' prefix sums in one vectorized pass (lexsort → global cumsum → per-key
-# base subtraction). Integer cents per-row before summing, so the result is
+# A window on the key: each bucket computes ALL its keys' prefix sums in one
+# vectorized pass (global cumsum → per-key base subtraction). Integer cents per-row before summing, so the result is
 # order-of-summation exact.
 # ---------------------------------------------------------------------------
 @_register(
@@ -1464,54 +1419,24 @@ def q_running_total(sf_dir: str, n_partitions: int = 64):
         _pq(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
     )
 
-    def prefix_sums(group: pa.Table) -> pa.Table:
-        u = group.column("user_id").to_numpy(zero_copy_only=False)
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False)
-        cents = (
-            _to_cents(group.column("value")).to_numpy(zero_copy_only=False)
-        )
-        order = np.lexsort((eid, ts, u))
-        u, ts, eid, cents = u[order], ts[order], eid[order], cents[order]
-        n = len(u)
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "ts_us": pa.array([], pa.int64()),
-                    "running_c": pa.array([], pa.int64()),
-                }
-            )
+    def prefix_sums(c, g):
+        cents = _cents(c["value"])
         cum = np.cumsum(cents)
-        user_start = np.empty(n, dtype=bool)
-        user_start[0] = True
-        user_start[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(user_start)
         # base = cumulative sum just BEFORE each user's first row
-        base_vals = cum[starts] - cents[starts]
-        lens = np.diff(np.append(starts, n))
-        running = cum - np.repeat(base_vals, lens)
-        return pa.table(
-            {
-                "event_id": pa.array(eid, type=pa.int64()),
-                "user_id": pa.array(u, type=pa.int64()),
-                "ts_us": pa.array(ts, type=pa.int64()),
-                "running_c": pa.array(running, type=pa.int64()),
-            }
-        )
+        base = g.spread(cum[g.starts] - cents[g.starts])
+        return {"ts_us": c["ts"], "running_c": cum - base}
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(ev, ["user_id"], n_partitions, prefix_sums).sort(
-        ["user_id", "ts_us", "event_id"]
+    return window(
+        ev, "user_id", ["ts", "event_id"], prefix_sums,
+        _schema("event_id", "user_id", "ts_us", "running_c"),
+        n_partitions, sort_by=["user_id", "ts_us", "event_id"],
     )
 
 
 # ---------------------------------------------------------------------------
 # Window function: LAG — inter-event gap per key (NULL for each key's first
-# row). Same bucket kernel shape as the prefix sum: one lexsort, one diff,
-# null mask at key starts.
+# row). Same window kernel shape as the prefix sum: one diff, null mask at
+# key starts.
 # ---------------------------------------------------------------------------
 @_register(
     "q_event_gaps",
@@ -1528,41 +1453,15 @@ def q_event_gaps(sf_dir: str, n_partitions: int = 64):
         _pq(sf_dir, "events"), columns=["event_id", "user_id", "ts"]
     )
 
-    def lag_gaps(group: pa.Table) -> pa.Table:
-        u = group.column("user_id").to_numpy(zero_copy_only=False)
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, u))
-        u, ts, eid = u[order], ts[order], eid[order]
-        n = len(u)
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "ts_us": pa.array([], pa.int64()),
-                    "gap_us": pa.array([], pa.int64()),
-                }
-            )
-        gaps = np.empty(n, dtype=np.int64)
-        gaps[0] = 0
-        gaps[1:] = ts[1:] - ts[:-1]
-        is_first = np.empty(n, dtype=bool)
-        is_first[0] = True
-        is_first[1:] = u[1:] != u[:-1]
-        return pa.table(
-            {
-                "event_id": pa.array(eid, type=pa.int64()),
-                "user_id": pa.array(u, type=pa.int64()),
-                "ts_us": pa.array(ts, type=pa.int64()),
-                "gap_us": pa.array(gaps, type=pa.int64(), mask=is_first),
-            }
-        )
+    def lag_gaps(c, g):
+        ts = c["ts"]
+        gaps = np.diff(ts, prepend=ts[:1])
+        return {"ts_us": ts, "gap_us": pa.array(gaps, pa.int64(), mask=g.first)}
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(ev, ["user_id"], n_partitions, lag_gaps).sort(
-        ["user_id", "ts_us", "event_id"]
+    return window(
+        ev, "user_id", ["ts", "event_id"], lag_gaps,
+        _schema("event_id", "user_id", "ts_us", "gap_us"),
+        n_partitions, sort_by=["user_id", "ts_us", "event_id"],
     )
 
 
@@ -1908,8 +1807,8 @@ def q_heavy_hitter_tokens(sf_dir: str, s: int = 200, n_partitions: int = 32):
 # Ordered string aggregation: comma-joined, ORDER-BY-sorted member list per
 # group (the "collect members deterministically" serving shape — reference
 # analogue: array_agg(distinct …) in snv_variant consequences, here with
-# explicit intra-group ordering). Keys co-locate once; each bucket folds all
-# its groups with one pandas C-level groupby-join.
+# explicit intra-group ordering). A window on the nation sorts each member
+# list by name; the kernel joins each nation's slice.
 # ---------------------------------------------------------------------------
 @_register(
     "q_nation_customer_list",
@@ -1939,24 +1838,21 @@ def q_nation_customer_list(sf_dir: str, n_partitions: int = 16):
         batch_format="pyarrow",
     )
 
-    def fold(group: pa.Table) -> pa.Table:
-        df = group.select(["nation_name", "c_name"]).to_pandas()
-        df = df.sort_values(["nation_name", "c_name"])
-        g = df.groupby("nation_name", sort=True)["c_name"]
-        out = g.agg([("n_customers", "size"), ("customer_names", ",".join)])
-        out = out.reset_index()
-        return pa.table(
-            {
-                "nation_name": pa.array(out["nation_name"], pa.string()),
-                "n_customers": pa.array(out["n_customers"], pa.int64()),
-                "customer_names": pa.array(out["customer_names"], pa.string()),
-            }
-        )
+    def fold(c, g):
+        names = c["c_name"]
+        return {
+            "nation_name": c["nation_name"][g.starts],
+            "n_customers": g.lens,
+            "customer_names": [
+                ",".join(names[a : b + 1]) for a, b in zip(g.starts, g.ends)
+            ],
+        }
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(joined, ["nation_name"], n_partitions, fold).sort(
-        "nation_name"
+    return window(
+        joined, "nation_name", ["c_name"], fold,
+        _schema("nation_name", "n_customers", "customer_names",
+                strings=("nation_name", "customer_names")),
+        n_partitions, sort_by=["nation_name"],
     )
 
 
@@ -1985,52 +1881,22 @@ def q_nation_customer_list(sf_dir: str, n_partitions: int = 16):
 def q_value_percentiles_cont(sf_dir: str, n_partitions: int = 16):
     ev = read_parquet_clean(_pq(sf_dir, "events"), columns=["event_type", "value"])
 
-    def to_int(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_type": b.column("event_type"),
-                "value_c": _to_cents(b.column("value")),
-            }
-        )
+    def pct(c, g):
+        # cents rise with value, so the value sort orders them too
+        v = _cents(c["value"])
+        out = {"event_type": c["event_type"][g.starts]}
+        for p in (25, 50, 75):
+            lo, rem = np.divmod((g.lens - 1) * p, 100)
+            at = g.starts + lo
+            step = v[np.minimum(at + 1, g.ends)] - v[at]
+            out[f"p{p}_q"] = 4 * v[at] + step * (rem // 25)  # 0..3 quarter-steps
+        return out
 
-    def pct(group: pa.Table) -> pa.Table:
-        et = group.column("event_type").to_numpy(zero_copy_only=False)
-        v = group.column("value_c").to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, et))
-        et, v = et[order], v[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(et[1:] != et[:-1]) + 1, [len(et)])
-        )
-        names, cols = [], {p: [] for p in (25, 50, 75)}
-        for i in range(len(starts) - 1):  # O(groups), not O(rows)
-            s, e = int(starts[i]), int(starts[i + 1])
-            vals = v[s:e]
-            n = e - s
-            names.append(et[s])
-            for p in (25, 50, 75):
-                lo, rem = divmod((n - 1) * p, 100)
-                frac4 = rem // 25  # 0..3 quarter-steps
-                q4 = 4 * int(vals[lo]) + (
-                    (int(vals[lo + 1]) - int(vals[lo])) * frac4 if frac4 else 0
-                )
-                cols[p].append(q4)
-        return pa.table(
-            {
-                "event_type": pa.array(names, pa.string()),
-                "p25_q": pa.array(cols[25], pa.int64()),
-                "p50_q": pa.array(cols[50], pa.int64()),
-                "p75_q": pa.array(cols[75], pa.int64()),
-            }
-        )
-
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(
-        ev.map_batches(to_int, batch_format="pyarrow"),
-        ["event_type"],
-        n_partitions,
-        pct,
-    ).sort("event_type")
+    return window(
+        ev, "event_type", ["value"], pct,
+        _schema("event_type", "p25_q", "p50_q", "p75_q", strings=("event_type",)),
+        n_partitions, sort_by=["event_type"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -2102,8 +1968,8 @@ def q_full_outer_activity(sf_dir: str):
 # ---------------------------------------------------------------------------
 # OHLC downsampling bars (telemetry/finance shape): per (user, hour) the
 # FIRST and LAST value by event time plus min/max — the order-sensitive
-# aggregate pair (first/last) that plain groupby cannot express. One keyed
-# exchange; each bucket computes every bar with one lexsort + reduceat.
+# aggregate pair (first/last) that plain groupby cannot express. A window on
+# the user; its kernel splits users into hours and reduces every bar at once.
 # ---------------------------------------------------------------------------
 @_register(
     "q_hourly_ohlc",
@@ -2125,47 +1991,25 @@ def q_hourly_ohlc(sf_dir: str, n_partitions: int = 64):
         _pq(sf_dir, "events"), columns=["user_id", "ts", "event_id", "value"]
     )
 
-    def bars(group: pa.Table) -> pa.Table:
-        u = group.column("user_id").to_numpy(zero_copy_only=False)
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False)
-        cents = _to_cents(group.column("value")).to_numpy(zero_copy_only=False)
-        hour = ts // 3_600_000_000
-        order = np.lexsort((eid, ts, hour, u))
-        u, hour, cents = u[order], hour[order], cents[order]
-        n = len(u)
-        if n == 0:
-            empty = pa.array([], pa.int64())
-            return pa.table(
-                {
-                    "user_id": empty, "hour_bucket": empty, "open_c": empty,
-                    "high_c": empty, "low_c": empty, "close_c": empty,
-                    "n_events": empty,
-                }
-            )
-        new_g = np.empty(n, dtype=bool)
-        new_g[0] = True
-        new_g[1:] = (u[1:] != u[:-1]) | (hour[1:] != hour[:-1])
-        starts = np.flatnonzero(new_g)
-        ends = np.append(starts[1:], n) - 1
-        return pa.table(
-            {
-                "user_id": pa.array(u[starts], pa.int64()),
-                "hour_bucket": pa.array(hour[starts], pa.int64()),
-                "open_c": pa.array(cents[starts], pa.int64()),
-                "high_c": pa.array(np.maximum.reduceat(cents, starts), pa.int64()),
-                "low_c": pa.array(np.minimum.reduceat(cents, starts), pa.int64()),
-                "close_c": pa.array(cents[ends], pa.int64()),
-                "n_events": pa.array(
-                    np.append(starts[1:], n) - starts, pa.int64()
-                ),
-            }
-        )
+    def bars(c, g):
+        # the hour rises with ts, so (ts, event_id) also orders the bars
+        cents, hour = _cents(c["value"]), c["ts"] // _HOUR_US
+        b = g.split(hour)
+        return {
+            "user_id": c["user_id"][b.starts],
+            "hour_bucket": hour[b.starts],
+            "open_c": cents[b.starts],
+            "high_c": np.maximum.reduceat(cents, b.starts),
+            "low_c": np.minimum.reduceat(cents, b.starts),
+            "close_c": cents[b.ends],
+            "n_events": b.lens,
+        }
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(ev, ["user_id"], n_partitions, bars).sort(
-        ["user_id", "hour_bucket"]
+    return window(
+        ev, "user_id", ["ts", "event_id"], bars,
+        _schema("user_id", "hour_bucket", "open_c", "high_c", "low_c",
+                "close_c", "n_events"),
+        n_partitions, sort_by=["user_id", "hour_bucket"],
     )
 
 
@@ -2461,54 +2305,24 @@ def q_order_price_ranks(sf_dir: str, n_partitions: int = 64):
         _pq(sf_dir, "orders"), columns=["o_custkey", "o_orderkey", "o_totalprice"]
     )
 
-    def ranks(group: pa.Table) -> pa.Table:
-        k = group.column("o_custkey").to_numpy(zero_copy_only=False)
-        oid = group.column("o_orderkey").to_numpy(zero_copy_only=False)
-        cents = _to_cents(group.column("o_totalprice")).to_numpy(zero_copy_only=False)
-        order = np.lexsort((oid, -cents, k))
-        k, oid, cents = k[order], oid[order], cents[order]
-        n = len(k)
-        if n == 0:
-            e = pa.array([], pa.int64())
-            return pa.table(
-                {
-                    "o_custkey": e, "o_orderkey": e, "totalprice_c": e,
-                    "price_rank": e, "price_dense_rank": e,
-                }
-            )
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = k[1:] != k[:-1]
-        new_val = np.empty(n, dtype=bool)
-        new_val[0] = True
-        new_val[1:] = new_key[1:] | (cents[1:] != cents[:-1])
-        pos = np.arange(n)
-        key_starts = np.flatnonzero(new_key)
-        lens = np.diff(np.append(key_starts, n))
-        base = np.repeat(pos[key_starts], lens)
-        # rank: position of the tie-group's first row within the key
-        tie_starts = np.where(new_val, pos, 0)
-        tie_first = np.maximum.accumulate(tie_starts)
-        rank = tie_first - base + 1
-        # dense_rank: number of value changes within the key so far
-        dcum = np.cumsum(new_val)
-        drank = dcum - np.repeat(dcum[key_starts] - 1, lens)
-        return pa.table(
-            {
-                "o_custkey": pa.array(k, pa.int64()),
-                "o_orderkey": pa.array(oid, pa.int64()),
-                "totalprice_c": pa.array(cents, pa.int64()),
-                "price_rank": pa.array(rank, pa.int64()),
-                "price_dense_rank": pa.array(drank, pa.int64()),
-            }
-        )
+    def ranks(c, g):
+        # cents fall with the price, so equal cents are adjacent tie runs
+        cents = _cents(c["o_totalprice"])
+        ties = g.split(cents)
+        dcum = np.cumsum(ties.first)
+        return {
+            "totalprice_c": cents,
+            "price_rank": ties.start_abs - g.start_abs + 1,
+            "price_dense_rank": dcum - g.spread(dcum[g.starts]) + 1,
+        }
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    out = exchange_group(orders, ["o_custkey"], n_partitions, ranks)
-    return out.sort(
-        ["o_custkey", "totalprice_c", "o_orderkey"],
-        descending=[False, True, False],
+    return window(
+        orders, "o_custkey", [("o_totalprice", "descending"), "o_orderkey"],
+        ranks,
+        _schema("o_custkey", "o_orderkey", "totalprice_c", "price_rank",
+                "price_dense_rank"),
+        n_partitions,
+        sort_by=["o_custkey", ("totalprice_c", "descending"), "o_orderkey"],
     )
 
 
@@ -2686,31 +2500,19 @@ def q_unpivot_event_values(sf_dir: str):
 
 # ---------------------------------------------------------------------------
 # Window-function completion: NTILE / LEAD / PERCENT_RANK+CUME_DIST / a
-# bounded ROWS frame. Same execution shape as q_running_total: keys
-# co-locate once through the keyed task exchange, then EVERY window in a
-# bucket is computed by one lexsort + a handful of vectorized numpy passes
-# (prefix sums, run-boundary scans) — no per-key Python, no second shuffle.
-# The partitioning assumption each kernel relies on: a window PARTITION BY
-# key never spans exchange buckets (exchange_group hashes on exactly that
-# key), so per-group offsets/counts computed inside a bucket are global.
+# bounded ROWS frame. Like every PARTITION BY query in this module, each is
+# one ``aggregates.window`` call: the operator co-locates the keys once
+# through the keyed task exchange, sorts each bucket once by (key, ORDER
+# BY) and hands the kernel the bucket's ``Groups`` (group starts, lengths,
+# per-row offsets, a segment-bounded searchsorted). The kernel is a handful
+# of vectorized numpy passes (prefix sums, run-boundary scans) over all of
+# the bucket's groups — no per-key Python, no second shuffle. A window
+# PARTITION BY key never spans exchange buckets (exchange_group hashes on
+# exactly that key), so per-group offsets/counts inside a bucket are global.
 # ref: the reference computes its ranked/windowed shapes in StarRocks SQL
 #      (e.g. row_number picks in germline variant staging); here each is a
 #      first-class distributed kernel.
 # ---------------------------------------------------------------------------
-def _group_offsets(keys: np.ndarray):
-    """(starts, lens, start_abs, pos): per-row group geometry for a sorted
-    key column — the shared scaffolding of every window kernel below."""
-    n = len(keys)
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    lens = np.diff(np.append(starts, n))
-    start_abs = np.repeat(starts, lens)
-    pos = np.arange(n) - start_abs
-    return starts, lens, start_abs, pos
-
-
 @_register(
     "q_ntile_user_quartiles",
     """
@@ -2730,22 +2532,8 @@ def q_ntile_user_quartiles(sf_dir: str, n_partitions: int = 64):
     )
     k = 4
 
-    def ntile(group: pa.Table) -> pa.Table:
-        u = group.column("user_id").to_numpy(zero_copy_only=False)
-        v = group.column("value").to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "quartile": pa.array([], pa.int64()),
-                }
-            )
-        order = np.lexsort((eid, v, u))
-        u, eid = u[order], eid[order]
-        _, lens, _, pos = _group_offsets(u)
-        n = np.repeat(lens, lens)
+    def ntile(c, g):
+        pos, n = g.pos, g.spread(g.lens)
         base, rem = n // k, n % k
         fat = rem * (base + 1)  # rows covered by the (base+1)-sized tiles
         tile = np.where(
@@ -2753,18 +2541,12 @@ def q_ntile_user_quartiles(sf_dir: str, n_partitions: int = 64):
             pos // (base + 1),
             rem + (pos - fat) // np.maximum(base, 1),
         ) + 1
-        return pa.table(
-            {
-                "event_id": pa.array(eid, type=pa.int64()),
-                "user_id": pa.array(u, type=pa.int64()),
-                "quartile": pa.array(tile, type=pa.int64()),
-            }
-        )
+        return {"quartile": tile}
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(ev, ["user_id"], n_partitions, ntile).sort(
-        ["user_id", "event_id"]
+    return window(
+        ev, "user_id", ["value", "event_id"], ntile,
+        _schema("event_id", "user_id", "quartile"),
+        n_partitions, sort_by=["user_id", "event_id"],
     )
 
 
@@ -2789,50 +2571,21 @@ def q_lead_next_event(sf_dir: str, n_partitions: int = 64):
         columns=["event_id", "user_id", "ts", "event_type"],
     )
 
-    def lead(group: pa.Table) -> pa.Table:
-        u = group.column("user_id").to_numpy(zero_copy_only=False)
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "ts_us": pa.array([], pa.int64()),
-                    "next_gap_us": pa.array([], pa.int64()),
-                    "next_type": pa.array([], pa.string()),
-                }
-            )
-        order = np.lexsort((eid, ts, u))
-        u, ts, eid = u[order], ts[order], eid[order]
-        n = len(u)
-        last = np.empty(n, dtype=bool)
-        last[-1] = True
-        last[:-1] = u[1:] != u[:-1]
-        gap = np.empty(n, dtype=np.int64)
-        gap[-1] = 0
-        gap[:-1] = ts[1:] - ts[:-1]
-        et_sorted = group.column("event_type").take(pa.array(order))
-        shifted = et_sorted.take(
-            pa.array(np.minimum(np.arange(n) + 1, n - 1))
-        )
-        next_type = pc.if_else(
-            pa.array(~last), shifted, pa.scalar(None, pa.string())
-        )
-        return pa.table(
-            {
-                "event_id": pa.array(eid, type=pa.int64()),
-                "user_id": pa.array(u, type=pa.int64()),
-                "ts_us": pa.array(ts, type=pa.int64()),
-                "next_gap_us": pa.array(gap, type=pa.int64(), mask=last),
-                "next_type": next_type,
-            }
-        )
+    def lead(c, g):
+        ts = c["ts"]
+        last = np.append(g.first[1:], True)
+        nxt = np.minimum(np.arange(len(ts)) + 1, len(ts) - 1)
+        return {
+            "ts_us": ts,
+            "next_gap_us": pa.array(ts[nxt] - ts, pa.int64(), mask=last),
+            "next_type": pa.array(c["event_type"][nxt], pa.string(), mask=last),
+        }
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(ev, ["user_id"], n_partitions, lead).sort(
-        ["user_id", "ts_us", "event_id"]
+    return window(
+        ev, "user_id", ["ts", "event_id"], lead,
+        _schema("event_id", "user_id", "ts_us", "next_gap_us", "next_type",
+                strings=("next_type",)),
+        n_partitions, sort_by=["user_id", "ts_us", "event_id"],
     )
 
 
@@ -2861,55 +2614,22 @@ def q_price_percent_ranks(sf_dir: str, n_partitions: int = 64):
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
     )
 
-    def ranks(group: pa.Table) -> pa.Table:
-        cust = group.column("o_custkey").to_numpy(zero_copy_only=False)
-        price = group.column("o_totalprice").to_numpy(zero_copy_only=False)
-        okey = group.column("o_orderkey").to_numpy(zero_copy_only=False)
-        if len(cust) == 0:
-            return pa.table(
-                {
-                    "o_orderkey": pa.array([], pa.int64()),
-                    "o_custkey": pa.array([], pa.int64()),
-                    "pr_e4": pa.array([], pa.int64()),
-                    "cd_e4": pa.array([], pa.int64()),
-                }
-            )
-        order = np.lexsort((okey, price, cust))
-        cust, price, okey = cust[order], price[order], okey[order]
-        n_rows = len(cust)
-        _, lens, start_abs, pos = _group_offsets(cust)
-        n = np.repeat(lens, lens)
-        # value-run boundaries within each customer's ordered prices
-        new_run = np.empty(n_rows, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (cust[1:] != cust[:-1]) | (price[1:] != price[:-1])
-        run_start = np.maximum.accumulate(
-            np.where(new_run, np.arange(n_rows), 0)
-        )
-        run_id = np.cumsum(new_run) - 1
-        run_last = np.full(run_id[-1] + 1, n_rows - 1, dtype=np.int64)
-        run_last[run_id[:-1][new_run[1:]] ] = np.flatnonzero(new_run[1:])
-        rank = run_start - start_abs + 1  # gaps-rank: first row of the run
-        rows_le = run_last[run_id] - start_abs + 1
+    def ranks(c, g):
+        runs = g.split(c["o_totalprice"])  # value runs within each customer
+        n = g.spread(g.lens)
+        rank = runs.start_abs - g.start_abs + 1  # gaps-rank: first row of the run
+        rows_le = runs.spread(runs.ends) - g.start_abs + 1
         pr = np.where(n > 1, (rank - 1) / np.maximum(n - 1, 1), 0.0)
         cd = rows_le / n
-        return pa.table(
-            {
-                "o_orderkey": pa.array(okey, type=pa.int64()),
-                "o_custkey": pa.array(cust, type=pa.int64()),
-                "pr_e4": pa.array(
-                    np.floor(pr * 10000).astype(np.int64), type=pa.int64()
-                ),
-                "cd_e4": pa.array(
-                    np.floor(cd * 10000).astype(np.int64), type=pa.int64()
-                ),
-            }
-        )
+        return {
+            "pr_e4": np.floor(pr * 10000).astype(np.int64),
+            "cd_e4": np.floor(cd * 10000).astype(np.int64),
+        }
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(orders, ["o_custkey"], n_partitions, ranks).sort(
-        ["o_custkey", "o_orderkey"]
+    return window(
+        orders, "o_custkey", ["o_totalprice", "o_orderkey"], ranks,
+        _schema("o_orderkey", "o_custkey", "pr_e4", "cd_e4"),
+        n_partitions, sort_by=["o_custkey", "o_orderkey"],
     )
 
 
@@ -2932,41 +2652,16 @@ def q_moving_sum3(sf_dir: str, n_partitions: int = 64):
         _pq(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
     )
 
-    def moving(group: pa.Table) -> pa.Table:
-        u = group.column("user_id").to_numpy(zero_copy_only=False)
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False)
-        cents = _to_cents(group.column("value")).to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "ts_us": pa.array([], pa.int64()),
-                    "mov3_c": pa.array([], pa.int64()),
-                }
-            )
-        order = np.lexsort((eid, ts, u))
-        u, ts, eid, cents = u[order], ts[order], eid[order], cents[order]
-        n = len(u)
-        _, _, start_abs, _ = _group_offsets(u)
-        prefix = np.concatenate(([0], np.cumsum(cents)))  # exclusive
-        idx = np.arange(n)
-        lo = np.maximum(idx - 2, start_abs)
-        mov = prefix[idx + 1] - prefix[lo]
-        return pa.table(
-            {
-                "event_id": pa.array(eid, type=pa.int64()),
-                "user_id": pa.array(u, type=pa.int64()),
-                "ts_us": pa.array(ts, type=pa.int64()),
-                "mov3_c": pa.array(mov, type=pa.int64()),
-            }
-        )
+    def moving(c, g):
+        prefix = np.concatenate(([0], np.cumsum(_cents(c["value"]))))  # exclusive
+        idx = np.arange(len(g.pos))
+        mov = prefix[idx + 1] - prefix[np.maximum(idx - 2, g.start_abs)]
+        return {"ts_us": c["ts"], "mov3_c": mov}
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(ev, ["user_id"], n_partitions, moving).sort(
-        ["user_id", "ts_us", "event_id"]
+    return window(
+        ev, "user_id", ["ts", "event_id"], moving,
+        _schema("event_id", "user_id", "ts_us", "mov3_c"),
+        n_partitions, sort_by=["user_id", "ts_us", "event_id"],
     )
 
 
@@ -3099,17 +2794,11 @@ def q3_shipping_priority(sf_dir: str, k: int = 10):
 # RANGE frame window (time-based trailing window): SUM over every event of
 # the same user within the last hour INCLUSIVE of the current row's peers —
 # RANGE semantics, not ROWS: all rows sharing the current ORDER BY value
-# join the frame. Kernel: one lexsort, then BOTH frame edges come from one
-# global vectorized np.searchsorted over a band-shifted timestamp axis —
-# each group's timestamps are offset into a disjoint integer band wider
-# than (global span + window), so a group-local binary search becomes a
-# single global one, with NO per-group Python loop. Groups are chunked if
-# (#groups × band) would overflow int64 (the same vectorized code on group
-# slices), so the kernel stays exact at any key cardinality.
+# join the frame. Kernel: both frame edges come from ``Groups.searchsorted``
+# (one global binary search over a band-shifted timestamp axis, bounded to
+# each user's rows, with NO per-group Python loop) read against one
+# exclusive prefix sum.
 # ---------------------------------------------------------------------------
-_HOUR_US = 3_600_000_000
-
-
 @_register(
     "q_trailing_hour_sum",
     """
@@ -3127,55 +2816,15 @@ def q_trailing_hour_sum(sf_dir: str, n_partitions: int = 64):
         _pq(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
     )
 
-    def trailing(group: pa.Table) -> pa.Table:
-        u = group.column("user_id").to_numpy(zero_copy_only=False)
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False)
-        cents = _to_cents(group.column("value")).to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "ts_us": pa.array([], pa.int64()),
-                    "hour_c": pa.array([], pa.int64()),
-                }
-            )
-        order = np.lexsort((eid, ts, u))
-        u, ts, eid, cents = u[order], ts[order], eid[order], cents[order]
-        starts, lens, _, _ = _group_offsets(u)
-        ts0 = ts - ts.min()
-        span = int(ts0.max())
-        band = span + _HOUR_US + 2  # groups can never see a neighbour's band
-        prefix = np.concatenate(([0], np.cumsum(cents)))
-        hour_c = np.empty(len(u), dtype=np.int64)
-        # chunk groups so gid*band stays < 2^62 (beyond ~4e18/band groups
-        # per bucket the shifted axis would overflow; same code, sliced)
-        max_g = max(1, (1 << 62) // band)
-        for g0 in range(0, len(starts), max_g):
-            g1 = min(g0 + max_g, len(starts))
-            lo_row = starts[g0]
-            hi_row = starts[g1] if g1 < len(starts) else len(u)
-            gid = np.repeat(
-                np.arange(g1 - g0, dtype=np.int64), lens[g0:g1]
-            )
-            shifted = ts0[lo_row:hi_row] + gid * band
-            lo = np.searchsorted(shifted, shifted - _HOUR_US, side="left")
-            hi = np.searchsorted(shifted, shifted, side="right")
-            hour_c[lo_row:hi_row] = (
-                prefix[lo_row + hi] - prefix[lo_row + lo]
-            )
-        return pa.table(
-            {
-                "event_id": pa.array(eid, type=pa.int64()),
-                "user_id": pa.array(u, type=pa.int64()),
-                "ts_us": pa.array(ts, type=pa.int64()),
-                "hour_c": pa.array(hour_c, type=pa.int64()),
-            }
-        )
+    def trailing(c, g):
+        ts = c["ts"]
+        prefix = np.concatenate(([0], np.cumsum(_cents(c["value"]))))
+        lo = g.searchsorted(ts, ts - _HOUR_US, "left")
+        hi = g.searchsorted(ts, ts, "right")
+        return {"ts_us": ts, "hour_c": prefix[hi] - prefix[lo]}
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return exchange_group(ev, ["user_id"], n_partitions, trailing).sort(
-        ["user_id", "ts_us", "event_id"]
+    return window(
+        ev, "user_id", ["ts", "event_id"], trailing,
+        _schema("event_id", "user_id", "ts_us", "hour_c"),
+        n_partitions, sort_by=["user_id", "ts_us", "event_id"],
     )

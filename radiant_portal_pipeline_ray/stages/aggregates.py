@@ -11,6 +11,11 @@ batch first (one output row per key per batch), so the all-to-all shuffle
 moves partial rows, not raw rows — the pre-aggregate pattern the north rule
 asks for. ``topk_per_key`` prunes to k rows per key per batch before the
 shuffle for the same reason.
+
+``window`` is the one operator behind the ``PARTITION BY … ORDER BY``
+queries: it owns the keyed exchange, one sort per bucket, the group
+geometry (``Groups``), typed output, the final sort and the empty cases, so
+a query supplies only its vectorized kernel.
 """
 
 from __future__ import annotations
@@ -171,3 +176,123 @@ def count_distinct_groupby(
         return g.combine_chunks()
 
     return exchange_group(pairs, keys, 64, per_bucket)
+
+
+def _changes(col: np.ndarray) -> np.ndarray:
+    """True at row 0 and wherever a sorted column's value changes."""
+    flags = np.empty(len(col), dtype=bool)
+    flags[:1] = True
+    flags[1:] = col[1:] != col[:-1]
+    return flags
+
+
+class Groups:
+    """Geometry of the groups of a sorted bucket: ``first`` flags each
+    group's first row, ``starts``, ``lens`` and ``ends`` are per group, and
+    ``start_abs`` (the row's group start) and ``pos`` (its offset in the
+    group) are per row. Groups never span exchange buckets, so these are
+    global per key."""
+
+    def __init__(self, first: np.ndarray):
+        n = len(first)
+        self.first = first
+        self.starts = np.flatnonzero(first)
+        self.lens = np.diff(np.append(self.starts, n))
+        self.ends = self.starts + self.lens - 1
+        self.start_abs = np.repeat(self.starts, self.lens)
+        self.pos = np.arange(n) - self.start_abs
+
+    def spread(self, per_group: np.ndarray) -> np.ndarray:
+        """One value per group → that value on each of the group's rows."""
+        return np.repeat(per_group, self.lens)
+
+    def split(self, col: np.ndarray) -> Groups:
+        """Sub-groups: runs of equal ``col`` within each group (ties, hours)."""
+        return Groups(self.first | _changes(col))
+
+    def searchsorted(self, a: np.ndarray, v: np.ndarray, side: str = "left"):
+        """Per row i, ``np.searchsorted(a[group of i], v[i], side)`` as an
+        absolute row index; ``a`` (int64) is sorted within every group.
+
+        One global search per chunk of groups instead of one per group: each
+        group's values and targets shift into their own band of the axis,
+        wider than every value's spread, so no search crosses a group edge.
+        Chunks hold as many groups as keep the axis below 2^62; values
+        spread wider than 2^61 search one group at a time, unshifted."""
+        lo = min(int(a.min()), int(v.min()))
+        band = max(int(a.max()), int(v.max())) - lo + 1
+        step = max((1 << 62) // band, 1)  # groups per search
+        bounds = np.append(self.starts, len(a))
+        out = np.empty(len(a), dtype=np.int64)
+        for g0 in range(0, len(self.starts), step):
+            g1 = min(g0 + step, len(self.starts))
+            r0, r1 = int(bounds[g0]), int(bounds[g1])
+            aa, vv = a[r0:r1], v[r0:r1]
+            if step > 1:
+                gid = np.arange(g1 - g0, dtype=np.int64)
+                shift = np.repeat(gid * band, self.lens[g0:g1])
+                aa, vv = aa - lo + shift, vv - lo + shift
+            out[r0:r1] = r0 + np.searchsorted(aa, vv, side=side)
+        return out
+
+
+def _sort_spec(cols) -> list[tuple[str, bool]]:
+    """``["a", ("b", "descending")]`` → ``[("a", False), ("b", True)]``."""
+    return [
+        (c, False) if isinstance(c, str) else (c[0], c[1] == "descending")
+        for c in cols
+    ]
+
+
+def _column_numpy(col) -> np.ndarray:
+    if pa.types.is_timestamp(col.type):
+        col = pc.cast(pc.cast(col, pa.timestamp("us")), pa.int64())
+    return col.to_numpy(zero_copy_only=False)
+
+
+def window(
+    ds: Dataset,
+    partition_by: str,
+    order_by: list,
+    kernel,
+    schema: pa.Schema,
+    n_partitions: int = 64,
+    *,
+    sort_by: list,
+) -> Dataset:
+    """``kernel`` over every ``PARTITION BY partition_by ORDER BY order_by``
+    group of ``ds``: a keyed exchange, then per bucket one lexsort on
+    (partition_by, *order_by) and ONE kernel call for all of the bucket's
+    groups. ``order_by`` and ``sort_by`` entries are column names or
+    ``(name, "descending")``.
+
+    ``kernel(cols, groups) -> {name: array}`` gets every input column as a
+    sorted numpy array (timestamps as int64 µs) and their ``Groups``. Its
+    arrays (or pyarrow arrays, for nulls) are typed by ``schema``; a schema
+    column it does not return is the sorted input column of that name. The
+    result is sorted by ``sort_by``. A bucket with no rows yields
+    ``schema``'s empty table without calling the kernel, and an input with
+    no rows a typed empty Dataset (Ray's sort would drop its schema)."""
+    import ray.data as rd
+
+    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+
+    ds = ds.materialize()
+    if ds.count() == 0:
+        return rd.from_arrow(schema.empty_table())
+    keys = [(partition_by, False)] + _sort_spec(order_by)
+
+    def per_bucket(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return schema.empty_table()
+        cols = {name: _column_numpy(t.column(name)) for name in t.column_names}
+        order = np.lexsort([-cols[k] if d else cols[k] for k, d in keys[::-1]])
+        cols = {name: v[order] for name, v in cols.items()}
+        out = kernel(cols, Groups(_changes(cols[partition_by])))
+        arrays = [pa.array(out.get(f.name, cols.get(f.name)), f.type) for f in schema]
+        return pa.Table.from_arrays(arrays, schema=schema)
+
+    spec = _sort_spec(sort_by)
+    return exchange_group(ds, [partition_by], n_partitions, per_bucket).sort(
+        [c for c, _ in spec], descending=[d for _, d in spec]
+    )

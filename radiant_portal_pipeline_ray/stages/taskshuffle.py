@@ -513,10 +513,12 @@ def exchange_group(ds, keys: list[str], n_buckets: int, fn):
     exactly one call). Returns a Dataset of the concatenated results. One
     plasma materialization, no sort."""
     import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
 
     # materialize BEFORE asking for the schema: on a lazy plan ending in
     # map_batches, schema() would execute the whole plan once more
-    ds = ds.materialize()
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
     sch = ds.schema()
     if sch is None:
         # zero-block input: grouping is a no-op (matches groupby().map_groups

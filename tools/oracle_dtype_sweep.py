@@ -16,12 +16,16 @@ shows up BEFORE the driver runs.
 Usage:  python tools/oracle_dtype_sweep.py [sf_dir] [name ...]
 """
 
+import os
 import sys
 
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+#: the checkout this tool lives in — its registry is the one swept
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TABLES = (
     "region nation customer supplier part orders lineitem events documents "
@@ -61,6 +65,11 @@ def _hash(df: pd.DataFrame):
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
+    # the driver and the Ray workers it starts import this checkout's package
+    sys.path.insert(0, REPO_ROOT)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (REPO_ROOT, os.environ.get("PYTHONPATH")) if p
+    )
     import ray
 
     if not ray.is_initialized():
@@ -71,7 +80,6 @@ def main() -> int:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as e
 
     reg = e._registry()
