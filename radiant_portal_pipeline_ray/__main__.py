@@ -16,7 +16,9 @@ contract). Subcommands mirror the reference's operational surface
     checksums --lake L [--version V]        # per-partition anti-entropy
     clone    --lake L --dst D [--version V]  # instant hard-link COW fork
     qa       --lake L | --tenant-root D [--tenant T]
-    show     --lake L            # manifest summary
+    show     --lake L [--history N]   # manifest summary; with --history,
+             # one JSON line per version among the newest N (op, counts,
+             # bytes, phase laps, rows quarantined), then {"versions": K}
 
 Multi-tenant indirection (reference ``get_radiant_mapping`` analogue,
 `radiant/tasks/data/radiant_tables.py:189-201`): every lake-taking
@@ -115,6 +117,13 @@ def main(argv: list[str] | None = None) -> int:
 
     sp = sub.add_parser("show", help="print the current manifest summary")
     _tenant_args(sp)
+    sp.add_argument(
+        "--history",
+        type=int,
+        default=None,
+        metavar="N",
+        help="instead, what each of the newest N retained versions did",
+    )
 
     tg = sub.add_parser("tag", help="set/delete a named GC-pinned version ref")
     _tenant_args(tg)
@@ -232,6 +241,15 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "checksums":
             t = _engine(args).snapshot_checksums(version=args.version)
             out = {"partitions": t.to_pylist()}
+        elif args.cmd == "show" and args.history is not None:
+            from radiant_portal_pipeline_ray.state.manifest import Lake
+
+            if args.history < 1:
+                raise SystemExit("show: --history needs N >= 1")
+            rows = Lake(_resolve_lake(args)).history(args.history)
+            for row in rows:
+                print(json.dumps(row, default=str))
+            out = {"versions": len(rows)}
         else:  # show
             from radiant_portal_pipeline_ray.state.manifest import Lake
 

@@ -457,6 +457,11 @@ class CdcEngine:
             pending = dict(current.pending_migrations)
             for d in decisions:
                 pending[d.domain] = d.old_parts
+            # carry the tracking state, with this observation folded in by
+            # max as observe_domain_rows folds it
+            hot = dict(current.metrics.get("hot_counts", {}))
+            for d, n in partitioner.hot_counts.items():
+                hot[d] = max(n, hot.get(d, 0))
             man = Manifest(
                 version=current.version + 1,
                 txn_id=self.lake.new_txn_id(),
@@ -469,7 +474,11 @@ class CdcEngine:
                 salt_hash_fingerprint=current.salt_hash_fingerprint,
                 pending_migrations=pending,
                 next_part=partitioner.next_part,
-                metrics={"routing_only": True},
+                metrics={
+                    "op": "routing",
+                    "routing_only": True,
+                    "hot_counts": hot,
+                },
                 consumed_inputs=dict(current.consumed_inputs),
                 quarantine_files=list(current.quarantine_files),
             )
@@ -811,7 +820,16 @@ class CdcEngine:
             ),
             pending_migrations=dict(base.pending_migrations) if base else {},
             next_part=base.next_part if base else self.cfg.n_parts,
-            metrics={"quarantine_only": True, "quarantine": qinfo},
+            metrics={
+                "op": "quarantine_only",
+                "quarantine_only": True,
+                "quarantine": qinfo,
+                # no merge ran, so nothing re-observed the hot domains: the
+                # next apply seeds its partitioner from these
+                "hot_counts": dict(base.metrics.get("hot_counts", {}))
+                if base
+                else {},
+            },
             consumed_inputs={
                 **(dict(base.consumed_inputs) if base else {}),
                 **(getattr(self, "_input_ledger", {}) or {}),
@@ -1055,8 +1073,7 @@ class CdcEngine:
             for m in meta_rows:
                 p = int(m["part"])
                 old_st = parts.get(p)
-                lineage = list(old_st.lineage) if old_st else []
-                lineage.append(
+                lineage = (old_st or PartitionState()).next_lineage(
                     {
                         "txn_id": txn_id,
                         "ts": now,
@@ -1087,15 +1104,15 @@ class CdcEngine:
             for p in migrated_empty:
                 old_st = parts.get(p)
                 if old_st:
-                    lineage = list(old_st.lineage)
-                    lineage.append({"txn_id": txn_id, "ts": now, "migrated_out": True})
                     parts[p] = PartitionState(
                         files=[],
                         rows=0,
                         bytes=0,
                         watermark_lsn=old_st.watermark_lsn,
                         next_doc_seq=old_st.next_doc_seq,
-                        lineage=lineage,
+                        lineage=old_st.next_lineage(
+                            {"txn_id": txn_id, "ts": now, "migrated_out": True}
+                        ),
                     )
             version = (base.version + 1) if base else 1
             manifest = Manifest(
@@ -1111,6 +1128,7 @@ class CdcEngine:
                 pending_migrations=pending_next,
                 next_part=partitioner.next_part,
                 metrics={
+                    "op": "apply",
                     "hot_counts": partitioner.hot_counts,
                     "last_apply": {
                         "events_in": tot_ev,
@@ -1254,7 +1272,12 @@ class CdcEngine:
         man.version = current.version + 1
         man.parent_version = current.version
         man.txn_id = self.lake.new_txn_id()
-        man.metrics = {"rollback_of": to_version}
+        man.metrics = {
+            "op": "rollback",
+            "rollback_of": to_version,
+            # the partitioner's tracking state reverts with the data
+            "hot_counts": dict(old.metrics.get("hot_counts", {})),
+        }
         committed = self.lake.commit(man)
         return {
             "version": committed.version,

@@ -4,7 +4,8 @@ A long-lived CDC lake accumulates (a) many small files per partition (one
 per apply round that touched it) and (b) delete tombstones that only exist
 to beat late out-of-order events. Both are rewritten here as a normal
 exactly-once transaction: per-partition ``map_groups`` rewrite into staged
-files → promote → manifest commit with a ``compacted`` lineage entry.
+files → promote → manifest commit with a ``compacted`` lineage entry and
+the compaction's own metrics (``op: compact``).
 Watermarks, doc_id counters and the salt map are untouched, so an apply can
 run before/after/interleaved with compaction and converge identically.
 
@@ -61,6 +62,14 @@ _META = pa.schema(
         pa.field("file_stats", pa.string()),
     ]
 )
+
+
+def _write_counts(meta_rows: list[dict]) -> dict:
+    """Bytes and files a rewrite staged, as ``stage_metrics["write"]``."""
+    return {
+        "bytes": sum(int(m["bytes"]) for m in meta_rows),
+        "files": sum(len(m["files"]) for m in meta_rows),
+    }
 
 
 def _max_warc_ts_us(lake: Lake, manifest: Manifest) -> int | None:
@@ -207,6 +216,7 @@ def compact(
         else:
             purge_horizon_us = mx - cfg.tombstone_horizon_lag_s * 1_000_000
 
+    t0 = time.time()
     txn_id = lake.new_txn_id()
     staging = lake.staging_dir(txn_id)
     rewriter = _make_rewriter(
@@ -249,6 +259,13 @@ def compact(
         rewrite_bucket,
     ).take_all()
     lake.promote_staged_files(txn_id)
+    metrics = {
+        "op": "compact",
+        "stage_metrics": {
+            "write": _write_counts(meta_rows),
+            "timings_s": {"rewrite": round(time.time() - t0, 3)},
+        },
+    }
 
     attempt = 0
     base = current
@@ -259,8 +276,7 @@ def compact(
         for m in meta_rows:
             p = int(m["part"])
             old = parts[p]
-            lineage = list(old.lineage)
-            lineage.append(
+            lineage = old.next_lineage(
                 {
                     "txn_id": txn_id,
                     "ts": now,
@@ -292,7 +308,10 @@ def compact(
             salt_hash_fingerprint=base.salt_hash_fingerprint,
             pending_migrations=base.pending_migrations,
             next_part=base.next_part,
-            metrics=base.metrics,
+            metrics={
+                **metrics,
+                "hot_counts": dict(base.metrics.get("hot_counts", {})),
+            },
             consumed_inputs=dict(base.consumed_inputs),
             quarantine_files=list(base.quarantine_files),
         )
@@ -406,6 +425,7 @@ def reshard(
     if new_n_parts == current.n_parts and not current.salt_map:
         return {"noop": True, "version": current.version}
 
+    t0 = time.time()
     txn_id = lake.new_txn_id()
     staging = lake.staging_dir(txn_id)
     rewriter = _make_rewriter(
@@ -513,7 +533,15 @@ def reshard(
             new_n_parts,
             (current.next_part if current.next_part is not None else 0),
         ),
-        metrics={"resharded_from": current.n_parts},
+        # no hot_counts: the routing state they track is cleared
+        metrics={
+            "op": "reshard",
+            "resharded_from": current.n_parts,
+            "stage_metrics": {
+                "write": _write_counts(meta_rows),
+                "timings_s": {"rewrite": round(now - t0, 3)},
+            },
+        },
         consumed_inputs=dict(current.consumed_inputs),
         quarantine_files=list(current.quarantine_files),
     )

@@ -4,7 +4,8 @@ reference analogue: the Airflow-scheduled periodic import run,
 `radiant/dags/import_radiant.py:48-210`, re-expressed as a driver loop over
 the exactly-once apply).
 
-Each poll reads parquet FOOTERS only, never data pages:
+Each poll reads parquet FOOTERS only, never data pages, and each distinct
+footer is parsed once per process (``input_max_lsn``'s memo):
 
 - The manifest carries a ``consumed_inputs`` ledger (input basename →
   max lsn) recorded ATOMICALLY with the commit that consumed it — file
@@ -30,6 +31,7 @@ continues from the committed state.
 from __future__ import annotations
 
 import glob
+import hashlib
 import logging
 import os
 import time
@@ -43,6 +45,38 @@ logger = logging.getLogger(__name__)
 #: consumed (an unreadable footer, or a null or negative lsn)
 UNPROVABLE = 1 << 62
 
+#: ``input_max_lsn`` memo: absolute path → (digest of the raw footer bytes,
+#: max lsn). Only values decided from row-group statistics enter it. Each
+#: entry is one dict store, so concurrent writers (``apply_backlog``'s
+#: threads) can lose an entry to a clear, never read a torn one.
+_FOOTER_MEMO: dict[str, tuple[bytes, int]] = {}
+#: entry bound; the memo is cleared when it is reached
+_FOOTER_MEMO_MAX = 1 << 16
+
+
+def _footer_digest(path: str) -> bytes | None:
+    """blake2b of a Parquet file's raw footer (metadata, its length and the
+    magic), or None when the file has no readable footer. Equal digests
+    mean equal row-group statistics, so a file rewritten in place with
+    other lsns gets a new digest."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return None
+    try:
+        size = os.fstat(fd).st_size
+        end = os.pread(fd, 8, max(size - 8, 0))
+        n = int.from_bytes(end[:4], "little")
+        if len(end) < 8 or end[4:] != b"PAR1" or n > size - 12:
+            return None
+        return hashlib.blake2b(
+            os.pread(fd, n, size - 8 - n) + end, digest_size=16
+        ).digest()
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
+
 
 def input_max_lsn(path: str) -> int:
     """Max lsn of a changelog file from row-group statistics (footer-only);
@@ -51,28 +85,38 @@ def input_max_lsn(path: str) -> int:
     Returns ``UNPROVABLE`` unless every lsn is valid (non-null, ≥ 0): a
     ``bad_lsn`` row says nothing about what was committed, so such a file
     must be neither skipped by the watermark nor pruned from the ledger —
-    only an exact ledger match proves it consumed."""
-    from radiant_portal_pipeline_ray.stages.taskshuffle import valid_lsn_max
+    only an exact ledger match proves it consumed.
 
+    A footer already parsed in this process, byte for byte, is not parsed
+    again: a poll over an unchanged directory costs one raw footer read
+    and hash per file."""
+    from radiant_portal_pipeline_ray.stages.taskshuffle import (
+        _lsn_col_index,
+        valid_lsn_max,
+    )
+
+    key = os.path.abspath(path)
+    digest = _footer_digest(key)
+    hit = _FOOTER_MEMO.get(key)
+    if digest is not None and hit is not None and hit[0] == digest:
+        return hit[1]
     try:
         md = pq.ParquetFile(path).metadata
-        if md.num_row_groups > 0:
-            idx = -1
-            for i in range(md.num_columns):
-                if md.row_group(0).column(i).path_in_schema == "lsn":
-                    idx = i
+        idx = _lsn_col_index(md) if md.num_row_groups > 0 else -1
+        if idx >= 0:
+            mx = None
+            for rg in range(md.num_row_groups):
+                v = valid_lsn_max(md.row_group(rg).column(idx).statistics)
+                if v is None:
+                    mx = None
                     break
-            if idx >= 0:
-                mx = None
-                for rg in range(md.num_row_groups):
-                    st = md.row_group(rg).column(idx).statistics
-                    v = valid_lsn_max(st)
-                    if v is None:
-                        mx = None
-                        break
-                    mx = v if mx is None else max(mx, v)
-                if mx is not None:
-                    return mx
+                mx = v if mx is None else max(mx, v)
+            if mx is not None:
+                if digest is not None:
+                    if len(_FOOTER_MEMO) >= _FOOTER_MEMO_MAX:
+                        _FOOTER_MEMO.clear()
+                    _FOOTER_MEMO[key] = (digest, mx)
+                return mx
         col = pq.read_table(path, columns=["lsn"]).column("lsn")
         if col.null_count or (len(col) and pc.min(col).as_py() < 0):
             return UNPROVABLE
@@ -151,7 +195,10 @@ def tail(
             new = new[:batch_files]
         if new:
             idle = 0
-            v_prev = engine.lake.current_version()
+            # lists the manifest directory: only the index needs it
+            v_prev = (
+                engine.lake.current_version() if sig_index is not None else None
+            )
             rep = engine.apply(new)
             rep["consumed_files"] = [os.path.basename(p) for p in new]
             v_new = rep.get("version")

@@ -8,7 +8,9 @@ The lake layout (SURVEY §7.1):
       _staging/<txn>/part=<P>/...           # uncommitted writer output
 
 A snapshot version is ONE manifest file listing, per partition: data files,
-row/byte counts, watermark lsn, doc-id counter, and lineage records. Commit
+row/byte counts, watermark lsn, doc-id counter, and the lineage entry of the
+commit that last wrote it; the version's own operation metrics sit beside
+them (``Manifest.metrics``), so history is the manifest chain. Commit
 is two-phase: (1) writers stage Parquet under ``_staging/<txn>``; (2) the
 driver moves the files into ``data/`` and publishes
 ``manifest-v{K+1}.json`` via a put-if-absent that either atomically creates
@@ -117,6 +119,12 @@ class PartitionState:
     bytes: int = 0
     watermark_lsn: int = -1
     next_doc_seq: int = 0
+    #: the entry of the commit that last wrote this partition, only: each
+    #: version's history lives in its own manifest (``metrics``), and the
+    #: chain of retained manifests is the lake's history, pruned by
+    #: ``gc_orphans`` the way Delta Lake checkpoints prune its log. A longer
+    #: list, from a manifest written before this rule, is trimmed on load,
+    #: so the next commit writes it trimmed.
     lineage: list[dict] = dc_field(default_factory=list)
     #: zone maps: per-file column min/max aligned with ``files`` (see
     #: state/zonemaps.py). OPTIONAL — ``None`` (old manifests / writers
@@ -139,6 +147,13 @@ class PartitionState:
 
     @staticmethod
     def from_json(d: dict) -> "PartitionState":
+        lineage = d.get("lineage", [])
+        if len(lineage) > 1:
+            # written when lineage held every commit: the last entry, with
+            # the purge marker of any earlier one
+            lineage = PartitionState(lineage=lineage[:-1]).next_lineage(
+                lineage[-1]
+            )
         return PartitionState(
             files=list(d["files"]),
             rows=d["rows"],
@@ -146,9 +161,18 @@ class PartitionState:
             bytes=d["bytes"],
             watermark_lsn=d["watermark_lsn"],
             next_doc_seq=d.get("next_doc_seq", 0),
-            lineage=list(d.get("lineage", [])),
+            lineage=list(lineage),
             stats=d.get("stats"),
         )
+
+    def next_lineage(self, entry: dict) -> list[dict]:
+        """The lineage of this partition's next state: ``entry`` alone,
+        with the tombstone-purge marker kept once any entry had it — a
+        later reshard must still see that this partition's tombstones were
+        purged (its rewind gate)."""
+        if any(e.get("purged_tombstones") for e in self.lineage):
+            entry = {**entry, "purged_tombstones": True}
+        return [entry]
 
     def file_stats(self, i: int):
         """Zone map for ``files[i]`` or None (absent/misaligned stats)."""
@@ -212,6 +236,26 @@ class Manifest:
         ):
             return -1
         return min(st.watermark_lsn for st in self.partitions.values())
+
+    def commit_info(self) -> dict:
+        """What this version's commit did, from its own ``metrics`` (the
+        Delta Lake ``commitInfo`` analogue): its op, counts, bytes written,
+        the phase laps before its commit and rows quarantined. Ops that
+        apply no events report zero counts."""
+        m = self.metrics
+        counts = m.get("last_apply", {})
+        stages = m.get("stage_metrics", {})
+        return {
+            "version": self.version,
+            "op": m.get("op"),
+            "committed_at": self.committed_at,
+            "events_in": counts.get("events_in", 0),
+            "rows_upserted": counts.get("rows_upserted", 0),
+            "rows_deleted": counts.get("rows_deleted", 0),
+            "bytes": stages.get("write", {}).get("bytes", 0),
+            "timings_s": stages.get("timings_s", {}),
+            "rows_quarantined": (m.get("quarantine") or {}).get("rows", 0),
+        }
 
     def to_json(self) -> dict:
         return {
@@ -445,6 +489,17 @@ class Lake:
     def current_manifest(self) -> Manifest | None:
         v = self.current_version()
         return self.read_manifest(v) if v is not None else None
+
+    def history(self, n: int) -> list[dict]:
+        """``commit_info`` of the newest ``n`` retained versions, oldest
+        first. A version ``gc_orphans`` prunes meanwhile is left out."""
+        out = []
+        for v in self.versions()[-n:]:
+            try:
+                out.append(self.read_manifest(v).commit_info())
+            except FileNotFoundError:
+                continue
+        return out
 
     # -- phase 2: publish ------------------------------------------------
     def promote_staged_files(self, txn_id: str) -> dict[int, list[str]]:

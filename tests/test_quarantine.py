@@ -189,3 +189,22 @@ def test_bad_lsn_rows_of_a_new_input_are_quarantined_under_a_watermark(
     assert eng.apply([only_bad, old_valid])["noop"] is True
     assert eng.lake.current_manifest().version == v
     assert eng.read_quarantine().count() == 2 * len(bad_lsn)
+
+
+def test_quarantine_only_commit_keeps_hot_counts(ray_session, tmp_path):
+    """A quarantine-only commit runs no merge, so it must carry the
+    partitioner's heavy-hitter counts from its base; dropping them makes
+    the next apply re-seed from nothing and undercount the domain."""
+    good, bad = _mixed_rows()
+    # tracks a domain from 10 live rows, salts from 80: ok.org (20) tracked
+    eng = CdcEngine(
+        str(tmp_path / "lake"), EngineConfig(n_parts=4, salt_threshold_rows=80)
+    )
+    eng.apply([_write(tmp_path / "good.parquet", good)])
+    hot = eng.lake.current_manifest().metrics["hot_counts"]
+    assert hot == {"ok.org": len(good)}
+
+    eng.apply([_write(tmp_path / "bad.parquet", bad)])
+    man = eng.lake.current_manifest()
+    assert man.metrics.get("hot_counts") == hot
+    assert man.metrics["op"] == "quarantine_only"

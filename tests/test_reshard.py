@@ -120,19 +120,51 @@ def test_reshard_preconditions(ray_session, tmp_path):
         purge_tombstones=True,
     )
     man = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=8)).lake.current_manifest()
-    if any(
+    assert any(
         e.get("purged_tombstones") for st in man.partitions.values() for e in st.lineage
-    ):
-        with pytest.raises(ReshardPrecondition):
-            reshard(str(tmp_path / "lake"), 16, EngineConfig(n_parts=16))
-        rep = reshard(
-            str(tmp_path / "lake"), 16, EngineConfig(n_parts=16), allow_rewind=True
-        )
-        assert rep["n_parts"] == 16
-        # the purge marker survives the lineage reset: a LATER reshard is
-        # still gated (its rewind window is still open)
-        with pytest.raises(ReshardPrecondition):
-            reshard(str(tmp_path / "lake"), 32, EngineConfig(n_parts=32))
+    ), "compact(purge_tombstones=True) must leave the purge marker"
+    with pytest.raises(ReshardPrecondition):
+        reshard(str(tmp_path / "lake"), 16, EngineConfig(n_parts=16))
+    rep = reshard(
+        str(tmp_path / "lake"), 16, EngineConfig(n_parts=16), allow_rewind=True
+    )
+    assert rep["n_parts"] == 16
+    # the purge marker survives the lineage reset: a LATER reshard is
+    # still gated (its rewind window is still open)
+    with pytest.raises(ReshardPrecondition):
+        reshard(str(tmp_path / "lake"), 32, EngineConfig(n_parts=32))
+
+
+def test_purge_gate_survives_apply_rewrite(ray_session, tmp_path):
+    """Lineage keeps only a partition's last commit, so the purge marker
+    must be carried by the apply that rewrites a purged partition — else
+    the reshard gate would open once every purged partition was rewritten."""
+    from radiant_portal_pipeline_ray.pipelines.maintenance import compact
+
+    paths = generate_changelog(str(tmp_path / "cl"), _spec())
+    root = str(tmp_path / "lake")
+    eng = CdcEngine(root, EngineConfig(n_parts=8))
+    eng.apply(paths[:-1])
+    compact(root, EngineConfig(n_parts=8), min_files=1, purge_tombstones=True)
+    purged = {
+        p
+        for p, st in eng.lake.current_manifest().partitions.items()
+        if any(e.get("purged_tombstones") for e in st.lineage)
+    }
+    assert purged, "fixture must purge tombstones"
+
+    rep = eng.apply(paths[-1:])
+    man = eng.lake.current_manifest()
+    rewritten = {
+        p for p, st in man.partitions.items() if st.lineage[-1]["txn_id"] == rep["txn_id"]
+    }
+    assert purged <= rewritten, "the last batch must rewrite every purged partition"
+    for p in purged:
+        assert man.partitions[p].lineage == [
+            {**man.partitions[p].lineage[0], "purged_tombstones": True}
+        ]
+    with pytest.raises(ReshardPrecondition):
+        reshard(root, 16, EngineConfig(n_parts=16))
 
 
 def test_reshard_drops_salt_map_and_keeps_alloc_guard(ray_session, tmp_path):
@@ -177,3 +209,38 @@ def test_reshard_drops_salt_map_and_keeps_alloc_guard(ray_session, tmp_path):
         if p >= 16:
             assert man2.partitions[p].files == []
     assert man2.next_part >= (man.next_part or 16)
+
+
+def test_old_long_lineage_trimmed_by_next_commit(ray_session, tmp_path):
+    """A manifest written when lineage held every commit still loads; the
+    next commit writes each partition's last entry only, and keeps an
+    earlier entry's purge marker, so the reshard gate stays closed."""
+    import json
+
+    paths = generate_changelog(str(tmp_path / "cl"), _spec())
+    root = str(tmp_path / "lake")
+    eng = CdcEngine(root, EngineConfig(n_parts=8))
+    eng.apply(paths[:-1])
+    path = eng.lake._manifest_path(eng.lake.current_version())
+    with open(path) as f:
+        d = json.load(f)
+    st0 = d["partitions"]["0"]
+    last = st0["lineage"][-1]
+    st0["lineage"] = [
+        {"txn_id": "old-compact", "compacted": True, "purged_tombstones": True},
+        {"txn_id": "old-apply", "events_in": 1},
+        last,
+    ]
+    with open(path, "w") as f:
+        json.dump(d, f)
+    assert eng.lake.current_manifest().partitions[0].lineage == [
+        {**last, "purged_tombstones": True}
+    ]
+
+    eng.apply(paths[-1:])
+    with open(eng.lake._manifest_path(eng.lake.current_version())) as f:
+        parts = json.load(f)["partitions"]
+    assert all(len(st["lineage"]) == 1 for st in parts.values())
+    assert parts["0"]["lineage"][0]["purged_tombstones"] is True
+    with pytest.raises(ReshardPrecondition):
+        reshard(root, 16, EngineConfig(n_parts=16))

@@ -245,3 +245,25 @@ def test_stale_tag_lock_break_admits_one_holder(tmp_path, monkeypatch):
     assert peak == 1
     assert not lake._exists(lock_path)
     assert [n for n in lake._listdir(lake.manifest_dir) if "tags.lock" in n] == []
+
+
+def test_rollback_carries_target_hot_counts(tmp_path, ray_session):
+    """The rolled-back-to version's heavy-hitter counts come back with its
+    data; a rollback that drops them re-seeds the next apply from nothing."""
+    paths = generate_changelog(
+        str(tmp_path / "cl"),
+        ChangelogSpec(n_urls=400, n_events=2000, n_batches=4, seed=31),
+    )
+    # no domain reaches 500 live rows; tracking starts at 62
+    eng = CdcEngine(
+        str(tmp_path / "lake"), EngineConfig(n_parts=4, salt_threshold_rows=500)
+    )
+    for p in paths:
+        eng.apply([p])
+    target = eng.lake.read_manifest(2).metrics["hot_counts"]
+    assert target, "fixture must track a domain"
+    eng.rollback(2)
+    man = eng.lake.current_manifest()
+    assert man.metrics.get("hot_counts") == target
+    assert man.metrics["op"] == "rollback" and man.metrics["rollback_of"] == 2
+    assert not man.salt_map

@@ -245,3 +245,68 @@ def test_batch_files_caps_round_size(ray_session, tmp_path):
     reports = tail(eng, str(cl), poll_s=0.0, idle_exit=1, batch_files=2)
     assert [len(r["consumed_files"]) for r in reports] == [2, 2]
     assert eng.read_snapshot().count() > 0
+
+
+def test_manifest_size_independent_of_lake_age(ray_session, tmp_path):
+    """Tail rounds over a fixed partition set: the manifest holds each
+    partition's last commit only, so it does not grow with the version
+    count (all lsns have four digits, so no figure widens either)."""
+    cl = tmp_path / "cl"
+    cl.mkdir()
+    eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
+    for i in range(25):
+        _write_batch(cl / f"b{i:04d}.parquet", 1000 + 100 * i, 100)
+        assert len(tail(eng, str(cl), poll_s=0.0, max_rounds=1, idle_exit=1)) == 1
+    man = eng.lake.current_manifest()
+    assert man.version == 25 and not man.salt_map
+    assert all(len(st.lineage) == 1 for st in man.partitions.values())
+
+    def size(v):
+        return os.path.getsize(eng.lake._manifest_path(v))
+
+    assert abs(size(25) - size(3)) <= 0.02 * size(3), (size(3), size(25))
+
+
+def test_footer_parsed_once_per_process(ray_session, tmp_path, monkeypatch):
+    """``input_max_lsn`` parses a footer it has seen byte for byte only
+    once: a second poll of an unchanged directory and the apply that takes
+    its files parse none. A file rewritten in place (same name, no rename)
+    with new lsns has a new footer, so it is parsed again and is pending."""
+    import radiant_portal_pipeline_ray.pipelines.tail as tail_mod
+
+    opened: list[str] = []
+    real = tail_mod.pq
+
+    class CountingParquet:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        @staticmethod
+        def ParquetFile(path, *args, **kwargs):
+            opened.append(os.path.basename(str(path)))
+            return real.ParquetFile(path, *args, **kwargs)
+
+    monkeypatch.setattr(tail_mod, "pq", CountingParquet())
+    cl = tmp_path / "cl"
+    cl.mkdir()
+    _write_batch(cl / "b0000.parquet", 0, 200)
+    eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
+    tail(eng, str(cl), poll_s=0.0, idle_exit=1)
+    assert eng.lake.current_manifest().min_watermark() >= 0
+
+    p1 = _write_batch(cl / "b0001.parquet", 200, 200)
+    opened.clear()
+    assert pending_inputs(eng, str(cl)) == [p1]
+    assert opened == ["b0001.parquet"]  # b0000's footer was seen before
+    opened.clear()
+    assert pending_inputs(eng, str(cl)) == [p1]
+    assert opened == []
+    eng.apply([p1])
+    assert opened == []  # the ledger reuses the poll's entries
+    assert pending_inputs(eng, str(cl)) == []
+    assert opened == []
+
+    p0 = _write_batch(cl / "b0000.parquet", 500, 100)  # in place, new lsns
+    assert pending_inputs(eng, str(cl)) == [p0]
+    assert opened == ["b0000.parquet"]
+    assert input_max_lsn(p0) == 599
