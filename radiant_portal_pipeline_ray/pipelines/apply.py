@@ -51,6 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
+from pyarrow import fs as pafs
 
 from radiant_portal_pipeline_ray.config import EngineConfig
 from radiant_portal_pipeline_ray.schemas import (
@@ -851,7 +852,9 @@ class CdcEngine:
 
     def read_quarantine(self, version: int | None = None) -> "rd.Dataset":
         """Dead-letter queue as a streaming Dataset (malformed change events
-        with their ``reason``); empty Dataset when nothing was quarantined."""
+        with their ``reason``); empty Dataset when nothing was quarantined.
+        Read through ``state/lakescan.py`` on the lake's filesystem, as the
+        union of the quarantine files' schemas."""
         man = (
             self.lake.read_manifest(version)
             if version is not None
@@ -861,7 +864,12 @@ class CdcEngine:
         if not files:
             empty = pa.table({"reason": pa.array([], type=pa.string())})
             return rd.from_arrow(empty)
-        return rd.read_parquet(files, filesystem=self.lake.pyarrow_fs())
+        fs = self.lake.pyarrow_fs()
+        if fs is None:
+            files = [os.path.abspath(f) for f in files]
+        sizes = [i.size for i in (fs or pafs.LocalFileSystem()).get_file_info(files)]
+        schema = pa.unify_schemas([pq.read_schema(f, filesystem=fs) for f in files])
+        return lakescan.read(list(zip(files, sizes)), schema, fs)
 
     def _post_merge(
         self,

@@ -538,8 +538,8 @@ def cdc_incremental_join(sf_dir: str):
             pick = pick.filter(pick.column("live"))
             return pick.select(["url", "lsn", "source_docs"])
 
-        view = exchange_group(seed.union(deltas), ["url"], 64, fold)
-        return view.sort("url").materialize()  # /tmp lake removed on return
+        view = exchange_group(seed.union(deltas), ["url"], 64, fold, sort_by="url")
+        return view.materialize()  # /tmp lake removed on return
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

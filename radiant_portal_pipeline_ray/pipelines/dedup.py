@@ -99,24 +99,21 @@ def dd_exact(sf_dir: str):
         )
         return out.rename_columns(["h", "rep_doc_id", "n_copies"])
 
-    agg = exchange_group(
+    def finish(g: pa.Table) -> pa.Table:
+        out = final_combine(g)
+        return pa.table(
+            {
+                "rep_doc_id": pc.cast(out.column("rep_doc_id"), pa.int64()),
+                "n_copies": pc.cast(out.column("n_copies"), pa.int64()),
+            }
+        )
+
+    return exchange_group(
         ds.map_batches(hash_and_combine, batch_format="pyarrow"),
         ["h"],
         64,
-        final_combine,
-    )
-    return (
-        agg.select_columns(["rep_doc_id", "n_copies"])
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "rep_doc_id": pc.cast(b.column("rep_doc_id"), pa.int64()),
-                    "n_copies": pc.cast(b.column("n_copies"), pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .sort("rep_doc_id")
+        finish,
+        sort_by="rep_doc_id",
     )
 
 
@@ -1134,7 +1131,7 @@ def dd_passage_dedup(sf_dir: str, width: int = _PASSAGE_WIDTH):
             }
         )
 
-    return exchange_group(partial, ["doc_id"], 16, fold).sort("doc_id")
+    return exchange_group(partial, ["doc_id"], 16, fold, sort_by="doc_id")
 
 
 # ---------------------------------------------------------------------------

@@ -115,18 +115,6 @@ def q1_pricing_summary(sf_dir: str):
         b = b.append_column("disc_price", disc)
         return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
 
-    ds = ds.map_batches(revenue, batch_format="pyarrow")
-    agg = partial_final_groupby(
-        ds,
-        ["l_returnflag", "l_linestatus"],
-        [
-            ("l_quantity", "sum", "sum_qty_f"),
-            ("l_extendedprice", "sum", "sum_base_f"),
-            ("disc_price", "sum", "sum_disc_f"),
-            ("one", "sum", "count_order"),
-        ],
-    )
-
     def finish(b: pa.Table) -> pa.Table:
         return pa.table(
             {
@@ -139,8 +127,17 @@ def q1_pricing_summary(sf_dir: str):
             }
         )
 
-    return agg.map_batches(finish, batch_format="pyarrow").sort(
-        ["l_returnflag", "l_linestatus"]
+    return partial_final_groupby(
+        ds.map_batches(revenue, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        [
+            ("l_quantity", "sum", "sum_qty_f"),
+            ("l_extendedprice", "sum", "sum_base_f"),
+            ("disc_price", "sum", "sum_disc_f"),
+            ("one", "sum", "count_order"),
+        ],
+        finish=finish,
+        sort_by=["l_returnflag", "l_linestatus"],
     )
 
 
@@ -184,21 +181,19 @@ def q_region_revenue(sf_dir: str):
         lambda b: b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64))),
         batch_format="pyarrow",
     )
-    agg = partial_final_groupby(
+    return partial_final_groupby(
         joined,
         ["region_name"],
         [("o_totalprice", "sum", "rev_f"), ("one", "sum", "n_orders")],
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
+        finish=lambda b: pa.table(
             {
                 "region_name": b.column("region_name"),
                 "revenue_c": _to_cents(b.column("rev_f")),
                 "n_orders": pc.cast(b.column("n_orders"), pa.int64()),
             }
         ),
-        batch_format="pyarrow",
-    ).sort("region_name")
+        sort_by="region_name",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +345,12 @@ def q_latest_order_per_customer(sf_dir: str):
         _pq(sf_dir, "orders"),
         columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"],
     )
-    top = topk_per_key(
+    return topk_per_key(
         orders,
         ["o_custkey"],
         [("o_orderdate", "descending"), ("o_orderkey", "descending")],
         k=1,
-    )
-    return top.map_batches(
-        lambda b: pa.table(
+        finish=lambda b: pa.table(
             {
                 "o_custkey": b.column("o_custkey"),
                 "o_orderkey": b.column("o_orderkey"),
@@ -365,8 +358,8 @@ def q_latest_order_per_customer(sf_dir: str):
                 "totalprice_c": _to_cents(b.column("o_totalprice")),
             }
         ),
-        batch_format="pyarrow",
-    ).sort("o_custkey")
+        sort_by="o_custkey",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +381,20 @@ def q_top_event_per_type(sf_dir: str):
     ev = read_parquet_clean(
         _pq(sf_dir, "events"), columns=["event_type", "event_id", "value"]
     )
-    top = topk_per_key(
-        ev, ["event_type"], [("value", "descending"), ("event_id", "descending")], k=1
-    )
-    return top.map_batches(
-        lambda b: pa.table(
+    return topk_per_key(
+        ev,
+        ["event_type"],
+        [("value", "descending"), ("event_id", "descending")],
+        k=1,
+        finish=lambda b: pa.table(
             {
                 "event_type": b.column("event_type"),
                 "event_id": b.column("event_id"),
                 "value_c": _to_cents(b.column("value")),
             }
         ),
-        batch_format="pyarrow",
-    ).sort("event_type")
+        sort_by="event_type",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +417,12 @@ def q_events_lww_state(sf_dir: str):
     ev = read_parquet_clean(
         _pq(sf_dir, "events"), columns=["user_id", "ts", "event_type", "event_id", "value"]
     )
-    top = topk_per_key(
-        ev, ["user_id"], [("ts", "descending"), ("event_id", "descending")], k=1
-    )
-    return top.map_batches(
-        lambda b: pa.table(
+    return topk_per_key(
+        ev,
+        ["user_id"],
+        [("ts", "descending"), ("event_id", "descending")],
+        k=1,
+        finish=lambda b: pa.table(
             {
                 "user_id": b.column("user_id"),
                 "last_type": b.column("event_type"),
@@ -435,8 +430,8 @@ def q_events_lww_state(sf_dir: str):
                 "last_value_c": _to_cents(b.column("value")),
             }
         ),
-        batch_format="pyarrow",
-    ).sort("user_id")
+        sort_by="user_id",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +460,8 @@ def q_distinct_flag_status(sf_dir: str):
         ["l_returnflag", "l_linestatus"],
         64,
         dedup,
-    ).sort(["l_returnflag", "l_linestatus"])
+        sort_by=["l_returnflag", "l_linestatus"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +592,11 @@ def q_hourly_user_activity(sf_dir: str):
         b = b.append_column("hour_bucket", hb)
         return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
 
-    agg = partial_final_groupby(
+    return partial_final_groupby(
         ev.map_batches(bucket, batch_format="pyarrow"),
         ["user_id", "hour_bucket"],
         [("one", "sum", "n_events"), ("value", "sum", "value_f")],
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
+        finish=lambda b: pa.table(
             {
                 "user_id": b.column("user_id"),
                 "hour_bucket": b.column("hour_bucket"),
@@ -610,8 +604,8 @@ def q_hourly_user_activity(sf_dir: str):
                 "value_c": _to_cents(b.column("value_f")),
             }
         ),
-        batch_format="pyarrow",
-    ).sort(["user_id", "hour_bucket"])
+        sort_by=["user_id", "hour_bucket"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -892,8 +886,8 @@ def q_nation_segments(sf_dir: str):
 
     from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
-    return exchange_group(cust, ["c_nationkey"], 16, agg_bucket).sort(
-        "c_nationkey"
+    return exchange_group(
+        cust, ["c_nationkey"], 16, agg_bucket, sort_by="c_nationkey"
     )
 
 
@@ -940,21 +934,19 @@ def q_shipped_within_60d(sf_dir: str):
         b = b.append_column("rev", rev)
         return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
 
-    agg = partial_final_groupby(
+    return partial_final_groupby(
         joined.map_batches(range_filter, batch_format="pyarrow"),
         ["o_orderpriority"],
         [("one", "sum", "n"), ("rev", "sum", "rev_f")],
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
+        finish=lambda b: pa.table(
             {
                 "o_orderpriority": b.column("o_orderpriority"),
                 "n": pc.cast(b.column("n"), pa.int64()),
                 "revenue_e4": _to_cents(b.column("rev_f"), 10000),
             }
         ),
-        batch_format="pyarrow",
-    ).sort("o_orderpriority")
+        sort_by="o_orderpriority",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1124,13 +1116,11 @@ def q_sliding_user_windows(sf_dir: str):
         )
         return t
 
-    agg = partial_final_groupby(
+    return partial_final_groupby(
         ev.map_batches(explode_windows, batch_format="pyarrow"),
         ["user_id", "win_start_q"],
         [("one", "sum", "n_events"), ("value", "sum", "value_f")],
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
+        finish=lambda b: pa.table(
             {
                 "user_id": b.column("user_id"),
                 "win_start_q": b.column("win_start_q"),
@@ -1138,8 +1128,8 @@ def q_sliding_user_windows(sf_dir: str):
                 "value_c": _to_cents(b.column("value_f")),
             }
         ),
-        batch_format="pyarrow",
-    ).sort(["user_id", "win_start_q"])
+        sort_by=["user_id", "win_start_q"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1262,14 +1252,12 @@ def q_top3_orders_per_customer(sf_dir: str):
         _pq(sf_dir, "orders"),
         columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"],
     )
-    top = topk_per_key(
+    return topk_per_key(
         orders,
         ["o_custkey"],
         [("o_orderdate", "descending"), ("o_orderkey", "descending")],
         k=3,
-    )
-    return top.map_batches(
-        lambda b: pa.table(
+        finish=lambda b: pa.table(
             {
                 "o_custkey": b.column("o_custkey"),
                 "o_orderkey": b.column("o_orderkey"),
@@ -1277,10 +1265,9 @@ def q_top3_orders_per_customer(sf_dir: str):
                 "totalprice_c": _to_cents(b.column("o_totalprice")),
             }
         ),
-        batch_format="pyarrow",
-    ).sort(
-        ["o_custkey", "o_orderdate", "o_orderkey"],
-        descending=[False, True, True],
+        sort_by=[
+            "o_custkey", ("o_orderdate", "descending"), ("o_orderkey", "descending")
+        ],
     )
 
 
@@ -1338,10 +1325,21 @@ def q_rollup_revenue(sf_dir: str):
             }
         )
 
+    def normalize_types(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "region_name": b.column("region_name"),
+                "nation_name": b.column("nation_name"),
+                "revenue_c": pc.cast(b.column("revenue_c"), pa.int64()),
+                "n_orders": pc.cast(b.column("n_orders"), pa.int64()),
+            }
+        )
+
     fine = partial_final_groupby(
         joined.map_batches(to_int, batch_format="pyarrow"),
         ["region_name", "nation_name"],
         [("price_c", "sum", "revenue_c"), ("one", "sum", "n_orders")],
+        finish=normalize_types,
     )
 
     def rollup(t: pa.Table) -> pa.Table:
@@ -1380,21 +1378,9 @@ def q_rollup_revenue(sf_dir: str):
         )
         return out.take(idx)
 
-    def normalize_types(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "region_name": b.column("region_name"),
-                "nation_name": b.column("nation_name"),
-                "revenue_c": pc.cast(b.column("revenue_c"), pa.int64()),
-                "n_orders": pc.cast(b.column("n_orders"), pa.int64()),
-            }
-        )
-
     # the fine grain is O(#nations) rows — fold the rollup in one block
-    return (
-        fine.map_batches(normalize_types, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(rollup, batch_format="pyarrow", batch_size=None)
+    return fine.repartition(1).map_batches(
+        rollup, batch_format="pyarrow", batch_size=None
     )
 
 
@@ -1508,20 +1494,18 @@ def q_pivot_event_values(sf_dir: str):
         cols["one"] = pa.array(np.ones(b.num_rows, dtype=np.int64))
         return pa.table(cols)
 
-    agg = partial_final_groupby(
+    return partial_final_groupby(
         ev.map_batches(widen, batch_format="pyarrow"),
         ["user_id"],
         [(f"{t}_c", "sum", f"{t}_c") for t in _PIVOT_TYPES]
         + [("one", "sum", "n_events")],
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
+        finish=lambda b: pa.table(
             {"user_id": b.column("user_id")}
             | {f"{t}_c": pc.cast(b.column(f"{t}_c"), pa.int64()) for t in _PIVOT_TYPES}
             | {"n_events": pc.cast(b.column("n_events"), pa.int64())}
         ),
-        batch_format="pyarrow",
-    ).sort("user_id")
+        sort_by="user_id",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1683,7 +1667,7 @@ def q_funnel_users(sf_dir: str, n_partitions: int = 64):
 
     from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
-    return exchange_group(ev, ["user_id"], n_partitions, funnel).sort("user_id")
+    return exchange_group(ev, ["user_id"], n_partitions, funnel, sort_by="user_id")
 
 
 # ---------------------------------------------------------------------------
@@ -1937,11 +1921,9 @@ def q_full_outer_activity(sf_dir: str):
         ev.map_batches(count_side("user_id", "n_events"), batch_format="pyarrow"),
         ["id"],
         [("n_events", "sum", "n_events")],
-    ).map_batches(
-        lambda b: pa.table(
+        finish=lambda b: pa.table(
             {"id": b.column("id"), "n_events": pc.cast(b.column("n_events"), pa.int64())}
         ),
-        batch_format="pyarrow",
     )
     def range_filter(b: pa.Table) -> pa.Table:
         k = b.column("o_custkey")
@@ -1955,11 +1937,9 @@ def q_full_outer_activity(sf_dir: str):
         ),
         ["id"],
         [("n_orders", "sum", "n_orders")],
-    ).map_batches(
-        lambda b: pa.table(
+        finish=lambda b: pa.table(
             {"id": b.column("id"), "n_orders": pc.cast(b.column("n_orders"), pa.int64())}
         ),
-        batch_format="pyarrow",
     )
     joined = hash_partitioned_join(u, o, "id", how="full outer")
     return joined.sort("id")
@@ -2443,7 +2423,8 @@ def q_modal_event_type(sf_dir: str, n_partitions: int = 64):
         ["user_id"],
         n_partitions,
         modal,
-    ).sort("user_id")
+        sort_by="user_id",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -239,10 +239,12 @@ def _bucketed_ann_pairs(
         lambda b: b.filter(pc.not_equal(b.column("vec_a"), -1)),
         batch_format="pyarrow",
     )
-    dedup = partial_final_groupby(
-        real, ["vec_a", "vec_b"], [("cos_r", "min", "cos_r")]
+    return partial_final_groupby(
+        real,
+        ["vec_a", "vec_b"],
+        [("cos_r", "min", "cos_r")],
+        sort_by=["vec_a", "vec_b"],
     )
-    return dedup.sort(["vec_a", "vec_b"])
 
 
 @_register("sim_ann_lsh", None)  # approximate — rows-only; recall in pytest

@@ -163,7 +163,7 @@ def q_approx_distinct_users(sf_dir: str, p: int = 14):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return exchange_group(partials, ["event_type"], 16, merge).sort("event_type")
+    return exchange_group(partials, ["event_type"], 16, merge, sort_by="event_type")
 
 
 # ---------------------------------------------------------------------------
@@ -314,4 +314,4 @@ def cdc_bucket_checksums(sf_dir: str, n_buckets: int = 16):
         )
 
     partials = ev.map_batches(partial, batch_format="pyarrow")
-    return exchange_group(partials, ["bucket"], 8, final).sort("bucket")
+    return exchange_group(partials, ["bucket"], 8, final, sort_by="bucket")

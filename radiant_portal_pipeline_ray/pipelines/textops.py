@@ -203,13 +203,14 @@ def t_mix_language_quota(sf_dir: str, quota: int = 40):
         h_u = (hu ^ np.uint64(1 << 63)).view(np.int64)
         return b.append_column(pa.field("h_u", pa.int64()), pa.array(h_u))
 
-    picked = topk_per_key(
+    return topk_per_key(
         docs.map_batches(add_hash, batch_format="pyarrow"),
         ["lang"],
         [("h_u", "ascending"), ("doc_id", "ascending")],
         k=quota,
+        finish=lambda t: t.select(["lang", "doc_id"]),
+        sort_by=["lang", "doc_id"],
     )
-    return picked.select_columns(["lang", "doc_id"]).sort(["lang", "doc_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +348,13 @@ def t_mix_token_budget(sf_dir: str, budget: int = 2000):
         lambda b: _scan(b.select(["lang", "doc_id", "n_tokens_ws"])),
         batch_format="pyarrow",
     )
-    out = exchange_group(pruned, ["lang"], 16, _scan)
-    out = out.map_batches(
-        lambda b: b.rename_columns(["lang", "doc_id", "n_tokens"]),
-        batch_format="pyarrow",
+    return exchange_group(
+        pruned,
+        ["lang"],
+        16,
+        lambda t: _scan(t).rename_columns(["lang", "doc_id", "n_tokens"]),
+        sort_by=["lang", "doc_id"],
     )
-    return out.sort(["lang", "doc_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +425,7 @@ def q_quality_quantiles(sf_dir: str, ps=(0.25, 0.5, 0.9)):
         )
 
     pairs = docs.map_batches(project, batch_format="pyarrow")
-    return exchange_group(pairs, ["lang"], 16, quantiles).sort("lang")
+    return exchange_group(pairs, ["lang"], 16, quantiles, sort_by="lang")
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +635,7 @@ def q_quality_quantiles_scalable(sf_dir: str, ps=(0.25, 0.5, 0.9)):
         )
 
     gathered = docs.map_batches(gather, batch_format="pyarrow")
-    return exchange_group(gathered, ["lang"], 16, pick).sort("lang")
+    return exchange_group(gathered, ["lang"], 16, pick, sort_by="lang")
 
 
 # ---------------------------------------------------------------------------
@@ -902,8 +904,13 @@ def t_mix_temperature(sf_dir: str, budget: int = 400):
         return t.take(pa.array(order[keep]))
 
     pruned = docs.map_batches(pick, batch_format="pyarrow")  # ≤ Σk per batch
-    final = exchange_group(pruned, ["lang"], 16, pick)
-    return final.select_columns(["lang", "doc_id"]).sort(["lang", "doc_id"])
+    return exchange_group(
+        pruned,
+        ["lang"],
+        16,
+        lambda t: pick(t).select(["lang", "doc_id"]),
+        sort_by=["lang", "doc_id"],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,41 +1,52 @@
-"""Metadata-clean parquet reads.
+"""Parquet file reads through the one read planner (``state/lakescan.py``).
 
-Pandas-written parquet carries a ``b'pandas'`` schema-metadata key; a
-``pa.Schema`` with schema-level metadata is unhashable in this pyarrow
-version, which silently defeats Ray Data's block-schema deduplication in
-every downstream shuffle ("Failed to hash the schemas (for deduplication)"
-spam from reduce tasks + extra driver memory). Passing an explicit
-metadata-free schema to ``read_parquet`` fixes it at the source with one
-driver-side footer read.
+``read_parquet_clean`` plans from one driver-side ``pq.read_schema`` and
+the files' sizes: no footer pass over every file and none of
+``ray.data.read_parquet``'s plan-time sampling tasks. The schema it reads
+with is metadata-free. Pandas-written parquet carries a ``b'pandas'``
+schema-metadata key, and a ``pa.Schema`` with schema-level metadata is
+unhashable in this pyarrow version, which silently defeats Ray Data's
+block-schema deduplication in every downstream shuffle ("Failed to hash
+the schemas (for deduplication)" spam from reduce tasks + extra driver
+memory); every block here carries the clean schema instead.
 """
 
 from __future__ import annotations
 
-import glob as _glob
 import os
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
+from radiant_portal_pipeline_ray.state import lakescan
+
+
+def _parquet_files(paths: str | list[str]) -> list[tuple[str, int]]:
+    """``(path, bytes)`` of each file: a directory stands for the
+    ``*.parquet`` files under it, in path order."""
+    out = []
+    for p in [paths] if isinstance(paths, str) else paths:
+        if os.path.isdir(p):
+            found = sorted(
+                os.path.join(root, f)
+                for root, _, files in os.walk(p)
+                for f in files
+                if f.endswith(".parquet")
+            )
+        else:
+            found = [p]
+        out.extend((f, os.path.getsize(f)) for f in found)
+    if not out:
+        raise FileNotFoundError(f"no parquet files in {paths!r}")
+    return out
+
 
 def read_parquet_clean(
-    paths: str | list[str], *, columns: list[str] | None = None, **kw
+    paths: str | list[str], *, columns: list[str] | None = None, filter=None
 ) -> "rd.Dataset":
-    """``ray.data.read_parquet`` that strips schema-level metadata."""
-    first = paths if isinstance(paths, str) else paths[0]
-    probe = first
-    if os.path.isdir(first):
-        files = sorted(_glob.glob(os.path.join(first, "*.parquet")))
-        probe = files[0] if files else None
-    if probe is None:
-        return rd.read_parquet(paths, columns=columns, **kw)
-    sch = pq.read_schema(probe)
-    if sch.metadata is None:
-        return rd.read_parquet(paths, columns=columns, **kw)
-    if columns is None:
-        keep = list(sch)
-    else:  # projected schema must list fields in `columns` order
-        keep = [sch.field(c) for c in columns]
-    clean = pa.schema([pa.field(f.name, f.type) for f in keep])
-    return rd.read_parquet(paths, schema=clean, columns=columns, **kw)
+    """Local parquet files (or directories of them) as a Dataset with a
+    metadata-free schema, ``columns`` projected and ``filter`` (a
+    ``pyarrow.compute`` expression) pushed into the scan."""
+    files = _parquet_files(paths)
+    schema = pq.read_schema(files[0][0])
+    return lakescan.read(files, schema, None, columns, filter)

@@ -16,6 +16,14 @@ shuffle for the same reason.
 queries: it owns the keyed exchange, one sort per bucket, the group
 geometry (``Groups``), typed output, the final sort and the empty cases, so
 a query supplies only its vectorized kernel.
+
+The group-by, top-k and window operators own the query's order, and the
+first two its finish: ``finish=`` (a row-wise ``table -> table``, run after
+the final kernel) and ``sort_by=`` (column names or ``(name,
+"descending")``) pass down to ``taskshuffle.exchange_group``. On a small exchange the kernel, the finish
+and the sort run once on the driver's table, with no trailing
+``map_batches``/``Dataset.sort`` executions; on a large one they run per
+bucket and ``Dataset.sort`` orders the result.
 """
 
 from __future__ import annotations
@@ -33,14 +41,26 @@ _FINAL_AGG = {"sum": Sum, "count": Sum, "min": Min, "max": Max}
 _FINAL_FN = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
+def _then(fn, finish):
+    """``fn`` followed by the row-wise ``finish`` (``fn`` when None)."""
+    if finish is None:
+        return fn
+    return lambda t: finish(fn(t))
+
+
 def partial_final_groupby(
     ds: Dataset,
     keys: list[str],
     aggs: list[tuple[str, str, str]],
     batch_size: int = 65536,
     n_partitions: int = 64,
+    *,
+    finish=None,
+    sort_by=None,
 ) -> Dataset:
-    """groupby(keys) with per-batch combining. Returns one row per key.
+    """groupby(keys) with per-batch combining. Returns one row per key,
+    passed through the row-wise ``finish(table) -> table`` and in
+    ``sort_by`` order when given (see ``exchange_group``).
 
     The final combine avoids Ray's per-group aggregate machinery (Python
     overhead per group — at 10^5+ groups it dominates): the partial rows
@@ -63,7 +83,9 @@ def partial_final_groupby(
         return g.rename_columns([mapping.get(n, n) for n in g.column_names])
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
-    return exchange_group(partials, keys, n_partitions, final_combine)
+    return exchange_group(
+        partials, keys, n_partitions, _then(final_combine, finish), sort_by=sort_by
+    )
 
 
 def topk_per_key_table(
@@ -99,11 +121,15 @@ def topk_per_key(
     order_by: list[tuple[str, str]],
     k: int = 1,
     batch_size: int = 65536,
+    *,
+    finish=None,
+    sort_by=None,
 ) -> Dataset:
     """Distributed per-key top-k: per-batch prune (≤k rows per key leave any
     batch) → keyed task-shuffle → one vectorized final pick per bucket (all
     of that bucket's keys at once — no per-key Python). The prune makes the
-    shuffle O(keys·k), not O(rows)."""
+    shuffle O(keys·k), not O(rows). ``finish`` and ``sort_by`` as in
+    ``partial_final_groupby``."""
     from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
     def prune(batch: pa.Table) -> pa.Table:
@@ -113,7 +139,7 @@ def topk_per_key(
         return topk_per_key_table(group, keys, order_by, k)
 
     pruned = ds.map_batches(prune, batch_format="pyarrow", batch_size=batch_size)
-    return exchange_group(pruned, keys, 64, final)
+    return exchange_group(pruned, keys, 64, _then(final, finish), sort_by=sort_by)
 
 
 def count_distinct_groupby(
@@ -236,14 +262,6 @@ class Groups:
         return out
 
 
-def _sort_spec(cols) -> list[tuple[str, bool]]:
-    """``["a", ("b", "descending")]`` → ``[("a", False), ("b", True)]``."""
-    return [
-        (c, False) if isinstance(c, str) else (c[0], c[1] == "descending")
-        for c in cols
-    ]
-
-
 def _column_numpy(col) -> np.ndarray:
     if pa.types.is_timestamp(col.type):
         col = pc.cast(pc.cast(col, pa.timestamp("us")), pa.int64())
@@ -275,12 +293,15 @@ def window(
     no rows a typed empty Dataset (Ray's sort would drop its schema)."""
     import ray.data as rd
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+    from radiant_portal_pipeline_ray.stages.taskshuffle import (
+        exchange_group,
+        sort_spec,
+    )
 
     ds = ds.materialize()
     if ds.count() == 0:
         return rd.from_arrow(schema.empty_table())
-    keys = [(partition_by, False)] + _sort_spec(order_by)
+    keys = [(partition_by, False)] + sort_spec(order_by)
 
     def per_bucket(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -292,7 +313,4 @@ def window(
         arrays = [pa.array(out.get(f.name, cols.get(f.name)), f.type) for f in schema]
         return pa.Table.from_arrays(arrays, schema=schema)
 
-    spec = _sort_spec(sort_by)
-    return exchange_group(ds, [partition_by], n_partitions, per_bucket).sort(
-        [c for c, _ in spec], descending=[d for _, d in spec]
-    )
+    return exchange_group(ds, [partition_by], n_partitions, per_bucket, sort_by=sort_by)

@@ -433,8 +433,16 @@ def partition_checksums(
     to content hashes."""
     import numpy as np
     import pyarrow.compute as pc
+    import ray
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+    from radiant_portal_pipeline_ray.stages.taskshuffle import (
+        exchange_group,
+        sort_table,
+    )
+
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in (group_col, "n_rows", "checksum_lo", "checksum_hi")]
+    )
 
     def _fingerprint(key_arr):
         return _row_fingerprint(key_arr, hash_fn)
@@ -472,6 +480,8 @@ def partition_checksums(
         )
 
     def final(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0:
+            return out_schema.empty_table()
         g = group.column(group_col).to_numpy()
         n = group.column("n_rows").to_numpy()
         s = group.column("sum_bits").to_numpy().view(np.uint64)
@@ -496,19 +506,6 @@ def partition_checksums(
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
     out = exchange_group(partials, [group_col], 8, final)
-    t = pa.Table.from_pylist(out.take_all())  # one row per group
-    if t.num_rows == 0:
-        return stamp_checksum_fingerprint(
-            pa.table(
-                {
-                    group_col: pa.array([], pa.int64()),
-                    "n_rows": pa.array([], pa.int64()),
-                    "checksum_lo": pa.array([], pa.int64()),
-                    "checksum_hi": pa.array([], pa.int64()),
-                }
-            ),
-            hash_fn,
-        )
-    t = pa.table({c: pc.cast(t.column(c), pa.int64()) for c in t.column_names})
-    t = t.take(pc.sort_indices(t, sort_keys=[(group_col, "ascending")]))
-    return stamp_checksum_fingerprint(t, hash_fn)
+    tabs = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+    t = pa.concat_tables(tabs) if tabs else out_schema.empty_table()
+    return stamp_checksum_fingerprint(sort_table(t, group_col), hash_fn)

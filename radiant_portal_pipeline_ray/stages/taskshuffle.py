@@ -507,11 +507,39 @@ def _clamp_buckets(n_buckets: int, total_bytes: int) -> int:
     return 1 << (v.bit_length() - 1)
 
 
-def exchange_group(ds, keys: list[str], n_buckets: int, fn):
+def sort_spec(cols) -> list[tuple[str, bool]]:
+    """``"a"`` or ``["a", ("b", "descending")]`` → ``[("a", False), ("b",
+    True)]``: (name, descending) pairs."""
+    if isinstance(cols, str):
+        cols = [cols]
+    return [
+        (c, False) if isinstance(c, str) else (c[0], c[1] == "descending")
+        for c in cols
+    ]
+
+
+def sort_table(t: pa.Table, sort_by) -> pa.Table:
+    """``t`` in ``sort_by`` order: the stable sort with nulls last that
+    ``Dataset.sort`` runs on each of its blocks, so a one-block result is
+    the same either way."""
+    import pyarrow.compute as pc
+
+    keys = [(c, "descending" if d else "ascending") for c, d in sort_spec(sort_by)]
+    return t.take(pc.sort_indices(t, sort_keys=keys))
+
+
+def exchange_group(ds, keys: list[str], n_buckets: int, fn, *, sort_by=None):
     """Hash-partition ``ds`` on ``keys`` into ``n_buckets`` and apply
     ``fn(bucket_table) -> pa.Table`` once per bucket (every row of a key in
-    exactly one call). Returns a Dataset of the concatenated results. One
-    plasma materialization, no sort."""
+    exactly one call). Returns a Dataset of the concatenated results, in
+    ``sort_by`` order when given (column names or ``(name,
+    "descending")``). One plasma materialization, no sort before the
+    kernel.
+
+    Below ``_DRIVER_LOCAL_BYTES`` the kernel and the sort run once on the
+    driver's table, so the result is one block and its consumer runs the
+    only execution after the input's; above it, one task per bucket and
+    ``Dataset.sort``."""
     import ray.data as rd
     from ray.data.dataset import MaterializedDataset
 
@@ -531,16 +559,17 @@ def exchange_group(ds, keys: list[str], n_buckets: int, fn):
         # tiny exchange (pre-combined partials, pruned top-k rows): one
         # vectorized kernel call beats any task fan-out. Bounded by the
         # byte threshold — never the raw-input path.
-        import ray as _ray
-
-        t = _concat_or_empty(_ray.get(refs), schema)
-        return rd.from_arrow(fn(t))
+        t = fn(_concat_or_empty(ray.get(refs), schema))
+        return rd.from_arrow(t if sort_by is None else sort_table(t, sort_by))
     n_buckets = _clamp_buckets(n_buckets, nbytes)
     cols, n_buckets = _split_refs(refs, keys, n_buckets, nbytes)
-    out = [
-        bucket_apply_task.remote(fn, schema, *cols[b]) for b in range(n_buckets)
-    ]
-    return rd.from_arrow_refs(out)
+    out = rd.from_arrow_refs(
+        [bucket_apply_task.remote(fn, schema, *cols[b]) for b in range(n_buckets)]
+    )
+    if sort_by is None:
+        return out
+    spec = sort_spec(sort_by)
+    return out.sort([c for c, _ in spec], descending=[d for _, d in spec])
 
 
 def exchange_join(
@@ -554,7 +583,9 @@ def exchange_join(
     """Hash-co-partition two Datasets and apply ``fn(left_bucket,
     right_bucket) -> pa.Table`` per aligned bucket pair. The two sides
     exchange independently (no union / column padding); empty sides arrive
-    as empty tables with the correct schema so outer joins stay exact."""
+    as empty tables with the correct schema so outer joins stay exact.
+    When both sides are at most ``_DRIVER_LOCAL_BYTES``, ``fn`` runs once
+    on the driver over the two whole sides (one bucket)."""
     import ray.data as rd
 
     left, right = left.materialize(), right.materialize()
@@ -574,6 +605,10 @@ def exchange_join(
     r_refs = right.to_arrow_refs()
     l_bytes = int(left.size_bytes() or 0)
     r_bytes = int(right.size_bytes() or 0)
+    if max(l_bytes, r_bytes) <= _DRIVER_LOCAL_BYTES:
+        lt = _concat_or_empty(ray.get(l_refs), l_schema)
+        rt = _concat_or_empty(ray.get(r_refs), r_schema)
+        return rd.from_arrow(fn(lt, rt))
     n_buckets = _clamp_buckets(n_buckets, max(l_bytes, r_bytes))
     l_cols, nb_l = _split_refs(l_refs, left_keys, n_buckets, l_bytes)
     r_cols, nb_r = _split_refs(r_refs, right_keys, n_buckets, r_bytes)
@@ -622,16 +657,20 @@ def layer_summary(
     names: tuple[str, ...], ids: list[int], layers: list[dict], label: str
 ) -> dict:
     """Fold per-task layer figures (``layers[i]`` from task ``ids[i]``, at
-    least one task): per layer the sum over tasks and the per-task max
-    (``<layer>_max_s`` for a ``<layer>_s``, ``<layer>_max`` otherwise),
-    plus ``slowest_<label>``: the task that spent the most seconds, and
-    ``slowest_<label>_s``: those seconds."""
+    least one task): per layer the sum over tasks, the per-task median and
+    the per-task max (``<layer>_p50_s`` and ``<layer>_max_s`` for a
+    ``<layer>_s``, ``<layer>_p50`` and ``<layer>_max`` otherwise), plus
+    ``slowest_<label>``: the task that spent the most seconds, and
+    ``slowest_<label>_s``: those seconds. A max far above the p50 is a
+    straggler; a p50 near the max is an even spread."""
     out: dict = {}
     for name in names:
         vals = [lay[name] for lay in layers]
         stem = name.removesuffix("_s")
+        unit = "_s" if stem != name else ""
         out[name] = round(sum(vals), 6)
-        out[stem + ("_max_s" if stem != name else "_max")] = round(max(vals), 6)
+        out[f"{stem}_p50{unit}"] = round(float(np.median(vals)), 6)
+        out[f"{stem}_max{unit}"] = round(max(vals), 6)
     secs = [n for n in names if n.endswith("_s")]
     totals = [sum(lay[n] for n in secs) for lay in layers]
     i = int(np.argmax(totals))

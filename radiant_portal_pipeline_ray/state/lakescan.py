@@ -1,15 +1,17 @@
-"""Manifest-planned lake scans: a ``ray.data`` Datasource whose read tasks
-come straight from a manifest's file list.
+"""The one parquet read planner: a ``ray.data`` Datasource whose read
+tasks come straight from a file list, its byte sizes and a schema.
 
 ``ray.data.read_parquet`` plans a read by opening every file's footer and
-launching sampling tasks to estimate the in-memory size. The manifest
+launching sampling tasks to estimate the in-memory size. A lake's manifest
 already holds all of that: the file list, per-partition bytes and the
-committed schema. So planning here is pure driver math, the same idea as
-Delta Lake's file statistics in the log (PAPERS: *Delta Lake*, VLDB 2020).
+committed schema, so a lake scan (:func:`scan`) plans with pure driver
+math, the same idea as Delta Lake's file statistics in the log (PAPERS:
+*Delta Lake*, VLDB 2020). A plain file read (``sources/io.py``) uses the
+same planner with one driver-side ``pq.read_schema`` and the files' sizes.
 Footers are opened only inside the read tasks, which push ``columns`` and
 ``filter`` into pyarrow and yield one block per row group. Every block,
-zero-row ones included, carries the projected committed schema; files
-written before a column was added read it as nulls.
+zero-row ones included, carries the projected, metadata-free schema; lake
+files written before a column was added read it as nulls.
 """
 
 from __future__ import annotations
@@ -59,18 +61,19 @@ def _project(schema: pa.Schema, columns) -> pa.Schema:
 
 
 class LakeScan(Datasource):
-    """Read ``files``, ``(lake-relative path, bytes)`` pairs of ``man`` as
-    :func:`part_files` gives them, without a plan-time footer pass."""
+    """Read ``files``, ``(path, bytes)`` pairs on ``filesystem`` (a pyarrow
+    FileSystem; None = local paths), as blocks of ``schema`` projected to
+    ``columns``, without a plan-time footer pass: ``bytes`` is the size
+    estimate and the read tasks split the file list."""
 
-    def __init__(self, lake, man, files, columns=None, filter=None):
-        self._schema = man.schema.remove_metadata()
+    def __init__(self, files, schema, filesystem=None, columns=None, filter=None):
+        self._schema = schema.remove_metadata()
         self.schema = _project(self._schema, columns)
-        paths = [lake.abspath(f) for f, _ in files]
-        if lake.filesystem is None:
+        if filesystem is None:
             # read tasks may run in another working directory
-            paths = [os.path.abspath(p) for p in paths]
-        self._files = [(p, b) for p, (_, b) in zip(paths, files)]
-        self._fs = lake.pyarrow_fs() or pafs.LocalFileSystem()
+            files = [(os.path.abspath(p), b) for p, b in files]
+        self._files = list(files)
+        self._fs = filesystem or pafs.LocalFileSystem()
         self._columns = columns
         self._filter = filter
 
@@ -96,10 +99,17 @@ class LakeScan(Datasource):
         return tasks
 
 
+def read(files, schema, filesystem=None, columns=None, filter=None) -> "rd.Dataset":
+    """Dataset over ``files`` (``(path, bytes)`` pairs, at least one) read
+    as ``schema``; see :class:`LakeScan`."""
+    return rd.read_datasource(LakeScan(files, schema, filesystem, columns, filter))
+
+
 def scan(lake, man, files, columns=None, filter=None) -> "rd.Dataset":
     """Dataset over ``files`` (:func:`part_files` pairs) of manifest
     ``man``; an empty file list yields one empty block with the projected
     schema."""
     if not files:
         return rd.from_arrow(_project(man.schema, columns).empty_table())
-    return rd.read_datasource(LakeScan(lake, man, files, columns, filter))
+    paths = [(lake.abspath(f), b) for f, b in files]
+    return read(paths, man.schema, lake.pyarrow_fs(), columns, filter)

@@ -442,8 +442,8 @@ class Lake:
             pass
 
     def pyarrow_fs(self):
-        """Wrapped pyarrow FileSystem for ``ray.data.read_parquet`` /
-        Dataset writes, or None for local-path inference."""
+        """Wrapped pyarrow FileSystem for lake scans (``state/lakescan.py``)
+        and Dataset writes, or None for local paths."""
         if self.filesystem is None:
             return None
         from pyarrow import fs as pafs

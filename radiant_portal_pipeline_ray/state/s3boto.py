@@ -15,8 +15,8 @@ exactly the operation surface the engine uses:
   per-block and upload as a single PUT or a multipart upload).
 
 Instances are picklable (boto3 clients are rebuilt lazily per process),
-so the filesystem can ride inside Ray tasks — ``MergeKernel`` and
-``read_parquet`` workers each reconstruct their own client.
+so the filesystem can ride inside Ray tasks — ``MergeKernel`` and lake
+scan read tasks each reconstruct their own client.
 
 The endpoint honors ``endpoint_url=`` (storage option) or the standard
 ``AWS_ENDPOINT_URL`` environment variable, which is how the test suite

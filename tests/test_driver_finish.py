@@ -1,0 +1,229 @@
+"""Small read-side queries finish on the driver.
+
+The keyed operators own a query's row-wise ``finish`` and its final
+``sort_by``: below ``taskshuffle._DRIVER_LOCAL_BYTES`` both run on the
+driver's table, so a query makes one Ray Data execution before its
+consumer's, and the result must equal the task path's, row order included.
+File reads plan through ``state/lakescan.py`` and never call
+``ray.data.read_parquet``."""
+
+import os
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+import ray
+import ray.data as rd
+
+from radiant_portal_pipeline_ray.stages import taskshuffle
+from radiant_portal_pipeline_ray.stages.aggregates import (
+    partial_final_groupby,
+    topk_per_key,
+)
+from tests.test_queries import SF_DIR
+
+#: the twelve queries of the benchmark's read_mix pass
+READ_MIX_QUERIES = [
+    "q_ntile_user_quartiles",
+    "q_lead_next_event",
+    "q_event_gaps",
+    "q_running_total",
+    "q_moving_sum3",
+    "q_trailing_hour_sum",
+    "q_price_percent_ranks",
+    "q_order_price_ranks",
+    "q_top3_orders_per_customer",
+    "q_latest_order_per_customer",
+    "q1_pricing_summary",
+    "q_region_revenue",
+]
+
+
+def _collect(ds) -> pa.Table:
+    tabs = ray.get(ds.to_arrow_refs())
+    return pa.concat_tables(tabs, promote_options="permissive").combine_chunks()
+
+
+@pytest.mark.parametrize("name", READ_MIX_QUERIES)
+def test_query_runs_one_execution_before_its_consumer(ray_session, monkeypatch, name):
+    """The query call plus its consumer's ``to_arrow_refs`` start at most
+    two streaming executions: the input's, then the consumer's. A
+    ``map_batches(finish).sort(...)`` after the exchange would add one."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from radiant_portal_pipeline_ray.pipelines.relational import QUERIES
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *a, **kw):
+        calls.append(1)
+        return execute(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    out = _collect(QUERIES[name][0](SF_DIR))
+    assert out.num_rows > 0
+    assert len(calls) <= 2, (name, len(calls))
+
+
+def _ties_and_nulls(n: int = 3000, seed: int = 5) -> rd.Dataset:
+    """Many keys, values on a coarse grid (ties), some null values."""
+    rng = np.random.default_rng(seed)
+    v = rng.integers(0, 6, n).astype(float)
+    v[rng.random(n) < 0.05] = np.nan
+    t = pa.table(
+        {
+            "g": pa.array(rng.integers(0, 400, n), pa.int64()),
+            "v": pa.array(v, pa.float64(), from_pandas=True),
+            "id": pa.array(np.arange(n), pa.int64()),
+        }
+    )
+    assert t.column("v").null_count > 0
+    return rd.from_arrow([t.slice(i, 500) for i in range(0, n, 500)])
+
+
+def _both_paths(monkeypatch, run) -> tuple[pa.Table, pa.Table]:
+    local = _collect(run())
+    monkeypatch.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", 0)
+    tasks = _collect(run())
+    assert taskshuffle.last_split_plan["n_buckets"] > 1
+    return local, tasks
+
+
+def test_topk_finish_and_sort_match_task_path(ray_session, monkeypatch):
+    def run():
+        return topk_per_key(
+            _ties_and_nulls(),
+            ["g"],
+            [("v", "descending"), ("id", "ascending")],
+            k=2,
+            finish=lambda t: t.append_column("v2", pc.multiply(t.column("v"), 2.0)),
+            sort_by=[("v", "descending"), "g", "id"],
+        )
+
+    local, tasks = _both_paths(monkeypatch, run)
+    assert local.column_names == ["g", "v", "id", "v2"]
+    assert local.column("v").null_count > 0  # nulls sort last
+    assert local.column("v")[local.num_rows - 1].as_py() is None
+    assert local.equals(tasks)
+
+
+def test_groupby_finish_and_sort_match_task_path(ray_session, monkeypatch):
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "g": t.column("g"),
+                "n": pc.cast(t.column("n"), pa.int64()),
+                "top": t.column("top"),
+            }
+        )
+
+    def run():
+        ds = _ties_and_nulls().map_batches(
+            lambda b: b.append_column("one", pa.array(np.ones(b.num_rows, np.int64))),
+            batch_format="pyarrow",
+        )
+        return partial_final_groupby(
+            ds,
+            ["g"],
+            [("one", "sum", "n"), ("v", "max", "top")],
+            finish=finish,
+            sort_by=[("n", "descending"), ("top", "descending"), "g"],
+        )
+
+    local, tasks = _both_paths(monkeypatch, run)
+    assert local.num_rows == 400
+    assert len(set(local.column("n").to_pylist())) < 400  # ties in the sort key
+    assert local.equals(tasks)
+
+
+def _no_read_parquet(monkeypatch):
+    def refuse(*a, **kw):
+        raise AssertionError("ray.data.read_parquet called")
+
+    monkeypatch.setattr(rd, "read_parquet", refuse)
+
+
+def _blocks(ds) -> list[pa.Table]:
+    return ray.get(ds.to_arrow_refs())
+
+
+def test_read_parquet_clean_plans_without_read_parquet(ray_session, tmp_path, monkeypatch):
+    """A directory of files, a pandas-written file and a pushed-down filter
+    all read as ``pq.read_table`` does, with metadata-free block schemas."""
+    from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
+
+    _no_read_parquet(monkeypatch)
+    rng = np.random.default_rng(3)
+    t = pa.table(
+        {
+            "k": pa.array(np.arange(1000), pa.int64()),
+            "x": pa.array(rng.random(1000)),
+            "s": pa.array([f"s{i % 7}" for i in range(1000)]),
+        }
+    )
+    d = tmp_path / "dir"
+    d.mkdir()
+    for i in range(3):
+        pq.write_table(t.slice(i * 400, 400), str(d / f"part-{i}.parquet"), row_group_size=150)
+    (d / "_SUCCESS").write_text("")
+
+    got = pa.concat_tables(_blocks(read_parquet_clean(str(d))))
+    assert got.sort_by("k").equals(t)
+
+    pandas_file = str(tmp_path / "pandas.parquet")
+    pq.write_table(pa.Table.from_pandas(pd.DataFrame(t.to_pydict())), pandas_file)
+    assert b"pandas" in pq.read_schema(pandas_file).metadata
+    blocks = _blocks(read_parquet_clean(pandas_file, columns=["s", "k"]))
+    assert all(b.schema.metadata is None for b in blocks)
+    assert [f.name for f in blocks[0].schema] == ["s", "k"]
+    assert pa.concat_tables(blocks).equals(
+        pq.read_table(pandas_file, columns=["s", "k"]).replace_schema_metadata()
+    )
+
+    flt = (pc.field("k") >= 250) & (pc.field("s") == "s3")
+    got = pa.concat_tables(
+        _blocks(read_parquet_clean(str(d), columns=["k", "x"], filter=flt))
+    )
+    want = pq.read_table(str(d), columns=["k", "x"], filters=flt)
+    assert 0 < got.num_rows < 1000
+    assert got.sort_by("k").equals(want.sort_by("k"))
+    (tmp_path / "empty").mkdir()
+    with pytest.raises(FileNotFoundError):
+        read_parquet_clean(str(tmp_path / "empty"))
+
+
+def test_read_parquet_clean_relative_paths(ray_session, tmp_path, monkeypatch):
+    """Read tasks may run in another working directory."""
+    from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
+
+    _no_read_parquet(monkeypatch)
+    pq.write_table(pa.table({"a": [1, 2, 3]}), str(tmp_path / "r.parquet"))
+    monkeypatch.chdir(tmp_path)
+    got = pa.concat_tables(_blocks(read_parquet_clean("r.parquet")))
+    assert got.column("a").to_pylist() == [1, 2, 3]
+    assert os.path.isabs(read_parquet_clean(["r.parquet"]).input_files()[0])
+
+
+def test_partition_checksums_task_path_with_empty_buckets(ray_session, monkeypatch):
+    """One group on the task path leaves most exchange buckets empty; the
+    result equals the driver-local one and is a typed Arrow table."""
+    from radiant_portal_pipeline_ray.stages.qa import partition_checksums
+
+    t = pa.table(
+        {
+            "part": pa.array([7] * 300, pa.int64()),
+            "url": pa.array([f"u{i}" for i in range(300)]),
+        }
+    )
+    ds = rd.from_arrow([t.slice(i, 100) for i in range(0, 300, 100)])
+    local = partition_checksums(ds, "part", ["url"])
+    monkeypatch.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", 0)
+    tasks = partition_checksums(ds, "part", ["url"])
+    assert taskshuffle.last_split_plan["n_buckets"] > 1
+    assert local.column("n_rows").to_pylist() == [300]
+    assert tasks.equals(local)
+    assert all(f.type == pa.int64() for f in tasks.schema)

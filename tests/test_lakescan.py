@@ -185,7 +185,8 @@ def test_lake_scan_plans_from_manifest_sizes(ray_session, tmp_path):
     eng = _replay(str(tmp_path / "lake"), tmp_path)
     man = eng.lake.current_manifest()
     files = [f for st in man.partitions.values() for f in st.files]
-    src = LakeScan(eng.lake, man, part_files(man), columns=["url"])
+    paths = [(eng.lake.abspath(f), b) for f, b in part_files(man)]
+    src = LakeScan(paths, man.schema, columns=["url"])
     total = sum(st.bytes for st in man.partitions.values())
     assert 0 < src.estimate_inmemory_data_size() <= total
     assert total - src.estimate_inmemory_data_size() < len(files)
@@ -338,3 +339,36 @@ def test_migration_reads_bypass_read_parquet(ray_session, tmp_path, monkeypatch,
     cols = ["url", "warc_ts", "html", "lsn"]
     got = _sorted(eng.snapshot_table()).select(cols)
     assert_tables_equal(got, oracle_final_state(paths, cols=cols))
+
+
+@pytest.mark.parametrize("kind", ["local", "fsspec", "s3"])
+def test_read_quarantine_bypasses_read_parquet(ray_session, tmp_path, request, monkeypatch, kind):
+    """The dead-letter queue reads through the lake's filesystem with the
+    same planner as snapshot reads, over every quarantine file of the
+    version, and answers what a driver-side read of those files gives."""
+    import pyarrow.parquet as pq
+
+    from tests.test_quarantine import _mixed_rows, _write
+
+    root = _lake_root(kind, tmp_path, request) + "_dlq"  # the s3 bucket is shared
+    good, bad = _mixed_rows()
+    eng = CdcEngine(root, EngineConfig(n_parts=4))
+    eng.apply([_write(tmp_path / "a.parquet", good + bad)])
+    more = [dict(r, lsn=None if r["lsn"] is None else r["lsn"] + 500) for r in bad]
+    eng.apply([_write(tmp_path / "b.parquet", more)])
+    man = eng.lake.current_manifest()
+    assert len(man.quarantine_files) == 2
+    _no_read_parquet(monkeypatch)
+
+    got = _collect(eng.read_quarantine())
+    fs = eng.lake.pyarrow_fs()
+    want = pa.concat_tables(
+        [
+            pq.read_table(eng.lake.abspath(f), filesystem=fs).replace_schema_metadata()
+            for f in man.quarantine_files
+        ]
+    )
+    assert got.num_rows > len(bad)
+    assert got.schema.metadata is None
+    assert _sorted(got, "lsn").equals(_sorted(want, "lsn"))
+    assert _collect(eng.read_quarantine(version=1)).num_rows == len(bad)

@@ -99,7 +99,10 @@ def test_exchange_join_two_level_parity(ray_session, monkeypatch):
             )
         )
 
+    # both sides are below the driver-local bound: force the task path
+    monkeypatch.setattr(ts, "_DRIVER_LOCAL_BYTES", 0)
     base = run()
+    assert ts.last_split_plan["levels"] == 1
     monkeypatch.setattr(ts, "_REF_BUDGET", 1)
     forced = run()
     assert ts.last_split_plan["levels"] == 2
