@@ -63,6 +63,7 @@ from radiant_portal_pipeline_ray.stages.normalize import (
     make_event_normalizer,
     make_snapshot_caster,
 )
+from radiant_portal_pipeline_ray.stages.taskshuffle import local_dataset
 from radiant_portal_pipeline_ray.state import lakescan
 from radiant_portal_pipeline_ray.state.manifest import (
     CommitConflict,
@@ -863,7 +864,7 @@ class CdcEngine:
         files = [self.lake.abspath(f) for f in (man.quarantine_files if man else [])]
         if not files:
             empty = pa.table({"reason": pa.array([], type=pa.string())})
-            return rd.from_arrow(empty)
+            return local_dataset(empty)
         fs = self.lake.pyarrow_fs()
         if fs is None:
             files = [os.path.abspath(f) for f in files]
@@ -1235,7 +1236,7 @@ class CdcEngine:
             else self.lake.current_manifest()
         )
         if not man or man.schema is None:
-            return rd.from_arrow(CHANGELOG_SCHEMA.empty_table())
+            return local_dataset(CHANGELOG_SCHEMA.empty_table())
         files = lakescan.part_files(man)
         filt = None if include_tombstones else ~pc.field("deleted")
         if prune:

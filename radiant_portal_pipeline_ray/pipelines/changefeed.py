@@ -31,6 +31,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
+from radiant_portal_pipeline_ray.stages.taskshuffle import local_dataset
 from radiant_portal_pipeline_ray.state import lakescan
 
 _DIFF_COLS = ["url", "lsn", "deleted"]
@@ -47,7 +48,7 @@ def _version_side(engine, man, changed: list[int]) -> "rd.Dataset":
                 "deleted": pa.array([], type=pa.bool_()),
             }
         )
-        return rd.from_arrow(empty)
+        return local_dataset(empty)
     return lakescan.scan(engine.lake, man, files, _DIFF_COLS)
 
 

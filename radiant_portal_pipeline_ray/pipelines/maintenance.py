@@ -29,7 +29,6 @@ find the tombstone. The caller opts in via ``purge_tombstones=True``.
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import pyarrow as pa
@@ -37,6 +36,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from radiant_portal_pipeline_ray.config import EngineConfig
+from radiant_portal_pipeline_ray.stages.merge import write_snapshot_files
 from radiant_portal_pipeline_ray.state import lakescan
 from radiant_portal_pipeline_ray.state.manifest import (
     CommitConflict,
@@ -132,31 +132,10 @@ def _make_rewriter(
         tomb = int(
             pc.sum(pc.fill_null(out.column("deleted"), False)).as_py() or 0
         )
-        if filesystem is None:
-            part_dir = os.path.join(staging_dir, f"part={part}")
-            os.makedirs(part_dir, exist_ok=True)
-        else:
-            part_dir = f"{staging_dir}/part={part}"
-            filesystem.makedirs(part_dir, exist_ok=True)
-        from radiant_portal_pipeline_ray.state.zonemaps import file_stats
-
-        files, total, stats = [], 0, []
-        n_files = max(1, -(-out.num_rows // target_rows_per_file)) if out.num_rows else 0
-        for i in range(n_files):
-            chunk = out.slice(i * target_rows_per_file, target_rows_per_file)
-            fn = f"{txn_id}-{part}-{i:04d}.parquet"
-            if filesystem is None:
-                path = os.path.join(part_dir, fn)
-                pq.write_table(chunk, path, compression=compression)
-                total += os.path.getsize(path)
-            else:
-                path = f"{part_dir}/{fn}"
-                pq.write_table(
-                    chunk, path, compression=compression, filesystem=filesystem
-                )
-                total += int(filesystem.info(path)["size"])
-            files.append(fn)
-            stats.append(file_stats(chunk))
+        files, total, stats = write_snapshot_files(
+            out, staging_dir, txn_id, part, target_rows_per_file, compression,
+            filesystem,
+        )
         if fault_inject is not None:
             # tests only: die AFTER staging this partition's rewrite — the
             # retried task overwrites the same deterministic staged names

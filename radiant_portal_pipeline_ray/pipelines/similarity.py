@@ -23,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
@@ -108,10 +109,7 @@ def sim_topk_cosine(sf_dir: str):
 
     stage = BruteForceTopK(Q, qids, k=TOP_K, margin=1e-6)
     partials = _emb_ds(sf_dir).map_batches(stage, batch_format="pyarrow")
-    merged = pa.Table.from_pylist(partials.take_all())
-    merged = merged.filter(
-        pc.not_equal(merged.column("query_id"), merged.column("vec_id"))
-    )
+    merged = pa.concat_tables(ray.get(partials.to_arrow_refs()))
     merged = merged.set_column(
         merged.schema.get_field_index("cosine"),
         pa.field("cos_r", pa.float64()),

@@ -398,13 +398,19 @@ def q_quality_quantiles(sf_dir: str, ps=(0.25, 0.5, 0.9)):
             }
         )
 
+    names = ["p25_chars", "p50_chars", "p90_chars"]
+    schema = pa.schema(
+        [("lang", pa.string())] + [(nm, pa.int64()) for nm in names + ["n_docs"]]
+    )
+
     def quantiles(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:  # an empty bucket of the task path
+            return schema.empty_table()
         t = t.sort_by([("lang", "ascending"), ("n_chars", "ascending")])
         langs = t.column("lang").to_numpy(zero_copy_only=False)
         vals = t.column("n_chars").to_numpy(zero_copy_only=False)
         starts = np.r_[0, np.nonzero(langs[1:] != langs[:-1])[0] + 1, len(langs)]
-        out = {"lang": [], "p25_chars": [], "p50_chars": [], "p90_chars": [], "n_docs": []}
-        names = ["p25_chars", "p50_chars", "p90_chars"]
+        out = {name: [] for name in schema.names}
         for i in range(len(starts) - 1):
             lo, hi = int(starts[i]), int(starts[i + 1])
             n = hi - lo
@@ -414,15 +420,7 @@ def q_quality_quantiles(sf_dir: str, ps=(0.25, 0.5, 0.9)):
                 # percentile_disc: first value with cume_dist >= p
                 k = max(0, int(np.ceil(p * n)) - 1)
                 out[nm].append(int(vals[lo + k]))
-        return pa.table(
-            {
-                "lang": pa.array(out["lang"], pa.string()),
-                "p25_chars": pa.array(out["p25_chars"], pa.int64()),
-                "p50_chars": pa.array(out["p50_chars"], pa.int64()),
-                "p90_chars": pa.array(out["p90_chars"], pa.int64()),
-                "n_docs": pa.array(out["n_docs"], pa.int64()),
-            }
-        )
+        return pa.table(out, schema=schema)
 
     pairs = docs.map_batches(project, batch_format="pyarrow")
     return exchange_group(pairs, ["lang"], 16, quantiles, sort_by="lang")

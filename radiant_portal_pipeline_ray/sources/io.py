@@ -2,7 +2,11 @@
 
 ``read_parquet_clean`` plans from one driver-side ``pq.read_schema`` and
 the files' sizes: no footer pass over every file and none of
-``ray.data.read_parquet``'s plan-time sampling tasks. The schema it reads
+``ray.data.read_parquet``'s plan-time sampling tasks. The sizes also pick
+where the read runs: one threshold, ``taskshuffle._DRIVER_LOCAL_BYTES``,
+sends small reads and small exchanges to the driver, so files of at most
+that many bytes in all are read in-process, into at most one block per
+cluster CPU, and larger ones by Ray read tasks. The schema it reads
 with is metadata-free. Pandas-written parquet carries a ``b'pandas'``
 schema-metadata key, and a ``pa.Schema`` with schema-level metadata is
 unhashable in this pyarrow version, which silently defeats Ray Data's

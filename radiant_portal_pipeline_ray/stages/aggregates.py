@@ -291,16 +291,15 @@ def window(
     result is sorted by ``sort_by``. A bucket with no rows yields
     ``schema``'s empty table without calling the kernel, and an input with
     no rows a typed empty Dataset (Ray's sort would drop its schema)."""
-    import ray.data as rd
-
     from radiant_portal_pipeline_ray.stages.taskshuffle import (
         exchange_group,
+        local_dataset,
         sort_spec,
     )
 
     ds = ds.materialize()
     if ds.count() == 0:
-        return rd.from_arrow(schema.empty_table())
+        return local_dataset(schema.empty_table())
     keys = [(partition_by, False)] + sort_spec(order_by)
 
     def per_bucket(t: pa.Table) -> pa.Table:

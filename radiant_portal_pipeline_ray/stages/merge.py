@@ -84,6 +84,73 @@ def carry_batches(
     return batches
 
 
+#: snapshot columns written without Parquet min/max statistics. No reader
+#: prunes on them (zone maps come from ``zonemaps.file_stats``; scan filters
+#: touch ``url``, ``warc_ts``, ``lsn`` and ``deleted``), yet their min/max
+#: would hold most of a small file's bytes.
+NO_STATS_COLUMNS = ("html", "text")
+
+
+def _leaf_paths(name: str, typ: pa.DataType) -> list[str]:
+    """Parquet column paths of the leaves of a column ``name`` of ``typ``."""
+    if pa.types.is_struct(typ):
+        return [p for f in typ for p in _leaf_paths(f"{name}.{f.name}", f.type)]
+    if pa.types.is_map(typ):
+        kv = f"{name}.key_value"
+        return _leaf_paths(f"{kv}.key", typ.key_type) + _leaf_paths(
+            f"{kv}.value", typ.item_type
+        )
+    if isinstance(typ, (pa.ListType, pa.LargeListType, pa.FixedSizeListType)):
+        return _leaf_paths(f"{name}.list.element", typ.value_type)
+    return [name]
+
+
+def write_snapshot_files(
+    out: pa.Table,
+    staging_dir: str,
+    txn_id: str,
+    part: int,
+    target_rows_per_file: int,
+    compression: str,
+    filesystem=None,
+) -> tuple[list, int, list]:
+    """Stage one partition's rows ``out`` as ``target_rows_per_file``
+    slices ``<txn_id>-<part>-<i>.parquet`` under ``staging_dir/part=<part>``
+    (``filesystem``: an fsspec filesystem, None = local paths), with
+    statistics for every column but :data:`NO_STATS_COLUMNS`. Returns (file
+    names, bytes, per-file zone maps)."""
+    from radiant_portal_pipeline_ray.state.zonemaps import file_stats
+
+    if filesystem is None:
+        part_dir = os.path.join(staging_dir, f"part={part}")
+        os.makedirs(part_dir, exist_ok=True)
+    else:
+        part_dir = f"{staging_dir}/part={part}"
+        filesystem.makedirs(part_dir, exist_ok=True)
+    with_stats = [
+        p
+        for f in out.schema
+        if f.name not in NO_STATS_COLUMNS
+        for p in _leaf_paths(f.name, f.type)
+    ]
+    files, total_bytes, stats = [], 0, []
+    for i in range(-(-out.num_rows // target_rows_per_file)):
+        chunk = out.slice(i * target_rows_per_file, target_rows_per_file)
+        fn = f"{txn_id}-{part}-{i:04d}.parquet"
+        path = os.path.join(part_dir, fn) if filesystem is None else f"{part_dir}/{fn}"
+        pq.write_table(
+            chunk, path, compression=compression, filesystem=filesystem,
+            write_statistics=with_stats,
+        )
+        if filesystem is None:
+            total_bytes += os.path.getsize(path)
+        else:
+            total_bytes += int(filesystem.info(path)["size"])
+        files.append(fn)
+        stats.append(file_stats(chunk))
+    return files, total_bytes, stats
+
+
 class MergeKernel:
     """The LWW merge + staged-write kernel. The apply round's merge tasks
     call ``merge_parts`` once per bucket; ``merge_partition`` is the
@@ -420,36 +487,12 @@ class MergeKernel:
         ]
 
     def _write_part(self, part: int, out: pa.Table) -> tuple[list, int, list]:
-        """Stage one partition's merged rows as ``target_rows_per_file``
-        slices; returns (file names, bytes, per-file zone maps)."""
-        from radiant_portal_pipeline_ray.state.zonemaps import file_stats
-
-        if self.filesystem is None:
-            part_dir = os.path.join(self.staging_dir, f"part={part}")
-            os.makedirs(part_dir, exist_ok=True)
-        else:
-            part_dir = f"{self.staging_dir}/part={part}"
-            self.filesystem.makedirs(part_dir, exist_ok=True)
-        files, total_bytes, stats = [], 0, []
-        tpf = self.target_rows_per_file
-        n_files = -(-out.num_rows // tpf)
-        for i in range(n_files):
-            chunk = out.slice(i * tpf, tpf)
-            fn = f"{self.txn_id}-{part}-{i:04d}.parquet"
-            if self.filesystem is None:
-                path = os.path.join(part_dir, fn)
-                pq.write_table(chunk, path, compression=self.compression)
-                total_bytes += os.path.getsize(path)
-            else:
-                path = f"{part_dir}/{fn}"
-                pq.write_table(
-                    chunk, path, compression=self.compression,
-                    filesystem=self.filesystem,
-                )
-                total_bytes += int(self.filesystem.info(path)["size"])
-            files.append(fn)
-            stats.append(file_stats(chunk))
-
+        """Stage one partition's merged rows (:func:`write_snapshot_files`);
+        returns (file names, bytes, per-file zone maps)."""
+        written = write_snapshot_files(
+            out, self.staging_dir, self.txn_id, part, self.target_rows_per_file,
+            self.compression, self.filesystem,
+        )
         if self.fault_inject is not None:
             # die AFTER staging this partition's files: the retried task
             # must overwrite the partial staged output (deterministic
@@ -457,5 +500,5 @@ class MergeKernel:
             from radiant_portal_pipeline_ray.chaos import maybe_die_once
 
             maybe_die_once(self.fault_inject, "merge")
-        return files, total_bytes, stats
+        return written
 

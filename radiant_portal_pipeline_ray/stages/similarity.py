@@ -29,8 +29,10 @@ def _emb_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
 
 class BruteForceTopK:
     """map_batches stage: per batch, cosine of every row against the
-    broadcast query matrix; emits per-(query, batch) top-k rows. A final
-    per-query top-k merge (tiny) finishes the job."""
+    broadcast query matrix; emits per-(query, batch) top-k rows. A query
+    never matches its own row (``vec_id == query_id`` is dropped before the
+    prune), so the result does not depend on how rows split into batches.
+    A final per-query top-k merge (tiny) finishes the job."""
 
     def __init__(
         self,
@@ -53,14 +55,17 @@ class BruteForceTopK:
         En = E / np.maximum(np.linalg.norm(E, axis=1, keepdims=True), 1e-30)
         S = self.qn @ En.T  # (Q, B)
         vec_ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        k = min(self.k, S.shape[1])
         out_q, out_v, out_s = [], [], []
         for qi in range(S.shape[0]):
-            kth = np.partition(-S[qi], k - 1)[k - 1]
-            idx = np.flatnonzero(S[qi] >= -kth - self.margin)
-            out_q.append(np.full(len(idx), self.qids[qi]))
-            out_v.append(vec_ids[idx])
-            out_s.append(S[qi][idx])
+            cand = np.flatnonzero(vec_ids != self.qids[qi])
+            s = S[qi][cand]
+            k = min(self.k, len(s))
+            if k:
+                kth = np.partition(-s, k - 1)[k - 1]
+                cand = cand[s >= -kth - self.margin]
+            out_q.append(np.full(len(cand), self.qids[qi]))
+            out_v.append(vec_ids[cand])
+            out_s.append(S[qi][cand])
         return pa.table(
             {
                 "query_id": pa.array(np.concatenate(out_q), type=pa.int64()),

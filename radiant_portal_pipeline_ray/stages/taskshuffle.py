@@ -292,8 +292,9 @@ def bucket_ids(batch: pa.Table, keys: list[str], n_buckets: int) -> np.ndarray:
     for k in keys:
         col = batch.column(k)
         if pa.types.is_integer(col.type):
+            # the key's bits: an unchecked cast, so uint64 keys >= 2**63 wrap
             v = (
-                pc.fill_null(pc.cast(col, pa.int64()), 0)
+                pc.fill_null(pc.cast(col, pa.int64(), safe=False), 0)
                 .to_numpy(zero_copy_only=False)
                 .astype(np.uint64)
             )
@@ -361,8 +362,10 @@ def bucket_join_task(
 #: to the caller's ceiling.
 _TARGET_BUCKET_BYTES = 64 << 20
 
-#: below this, run the group kernel once on the driver (pre-combined
-#: partials / pruned rows only — still a single vectorized arrow call)
+#: the one size threshold of the read side: a file read (``state/lakescan``)
+#: planning at most this many bytes reads in-process, and an exchange of at
+#: most this many bytes runs its kernel once on the driver; both return
+#: their blocks through :func:`local_dataset`
 _DRIVER_LOCAL_BYTES = 16 << 20
 
 #: driver ObjectRef budget per exchange: above this the split runs in two
@@ -528,6 +531,16 @@ def sort_table(t: pa.Table, sort_by) -> pa.Table:
     return t.take(pc.sort_indices(t, sort_keys=keys))
 
 
+def local_dataset(*blocks: pa.Table):
+    """``blocks`` as a Dataset of exactly those blocks with its snapshot
+    already computed, so its consumer's ``to_arrow_refs`` or
+    ``materialize`` starts no Ray Data execution (a ``ray.data.from_arrow``
+    table starts one)."""
+    import ray.data as rd
+
+    return rd.from_blocks(list(blocks)).materialize()
+
+
 def exchange_group(ds, keys: list[str], n_buckets: int, fn, *, sort_by=None):
     """Hash-partition ``ds`` on ``keys`` into ``n_buckets`` and apply
     ``fn(bucket_table) -> pa.Table`` once per bucket (every row of a key in
@@ -537,9 +550,9 @@ def exchange_group(ds, keys: list[str], n_buckets: int, fn, *, sort_by=None):
     kernel.
 
     Below ``_DRIVER_LOCAL_BYTES`` the kernel and the sort run once on the
-    driver's table, so the result is one block and its consumer runs the
-    only execution after the input's; above it, one task per bucket and
-    ``Dataset.sort``."""
+    driver's table, and the result is one materialized block
+    (:func:`local_dataset`) whose consumer starts no execution; above it,
+    one task per bucket and ``Dataset.sort``."""
     import ray.data as rd
     from ray.data.dataset import MaterializedDataset
 
@@ -560,7 +573,7 @@ def exchange_group(ds, keys: list[str], n_buckets: int, fn, *, sort_by=None):
         # vectorized kernel call beats any task fan-out. Bounded by the
         # byte threshold — never the raw-input path.
         t = fn(_concat_or_empty(ray.get(refs), schema))
-        return rd.from_arrow(t if sort_by is None else sort_table(t, sort_by))
+        return local_dataset(t if sort_by is None else sort_table(t, sort_by))
     n_buckets = _clamp_buckets(n_buckets, nbytes)
     cols, n_buckets = _split_refs(refs, keys, n_buckets, nbytes)
     out = rd.from_arrow_refs(
@@ -585,10 +598,15 @@ def exchange_join(
     exchange independently (no union / column padding); empty sides arrive
     as empty tables with the correct schema so outer joins stay exact.
     When both sides are at most ``_DRIVER_LOCAL_BYTES``, ``fn`` runs once
-    on the driver over the two whole sides (one bucket)."""
+    on the driver over the two whole sides (one bucket), and the result is
+    one materialized block (:func:`local_dataset`)."""
     import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
 
-    left, right = left.materialize(), right.materialize()
+    left, right = (
+        d if isinstance(d, MaterializedDataset) else d.materialize()
+        for d in (left, right)
+    )
     l_sch, r_sch = left.schema(), right.schema()
     if l_sch is None or r_sch is None:
         # a zero-BLOCK side (e.g. from_arrow_refs([])) carries no schema, so
@@ -608,7 +626,7 @@ def exchange_join(
     if max(l_bytes, r_bytes) <= _DRIVER_LOCAL_BYTES:
         lt = _concat_or_empty(ray.get(l_refs), l_schema)
         rt = _concat_or_empty(ray.get(r_refs), r_schema)
-        return rd.from_arrow(fn(lt, rt))
+        return local_dataset(fn(lt, rt))
     n_buckets = _clamp_buckets(n_buckets, max(l_bytes, r_bytes))
     l_cols, nb_l = _split_refs(l_refs, left_keys, n_buckets, l_bytes)
     r_cols, nb_r = _split_refs(r_refs, right_keys, n_buckets, r_bytes)

@@ -1,5 +1,6 @@
 """The one parquet read planner: a ``ray.data`` Datasource whose read
-tasks come straight from a file list, its byte sizes and a schema.
+tasks come straight from a file list, its byte sizes and a schema, or, for
+a small read, the same file reader run in-process.
 
 ``ray.data.read_parquet`` plans a read by opening every file's footer and
 launching sampling tasks to estimate the in-memory size. A lake's manifest
@@ -12,6 +13,17 @@ Footers are opened only inside the read tasks, which push ``columns`` and
 ``filter`` into pyarrow and yield one block per row group. Every block,
 zero-row ones included, carries the projected, metadata-free schema; lake
 files written before a column was added read it as nulls.
+
+The file sizes also pick where the read runs. One threshold,
+``taskshuffle._DRIVER_LOCAL_BYTES``, sends small reads and small exchanges
+to the driver: a read planning at most that many bytes runs the read
+tasks' reader in this process and returns its row groups as at most one
+block per cluster CPU, already materialized (``taskshuffle.local_dataset``),
+so neither the read nor its consumer starts a Ray Data execution for it,
+and a later ``map_batches`` still runs on every CPU. The decision is
+made from the sizes alone, without touching storage. Those sizes are
+on-disk bytes of every column, so the decoded read can be several times
+the threshold (BASELINE.md, "Read paths on both sides of the threshold").
 """
 
 from __future__ import annotations
@@ -22,9 +34,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 from pyarrow import fs as pafs
+import ray
 import ray.data as rd
 from ray.data.block import BlockMetadata
 from ray.data.datasource import Datasource, ReadTask
+
+from radiant_portal_pipeline_ray.stages import taskshuffle
 
 
 def _read_files(paths, filesystem, schema, out, columns, filt):
@@ -80,6 +95,18 @@ class LakeScan(Datasource):
     def estimate_inmemory_data_size(self) -> int:
         return sum(b for _, b in self._files)
 
+    def read_local(self, n_blocks: int) -> list[pa.Table]:
+        """Every file read in this process: the read tasks' row-group
+        blocks, in file order, concatenated into at most ``n_blocks``."""
+        paths = [p for p, _ in self._files]
+        args = (self._fs, self._schema, self.schema, self._columns, self._filter)
+        blocks = list(_read_files(paths, *args))
+        return [
+            pa.concat_tables(blocks[i[0] : i[-1] + 1])
+            for i in np.array_split(np.arange(len(blocks)), n_blocks)
+            if len(i)
+        ]
+
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
         args = (self._fs, self._schema, self.schema, self._columns, self._filter)
         tasks = []
@@ -101,8 +128,15 @@ class LakeScan(Datasource):
 
 def read(files, schema, filesystem=None, columns=None, filter=None) -> "rd.Dataset":
     """Dataset over ``files`` (``(path, bytes)`` pairs, at least one) read
-    as ``schema``; see :class:`LakeScan`."""
-    return rd.read_datasource(LakeScan(files, schema, filesystem, columns, filter))
+    as ``schema``; see :class:`LakeScan`. At most
+    ``taskshuffle._DRIVER_LOCAL_BYTES`` in all: read here, already
+    materialized, as one block per cluster CPU at most, so a later
+    ``map_batches`` can use every CPU and starts no more tasks than that."""
+    src = LakeScan(files, schema, filesystem, columns, filter)
+    if src.estimate_inmemory_data_size() <= taskshuffle._DRIVER_LOCAL_BYTES:
+        cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else 1
+        return taskshuffle.local_dataset(*src.read_local(max(1, cpus)))
+    return rd.read_datasource(src)
 
 
 def scan(lake, man, files, columns=None, filter=None) -> "rd.Dataset":
@@ -110,6 +144,6 @@ def scan(lake, man, files, columns=None, filter=None) -> "rd.Dataset":
     ``man``; an empty file list yields one empty block with the projected
     schema."""
     if not files:
-        return rd.from_arrow(_project(man.schema, columns).empty_table())
+        return taskshuffle.local_dataset(_project(man.schema, columns).empty_table())
     paths = [(lake.abspath(f), b) for f, b in files]
     return read(paths, man.schema, lake.pyarrow_fs(), columns, filter)

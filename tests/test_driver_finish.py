@@ -1,11 +1,12 @@
-"""Small read-side queries finish on the driver.
+"""Small read-side queries run on the driver.
 
 The keyed operators own a query's row-wise ``finish`` and its final
 ``sort_by``: below ``taskshuffle._DRIVER_LOCAL_BYTES`` both run on the
-driver's table, so a query makes one Ray Data execution before its
-consumer's, and the result must equal the task path's, row order included.
-File reads plan through ``state/lakescan.py`` and never call
-``ray.data.read_parquet``."""
+driver's table, and the result must equal the task path's, row order
+included. Under the same threshold file reads and lake scans read
+in-process, so a query that reads straight into its operator starts no Ray
+Data execution at all. File reads plan through ``state/lakescan.py`` and
+never call ``ray.data.read_parquet``."""
 
 import os
 
@@ -25,21 +26,25 @@ from radiant_portal_pipeline_ray.stages.aggregates import (
 )
 from tests.test_queries import SF_DIR
 
-#: the twelve queries of the benchmark's read_mix pass
-READ_MIX_QUERIES = [
-    "q_ntile_user_quartiles",
-    "q_lead_next_event",
-    "q_event_gaps",
-    "q_running_total",
-    "q_moving_sum3",
-    "q_trailing_hour_sum",
-    "q_price_percent_ranks",
-    "q_order_price_ranks",
-    "q_top3_orders_per_customer",
-    "q_latest_order_per_customer",
-    "q1_pricing_summary",
-    "q_region_revenue",
-]
+#: the twelve queries of the benchmark's read_mix pass, each with its
+#: budget of Ray Data executions (the query plus its consumer's
+#: ``to_arrow_refs``). A query that reads straight into its operator makes
+#: none; one that maps batches before its operator makes one, the
+#: ``map_batches`` the operator materializes.
+READ_MIX_BUDGET = {
+    "q_ntile_user_quartiles": 0,
+    "q_lead_next_event": 0,
+    "q_event_gaps": 0,
+    "q_running_total": 0,
+    "q_moving_sum3": 0,
+    "q_trailing_hour_sum": 0,
+    "q_price_percent_ranks": 0,
+    "q_order_price_ranks": 0,
+    "q_top3_orders_per_customer": 1,
+    "q_latest_order_per_customer": 1,
+    "q1_pricing_summary": 1,
+    "q_region_revenue": 1,
+}
 
 
 def _collect(ds) -> pa.Table:
@@ -47,14 +52,10 @@ def _collect(ds) -> pa.Table:
     return pa.concat_tables(tabs, promote_options="permissive").combine_chunks()
 
 
-@pytest.mark.parametrize("name", READ_MIX_QUERIES)
-def test_query_runs_one_execution_before_its_consumer(ray_session, monkeypatch, name):
-    """The query call plus its consumer's ``to_arrow_refs`` start at most
-    two streaming executions: the input's, then the consumer's. A
-    ``map_batches(finish).sort(...)`` after the exchange would add one."""
+def count_executions(monkeypatch) -> list:
+    """A list that grows by one per Ray Data streaming execution started
+    from now on."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    from radiant_portal_pipeline_ray.pipelines.relational import QUERIES
 
     calls = []
     execute = StreamingExecutor.execute
@@ -64,9 +65,22 @@ def test_query_runs_one_execution_before_its_consumer(ray_session, monkeypatch, 
         return execute(self, *a, **kw)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(READ_MIX_BUDGET))
+def test_query_runs_one_execution_before_its_consumer(ray_session, monkeypatch, name):
+    """The query call plus its consumer's ``to_arrow_refs`` start exactly
+    the executions of its budget, at most the one its operator needs for a
+    ``map_batches`` input: an input read as Ray tasks, a
+    ``from_arrow`` result or a ``map_batches(finish).sort(...)`` after the
+    exchange would each add one."""
+    from radiant_portal_pipeline_ray.pipelines.relational import QUERIES
+
+    calls = count_executions(monkeypatch)
     out = _collect(QUERIES[name][0](SF_DIR))
     assert out.num_rows > 0
-    assert len(calls) <= 2, (name, len(calls))
+    assert len(calls) == READ_MIX_BUDGET[name], (name, len(calls))
 
 
 def _ties_and_nulls(n: int = 3000, seed: int = 5) -> rd.Dataset:
@@ -203,9 +217,31 @@ def test_read_parquet_clean_relative_paths(ray_session, tmp_path, monkeypatch):
     _no_read_parquet(monkeypatch)
     pq.write_table(pa.table({"a": [1, 2, 3]}), str(tmp_path / "r.parquet"))
     monkeypatch.chdir(tmp_path)
+    # the task path: read tasks carry absolute input files
+    monkeypatch.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", -1)
     got = pa.concat_tables(_blocks(read_parquet_clean("r.parquet")))
     assert got.column("a").to_pylist() == [1, 2, 3]
     assert os.path.isabs(read_parquet_clean(["r.parquet"]).input_files()[0])
+
+
+def test_read_parquet_clean_relative_paths_driver_path(ray_session, tmp_path, monkeypatch):
+    """A small read of a relative path runs in-process, from the caller's
+    working directory: its row groups, in order, in at most one block per
+    cluster CPU (4 in this session), so a later ``map_batches`` still runs
+    on every CPU."""
+    from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
+
+    _no_read_parquet(monkeypatch)
+    pq.write_table(
+        pa.table({"a": [1, 2, 3, 4, 5, 6]}), str(tmp_path / "r.parquet"),
+        row_group_size=1,
+    )
+    monkeypatch.chdir(tmp_path)
+    calls = count_executions(monkeypatch)
+    blocks = _blocks(read_parquet_clean(["r.parquet"]))
+    assert ray.cluster_resources()["CPU"] == 4
+    assert [b.column("a").to_pylist() for b in blocks] == [[1, 2], [3, 4], [5], [6]]
+    assert calls == []
 
 
 def test_partition_checksums_task_path_with_empty_buckets(ray_session, monkeypatch):

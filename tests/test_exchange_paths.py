@@ -63,3 +63,17 @@ def test_distributed_exchange_matches_oracle(ray_session, force_distributed, nam
     pd.testing.assert_frame_equal(
         got.astype(want.dtypes.to_dict()), want, check_dtype=False
     )
+
+
+def test_bucket_ids_hash_uint64_key_bits():
+    """A uint64 key at or above 2**63 buckets like the int64 with the same
+    bits (a checked cast to int64 raised ``ArrowInvalid``)."""
+    import numpy as np
+    import pyarrow as pa
+
+    bits = np.array([0, 5, 2**63, 2**64 - 1], dtype=np.uint64)
+    u = pa.table({"k": pa.array(bits, pa.uint64())})
+    i = pa.table({"k": pa.array(bits.view(np.int64), pa.int64())})
+    got = taskshuffle.bucket_ids(u, ["k"], 16)
+    assert got.tolist() == taskshuffle.bucket_ids(i, ["k"], 16).tolist()
+    assert ((got >= 0) & (got < 16)).all()

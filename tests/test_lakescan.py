@@ -372,3 +372,112 @@ def test_read_quarantine_bypasses_read_parquet(ray_session, tmp_path, request, m
     assert got.schema.metadata is None
     assert _sorted(got, "lsn").equals(_sorted(want, "lsn"))
     assert _collect(eng.read_quarantine(version=1)).num_rows == len(bad)
+
+
+def test_small_lake_reads_start_no_execution(ray_session, tmp_path, monkeypatch):
+    """Under ``taskshuffle._DRIVER_LOCAL_BYTES`` a snapshot read (pruned or
+    not, current or time travel) and the change feed read in-process: with
+    their consumer's ``to_arrow_refs`` they start no Ray Data execution."""
+    from tests.test_driver_finish import count_executions
+
+    eng = _replay(str(tmp_path / "lake"), tmp_path)
+    urls = sorted(eng.snapshot_table(columns=["url"]).column("url").to_pylist())
+    lo, hi = urls[10], urls[40]
+    calls = count_executions(monkeypatch)
+    full = _collect(eng.read_snapshot())
+    pruned = _collect(eng.read_snapshot(columns=["url", "lsn"], prune={"url": (lo, hi)}))
+    old = _collect(eng.read_snapshot(version=2))
+    changes = _collect(eng.read_changes(2, 3))
+    assert calls == []
+    assert _sorted(full).equals(_sorted(eng.snapshot_table()))
+    assert pruned.num_rows == 31
+    assert _sorted(old).equals(_sorted(eng.snapshot_table(version=2)))
+    assert changes.num_rows == len(_expected_changes(eng, 2, 3)) > 0
+
+
+def _evolved_files(tmp_path) -> tuple[list, pa.Schema, pa.Table]:
+    """Two local files, the first written before column ``x`` was added:
+    (``(path, bytes)`` pairs, the later schema, every row as read)."""
+    import pyarrow.parquet as pq
+
+    old = pa.table({"k": pa.array(np.arange(300), pa.int64()), "s": [f"s{i % 5}" for i in range(300)]})
+    new = pa.table(
+        {
+            "k": pa.array(np.arange(300, 500), pa.int64()),
+            "s": [f"s{i % 5}" for i in range(200)],
+            "x": pa.array(np.linspace(0, 1, 200)),
+        }
+    )
+    paths = [str(tmp_path / "old.parquet"), str(tmp_path / "new.parquet")]
+    pq.write_table(old, paths[0], row_group_size=100)
+    pq.write_table(new, paths[1], row_group_size=100)
+    files = [(p, os.path.getsize(p)) for p in paths]
+    old_x = old.append_column("x", pa.nulls(300, pa.float64()))
+    return files, new.schema, pa.concat_tables([old_x, new])
+
+
+def _both_read_paths(monkeypatch, read) -> tuple[list, list]:
+    """``read()``'s blocks on the driver path, then on the task path."""
+    from radiant_portal_pipeline_ray.stages import taskshuffle
+
+    driver = ray.get(read().to_arrow_refs())
+    with monkeypatch.context() as m:
+        m.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", -1)
+        tasks = ray.get(read().to_arrow_refs())
+    return driver, tasks
+
+
+@pytest.mark.parametrize(
+    "columns, keep",
+    [
+        (None, None),
+        (["x", "k"], (pc.field("k") >= 250) & (pc.field("s") != "s2")),
+        (["s", "x"], pc.field("k") < 0),
+    ],
+    ids=["all-columns", "projected-filtered", "filter-removes-every-row"],
+)
+def test_read_driver_path_matches_task_path(ray_session, tmp_path, monkeypatch, columns, keep):
+    """``lakescan.read`` returns the same rows and block schema in-process
+    as through its read tasks: projection, filter push-down, a file from
+    before a column was added (read as nulls) and the zero-row rule."""
+    from radiant_portal_pipeline_ray.state import lakescan
+
+    files, schema, rows = _evolved_files(tmp_path)
+    driver, tasks = _both_read_paths(
+        monkeypatch, lambda: lakescan.read(files, schema, columns=columns, filter=keep)
+    )
+    assert len(tasks) > 1
+    want = rows if keep is None else rows.filter(keep)
+    want = want if columns is None else want.select(columns)
+    for blocks in (driver, tasks):
+        assert all(b.schema.equals(want.schema) for b in blocks)
+    got_driver = pa.concat_tables(driver)
+    got_tasks = pa.concat_tables(tasks)
+    if want.num_rows:
+        assert got_driver.column("x").null_count == want.column("x").null_count > 0
+        got_driver, got_tasks, want = (
+            t.sort_by("k") if "k" in t.column_names else t.sort_by("x")
+            for t in (got_driver, got_tasks, want)
+        )
+    assert got_driver.equals(want)
+    assert got_tasks.equals(want)
+
+
+def test_s3_read_driver_path_matches_task_path(ray_session, tmp_path, request, monkeypatch):
+    """A moto-S3 lake read through ``lake.pyarrow_fs()`` returns the same
+    rows on the driver path as through read tasks."""
+    from radiant_portal_pipeline_ray.state import lakescan
+
+    eng = _replay(_lake_root("s3", tmp_path, request) + "_paths", tmp_path)
+    man = eng.lake.current_manifest()
+    files = [(eng.lake.abspath(f), b) for f, b in lakescan.part_files(man)]
+    cols = ["url", "lsn", "deleted"]
+    driver, tasks = _both_read_paths(
+        monkeypatch,
+        lambda: lakescan.read(files, man.schema, eng.lake.pyarrow_fs(), cols, ~pc.field("deleted")),
+    )
+    assert len(tasks) > 1
+    want = _sorted(eng.snapshot_table(columns=cols))
+    assert want.num_rows > 0
+    assert _sorted(pa.concat_tables(driver)).equals(want)
+    assert _sorted(pa.concat_tables(tasks)).equals(want)

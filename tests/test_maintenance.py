@@ -94,3 +94,68 @@ def test_compact_noop_when_nothing_to_do(ray_session, tmp_path):
     r = compact(lake, cfg, min_files=99)
     assert r["noop"] is True
     assert eng.lake.current_manifest().version == v
+
+
+def test_snapshot_files_skip_html_and_text_statistics(ray_session, tmp_path):
+    """Applied and compacted snapshot files carry Parquet min/max statistics
+    for every column a scan filters on, and none for ``html``/``text``."""
+    import pyarrow.parquet as pq
+
+    paths = generate_changelog(
+        str(tmp_path / "cl"),
+        ChangelogSpec(n_urls=200, n_events=800, n_batches=2, seed=8),
+    )
+    lake = str(tmp_path / "lake")
+    eng = CdcEngine(lake, EngineConfig(n_parts=2, target_rows_per_file=50))
+    for p in paths:
+        eng.apply([p])
+
+    def footers() -> dict:
+        man = eng.lake.current_manifest()
+        stats = {}
+        for st in man.partitions.values():
+            for f in st.files:
+                md = pq.read_metadata(eng.lake.abspath(f))
+                for rg in range(md.num_row_groups):
+                    for i in range(md.num_columns):
+                        c = md.row_group(rg).column(i)
+                        stats.setdefault(c.path_in_schema, set()).add(c.is_stats_set)
+        return stats
+
+    def check():
+        stats = footers()
+        assert stats["html"] == stats["text"] == {False}
+        for col in ("url", "warc_ts", "lsn", "deleted", "doc_id", "part"):
+            assert stats[col] == {True}, col
+
+    check()
+    assert not compact(lake, EngineConfig(n_parts=2), min_files=2)["noop"]
+    check()
+
+
+def test_snapshot_file_statistics_cover_nested_leaves(tmp_path):
+    """Nested user columns keep statistics on every leaf."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from radiant_portal_pipeline_ray.stages.merge import write_snapshot_files
+
+    t = pa.table(
+        {
+            "url": ["a", "b"],
+            "html": pa.array([b"<p>", b"<b>"]),
+            "text": ["p", "b"],
+            "s": pa.array([{"x": 1, "y": [1.0]}, {"x": 2, "y": []}]),
+            "l": pa.array([[{"z": 1}], [{"z": 2}]]),
+            "m": pa.array([[("k", 1)], [("j", 2)]], pa.map_(pa.string(), pa.int64())),
+        }
+    )
+    files, nbytes, _ = write_snapshot_files(t, str(tmp_path), "txn", 3, 10, "zstd")
+    md = pq.read_metadata(str(tmp_path / "part=3" / files[0]))
+    assert nbytes == (tmp_path / "part=3" / files[0]).stat().st_size
+    stats = {
+        md.row_group(0).column(i).path_in_schema: md.row_group(0).column(i).is_stats_set
+        for i in range(md.num_columns)
+    }
+    assert stats.pop("html") is stats.pop("text") is False
+    assert len(stats) == 6 and all(stats.values()), stats

@@ -182,7 +182,11 @@ def _reference_merge(k: MergeKernel, group: pa.Table, part: int) -> dict:
     for i in range(-(-out.num_rows // tpf)):
         chunk = out.slice(i * tpf, tpf)
         fn = f"{k.txn_id}-{part}-{i:04d}.parquet"
-        pq.write_table(chunk, os.path.join(part_dir, fn), compression=k.compression)
+        pq.write_table(
+            chunk, os.path.join(part_dir, fn), compression=k.compression,
+            # snapshot files keep no min/max statistics for html and text
+            write_statistics=[c for c in out.column_names if c not in ("html", "text")],
+        )
         nbytes += os.path.getsize(os.path.join(part_dir, fn))
         files.append(fn)
         stats.append(file_stats(chunk))

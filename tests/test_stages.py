@@ -207,3 +207,24 @@ def test_lsh_ann_recall_vs_bruteforce(ray_session):
     hit = sum(1 for p in truth if p in ann_pairs)
     recall = hit / len(truth)
     assert recall >= 0.9, f"recall@10 {recall:.2f} ({hit}/{len(truth)})"
+
+
+def test_brute_force_topk_drops_self_match_in_one_batch():
+    """Every query keeps k neighbours, none of them itself, even when its
+    own row shares the batch: the self match is dropped before the
+    per-batch prune, as the SQL's ``e.vec_id <> q.qid`` does."""
+    from radiant_portal_pipeline_ray.stages.similarity import BruteForceTopK
+
+    rng = np.random.default_rng(4)
+    E = rng.normal(size=(40, 8))
+    batch = pa.table(
+        {
+            "vec_id": pa.array(np.arange(40), pa.int64()),
+            "embedding": pa.array(list(E), pa.list_(pa.float64())),
+        }
+    )
+    out = BruteForceTopK(E[:3], [0, 1, 2], k=5)(batch)
+    q = out.column("query_id").to_numpy()
+    v = out.column("vec_id").to_numpy()
+    assert not (q == v).any()
+    assert np.bincount(q).tolist() == [5, 5, 5]
