@@ -6,7 +6,7 @@ radiant-network/radiant-portal-pipeline (see SURVEY.md), re-expressed as
 
 - ``sources/``    changelog readers + deterministic synthetic generators
 - ``functions/``  pure, vectorized per-batch kernels (text extraction, hashing)
-- ``state/``      manifest / two-phase commit, partition assignment, hash-index actors
+- ``state/``      manifest / two-phase commit, partition assignment, lake scans
 - ``stages/``     reusable Dataset→Dataset stages (normalize, merge, joins, dedup, ...)
 - ``pipelines/``  end-to-end drivers (CDC apply loop, relational/text/similarity queries)
 
@@ -32,10 +32,11 @@ try:
 except (NotImplementedError, OSError, ValueError):  # non-jemalloc builds
     pass
 
-# Polars (used for vectorized string hashing in state/id_index.py) sizes its
-# global thread pool to os.cpu_count() at import. Inside Ray workers/actors
-# that each hold a fraction of a CPU, dozens of 32-thread pools oversubscribe
-# the host; bound it BEFORE any polars import unless the user chose a value.
+# Polars (the salt-slot hash in functions/hashing.py, the QA checksums, the
+# dedup and text kernels) sizes its global thread pool to os.cpu_count() at
+# import. Inside Ray workers/actors that each hold a fraction of a CPU,
+# dozens of 32-thread pools oversubscribe the host; bound it BEFORE any
+# polars import unless the user chose a value.
 _os.environ.setdefault("POLARS_MAX_THREADS", "4")
 
 from radiant_portal_pipeline_ray.config import EngineConfig

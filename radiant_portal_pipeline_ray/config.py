@@ -8,6 +8,7 @@ Reference analogue: resource profiles + partition capacity knobs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 
 @dataclass
@@ -22,11 +23,9 @@ class EngineConfig:
     # --- partitioning ---------------------------------------------------
     #: number of base hash partitions (part = stable_hash(domain) % n_parts).
     n_parts: int = 8
-    #: url→salt-slot hash for a NEW lake: 2 = vectorized polars/xxhash
-    #: (default), 1 = legacy per-row CRC-32. An EXISTING lake always keeps
-    #: the version its manifest records — this knob only seeds empty lakes
-    #: (fleet-compat pin).
-    salt_hash_version_default: int = 2
+    #: the url→salt-slot hash every lake routes with; not a knob. Its one
+    #: reader is perfbench/layers.py, which times ``assign_parts`` with it.
+    salt_hash_version_default: ClassVar[int] = 2
     #: a domain whose cumulative row count exceeds this is salted across
     #: multiple partitions (hot-key handling, north rule axes A+B).
     salt_threshold_rows: int = 250_000
@@ -53,9 +52,7 @@ class EngineConfig:
     # --- doc-id allocation ----------------------------------------------
     #: the apply pipeline allocates doc_ids deterministically inside the
     #: merge from per-partition counters persisted in the manifest (no
-    #: coordination — ids are ``part << doc_id_part_shift | seq``). The
-    #: per-partition hash-index actor pool (state/id_index.py) is the
-    #: alternative for pipelines whose keyed state must outlive a shuffle.
+    #: coordination — ids are ``part << doc_id_part_shift | seq``).
     doc_id_part_shift: int = 40
 
     # --- maintenance ----------------------------------------------------

@@ -16,7 +16,6 @@ consistent across incremental applies.
 from __future__ import annotations
 
 import hashlib
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -74,13 +73,6 @@ def hash_strings_to_parts(
     return pc.take(part_of_uniq, idx)
 
 
-def salt_slot(url: str, n_slots: int) -> int:
-    """url → salt sub-partition slot, LEGACY (salt_hash_version=1). CRC-32
-    (standard polynomial, identical on every platform/process). Kept
-    bit-for-bit for lakes whose salted routing was committed under v1."""
-    return zlib.crc32(url.encode("utf-8")) % n_slots
-
-
 #: seed for the v2 vectorized slot hash (polars/xxhash over utf-8 bytes)
 SALT_HASH_SEED = 7
 
@@ -104,9 +96,8 @@ def salt_hash_fingerprint() -> list[int]:
 
 def salt_hash64_v2(urls: pa.ChunkedArray | pa.Array) -> np.ndarray:
     """Vectorized 64-bit url hash for salt-slot routing (v2). Polars' xxhash
-    with a fixed seed — ~30x the throughput of the per-row CRC loop on 1M
-    salted rows (measured in tests/test_salt_hash.py). Not guaranteed stable
-    across polars major upgrades, hence the persisted fingerprint guard."""
+    with a fixed seed. Not guaranteed stable across polars major upgrades,
+    hence the persisted fingerprint guard."""
     import polars as pl
 
     arr = pc.cast(urls, pa.string())
@@ -124,13 +115,14 @@ def assign_parts(
 ) -> pa.Array:
     """Final partition assignment: base hash(domain) % n_parts, except salted
     (hot) domains, whose urls spread over their persisted salt-part list by
-    stable url hash. Stable across runs because ``salt_map`` AND
-    ``salt_hash_version`` are persisted in the manifest (SURVEY §7.5
-    "skewed domains"): v1 lakes keep the CRC-32 per-row slot hash their rows
-    were committed under; v2 (default for new lakes) uses the fully
-    vectorized polars hash — the last per-row Python on the apply hot path
-    is gone.
+    stable url hash (``salt_hash64_v2``). Stable across runs because
+    ``salt_map`` and the hash's fingerprint are persisted in the manifest
+    (SURVEY §7.5 "skewed domains"). ``salt_hash_version`` accepts only 2,
+    the one routing hash there is; a lake recording another version is
+    refused when its manifest is read.
     """
+    if salt_hash_version != 2:
+        raise ValueError(f"unsupported salt_hash_version {salt_hash_version}")
     base = hash_strings_to_parts(domains, n_parts)
     if not salt_map:
         return pc.cast(base, pa.int32())
@@ -144,22 +136,15 @@ def assign_parts(
     take_idx = pa.array(idxs)
     s_urls = pc.take(pc.cast(urls, pa.string()), take_idx)
     s_doms = pc.take(doms, take_idx)
-    if salt_hash_version >= 2:
-        # one vectorized hash over all salted rows; per-domain modulo via
-        # dictionary codes (salt_map is a handful of hot domains)
-        h = salt_hash64_v2(s_urls)
-        codes = pc.index_in(
-            s_doms, value_set=pa.array(dom_keys, type=pa.string())
-        ).to_numpy(zero_copy_only=False)
-        for k, d in enumerate(dom_keys):
-            sel = codes == k
-            if sel.any():
-                parts = np.asarray(salt_map[d], dtype=np.int32)
-                out[idxs[sel]] = parts[h[sel] % np.uint64(len(parts))]
-        return pa.array(out, type=pa.int32())
-    s_urls_l = s_urls.to_pylist()
-    s_doms_l = s_doms.to_pylist()
-    for j, i in enumerate(idxs):
-        parts = salt_map[s_doms_l[j]]
-        out[i] = parts[salt_slot(s_urls_l[j], len(parts))]
+    # one vectorized hash over all salted rows; per-domain modulo via
+    # dictionary codes (salt_map is a handful of hot domains)
+    h = salt_hash64_v2(s_urls)
+    codes = pc.index_in(
+        s_doms, value_set=pa.array(dom_keys, type=pa.string())
+    ).to_numpy(zero_copy_only=False)
+    for k, d in enumerate(dom_keys):
+        sel = codes == k
+        if sel.any():
+            parts = np.asarray(salt_map[d], dtype=np.int32)
+            out[idxs[sel]] = parts[h[sel] % np.uint64(len(parts))]
     return pa.array(out, type=pa.int32())

@@ -135,25 +135,19 @@ class CdcEngine:
                 "immutable for an existing lake (salting splits hot domains "
                 "instead — see Partitioner)"
             )
-        # salt-slot hash version is immutable per lake (like n_parts): v1
-        # lakes keep CRC-32 routing; v2 lakes verify the polars-hash canary
-        # so a library upgrade can't silently re-route salted urls away from
-        # their committed rows.
+        # every lake routes salted urls with the v2 polars hash (a manifest
+        # recording another version is refused when read); verify its
+        # canary so a library upgrade can't silently re-route salted urls
+        # away from their committed rows.
         from radiant_portal_pipeline_ray.functions.hashing import (
             salt_hash_fingerprint,
         )
 
-        salt_v = (
-            current.salt_hash_version
-            if current is not None
-            else cfg.salt_hash_version_default
-        )
-        salt_fp = salt_hash_fingerprint() if salt_v >= 2 else None
+        self._salt_fp = salt_hash_fingerprint()
         if (
             current is not None
-            and salt_v >= 2
             and current.salt_hash_fingerprint
-            and current.salt_hash_fingerprint != salt_fp
+            and current.salt_hash_fingerprint != self._salt_fp
         ):
             raise RuntimeError(
                 "salt hash fingerprint mismatch: this host's polars hash "
@@ -162,7 +156,6 @@ class CdcEngine:
                 "migrate: compact every salted partition after re-routing "
                 "via pending_migrations."
             )
-        self._salt_v, self._salt_fp = salt_v, salt_fp
 
         def _noop_report(events_in: int) -> dict:
             return {
@@ -317,10 +310,7 @@ class CdcEngine:
                 urls = pq.read_table(p, columns=["url"]).column("url")
                 doms = extract_domain(urls)
                 pp = assign_parts(
-                    urls, doms, self.cfg.n_parts, partitioner.salt_map,
-                    salt_hash_version=(
-                        current.salt_hash_version if current is not None else 2
-                    ),
+                    urls, doms, self.cfg.n_parts, partitioner.salt_map
                 )
                 parts.update(
                     int(x) for x in pc.unique(pp).to_pylist() if x is not None
@@ -472,7 +462,6 @@ class CdcEngine:
                 n_parts=current.n_parts,
                 partitions=dict(current.partitions),
                 salt_map=partitioner.salt_map,
-                salt_hash_version=current.salt_hash_version,
                 salt_hash_fingerprint=current.salt_hash_fingerprint,
                 pending_migrations=pending,
                 next_part=partitioner.next_part,
@@ -569,7 +558,6 @@ class CdcEngine:
             partitioner.salt_map,
             watermarks,
             partitioner.max_part_id(),
-            salt_hash_version=self._salt_v,
         )
         cpus = (
             int(ray.cluster_resources().get("CPU", 8))
@@ -645,8 +633,7 @@ class CdcEngine:
         ]
         if mig_chunks:
             caster = make_snapshot_caster(
-                union_schema, cfg.n_parts, partitioner.salt_map,
-                salt_hash_version=self._salt_v,
+                union_schema, cfg.n_parts, partitioner.salt_map
             )
             for ch in mig_chunks:
                 returns.append(
@@ -816,7 +803,6 @@ class CdcEngine:
             n_parts=base.n_parts if base else self.cfg.n_parts,
             partitions=dict(base.partitions) if base else {},
             salt_map=dict(base.salt_map) if base else {},
-            salt_hash_version=base.salt_hash_version if base else self._salt_v,
             salt_hash_fingerprint=(
                 base.salt_hash_fingerprint if base else self._salt_fp
             ),
@@ -1132,7 +1118,6 @@ class CdcEngine:
                 n_parts=self.cfg.n_parts,
                 partitions=parts,
                 salt_map=partitioner.salt_map,
-                salt_hash_version=self._salt_v,
                 salt_hash_fingerprint=self._salt_fp,
                 pending_migrations=pending_next,
                 next_part=partitioner.next_part,

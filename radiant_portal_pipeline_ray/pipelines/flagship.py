@@ -97,18 +97,25 @@ def documents_changelog(sf_dir: str, out_dir: str) -> list[str]:
 
 
 def run_flagship(sf_dir: str, work_dir: str | None = None, n_parts: int = 8):
-    """Full CDC replay; returns the live-snapshot Dataset."""
+    """Full CDC replay; returns the live-snapshot Dataset. Without a
+    ``work_dir`` the replay runs in a temporary directory that is removed
+    on return, so the snapshot comes back materialized."""
     work = work_dir or tempfile.mkdtemp(prefix="cdc_flagship_")
-    cl_dir = os.path.join(work, "changelog")
-    lake_dir = os.path.join(work, "lake")
-    shutil.rmtree(lake_dir, ignore_errors=True)
-    paths = documents_changelog(sf_dir, cl_dir)
-    eng = CdcEngine(lake_dir, EngineConfig(n_parts=n_parts, run_qa=True))
-    for p in paths:  # incremental: two apply rounds
-        report = eng.apply([p])
-    # post-commit QA gate (incl. cross-table live/tombstone exclusivity)
-    assert report["qa"]["passed"], report["qa"]
-    return eng.read_snapshot()
+    try:
+        cl_dir = os.path.join(work, "changelog")
+        lake_dir = os.path.join(work, "lake")
+        shutil.rmtree(lake_dir, ignore_errors=True)
+        paths = documents_changelog(sf_dir, cl_dir)
+        eng = CdcEngine(lake_dir, EngineConfig(n_parts=n_parts, run_qa=True))
+        for p in paths:  # incremental: two apply rounds
+            report = eng.apply([p])
+        # post-commit QA gate (incl. cross-table live/tombstone exclusivity)
+        assert report["qa"]["passed"], report["qa"]
+        snap = eng.read_snapshot()
+        return snap if work_dir else snap.materialize()
+    finally:
+        if not work_dir:
+            shutil.rmtree(work, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,6 @@ def compact(
             n_parts=base.n_parts,
             partitions=parts,
             salt_map=base.salt_map,
-            salt_hash_version=base.salt_hash_version,
             salt_hash_fingerprint=base.salt_hash_fingerprint,
             pending_migrations=base.pending_migrations,
             next_part=base.next_part,
@@ -505,7 +504,6 @@ def reshard(
         n_parts=new_n_parts,
         partitions=parts,
         salt_map={},
-        salt_hash_version=current.salt_hash_version,
         salt_hash_fingerprint=current.salt_hash_fingerprint,
         pending_migrations={},
         next_part=max(

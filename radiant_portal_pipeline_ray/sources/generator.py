@@ -244,23 +244,3 @@ def generate_changelog(out_dir: str, spec: ChangelogSpec) -> list[str]:
         )
         paths.append(path)
     return paths
-
-
-def generate_domains_dim(out_path: str, spec: ChangelogSpec) -> str:
-    """Small enrichment dimension (FIXTURES.md §4): domain, category, rank."""
-    rng = np.random.default_rng(spec.seed + 1)
-    cats = np.array(["news", "shop", "blog", "docs", "social"], dtype=object)
-    t = pa.table(
-        {
-            "domain": pa.array(
-                [f"d{i:04d}.example.org" for i in range(spec.n_domains)]
-            ),
-            "category": pa.array(cats[rng.integers(0, len(cats), spec.n_domains)]),
-            "rank": pa.array(
-                rng.permutation(spec.n_domains).astype(np.int32) + 1
-            ),
-        }
-    )
-    os.makedirs(os.path.dirname(out_path), exist_ok=True)
-    pq.write_table(t, out_path)
-    return out_path

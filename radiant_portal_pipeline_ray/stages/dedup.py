@@ -40,7 +40,8 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)  # golden-ratio odd constant
 def hash64_strings(arr: pa.Array | pa.ChunkedArray | list[str]) -> np.ndarray:
     """Vectorized 64-bit string hash (polars/xxhash, fixed seed). Run-internal
     identity only — candidate bucketing and signatures, never persisted
-    routing (that uses content-derived sha256/crc32, functions/hashing.py)."""
+    routing (that uses sha256 and the fingerprinted salt hash,
+    functions/hashing.py)."""
     if isinstance(arr, list):
         arr = pa.array(arr, type=pa.string())
     if isinstance(arr, pa.ChunkedArray):
@@ -255,38 +256,6 @@ _PAIRS_SCHEMA = pa.schema(
         pa.field("dropped_bucket", pa.int64()),
     ]
 )
-
-
-def candidate_pairs_from_buckets(
-    group: pa.Table, id_col: str = "doc_id", max_bucket: int | None = None
-) -> pa.Table:
-    """One LSH/shingle bucket → all unordered id pairs (vectorized triu).
-
-    A bucket larger than ``max_bucket`` (a frequent shingle / degenerate
-    band) would emit O(m²) pairs; it is dropped and reported as one
-    ``(-1, -1, m)`` marker row instead (standard frequent-shingle drop)."""
-    ids = np.unique(group.column(id_col).to_numpy(zero_copy_only=False))
-    m = len(ids)
-    if max_bucket is not None and m > max_bucket:
-        return pa.table(
-            {
-                "doc_a": pa.array([-1], type=pa.int64()),
-                "doc_b": pa.array([-1], type=pa.int64()),
-                "dropped_bucket": pa.array([m], type=pa.int64()),
-            },
-            schema=_PAIRS_SCHEMA,
-        )
-    iu, ju = np.triu_indices(m, k=1)
-    return pa.table(
-        {
-            "doc_a": pa.array(ids[iu], type=pa.int64()),
-            "doc_b": pa.array(ids[ju], type=pa.int64()),
-            "dropped_bucket": pa.array(
-                np.zeros(len(iu), dtype=np.int64), type=pa.int64()
-            ),
-        },
-        schema=_PAIRS_SCHEMA,
-    )
 
 
 def make_pkey_adder(key_col: str, n_partitions: int = 64):

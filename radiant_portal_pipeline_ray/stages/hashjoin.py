@@ -24,12 +24,8 @@ documents and relies on: each bucket's two sides must fit one worker.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 from ray.data import Dataset
-
-_KNUTH = np.uint64(0x9E3779B97F4A7C15)
 
 #: convenience aliases → Acero join_type names
 _JOIN_TYPES = {
@@ -47,27 +43,6 @@ _JOIN_TYPES = {
     "right semi": "right semi",
     "right anti": "right anti",
 }
-
-
-def _bucket_of(
-    batch: pa.Table, keys: list[str], num_buckets: int
-) -> pa.Array:
-    """Deterministic composite-key bucket id (vectorized)."""
-    h = np.zeros(batch.num_rows, dtype=np.uint64)
-    for k in keys:
-        col = batch.column(k)
-        if pa.types.is_integer(col.type):
-            v = (
-                pc.fill_null(pc.cast(col, pa.int64()), 0)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.uint64)
-            )
-        else:
-            from radiant_portal_pipeline_ray.stages.dedup import hash64_strings
-
-            v = hash64_strings(pc.cast(col, pa.string())).astype(np.uint64)
-        h = (h ^ v) * _KNUTH
-    return pa.array(((h >> np.uint64(33)) % np.uint64(num_buckets)).astype(np.int32))
 
 
 def hash_partitioned_join(

@@ -95,9 +95,12 @@ def make_event_normalizer(
     The fn returns ``(valid_table, quarantine_table | None)``: malformed
     events are split off with a ``reason`` column instead of crashing the
     round or silently corrupting routing. There is no other mode:
-    ``quarantine=False`` is refused."""
+    ``quarantine=False`` is refused, and so is any ``salt_hash_version``
+    but 2."""
     if not quarantine:
         raise ValueError("make_event_normalizer always quarantines")
+    if salt_hash_version != 2:
+        raise ValueError(f"unsupported salt_hash_version {salt_hash_version}")
     wm_arr = np.full(max_part_id + 1, -1, dtype=np.int64)
     for p, w in watermarks.items():
         if p <= max_part_id:
@@ -122,9 +125,7 @@ def make_event_normalizer(
     def _normalize_valid(t: pa.Table) -> pa.Table:
         urls = t.column("url")
         domains = extract_domain(urls)
-        parts = assign_parts(
-            urls, domains, n_parts, salt_map, salt_hash_version
-        )
+        parts = assign_parts(urls, domains, n_parts, salt_map)
         t = t.append_column(pa.field("part", pa.int32()), parts)
 
         lsn = t.column("lsn").to_numpy(zero_copy_only=False)
@@ -141,7 +142,6 @@ def make_snapshot_caster(
     union_schema: pa.Schema,
     n_parts: int,
     salt_map: dict[str, list[int]],
-    salt_hash_version: int = 2,
 ):
     """Cast carried-forward snapshot rows into the union (merge-input) layout.
 
@@ -155,9 +155,7 @@ def make_snapshot_caster(
     def cast(batch: pa.Table) -> pa.Table:
         urls = batch.column("url")
         domains = extract_domain(urls)
-        parts = assign_parts(
-            urls, domains, n_parts, salt_map, salt_hash_version
-        )
+        parts = assign_parts(urls, domains, n_parts, salt_map)
         idx = batch.schema.get_field_index("part")
         batch = batch.set_column(idx, pa.field("part", pa.int32()), parts)
         batch = batch.append_column(

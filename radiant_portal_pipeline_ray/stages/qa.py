@@ -16,7 +16,7 @@ reference's Jira-tagged dbt failures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import pyarrow as pa
@@ -31,14 +31,6 @@ class QACheck:
     partial: Callable[[pa.Table], dict]
     #: summed counters → (ok, detail)
     verdict: Callable[[dict], tuple[bool, str]]
-
-
-def _sum_dicts(dicts):
-    out: dict = {}
-    for d in dicts:
-        for k, v in d.items():
-            out[k] = out.get(k, 0) + v
-    return out
 
 
 def run_checks(
@@ -115,30 +107,6 @@ def no_nulls(col: str) -> QACheck:
         f"no_nulls:{col}",
         lambda b: {"nulls": b.column(col).null_count},
         lambda c: (c.get("nulls", 0) == 0, f"nulls={c.get('nulls', 0)}"),
-    )
-
-
-def unique_key(col: str) -> QACheck:
-    """Exact uniqueness via per-batch dedup + global distinct-vs-total
-    comparison. Counts duplicates within batches; cross-batch duplicates are
-    caught by the companion ``unique_key_global`` (groupby) when the column
-    may repeat across blocks — for snapshot partitions sorted by key, batch
-    boundaries make this exact already."""
-
-    def partial(b: pa.Table) -> dict:
-        col_arr = b.column(col)
-        return {
-            "rows": b.num_rows,
-            "distinct_in_batch": len(pc.unique(col_arr)),
-        }
-
-    return QACheck(
-        f"unique_in_batch:{col}",
-        partial,
-        lambda c: (
-            c.get("rows", 0) == c.get("distinct_in_batch", 0),
-            f"rows={c.get('rows', 0)} distinct={c.get('distinct_in_batch', 0)}",
-        ),
     )
 
 

@@ -227,11 +227,3 @@ def make_cosine_bucket_pairs(
         )
 
     return gen
-
-
-def quantize_embeddings(batch: pa.Table, scale: int = 1000) -> pa.Table:
-    """embedding → int64-quantized list (exact-arithmetic oracle domain)."""
-    E = _emb_matrix(batch)
-    Q = np.rint(E * scale).astype(np.int64)
-    arr = pa.array(list(Q), type=pa.list_(pa.int64()))
-    return batch.append_column("emb_q", arr)

@@ -196,12 +196,12 @@ class Manifest:
     n_parts: int = 0
     partitions: dict[int, PartitionState] = dc_field(default_factory=dict)
     salt_map: dict[str, list[int]] = dc_field(default_factory=dict)
-    #: which url→salt-slot hash the committed rows were routed with:
-    #: 1 = per-row CRC-32 (legacy), 2 = vectorized polars/xxhash. Immutable
-    #: for a lake's lifetime (like n_parts) — changing it would strand
-    #: committed rows of salted domains in the wrong partition.
-    salt_hash_version: int = 1
-    #: v2 only: canary hashes proving the host's hash impl still matches the
+    #: which url→salt-slot hash the committed rows were routed with. Only
+    #: 2 (vectorized polars/xxhash) exists; ``from_json`` refuses any other
+    #: recorded version, as routing new rows with a different hash would
+    #: strand committed rows of salted domains in the wrong partition.
+    salt_hash_version: int = 2
+    #: canary hashes proving the host's hash impl still matches the
     #: one the lake committed under (guards against a polars upgrade
     #: silently changing xxhash output)
     salt_hash_fingerprint: list[int] | None = None
@@ -279,6 +279,13 @@ class Manifest:
 
     @staticmethod
     def from_json(d: dict) -> "Manifest":
+        salt_v = d.get("salt_hash_version")
+        if salt_v != 2:
+            raise ValueError(
+                f"manifest v{d['version']} records salt_hash_version "
+                f"{salt_v}; this engine routes salted urls only with "
+                "salt_hash_version 2 and cannot continue or read this lake"
+            )
         return Manifest(
             version=d["version"],
             txn_id=d["txn_id"],
@@ -290,7 +297,6 @@ class Manifest:
                 for p, st in d["partitions"].items()
             },
             salt_map={k: list(v) for k, v in d.get("salt_map", {}).items()},
-            salt_hash_version=d.get("salt_hash_version", 1),
             salt_hash_fingerprint=d.get("salt_hash_fingerprint"),
             pending_migrations={
                 k: list(v) for k, v in d.get("pending_migrations", {}).items()

@@ -88,6 +88,3 @@ class Partitioner:
             [self.n_parts - 1]
             + [p for parts in self.salt_map.values() for p in parts]
         )
-
-    def parts_of_domain(self, domain: str) -> list[int]:
-        return self.salt_map.get(domain, [self.base_part(domain)])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 
-
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
@@ -201,312 +200,3 @@ def test_image_resize_stage_with_real_resampler(ray_session):
             encode_bmp(nn_resample(im, exp_w, exp_h))
         ).hexdigest()
         assert row["resized_sig"] == exp_sig
-
-
-# ---------------------------------------------------------------------------
-# PNG codec (stdlib zlib + numpy; second real override, all 5 predictors)
-# ---------------------------------------------------------------------------
-
-from radiant_portal_pipeline_ray.stages.pngcodec import (  # noqa: E402
-    PngFeatureStage,
-    PngResizeStage,
-    decode_png,
-    encode_png,
-)
-
-
-def test_png_roundtrip_every_filter_type():
-    """encode(filter=f) → decode is pixel-exact for every predictor
-    (None/Sub/Up/Average/Paeth), RGB and RGBA, odd sizes included."""
-    rng = np.random.default_rng(23)
-    for ch in (3, 4):
-        for h, w in [(1, 1), (3, 7), (17, 5), (32, 32)]:
-            im = rng.integers(0, 256, size=(h, w, ch), dtype=np.uint8)
-            for f in range(5):
-                back = decode_png(encode_png(im, filter_type=f))
-                np.testing.assert_array_equal(back, im, err_msg=f"f={f} ch={ch}")
-
-
-def test_png_rejects_unsupported():
-    import pytest
-
-    with pytest.raises(ValueError):
-        decode_png(b"not a png at all")
-    # palette / 16-bit variants are declared out of the pure-python subset
-    rng = np.random.default_rng(1)
-    im = rng.integers(0, 256, size=(4, 4, 3), dtype=np.uint8)
-    payload = bytearray(encode_png(im))
-    payload[8 + 8 + 9] = 3  # IHDR color type → palette
-    with pytest.raises(ValueError):
-        decode_png(bytes(payload))
-
-
-def test_image_feature_stage_with_real_png_decoder(ray_session):
-    rng = np.random.default_rng(29)
-    imgs = [
-        rng.integers(0, 256, size=(int(h), int(w), 3), dtype=np.uint8)
-        for h, w in rng.integers(3, 33, size=(5, 2))
-    ]
-    # mixed filter types in one batch — the decoder must not care
-    payloads = [encode_png(im, filter_type=i % 5) for i, im in enumerate(imgs)]
-    tbl = pa.table(
-        {
-            "media_id": pa.array(range(len(imgs)), type=pa.int64()),
-            "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(["image/png"] * len(imgs)),
-            "width": pa.array([im.shape[1] for im in imgs], pa.int32()),
-            "height": pa.array([im.shape[0] for im in imgs], pa.int32()),
-        }
-    )
-    out = (
-        rd.from_arrow(tbl)
-        .map_batches(PngFeatureStage(), batch_size=2, batch_format="pyarrow")
-        .sort("media_id")
-        .take_all()
-    )
-    for row, im in zip(out, imgs):
-        f = np.asarray(row["features"])
-        np.testing.assert_allclose(
-            f[:3], im.reshape(-1, 3).mean(axis=0) / 255.0, rtol=0, atol=1e-12
-        )
-        assert f[3] == im.shape[1] / 1000.0 and f[4] == im.shape[0] / 1000.0
-        assert f[5] == 0.0  # RGB: no alpha
-        assert "payload" not in row
-
-
-def test_png_alpha_fraction_feature():
-    rng = np.random.default_rng(31)
-    im = rng.integers(0, 256, size=(10, 10, 4), dtype=np.uint8)
-    im[:, :, 3] = 255
-    im[:5, :, 3] = 10  # half the pixels translucent
-    f = PngFeatureStage()._decode_stub(encode_png(im, filter_type=4))
-    assert f[5] == 0.5
-
-
-def test_image_resize_stage_with_real_png_resampler(ray_session):
-    from radiant_portal_pipeline_ray.stages.bmpcodec import nn_resample as _nn
-
-    rng = np.random.default_rng(37)
-    imgs = [
-        rng.integers(0, 256, size=(int(h), int(w), 3), dtype=np.uint8)
-        for h, w in [(40, 20), (9, 31)]
-    ]
-    tbl = pa.table(
-        {
-            "media_id": pa.array(range(len(imgs)), type=pa.int64()),
-            "payload": pa.array(
-                [encode_png(im, filter_type=2) for im in imgs], pa.binary()
-            ),
-            "mime": pa.array(["image/png"] * len(imgs)),
-            "width": pa.array([im.shape[1] for im in imgs], pa.int32()),
-            "height": pa.array([im.shape[0] for im in imgs], pa.int32()),
-        }
-    )
-    out = (
-        rd.from_arrow(tbl)
-        .map_batches(PngResizeStage(target_w=16, target_h=16), batch_format="pyarrow")
-        .sort("media_id")
-        .take_all()
-    )
-    for row, im in zip(out, imgs):
-        h, w, _ = im.shape
-        long_side = max(w, h)
-        exp_w, exp_h = max(1, w * 16 // long_side), max(1, h * 16 // long_side)
-        assert (row["out_w"], row["out_h"]) == (exp_w, exp_h)
-        exp_sig = hashlib.md5(
-            encode_png(_nn(im, exp_w, exp_h))
-        ).hexdigest()
-        assert row["resized_sig"] == exp_sig
-
-# ---------------------------------------------------------------------------
-# JPEG codec (stdlib/numpy baseline sequential; third real override — the
-# lossy transform codec a web crawl actually contains)
-# ---------------------------------------------------------------------------
-
-from radiant_portal_pipeline_ray.stages.jpegcodec import (  # noqa: E402
-    JpegFeatureStage,
-    JpegResizeStage,
-    _extend,
-    _magnitude,
-    decode_jpeg,
-    encode_jpeg,
-    psnr,
-)
-
-
-def _smooth_image(h: int, w: int) -> np.ndarray:
-    """Deterministic smooth RGB test image (gradients + low-freq sine) —
-    the natural-image regime where baseline JPEG's tables are meaningful."""
-    yy, xx = np.mgrid[0:h, 0:w]
-    img = np.stack(
-        [
-            xx * 255 / max(w - 1, 1),
-            yy * 255 / max(h - 1, 1),
-            127 + 100 * np.sin(xx / 6.0) * np.cos(yy / 5.0),
-        ],
-        axis=2,
-    )
-    return np.clip(np.round(img), 0, 255).astype(np.uint8)
-
-
-def test_jpeg_magnitude_extend_are_inverses():
-    """T.81 F.1.2 magnitude coding and F.2.2.1 EXTEND must be exact
-    inverses over the full coefficient range."""
-    for v in range(-2047, 2048):
-        size, extra = _magnitude(v)
-        assert _extend(extra, size) == v
-
-
-def test_jpeg_roundtrip_psnr_both_subsamplings():
-    img = _smooth_image(24, 32)
-    for sub, floor in [("4:4:4", 30.0), ("4:2:0", 24.0)]:
-        payload = encode_jpeg(img, quality=90, subsample=sub)
-        out = decode_jpeg(payload)
-        assert out.shape == img.shape
-        assert psnr(img, out) > floor, sub
-    # higher quality must not be worse
-    lo = psnr(img, decode_jpeg(encode_jpeg(img, quality=30)))
-    hi = psnr(img, decode_jpeg(encode_jpeg(img, quality=95)))
-    assert hi >= lo
-
-
-def test_jpeg_flat_image_exact_and_eob_path():
-    flat = np.full((16, 24, 3), 130, np.uint8)
-    out = decode_jpeg(encode_jpeg(flat, quality=85))
-    np.testing.assert_array_equal(out, flat)  # all-EOB blocks, DC-only
-
-
-def test_jpeg_sparse_spectrum_exercises_zrl():
-    """A pure high-frequency horizontal cosine concentrates energy deep in
-    the zigzag scan — a >15 zero run before the coefficient, forcing the
-    ZRL (0xF0) encode/decode path."""
-    xx = np.arange(32)
-    row = 128 + 90 * np.cos(np.pi * (2 * xx + 1) * 7 / 16)
-    img = np.repeat(
-        np.clip(np.round(row), 0, 255).astype(np.uint8)[None, :], 16, axis=0
-    )
-    out = decode_jpeg(encode_jpeg(img, quality=95))
-    assert psnr(np.repeat(img[:, :, None], 3, 2), out) > 28.0
-
-
-def test_jpeg_greyscale_and_odd_dims():
-    g = _smooth_image(13, 17)[:, :, 0]
-    out = decode_jpeg(encode_jpeg(g, quality=90))
-    assert out.shape == (13, 17, 3)
-    assert psnr(np.repeat(g[:, :, None], 3, 2), out) > 30.0
-    # odd dims under 4:2:0 (16x16 MCU padding then crop)
-    img = _smooth_image(13, 17)
-    out = decode_jpeg(encode_jpeg(img, quality=90, subsample="4:2:0"))
-    assert out.shape == img.shape
-    assert psnr(img, out) > 22.0
-
-
-def test_jpeg_rejects_unsupported():
-    import pytest
-
-    with pytest.raises(ValueError):
-        decode_jpeg(b"definitely not a jpeg")
-    img = _smooth_image(8, 8)
-    payload = bytearray(encode_jpeg(img))
-    sof = payload.find(b"\xff\xc0")
-    assert sof > 0
-    payload[sof + 1] = 0xC2  # SOF0 -> SOF2 (progressive)
-    with pytest.raises(ValueError):
-        decode_jpeg(bytes(payload))
-    with pytest.raises(ValueError):
-        decode_jpeg(bytes(encode_jpeg(img))[:40])  # truncated pre-SOS
-    full = encode_jpeg(img)
-    with pytest.raises(ValueError):
-        decode_jpeg(full[: len(full) - len(full) // 3])  # truncated entropy
-
-
-def test_image_feature_stage_with_real_jpeg_decoder(ray_session):
-    imgs = [_smooth_image(h, w) for h, w in [(24, 32), (16, 16), (11, 29)]]
-    payloads = [
-        encode_jpeg(im, quality=92, subsample=s)
-        for im, s in zip(imgs, ["4:4:4", "4:2:0", "4:4:4"])
-    ]
-    tbl = pa.table(
-        {
-            "media_id": pa.array(range(len(imgs)), type=pa.int64()),
-            "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(["image/jpeg"] * len(imgs)),
-            "width": pa.array([im.shape[1] for im in imgs], pa.int32()),
-            "height": pa.array([im.shape[0] for im in imgs], pa.int32()),
-        }
-    )
-    out = (
-        rd.from_arrow(tbl)
-        .map_batches(JpegFeatureStage(), batch_size=2, batch_format="pyarrow")
-        .sort("media_id")
-        .take_all()
-    )
-    for row, im, payload in zip(out, imgs, payloads):
-        f = np.asarray(row["features"])
-        # lossy codec: stage features must equal features of the DECODED
-        # pixels exactly, and the source means within codec error
-        exp = JpegFeatureStage()._decode_stub(payload)
-        np.testing.assert_allclose(f, exp, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            f[:3], im.reshape(-1, 3).mean(axis=0) / 255.0, rtol=0, atol=0.05
-        )
-        assert f[3] == im.shape[1] / 1000.0 and f[4] == im.shape[0] / 1000.0
-        assert "payload" not in row
-
-
-def test_image_resize_stage_with_real_jpeg_resampler(ray_session):
-    from radiant_portal_pipeline_ray.stages.bmpcodec import nn_resample as _nn
-
-    imgs = [_smooth_image(h, w) for h, w in [(40, 20), (9, 31)]]
-    payloads = [encode_jpeg(im, quality=88) for im in imgs]
-    tbl = pa.table(
-        {
-            "media_id": pa.array(range(len(imgs)), type=pa.int64()),
-            "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(["image/jpeg"] * len(imgs)),
-            "width": pa.array([im.shape[1] for im in imgs], pa.int32()),
-            "height": pa.array([im.shape[0] for im in imgs], pa.int32()),
-        }
-    )
-    out = (
-        rd.from_arrow(tbl)
-        .map_batches(
-            JpegResizeStage(target_w=16, target_h=16), batch_format="pyarrow"
-        )
-        .sort("media_id")
-        .take_all()
-    )
-    for row, im, payload in zip(out, imgs, payloads):
-        h, w, _ = im.shape
-        long_side = max(w, h)
-        exp_w, exp_h = max(1, w * 16 // long_side), max(1, h * 16 // long_side)
-        assert (row["out_w"], row["out_h"]) == (exp_w, exp_h)
-        exp_sig = hashlib.md5(
-            encode_jpeg(_nn(decode_jpeg(payload), exp_w, exp_h), quality=85)
-        ).hexdigest()
-        assert row["resized_sig"] == exp_sig
-
-
-def test_jpeg_restart_markers_roundtrip():
-    """DRI/RSTn: markers present, decode byte-identical to the no-restart
-    decode (same coefficients, predictor resets on both sides), missing
-    marker detected."""
-    img = _smooth_image(24, 32)
-    base = decode_jpeg(encode_jpeg(img, quality=90))
-    payload = encode_jpeg(img, quality=90, restart_interval=1)
-    assert b"\xff\xd0" in payload and b"\xff\xdd" in payload
-    np.testing.assert_array_equal(decode_jpeg(payload), base)
-    for sub in ("4:4:4", "4:2:0"):
-        for ri in (2, 3):
-            p = encode_jpeg(img, quality=90, subsample=sub, restart_interval=ri)
-            assert psnr(img, decode_jpeg(p)) > (30.0 if sub == "4:4:4" else 24.0)
-    # grey + restart
-    g = _smooth_image(16, 24)[:, :, 0]
-    p = encode_jpeg(g, quality=90, restart_interval=2)
-    assert psnr(np.repeat(g[:, :, None], 3, 2), decode_jpeg(p)) > 30.0
-    # excising one RST marker must raise, not silently misdecode
-    import pytest
-
-    broken = payload.replace(b"\xff\xd0", b"", 1)
-    with pytest.raises(ValueError):
-        decode_jpeg(broken)

@@ -110,3 +110,19 @@ def test_entry_smoke(ray_session):
     assert n > 0
     cols = [f.name for f in ds.schema().base_schema]
     assert {"url", "warc_ts", "html", "text", "lang"} <= set(cols)
+
+
+def test_flagship_removes_its_temporary_lake(ray_session):
+    """Without a work_dir the replay runs in a temporary directory, which
+    must be gone on return; the snapshot still reads after it is."""
+    import glob
+    import os
+    import tempfile
+
+    from radiant_portal_pipeline_ray.pipelines.flagship import run_flagship
+
+    pattern = os.path.join(tempfile.gettempdir(), "cdc_flagship_*")
+    before = set(glob.glob(pattern))
+    ds = run_flagship(SF_DIR)
+    assert set(glob.glob(pattern)) == before
+    assert ds.count() > 0

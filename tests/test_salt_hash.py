@@ -1,9 +1,9 @@
-"""Versioned salt-slot hash (VERDICT r3 'Next round' #5): v2 removes the
-last per-row Python from the apply hot path; v1 (CRC-32) routing stays
-bit-stable for lakes that committed under it."""
+"""Versioned salt-slot hash: every lake routes salted urls with the v2
+(vectorized polars) hash, guarded by a persisted fingerprint; a lake whose
+manifest records any other version, or none, is refused."""
 
 import json
-import time
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -14,7 +14,6 @@ from radiant_portal_pipeline_ray.functions.hashing import (
     extract_domain,
     salt_hash64_v2,
     salt_hash_fingerprint,
-    salt_slot,
 )
 
 
@@ -30,15 +29,6 @@ SALT_MAP = {
     f"hot-{d}.example.com": [100 + 3 * d, 101 + 3 * d, 102 + 3 * d]
     for d in range(3)
 }
-
-
-def test_v1_routing_matches_legacy_crc():
-    urls = pa.array(_urls(5000), type=pa.string())
-    doms = extract_domain(urls)
-    got = assign_parts(urls, doms, 8, SALT_MAP, salt_hash_version=1)
-    for u, d, p in zip(urls.to_pylist(), doms.to_pylist(), got.to_pylist()):
-        parts = SALT_MAP[d]
-        assert p == parts[salt_slot(u, len(parts))]
 
 
 def test_v2_routing_deterministic_and_spread():
@@ -59,30 +49,26 @@ def test_v2_routing_deterministic_and_spread():
         assert min(c.values()) > 0.2 * max(c.values())
 
 
-def test_v2_microbench_vs_v1_loop():
-    """The verdict's acceptance: ≥5x on 1M salted rows. The two paths run
-    in-process back to back, so co-tenant noise hits both; assert a
-    conservative 4x (typically ~15-30x measured)."""
-    urls = pa.array(_urls(1_000_000), type=pa.string())
-    doms = extract_domain(urls)
-    assign_parts(urls.slice(0, 1000), doms.slice(0, 1000), 8, SALT_MAP)  # warm
-    t0 = time.time()
-    v2 = assign_parts(urls, doms, 8, SALT_MAP, salt_hash_version=2)
-    t_v2 = time.time() - t0
-    t0 = time.time()
-    v1 = assign_parts(urls, doms, 8, SALT_MAP, salt_hash_version=1)
-    t_v1 = time.time() - t0
-    assert len(v2) == len(v1) == 1_000_000
-    speedup = t_v1 / t_v2
-    assert speedup >= 4.0, f"v2 speedup only {speedup:.1f}x (v1 {t_v1:.2f}s, v2 {t_v2:.2f}s)"
+def test_assign_parts_refuses_v1():
+    urls = pa.array(_urls(10), type=pa.string())
+    with pytest.raises(ValueError, match="salt_hash_version 1"):
+        assign_parts(urls, extract_domain(urls), 8, SALT_MAP, 1)
 
 
-def test_committed_v1_lake_keeps_crc_routing(ray_session, tmp_path):
-    """A lake whose manifest predates salt_hash_version (or says 1) must keep
-    routing new events with CRC-32 — carried rows and fresh events of a
-    salted domain co-locate across the upgrade."""
-    import pyarrow.compute as pc
+def _lake_files(root):
+    return sorted(
+        os.path.relpath(os.path.join(d, f), root)
+        for d, _, fs in os.walk(root)
+        for f in fs
+    )
 
+
+@pytest.mark.parametrize("recorded", [1, None], ids=["v1", "missing"])
+def test_lake_without_v2_salt_hash_is_refused(ray_session, tmp_path, recorded):
+    """A manifest recording salt_hash_version 1, or none (a lake committed
+    before the version existed), routed its salted rows with the retired
+    CRC-32 hash: the engine must refuse it rather than route new events
+    elsewhere, and publish nothing."""
     from radiant_portal_pipeline_ray.config import EngineConfig
     from radiant_portal_pipeline_ray.pipelines.apply import CdcEngine
     from radiant_portal_pipeline_ray.sources.generator import (
@@ -90,59 +76,31 @@ def test_committed_v1_lake_keeps_crc_routing(ray_session, tmp_path):
         generate_changelog,
     )
 
-    spec = ChangelogSpec(
-        n_urls=1200, n_events=4000, n_batches=3, seed=13, zipf_a=2.5
+    paths = generate_changelog(
+        str(tmp_path / "cl"),
+        ChangelogSpec(n_urls=300, n_events=900, n_batches=2, seed=5),
     )
-    paths = generate_changelog(str(tmp_path / "cl"), spec)
-    kw = dict(n_parts=4, salt_threshold_rows=400, salt_target_rows=250)
-    # round 1 committed by a v1-pinned engine (what a pre-v2 lake looks like)
-    eng = CdcEngine(
-        str(tmp_path / "lake"),
-        EngineConfig(salt_hash_version_default=1, **kw),
-    )
-    eng.apply([paths[0]])
-    lake = eng.lake
-    v = lake.current_version()
-    mp = lake._manifest_path(v)
+    lake = str(tmp_path / "lake")
+    CdcEngine(lake, EngineConfig(n_parts=4)).apply([paths[0]])
+    eng = CdcEngine(lake, EngineConfig(n_parts=4))
+    mp = eng.lake._manifest_path(eng.lake.current_version())
     with open(mp) as f:
         d = json.load(f)
-    assert d["salt_map"], "fixture must have salted domains"
-    assert d["salt_hash_version"] == 1
-    # truly-legacy manifests have NO version fields; from_json must default
-    # to v1 — strip them to prove it
-    d.pop("salt_hash_version", None)
-    d.pop("salt_hash_fingerprint", None)
+    if recorded is None:
+        d.pop("salt_hash_version")
+        d.pop("salt_hash_fingerprint")
+    else:
+        d["salt_hash_version"] = recorded
     with open(mp, "w") as f:
         json.dump(d, f)
+    before = _lake_files(lake)
 
-    # upgraded engine (v2 default) continues the lake
-    eng2 = CdcEngine(str(tmp_path / "lake"), EngineConfig(**kw))
-    for p in paths[1:]:
-        rep = eng2.apply([p])
-    man = eng2.lake.current_manifest()
-    assert man.salt_hash_version == 1, "legacy lake must stay on v1 routing"
-    # exactly-once invariant survives: one live row per url, and every
-    # salted url's row sits in the partition CRC-32 routing says
-    t = eng2.snapshot_table()
-    urls = t.column("url")
-    assert pc.count_distinct(urls).as_py() == t.num_rows
-    doms = extract_domain(urls)
-    expect = assign_parts(urls, doms, 4, man.salt_map, salt_hash_version=1)
-    got_parts = t.column("part") if "part" in t.schema.names else None
-    if got_parts is None:
-        # part isn't a snapshot column; verify via per-partition file reads
-        import pyarrow.parquet as pq
-
-        for p_id, st in man.partitions.items():
-            for f in st.files:
-                tt = pq.read_table(lake.abspath(f), columns=["url"])
-                dd = extract_domain(tt.column("url"))
-                pp = assign_parts(
-                    tt.column("url"), dd, 4, man.salt_map, salt_hash_version=1
-                )
-                assert set(pp.to_pylist()) <= {p_id}, (
-                    f"rows in part {p_id} route elsewhere under v1"
-                )
+    with pytest.raises(ValueError, match=f"salt_hash_version {recorded}"):
+        eng.apply([paths[1]])
+    with pytest.raises(ValueError, match=f"salt_hash_version {recorded}"):
+        eng.read_snapshot()
+    assert _lake_files(lake) == before
+    assert eng.lake.versions() == [1]
 
 
 def test_new_lake_commits_v2_with_fingerprint(ray_session, tmp_path):
