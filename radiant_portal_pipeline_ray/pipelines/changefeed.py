@@ -31,7 +31,12 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from radiant_portal_pipeline_ray.stages.taskshuffle import local_dataset
+from radiant_portal_pipeline_ray.stages.taskshuffle import (
+    collect,
+    exchange_group,
+    exchange_join,
+    local_dataset,
+)
 from radiant_portal_pipeline_ray.state import lakescan
 
 _DIFF_COLS = ["url", "lsn", "deleted"]
@@ -90,11 +95,12 @@ def _diff_kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
     return out.filter(keep)
 
 
-def read_changes(engine, v_from: int, v_to: int, n_buckets: int = 64) -> "rd.Dataset":
+def read_changes(
+    engine, v_from: int, v_to: int, n_buckets: int = 64, *, sort_by=None
+) -> "rd.Dataset":
     """Streaming Dataset of ``(change_op, url, lsn_from, lsn_to)`` between
-    two retained manifest versions (see module docstring for semantics)."""
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_join
-
+    two retained manifest versions (see module docstring for semantics), in
+    ``sort_by`` order when given (as in ``taskshuffle.exchange_join``)."""
     m_from = engine.lake.read_manifest(v_from)
     m_to = engine.lake.read_manifest(v_to)
 
@@ -108,7 +114,7 @@ def read_changes(engine, v_from: int, v_to: int, n_buckets: int = 64) -> "rd.Dat
     left = _version_side(engine, m_from, changed)
     right = _version_side(engine, m_to, changed)
     return exchange_join(
-        left, right, ["url"], ["url"], n_buckets, _diff_kernel
+        left, right, ["url"], ["url"], n_buckets, _diff_kernel, sort_by=sort_by
     )
 
 
@@ -193,11 +199,8 @@ def cdc_change_feed(sf_dir: str):
         eng = CdcEngine(os.path.join(work, "lake"), EngineConfig(n_parts=8))
         for p in paths:
             eng.apply([p])
-        return (
-            read_changes(eng, 1, 2)
-            .sort("url")
-            .materialize()  # the lake under /tmp is removed on return
-        )
+        # materialized: the lake under /tmp is removed on return
+        return read_changes(eng, 1, 2, sort_by="url").materialize()
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -287,34 +290,26 @@ def _fold_domain(t: pa.Table) -> pa.Table:
     )
 
 
-def _collect_sorted(ds: "rd.Dataset") -> pa.Table:
-    """Materialize a (small, already-folded) stats dataset to one
-    domain-sorted arrow table — the query-surface/demo step only; the
-    scale path writes the folded buckets straight to partitioned parquet."""
-    import ray
+#: the per-domain stats table
+_STATS_SCHEMA = pa.schema(
+    [("domain", pa.string()), ("n_docs", pa.int64()), ("sum_lsn", pa.int64())]
+)
 
-    mat = ds.materialize()
-    tabs = [t for t in ray.get(mat.to_arrow_refs()) if t.num_rows]
-    if not tabs:
-        return pa.table(
-            {
-                "domain": pa.array([], type=pa.string()),
-                "n_docs": pa.array([], type=pa.int64()),
-                "sum_lsn": pa.array([], type=pa.int64()),
-            }
-        )
-    t = pa.concat_tables(tabs)
-    return t.take(pc.sort_indices(t, sort_keys=[("domain", "ascending")]))
+
+def _fold_stats(partials: "rd.Dataset") -> pa.Table:
+    """Fold (small) per-domain partials into the domain-sorted stats table
+    on the driver — the query-surface/demo step only; the scale path writes
+    the folded buckets straight to partitioned parquet."""
+    return collect(
+        exchange_group(partials, ["domain"], 64, _fold_domain, sort_by="domain"),
+        _STATS_SCHEMA,
+    )
 
 
 def domain_stats_table(ds: "rd.Dataset") -> pa.Table:
     """Full per-domain (n_docs, sum_lsn) recompute from (url, lsn) rows:
     per-batch partials → keyed exchange fold on ``domain``."""
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    return _collect_sorted(
-        exchange_group(_domain_partials(ds), ["domain"], 64, _fold_domain)
-    )
+    return _fold_stats(_domain_partials(ds))
 
 
 def _delta_partials(changes: "rd.Dataset") -> "rd.Dataset":
@@ -388,15 +383,8 @@ def cdc_incremental_agg(sf_dir: str):
         # seed partials ∪ delta partials → ONE keyed exchange fold on
         # domain. No driver dict: at 10⁸ domains each hash bucket folds
         # its own disjoint slice (VERDICT r4 'What's wrong' #2).
-        from radiant_portal_pipeline_ray.stages.taskshuffle import (
-            exchange_group,
-        )
-
         deltas = _delta_partials(eng.read_changes(1, 2))
-        folded = exchange_group(
-            seed.union(deltas), ["domain"], 64, _fold_domain
-        )
-        return _collect_sorted(folded)
+        return _fold_stats(seed.union(deltas))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -457,8 +445,6 @@ def cdc_incremental_join(sf_dir: str):
     from radiant_portal_pipeline_ray.pipelines.flagship import (
         documents_changelog,
     )
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
     # small dimension: per-source document count (an attribute NOT
     # derivable from the url — a genuine join, broadcast once)
     dim = (

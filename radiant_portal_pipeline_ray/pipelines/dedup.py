@@ -50,8 +50,9 @@ from radiant_portal_pipeline_ray.stages.dedup import (
     _run_bounds,
     make_band_exploder,
     make_partitioned_pair_generator,
-    make_pkey_adder,
 )
+from radiant_portal_pipeline_ray.stages.joins import hash_partitioned_join
+from radiant_portal_pipeline_ray.stages.taskshuffle import collect, exchange_group
 
 logger = logging.getLogger(__name__)
 
@@ -90,8 +91,6 @@ def dd_exact(sf_dir: str):
         t = pa.table({"h": h, "doc_id": b.column("doc_id")})
         g = t.group_by("h").aggregate([("doc_id", "min"), ("doc_id", "count")])
         return g.rename_columns(["h", "rep_doc_id", "n_copies"])
-
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
     def final_combine(g: pa.Table) -> pa.Table:
         out = g.group_by("h").aggregate(
@@ -140,10 +139,7 @@ def candidate_shingle_table(
         filter=pc.field("doc_id").isin(ids),
     )
     sh = ds.map_batches(ShingleExplodeStage(k=k), batch_format="pyarrow")
-    parts = [p for p in ray.get(sh.to_arrow_refs()) if p.num_rows]
-    if not parts:
-        return empty
-    return pa.concat_tables(parts).combine_chunks()
+    return collect(sh, empty.schema)
 
 
 #: below this many bucket rows the pair generation runs as ONE vectorized
@@ -160,12 +156,7 @@ def _bucket_pairs(bucket_ds: "rd.Dataset", key_col: str, max_bucket: int):
     gen = make_partitioned_pair_generator(key_col, "doc_id", max_bucket)
     bucket_ds = bucket_ds.select_columns([key_col, "doc_id"]).materialize()
     if bucket_ds.count() <= _DRIVER_PAIR_THRESHOLD:
-        t = pa.concat_tables(
-            [p for p in ray.get(bucket_ds.to_arrow_refs()) if p.num_rows]
-        )
-        return gen(t.combine_chunks())
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
+        return gen(collect(bucket_ds))
     return exchange_group(bucket_ds, [key_col], 64, gen)
 
 
@@ -280,10 +271,6 @@ def distributed_verify(
     Reference analogue: the any-size anti/semi-join shape of
     `radiant/dags/sql/radiant/variant_lookup_insert_hashes.sql:1-6`.
     """
-    from radiant_portal_pipeline_ray.stages.hashjoin import (
-        hash_partitioned_join,
-    )
-
     # 1. distinct pairs + drop-marker split ------------------------------
     dp_all = _grouped_count(pairs, ["doc_a", "doc_b"], "__mult").materialize()
 
@@ -345,9 +332,8 @@ def distributed_verify(
         lambda b: b.rename_columns(["doc_id", "n_b"]), batch_format="pyarrow"
     )
     ja = hash_partitioned_join(inter, sizes_a, left_on="doc_a", right_on="doc_id")
-    jb = hash_partitioned_join(ja, sizes_b, left_on="doc_b", right_on="doc_id")
 
-    def finish(b: pa.Table) -> pa.Table:
+    def threshold(b: pa.Table) -> pa.Table:
         inter_c = pc.cast(b.column("inter"), pa.int64())
         uni = pc.cast(
             pc.subtract(pc.add(b.column("n_a"), b.column("n_b")), inter_c),
@@ -369,8 +355,9 @@ def distributed_verify(
             }
         ).filter(keep)
 
-    return jb.map_batches(finish, batch_format="pyarrow").sort(
-        ["doc_a", "doc_b"]
+    return hash_partitioned_join(
+        ja, sizes_b, left_on="doc_b", right_on="doc_id",
+        finish=threshold, sort_by=["doc_a", "doc_b"],
     )
 
 
@@ -400,17 +387,11 @@ def _verify_pairs(
             return distributed_verify(
                 shingle_ds, pairs_ds, num=num, den=den, query=query
             )
-        parts = [p for p in ray.get(pairs_ds.to_arrow_refs()) if p.num_rows]
-        pt = (
-            pa.concat_tables(parts)
-            if parts
-            else pa.table(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                    "dropped_bucket": pa.array([], pa.int64()),
-                }
-            )
+        pt = collect(
+            pairs_ds,
+            pa.schema(
+                [(c, pa.int64()) for c in ("doc_a", "doc_b", "dropped_bucket")]
+            ),
         )
     drops = pt.filter(pc.equal(pt.column("doc_a"), -1)).column(
         "dropped_bucket"
@@ -477,9 +458,7 @@ def dd_ngram_jaccard(sf_dir: str, max_bucket: int = 4096):
         # exactness-anchor path: within-bucket pairs carry multiplicity =
         # number of shared shingles, so `inter` is ONE C-speed group_by
         # count — no per-pair set intersections at all
-        t = pa.concat_tables(
-            [p for p in ray.get(sh.to_arrow_refs()) if p.num_rows]
-        ).combine_chunks()
+        t = collect(sh)
         pt = gen(t)
         drops = pt.filter(pc.equal(pt.column("doc_a"), -1)).column(
             "dropped_bucket"
@@ -503,7 +482,7 @@ def dd_ngram_jaccard(sf_dir: str, max_bucket: int = 4096):
                 .aggregate([])
             )
             return rd.from_arrow(
-                _verify_table_driver(cand, t.combine_chunks(), 1, 2)
+                _verify_table_driver(cand, t, 1, 2)
             )
         inter = (
             real.group_by(["doc_a", "doc_b"])
@@ -797,18 +776,9 @@ def dd_simhash(sf_dir: str, max_bucket: int = 4096):
 
     buckets = buckets.materialize()
     if buckets.count() <= _DRIVER_PAIR_THRESHOLD:
-        bt = pa.concat_tables(
-            [p for p in ray.get(buckets.to_arrow_refs()) if p.num_rows]
-        )
-        pt = partition_pairs(bt.combine_chunks())
+        pt = partition_pairs(collect(buckets))
     else:
-        from radiant_portal_pipeline_ray.stages.taskshuffle import (
-            exchange_group,
-        )
-
-        pairs = exchange_group(buckets, ["chunk_key"], 64, partition_pairs)
-        parts = ray.get(pairs.to_arrow_refs())
-        pt = pa.concat_tables([p for p in parts if p.num_rows])
+        pt = collect(exchange_group(buckets, ["chunk_key"], 64, partition_pairs))
     if pt.num_rows == 0:
         return rd.from_arrow(
             pa.table(
@@ -888,10 +858,6 @@ def connected_components_distributed(
     rounds suffices. Returns ``(doc_id, rep_doc_id)`` for every node of
     the pair graph, rep = component-min doc_id.
     """
-    from radiant_portal_pipeline_ray.stages.hashjoin import (
-        hash_partitioned_join,
-    )
-
     def sym(b: pa.Table) -> pa.Table:
         a = b.column("doc_a").to_numpy(zero_copy_only=False)
         bb = b.column("doc_b").to_numpy(zero_copy_only=False)
@@ -1020,7 +986,7 @@ def fold_components(pairs: "rd.Dataset") -> "rd.Dataset":
                 lambda b: b.select(["doc_a", "doc_b"]), batch_format="pyarrow"
             )
         )
-    pt = pa.concat_tables(ray.get(pairs.to_arrow_refs()))
+    pt = collect(pairs)
     a = pt.column("doc_a").to_numpy()
     b = pt.column("doc_b").to_numpy()
 
@@ -1094,8 +1060,6 @@ def dd_passage_dedup(sf_dir: str, width: int = _PASSAGE_WIDTH):
     """Corpus-wide exact passage dedup; docs with fewer than ``width`` words
     contribute no passages (and no output row), matching the oracle."""
     from radiant_portal_pipeline_ray.stages.passages import explode_fixed_passages
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
     ds = _docs(sf_dir, ["doc_id", "text"])
     exploded = ds.map_batches(
         lambda b: explode_fixed_passages(b, width), batch_format="pyarrow"
@@ -1176,8 +1140,6 @@ def dd_decontaminate(
     """Training docs whose text shares any sliding ``width``-gram with the
     eval split (``doc_id % eval_mod == 0``), with occurrence counts."""
     from radiant_portal_pipeline_ray.stages.passages import sliding_ngram_hashes
-    from radiant_portal_pipeline_ray.stages.taskshuffle import _concat_or_empty
-
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def eval_grams(b: pa.Table) -> pa.Table:
@@ -1187,16 +1149,8 @@ def dd_decontaminate(
         return pa.table({"g64": pc.unique(g.column("g64"))})
 
     gram_schema = pa.schema([pa.field("g64", pa.uint64())])
-    parts = ray.get(
-        docs.map_batches(eval_grams, batch_format="pyarrow")
-        .materialize()
-        .to_arrow_refs()
-    )
-    eval_h = np.unique(
-        _concat_or_empty(parts, gram_schema).column("g64").to_numpy(
-            zero_copy_only=False
-        )
-    )
+    grams = collect(docs.map_batches(eval_grams, batch_format="pyarrow"), gram_schema)
+    eval_h = np.unique(grams.column("g64").to_numpy(zero_copy_only=False))
     if len(eval_h) > _DECON_MAX_EVAL_GRAMS:
         raise ValueError(
             f"eval n-gram set has {len(eval_h)} distinct grams; "

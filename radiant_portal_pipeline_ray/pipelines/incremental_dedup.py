@@ -72,8 +72,11 @@ import ray.data as rd
 from radiant_portal_pipeline_ray.stages.dedup import MinHashStage, make_band_exploder
 from radiant_portal_pipeline_ray.stages.taskshuffle import (
     bucket_ids,
+    collect,
     exchange_group,
     exchange_join,
+    local_dataset,
+    sort_table,
 )
 from radiant_portal_pipeline_ray.state import lakescan
 
@@ -121,12 +124,6 @@ _PAIRS_SCHEMA = pa.schema(
 
 def _as_array(col):
     return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-
-
-def _empty(schema: pa.Schema) -> pa.Table:
-    return pa.Table.from_arrays(
-        [pa.array([], type=f.type) for f in schema], schema=schema
-    )
 
 
 def _arange(n: int) -> pa.Array:
@@ -225,7 +222,7 @@ def _fold_files(files: list[tuple[int, str]], kind: str) -> pa.Table:
             )
         )
     if not tabs:
-        return _empty(payload)
+        return payload.empty_table()
     all_rows = pa.concat_tables(tabs, promote_options="permissive")
     return _fold_lww(all_rows, payload).combine_chunks()
 
@@ -404,7 +401,7 @@ class SignatureIndex:
             if files:
                 refs.append(_read_bucket_task.remote(files, kind))
         if not refs:
-            return rd.from_arrow(_empty(payload))
+            return rd.from_arrow(payload.empty_table())
         return rd.from_arrow_refs(refs)
 
     # -- signature computation --------------------------------------------------
@@ -479,7 +476,7 @@ class SignatureIndex:
         files = lakescan.part_files(m_to, changed_parts)
         if not files:
             return rd.from_arrow(
-                _empty(pa.schema([("url", pa.string()), ("text", pa.string())]))
+                pa.schema([("url", pa.string()), ("text", pa.string())]).empty_table()
             )
         incoming = engine.read_changes(v_from, v_to).map_batches(
             lambda b: b.filter(
@@ -533,10 +530,7 @@ class SignatureIndex:
         sch = ds.schema(fetch_if_missing=True)
         if sch is None:
             return None
-        tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-        if not tabs:
-            return _empty(pa.schema(sch.base_schema))
-        return pa.concat_tables(tabs, promote_options="permissive").combine_chunks()
+        return collect(ds, pa.schema(sch.base_schema))
 
     def _per_bucket_wave(
         self, kind: str, table: pa.Table, keys: list[str], task, payload_fn
@@ -564,12 +558,12 @@ class SignatureIndex:
             else None
         )
 
-    def _probe_small(self, sigs_t: pa.Table) -> "rd.Dataset":
+    def _probe_small(self, sigs_t: pa.Table) -> pa.Table:
         """Small-increment probe: the incoming signature table lives on the
         driver (bounded by _SMALL_SIG_BYTES); two task waves — candidate
         generation per touched band bucket, signature fetch per touched sig
         bucket — then one vectorized local score."""
-        empty = rd.from_arrow(_empty(_PAIRS_SCHEMA))
+        empty = _PAIRS_SCHEMA.empty_table()
         if sigs_t.num_rows == 0:
             return empty
         bands_t = _explode_url_bands(sigs_t)
@@ -622,11 +616,12 @@ class SignatureIndex:
                 "est_sim": pa.array(match[keep] / float(N_PERM), pa.float64()),
             }
         )
-        return rd.from_arrow(out)
+        return out
 
-    def probe(self, engine, v_from: int, v_to: int) -> "rd.Dataset":
+    def probe(self, engine, v_from: int, v_to: int, *, sort_by=None) -> "rd.Dataset":
         """Near-dup pairs (new_url, old_url, sig_match, est_sim) between the
-        v_from→v_to incoming documents and the indexed corpus (state v_from).
+        v_from→v_to incoming documents and the indexed corpus (state v_from),
+        in ``sort_by`` order when given (as in ``taskshuffle.exchange_join``).
         Self-pairs (an update colliding with its own old version) are
         excluded. The base documents' text is never read. Small increments
         (the common case) run on the broadcast fast path; large ones on
@@ -641,7 +636,8 @@ class SignatureIndex:
         ).materialize()
         small = self._gather_small(new_sigs)
         if small is not None:
-            return self._probe_small(small)
+            t = self._probe_small(small)
+            return local_dataset(t if sort_by is None else sort_table(t, sort_by))
         probe_bands = new_sigs.map_batches(
             _explode_url_bands, batch_format="pyarrow"
         ).materialize()
@@ -681,7 +677,7 @@ class SignatureIndex:
         ).materialize()
 
         if cands.count() == 0:
-            return rd.from_arrow(_empty(_PAIRS_SCHEMA))
+            return local_dataset(_PAIRS_SCHEMA.empty_table())
 
         old_sigs = self._read_buckets(
             "sigs", self._touched(cands, ["old_url"])
@@ -698,7 +694,7 @@ class SignatureIndex:
         def score(ct: pa.Table, st: pa.Table) -> pa.Table:
             c, s = _join_take(ct, st, "new_url", "url")
             if c.num_rows == 0:
-                return _empty(_PAIRS_SCHEMA)
+                return _PAIRS_SCHEMA.empty_table()
             a = (
                 pc.list_flatten(_as_array(s.column("minhash")))
                 .to_numpy()
@@ -726,7 +722,8 @@ class SignatureIndex:
             )
 
         return exchange_join(
-            with_old, new_sigs, ["new_url"], ["url"], self.n_buckets, score
+            with_old, new_sigs, ["new_url"], ["url"], self.n_buckets, score,
+            sort_by=sort_by,
         )
 
     def _update_small(
@@ -933,7 +930,7 @@ class SignatureIndex:
         ).materialize()
         small_removed = self._gather_small(removed)
         if small_sigs is not None and small_removed is not None:
-            pairs = self._probe_small(small_sigs)
+            pairs = local_dataset(self._probe_small(small_sigs))
             stats = self._update_small(small_sigs, small_removed, v_to)
             return pairs, stats
         # large increment: the extra pass of the sequential full paths is
@@ -944,16 +941,11 @@ class SignatureIndex:
 
     def snapshot_entries(self, kind: str) -> pa.Table:
         """All live entries of one sidecar (tests / parity checks only)."""
-        ds = self._read_buckets(kind, list(range(self.n_buckets)))
-        refs = ds.materialize().to_arrow_refs()
         payload = pa.schema(
             [f for f in (_BANDS_SCHEMA if kind == "bands" else _SIGS_SCHEMA)
              if f.name != "op"]
         )
-        tabs = [t for t in ray.get(refs) if t.num_rows]
-        if not tabs:
-            return _empty(payload)
-        return pa.concat_tables(tabs, promote_options="permissive")
+        return collect(self._read_buckets(kind, list(range(self.n_buckets))), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,11 +1079,8 @@ def dd_incremental_neardup(sf_dir: str):
             eng.apply([p])
         idx = SignatureIndex(os.path.join(work, "sigindex"), n_buckets=32)
         idx.build(eng, 1)
-        return (
-            idx.probe(eng, 1, 2)
-            .sort(["new_url", "old_url"])
-            .materialize()  # the lake under /tmp is removed on return
-        )
+        # materialized: the lake under /tmp is removed on return
+        return idx.probe(eng, 1, 2, sort_by=["new_url", "old_url"]).materialize()
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -24,7 +24,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data as rd
 
 from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
 
@@ -35,10 +34,16 @@ from radiant_portal_pipeline_ray.stages.aggregates import (
     topk_per_key,
     window,
 )
-from radiant_portal_pipeline_ray.stages.hashjoin import hash_partitioned_join
 from radiant_portal_pipeline_ray.stages.joins import (
+    hash_partitioned_join,
     make_broadcast_join,
     make_semi_filter,
+)
+from radiant_portal_pipeline_ray.stages.taskshuffle import (
+    collect,
+    exchange_group,
+    exchange_join,
+    local_dataset,
 )
 
 QUERIES: dict = {}
@@ -223,10 +228,11 @@ def q_customers_without_orders(sf_dir: str, broadcast_limit: int = 5_000_000):
     ).select_columns(["o_custkey"])
     cust = read_parquet_clean(_pq(sf_dir, "customer"), columns=["c_custkey", "c_name"])
     if keys_ds.count() > broadcast_limit:
-        anti = hash_partitioned_join(
-            cust, keys_ds, "c_custkey", "o_custkey", how="anti"
+        return hash_partitioned_join(
+            cust, keys_ds, "c_custkey", "o_custkey", how="anti",
+            finish=lambda t: t.select(["c_custkey", "c_name"]),
+            sort_by="c_custkey",
         )
-        return anti.select_columns(["c_custkey", "c_name"]).sort("c_custkey")
     seen = keys_ds.unique("o_custkey")
     key_set = pa.table({"o_custkey": pa.array(sorted(seen), type=pa.int64())})
     anti = cust.map_batches(
@@ -265,10 +271,11 @@ def q_parts_shipped_recently(sf_dir: str, broadcast_limit: int = 5_000_000):
             return b.group_by("l_partkey").aggregate([])
 
         keys_d = keys_ds.map_batches(batch_distinct, batch_format="pyarrow")
-        semi = hash_partitioned_join(
-            part, keys_d, "p_partkey", "l_partkey", how="semi"
+        return hash_partitioned_join(
+            part, keys_d, "p_partkey", "l_partkey", how="semi",
+            finish=lambda t: t.select(["p_partkey", "p_name"]),
+            sort_by="p_partkey",
         )
-        return semi.select_columns(["p_partkey", "p_name"]).sort("p_partkey")
     keys = keys_ds.unique("l_partkey")
     key_set = pa.table({"l_partkey": pa.array(sorted(keys), type=pa.int64())})
     return part.map_batches(
@@ -321,8 +328,11 @@ def q_parts_shipped_bloom(sf_dir: str, log2_m: int = 20):
         return b.group_by("l_partkey").aggregate([])
 
     keys_d = keys_ds.map_batches(batch_distinct, batch_format="pyarrow")
-    semi = hash_partitioned_join(survivors, keys_d, "p_partkey", "l_partkey", how="semi")
-    return semi.select_columns(["p_partkey", "p_name"]).sort("p_partkey")
+    return hash_partitioned_join(
+        survivors, keys_d, "p_partkey", "l_partkey", how="semi",
+        finish=lambda t: t.select(["p_partkey", "p_name"]),
+        sort_by="p_partkey",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +463,6 @@ def q_distinct_flag_status(sf_dir: str):
     def dedup(b: pa.Table) -> pa.Table:
         return b.group_by(["l_returnflag", "l_linestatus"]).aggregate([])
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
     return exchange_group(
         ds.map_batches(dedup, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
@@ -490,8 +498,6 @@ def q_union_distinct_custkeys(sf_dir: str):
 
     def batch_distinct(t: pa.Table) -> pa.Table:
         return t.group_by("custkey").aggregate([])
-
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
     def bucket_count(t: pa.Table) -> pa.Table:
         nd = t.group_by("custkey").aggregate([]).num_rows
@@ -550,15 +556,13 @@ def q_top_tokens(sf_dir: str, k: int = 20, n_partitions: int = 64):
             )
         ).slice(0, k)
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
     pruned = exchange_group(
         docs.map_batches(explode_count, batch_format="pyarrow"),
         ["token"],
         n_partitions,
         partition_topk,
     )
-    t = pa.Table.from_pylist(pruned.take_all())  # ≤ n_partitions·k rows
+    t = collect(pruned)  # ≤ n_partitions·k rows
     t = t.take(
         pc.sort_indices(
             t, sort_keys=[("n", "descending"), ("token", "ascending")]
@@ -642,8 +646,8 @@ def q_event_type_stats(sf_dir: str):
     counts = partial_final_groupby(
         prepped, ["event_type"], [("one", "sum", "n_events")]
     )
-    dt = pa.Table.from_pylist(distincts.take_all())
-    ct = pa.Table.from_pylist(counts.take_all())
+    dt = collect(distincts)
+    ct = collect(counts)
     out = ct.join(dt, keys=["event_type"])
     out = out.select(["event_type", "n_events", "n_users", "n_users_big"])
     out = pa.table(
@@ -884,8 +888,6 @@ def q_nation_segments(sf_dir: str):
             }
         )
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
     return exchange_group(
         cust, ["c_nationkey"], 16, agg_bucket, sort_by="c_nationkey"
     )
@@ -989,15 +991,13 @@ def q_left_join_rank1(sf_dir: str):
         _pq(sf_dir, "orders"),
         columns=["o_orderkey", "o_orderstatus", "o_totalprice"],
     )
-    joined = hash_partitioned_join(
+    return hash_partitioned_join(
         orders,
         r1,
         ["o_orderkey", "o_orderstatus"],
         ["l_orderkey", "l_linestatus"],
         how="left",
-    )
-    return joined.map_batches(
-        lambda b: pa.table(
+        finish=lambda b: pa.table(
             {
                 "o_orderkey": b.column("o_orderkey"),
                 "o_orderstatus": b.column("o_orderstatus"),
@@ -1006,8 +1006,8 @@ def q_left_join_rank1(sf_dir: str):
                 "top_linenumber": pc.cast(b.column("l_linenumber"), pa.int64()),
             }
         ),
-        batch_format="pyarrow",
-    ).sort("o_orderkey")
+        sort_by="o_orderkey",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1223,11 +1223,10 @@ def q_asof_latest_order(sf_dir: str, n_buckets: int = 64):
             pc.if_else(mask, pa.scalar(None, pa.int64()), res.column("o_orderkey")),
         )
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_join
-
     return exchange_join(
-        ev, orders, ["user_id"], ["o_custkey"], n_buckets, asof_bucket
-    ).sort("event_id")
+        ev, orders, ["user_id"], ["o_custkey"], n_buckets, asof_bucket,
+        sort_by="event_id",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1378,9 +1377,10 @@ def q_rollup_revenue(sf_dir: str):
         )
         return out.take(idx)
 
-    # the fine grain is O(#nations) rows — fold the rollup in one block
-    return fine.repartition(1).map_batches(
-        rollup, batch_format="pyarrow", batch_size=None
+    # the fine grain is O(#nations) rows — fold the rollup on the driver
+    names = ("region_name", "nation_name")
+    return local_dataset(
+        rollup(collect(fine, _schema(*names, "revenue_c", "n_orders", strings=names)))
     )
 
 
@@ -1574,11 +1574,10 @@ def q_orders_above_customer_avg(sf_dir: str, n_buckets: int = 64):
         )
         return j.filter(keep).select(["o_orderkey", "o_custkey", "totalprice_c"])
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_join
-
     return exchange_join(
-        fact, agg, ["o_custkey"], ["o_custkey"], n_buckets, above_avg
-    ).sort("o_orderkey")
+        fact, agg, ["o_custkey"], ["o_custkey"], n_buckets, above_avg,
+        sort_by="o_orderkey",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1665,8 +1664,6 @@ def q_funnel_users(sf_dir: str, n_partitions: int = 64):
             )
         )
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
     return exchange_group(ev, ["user_id"], n_partitions, funnel, sort_by="user_id")
 
 
@@ -1733,8 +1730,6 @@ def q_heavy_hitter_tokens(sf_dir: str, s: int = 200, n_partitions: int = 32):
         g = group.group_by("token").aggregate([("cnt", "sum")])
         return g.rename_columns(["token", "cnt"])
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
     cand = exchange_group(
         docs.map_batches(candidates, batch_format="pyarrow"),
         ["token"],
@@ -1742,7 +1737,7 @@ def q_heavy_hitter_tokens(sf_dir: str, s: int = 200, n_partitions: int = 32):
         dedup,
     )
     # bounded driver materialization: < s candidates per batch, deduped
-    cand_t = pa.Table.from_pylist(cand.take_all())
+    cand_t = collect(cand)
     total_n = pc.sum(
         cand_t.filter(pc.equal(cand_t.column("token"), "")).column("cnt")
     ).as_py()
@@ -1777,7 +1772,7 @@ def q_heavy_hitter_tokens(sf_dir: str, s: int = 200, n_partitions: int = 32):
         n_partitions,
         final_sum,
     )
-    t = pa.Table.from_pylist(exact.take_all())  # ≤ |candidates| rows
+    t = collect(exact)  # ≤ |candidates| rows
     if t.num_rows == 0:
         return pa.table({"token": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
     t = t.set_column(1, pa.field("n", pa.int64()), pc.cast(t.column("n"), pa.int64()))
@@ -1941,8 +1936,7 @@ def q_full_outer_activity(sf_dir: str):
             {"id": b.column("id"), "n_orders": pc.cast(b.column("n_orders"), pa.int64())}
         ),
     )
-    joined = hash_partitioned_join(u, o, "id", how="full outer")
-    return joined.sort("id")
+    return hash_partitioned_join(u, o, "id", how="full outer", sort_by="id")
 
 
 # ---------------------------------------------------------------------------
@@ -2038,6 +2032,18 @@ def q_top_tokens_per_lang(sf_dir: str, k: int = 5, n_partitions: int = 64):
         g = t.group_by(["lang", "token"]).aggregate([("token", "count")])
         return g.rename_columns(["lang", "token", "n"])
 
+    def top_per_lang(g: pa.Table) -> pa.Table:
+        from radiant_portal_pipeline_ray.stages.aggregates import (
+            topk_per_key_table,
+        )
+
+        neg = pc.multiply(g.column("n"), pa.scalar(-1, pa.int64()))
+        pruned = topk_per_key_table(
+            g.append_column("neg_n", neg),
+            ["lang"], [("neg_n", "ascending"), ("token", "ascending")], k=k,
+        )
+        return pruned.select(["lang", "token", "n"])
+
     def exact_then_prune(group: pa.Table) -> pa.Table:
         g = (
             group.group_by(["lang", "token"])
@@ -2048,30 +2054,7 @@ def q_top_tokens_per_lang(sf_dir: str, k: int = 5, n_partitions: int = 64):
         # bucket-local top-k per lang over GLOBAL counts (all of a pair's
         # partials landed here, so n is exact; a lang's true top-k is a
         # subset of the union of per-bucket top-ks)
-        neg = pc.multiply(g.column("n"), pa.scalar(-1, pa.int64()))
-        g2 = g.append_column("neg_n", neg)
-        from radiant_portal_pipeline_ray.stages.aggregates import (
-            topk_per_key_table,
-        )
-
-        pruned = topk_per_key_table(
-            g2, ["lang"], [("neg_n", "ascending"), ("token", "ascending")], k=k
-        )
-        return pruned.select(["lang", "token", "n"])
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        from radiant_portal_pipeline_ray.stages.aggregates import (
-            topk_per_key_table,
-        )
-
-        neg = pc.multiply(group.column("n"), pa.scalar(-1, pa.int64()))
-        g2 = group.append_column("neg_n", neg)
-        pruned = topk_per_key_table(
-            g2, ["lang"], [("neg_n", "ascending"), ("token", "ascending")], k=k
-        )
-        return pruned.select(["lang", "token", "n"])
-
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+        return top_per_lang(g)
 
     pair_counts = exchange_group(
         docs.map_batches(explode_count, batch_format="pyarrow"),
@@ -2079,25 +2062,10 @@ def q_top_tokens_per_lang(sf_dir: str, k: int = 5, n_partitions: int = 64):
         n_partitions,
         exact_then_prune,
     )
-    out = exchange_group(pair_counts, ["lang"], 16, final_topk)
-    return _sorted_topk_output(out)
-
-
-def _sorted_topk_output(out):
-    def order(b: pa.Table) -> pa.Table:
-        return b.take(
-            pc.sort_indices(
-                b,
-                sort_keys=[
-                    ("lang", "ascending"),
-                    ("n", "descending"),
-                    ("token", "ascending"),
-                ],
-            )
-        )
-
-    # ≤ k rows per lang per bucket — tiny; one block, one deterministic sort
-    return out.repartition(1).map_batches(order, batch_format="pyarrow", batch_size=None)
+    return exchange_group(
+        pair_counts, ["lang"], 16, top_per_lang,
+        sort_by=["lang", ("n", "descending"), "token"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -2203,8 +2171,9 @@ def q_cube_revenue(sf_dir: str):
             )
         )
 
-    return (
-        fine.repartition(1).map_batches(cube, batch_format="pyarrow", batch_size=None)
+    names = ("region_name", "segment")
+    return local_dataset(
+        cube(collect(fine, _schema(*names, "revenue_c", "n_orders", strings=names)))
     )
 
 
@@ -2253,11 +2222,10 @@ def q_except_recent_custkeys(sf_dir: str, n_buckets: int = 32):
         )
         return lt.filter(keep)
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_join
-
     return exchange_join(
-        l, r, ["custkey"], ["custkey"], n_buckets, except_bucket
-    ).sort("custkey")
+        l, r, ["custkey"], ["custkey"], n_buckets, except_bucket,
+        sort_by="custkey",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -2359,11 +2327,10 @@ def q_intersect_active_custkeys(sf_dir: str, n_buckets: int = 32):
             )
         )
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_join
-
     return exchange_join(
-        l, r, ["custkey"], ["custkey"], n_buckets, intersect_bucket
-    ).sort("custkey")
+        l, r, ["custkey"], ["custkey"], n_buckets, intersect_bucket,
+        sort_by="custkey",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -2415,8 +2382,6 @@ def q_modal_event_type(sf_dir: str, n_partitions: int = 64):
                 "n": top.column("n"),
             }
         )
-
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
     return exchange_group(
         ev.map_batches(partial, batch_format="pyarrow"),
@@ -2763,12 +2728,8 @@ def q3_shipping_priority(sf_dir: str, k: int = 10):
             pa.array(order)
         )
 
-    # per-batch prune (≤k rows survive each batch) → one-block final pick
-    return (
-        agg.map_batches(topk, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(topk, batch_format="pyarrow", batch_size=None)
-    )
+    # per-batch prune (≤k rows survive each batch) → one driver final pick
+    return local_dataset(topk(collect(agg.map_batches(topk, batch_format="pyarrow"))))
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 import ray.data as rd
 
 from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
+from radiant_portal_pipeline_ray.stages.taskshuffle import collect, exchange_group
 
 from radiant_portal_pipeline_ray.stages.similarity import (
     BruteForceTopK,
@@ -109,7 +109,7 @@ def sim_topk_cosine(sf_dir: str):
 
     stage = BruteForceTopK(Q, qids, k=TOP_K, margin=1e-6)
     partials = _emb_ds(sf_dir).map_batches(stage, batch_format="pyarrow")
-    merged = pa.concat_tables(ray.get(partials.to_arrow_refs()))
+    merged = collect(partials)
     merged = merged.set_column(
         merged.schema.get_field_index("cosine"),
         pa.field("cos_r", pa.float64()),
@@ -218,7 +218,6 @@ def _bucketed_ann_pairs(
     from radiant_portal_pipeline_ray.stages.aggregates import (
         partial_final_groupby,
     )
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
     gen = make_cosine_bucket_pairs(bucket_col, threshold, max_bucket)
     pairs = exchange_group(ds, [bucket_col], 64, gen).materialize()

@@ -183,8 +183,7 @@ def tail(
       ``neardup_pairs``.
     Returns the apply reports in execution order.
     """
-    import pyarrow.parquet as _pq
-    import ray as _ray
+    from radiant_portal_pipeline_ray.stages.taskshuffle import collect
 
     reports: list[dict] = []
     rounds = 0
@@ -213,23 +212,16 @@ def tail(
                             f"cannot follow lake {v_prev}->{v_new}; rebuild it"
                         )
                     pairs, stats = sig_index.ingest_round(engine, v_prev, v_new)
-                    tabs = [
-                        t
-                        for t in _ray.get(pairs.materialize().to_arrow_refs())
-                        if t.num_rows
-                    ]
-                    n_pairs = sum(t.num_rows for t in tabs)
-                    if tabs:
-                        import pyarrow as _pa
-
+                    pt = collect(pairs)
+                    if pt.num_rows:
                         pdir = os.path.join(sig_index.root, "pairs")
                         os.makedirs(pdir, exist_ok=True)
-                        _pq.write_table(
-                            _pa.concat_tables(tabs, promote_options="permissive"),
+                        pq.write_table(
+                            pt,
                             os.path.join(pdir, f"v{v_new:06d}.parquet"),
                             compression="zstd",
                         )
-                    rep["neardup_pairs"] = n_pairs
+                    rep["neardup_pairs"] = pt.num_rows
                     rep["sig_index"] = stats
             reports.append(rep)
             if on_report is not None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
-import ray.data as rd
 
 from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
 
@@ -754,7 +753,7 @@ def t_rare_token_frac(sf_dir: str, min_count: int = 5):
     import pyarrow.compute as pc
     import ray
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+    from radiant_portal_pipeline_ray.stages.taskshuffle import collect, exchange_group
 
     docs = _docs(sf_dir, ["doc_id", "text"])
 
@@ -775,12 +774,10 @@ def t_rare_token_frac(sf_dir: str, min_count: int = 5):
 
     partials = docs.map_batches(token_rows, batch_format="pyarrow")
     common_ds = exchange_group(partials, ["tok"], 16, common_only)
-    common_tabs = [t for t in ray.get(common_ds.materialize().to_arrow_refs())
-                   if t.num_rows]
     common = (
-        pa.concat_tables(common_tabs).column("tok").combine_chunks()
-        if common_tabs
-        else pa.array([], pa.string())
+        collect(common_ds, pa.schema([("tok", pa.string())]))
+        .column("tok")
+        .combine_chunks()
     )
     common_ref = ray.put(common)  # broadcast once, read per task
 

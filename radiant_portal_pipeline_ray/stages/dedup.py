@@ -258,25 +258,6 @@ _PAIRS_SCHEMA = pa.schema(
 )
 
 
-def make_pkey_adder(key_col: str, n_partitions: int = 64):
-    """Coarse hash-partition key for bucket co-location: millions of tiny
-    LSH/shingle buckets shuffle into ``n_partitions`` groups, so the pair
-    generator runs ONE vectorized Python call per partition instead of one
-    per bucket (Ray's ``map_groups`` iterates groups in Python — at 10^6+
-    buckets the per-group overhead dominates everything else)."""
-
-    def add(b: pa.Table) -> pa.Table:
-        k = b.column(key_col).to_numpy(zero_copy_only=False)
-        pk = (k.view(np.uint64) * _MIX) >> np.uint64(64 - 6) if n_partitions == 64 else (
-            (k.view(np.uint64) * _MIX) % np.uint64(n_partitions)
-        )
-        return b.append_column(
-            "pkey", pa.array(pk.astype(np.int32), type=pa.int32())
-        )
-
-    return add
-
-
 def _run_bounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
     lens = np.diff(np.append(starts, len(keys)))

@@ -183,9 +183,7 @@ def cross_exclusive(
     `radiant/data_qa/tests/germline_snv_occurrence__validate_exclusive_with_somatic.sql:1-14`
     (germline and somatic occurrences must not share (seq_id, locus_id)).
     """
-    from radiant_portal_pipeline_ray.stages.hashjoin import (
-        hash_partitioned_join,
-    )
+    from radiant_portal_pipeline_ray.stages.joins import hash_partitioned_join
 
     key_b = key_b or key_a
 
@@ -401,9 +399,9 @@ def partition_checksums(
     to content hashes."""
     import numpy as np
     import pyarrow.compute as pc
-    import ray
 
     from radiant_portal_pipeline_ray.stages.taskshuffle import (
+        collect,
         exchange_group,
         sort_table,
     )
@@ -474,6 +472,5 @@ def partition_checksums(
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
     out = exchange_group(partials, [group_col], 8, final)
-    tabs = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-    t = pa.concat_tables(tabs) if tabs else out_schema.empty_table()
-    return stamp_checksum_fingerprint(sort_table(t, group_col), hash_fn)
+    t = sort_table(collect(out, out_schema), group_col)
+    return stamp_checksum_fingerprint(t, hash_fn)

@@ -22,7 +22,7 @@ minimal-copy shape:
   write per partition
 
 Every task here that consumes other tasks' outputs (the CDC merge, the
-generic exchange's split, apply and join tasks below, and the level-2
+generic exchange's split and bucket tasks below, and the level-2
 ``subsplit_task``) takes its refs as top-level args, never via ``ray.get``
 inside the task: a task blocked in ``ray.get`` releases its CPU, and Ray
 starts one more worker process to fill the slot.
@@ -60,7 +60,6 @@ Partitioning assumptions (the knobs this operator relies on):
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -277,8 +276,12 @@ def split_task(
 # operators): same single-materialization shape as the CDC split/merge above,
 # parameterized by key columns and a per-bucket kernel. Replaces
 # ``groupby(bucket).map_groups`` (Ray Data's sort-based all-to-all) for
-# operators that only need hash co-location, not a global order. The input
-# plan runs once: it is materialized before its schema is read.
+# operators that only need hash co-location, not a global order. One core,
+# ``_exchange``, serves the group-by (one side) and the join (two sides): it
+# decides the bucketing, the driver-or-task path, the final order and the
+# output, so a caller never appends its own sort or collect. The input plan
+# runs once: it is materialized before its schema is read. ``collect`` is
+# the package's one driver collect of a Dataset.
 # ---------------------------------------------------------------------------
 
 _KNUTH = np.uint64(0x9E3779B97F4A7C15)
@@ -331,29 +334,35 @@ def bucket_split_task(keys: list[str], n_buckets: int, *blocks: pa.Table):
 def _concat_or_empty(tabs: list, schema: pa.Schema) -> pa.Table:
     tabs = [t for t in tabs if t is not None and t.num_rows]
     if not tabs:
-        return pa.Table.from_arrays(
-            [pa.array([], type=f.type) for f in schema], schema=schema
-        )
+        return schema.empty_table()
     return pa.concat_tables(tabs, promote_options="permissive").combine_chunks()
 
 
-@ray.remote
-def bucket_apply_task(fn, schema: pa.Schema, *tables: pa.Table | None) -> pa.Table:
-    """Unary per-bucket kernel over one bucket's column of sub-tables."""
-    return fn(_concat_or_empty(tables, schema))
+def collect(ds, schema: pa.Schema | None = None) -> pa.Table:
+    """Every row of ``ds`` as one Arrow table on the driver, in block
+    order. With no rows it is the typed empty table of ``schema`` when
+    given, else of ``ds``'s first block (no columns when ``ds`` has no
+    blocks). The one driver collect of the package: callers bound its size
+    (a folded aggregate, a candidate set, a small increment)."""
+    # materialized first: a lazy Dataset's to_arrow_refs runs its plan, then
+    # runs it again for the schema when the plan cannot infer one
+    tabs = ray.get(_materialized(ds).to_arrow_refs())
+    if schema is None:
+        schema = tabs[0].schema if tabs else pa.schema([])
+    return _concat_or_empty(tabs, schema)
 
 
 @ray.remote
-def bucket_join_task(
-    fn, l_schema: pa.Schema, r_schema: pa.Schema, n_left: int,
-    *tables: pa.Table | None,
-) -> pa.Table:
-    """Binary per-bucket kernel (join) over aligned bucket columns: the
-    first ``n_left`` of ``tables`` are the left side's, the rest the
-    right's."""
-    lt = _concat_or_empty(tables[:n_left], l_schema)
-    rt = _concat_or_empty(tables[n_left:], r_schema)
-    return fn(lt, rt)
+def bucket_task(fn, schemas: list, counts: list[int], *tables: pa.Table | None):
+    """One bucket of a keyed exchange: ``fn`` over one typed table per
+    side. ``tables`` are the bucket's sub-tables, side after side,
+    ``counts[i]`` of them for side ``i`` (None = an empty split output); a
+    side with none arrives as ``schemas[i]``'s empty table."""
+    sides, i = [], 0
+    for schema, n in zip(schemas, counts):
+        sides.append(_concat_or_empty(tables[i : i + n], schema))
+        i += n
+    return fn(*sides)
 
 
 #: target bytes per bucket/split-task — sized so the (tasks × buckets)
@@ -369,9 +378,9 @@ _TARGET_BUCKET_BYTES = 64 << 20
 _DRIVER_LOCAL_BYTES = 16 << 20
 
 #: driver ObjectRef budget per exchange: above this the split runs in two
-#: levels (split → per-group subsplit). Env-overridable; tests monkeypatch
-#: the module attribute to force the two-level path at toy scale.
-_REF_BUDGET = int(os.environ.get("GRAFT_EXCHANGE_REF_BUDGET", "32768"))
+#: levels (split → per-group subsplit). Tests lower it to force the
+#: two-level path at toy scale.
+_REF_BUDGET = 32768
 
 #: a level-2 subsplit task holds one whole GROUP (B/G buckets) in heap;
 #: groups are sized so that never exceeds this many bytes.
@@ -454,49 +463,36 @@ def fan_subsplit(
 
 def _split_refs(
     refs: list, keys: list[str], n_buckets: int, total_bytes: int
-) -> tuple[list[list], int]:
+) -> list[list]:
     """Fan a Dataset's block refs through the (possibly two-level) split;
-    returns ``(per-bucket ref columns, adjusted n_buckets)``. Empty input →
-    empty columns (downstream kernels see typed empty tables)."""
+    returns the ``n_buckets`` per-bucket ref columns. ``n_buckets`` is a
+    power of two (``_clamp_buckets``), which a two-level plan keeps. Empty
+    input → empty columns (downstream kernels see typed empty tables)."""
     global last_split_plan
     if not refs:
         last_split_plan = {"levels": 0, "n_tasks": 0, "n_buckets": n_buckets,
                            "n_groups": 0, "driver_refs": 0}
-        return [[] for _ in range(n_buckets)], n_buckets
-    import ray as _ray
-
-    cpus = int(_ray.cluster_resources().get("CPU", 8))
+        return [[] for _ in range(n_buckets)]
+    cpus = int(ray.cluster_resources().get("CPU", 8))
     by_size = max(1, -(-total_bytes // (_TARGET_BUCKET_BYTES // 4)))
     n_tasks = max(1, min(2 * cpus, len(refs), by_size))
     size = -(-len(refs) // n_tasks)
     chunks = [refs[i : i + size] for i in range(0, len(refs), size)]
     plan = two_level_plan(len(chunks), n_buckets, total_bytes)
-    if plan is not None:
-        n_groups, n_buckets = plan
-        task = bucket_split_task.options(num_returns=n_groups) if n_groups > 1 else bucket_split_task
-        mat = [task.remote(keys, n_groups, *ch) for ch in chunks]
-        if n_groups == 1:
-            mat = [[r] for r in mat]
-        else:
-            mat = [list(r) for r in mat]
-        cols = fan_subsplit(mat, keys, n_buckets, n_groups)
-        last_split_plan = {
-            "levels": 2, "n_tasks": len(chunks), "n_buckets": n_buckets,
-            "n_groups": n_groups,
-            "driver_refs": len(chunks) * n_groups + n_buckets,
-        }
-        return cols, n_buckets
-    task = bucket_split_task.options(num_returns=n_buckets) if n_buckets > 1 else bucket_split_task
-    mat = [task.remote(keys, n_buckets, *ch) for ch in chunks]
-    if n_buckets == 1:
-        mat = [[r] for r in mat]
-    else:
-        mat = [list(r) for r in mat]
+    # level one splits into the G groups of a two-level plan, else into B
+    n_groups = plan[0] if plan is not None else 0
+    n_out = n_groups or n_buckets
+    task = bucket_split_task.options(num_returns=n_out) if n_out > 1 else bucket_split_task
+    mat = [task.remote(keys, n_out, *ch) for ch in chunks]
+    mat = [list(r) if n_out > 1 else [r] for r in mat]
     last_split_plan = {
-        "levels": 1, "n_tasks": len(chunks), "n_buckets": n_buckets,
-        "n_groups": 0, "driver_refs": len(chunks) * n_buckets,
+        "levels": 2 if n_groups else 1, "n_tasks": len(chunks),
+        "n_buckets": n_buckets, "n_groups": n_groups,
+        "driver_refs": len(chunks) * n_out + (n_buckets if n_groups else 0),
     }
-    return [[row[b] for row in mat] for b in range(n_buckets)], n_buckets
+    if n_groups:
+        return fan_subsplit(mat, keys, n_buckets, n_groups)
+    return [[row[b] for row in mat] for b in range(n_buckets)]
 
 
 def _clamp_buckets(n_buckets: int, total_bytes: int) -> int:
@@ -541,48 +537,66 @@ def local_dataset(*blocks: pa.Table):
     return rd.from_blocks(list(blocks)).materialize()
 
 
+def _materialized(ds):
+    # materialize BEFORE asking for the schema: on a lazy plan ending in
+    # map_batches, schema() would execute the whole plan once more
+    from ray.data.dataset import MaterializedDataset
+
+    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+
+
+def _exchange(sides: list, keys: list[list[str]], n_buckets: int, fn, sort_by):
+    """The keyed exchange of one or more materialized, typed Datasets:
+    ``fn(*side_tables)`` once per bucket, each side split on its own
+    ``keys``, in ``sort_by`` order when given.
+
+    At most ``_DRIVER_LOCAL_BYTES`` per side: ``fn`` and the sort run once
+    on the driver over the whole sides, and the result is one materialized
+    block (:func:`local_dataset`) whose consumer starts no execution.
+    Above it: the sides split independently into the same power-of-two
+    bucket count (no union, no column padding), one :func:`bucket_task`
+    per bucket, then ``Dataset.sort``."""
+    import ray.data as rd
+
+    schemas = [pa.schema(d.schema().base_schema) for d in sides]
+    sizes = [int(d.size_bytes() or 0) for d in sides]
+    if max(sizes) <= _DRIVER_LOCAL_BYTES:
+        # tiny exchange (pre-combined partials, pruned top-k rows, a small
+        # join): one vectorized kernel call beats any task fan-out
+        t = fn(*(collect(d, s) for d, s in zip(sides, schemas)))
+        return local_dataset(t if sort_by is None else sort_table(t, sort_by))
+    n_buckets = _clamp_buckets(n_buckets, max(sizes))
+    cols = [
+        _split_refs(d.to_arrow_refs(), k, n_buckets, n)
+        for d, k, n in zip(sides, keys, sizes)
+    ]
+    out = rd.from_arrow_refs(
+        [
+            bucket_task.remote(
+                fn, schemas, [len(c[b]) for c in cols], *(r for c in cols for r in c[b])
+            )
+            for b in range(n_buckets)
+        ]
+    )
+    if sort_by is None:
+        return out
+    spec = sort_spec(sort_by)
+    return out.sort([c for c, _ in spec], descending=[d for _, d in spec])
+
+
 def exchange_group(ds, keys: list[str], n_buckets: int, fn, *, sort_by=None):
     """Hash-partition ``ds`` on ``keys`` into ``n_buckets`` and apply
     ``fn(bucket_table) -> pa.Table`` once per bucket (every row of a key in
     exactly one call). Returns a Dataset of the concatenated results, in
     ``sort_by`` order when given (column names or ``(name,
     "descending")``). One plasma materialization, no sort before the
-    kernel.
-
-    Below ``_DRIVER_LOCAL_BYTES`` the kernel and the sort run once on the
-    driver's table, and the result is one materialized block
-    (:func:`local_dataset`) whose consumer starts no execution; above it,
-    one task per bucket and ``Dataset.sort``."""
-    import ray.data as rd
-    from ray.data.dataset import MaterializedDataset
-
-    # materialize BEFORE asking for the schema: on a lazy plan ending in
-    # map_batches, schema() would execute the whole plan once more
-    if not isinstance(ds, MaterializedDataset):
-        ds = ds.materialize()
-    sch = ds.schema()
-    if sch is None:
-        # zero-block input: grouping is a no-op (matches groupby().map_groups
-        # on an empty dataset — the kernel is never invoked)
+    kernel; small inputs run on the driver (:func:`_exchange`). A
+    zero-block input is returned as is (grouping is a no-op, as
+    ``groupby().map_groups`` on an empty dataset: the kernel never runs)."""
+    ds = _materialized(ds)
+    if ds.schema() is None:
         return ds
-    schema = pa.schema(sch.base_schema)
-    refs = ds.to_arrow_refs()
-    nbytes = int(ds.size_bytes() or 0)
-    if nbytes <= _DRIVER_LOCAL_BYTES:
-        # tiny exchange (pre-combined partials, pruned top-k rows): one
-        # vectorized kernel call beats any task fan-out. Bounded by the
-        # byte threshold — never the raw-input path.
-        t = fn(_concat_or_empty(ray.get(refs), schema))
-        return local_dataset(t if sort_by is None else sort_table(t, sort_by))
-    n_buckets = _clamp_buckets(n_buckets, nbytes)
-    cols, n_buckets = _split_refs(refs, keys, n_buckets, nbytes)
-    out = rd.from_arrow_refs(
-        [bucket_apply_task.remote(fn, schema, *cols[b]) for b in range(n_buckets)]
-    )
-    if sort_by is None:
-        return out
-    spec = sort_spec(sort_by)
-    return out.sort([c for c, _ in spec], descending=[d for _, d in spec])
+    return _exchange([ds], [keys], n_buckets, fn, sort_by)
 
 
 def exchange_join(
@@ -592,52 +606,25 @@ def exchange_join(
     right_keys: list[str],
     n_buckets: int,
     fn,
+    *,
+    sort_by=None,
 ):
     """Hash-co-partition two Datasets and apply ``fn(left_bucket,
-    right_bucket) -> pa.Table`` per aligned bucket pair. The two sides
-    exchange independently (no union / column padding); empty sides arrive
-    as empty tables with the correct schema so outer joins stay exact.
-    When both sides are at most ``_DRIVER_LOCAL_BYTES``, ``fn`` runs once
-    on the driver over the two whole sides (one bucket), and the result is
-    one materialized block (:func:`local_dataset`)."""
-    import ray.data as rd
-    from ray.data.dataset import MaterializedDataset
-
-    left, right = (
-        d if isinstance(d, MaterializedDataset) else d.materialize()
-        for d in (left, right)
+    right_bucket) -> pa.Table`` per aligned bucket pair, in ``sort_by``
+    order when given (as in :func:`exchange_group`). Empty sides arrive as
+    empty tables with the correct schema so outer joins stay exact. A
+    zero-block side has no schema to type them with and raises
+    ``ValueError``."""
+    left, right = _materialized(left), _materialized(right)
+    for side, d in (("left", left), ("right", right)):
+        if d.schema() is None:
+            raise ValueError(
+                f"exchange_join: {side} side has zero blocks and no schema; "
+                "pass a dataset with at least one (possibly empty) typed block"
+            )
+    return _exchange(
+        [left, right], [left_keys, right_keys], n_buckets, fn, sort_by
     )
-    l_sch, r_sch = left.schema(), right.schema()
-    if l_sch is None or r_sch is None:
-        # a zero-BLOCK side (e.g. from_arrow_refs([])) carries no schema, so
-        # a typed empty bucket table can't be synthesized for the kernel;
-        # fail with the contract instead of AttributeError on .base_schema
-        side = "left" if l_sch is None else "right"
-        raise ValueError(
-            f"exchange_join: {side} side has zero blocks and no schema; "
-            "pass a dataset with at least one (possibly empty) typed block"
-        )
-    l_schema = pa.schema(l_sch.base_schema)
-    r_schema = pa.schema(r_sch.base_schema)
-    l_refs = left.to_arrow_refs()
-    r_refs = right.to_arrow_refs()
-    l_bytes = int(left.size_bytes() or 0)
-    r_bytes = int(right.size_bytes() or 0)
-    if max(l_bytes, r_bytes) <= _DRIVER_LOCAL_BYTES:
-        lt = _concat_or_empty(ray.get(l_refs), l_schema)
-        rt = _concat_or_empty(ray.get(r_refs), r_schema)
-        return local_dataset(fn(lt, rt))
-    n_buckets = _clamp_buckets(n_buckets, max(l_bytes, r_bytes))
-    l_cols, nb_l = _split_refs(l_refs, left_keys, n_buckets, l_bytes)
-    r_cols, nb_r = _split_refs(r_refs, right_keys, n_buckets, r_bytes)
-    assert nb_l == nb_r == n_buckets  # pow2 B is invariant under two-level G
-    out = [
-        bucket_join_task.remote(
-            fn, l_schema, r_schema, len(l_cols[b]), *l_cols[b], *r_cols[b]
-        )
-        for b in range(n_buckets)
-    ]
-    return rd.from_arrow_refs(out)
 
 
 @ray.remote

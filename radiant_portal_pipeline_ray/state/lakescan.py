@@ -10,9 +10,13 @@ math, the same idea as Delta Lake's file statistics in the log (PAPERS:
 *Delta Lake*, VLDB 2020). A plain file read (``sources/io.py``) uses the
 same planner with one driver-side ``pq.read_schema`` and the files' sizes.
 Footers are opened only inside the read tasks, which push ``columns`` and
-``filter`` into pyarrow and yield one block per row group. Every block,
-zero-row ones included, carries the projected, metadata-free schema; lake
-files written before a column was added read it as nulls.
+``filter`` into pyarrow and yield one table per row group. Those tables are
+not the blocks the consumer sees: Ray Data may split a read task's output
+further (``ReadLakeScan->SplitBlocks`` when the read plans fewer tasks than
+its parallelism target), so one file of five 100-row row groups can arrive
+as eight blocks of 62-63 rows. Every block, zero-row ones included, carries
+the projected, metadata-free schema; lake files written before a column
+was added read it as nulls.
 
 The file sizes also pick where the read runs. One threshold,
 ``taskshuffle._DRIVER_LOCAL_BYTES``, sends small reads and small exchanges

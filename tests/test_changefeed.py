@@ -142,13 +142,13 @@ def test_incremental_agg_forced_exchange_path(ray_session, monkeypatch):
     seen: list[tuple[list[str], int]] = []
     orig = taskshuffle.exchange_group
 
-    def spy(ds, keys, n_buckets, fn):
-        out = orig(ds, keys, n_buckets, fn)
+    def spy(ds, keys, n_buckets, fn, **kw):
+        out = orig(ds, keys, n_buckets, fn, **kw)
         seen.append((list(keys), n_buckets))
         return out
 
     monkeypatch.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", 0)
-    monkeypatch.setattr(taskshuffle, "exchange_group", spy)
+    monkeypatch.setattr(changefeed, "exchange_group", spy)
     forced = changefeed.cdc_incremental_agg("/root/testdata/sf0.001")
     assert ["domain"] in [k for k, _ in seen], seen
     assert forced.equals(base)

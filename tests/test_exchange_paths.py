@@ -1,7 +1,7 @@
 """Force the generic keyed exchange down its DISTRIBUTED path at test scale.
 
 At sf0.001 every exchange is under the driver-local byte threshold, so
-without this file the bucket_split_task/bucket_apply_task/bucket_join_task
+without this file the bucket_split_task/bucket_task
 branch would only ever run at bench scale. Shrinking the thresholds to zero
 forces multi-task, multi-bucket execution; results must stay value-identical
 to the DuckDB oracles."""

@@ -15,15 +15,13 @@ from radiant_portal_pipeline_ray.config import EngineConfig
 from radiant_portal_pipeline_ray.pipelines.apply import CdcEngine
 from radiant_portal_pipeline_ray.pipelines.changefeed import (
     _delta_partials,
-    _collect_sorted,
-    _fold_domain,
+    _fold_stats,
     domain_stats_table,
 )
 from radiant_portal_pipeline_ray.sources.generator import (
     ChangelogSpec,
     generate_changelog,
 )
-from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
 
 def test_incremental_agg_composes_across_versions(ray_session, tmp_path):
@@ -43,9 +41,7 @@ def test_incremental_agg_composes_across_versions(ray_session, tmp_path):
             view.rename_columns(["domain", "n", "s"])
         )
         deltas = _delta_partials(eng.read_changes(k - 1, k))
-        view = _collect_sorted(
-            exchange_group(seed_ds.union(deltas), ["domain"], 16, _fold_domain)
-        )
+        view = _fold_stats(seed_ds.union(deltas))
         want = domain_stats_table(eng.read_snapshot(["url", "lsn"], version=k))
         assert view.equals(want), f"diverged at version {k}"
 

@@ -7,7 +7,7 @@ import pytest
 import ray.data as rd
 
 from radiant_portal_pipeline_ray.pipelines import relational
-from radiant_portal_pipeline_ray.stages.hashjoin import hash_partitioned_join
+from radiant_portal_pipeline_ray.stages.joins import hash_partitioned_join
 
 SF = "/root/testdata/sf0.001"
 

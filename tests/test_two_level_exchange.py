@@ -65,7 +65,7 @@ def test_two_level_plan_ref_reduction():
 
 
 def test_exchange_join_two_level_parity(ray_session, monkeypatch):
-    from radiant_portal_pipeline_ray.stages.hashjoin import hash_partitioned_join
+    from radiant_portal_pipeline_ray.stages.joins import hash_partitioned_join
 
     rng = np.random.default_rng(11)
     lt = pa.table(
@@ -151,14 +151,55 @@ def test_cdc_apply_two_level_parity(ray_session, tmp_path, monkeypatch):
 
 
 def test_split_refs_empty_input(ray_session):
-    cols, nb = ts._split_refs([], ["k"], 8, 0)
-    assert nb == 8 and cols == [[] for _ in range(8)]
+    cols = ts._split_refs([], ["k"], 8, 0)
+    assert cols == [[] for _ in range(8)]
     # downstream kernel sees a typed empty table
     schema = pa.schema([("k", pa.int64()), ("v", pa.int64())])
-    out = ray.get(
-        ts.bucket_apply_task.remote(lambda t: t, schema, *cols[0])
-    )
+    out = ray.get(ts.bucket_task.remote(lambda t: t, [schema], [0], *cols[0]))
     assert out.num_rows == 0 and out.schema == schema
+
+
+def test_bucket_task_sides(ray_session):
+    """One side or two, each possibly empty (no sub-table, or only None
+    split outputs): every side reaches the kernel as one typed table, and
+    the sub-tables are dealt out to the sides by ``counts``."""
+    ls = pa.schema([("k", pa.int64()), ("lv", pa.int64())])
+    rs = pa.schema([("k", pa.int64()), ("rv", pa.string())])
+    lt = pa.table({"k": [1, 2], "lv": [10, 20]}, schema=ls)
+    rt = pa.table({"k": [2, 3], "rv": ["b", "c"]}, schema=rs)
+
+    def run(fn, schemas, counts, *tables):
+        return ray.get(ts.bucket_task.remote(fn, schemas, counts, *tables))
+
+    def shapes(*sides):
+        return pa.table(
+            {
+                "side": list(range(len(sides))),
+                "rows": [t.num_rows for t in sides],
+                "schema": [str(t.schema) for t in sides],
+            }
+        )
+
+    one = run(shapes, [ls], [2], lt.slice(0, 1), lt.slice(1))
+    assert one.column("rows").to_pylist() == [2]
+    empty_one = run(shapes, [ls], [1], None)
+    assert empty_one.column("rows").to_pylist() == [0]
+    assert empty_one.column("schema")[0].as_py() == str(ls)
+
+    two = run(shapes, [ls, rs], [1, 2], lt, rt.slice(0, 1), rt.slice(1))
+    assert two.column("rows").to_pylist() == [2, 2]
+    empty_left = run(shapes, [ls, rs], [0, 1], rt)
+    assert empty_left.column("rows").to_pylist() == [0, 2]
+    assert empty_left.column("schema").to_pylist() == [str(ls), str(rs)]
+    empty_right = run(shapes, [ls, rs], [1, 1], lt, None)
+    assert empty_right.column("rows").to_pylist() == [2, 0]
+    assert empty_right.column("schema").to_pylist() == [str(ls), str(rs)]
+    joined = run(
+        lambda a, b: a.join(b, keys="k", join_type="full outer").sort_by("k"),
+        [ls, rs], [1, 1], lt, None,
+    )
+    assert joined.column("k").to_pylist() == [1, 2]
+    assert joined.column("rv").null_count == 2
 
 
 def test_exchange_join_schema_none_raises(ray_session):

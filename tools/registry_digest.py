@@ -23,6 +23,12 @@ columns by name sees it: rows, column names, per-column pandas dtype,
 values, and a dtype-sensitive row hash (an int64 result against a HUGEINT
 oracle fails it even when every cell is equal). It prints ``green <name>``
 or ``RED <name>: <problems>`` per entry, then ``<k> red / <m> with oracle``.
+With ``--json PATH`` it also writes a correctness record: one object per
+entry, keyed by name, with ``rows_match``, ``schema_match`` (column names
+and dtypes), ``hash_match`` (values and the dtype-sensitive hash: no
+problem at all), ``spark_rows`` (the entry's rows), ``oracle_rows`` and
+``err`` (the exception, else null). An entry without SQL is rows-only: it
+runs, and its three matches and ``oracle_rows`` are null.
 
 A byte-identity claim between two checkouts is one ``diff`` of this tool's
 output, run on the same input with one copy of the tool placed in each
@@ -31,11 +37,12 @@ checkout's ``tools/`` (it digests the registry of the checkout it sits in):
     python3 tools/registry_digest.py <sf_dir> > after.txt
 
 Usage:  python3 tools/registry_digest.py <sf_dir> [--cpus N] [--task-path]
-        [--oracle] [name ...]
+        [--oracle [--json PATH]] [name ...]
 """
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 
@@ -135,7 +142,33 @@ def _oracle_problems(got, want) -> list[str]:
     return problems
 
 
-def _run_oracle(reg: dict, sf_dir: str, names: list[str]) -> int:
+def _check(fn, sql, con, sf_dir: str) -> tuple[dict, list[str]]:
+    """One entry's correctness record (see the module docstring) and its
+    problems against the oracle."""
+    rec = dict.fromkeys(
+        ("rows_match", "schema_match", "hash_match", "spark_rows", "oracle_rows", "err")
+    )
+    problems: list[str] = []
+    try:
+        got = _canon(_to_pandas(fn(sf_dir)))
+        rec["spark_rows"] = len(got)
+        if sql is None:
+            return rec, problems
+        want = _canon(con.sql(sql).df())
+        rec["oracle_rows"] = len(want)
+        problems = _oracle_problems(got, want)
+        rec["rows_match"] = len(got) == len(want)
+        rec["schema_match"] = list(got.columns) == list(want.columns) and all(
+            got[c].dtype == want[c].dtype for c in got.columns
+        )
+        rec["hash_match"] = not problems
+    except Exception as ex:  # noqa: BLE001
+        problems = [f"{type(ex).__name__}: {ex}"]
+        rec["err"] = problems[0]
+    return rec, problems
+
+
+def _run_oracle(reg: dict, sf_dir: str, names: list[str], json_path: str | None) -> int:
     import duckdb
 
     con = duckdb.connect()
@@ -143,21 +176,22 @@ def _run_oracle(reg: dict, sf_dir: str, names: list[str]) -> int:
         con.sql(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
         )
+    records: dict[str, dict] = {}
     checked = red = 0
     for name in sorted(reg):
         fn, sql = reg[name]
-        if sql is None or (names and name not in names):
+        if (names and name not in names) or (sql is None and json_path is None):
             continue
-        checked += 1
-        try:
-            problems = _oracle_problems(
-                _canon(_to_pandas(fn(sf_dir))), _canon(con.sql(sql).df())
-            )
-        except Exception as ex:  # noqa: BLE001
-            problems = [f"{type(ex).__name__}: {ex}"]
+        records[name], problems = _check(fn, sql, con, sf_dir)
+        checked += sql is not None
         red += bool(problems)
-        print(f"RED {name}: " + "; ".join(problems) if problems else f"green {name}", flush=True)
+        if sql is not None or problems:  # a rows-only entry shows when it raises
+            print(f"RED {name}: " + "; ".join(problems) if problems else f"green {name}", flush=True)
     print(f"{red} red / {checked} with oracle", flush=True)
+    if json_path is not None:
+        with open(json_path, "w") as f:
+            json.dump(records, f, indent=2)
+            f.write("\n")
     return red
 
 
@@ -189,7 +223,13 @@ def main() -> int:
         "--oracle", action="store_true",
         help="check entries against their DuckDB SQL instead of digesting",
     )
+    ap.add_argument(
+        "--json", metavar="PATH",
+        help="with --oracle: also write the correctness record of every entry",
+    )
     args = ap.parse_args()
+    if args.json and not args.oracle:
+        ap.error("--json needs --oracle")
     # the driver and the Ray workers it starts import this checkout's package
     sys.path.insert(0, REPO_ROOT)
     os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -213,8 +253,10 @@ def main() -> int:
             taskshuffle._DRIVER_LOCAL_BYTES = -1
         import __ray_entry__ as e
 
-        run = _run_oracle if args.oracle else _run_digest
-        return 1 if run(e._registry(), args.sf_dir, args.names) else 0
+        reg = e._registry()
+        if args.oracle:
+            return 1 if _run_oracle(reg, args.sf_dir, args.names, args.json) else 0
+        return 1 if _run_digest(reg, args.sf_dir, args.names) else 0
     finally:
         ray.shutdown()
 
