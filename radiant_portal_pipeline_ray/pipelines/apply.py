@@ -5,7 +5,8 @@ One ``CdcEngine.apply(changelog)`` call is one incremental ingest round
 `radiant/dags/import_part.py:100-625`, plus the `import_radiant` control
 loop `radiant/dags/import_radiant.py:48-210`):
 
-  1. read the committed manifest (watermarks, salt map, schema, counters)
+  1. read the committed manifest (watermarks, salt map, schema, counters):
+     the round's one manifest listing and read
   2. changed partitions are discovered BY the exchange itself: each split
      task reports the partitions it routed rows to (events above their
      partition's watermark), so there is no separate scout pass over the
@@ -31,9 +32,12 @@ loop `radiant/dags/import_radiant.py:48-210`):
      (stages/merge.py): ``text = extract_text(html)`` for the delta's LWW
      winners only, then each partition writes url-sorted staged Parquet
      and returns one metadata row
-  7. two-phase commit: promote staged files, publish manifest v+1 via
-     atomic put-if-absent (idempotent by txn-id, conflict-retry loop;
-     fails fast if a concurrent writer advanced a merged partition)
+  7. two-phase commit: promote staged files, then ``Lake.commit_next``
+     publishes manifest v+1 built on the step-1 manifest via atomic
+     put-if-absent (idempotent by txn-id). Only a conflict re-reads the
+     current manifest and rebases, failing fast if a concurrent writer
+     advanced a merged partition or changed the routing state. The
+     post-commit QA reads the committed version
 
 Only tiny metadata ever reaches the driver; data flows Arrow-zero-copy
 through the object store with ONE keyed exchange carrying the delta — at
@@ -66,7 +70,7 @@ from radiant_portal_pipeline_ray.stages.normalize import (
 from radiant_portal_pipeline_ray.stages.taskshuffle import local_dataset
 from radiant_portal_pipeline_ray.state import lakescan
 from radiant_portal_pipeline_ray.state.manifest import (
-    CommitConflict,
+    CARRIED_FIELDS,
     Lake,
     Manifest,
     PartitionState,
@@ -93,6 +97,60 @@ def _resolve_paths(changelog: str | list[str]) -> list[str]:
     return list(changelog)
 
 
+def _check_rebase(
+    planned: Manifest | None,
+    base: Manifest,
+    merged_parts: set[int],
+    txn_id: str,
+    n_parts: int,
+) -> None:
+    """Refuse to rebase an apply round's commit from ``planned`` onto a
+    newer ``base`` (analogue of the reference's Iceberg commit retry,
+    `radiant/tasks/iceberg/utils.py:73-96`).
+
+    The staged files embed carried-forward rows and doc_id ranges computed
+    from ``planned``: if a concurrent writer advanced any merged partition,
+    raise ``ConcurrentWriterConflict`` instead of silently overwriting its
+    rows (single-writer is the supported mode, same as the reference's
+    one-committer-per-part fan-in, `radiant/dags/import_snv_vcf.py:47-49`).
+    The round also republishes salt_map / pending_migrations / next_part
+    derived from ``planned``: if a concurrent writer changed that routing
+    state (even on disjoint partitions), re-committing ours would drop its
+    salting decisions or double-allocate a salt partition id, so refuse that
+    too."""
+    planned_v = planned.version if planned else None
+    for p in merged_parts:
+        old = (planned.partitions.get(p) if planned else None) or PartitionState()
+        new = base.partitions.get(p) or PartitionState()
+        if (old.files, old.watermark_lsn, old.next_doc_seq) != (
+            new.files,
+            new.watermark_lsn,
+            new.next_doc_seq,
+        ):
+            raise ConcurrentWriterConflict(
+                f"partition {p} advanced from v{planned_v} to v{base.version} "
+                f"during apply txn {txn_id}; re-run apply"
+            )
+
+    def route(man: Manifest | None) -> tuple:
+        # next_part=None (a pre-field manifest) routes identically to
+        # n_parts, the partitioner's starting counter: coalesce, or an
+        # empty-lake plan false-positives against a first concurrent commit
+        # that published the default counter
+        if man is None:
+            return {}, {}, n_parts
+        return (
+            man.salt_map,
+            man.pending_migrations,
+            man.next_part if man.next_part is not None else n_parts,
+        )
+
+    if route(planned) != route(base):
+        raise ConcurrentWriterConflict(
+            f"partitioner routing state (salt_map/pending_migrations/"
+            f"next_part) diverged between v{planned_v} and v{base.version} "
+            f"during apply txn {txn_id}; re-run apply"
+        )
 
 
 class CdcEngine:
@@ -283,7 +341,7 @@ class CdcEngine:
         wave dispatches up to that many PARTITION-DISJOINT runnable jobs,
         each through its own fresh ``CdcEngine`` writer, serialized only at
         the manifest commit — the put-if-absent CAS orders the commits and
-        ``_commit_with_retry`` rebases each writer's manifest over the
+        ``Lake.commit_next`` rebases each writer's manifest over the
         other's committed version (valid exactly because the wave is
         partition-disjoint). The one cross-partition coupling is routing
         state: if two writers both make salting decisions, the later commit
@@ -423,20 +481,24 @@ class CdcEngine:
         any domain crosses the threshold, publish a ROUTING-ONLY manifest
         version: identical partitions/watermarks/schema, updated salt_map /
         pending_migrations / next_part. Used by ``apply_backlog`` (whose
-        waves run with ``freeze_routing`` set); retries on version conflict
-        by re-evaluating against the new current manifest."""
+        waves run with ``freeze_routing`` set); a version conflict
+        re-evaluates against the new current manifest, within
+        ``commit_retries`` attempts."""
         if not domain_totals:
             return None
-        while True:
-            current = self.lake.current_manifest()
-            if current is None:
-                return None
+        current = self.lake.current_manifest()
+        if current is None:
+            return None
+        decisions: list = []
+
+        def build(base: Manifest) -> dict | None:
+            nonlocal decisions
             partitioner = Partitioner(
                 n_parts=self.cfg.n_parts,
-                salt_map=dict(current.salt_map),
+                salt_map=dict(base.salt_map),
                 next_part=(
-                    current.next_part
-                    if current.next_part is not None
+                    base.next_part
+                    if base.next_part is not None
                     else self.cfg.n_parts
                 ),
                 salt_threshold_rows=self.cfg.salt_threshold_rows,
@@ -446,41 +508,34 @@ class CdcEngine:
             decisions = partitioner.observe_domain_rows(domain_totals)
             if not decisions:
                 return None
-            pending = dict(current.pending_migrations)
+            pending = dict(base.pending_migrations)
             for d in decisions:
                 pending[d.domain] = d.old_parts
             # carry the tracking state, with this observation folded in by
             # max as observe_domain_rows folds it
-            hot = dict(current.metrics.get("hot_counts", {}))
+            hot = dict(base.metrics.get("hot_counts", {}))
             for d, n in partitioner.hot_counts.items():
                 hot[d] = max(n, hot.get(d, 0))
-            man = Manifest(
-                version=current.version + 1,
-                txn_id=self.lake.new_txn_id(),
-                parent_version=current.version,
-                schema=current.schema,
-                n_parts=current.n_parts,
-                partitions=dict(current.partitions),
-                salt_map=partitioner.salt_map,
-                salt_hash_fingerprint=current.salt_hash_fingerprint,
-                pending_migrations=pending,
-                next_part=partitioner.next_part,
-                metrics={
+            return {
+                "salt_map": partitioner.salt_map,
+                "pending_migrations": pending,
+                "next_part": partitioner.next_part,
+                "metrics": {
                     "op": "routing",
                     "routing_only": True,
                     "hot_counts": hot,
                 },
-                consumed_inputs=dict(current.consumed_inputs),
-                quarantine_files=list(current.quarantine_files),
-            )
-            try:
-                self.lake.commit(man)
-                return {
-                    "version": man.version,
-                    "salted_domains": [d.domain for d in decisions],
-                }
-            except CommitConflict:
-                continue
+            }
+
+        committed, _ = self.lake.commit_next(
+            current, self.lake.new_txn_id(), build, self.cfg.commit_retries
+        )
+        if committed is None:
+            return None
+        return {
+            "version": committed.version,
+            "salted_domains": [d.domain for d in decisions],
+        }
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -672,7 +727,7 @@ class CdcEngine:
                 # the whole batch was malformed: commit a quarantine-only
                 # version so the DLQ record survives
                 return self._commit_quarantine_only(
-                    t0, current, q_tabs, q_dropped, noop_report
+                    current, q_tabs, q_dropped, noop_report
                 )
             return noop_report(0)
 
@@ -788,44 +843,42 @@ class CdcEngine:
         }
 
     def _commit_quarantine_only(
-        self, t0, current, q_tabs: list, q_dropped: int, noop_report
+        self, current, q_tabs: list, q_dropped: int, noop_report
     ) -> dict:
         """Every event in the batch was malformed: no partition changes, but
-        the DLQ record must still commit (a silent noop would lose it)."""
+        the DLQ record must still commit (a silent noop would lose it). The
+        version touches no partition and no routing, so it rebases onto any
+        concurrent commit."""
         txn_id = self.lake.new_txn_id()
         qinfo = self._write_quarantine(txn_id, q_tabs, q_dropped)
-        base = self.lake.current_manifest()
-        man = Manifest(
-            version=(base.version + 1) if base else 1,
-            txn_id=txn_id,
-            parent_version=base.version if base else None,
-            schema=base.schema if base else None,
-            n_parts=base.n_parts if base else self.cfg.n_parts,
-            partitions=dict(base.partitions) if base else {},
-            salt_map=dict(base.salt_map) if base else {},
-            salt_hash_fingerprint=(
-                base.salt_hash_fingerprint if base else self._salt_fp
-            ),
-            pending_migrations=dict(base.pending_migrations) if base else {},
-            next_part=base.next_part if base else self.cfg.n_parts,
-            metrics={
-                "op": "quarantine_only",
-                "quarantine_only": True,
-                "quarantine": qinfo,
+
+        def build(base: Manifest | None) -> dict:
+            changed = {
                 # no merge ran, so nothing re-observed the hot domains: the
-                # next apply seeds its partitioner from these
-                "hot_counts": dict(base.metrics.get("hot_counts", {}))
-                if base
-                else {},
-            },
-            consumed_inputs={
-                **(dict(base.consumed_inputs) if base else {}),
-                **(getattr(self, "_input_ledger", {}) or {}),
-            },
-            quarantine_files=(list(base.quarantine_files) if base else [])
-            + [qinfo["file"]],
+                # next apply seeds its partitioner from the carried counts
+                "metrics": {
+                    "op": "quarantine_only",
+                    "quarantine_only": True,
+                    "quarantine": qinfo,
+                },
+                "consumed_inputs": {
+                    **(base.consumed_inputs if base else {}),
+                    **self._input_ledger,
+                },
+                "quarantine_files": (base.quarantine_files if base else [])
+                + [qinfo["file"]],
+            }
+            if base is None:
+                changed.update(
+                    n_parts=self.cfg.n_parts,
+                    salt_hash_fingerprint=self._salt_fp,
+                    next_part=self.cfg.n_parts,
+                )
+            return changed
+
+        committed, _ = self.lake.commit_next(
+            current, txn_id, build, self.cfg.commit_retries
         )
-        committed = self.lake.commit(man)
         rep = noop_report(0)
         rep.update(
             {
@@ -917,22 +970,110 @@ class CdcEngine:
             for tp in partitioner.salt_map.get(d, []):
                 wm_seed[tp] = max(wm_seed.get(tp, -1), seed)
 
-        # ---- phase 2: promote + commit (retry on version conflict) --------
+        # ---- phase 2: promote + commit (rebase on version conflict) -------
         self.lake.promote_staged_files(txn_id)
-        report = self._commit_with_retry(
-            txn_id,
-            snapshot_schema,
-            partitioner,
-            meta_rows,
-            migrated_empty,
-            pending_next,
-            merge_base=current,
-            wm_seed=wm_seed,
-            timings=timings,
-            quarantine=quarantine,
-            layers=layers,
+        totals = {
+            k: sum(int(m[k]) for m in meta_rows)
+            for k in ("events_in", "rows_upserted", "rows_deleted", "rows_carried")
+        }
+        metrics = {
+            "op": "apply",
+            "hot_counts": partitioner.hot_counts,
+            "last_apply": dict(totals),
+            # per-stage rows/bytes/time (T6 tracing parity,
+            # reference `radiant/tasks/tracing/trace.py:12-29`)
+            "stage_metrics": {
+                "normalize": {"events_in": totals["events_in"]},
+                "merge": {
+                    "rows_in": totals["events_in"] + totals["rows_carried"],
+                    "rows_out": sum(int(m["rows"]) for m in meta_rows),
+                    "tombstones": sum(int(m["tombstones"]) for m in meta_rows),
+                    "parts": len(meta_rows),
+                },
+                "write": {
+                    "bytes": sum(int(m["bytes"]) for m in meta_rows),
+                    "files": sum(len(m["files"]) for m in meta_rows),
+                },
+                "timings_s": dict(timings),
+                # the split and merge tasks' in-task layers (scout_layers,
+                # merge_layers); kept out of timings_s, which holds only the
+                # phase laps
+                **(layers or {}),
+            },
+        }
+        if quarantine is not None:
+            metrics["last_apply"]["rows_quarantined"] = quarantine["rows"]
+            metrics["quarantine"] = quarantine
+        merged_parts = {int(m["part"]) for m in meta_rows} | migrated_empty
+
+        def build(base: Manifest | None) -> dict:
+            if base is not current:
+                _check_rebase(current, base, merged_parts, txn_id, self.cfg.n_parts)
+            parts = dict(base.partitions) if base else {}
+            now = time.time()
+            for m in meta_rows:
+                p = int(m["part"])
+                old_st = parts.get(p) or PartitionState()
+                parts[p] = PartitionState(
+                    files=[f"data/part={p}/{fn}" for fn in m["files"]],
+                    rows=int(m["rows"]),
+                    tombstones=int(m["tombstones"]),
+                    bytes=int(m["bytes"]),
+                    watermark_lsn=max(
+                        old_st.watermark_lsn,
+                        int(m["max_lsn"]),
+                        wm_seed.get(p, -1),
+                    ),
+                    next_doc_seq=int(m["next_doc_seq"]),
+                    lineage=old_st.next_lineage(
+                        {
+                            "txn_id": txn_id,
+                            "ts": now,
+                            **{k: int(m[k]) for k in totals},
+                            "max_lsn": int(m["max_lsn"]),
+                        }
+                    ),
+                    stats=_json.loads(m["file_stats"]),
+                )
+            for p in migrated_empty:
+                old_st = parts.get(p)
+                if old_st:
+                    parts[p] = PartitionState(
+                        watermark_lsn=old_st.watermark_lsn,
+                        next_doc_seq=old_st.next_doc_seq,
+                        lineage=old_st.next_lineage(
+                            {"txn_id": txn_id, "ts": now, "migrated_out": True}
+                        ),
+                    )
+            return {
+                "schema": snapshot_schema,
+                "n_parts": self.cfg.n_parts,
+                "partitions": parts,
+                "salt_map": partitioner.salt_map,
+                "salt_hash_fingerprint": self._salt_fp,
+                "pending_migrations": pending_next,
+                "next_part": partitioner.next_part,
+                "metrics": metrics,
+                "consumed_inputs": {
+                    **(base.consumed_inputs if base else {}),
+                    **self._input_ledger,
+                },
+                "quarantine_files": (base.quarantine_files if base else [])
+                + ([quarantine["file"]] if quarantine is not None else []),
+            }
+
+        man, attempts = self.lake.commit_next(
+            current, txn_id, build, self.cfg.commit_retries
         )
         _lap("commit")
+        report = {
+            "version": man.version,
+            "txn_id": txn_id,
+            "rows_upserted": totals["rows_upserted"],
+            "rows_deleted": totals["rows_deleted"],
+            "rows_carried": totals["rows_carried"],
+            "commit_attempts": attempts,
+        }
         if quarantine is not None:
             report["rows_quarantined"] = quarantine["rows"]
             report["quarantine"] = quarantine
@@ -956,7 +1097,8 @@ class CdcEngine:
                 snapshot_checks,
             )
 
-            man = self.lake.current_manifest()
+            # QA reads the version this round committed, not the lake's
+            # current one
             checks = snapshot_checks()
             have = {c.name for c in checks}
             # pattern-driven coverage of the committed schema: any *_frac /
@@ -964,8 +1106,11 @@ class CdcEngine:
             checks += [
                 c for c in generate_checks(man.schema) if c.name not in have
             ]
-            qa = run_checks(self.read_snapshot(), checks)
             files = lakescan.part_files(man)
+            qa = run_checks(
+                lakescan.scan(self.lake, man, files, None, ~pc.field("deleted")),
+                checks,
+            )
             if files:
                 # cross-table exclusivity (A8 analogue): a url must never be
                 # both live and tombstoned in one committed snapshot
@@ -981,210 +1126,6 @@ class CdcEngine:
             report["qa"] = qa
         return report
 
-    # ------------------------------------------------------------------
-    def _commit_with_retry(
-        self,
-        txn_id: str,
-        snapshot_schema: pa.Schema,
-        partitioner: Partitioner,
-        meta_rows: list[dict],
-        migrated_empty: set[int],
-        pending_next: dict[str, list[int]],
-        merge_base: Manifest | None = None,
-        wm_seed: dict[int, int] | None = None,
-        timings: dict | None = None,
-        quarantine: dict | None = None,
-        layers: dict | None = None,
-    ) -> dict:
-        """Rebuild-manifest-and-retry loop; analogue of the reference's
-        Iceberg commit retry (`radiant/tasks/iceberg/utils.py:73-96`).
-
-        The rebuild is only valid while the merged partitions are unchanged
-        in the new base: the staged files embed carried-forward rows and
-        doc_id ranges computed from ``merge_base``. If a concurrent writer
-        advanced any of them, raise ``ConcurrentWriterConflict`` instead of
-        silently overwriting its rows (single-writer is the supported mode,
-        same as the reference's one-committer-per-part fan-in,
-        `radiant/dags/import_snv_vcf.py:47-49`)."""
-        import json as _json
-
-        wm_seed = wm_seed or {}
-        attempt = 0
-        merged_parts = {int(m["part"]) for m in meta_rows} | set(migrated_empty)
-        while True:
-            attempt += 1
-            base = self.lake.current_manifest()
-            base_v = base.version if base else None
-            merge_v = merge_base.version if merge_base else None
-            if base_v != merge_v:
-                for p in merged_parts:
-                    old = (
-                        merge_base.partitions.get(p) if merge_base else None
-                    ) or PartitionState()
-                    new = (base.partitions.get(p) if base else None) or PartitionState()
-                    if (old.files, old.watermark_lsn, old.next_doc_seq) != (
-                        new.files,
-                        new.watermark_lsn,
-                        new.next_doc_seq,
-                    ):
-                        raise ConcurrentWriterConflict(
-                            f"partition {p} advanced from v{merge_v} to v{base_v} "
-                            f"during apply txn {txn_id}; re-run apply"
-                        )
-                # The rebuilt manifest republishes salt_map / pending
-                # migrations / next_part derived from merge_base's
-                # partitioner. If a concurrent writer changed routing state
-                # (even on disjoint partitions), re-committing ours would
-                # silently drop its salting decisions or double-allocate a
-                # salt partition id — mis-routed rows. Refuse instead.
-                # next_part=None (no manifest / pre-field manifest) routes
-                # identically to next_part=n_parts — the partitioner's
-                # starting counter — so coalesce before comparing, else an
-                # empty-lake merge_base false-positives against a first
-                # concurrent commit that published the default counter.
-                old_route = (
-                    (merge_base.salt_map, merge_base.pending_migrations,
-                     merge_base.next_part
-                     if merge_base.next_part is not None else self.cfg.n_parts)
-                    if merge_base else ({}, {}, self.cfg.n_parts)
-                )
-                new_route = (
-                    (base.salt_map, base.pending_migrations,
-                     base.next_part
-                     if base.next_part is not None else self.cfg.n_parts)
-                    if base else ({}, {}, self.cfg.n_parts)
-                )
-                if old_route != new_route:
-                    raise ConcurrentWriterConflict(
-                        f"partitioner routing state (salt_map/pending_migrations/"
-                        f"next_part) diverged between v{merge_v} and v{base_v} "
-                        f"during apply txn {txn_id}; re-run apply"
-                    )
-            parts: dict[int, PartitionState] = (
-                {p: st for p, st in base.partitions.items()} if base else {}
-            )
-            now = time.time()
-            tot_up = tot_del = tot_car = tot_ev = 0
-            for m in meta_rows:
-                p = int(m["part"])
-                old_st = parts.get(p)
-                lineage = (old_st or PartitionState()).next_lineage(
-                    {
-                        "txn_id": txn_id,
-                        "ts": now,
-                        "events_in": int(m["events_in"]),
-                        "rows_upserted": int(m["rows_upserted"]),
-                        "rows_deleted": int(m["rows_deleted"]),
-                        "rows_carried": int(m["rows_carried"]),
-                        "max_lsn": int(m["max_lsn"]),
-                    }
-                )
-                wm_old = old_st.watermark_lsn if old_st else -1
-                parts[p] = PartitionState(
-                    files=[f"data/part={p}/{fn}" for fn in m["files"]],
-                    rows=int(m["rows"]),
-                    tombstones=int(m["tombstones"]),
-                    bytes=int(m["bytes"]),
-                    watermark_lsn=max(
-                        wm_old, int(m["max_lsn"]), wm_seed.get(p, -1)
-                    ),
-                    next_doc_seq=int(m["next_doc_seq"]),
-                    lineage=lineage,
-                    stats=_json.loads(m["file_stats"]),
-                )
-                tot_up += int(m["rows_upserted"])
-                tot_del += int(m["rows_deleted"])
-                tot_car += int(m["rows_carried"])
-                tot_ev += int(m["events_in"])
-            for p in migrated_empty:
-                old_st = parts.get(p)
-                if old_st:
-                    parts[p] = PartitionState(
-                        files=[],
-                        rows=0,
-                        bytes=0,
-                        watermark_lsn=old_st.watermark_lsn,
-                        next_doc_seq=old_st.next_doc_seq,
-                        lineage=old_st.next_lineage(
-                            {"txn_id": txn_id, "ts": now, "migrated_out": True}
-                        ),
-                    )
-            version = (base.version + 1) if base else 1
-            manifest = Manifest(
-                version=version,
-                txn_id=txn_id,
-                parent_version=base.version if base else None,
-                schema=snapshot_schema,
-                n_parts=self.cfg.n_parts,
-                partitions=parts,
-                salt_map=partitioner.salt_map,
-                salt_hash_fingerprint=self._salt_fp,
-                pending_migrations=pending_next,
-                next_part=partitioner.next_part,
-                metrics={
-                    "op": "apply",
-                    "hot_counts": partitioner.hot_counts,
-                    "last_apply": {
-                        "events_in": tot_ev,
-                        "rows_upserted": tot_up,
-                        "rows_deleted": tot_del,
-                        "rows_carried": tot_car,
-                    },
-                    # per-stage rows/bytes/time (T6 tracing parity,
-                    # reference `radiant/tasks/tracing/trace.py:12-29`)
-                    "stage_metrics": {
-                        "normalize": {"events_in": tot_ev},
-                        "merge": {
-                            "rows_in": tot_ev + tot_car,
-                            "rows_out": sum(int(m["rows"]) for m in meta_rows),
-                            "tombstones": sum(
-                                int(m["tombstones"]) for m in meta_rows
-                            ),
-                            "parts": len(meta_rows),
-                        },
-                        "write": {
-                            "bytes": sum(int(m["bytes"]) for m in meta_rows),
-                            "files": sum(len(m["files"]) for m in meta_rows),
-                        },
-                        "timings_s": dict(timings or {}),
-                        # the split and merge tasks' in-task layers
-                        # (scout_layers, merge_layers); kept out of
-                        # timings_s, which holds only the phase laps
-                        **(layers or {}),
-                    },
-                },
-            )
-            merged = dict(base.consumed_inputs) if base else {}
-            merged.update(getattr(self, "_input_ledger", {}) or {})
-            mw = manifest.min_watermark()
-            manifest.consumed_inputs = (
-                {k: v for k, v in merged.items() if v > mw}
-                if mw >= 0
-                else merged
-            )
-            manifest.quarantine_files = (
-                list(base.quarantine_files) if base else []
-            )
-            if quarantine is not None:
-                manifest.quarantine_files.append(quarantine["file"])
-                manifest.metrics["last_apply"]["rows_quarantined"] = (
-                    quarantine["rows"]
-                )
-                manifest.metrics["quarantine"] = quarantine
-            try:
-                committed = self.lake.commit(manifest)
-                return {
-                    "version": committed.version,
-                    "txn_id": txn_id,
-                    "rows_upserted": tot_up,
-                    "rows_deleted": tot_del,
-                    "rows_carried": tot_car,
-                    "commit_attempts": attempt,
-                }
-            except CommitConflict:
-                if attempt >= self.cfg.commit_retries:
-                    raise
-                time.sleep(min(0.05 * attempt, 1.0))
 
     # ------------------------------------------------------------------
     def read_snapshot(
@@ -1254,25 +1195,23 @@ class CdcEngine:
         files are immutable and shared between versions, so rollback moves
         no data; it is one manifest commit. The bad versions stay readable
         for forensics until GC (or a tag) decides otherwise."""
-        import json as _json
-
         current = self.lake.current_manifest()
         if current is None:
             raise FileNotFoundError("empty lake: nothing to roll back")
         if to_version == current.version:
             return {"version": current.version, "noop": True}
         old = self.lake.read_manifest(to_version)  # raises if pruned
-        man = Manifest.from_json(_json.loads(_json.dumps(old.to_json())))
-        man.version = current.version + 1
-        man.parent_version = current.version
-        man.txn_id = self.lake.new_txn_id()
-        man.metrics = {
+        state = {f: getattr(old, f) for f in CARRIED_FIELDS}
+        state["metrics"] = {
             "op": "rollback",
             "rollback_of": to_version,
             # the partitioner's tracking state reverts with the data
             "hot_counts": dict(old.metrics.get("hot_counts", {})),
         }
-        committed = self.lake.commit(man)
+        # a concurrent commit makes the rollback target stale: no rebase
+        committed, _ = self.lake.commit_next(
+            current, self.lake.new_txn_id(), lambda base: state, retries=1
+        )
         return {
             "version": committed.version,
             "rolled_back_to": to_version,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -39,7 +40,6 @@ from radiant_portal_pipeline_ray.config import EngineConfig
 from radiant_portal_pipeline_ray.stages.merge import write_snapshot_files
 from radiant_portal_pipeline_ray.state import lakescan
 from radiant_portal_pipeline_ray.state.manifest import (
-    CommitConflict,
     Lake,
     Manifest,
     PartitionState,
@@ -115,6 +115,10 @@ def _make_rewriter(
     filesystem=None,
     fault_inject: tuple | None = None,
 ):
+    """The per-bucket rewrite of ``compact`` and ``reshard``: one keyed
+    exchange bucket may hold several partitions, each rewritten from its own
+    rows into its own staged files; returns one ``_META`` row per part."""
+
     def rewrite(group: pa.Table) -> pa.Table:
         part = group.column("part")[0].as_py()
         t = group
@@ -154,7 +158,23 @@ def _make_rewriter(
             schema=_META,
         )
 
-    return rewrite
+    def rewrite_bucket(g: pa.Table) -> pa.Table:
+        if g.num_rows == 0:
+            return _META.empty_table()
+        parts = g.column("part").to_numpy(zero_copy_only=False)
+        order = np.argsort(parts, kind="stable")
+        gs = g.take(pa.array(order)).combine_chunks()
+        sp = parts[order]
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(sp)) + 1, [len(sp)]])
+        return pa.concat_tables(
+            [
+                rewrite(gs.slice(int(starts[i]), int(starts[i + 1] - starts[i])))
+                for i in range(len(starts) - 1)
+                if starts[i + 1] > starts[i]
+            ]
+        )
+
+    return rewrite_bucket
 
 
 def compact(
@@ -198,7 +218,7 @@ def compact(
     t0 = time.time()
     txn_id = lake.new_txn_id()
     staging = lake.staging_dir(txn_id)
-    rewriter = _make_rewriter(
+    rewrite_bucket = _make_rewriter(
         txn_id,
         staging,
         current.schema,
@@ -209,27 +229,6 @@ def compact(
         fault_inject=cfg.fault_inject,
     )
     from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
-
-    def rewrite_bucket(g: pa.Table) -> pa.Table:
-        """One keyed-exchange bucket may hold several partitions — rewrite
-        each part's rows separately (slice per part, one staged dir each)."""
-        import numpy as np
-
-        if g.num_rows == 0:
-            return _META.empty_table()
-        parts = g.column("part").to_numpy(zero_copy_only=False)
-        order = np.argsort(parts, kind="stable")
-        gs = g.take(pa.array(order)).combine_chunks()
-        sp = parts[order]
-        starts = np.concatenate(
-            [[0], np.flatnonzero(np.diff(sp)) + 1, [len(sp)]]
-        )
-        metas = [
-            rewriter(gs.slice(int(starts[i]), int(starts[i + 1] - starts[i])))
-            for i in range(len(starts) - 1)
-            if starts[i + 1] > starts[i]
-        ]
-        return pa.concat_tables(metas)
 
     meta_rows = exchange_group(
         lakescan.scan(lake, current, lakescan.part_files(current, todo)),
@@ -246,10 +245,17 @@ def compact(
         },
     }
 
-    attempt = 0
-    base = current
-    while True:
-        attempt += 1
+    def build(base: Manifest) -> dict:
+        # safe to rebase only if nobody touched the partitions we rewrote;
+        # otherwise our staged output is stale → clean abort (staged files
+        # are inert; gc_orphans reclaims them)
+        if base is not current:
+            for p, st in todo.items():
+                if base.partitions.get(p, PartitionState()).files != st.files:
+                    raise CompactionConflict(
+                        f"partition {p} changed under compaction txn {txn_id}; "
+                        "aborting (re-run compact)"
+                    )
         now = time.time()
         parts = dict(base.partitions)
         for m in meta_rows:
@@ -275,42 +281,11 @@ def compact(
                 lineage=lineage,
                 stats=json.loads(m["file_stats"]),
             )
-        manifest = Manifest(
-            version=base.version + 1,
-            txn_id=txn_id,
-            parent_version=base.version,
-            schema=base.schema,
-            n_parts=base.n_parts,
-            partitions=parts,
-            salt_map=base.salt_map,
-            salt_hash_fingerprint=base.salt_hash_fingerprint,
-            pending_migrations=base.pending_migrations,
-            next_part=base.next_part,
-            metrics={
-                **metrics,
-                "hot_counts": dict(base.metrics.get("hot_counts", {})),
-            },
-            consumed_inputs=dict(base.consumed_inputs),
-            quarantine_files=list(base.quarantine_files),
-        )
-        try:
-            committed = lake.commit(manifest)
-            break
-        except CommitConflict:
-            if attempt >= cfg.commit_retries:
-                raise
-            new_base = lake.current_manifest()
-            # safe to rebase only if nobody touched the partitions we
-            # rewrote; otherwise our staged output is stale → clean abort
-            # (staged files are inert; gc_orphans reclaims them)
-            for p, st in todo.items():
-                if new_base.partitions.get(p, PartitionState()).files != st.files:
-                    raise CompactionConflict(
-                        f"partition {p} changed under compaction txn {txn_id}; "
-                        "aborting (re-run compact)"
-                    )
-            base = new_base
-            time.sleep(min(0.05 * attempt, 1.0))
+        return {"partitions": parts, "metrics": metrics}
+
+    committed, attempts = lake.commit_next(
+        current, txn_id, build, cfg.commit_retries
+    )
     return {
         "noop": False,
         "version": committed.version,
@@ -318,7 +293,7 @@ def compact(
         "parts_compacted": len(meta_rows),
         "tombstones_purged": purge_tombstones,
         "purge_horizon_us": purge_horizon_us,
-        "commit_attempts": attempt,
+        "commit_attempts": attempts,
     }
 
 
@@ -366,8 +341,6 @@ def reshard(
 
     Pending migrations must be drained first (run one apply).
     """
-    import numpy as np  # noqa: F401  (exchange kernels)
-
     from radiant_portal_pipeline_ray.functions.hashing import (
         assign_parts,
         extract_domain,
@@ -406,7 +379,7 @@ def reshard(
     t0 = time.time()
     txn_id = lake.new_txn_id()
     staging = lake.staging_dir(txn_id)
-    rewriter = _make_rewriter(
+    rewrite_bucket = _make_rewriter(
         txn_id,
         staging,
         current.schema,
@@ -424,23 +397,6 @@ def reshard(
             pa.field("part", pa.int32()),
             pc.cast(newp, pa.int32()),
         )
-
-    def rewrite_bucket(g: pa.Table) -> pa.Table:
-        import numpy as np
-
-        if g.num_rows == 0:
-            return _META.empty_table()
-        parts_np = g.column("part").to_numpy(zero_copy_only=False)
-        order = np.argsort(parts_np, kind="stable")
-        gs = g.take(pa.array(order)).combine_chunks()
-        sp = parts_np[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(sp)) + 1, [len(sp)]])
-        metas = [
-            rewriter(gs.slice(int(starts[i]), int(starts[i + 1] - starts[i])))
-            for i in range(len(starts) - 1)
-            if starts[i + 1] > starts[i]
-        ]
-        return pa.concat_tables(metas)
 
     ds = lakescan.scan(lake, current, lakescan.part_files(current)).map_batches(
         route, batch_format="pyarrow"
@@ -496,33 +452,28 @@ def reshard(
                 lineage=[lineage_entry],
             )
 
-    manifest = Manifest(
-        version=current.version + 1,
-        txn_id=txn_id,
-        parent_version=current.version,
-        schema=current.schema,
-        n_parts=new_n_parts,
-        partitions=parts,
-        salt_map={},
-        salt_hash_fingerprint=current.salt_hash_fingerprint,
-        pending_migrations={},
-        next_part=max(
+    state = {
+        "n_parts": new_n_parts,
+        "partitions": parts,
+        "salt_map": {},
+        "pending_migrations": {},
+        "next_part": max(
             new_n_parts,
             (current.next_part if current.next_part is not None else 0),
         ),
-        # no hot_counts: the routing state they track is cleared
-        metrics={
+        "metrics": {
             "op": "reshard",
             "resharded_from": current.n_parts,
             "stage_metrics": {
                 "write": _write_counts(meta_rows),
                 "timings_s": {"rewrite": round(now - t0, 3)},
             },
+            # cleared with the routing state they track
+            "hot_counts": {},
         },
-        consumed_inputs=dict(current.consumed_inputs),
-        quarantine_files=list(current.quarantine_files),
-    )
-    committed = lake.commit(manifest)  # conflict => concurrent writer; abort
+    }
+    # a conflict means a concurrent writer: abort, no rebase
+    committed, _ = lake.commit_next(current, txn_id, lambda base: state, retries=1)
     return {
         "noop": False,
         "version": committed.version,

@@ -16,7 +16,9 @@ driver moves the files into ``data/`` and publishes
 ``manifest-v{K+1}.json`` via a put-if-absent that either atomically creates
 the version or reports it taken, giving CAS semantics without any catalog
 service. Retried commits are idempotent by txn-id (a found manifest with
-our txn_id == success).
+our txn_id == success). Every writer (apply, routing, quarantine-only,
+rollback, compact, reshard) publishes through ``Lake.commit_next``, the one
+base → successor → publish → rebase-on-conflict loop.
 
 Two storage backends share that contract:
 
@@ -45,6 +47,7 @@ atomic swap (`radiant/tasks/starrocks/operator.py:341-355`).
 from __future__ import annotations
 
 import json
+import logging
 import os
 import re
 import threading
@@ -61,6 +64,8 @@ from radiant_portal_pipeline_ray.schemas import (
 )
 
 _MANIFEST_RE = re.compile(r"^manifest-v(\d{12})\.json$")
+
+logger = logging.getLogger(__name__)
 
 # CAS for memory:// lakes: MemoryFileSystem state is per-process, so a
 # process-wide lock around exists+put is a complete mutual exclusion
@@ -109,6 +114,22 @@ def _is_precondition_failure(e: Exception) -> bool:
 
 class CommitConflict(Exception):
     """Another committer published this version first; rebuild and retry."""
+
+
+#: the fields a version carries from its base unless its commit sets them
+#: (``Lake.commit_next``). ``metrics`` is each version's own, apart from
+#: ``metrics["hot_counts"]``, the partitioner's tracking state.
+CARRIED_FIELDS = (
+    "schema",
+    "n_parts",
+    "partitions",
+    "salt_map",
+    "salt_hash_fingerprint",
+    "pending_migrations",
+    "next_part",
+    "consumed_inputs",
+    "quarantine_files",
+)
 
 
 @dataclass
@@ -655,9 +676,10 @@ class Lake:
 
         Put-if-absent: succeeds exactly once per version. If the version
         exists with our txn_id → idempotent success; with another txn_id →
-        CommitConflict (caller rebuilds against the new current and retries
-        — same loop shape as the reference's Iceberg retry,
-        `radiant/tasks/iceberg/utils.py:73-96`).
+        CommitConflict (``commit_next`` rebuilds against the new current and
+        retries — same loop shape as the reference's Iceberg retry,
+        `radiant/tasks/iceberg/utils.py:73-96`). Each version it publishes
+        is logged as one JSON line: ``commit_info()`` plus ``txn_id``.
         """
         manifest.committed_at = time.time()
         # compact encoding: a wide lake's manifest is tens of thousands of
@@ -670,6 +692,10 @@ class Lake:
                 return existing
             raise CommitConflict(
                 f"version {manifest.version} committed by txn {existing.txn_id}"
+            )
+        if logger.isEnabledFor(logging.INFO):
+            logger.info(
+                json.dumps({**manifest.commit_info(), "txn_id": manifest.txn_id})
             )
         # cleanup staging dir for this txn — best-effort AND off the commit
         # critical path: with hundreds of salted part dirs the rmdir storm
@@ -686,6 +712,58 @@ class Lake:
 
             threading.Thread(target=_cleanup, daemon=True).start()
         return manifest
+
+    def commit_next(self, base: Manifest | None, txn_id: str, build, retries: int):
+        """Publish the successor of ``base``: the one commit path of every
+        writer (Delta Lake's optimistic concurrency — plan on version N,
+        try N+1, and on a conflict check the winner and retry).
+
+        ``build(base)`` returns the fields this commit changes, or None when
+        nothing is left to commit. Each of ``CARRIED_FIELDS`` it leaves out,
+        and ``metrics["hot_counts"]``, carries over from ``base``; version,
+        parent and txn id are set here, and the consumed-inputs ledger keeps
+        only entries above the successor's min watermark (a file at or
+        below it is provably a no-op to re-apply). The first attempt builds
+        on the ``base`` the caller planned from, without re-reading it; only
+        a ``CommitConflict`` re-reads the current manifest and calls
+        ``build`` again, which raises to refuse that rebase. After
+        ``retries`` attempts the conflict propagates (``retries=1`` refuses
+        every rebase); attempts are ``min(0.05 * attempt, 1.0)`` s apart.
+
+        Returns ``(committed manifest or None, attempts)``.
+        """
+        attempt = 0
+        while True:
+            attempt += 1
+            changed = build(base)
+            if changed is None:
+                return None, attempt
+            fields = {"schema": None}
+            hot = {}
+            if base is not None:
+                fields = {f: getattr(base, f) for f in CARRIED_FIELDS}
+                hot = base.metrics.get("hot_counts", {})
+            fields.update(changed)
+            fields["metrics"] = dict(fields["metrics"])
+            fields["metrics"].setdefault("hot_counts", dict(hot))
+            man = Manifest(
+                version=base.version + 1 if base else 1,
+                txn_id=txn_id,
+                parent_version=base.version if base else None,
+                **fields,
+            )
+            mw = man.min_watermark()
+            if mw >= 0:
+                man.consumed_inputs = {
+                    k: v for k, v in man.consumed_inputs.items() if v > mw
+                }
+            try:
+                return self.commit(man), attempt
+            except CommitConflict:
+                if attempt >= retries:
+                    raise
+                time.sleep(min(0.05 * attempt, 1.0))
+                base = self.current_manifest()
 
     # -- clone (instant writable fork) -------------------------------------
     def clone_to(self, dst_root: str, version: int | None = None) -> "Lake":

@@ -120,11 +120,15 @@ def test_gc_spares_recent_staging_and_prunes_versions(ray_session, tmp_path):
 
 
 def test_stale_base_commit_raises_concurrent_writer_conflict(
-    ray_session, tmp_path
+    ray_session, tmp_path, monkeypatch
 ):
     """If another writer advances a merged partition between the merge
     snapshot and the commit, the commit must fail fast instead of silently
     overwriting the other writer's rows."""
+    import dataclasses
+
+    from radiant_portal_pipeline_ray.state.manifest import Lake
+
     paths = generate_changelog(
         str(tmp_path / "cl"), ChangelogSpec(n_urls=200, n_events=1200, n_batches=2)
     )
@@ -132,37 +136,37 @@ def test_stale_base_commit_raises_concurrent_writer_conflict(
     eng = CdcEngine(lake_root, EngineConfig(n_parts=2))
     eng.apply(paths[:1])
     stale_base = eng.lake.current_manifest()  # v1 — our merge snapshot
-    eng.apply(paths[1:])  # concurrent writer advances the same partitions
 
-    part = next(iter(stale_base.partitions))
-    fake_meta = [
-        {
-            "part": part,
-            "files": [],
-            "rows": 0,
-            "tombstones": 0,
-            "bytes": 0,
-            "max_lsn": 10,
-            "rows_upserted": 0,
-            "rows_deleted": 0,
-            "rows_carried": 0,
-            "events_in": 0,
-            "next_doc_seq": stale_base.partitions[part].next_doc_seq,
-        }
-    ]
-    from radiant_portal_pipeline_ray.state.partitioner import Partitioner
+    orig = Lake.commit
+    raced = []
 
-    pt = Partitioner(n_parts=2, salt_map={}, next_part=2, hot_counts={})
+    def racing_commit(self, manifest):
+        # a concurrent writer advances every partition just before this
+        # round's first commit attempt
+        if not raced:
+            raced.append(manifest.txn_id)
+            orig(
+                self,
+                dataclasses.replace(
+                    stale_base,
+                    version=stale_base.version + 1,
+                    parent_version=stale_base.version,
+                    txn_id="cafecafecafecafe",
+                    partitions={
+                        p: dataclasses.replace(
+                            st, watermark_lsn=st.watermark_lsn + 1
+                        )
+                        for p, st in stale_base.partitions.items()
+                    },
+                ),
+            )
+        return orig(self, manifest)
+
+    monkeypatch.setattr(Lake, "commit", racing_commit)
     with pytest.raises(ConcurrentWriterConflict):
-        eng._commit_with_retry(
-            "feedfeedfeedfeed",
-            stale_base.schema,
-            pt,
-            fake_meta,
-            set(),
-            {},
-            merge_base=stale_base,
-        )
+        eng.apply(paths[1:])
+    assert raced
+    assert eng.lake.current_manifest().txn_id == "cafecafecafecafe"
 
 
 def test_salting_migration_seeds_target_watermarks(ray_session, tmp_path):

@@ -38,10 +38,14 @@ def test_n_parts_mismatch_fails_fast(ray_session, tmp_path):
     CdcEngine(lake_root, EngineConfig(n_parts=4)).apply(paths[1:])
 
 
-def test_routing_state_divergence_raises_conflict(ray_session, tmp_path):
+def test_routing_state_divergence_raises_conflict(
+    ray_session, tmp_path, monkeypatch
+):
     """A concurrent writer that changed salt_map/pending_migrations/
     next_part (even on DISJOINT partitions) must not have its routing
     decisions silently overwritten by a stale-base rebuild."""
+    import dataclasses
+
     paths = generate_changelog(
         str(tmp_path / "cl"), ChangelogSpec(n_urls=200, n_events=1200, n_batches=2)
     )
@@ -50,50 +54,33 @@ def test_routing_state_divergence_raises_conflict(ray_session, tmp_path):
     eng.apply(paths[:1])
     stale_base = eng.lake.current_manifest()
 
-    # concurrent writer advances the version changing ONLY routing state
-    # (no data partitions touched)
-    import dataclasses
+    orig = Lake.commit
+    raced = []
 
-    man2 = dataclasses.replace(
-        stale_base,
-        version=stale_base.version + 1,
-        parent_version=stale_base.version,
-        txn_id="cafecafecafecafe",
-        salt_map={"hot.example.org": [7, 8]},
-        next_part=9,
-    )
-    eng.lake.commit(man2)
+    def racing_commit(self, manifest):
+        # a concurrent writer advances the version changing ONLY routing
+        # state (no data partitions touched) just before this round's
+        # first commit attempt
+        if not raced:
+            raced.append(manifest.txn_id)
+            orig(
+                self,
+                dataclasses.replace(
+                    stale_base,
+                    version=stale_base.version + 1,
+                    parent_version=stale_base.version,
+                    txn_id="cafecafecafecafe",
+                    salt_map={"hot.example.org": [7, 8]},
+                    next_part=9,
+                ),
+            )
+        return orig(self, manifest)
 
-    part = next(iter(stale_base.partitions))
-    st = stale_base.partitions[part]
-    fake_meta = [
-        {
-            "part": part,
-            "files": [],
-            "rows": 0,
-            "tombstones": 0,
-            "bytes": 0,
-            "max_lsn": 10,
-            "rows_upserted": 0,
-            "rows_deleted": 0,
-            "rows_carried": 0,
-            "events_in": 0,
-            "next_doc_seq": st.next_doc_seq,
-        }
-    ]
-    from radiant_portal_pipeline_ray.state.partitioner import Partitioner
-
-    pt = Partitioner(n_parts=2, salt_map={}, next_part=2, hot_counts={})
+    monkeypatch.setattr(Lake, "commit", racing_commit)
     with pytest.raises(ConcurrentWriterConflict, match="routing state"):
-        eng._commit_with_retry(
-            "feedfeedfeedfeed",
-            stale_base.schema,
-            pt,
-            fake_meta,
-            set(),
-            {},
-            merge_base=stale_base,
-        )
+        eng.apply(paths[1:])
+    assert raced
+    assert eng.lake.current_manifest().txn_id == "cafecafecafecafe"
 
 
 def test_gc_spares_fresh_promoted_data_files(tmp_path):

@@ -208,3 +208,55 @@ def test_quarantine_only_commit_keeps_hot_counts(ray_session, tmp_path):
     man = eng.lake.current_manifest()
     assert man.metrics.get("hot_counts") == hot
     assert man.metrics["op"] == "quarantine_only"
+
+def test_quarantine_only_commit_rebases_onto_a_concurrent_commit(
+    ray_session, tmp_path, monkeypatch
+):
+    """A quarantine-only version touches no partition and no routing, so a
+    concurrent commit — even one that advanced a partition — is rebased
+    onto, not refused."""
+    import dataclasses
+
+    from radiant_portal_pipeline_ray.state.manifest import Lake
+
+    good, bad = _mixed_rows()
+    eng = CdcEngine(
+        str(tmp_path / "lake"), EngineConfig(n_parts=4, salt_threshold_rows=80)
+    )
+    eng.apply([_write(tmp_path / "good.parquet", good)])
+    planned = eng.lake.current_manifest()
+    hot = planned.metrics["hot_counts"]
+    assert hot == {"ok.org": len(good)}
+    p, st = next((p, st) for p, st in planned.partitions.items() if st.files)
+    orig = Lake.commit
+    raced = []
+
+    def racing_commit(self, manifest):
+        if not raced:
+            # another writer advances a partition first
+            raced.append(manifest.txn_id)
+            parts = dict(planned.partitions)
+            parts[p] = dataclasses.replace(st, watermark_lsn=st.watermark_lsn + 1)
+            orig(
+                self,
+                dataclasses.replace(
+                    planned,
+                    version=planned.version + 1,
+                    parent_version=planned.version,
+                    txn_id="cafe",
+                    partitions=parts,
+                    metrics={"op": "competitor", "hot_counts": hot},
+                ),
+            )
+        return orig(self, manifest)
+
+    monkeypatch.setattr(Lake, "commit", racing_commit)
+    rep = eng.apply([_write(tmp_path / "bad.parquet", bad)])
+    assert rep["version"] == planned.version + 2
+    man = eng.lake.current_manifest()
+    assert man.metrics["op"] == "quarantine_only"
+    assert man.parent_version == planned.version + 1
+    assert man.quarantine_files == [rep["quarantine"]["file"]]
+    assert man.partitions[p].watermark_lsn == st.watermark_lsn + 1
+    assert man.metrics["hot_counts"] == hot
+    assert eng.read_quarantine().count() == len(bad)
