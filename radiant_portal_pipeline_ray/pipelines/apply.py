@@ -6,7 +6,7 @@ One ``CdcEngine.apply(changelog)`` call is one incremental ingest round
 loop `radiant/dags/import_radiant.py:48-210`):
 
   1. read the committed manifest (watermarks, salt map, schema, counters):
-     the round's one manifest listing and read
+     the round's one manifest read
   2. changed partitions are discovered BY the exchange itself: each split
      task reports the partitions it routed rows to (events above their
      partition's watermark), so there is no separate scout pass over the

@@ -28,14 +28,8 @@ Two storage backends share that contract:
   explicit ``filesystem=``): uses ONLY object-store-safe primitives — no
   hard links, no rename-is-atomic assumption, no directory mtimes. Promote
   is copy-then-delete (idempotent: a file already at the final key is
-  re-referenced, the staged copy discarded); manifest publish is
-  exists-check → put → read-back-verify. On a real S3-class store the put
-  step carries ``If-None-Match: *`` (conditional PUT) so the read-back is
-  a true CAS; fsspec's generic API lacks conditional puts, so this
-  implementation documents the (tiny) verify window instead — same
-  retry-loop semantics either way. Data files are immutable and inert
-  until a manifest references them, so the window only matters for two
-  drivers publishing the SAME version, which the read-back catches.
+  re-referenced, the staged copy discarded); manifest publish is the
+  store's conditional put (``Lake._put_manifest_if_absent``).
 
 Reference analogue: Iceberg ``commit_files`` two-phase transaction with a
 20-attempt backoff retry loop (`radiant/tasks/iceberg/utils.py:61-96`),
@@ -232,6 +226,9 @@ class Manifest:
     #: decisions off the apply hot path).
     pending_migrations: dict[str, list[int]] = dc_field(default_factory=dict)
     next_part: int = 0
+    #: txn id of the version this one was built on (``Lake.commit`` tells
+    #: a successor of its put from a slot ``gc_orphans`` pruned)
+    parent_txn_id: str | None = None
     committed_at: float = 0.0
     metrics: dict = dc_field(default_factory=dict)
     #: changelog-file consumption ledger for the WAL tail loop: input
@@ -292,6 +289,7 @@ class Manifest:
             "salt_hash_fingerprint": self.salt_hash_fingerprint,
             "pending_migrations": self.pending_migrations,
             "next_part": self.next_part,
+            "parent_txn_id": self.parent_txn_id,
             "committed_at": self.committed_at,
             "metrics": self.metrics,
             "consumed_inputs": self.consumed_inputs,
@@ -323,6 +321,7 @@ class Manifest:
                 k: list(v) for k, v in d.get("pending_migrations", {}).items()
             },
             next_part=d.get("next_part", 0),
+            parent_txn_id=d.get("parent_txn_id"),
             committed_at=d.get("committed_at", 0.0),
             metrics=d.get("metrics", {}),
             consumed_inputs={
@@ -678,8 +677,11 @@ class Lake:
         exists with our txn_id → idempotent success; with another txn_id →
         CommitConflict (``commit_next`` rebuilds against the new current and
         retries — same loop shape as the reference's Iceberg retry,
-        `radiant/tasks/iceberg/utils.py:73-96`). Each version it publishes
-        is logged as one JSON line: ``commit_info()`` plus ``txn_id``.
+        `radiant/tasks/iceberg/utils.py:73-96`). A put into a slot
+        ``gc_orphans`` pruned below the current version (a stale base) is
+        withdrawn as a CommitConflict too: a newer version must be built on
+        this one. Each version that stays published is logged as one JSON
+        line: ``commit_info()`` plus ``txn_id``.
         """
         manifest.committed_at = time.time()
         # compact encoding: a wide lake's manifest is tens of thousands of
@@ -692,6 +694,16 @@ class Lake:
                 return existing
             raise CommitConflict(
                 f"version {manifest.version} committed by txn {existing.txn_id}"
+            )
+        newer = [v for v in self.versions() if v > manifest.version]
+        if newer and not self._built_on(newer[0], manifest):
+            try:
+                self._remove(final)
+            except FileNotFoundError:
+                pass
+            raise CommitConflict(
+                f"version {manifest.version} was a pruned slot below "
+                f"current version {newer[-1]}"
             )
         if logger.isEnabledFor(logging.INFO):
             logger.info(
@@ -713,6 +725,16 @@ class Lake:
             threading.Thread(target=_cleanup, daemon=True).start()
         return manifest
 
+    def _built_on(self, version: int, manifest: Manifest) -> bool:
+        # a successor pruned before it is read counts as not built on it:
+        # the put is then rebased, never reported as a false success
+        if version != manifest.version + 1:
+            return False
+        try:
+            return self.read_manifest(version).parent_txn_id == manifest.txn_id
+        except FileNotFoundError:
+            return False
+
     def commit_next(self, base: Manifest | None, txn_id: str, build, retries: int):
         """Publish the successor of ``base``: the one commit path of every
         writer (Delta Lake's optimistic concurrency — plan on version N,
@@ -721,12 +743,13 @@ class Lake:
         ``build(base)`` returns the fields this commit changes, or None when
         nothing is left to commit. Each of ``CARRIED_FIELDS`` it leaves out,
         and ``metrics["hot_counts"]``, carries over from ``base``; version,
-        parent and txn id are set here, and the consumed-inputs ledger keeps
-        only entries above the successor's min watermark (a file at or
-        below it is provably a no-op to re-apply). The first attempt builds
-        on the ``base`` the caller planned from, without re-reading it; only
-        a ``CommitConflict`` re-reads the current manifest and calls
-        ``build`` again, which raises to refuse that rebase. After
+        parent version, parent txn id and txn id are set here, and the
+        consumed-inputs ledger keeps only entries above the successor's min
+        watermark (a file at or below it is provably a no-op to re-apply).
+        The first attempt builds on the ``base`` the caller planned from,
+        without re-reading it; only a ``CommitConflict`` re-reads the
+        current manifest and calls ``build`` again, which raises to refuse
+        that rebase. After
         ``retries`` attempts the conflict propagates (``retries=1`` refuses
         every rebase); attempts are ``min(0.05 * attempt, 1.0)`` s apart.
 
@@ -750,6 +773,7 @@ class Lake:
                 version=base.version + 1 if base else 1,
                 txn_id=txn_id,
                 parent_version=base.version if base else None,
+                parent_txn_id=base.txn_id if base else None,
                 **fields,
             )
             mw = man.min_watermark()
