@@ -12,21 +12,25 @@
 - ``dd_simhash``: 64-bit SimHash, candidates from 4×16-bit chunk buckets
   (hamming ≤ small ⇒ some chunk equal), verified by exact hamming ≤ 6.
 
-Scale shape (fixes the round-1 AND round-2 review findings):
-- Verification is FULLY DISTRIBUTED above ``_DRIVER_PAIR_THRESHOLD``:
-  candidate pairs ⋈ shingle rows on ``doc_a`` (hash-partitioned join), a
-  composite semi-join on ``(doc_b, s)`` keeps exactly the SHARED shingles,
-  and a pkey-partitioned count per pair yields ``inter`` — zero driver
-  state of any kind (no shingle dict, no driver pair concat, no
-  ``ray.put`` broadcast). Below the threshold a bounded driver fast path
-  runs the SAME join plan as vectorized Arrow/Acero joins (no per-pair
-  Python set intersections).
+Scale shape:
+- Every pair generator is a keyed exchange (``taskshuffle.exchange_group``)
+  over its bucket rows, so ``taskshuffle._DRIVER_LOCAL_BYTES`` alone
+  decides driver or tasks: at most that many bytes run the kernel once on
+  the driver, more run one task per bucket.
+- ``dd_ngram_jaccard`` is two exchanges: per shingle bucket, the pair
+  multiplicities (each doc's shingle count rides on its shingle rows);
+  per pair, their sum is ``inter``, then the threshold and the sort.
+- Candidate verification (``_verify_pairs``) checks pairs against the
+  candidates' shingles. Pairs of at most ``_DRIVER_LOCAL_BYTES`` take one
+  pushed-down re-read of the candidate docs and one Acero join plan on the
+  driver (``_verify_table_driver``); more run the same plan as
+  hash-partitioned joins (``distributed_verify``) with no driver state.
 - Shingles shuffle as int64 hashes (8 bytes), never strings.
 - Buckets above ``max_bucket`` (frequent shingles / degenerate bands) are
   dropped with a logged count instead of emitting O(m²) pairs; dropped
   buckets only lose candidate RECALL — surviving pairs' ``inter``/``uni``
   stay exact, because verification recounts against the full shingle
-  table (round-2 advice: no undercounted ``inter`` on drops).
+  table.
 """
 
 from __future__ import annotations
@@ -50,9 +54,16 @@ from radiant_portal_pipeline_ray.stages.dedup import (
     _run_bounds,
     make_band_exploder,
     make_partitioned_pair_generator,
+    shingle_hash_table,
 )
+from radiant_portal_pipeline_ray.stages import taskshuffle
 from radiant_portal_pipeline_ray.stages.joins import hash_partitioned_join
-from radiant_portal_pipeline_ray.stages.taskshuffle import collect, exchange_group
+from radiant_portal_pipeline_ray.stages.taskshuffle import (
+    collect,
+    collect_where,
+    exchange_group,
+    local_dataset,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -124,9 +135,9 @@ def candidate_shingle_table(
     table with the candidate-id filter PUSHED INTO the parquet read (row
     groups without candidates never leave storage), shingle just those docs.
     Returns a plain ``(doc_id, s)`` Arrow table — bounded by the candidate
-    count, never the corpus size. DRIVER FAST PATH ONLY (gated by
-    ``_DRIVER_PAIR_THRESHOLD``); the scale path never builds driver state
-    (see ``distributed_verify``)."""
+    count, never the corpus size. Driver verification only (candidate pairs
+    of at most ``taskshuffle._DRIVER_LOCAL_BYTES``); larger pair sets never
+    build driver state (see ``distributed_verify``)."""
     empty = pa.table(
         {"doc_id": pa.array([], pa.int64()), "s": pa.array([], pa.int64())}
     )
@@ -142,27 +153,52 @@ def candidate_shingle_table(
     return collect(sh, empty.schema)
 
 
-#: below this many bucket rows the pair generation runs as ONE vectorized
-#: driver call instead of a distributed groupby — Ray's all-to-all has a
-#: ~2 s fixed floor that dwarfs small inputs; above it, the hash-partitioned
-#: groupby (the 10^10-scale path) takes over. Bucket rows are 20-byte
-#: (key, id) tuples, so the driver path is bounded at ~40 MB.
-_DRIVER_PAIR_THRESHOLD = 2_000_000
+def _log_drops(pairs: "rd.Dataset", size_col: str, query: str) -> int:
+    """Log the over-cap bucket markers (``doc_a = -1``, the bucket's size
+    in ``size_col``) of a materialized pair Dataset; returns how many."""
+    drops = collect_where(
+        pairs, lambda t: pc.equal(t.column("doc_a"), -1)
+    ).column(size_col).to_pylist()
+    if drops:
+        logger.warning(
+            "%s: dropped %d over-cap candidate buckets (sizes %s...); "
+            "recall-only loss, surviving pairs stay exact",
+            query,
+            len(drops),
+            sorted(drops, reverse=True)[:5],
+        )
+    return len(drops)
 
 
-def _bucket_pairs(bucket_ds: "rd.Dataset", key_col: str, max_bucket: int):
-    """(key, doc_id) bucket rows → candidate-pair table/Dataset, adaptively
-    driver-local (small) or hash-partition-distributed (scale path)."""
-    gen = make_partitioned_pair_generator(key_col, "doc_id", max_bucket)
-    bucket_ds = bucket_ds.select_columns([key_col, "doc_id"]).materialize()
-    if bucket_ds.count() <= _DRIVER_PAIR_THRESHOLD:
-        return gen(collect(bucket_ds))
-    return exchange_group(bucket_ds, [key_col], 64, gen)
+def _real_pairs(t: pa.Table) -> pa.Table:
+    """Distinct ``(doc_a, doc_b)`` of a pair table, markers dropped."""
+    return (
+        t.filter(pc.not_equal(t.column("doc_a"), -1))
+        .select(["doc_a", "doc_b"])
+        .group_by(["doc_a", "doc_b"])
+        .aggregate([])
+    )
 
 
-def _verify_table_driver(
-    pairs_t: pa.Table, sh_t: pa.Table, num: int, den: int
-) -> pa.Table:
+def _jaccard_half(t: pa.Table) -> pa.Table:
+    """``(doc_a, doc_b, inter, uni)`` of the pairs in ``t`` (columns
+    ``doc_a``, ``doc_b``, ``inter``, ``n_a``, ``n_b``) whose Jaccard is at
+    least 0.5, in integers: ``uni = n_a + n_b - inter``, ``2·inter ≥ uni``."""
+    inter = pc.cast(t.column("inter"), pa.int64())
+    uni = pc.cast(
+        pc.subtract(pc.add(t.column("n_a"), t.column("n_b")), inter), pa.int64()
+    )
+    return pa.table(
+        {
+            "doc_a": t.column("doc_a"),
+            "doc_b": t.column("doc_b"),
+            "inter": inter,
+            "uni": uni,
+        }
+    ).filter(pc.greater_equal(pc.multiply(inter, 2), uni))
+
+
+def _verify_table_driver(pairs_t: pa.Table, sh_t: pa.Table) -> pa.Table:
     """Exact-Jaccard verify of DISTINCT (doc_a, doc_b) pairs against a
     ``(doc_id, s)`` shingle table — the SAME join plan as
     ``distributed_verify``, run as vectorized Acero joins on the driver.
@@ -198,24 +234,7 @@ def _verify_table_driver(
     j = j.join(sizes, keys=["doc_b"], right_keys=["doc_id"]).rename_columns(
         ["doc_a", "doc_b", "inter", "n_a", "n_b"]
     )
-    inter_c = pc.cast(j.column("inter"), pa.int64())
-    uni = pc.subtract(pc.add(j.column("n_a"), j.column("n_b")), inter_c)
-    uni = pc.cast(uni, pa.int64())
-    keep = pc.and_(
-        pc.greater(uni, 0),
-        pc.greater_equal(
-            pc.multiply(pa.scalar(den, pa.int64()), inter_c),
-            pc.multiply(pa.scalar(num, pa.int64()), uni),
-        ),
-    )
-    out = pa.table(
-        {
-            "doc_a": j.column("doc_a"),
-            "doc_b": j.column("doc_b"),
-            "inter": inter_c,
-            "uni": uni,
-        }
-    ).filter(keep)
+    out = _jaccard_half(j)
     return out.take(
         pc.sort_indices(
             out, sort_keys=[("doc_a", "ascending"), ("doc_b", "ascending")]
@@ -241,20 +260,14 @@ def _grouped_count(ds: "rd.Dataset", keys: list[str], out: str) -> "rd.Dataset":
     )
 
 
-def distributed_verify(
-    sh: "rd.Dataset",
-    pairs: "rd.Dataset",
-    num: int = 1,
-    den: int = 2,
-    query: str = "dedup",
-) -> "rd.Dataset":
+def distributed_verify(sh: "rd.Dataset", pairs: "rd.Dataset") -> "rd.Dataset":
     """Fully distributed exact-Jaccard verification — ZERO driver state.
 
     Plan (every exchange is a hash-partitioned join or a pkey-partitioned
     count; nothing is collected to the driver):
 
-    1. distinct candidate pairs (pkey-partitioned count; over-cap drop
-       markers split off and logged as a count),
+    1. distinct candidate pairs, over-cap markers dropped (one keyed
+       exchange on the pair),
     2. semi-filter the corpus shingle table to docs that appear in any
        pair (two-sided id explode + composite-free semi join) — I/O and
        shuffle width bounded by the candidate set from here on,
@@ -262,38 +275,17 @@ def distributed_verify(
     4. composite semi-join on ``(doc_b, s)`` keeps exactly the SHARED
        shingles; count per (doc_a, doc_b) = ``inter``,
     5. two hash joins attach per-doc shingle counts → ``uni`` arithmetic
-       and the integer threshold filter ``den·inter ≥ num·uni``.
+       and the integer threshold ``2·inter ≥ uni``.
 
     Because ``inter`` is recounted against the (candidate-filtered) full
     shingle table, dropped candidate buckets only cost recall — surviving
-    pairs' values are exact (round-2 advice fix).
+    pairs' values are exact.
 
     Reference analogue: the any-size anti/semi-join shape of
     `radiant/dags/sql/radiant/variant_lookup_insert_hashes.sql:1-6`.
     """
-    # 1. distinct pairs + drop-marker split ------------------------------
-    dp_all = _grouped_count(pairs, ["doc_a", "doc_b"], "__mult").materialize()
-
-    def only_markers(b: pa.Table) -> pa.Table:
-        return b.filter(pc.equal(b.column("doc_a"), -1))
-
-    def only_real(b: pa.Table) -> pa.Table:
-        return b.filter(pc.not_equal(b.column("doc_a"), -1)).select(
-            ["doc_a", "doc_b"]
-        )
-
-    marker_rows = dp_all.map_batches(
-        only_markers, batch_format="pyarrow"
-    ).take_all()  # at most one distinct (-1, -1) row per pkey partition
-    n_drops = int(sum(r["__mult"] for r in marker_rows))
-    if n_drops:
-        logger.warning(
-            "%s: dropped %d over-cap candidate buckets (distributed path; "
-            "recall-only loss, surviving pairs stay exact)",
-            query,
-            n_drops,
-        )
-    dp = dp_all.map_batches(only_real, batch_format="pyarrow").materialize()
+    # 1. distinct real pairs ---------------------------------------------
+    dp = exchange_group(pairs, ["doc_a", "doc_b"], 64, _real_pairs)
 
     # 2. candidate-filter the shingle table ------------------------------
     def explode_ids(b: pa.Table) -> pa.Table:
@@ -332,88 +324,38 @@ def distributed_verify(
         lambda b: b.rename_columns(["doc_id", "n_b"]), batch_format="pyarrow"
     )
     ja = hash_partitioned_join(inter, sizes_a, left_on="doc_a", right_on="doc_id")
-
-    def threshold(b: pa.Table) -> pa.Table:
-        inter_c = pc.cast(b.column("inter"), pa.int64())
-        uni = pc.cast(
-            pc.subtract(pc.add(b.column("n_a"), b.column("n_b")), inter_c),
-            pa.int64(),
-        )
-        keep = pc.and_(
-            pc.greater(uni, 0),
-            pc.greater_equal(
-                pc.multiply(pa.scalar(den, pa.int64()), inter_c),
-                pc.multiply(pa.scalar(num, pa.int64()), uni),
-            ),
-        )
-        return pa.table(
-            {
-                "doc_a": b.column("doc_a"),
-                "doc_b": b.column("doc_b"),
-                "inter": inter_c,
-                "uni": uni,
-            }
-        ).filter(keep)
-
     return hash_partitioned_join(
         ja, sizes_b, left_on="doc_b", right_on="doc_id",
-        finish=threshold, sort_by=["doc_a", "doc_b"],
+        finish=_jaccard_half, sort_by=["doc_a", "doc_b"],
     )
 
 
 def _verify_pairs(
     sf_dir: str,
-    pairs_ds: "rd.Dataset",
-    num: int = 1,
-    den: int = 2,
-    query: str = "dedup",
+    pairs: "rd.Dataset",
     shingle_ds: "rd.Dataset | None" = None,
-):
-    """Dedup candidate pairs, log dropped hot buckets, exact-verify.
+) -> "rd.Dataset":
+    """Exact-verify the candidate pairs of a materialized pair Dataset
+    (``doc_a``/``doc_b`` columns; ``doc_a = -1`` marker rows are skipped,
+    their caller logs them).
 
-    Small candidate sets (≤ ``_DRIVER_PAIR_THRESHOLD`` pair rows) take the
-    bounded driver fast path: pushed-down re-read of just the candidate
-    docs + one Acero join plan. Anything larger runs ``distributed_verify``
-    end-to-end with zero driver state."""
-    if isinstance(pairs_ds, pa.Table):
-        pt = pairs_ds
-    else:
-        pairs_ds = pairs_ds.materialize()
-        if pairs_ds.count() > _DRIVER_PAIR_THRESHOLD:
-            if shingle_ds is None:
-                shingle_ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-                    ShingleExplodeStage(k=3), batch_format="pyarrow"
-                )
-            return distributed_verify(
-                shingle_ds, pairs_ds, num=num, den=den, query=query
+    Pairs of at most ``taskshuffle._DRIVER_LOCAL_BYTES`` take the driver
+    path: a pushed-down re-read of just the candidate docs and one Acero
+    join plan. Larger pair sets run ``distributed_verify`` over
+    ``shingle_ds`` (``(doc_id, s)`` rows; the corpus is shingled when it is
+    None) with zero driver state."""
+    if int(pairs.size_bytes() or 0) > taskshuffle._DRIVER_LOCAL_BYTES:
+        if shingle_ds is None:
+            shingle_ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+                ShingleExplodeStage(k=3), batch_format="pyarrow"
             )
-        pt = collect(
-            pairs_ds,
-            pa.schema(
-                [(c, pa.int64()) for c in ("doc_a", "doc_b", "dropped_bucket")]
-            ),
-        )
-    drops = pt.filter(pc.equal(pt.column("doc_a"), -1)).column(
-        "dropped_bucket"
-    ).to_pylist()
-    if drops:
-        logger.warning(
-            "%s: dropped %d over-cap candidate buckets (sizes %s...)",
-            query,
-            len(drops),
-            sorted(drops, reverse=True)[:5],
-        )
-    pairs_t = (
-        pt.filter(pc.not_equal(pt.column("doc_a"), -1))
-        .select(["doc_a", "doc_b"])
-        .group_by(["doc_a", "doc_b"])
-        .aggregate([])
-    )
+        return distributed_verify(shingle_ds, pairs)
+    pairs_t = _real_pairs(collect(pairs))
     cand_ids = set(pairs_t.column("doc_a").to_pylist()) | set(
         pairs_t.column("doc_b").to_pylist()
     )
     sh_t = candidate_shingle_table(sf_dir, cand_ids)
-    return rd.from_arrow(_verify_table_driver(pairs_t, sh_t, num, den))
+    return local_dataset(_verify_table_driver(pairs_t, sh_t))
 
 
 _NGRAM_SQL = """
@@ -441,88 +383,79 @@ _NGRAM_SQL = """
 """
 
 
+def _shingles_with_sizes(b: pa.Table) -> pa.Table:
+    """Documents batch → distinct ``(doc_id, s, n)`` shingle rows, ``n``
+    the doc's shingle count (every doc lies in one batch)."""
+    sh = shingle_hash_table(b, k=3)
+    ids = sh.column("doc_id").to_numpy(zero_copy_only=False)
+    _, inv, counts = np.unique(ids, return_inverse=True, return_counts=True)
+    return sh.append_column("n", pa.array(counts[inv], type=pa.int64()))
+
+
 @_register("dd_ngram_jaccard", _NGRAM_SQL)
 def dd_ngram_jaccard(sf_dir: str, max_bucket: int = 4096):
     """Exact 3-gram Jaccard ≥ 0.5 pairs. Candidates = docs sharing ≥1
-    shingle (inverted-index groupby over int64 shingle hashes — exact,
-    since J ≥ 0.5 ⇒ shared shingle; a hash collision only adds a candidate
-    that verification rejects). Verification joins back to the semi-filtered
-    candidate shingle sets — no whole-corpus state anywhere."""
+    shingle (exact, since J ≥ 0.5 ⇒ shared shingle; a hash collision only
+    adds a candidate that the threshold rejects).
+
+    Two keyed exchanges. On the shingle hash ``s``: every bucket's pairs
+    with their multiplicity there (the number of the bucket's shingles both
+    docs hold), each doc's shingle count ``n`` carried along. On the pair:
+    the multiplicities sum to ``inter``, ``uni = n_a + n_b - inter``, then
+    the threshold and the sort. When over-cap shingle buckets drop, the
+    multiplicities undercount ``inter``, so the surviving candidates are
+    recounted against the shingle table by ``_verify_pairs`` instead."""
     sh = (
         _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(ShingleExplodeStage(k=3), batch_format="pyarrow")
+        .map_batches(_shingles_with_sizes, batch_format="pyarrow")
         .materialize()
     )
-    gen = make_partitioned_pair_generator("s", "doc_id", max_bucket)
-    if sh.count() <= _DRIVER_PAIR_THRESHOLD:
-        # exactness-anchor path: within-bucket pairs carry multiplicity =
-        # number of shared shingles, so `inter` is ONE C-speed group_by
-        # count — no per-pair set intersections at all
-        t = collect(sh)
-        pt = gen(t)
-        drops = pt.filter(pc.equal(pt.column("doc_a"), -1)).column(
-            "dropped_bucket"
-        ).to_pylist()
-        real = pt.filter(pc.not_equal(pt.column("doc_a"), -1))
-        if drops:
-            logger.warning(
-                "dd_ngram_jaccard: dropped %d over-cap shingle buckets "
-                "(sizes %s...) — recounting inter exactly for survivors",
-                len(drops),
-                sorted(drops, reverse=True)[:5],
-            )
-            # a dropped bucket's shingles are missing from the pair
-            # multiplicities, so the count trick would UNDERCOUNT inter for
-            # surviving pairs (round-2 advice); recount exactly against the
-            # full shingle table with the same Acero join plan instead —
-            # drops then cost candidate recall only, never wrong values
-            cand = (
-                real.select(["doc_a", "doc_b"])
-                .group_by(["doc_a", "doc_b"])
-                .aggregate([])
-            )
-            return rd.from_arrow(
-                _verify_table_driver(cand, t, 1, 2)
-            )
-        inter = (
-            real.group_by(["doc_a", "doc_b"])
+
+    def shingle_pairs(g: pa.Table) -> pa.Table:
+        s = g.column("s").to_numpy(zero_copy_only=False)
+        i = g.column("doc_id").to_numpy(zero_copy_only=False)
+        n = g.column("n").to_numpy(zero_copy_only=False)
+        order = np.lexsort((i, s))
+        s, i, n = s[order], i[order], n[order]
+        starts, lens = _run_bounds(s)
+        dropped = lens[lens > max_bucket].astype(np.int64)
+        keep = (lens >= 2) & (lens <= max_bucket)
+        a, b = _expand_pairs(starts[keep], lens[keep])
+        mult = (
+            pa.table({"doc_a": i[a], "doc_b": i[b], "n_a": n[a], "n_b": n[b]})
+            .group_by(["doc_a", "doc_b", "n_a", "n_b"])
             .aggregate([("doc_a", "count")])
-            .rename_columns(["doc_a", "doc_b", "inter"])
         )
-        sizes = (
-            t.group_by("doc_id").aggregate([("s", "count")])
-            .rename_columns(["doc_id", "n"])
+        marker = np.full(len(dropped), -1, np.int64)
+        zero = np.zeros(len(dropped), np.int64)
+        return pa.concat_tables(
+            [
+                mult.rename_columns(["doc_a", "doc_b", "n_a", "n_b", "inter"]),
+                pa.table(
+                    {
+                        "doc_a": marker, "doc_b": marker, "n_a": zero,
+                        "n_b": zero, "inter": dropped,
+                    }
+                ),
+            ]
         )
-        j = inter.join(sizes, keys=["doc_a"], right_keys=["doc_id"]).rename_columns(
-            ["doc_a", "doc_b", "inter", "n_a"]
+
+    partial = exchange_group(sh, ["s"], 64, shingle_pairs)
+    if _log_drops(partial, "inter", "dd_ngram_jaccard"):
+        return _verify_pairs(
+            sf_dir, partial, shingle_ds=sh.select_columns(["doc_id", "s"])
         )
-        j = j.join(sizes, keys=["doc_b"], right_keys=["doc_id"]).rename_columns(
-            ["doc_a", "doc_b", "inter", "n_a", "n_b"]
+
+    def threshold(t: pa.Table) -> pa.Table:
+        g = t.group_by(["doc_a", "doc_b", "n_a", "n_b"]).aggregate(
+            [("inter", "sum")]
         )
-        uni = pc.subtract(
-            pc.add(j.column("n_a"), j.column("n_b")), j.column("inter")
+        return _jaccard_half(
+            g.rename_columns(["doc_a", "doc_b", "n_a", "n_b", "inter"])
         )
-        j = j.append_column("uni", pc.cast(uni, pa.int64()))
-        keep = pc.greater_equal(
-            pc.multiply(pa.scalar(2, pa.int64()), pc.cast(j.column("inter"), pa.int64())),
-            j.column("uni"),
-        )
-        out = j.filter(keep).select(["doc_a", "doc_b", "inter", "uni"])
-        out = out.set_column(
-            2, "inter", pc.cast(out.column("inter"), pa.int64())
-        )
-        out = out.take(
-            pc.sort_indices(
-                out,
-                sort_keys=[("doc_a", "ascending"), ("doc_b", "ascending")],
-            )
-        )
-        return rd.from_arrow(out)
-    # scale path: distributed pair generation + fully distributed verify
-    # (the already-materialized shingle Dataset is reused — no re-shingle)
-    pairs = _bucket_pairs(sh, "s", max_bucket)
-    return _verify_pairs(
-        sf_dir, pairs, num=1, den=2, query="dd_ngram_jaccard", shingle_ds=sh
+
+    return exchange_group(
+        partial, ["doc_a", "doc_b"], 64, threshold, sort_by=["doc_a", "doc_b"]
     )
 
 
@@ -641,8 +574,14 @@ def dd_minhash_lsh(sf_dir: str, max_bucket: int = 4096):
     # band identity is folded into band_hash (per-band seed), so the bucket
     # key is the single int64 hash; a cross-band collision only adds a
     # candidate pair that verification rejects
-    pairs = _bucket_pairs(buckets, "band_hash", max_bucket)
-    return _verify_pairs(sf_dir, pairs, num=1, den=2, query="dd_minhash_lsh")
+    pairs = exchange_group(
+        buckets.select_columns(["band_hash", "doc_id"]),
+        ["band_hash"],
+        64,
+        make_partitioned_pair_generator("band_hash", "doc_id", max_bucket),
+    )
+    _log_drops(pairs, "dropped_bucket", "dd_minhash_lsh")
+    return _verify_pairs(sf_dir, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -774,37 +713,21 @@ def dd_simhash(sf_dir: str, max_bucket: int = 4096):
             }
         )
 
-    buckets = buckets.materialize()
-    if buckets.count() <= _DRIVER_PAIR_THRESHOLD:
-        pt = partition_pairs(collect(buckets))
-    else:
-        pt = collect(exchange_group(buckets, ["chunk_key"], 64, partition_pairs))
-    if pt.num_rows == 0:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                    "hamming": pa.array([], pa.int64()),
-                }
-            )
+    pairs = exchange_group(buckets, ["chunk_key"], 64, partition_pairs)
+    _log_drops(pairs, "hamming", "dd_simhash")
+
+    def distinct_pairs(t: pa.Table) -> pa.Table:
+        # a pair sharing several chunks comes once per chunk bucket
+        return (
+            t.filter(pc.not_equal(t.column("doc_a"), -1))
+            .group_by(["doc_a", "doc_b"])
+            .aggregate([("hamming", "min")])
+            .rename_columns(["doc_a", "doc_b", "hamming"])
         )
-    drops = pt.filter(pc.equal(pt.column("doc_a"), -1)).column(
-        "hamming"
-    ).to_pylist()
-    if drops:
-        logger.warning(
-            "dd_simhash: dropped %d over-cap chunk buckets (sizes %s...)",
-            len(drops),
-            sorted(drops, reverse=True)[:5],
-        )
-    uniq = (
-        pt.filter(pc.not_equal(pt.column("doc_a"), -1))
-        .group_by(["doc_a", "doc_b"])
-        .aggregate([("hamming", "min")])
-        .rename_columns(["doc_a", "doc_b", "hamming"])
+
+    return exchange_group(
+        pairs, ["doc_a", "doc_b"], 64, distinct_pairs, sort_by=["doc_a", "doc_b"]
     )
-    return rd.from_arrow(uniq).sort(["doc_a", "doc_b"])
 
 
 # ---------------------------------------------------------------------------
@@ -826,13 +749,6 @@ _DEDUP_CORPUS_SQL = (
     FROM reach GROUP BY node ORDER BY doc_id
     """
 )
-
-
-#: below this many EDGES the component fold runs as driver union-find (a
-#: pair graph of 5M edges is ~80 MB — trivial); above it, distributed
-#: min-label propagation takes over. Monkeypatch to 0 in tests to force
-#: the distributed path.
-_CC_DRIVER_EDGE_THRESHOLD = 5_000_000
 
 
 def _grouped_min(ds: "rd.Dataset", keys: list[str], col: str, out: str):
@@ -965,26 +881,26 @@ def dd_dedup_corpus(sf_dir: str, max_bucket: int = 4096):
     Downstream, "keep rows whose doc_id ∉ mapping OR doc_id = rep_doc_id"
     yields the deduplicated corpus.
 
-    Below ``_CC_DRIVER_EDGE_THRESHOLD`` edges the component fold runs
-    driver-side union-find over the PAIR set (the near-dup graph, orders of
-    magnitude smaller than the corpus). Above it — or when tests force it —
-    ``connected_components_distributed`` computes the same mapping by
-    iterated min-label propagation with zero driver state.
+    The components come from ``fold_components``: driver union-find over
+    the PAIR set (the near-dup graph, orders of magnitude smaller than the
+    corpus) while it fits ``taskshuffle._DRIVER_LOCAL_BYTES``, else
+    ``connected_components_distributed``, the same mapping by iterated
+    min-label propagation with zero driver state.
     """
     pairs = dd_ngram_jaccard(sf_dir, max_bucket=max_bucket).materialize()
     return fold_components(pairs)
 
 
 def fold_components(pairs: "rd.Dataset") -> "rd.Dataset":
-    """Pair graph → ``(doc_id, rep_doc_id)`` component mapping; driver
-    union-find under ``_CC_DRIVER_EDGE_THRESHOLD`` edges, distributed
-    min-label propagation above (both produce identical output). ``pairs``
-    must be materialized with ``doc_a``/``doc_b`` int64 columns."""
-    if pairs.count() > _CC_DRIVER_EDGE_THRESHOLD:
+    """Pair graph → ``(doc_id, rep_doc_id)`` component mapping sorted by
+    ``doc_id``. Pairs of at most ``taskshuffle._DRIVER_LOCAL_BYTES`` fold
+    by union-find on the driver, larger ones by
+    ``connected_components_distributed`` (identical output; union-find is
+    the faster of the two by far at small sizes). ``pairs`` must be
+    materialized with ``doc_a``/``doc_b`` int64 columns."""
+    if int(pairs.size_bytes() or 0) > taskshuffle._DRIVER_LOCAL_BYTES:
         return connected_components_distributed(
-            pairs.map_batches(
-                lambda b: b.select(["doc_a", "doc_b"]), batch_format="pyarrow"
-            )
+            pairs.select_columns(["doc_a", "doc_b"])
         )
     pt = collect(pairs)
     a = pt.column("doc_a").to_numpy()
@@ -1012,14 +928,14 @@ def fold_components(pairs: "rd.Dataset") -> "rd.Dataset":
 
     nodes = sorted(set(a.tolist()) | set(b.tolist()))
     reps = [find(n) for n in nodes]
-    return rd.from_arrow(
+    return local_dataset(
         pa.table(
             {
                 "doc_id": pa.array(nodes, type=pa.int64()),
                 "rep_doc_id": pa.array(reps, type=pa.int64()),
             }
         )
-    ).sort("doc_id")
+    )
 
 
 # ---------------------------------------------------------------------------

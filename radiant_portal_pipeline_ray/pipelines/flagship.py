@@ -96,6 +96,11 @@ def documents_changelog(sf_dir: str, out_dir: str) -> list[str]:
     return [p1, p2]
 
 
+class QAGateFailed(RuntimeError):
+    """The replay's post-commit QA report did not pass; the exception's
+    argument is that report."""
+
+
 def run_flagship(sf_dir: str, work_dir: str | None = None, n_parts: int = 8):
     """Full CDC replay; returns the live-snapshot Dataset. Without a
     ``work_dir`` the replay runs in a temporary directory that is removed
@@ -110,7 +115,8 @@ def run_flagship(sf_dir: str, work_dir: str | None = None, n_parts: int = 8):
         for p in paths:  # incremental: two apply rounds
             report = eng.apply([p])
         # post-commit QA gate (incl. cross-table live/tombstone exclusivity)
-        assert report["qa"]["passed"], report["qa"]
+        if not report["qa"]["passed"]:
+            raise QAGateFailed(report["qa"])
         snap = eng.read_snapshot()
         return snap if work_dir else snap.materialize()
     finally:

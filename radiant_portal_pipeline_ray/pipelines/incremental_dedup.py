@@ -69,6 +69,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from radiant_portal_pipeline_ray.stages import taskshuffle
 from radiant_portal_pipeline_ray.stages.dedup import MinHashStage, make_band_exploder
 from radiant_portal_pipeline_ray.stages.taskshuffle import (
     bucket_ids,
@@ -81,13 +82,6 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
 from radiant_portal_pipeline_ray.state import lakescan
 
 logger = logging.getLogger(__name__)
-
-#: increments whose signature table fits under this bound take the
-#: small-increment fast path: broadcast tables + one Ray task wave per index
-#: touch instead of keyed exchanges (same threshold idiom as
-#: taskshuffle._DRIVER_LOCAL_BYTES / dedup._DRIVER_PAIR_THRESHOLD — the
-#: distributed path is forced in tests by zeroing this)
-_SMALL_SIG_BYTES = 16 << 20
 
 N_PERM = 64
 N_BANDS = 16
@@ -523,9 +517,11 @@ class SignatureIndex:
 
     @staticmethod
     def _gather_small(ds: "rd.Dataset") -> pa.Table | None:
-        """Materialized dataset → one driver table when it fits the
-        small-increment bound, else None (stay distributed)."""
-        if int(ds.size_bytes() or 0) > _SMALL_SIG_BYTES:
+        """Materialized dataset → one driver table when it fits
+        ``taskshuffle._DRIVER_LOCAL_BYTES``, else None (stay distributed).
+        Increments that fit take the small-increment path: driver tables
+        and one Ray task wave per index touch instead of keyed exchanges."""
+        if int(ds.size_bytes() or 0) > taskshuffle._DRIVER_LOCAL_BYTES:
             return None
         sch = ds.schema(fetch_if_missing=True)
         if sch is None:
@@ -560,7 +556,7 @@ class SignatureIndex:
 
     def _probe_small(self, sigs_t: pa.Table) -> pa.Table:
         """Small-increment probe: the incoming signature table lives on the
-        driver (bounded by _SMALL_SIG_BYTES); two task waves — candidate
+        driver (bounded by _DRIVER_LOCAL_BYTES); two task waves — candidate
         generation per touched band bucket, signature fetch per touched sig
         bucket — then one vectorized local score."""
         empty = _PAIRS_SCHEMA.empty_table()
@@ -731,7 +727,7 @@ class SignatureIndex:
     ) -> dict:
         """Small-increment update: one sig-fetch task wave for the removed
         urls' old signatures, then a single driver-side grouped write per
-        sidecar (rows bounded by _SMALL_SIG_BYTES)."""
+        sidecar (rows bounded by _DRIVER_LOCAL_BYTES)."""
         band_parts = [self._band_rows(0)(sigs_t)]
         sig_parts = [self._sig_rows(0)(sigs_t)]
         n_del = 0

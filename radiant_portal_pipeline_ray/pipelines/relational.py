@@ -37,7 +37,6 @@ from radiant_portal_pipeline_ray.stages.aggregates import (
 from radiant_portal_pipeline_ray.stages.joins import (
     hash_partitioned_join,
     make_broadcast_join,
-    make_semi_filter,
 )
 from radiant_portal_pipeline_ray.stages.taskshuffle import (
     collect,
@@ -215,31 +214,23 @@ def q_region_revenue(sf_dir: str):
     ORDER BY c_custkey
     """,
 )
-def q_customers_without_orders(sf_dir: str, broadcast_limit: int = 5_000_000):
-    """Anti join. Small key side → broadcast key-set filter; above
-    ``broadcast_limit`` distinct keys → hash-partitioned ``left anti`` join
-    (reference J3's any-size ``LEFT ANTI JOIN``,
-    `variant_lookup_insert_hashes.sql:1-6`)."""
+def q_customers_without_orders(sf_dir: str):
+    """Anti join: one hash-partitioned ``left anti`` join at any size
+    (reference J3's ``LEFT ANTI JOIN``,
+    `variant_lookup_insert_hashes.sql:1-6`); a small one runs on the
+    driver."""
     cutoff = pa.scalar(np.datetime64("2001-01-01T00:00:00", "us"))
     keys_ds = read_parquet_clean(
         _pq(sf_dir, "orders"),
-        columns=["o_custkey", "o_orderdate"],
+        columns=["o_custkey"],
         filter=pc.field("o_orderdate") >= cutoff,
-    ).select_columns(["o_custkey"])
-    cust = read_parquet_clean(_pq(sf_dir, "customer"), columns=["c_custkey", "c_name"])
-    if keys_ds.count() > broadcast_limit:
-        return hash_partitioned_join(
-            cust, keys_ds, "c_custkey", "o_custkey", how="anti",
-            finish=lambda t: t.select(["c_custkey", "c_name"]),
-            sort_by="c_custkey",
-        )
-    seen = keys_ds.unique("o_custkey")
-    key_set = pa.table({"o_custkey": pa.array(sorted(seen), type=pa.int64())})
-    anti = cust.map_batches(
-        make_semi_filter(["c_custkey"], key_set, invert=True),
-        batch_format="pyarrow",
     )
-    return anti.sort("c_custkey")
+    cust = read_parquet_clean(_pq(sf_dir, "customer"), columns=["c_custkey", "c_name"])
+    return hash_partitioned_join(
+        cust, keys_ds, "c_custkey", "o_custkey", how="anti",
+        finish=lambda t: t.select(["c_custkey", "c_name"]),
+        sort_by="c_custkey",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +247,26 @@ def q_customers_without_orders(sf_dir: str, broadcast_limit: int = 5_000_000):
     ORDER BY p_partkey
     """,
 )
-def q_parts_shipped_recently(sf_dir: str, broadcast_limit: int = 5_000_000):
-    """Semi join with the same broadcast/partitioned switch as the anti."""
+def q_parts_shipped_recently(sf_dir: str):
+    """Semi join, hash-partitioned like the anti."""
     cutoff = pa.scalar(np.datetime64("2000-06-01T00:00:00", "us"))
     keys_ds = read_parquet_clean(
         _pq(sf_dir, "lineitem"),
-        columns=["l_partkey", "l_shipdate"],
+        columns=["l_partkey"],
         filter=pc.field("l_shipdate") > cutoff,
-    ).select_columns(["l_partkey"])
+    )
     part = read_parquet_clean(_pq(sf_dir, "part"), columns=["p_partkey", "p_name"])
-    if keys_ds.count() > broadcast_limit:
-        # pre-distinct the key side so the per-bucket semi probe stays small
-        def batch_distinct(b: pa.Table) -> pa.Table:
-            return b.group_by("l_partkey").aggregate([])
 
-        keys_d = keys_ds.map_batches(batch_distinct, batch_format="pyarrow")
-        return hash_partitioned_join(
-            part, keys_d, "p_partkey", "l_partkey", how="semi",
-            finish=lambda t: t.select(["p_partkey", "p_name"]),
-            sort_by="p_partkey",
-        )
-    keys = keys_ds.unique("l_partkey")
-    key_set = pa.table({"l_partkey": pa.array(sorted(keys), type=pa.int64())})
-    return part.map_batches(
-        make_semi_filter(["p_partkey"], key_set), batch_format="pyarrow"
-    ).sort("p_partkey")
+    # pre-distinct the key side so the per-bucket semi probe stays small
+    def batch_distinct(b: pa.Table) -> pa.Table:
+        return b.group_by("l_partkey").aggregate([])
+
+    keys_d = keys_ds.map_batches(batch_distinct, batch_format="pyarrow")
+    return hash_partitioned_join(
+        part, keys_d, "p_partkey", "l_partkey", how="semi",
+        finish=lambda t: t.select(["p_partkey", "p_name"]),
+        sort_by="p_partkey",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -2613,8 +2599,8 @@ def q_moving_sum3(sf_dir: str, n_partitions: int = 64):
 
 # ---------------------------------------------------------------------------
 # TPC-H Q3 shape: 3-table star filter-join → grouped revenue → global top-10.
-# Execution: BUILDING customers broadcast as a semi filter onto orders (the
-# dimension side never shuffles), date-pruned orders hash-partition-join the
+# Execution: date-pruned orders semi-join the BUILDING customers (a
+# partitioned join, on the driver when small), then hash-partition-join the
 # shipdate-pruned fact, revenue folds per orderkey with per-batch partial
 # combining, and the top-10 is a per-batch prune (≤10 rows leave any batch)
 # + one single-block final pick — the full grouped result never sorts or
@@ -2650,20 +2636,18 @@ def q3_shipping_priority(sf_dir: str, k: int = 10):
 
     building = read_parquet_clean(
         _pq(sf_dir, "customer"),
-        columns=["c_custkey", "c_mktsegment"],
+        columns=["c_custkey"],
         filter=pc.field("c_mktsegment") == "BUILDING",
-    ).select_columns(["c_custkey"])
-    key_set = pa.table(
-        {"c_custkey": pa.array(sorted(building.unique("c_custkey")), pa.int64())}
     )
-
-    orders = read_parquet_clean(
-        _pq(sf_dir, "orders"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        filter=pc.field("o_orderdate") < cutoff,
-    ).map_batches(
-        make_semi_filter(["o_custkey"], key_set), batch_format="pyarrow"
-    ).select_columns(["o_orderkey", "o_orderdate"])
+    orders = hash_partitioned_join(
+        read_parquet_clean(
+            _pq(sf_dir, "orders"),
+            columns=["o_orderkey", "o_custkey", "o_orderdate"],
+            filter=pc.field("o_orderdate") < cutoff,
+        ),
+        building, "o_custkey", "c_custkey", how="semi",
+        finish=lambda t: t.select(["o_orderkey", "o_orderdate"]),
+    )
 
     def rev_prep(b: pa.Table) -> pa.Table:
         rev = pc.multiply(

@@ -26,7 +26,11 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
-from radiant_portal_pipeline_ray.stages.taskshuffle import collect, exchange_group
+from radiant_portal_pipeline_ray.stages.taskshuffle import (
+    collect,
+    collect_where,
+    exchange_group,
+)
 
 from radiant_portal_pipeline_ray.stages.similarity import (
     BruteForceTopK,
@@ -221,16 +225,15 @@ def _bucketed_ann_pairs(
 
     gen = make_cosine_bucket_pairs(bucket_col, threshold, max_bucket)
     pairs = exchange_group(ds, [bucket_col], 64, gen).materialize()
-    markers = pairs.map_batches(
-        lambda b: b.filter(pc.equal(b.column("vec_a"), -1)),
-        batch_format="pyarrow",
-    ).take_all()  # ≤ one row per dropped bucket — tiny
+    markers = collect_where(
+        pairs, lambda b: pc.equal(b.column("vec_a"), -1)
+    ).column("cos_r").to_pylist()  # ≤ one row per dropped bucket — tiny
     if markers:
         logger.warning(
             "%s: dropped %d over-cap ANN buckets (sizes %s...)",
             query,
             len(markers),
-            sorted((int(m["cos_r"]) for m in markers), reverse=True)[:5],
+            sorted((int(m) for m in markers), reverse=True)[:5],
         )
     real = pairs.map_batches(
         lambda b: b.filter(pc.not_equal(b.column("vec_a"), -1)),
@@ -435,8 +438,9 @@ def dd_embed_corpus(sf_dir: str):
     cosine threshold with cell count scaled to the corpus — an approximate
     pair source whose component-mapping recall is gated ≥ 0.9 in pytest
     (``tests/test_ivf_sample.py``). The component fold is shared with the
-    text path and switches to distributed min-label propagation above the
-    driver edge threshold (``dedup.fold_components``)."""
+    text path (``dedup.fold_components``): union-find on the driver while
+    the pairs fit ``taskshuffle._DRIVER_LOCAL_BYTES``, distributed
+    min-label propagation above."""
     from radiant_portal_pipeline_ray.pipelines.dedup import fold_components
 
     n_rows = pq.read_metadata(

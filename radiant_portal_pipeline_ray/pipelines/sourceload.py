@@ -34,24 +34,25 @@ def _register(name: str, sql: str | None):
 
 
 def _export(sf_dir: str, name: str, copy_sql: str, ext: str) -> str:
-    """Deterministic one-time export of an sf table to CSV/NDJSON."""
+    """Deterministic one-time export of an sf table to CSV/NDJSON. The
+    cache key covers the source file's size and mtime, so a rewritten
+    source gets a fresh export; the export is written under a temporary
+    name and renamed into place, so a reader never sees a partial file."""
     import duckdb
 
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{copy_sql}".encode()).hexdigest()[
-        :16
-    ]
+    src = os.path.join(sf_dir, f"{name}.parquet")
+    st = os.stat(src)
+    ident = f"{os.path.abspath(sf_dir)}|{copy_sql}|{st.st_size}|{st.st_mtime_ns}"
+    key = hashlib.sha256(ident.encode()).hexdigest()[:16]
     root = f"/tmp/graft_loads/{name}-{key}"
     path = os.path.join(root, f"data.{ext}")
-    if not os.path.exists(path + ".done"):
+    if not os.path.exists(path):
         os.makedirs(root, exist_ok=True)
-        con = duckdb.connect()
-        con.execute(
-            f"CREATE VIEW src AS SELECT * FROM read_parquet('{sf_dir}/{name}.parquet')"
-        )
-        con.execute(copy_sql.format(path=path))
-        con.close()
-        with open(path + ".done", "w") as f:
-            f.write("ok")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with duckdb.connect() as con:
+            con.execute(f"CREATE VIEW src AS SELECT * FROM read_parquet('{src}')")
+            con.execute(copy_sql.format(path=tmp))
+        os.replace(tmp, path)
     return path
 
 

@@ -1,5 +1,5 @@
-"""Join / lookup stages: broadcast hash joins, semi/anti filters, range
-joins, and the partitioned hash join for two large sides.
+"""Join / lookup stages: broadcast hash joins, range joins, and the
+partitioned hash join (every join type, semi and anti included).
 
 Reference analogue: every join in the reference is StarRocks SQL with
 explicit strategy hints — ``JOIN [BROADCAST]`` small dictionary sides
@@ -16,13 +16,13 @@ Ray-Data-first shapes:
   closure, which Ray serializes ONCE into the object store and shares with
   every task (equivalent to an explicit ``ray.put``); the probe itself is a
   vectorized ``pc.index_in`` + ``take`` per Arrow batch — no shuffle at all.
-- semi/anti → broadcast the key set and filter with ``pc.is_in``.
 - range join → per-group sorted-interval sweep with ``np.searchsorted``
   inside ``groupby(partition_key).map_groups``.
-- two large sides → ``hash_partitioned_join``: both sides hash-co-partition
-  through ``taskshuffle.exchange_join`` (reference J2's fallback, "else
-  co-partitioned map_groups merge", SURVEY §2.4) and each aligned bucket
-  pair joins with pyarrow's Acero ``Table.join``. The join owns a row-wise
+- two large sides, and every semi/anti key set → ``hash_partitioned_join``:
+  both sides hash-co-partition through ``taskshuffle.exchange_join``
+  (reference J2's fallback, "else co-partitioned map_groups merge", SURVEY
+  §2.4) and each aligned bucket pair joins with pyarrow's Acero
+  ``Table.join``. The join owns a row-wise
   ``finish`` and the final ``sort_by`` like the keyed aggregates, so a
   small join runs its kernel, finish and sort once on the driver.
 
@@ -98,21 +98,6 @@ def make_broadcast_join(
         return batch
 
     return join
-
-
-def make_semi_filter(keys: list[str], key_set: pa.Table, invert: bool = False):
-    """SEMI (keep matching) / ANTI (invert=True, keep non-matching) filter
-    against a broadcast key set."""
-    ks = _fuse_keys(key_set, [c for c in key_set.column_names if c in keys] or key_set.column_names)
-    ks = pc.unique(ks)
-
-    def filt(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(_fuse_keys(batch, keys), value_set=ks)
-        if invert:
-            mask = pc.invert(mask)
-        return batch.filter(mask)
-
-    return filt
 
 
 def make_interval_overlap_join(

@@ -353,6 +353,26 @@ def collect(ds, schema: pa.Schema | None = None) -> pa.Table:
 
 
 @ray.remote
+def _filter_task(pred, t: pa.Table) -> pa.Table:
+    return t.filter(pred(t))
+
+
+def collect_where(ds, pred) -> pa.Table:
+    """The rows of ``ds`` where the mask ``pred(table)`` holds, as one
+    driver table typed as ``ds`` (the over-cap markers of a pair set, say).
+    The filter runs where the blocks are: on the driver when ``ds`` is at
+    most ``_DRIVER_LOCAL_BYTES``, else one task per block, so only the kept
+    rows travel. A materialized ``ds`` starts no Ray Data execution."""
+    ds = _materialized(ds)
+    refs = ds.to_arrow_refs()
+    if int(ds.size_bytes() or 0) <= _DRIVER_LOCAL_BYTES:
+        tabs = [t.filter(pred(t)) for t in ray.get(refs)]
+    else:
+        tabs = ray.get([_filter_task.remote(pred, r) for r in refs])
+    return _concat_or_empty(tabs, pa.schema(ds.schema().base_schema))
+
+
+@ray.remote
 def bucket_task(fn, schemas: list, counts: list[int], *tables: pa.Table | None):
     """One bucket of a keyed exchange: ``fn`` over one typed table per
     side. ``tables`` are the bucket's sub-tables, side after side,

@@ -54,16 +54,11 @@ READ_MIX_BUDGET = {
 REGISTRY_EXCEPTIONS = {
     "cdc_flagship_state": (10, "two apply rounds with the QA gate, a snapshot read, then Dataset.sort"),
     "dd_incremental_neardup": (9, "replay, then the signature-index build and probe over lake scans"),
-    "q3_shipping_priority": (5, "unique() for the semi-filter key set; map_batches before the join and the group-by"),
-    "q_customers_without_orders": (4, "count() and unique() pick the broadcast branch; map_batches, then Dataset.sort"),
-    "q_parts_shipped_recently": (4, "count() and unique() pick the broadcast branch; map_batches, then Dataset.sort"),
+    "q3_shipping_priority": (3, "map_batches before the join and before the group-by, then the per-batch top-k prune"),
     "q_parts_shipped_bloom": (3, "the Bloom filter is built from its own map_batches before the join"),
     "q_unpivot_event_values": (3, "map_batches after the pivot, then Dataset.sort"),
     "dd_decontaminate": (3, "the eval split's n-grams are collected before the scan that probes them"),
     "dd_embed_corpus": (3, "pair map_batches, then the label map_batches and Dataset.sort"),
-    "dd_minhash_lsh": (3, "signatures and bands, then the candidate docs re-read for verification"),
-    "sim_ann_ivf": (3, "the over-cap marker take_all before the pair dedup"),
-    "sim_ann_lsh": (3, "the over-cap marker take_all before the pair dedup"),
     "t_rare_token_frac": (3, "the common-token set is collected before scoring, then Dataset.sort"),
 }
 

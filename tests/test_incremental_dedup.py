@@ -129,10 +129,10 @@ def _pairs_sorted(ds) -> list[tuple]:
 
 
 def test_distributed_path_parity(lake, monkeypatch):
-    """Zeroing the small-increment byte gate forces the keyed-exchange path
-    for probe, update and the changed-doc read; pairs and the maintained
-    index must match the fast path exactly."""
-    import radiant_portal_pipeline_ray.pipelines.incremental_dedup as mod
+    """``taskshuffle._DRIVER_LOCAL_BYTES = -1`` forces the keyed-exchange
+    path for probe, update and the changed-doc read; pairs and the
+    maintained index must match the small-increment path exactly."""
+    from radiant_portal_pipeline_ray.stages import taskshuffle
 
     eng, work = lake
     a = SignatureIndex(str(work / "idx_small_path"), n_buckets=8)
@@ -140,7 +140,7 @@ def test_distributed_path_parity(lake, monkeypatch):
     pairs_small = _pairs_sorted(a.probe(eng, 1, 2))
     a.update(eng, 1, 2)
 
-    monkeypatch.setattr(mod, "_SMALL_SIG_BYTES", 0)
+    monkeypatch.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", -1)
     b = SignatureIndex(str(work / "idx_dist_path"), n_buckets=8)
     b.build(eng, 1)
     pairs_dist = _pairs_sorted(b.probe(eng, 1, 2))

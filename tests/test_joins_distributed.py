@@ -80,10 +80,9 @@ def _oracle(sql):
 
 
 def test_anti_query_partitioned_path_matches_broadcast(ray_session):
-    """broadcast_limit=0 forces the hash-partitioned left-anti fallback; it
-    must produce exactly the broadcast path's (oracle-verified) result."""
+    """The hash-partitioned left anti join gives the oracle's result."""
     want = _oracle(relational.QUERIES["q_customers_without_orders"][1])
-    got = relational.q_customers_without_orders(SF, broadcast_limit=0)
+    got = relational.q_customers_without_orders(SF)
     assert _sorted_pylist(got, ["c_custkey", "c_name"]) == _sorted_pylist(
         want, ["c_custkey", "c_name"]
     )
@@ -91,7 +90,7 @@ def test_anti_query_partitioned_path_matches_broadcast(ray_session):
 
 def test_semi_query_partitioned_path_matches_broadcast(ray_session):
     want = _oracle(relational.QUERIES["q_parts_shipped_recently"][1])
-    got = relational.q_parts_shipped_recently(SF, broadcast_limit=0)
+    got = relational.q_parts_shipped_recently(SF)
     assert _sorted_pylist(got, ["p_partkey", "p_name"]) == _sorted_pylist(
         want, ["p_partkey", "p_name"]
     )

@@ -126,3 +126,22 @@ def test_flagship_removes_its_temporary_lake(ray_session):
     ds = run_flagship(SF_DIR)
     assert set(glob.glob(pattern)) == before
     assert ds.count() > 0
+
+
+def test_flagship_raises_when_the_qa_gate_fails(ray_session, monkeypatch):
+    """A failing QA report raises ``QAGateFailed`` (a real exception, so
+    ``python -O`` keeps the gate)."""
+    import pytest
+
+    from radiant_portal_pipeline_ray.pipelines import flagship
+
+    apply = flagship.CdcEngine.apply
+
+    def failing_qa(self, *a, **kw):
+        report = apply(self, *a, **kw)
+        report["qa"]["passed"] = False
+        return report
+
+    monkeypatch.setattr(flagship.CdcEngine, "apply", failing_qa)
+    with pytest.raises(flagship.QAGateFailed):
+        flagship.run_flagship(SF_DIR)

@@ -106,3 +106,27 @@ def test_idempotent_load_label_skips(ray_session, tmp_path):
     back = rd.read_parquet(r2["path"]).to_pandas()
     assert sorted(back["x"].tolist()) == [1, 2, 3]
     assert not os.path.exists(os.path.join(lake, "_staging", "load-label-1"))
+
+
+def test_export_follows_a_rewritten_source(tmp_path):
+    """A source rewritten in place gets a fresh export (its size and mtime
+    are part of the cache key), and no temporary file is left behind."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    src = sf / "documents.parquet"
+    shutil.copy(os.path.join(SF, "documents.parquet"), src)
+    sql = "COPY (SELECT doc_id FROM src ORDER BY doc_id) TO '{path}' (FORMAT CSV, HEADER)"
+
+    def exported_rows() -> int:
+        path = sourceload._export(str(sf), "documents", sql, "csv")
+        assert not [f for f in os.listdir(os.path.dirname(path)) if f.endswith(".tmp")]
+        return pacsv.read_csv(path).num_rows
+
+    full = pq.read_table(src)
+    assert exported_rows() == full.num_rows
+    pq.write_table(full.slice(0, 7), src)
+    assert exported_rows() == 7

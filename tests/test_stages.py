@@ -16,7 +16,6 @@ from radiant_portal_pipeline_ray.stages.dedup import (
 from radiant_portal_pipeline_ray.stages.joins import (
     make_broadcast_join,
     make_interval_overlap_join,
-    make_semi_filter,
 )
 from radiant_portal_pipeline_ray.stages.multimodal import (
     DecodeError,
@@ -106,10 +105,6 @@ def test_broadcast_join_and_filters():
     assert inner.column("name").to_pylist() == ["two", "one"]
     left = make_broadcast_join(small, ["k"], ["k"], how="left")(batch)
     assert left.column("name").to_pylist() == ["two", None, "one"]
-    semi = make_semi_filter(["k"], pa.table({"k": [1]}))(batch)
-    assert semi.column("x").to_pylist() == [30]
-    anti = make_semi_filter(["k"], pa.table({"k": [1]}), invert=True)(batch)
-    assert anti.column("x").to_pylist() == [10, 20]
 
 
 def test_interval_overlap_join():
