@@ -36,9 +36,10 @@ def maybe_die_once(fault: tuple | None, phase: str) -> None:
     """
     if fault is None or fault[0] != phase:
         return
-    # never kill a DRIVER: small exchanges legally fold driver-local (the
-    # 16 MB threshold in taskshuffle), and ``os._exit`` there would take the
-    # whole application down instead of simulating a lost worker
+    # never kill a DRIVER: small exchanges, and small apply rounds on one
+    # CPU, legally run driver-local (the 16 MB threshold in taskshuffle),
+    # and ``os._exit`` there would take the whole application down instead
+    # of simulating a lost worker
     try:
         import ray
         from ray._private.worker import global_worker

@@ -6,7 +6,8 @@ One ``CdcEngine.apply(changelog)`` call is one incremental ingest round
 loop `radiant/dags/import_radiant.py:48-210`):
 
   1. read the committed manifest (watermarks, salt map, schema, counters):
-     the round's one manifest read
+     the round's one manifest read, or none when the caller hands over the
+     one it just read (the tail does)
   2. changed partitions are discovered BY the exchange itself: each split
      task reports the partitions it routed rows to (events above their
      partition's watermark), so there is no separate scout pass over the
@@ -41,12 +42,16 @@ loop `radiant/dags/import_radiant.py:48-210`):
 
 Only tiny metadata ever reaches the driver; data flows Arrow-zero-copy
 through the object store with ONE keyed exchange carrying the delta — at
-steady state the change stream, never the table.
+steady state the change stream, never the table. The exception is a round
+on a one-CPU cluster: it runs the same split and merge functions of
+steps 4 and 6 in-process on the driver (``_apply_task_exchange``), and
+records which path it took.
 """
 
 from __future__ import annotations
 
 import glob
+import json
 import os
 import time
 
@@ -177,11 +182,18 @@ class CdcEngine:
         self.freeze_routing = False
 
     # ------------------------------------------------------------------
-    def apply(self, changelog: str | list[str]) -> dict:
+    def apply(
+        self, changelog: str | list[str], base: Manifest | None = None
+    ) -> dict:
+        """One apply round over ``changelog``. ``base``: the lake's current
+        manifest when the caller has just read it (the tail does), so the
+        round does not read it again; a base another writer has since
+        advanced costs the commit one rebase, as any concurrent commit
+        does."""
         t0 = time.time()
         cfg = self.cfg
         paths = _resolve_paths(changelog)
-        current = self.lake.current_manifest()
+        current = base if base is not None else self.lake.current_manifest()
         # Guard: the base hash-partition domain is baked into every committed
         # row's routing. Applying with a different n_parts would re-route urls
         # away from their carried state (duplicate live urls, corrupt
@@ -588,19 +600,28 @@ class CdcEngine:
         args, which Ray resolves (zero-copy) before the task runs. No sort,
         no boundary sampling, no second pass over the delta — see
         stages/taskshuffle.py for the copy-count and retry/lineage
-        contract."""
+        contract.
+
+        One decision per round: when Ray has one CPU, the same split and
+        merge functions run in-process on the driver over one bucket
+        (``path`` ``in_process``), since one CPU runs tasks one at a time
+        anyway. Otherwise they run as Ray tasks (``tasks``)."""
         import ray
 
         from radiant_portal_pipeline_ray.pipelines.tail import is_consumed
         from radiant_portal_pipeline_ray.stages.taskshuffle import (
             MERGE_LAYERS,
+            QUARANTINE_CAP,
             SCOUT_LAYERS,
             chunk_units,
             enumerate_units,
             fan_subsplit,
             layer_summary,
+            merge_bucket,
             merge_bucket_count,
             merge_bucket_task,
+            ray_cpus,
+            split_chunk,
             split_task,
             two_level_plan,
         )
@@ -614,12 +635,9 @@ class CdcEngine:
             watermarks,
             partitioner.max_part_id(),
         )
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized()
-            else 8
-        )
-        n_buckets = merge_bucket_count(cpus, partitioner.max_part_id() + 1)
+        cpus = ray_cpus()
+        in_process = cpus == 1
+        path = "in_process" if in_process else "tasks"
 
         pending = dict(current.pending_migrations) if current else {}
         migration_parts: set[int] = set()
@@ -635,20 +653,7 @@ class CdcEngine:
                     mig_files.extend(self.lake.abspath(f) for f in st.files)
                     mig_bytes += st.bytes
 
-        # fused read+normalize+split fan-out (row-group-granular chunks);
-        # migrating partitions' carried rows go through the same exchange
-        # under the snapshot caster (their routing is changing)
         units = enumerate_units(paths, file_metas)
-        chunks = chunk_units(units, 2 * cpus)
-        lake_fs = self.lake.filesystem
-        mig_chunks: list = []
-        if mig_files:
-            mig_chunks = chunk_units(
-                enumerate_units(mig_files, filesystem=lake_fs), 2 * cpus
-            )
-        # second-level split when the (tasks × buckets) ref matrix would
-        # exceed the driver budget: split tasks emit G group objects, one
-        # subsplit task per group fans them to the final buckets
         delta_bytes = sum(
             md.row_group(i).total_byte_size
             for md in (file_metas[p] for p in paths)
@@ -659,6 +664,26 @@ class CdcEngine:
         # a small-delta/big-migration round under-sizes n_groups and one
         # subsplit task concatenates far more than the per-group heap bound
         delta_bytes += mig_bytes
+
+        # fused read+normalize+split fan-out (row-group-granular chunks);
+        # migrating partitions' carried rows go through the same exchange
+        # under the snapshot caster (their routing is changing). In-process:
+        # one chunk per input kind and one bucket, whose merge writes the
+        # same files as any bucket count
+        n_chunks = 1 if in_process else 2 * cpus
+        n_buckets = 1 if in_process else merge_bucket_count(
+            cpus, partitioner.max_part_id() + 1
+        )
+        chunks = chunk_units(units, n_chunks)
+        lake_fs = self.lake.filesystem
+        mig_chunks: list = []
+        if mig_files:
+            mig_chunks = chunk_units(
+                enumerate_units(mig_files, filesystem=lake_fs), n_chunks
+            )
+        # second-level split when the (tasks × buckets) ref matrix would
+        # exceed the driver budget: split tasks emit G group objects, one
+        # subsplit task per group fans them to the final buckets
         plan = two_level_plan(
             len(chunks) + len(mig_chunks), n_buckets, delta_bytes
         )
@@ -667,7 +692,11 @@ class CdcEngine:
         if plan is not None:
             n_groups, n_buckets = plan
             split_buckets = n_groups
-        task = split_task.options(num_returns=1 + split_buckets)
+        if in_process:
+            _lap("plan")  # the split calls below are the scout
+            split = split_chunk
+        else:
+            split = split_task.options(num_returns=1 + split_buckets).remote
         min_lsn = min_wm if current else None
         # inputs an earlier commit consumed: their malformed rows are in
         # the quarantine already
@@ -680,7 +709,7 @@ class CdcEngine:
         # the snapshot never trusts it (the merge extracts text from html),
         # so the ~40%-of-bytes text column is pure wasted I/O
         returns = [
-            task.remote(
+            split(
                 ch, normalizer, split_buckets, min_lsn, None, ("text",),
                 fault_inject=cfg.fault_inject, consumed=consumed,
             )
@@ -691,33 +720,38 @@ class CdcEngine:
                 union_schema, cfg.n_parts, partitioner.salt_map
             )
             for ch in mig_chunks:
-                returns.append(
-                    task.remote(ch, caster, split_buckets, None, lake_fs)
-                )
-        stats_refs = [r[0] for r in returns]
+                returns.append(split(ch, caster, split_buckets, None, lake_fs))
+        split_stats = [r[0] for r in returns]
         if n_groups:
             bucket_cols = fan_subsplit(
                 [list(r[1:]) for r in returns], None, n_buckets, n_groups
             )
         else:
             bucket_cols = [[r[1 + b] for r in returns] for b in range(n_buckets)]
-        _lap("plan")
+        if not in_process:
+            _lap("plan")
+            split_stats = ray.get(split_stats)
 
         parts_seen: set[int] = set()
         q_tabs: list = []
         q_dropped = 0
-        split_stats = ray.get(stats_refs)
         scout_layers = layer_summary(
             SCOUT_LAYERS,
             list(range(len(split_stats))),
             [s["layers"] for s in split_stats],
             "task",
         )
+        q_rows = 0
         for s in split_stats:
             parts_seen.update(int(p) for p in s["parts"])
-            if s.get("quarantine") is not None:
-                q_tabs.append(s["quarantine"])
-                q_dropped += int(s.get("quarantine_dropped", 0))
+            qt = s.get("quarantine")
+            if qt is not None:
+                # the round's cap, over the calls in chunk order
+                take = min(qt.num_rows, QUARANTINE_CAP - q_rows)
+                if take > 0:
+                    q_tabs.append(qt.slice(0, take))
+                    q_rows += take
+                q_dropped += int(s.get("quarantine_dropped", 0)) + qt.num_rows - take
         changed_parts = set(parts_seen)
         for d, old_parts in pending.items():
             changed_parts.update(old_parts)
@@ -773,22 +807,27 @@ class CdcEngine:
         active = sorted(
             {p % n_buckets for p in changed_parts}
         )
-        merge_refs = [
-            merge_bucket_task.remote(
-                kernel, sorted(extra.get(b, [])), *bucket_cols[b]
-            )
+        merge = merge_bucket if in_process else merge_bucket_task.remote
+        results = [
+            merge(kernel, sorted(extra.get(b, [])), *bucket_cols[b])
             for b in active
         ]
-        results = ray.get(merge_refs)
+        if not in_process:
+            results = ray.get(results)
         meta_rows = [m for metas, _ in results for m in metas]
         merge_layers = layer_summary(
             MERGE_LAYERS, active, [lay for _, lay in results], "bucket"
         )
         _lap("merge")
-        # release the round's plasma objects before the commit; the refs
-        # form no cycles, so dropping them frees the objects without a
-        # gc.collect()
-        del bucket_cols, returns, stats_refs, merge_refs
+        # release the round's bucket tables (plasma objects on the task
+        # path) before the commit; the refs form no cycles, so dropping
+        # them frees the objects without a gc.collect()
+        del bucket_cols, returns, split_stats, results
+        exchange = {
+            "path": path,
+            "scout_layers": scout_layers,
+            "merge_layers": merge_layers,
+        }
         report = self._post_merge(
             t0,
             timings,
@@ -802,10 +841,9 @@ class CdcEngine:
             watermarks,
             noop_report,
             quarantine=quarantine_info,
-            layers={"scout_layers": scout_layers, "merge_layers": merge_layers},
+            exchange=exchange,
         )
-        report["scout_layers"] = scout_layers
-        report["merge_layers"] = merge_layers
+        report.update(exchange)
         return report
 
     # ------------------------------------------------------------------
@@ -925,7 +963,7 @@ class CdcEngine:
         watermarks,
         noop_report,
         quarantine: dict | None = None,
-        layers: dict | None = None,
+        exchange: dict | None = None,
     ) -> dict:
         """Tail of an apply round: salting decisions from merge metadata,
         watermark seeding, two-phase commit, report assembly, optional
@@ -936,11 +974,9 @@ class CdcEngine:
 
         # ---- deferred salting: decide from the merge's heavy-hitter counts;
         # migrations execute on the NEXT apply via pending_migrations -------
-        import json as _json
-
         domain_totals: dict[str, int] = {}
         for m in meta_rows:
-            for d, n in _json.loads(m["top_domains"]).items():
+            for d, n in json.loads(m["top_domains"]).items():
                 domain_totals[d] = domain_totals.get(d, 0) + int(n)
         if self.freeze_routing:
             # backlog mode: the scheduler's partition-disjointness was
@@ -995,10 +1031,10 @@ class CdcEngine:
                     "files": sum(len(m["files"]) for m in meta_rows),
                 },
                 "timings_s": dict(timings),
-                # the split and merge tasks' in-task layers (scout_layers,
-                # merge_layers); kept out of timings_s, which holds only the
-                # phase laps
-                **(layers or {}),
+                # the exchange's path (in_process or tasks) and the split
+                # and merge calls' layers (scout_layers, merge_layers);
+                # kept out of timings_s, which holds only the phase laps
+                **(exchange or {}),
             },
         }
         if quarantine is not None:
@@ -1033,7 +1069,7 @@ class CdcEngine:
                             "max_lsn": int(m["max_lsn"]),
                         }
                     ),
-                    stats=_json.loads(m["file_stats"]),
+                    stats=json.loads(m["file_stats"]),
                 )
             for p in migrated_empty:
                 old_st = parts.get(p)

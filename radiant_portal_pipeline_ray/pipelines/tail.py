@@ -149,7 +149,10 @@ def is_consumed(man, path: str, max_lsn: int | None = None) -> bool:
 def pending_inputs(engine, changelog_dir: str) -> list[str]:
     """Changelog files not yet provably consumed, in name order (the
     generator emits lsn-ordered batch files, so name order is lsn order)."""
-    man = engine.lake.current_manifest()
+    return _unconsumed(engine.lake.current_manifest(), changelog_dir)
+
+
+def _unconsumed(man, changelog_dir: str) -> list[str]:
     return [
         path
         for path in sorted(glob.glob(os.path.join(changelog_dir, "*.parquet")))
@@ -189,16 +192,16 @@ def tail(
     rounds = 0
     idle = 0
     while True:
-        new = pending_inputs(engine, changelog_dir)
+        # the round's one manifest read: the apply plans from it too, and
+        # its commit rebases if another writer committed meanwhile
+        man = engine.lake.current_manifest()
+        new = _unconsumed(man, changelog_dir)
         if batch_files and len(new) > batch_files:
             new = new[:batch_files]
         if new:
             idle = 0
-            # lists the manifest directory: only the index needs it
-            v_prev = (
-                engine.lake.current_version() if sig_index is not None else None
-            )
-            rep = engine.apply(new)
+            v_prev = man.version if man is not None else None
+            rep = engine.apply(new, base=man)
             rep["consumed_files"] = [os.path.basename(p) for p in new]
             v_new = rep.get("version")
             if sig_index is not None and v_new is not None:

@@ -21,6 +21,15 @@ minimal-copy shape:
   the bucket's partitions (batched by carried bytes), then one staged
   write per partition
 
+The two task bodies are plain functions (``split_chunk``,
+``merge_bucket``); ``split_task`` and ``merge_bucket_task`` are their Ray
+tasks. When the Ray cluster has one CPU, the round calls the same two
+functions in-process on the driver, over one bucket: there the tasks would
+run one at a time in one worker, adding pickling, object-store copies and
+a second process, but no parallelism. The decision weighs CPUs only; no
+benchmark workload has a one-CPU round large enough to time a size bound
+against.
+
 Every task here that consumes other tasks' outputs (the CDC merge, the
 generic exchange's split and bucket tasks below, and the level-2
 ``subsplit_task``) takes its refs as top-level args, never via ``ray.get``
@@ -74,6 +83,11 @@ from radiant_portal_pipeline_ray.stages.merge import MERGE_LAYERS, MergeKernel
 #: in seconds; and the bytes of the bucket tables it returns
 SCOUT_LAYERS = ("read_s", "normalize_s", "split_s", "bytes_out")
 
+#: malformed rows one apply round keeps for its quarantine, the first in
+#: chunk order; each split call keeps at most this many as well, so what a
+#: round keeps does not depend on how many chunks it has
+QUARANTINE_CAP = 100_000
+
 
 def enumerate_units(
     paths: list[str],
@@ -91,6 +105,15 @@ def enumerate_units(
             md = pq.read_metadata(p, filesystem=filesystem)
         units.extend((p, rg) for rg in range(md.num_row_groups))
     return units
+
+
+def ray_cpus(default: int = 8) -> int:
+    """CPUs of the Ray cluster; ``default`` when no session is up yet (8
+    for a planner whose first task submission starts one, 1 for a driver
+    read that starts none)."""
+    if not ray.is_initialized():
+        return default
+    return int(ray.cluster_resources().get("CPU", default))
 
 
 def merge_bucket_count(cpus: int, n_parts: int) -> int:
@@ -133,8 +156,7 @@ def _lsn_col_index(md) -> int:
     return -1
 
 
-@ray.remote
-def split_task(
+def split_chunk(
     units: list[tuple[str, int]],
     transform,
     n_buckets: int,
@@ -145,9 +167,10 @@ def split_task(
     consumed: frozenset = frozenset(),
 ):
     """Read assigned row groups → transform → split by bucket. Returns
-    ``(stats, bucket_0, ..., bucket_{n-1})`` — launch with
-    ``.options(num_returns=n_buckets + 1)``. Empty buckets return None.
-    ``stats["layers"]`` holds the task's ``SCOUT_LAYERS``.
+    ``(stats, bucket_0, ..., bucket_{n-1})``; empty buckets are None.
+    ``stats["layers"]`` holds the call's ``SCOUT_LAYERS``. The apply round
+    calls it in-process or as :data:`split_task` (launch with
+    ``.options(num_returns=n_buckets + 1)``).
 
     ``fault_inject`` (tests only): ``("scout", dir)`` makes the first such
     task hard-kill its worker once — see ``chaos.maybe_die_once``.
@@ -185,11 +208,11 @@ def split_task(
     parts_seen: set[int] = set()
     #: malformed events split off by the normalizer (quarantine mode): the
     #: rows ride back in the stats object — pathological by definition, so
-    #: capped per task; overflow is counted, never silently lost
+    #: capped per call (the round caps their sum again); overflow is
+    #: counted, never silently lost
     q_tables: list[pa.Table] = []
     q_rows = 0
     q_dropped = 0
-    _Q_CAP = 100_000
     layers = dict.fromkeys(SCOUT_LAYERS, 0.0)
     t_mark = time.perf_counter()
 
@@ -230,7 +253,7 @@ def split_task(
             if isinstance(t, tuple):
                 t, qt = t
                 if qt is not None and qt.num_rows and p not in consumed:
-                    take = min(qt.num_rows, _Q_CAP - q_rows)
+                    take = min(qt.num_rows, QUARANTINE_CAP - q_rows)
                     if take > 0:
                         q_tables.append(qt.slice(0, take))
                         q_rows += take
@@ -269,6 +292,10 @@ def split_task(
         stats["quarantine"] = quarantine
         stats["quarantine_dropped"] = q_dropped
     return tuple([stats] + buckets)
+
+
+#: :func:`split_chunk` as a Ray task, one per changelog chunk
+split_task = ray.remote(split_chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +418,12 @@ def bucket_task(fn, schemas: list, counts: list[int], *tables: pa.Table | None):
 #: to the caller's ceiling.
 _TARGET_BUCKET_BYTES = 64 << 20
 
-#: the one size threshold of the read side: a file read (``state/lakescan``)
+#: the one driver-or-tasks size threshold: a file read (``state/lakescan``)
 #: planning at most this many bytes reads in-process, and an exchange of at
-#: most this many bytes runs its kernel once on the driver; both return
-#: their blocks through :func:`local_dataset`
+#: most this many bytes runs its kernel once on the driver, both returning
+#: their blocks through :func:`local_dataset`. The apply round does not
+#: weigh bytes: it runs its split and merge on the driver whenever Ray has
+#: one CPU
 _DRIVER_LOCAL_BYTES = 16 << 20
 
 #: driver ObjectRef budget per exchange: above this the split runs in two
@@ -493,7 +522,7 @@ def _split_refs(
         last_split_plan = {"levels": 0, "n_tasks": 0, "n_buckets": n_buckets,
                            "n_groups": 0, "driver_refs": 0}
         return [[] for _ in range(n_buckets)]
-    cpus = int(ray.cluster_resources().get("CPU", 8))
+    cpus = ray_cpus()
     by_size = max(1, -(-total_bytes // (_TARGET_BUCKET_BYTES // 4)))
     n_tasks = max(1, min(2 * cpus, len(refs), by_size))
     size = -(-len(refs) // n_tasks)
@@ -647,19 +676,19 @@ def exchange_join(
     )
 
 
-@ray.remote
-def merge_bucket_task(
+def merge_bucket(
     kernel: MergeKernel, extra_parts: list[int], *tables: pa.Table | None
 ) -> tuple[list[dict], dict[str, float]]:
     """Merge + stage every partition in one bucket with
     ``MergeKernel.merge_parts``: one LWW pass per batch of partitions whose
     carried bytes fit ``_TARGET_BUCKET_BYTES``. ``tables`` is this bucket's
-    column of the split-output matrix, passed as top-level ObjectRef args
-    so Ray resolves them before the task starts (None = an empty split
-    output). ``extra_parts``: changed partitions owned by this bucket that
-    shuffled no rows (e.g. local-carry-only partitions) — merged from an
-    empty delta so their carried state still re-stages. Returns the
-    per-partition metadata and the task's ``MERGE_LAYERS`` seconds."""
+    column of the split outputs (None = an empty split output); as
+    :data:`merge_bucket_task` they are top-level ObjectRef args, which Ray
+    resolves before the task starts. ``extra_parts``: changed partitions
+    owned by this bucket that shuffled no rows (e.g. local-carry-only
+    partitions) — merged from an empty delta so their carried state still
+    re-stages. Returns the per-partition metadata and the call's
+    ``MERGE_LAYERS`` seconds."""
     tables = [t for t in tables if t is not None and t.num_rows]
     if tables:
         delta = pa.concat_tables(tables, promote_options="permissive")
@@ -676,6 +705,10 @@ def merge_bucket_task(
         delta, parts, layers=layers, batch_bytes=_TARGET_BUCKET_BYTES
     )
     return metas, layers
+
+
+#: :func:`merge_bucket` as a Ray task, one per active merge bucket
+merge_bucket_task = ray.remote(merge_bucket)
 
 
 def layer_summary(

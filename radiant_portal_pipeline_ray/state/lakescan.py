@@ -38,7 +38,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 from pyarrow import fs as pafs
-import ray
 import ray.data as rd
 from ray.data.block import BlockMetadata
 from ray.data.datasource import Datasource, ReadTask
@@ -138,7 +137,7 @@ def read(files, schema, filesystem=None, columns=None, filter=None) -> "rd.Datas
     ``map_batches`` can use every CPU and starts no more tasks than that."""
     src = LakeScan(files, schema, filesystem, columns, filter)
     if src.estimate_inmemory_data_size() <= taskshuffle._DRIVER_LOCAL_BYTES:
-        cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else 1
+        cpus = taskshuffle.ray_cpus(default=1)
         return taskshuffle.local_dataset(*src.read_local(max(1, cpus)))
     return rd.read_datasource(src)
 

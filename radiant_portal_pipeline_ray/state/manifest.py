@@ -258,11 +258,25 @@ class Manifest:
     def commit_info(self) -> dict:
         """What this version's commit did, from its own ``metrics`` (the
         Delta Lake ``commitInfo`` analogue): its op, counts, bytes written,
-        the phase laps before its commit and rows quarantined. Ops that
-        apply no events report zero counts."""
+        the phase laps before its commit, the path its exchange took
+        (``in_process`` or ``tasks``), the per-layer sums of its split and
+        merge calls, its slowest merge bucket and rows quarantined. Ops
+        that apply no events report zero counts, and ops with no exchange
+        a None path and bucket and empty layer sums."""
         m = self.metrics
         counts = m.get("last_apply", {})
         stages = m.get("stage_metrics", {})
+        merge = stages.get("merge_layers", {})
+
+        def sums(layers: dict) -> dict:
+            # a stored ``taskshuffle.layer_summary`` less its per-call
+            # spreads (``*_p50*``, ``*_max*``) and ``slowest_*`` entries
+            return {
+                k: v
+                for k, v in layers.items()
+                if not k.startswith("slowest_") and "_p50" not in k and "_max" not in k
+            }
+
         return {
             "version": self.version,
             "op": m.get("op"),
@@ -272,6 +286,11 @@ class Manifest:
             "rows_deleted": counts.get("rows_deleted", 0),
             "bytes": stages.get("write", {}).get("bytes", 0),
             "timings_s": stages.get("timings_s", {}),
+            "path": stages.get("path"),
+            "scout_layers": sums(stages.get("scout_layers", {})),
+            "merge_layers": sums(merge),
+            "slowest_bucket": merge.get("slowest_bucket"),
+            "slowest_bucket_s": merge.get("slowest_bucket_s"),
             "rows_quarantined": (m.get("quarantine") or {}).get("rows", 0),
         }
 

@@ -7,6 +7,8 @@ from radiant_portal_pipeline_ray.sources.generator import (
     ChangelogSpec,
     generate_changelog,
 )
+from radiant_portal_pipeline_ray.stages.merge import MERGE_LAYERS
+from radiant_portal_pipeline_ray.stages.taskshuffle import SCOUT_LAYERS
 
 
 def test_cli_lifecycle(ray_session, tmp_path, capsys):
@@ -77,6 +79,16 @@ def test_show_history(ray_session, tmp_path, capsys):
     # the laps before the commit: the commit lap ends after the manifest
     # is published
     assert set(apply_["timings_s"]) == {"plan", "scout", "merge"}
+    # the session's 4 CPUs: the round's exchange ran as Ray tasks
+    assert apply_["path"] == "tasks"
+    assert quarantine["path"] is compacted["path"] is rollback["path"] is None
+    # the split and merge calls' layer sums and the slowest merge bucket
+    assert set(apply_["scout_layers"]) == set(SCOUT_LAYERS)
+    assert set(apply_["merge_layers"]) == set(MERGE_LAYERS)
+    assert apply_["slowest_bucket"] is not None
+    for row in (quarantine, compacted, rollback):
+        assert row["scout_layers"] == row["merge_layers"] == {}
+        assert row["slowest_bucket"] is row["slowest_bucket_s"] is None
     assert quarantine["rows_quarantined"] == len(bad)
     assert quarantine["events_in"] == quarantine["bytes"] == 0
     # the compaction reports its own rewrite, not the previous apply's

@@ -240,10 +240,15 @@ def test_apply_round_reads_the_manifest_once(
 ):
     """A round plans from one manifest and commits its successor without
     re-reading it; the post-commit QA reads the committed version. The
-    second listing is the publish check after the put."""
+    second listing is the publish check after the put. A tail round plans
+    from the manifest its pending-input check read."""
+    import os
+
+    from radiant_portal_pipeline_ray.pipelines.tail import tail
+
     paths = generate_changelog(
         str(tmp_path / "cl"),
-        ChangelogSpec(n_urls=200, n_events=900, n_batches=3, seed=3),
+        ChangelogSpec(n_urls=200, n_events=1200, n_batches=4, seed=3),
     )
     eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4, run_qa=run_qa))
     eng.apply(paths[:1])
@@ -258,8 +263,15 @@ def test_apply_round_reads_the_manifest_once(
             return _orig(self, *a)
 
         monkeypatch.setattr(Lake, name, counted)
-    rep = eng.apply(paths[2:])
+    rep = eng.apply(paths[2:3])
     assert rep["version"] == 3 and rep["commit_attempts"] == 1
+    if run_qa:
+        assert rep["qa"]["passed"] is True
+    assert calls == {"versions": 2, "read_manifest": 1}
+    calls.update(versions=0, read_manifest=0)
+    (rep,) = tail(eng, str(tmp_path / "cl"), poll_s=0.0, max_rounds=1)
+    assert rep["version"] == 4 and rep["commit_attempts"] == 1
+    assert rep["consumed_files"] == [os.path.basename(paths[3])]
     if run_qa:
         assert rep["qa"]["passed"] is True
     assert calls == {"versions": 2, "read_manifest": 1}
