@@ -36,6 +36,7 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     exchange_group,
     exchange_join,
     local_dataset,
+    materialized,
 )
 from radiant_portal_pipeline_ray.state import lakescan
 
@@ -200,7 +201,7 @@ def cdc_change_feed(sf_dir: str):
         for p in paths:
             eng.apply([p])
         # materialized: the lake under /tmp is removed on return
-        return read_changes(eng, 1, 2, sort_by="url").materialize()
+        return materialized(read_changes(eng, 1, 2, sort_by="url"))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -526,7 +527,7 @@ def cdc_incremental_join(sf_dir: str):
             return pick.select(["url", "lsn", "source_docs"])
 
         view = exchange_group(seed.union(deltas), ["url"], 64, fold, sort_by="url")
-        return view.materialize()  # /tmp lake removed on return
+        return materialized(view)  # /tmp lake removed on return
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

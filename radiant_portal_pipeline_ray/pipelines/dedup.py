@@ -63,6 +63,7 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     collect_where,
     exchange_group,
     local_dataset,
+    materialized,
 )
 
 logger = logging.getLogger(__name__)
@@ -300,9 +301,9 @@ def distributed_verify(sh: "rd.Dataset", pairs: "rd.Dataset") -> "rd.Dataset":
         return pa.table({"doc_id": pa.array(u, type=pa.int64())})
 
     cand_ids = dp.map_batches(explode_ids, batch_format="pyarrow")
-    sh_cand = hash_partitioned_join(
-        sh, cand_ids, left_on="doc_id", how="semi"
-    ).materialize()
+    sh_cand = materialized(
+        hash_partitioned_join(sh, cand_ids, left_on="doc_id", how="semi")
+    )
 
     # 3./4. shared-shingle count = inter ---------------------------------
     sh_a = sh_cand.map_batches(
@@ -316,7 +317,7 @@ def distributed_verify(sh: "rd.Dataset", pairs: "rd.Dataset") -> "rd.Dataset":
     inter = _grouped_count(h2, ["doc_a", "doc_b"], "inter")
 
     # 5. sizes + threshold ----------------------------------------------
-    sizes = _grouped_count(sh_cand, ["doc_id"], "n").materialize()
+    sizes = materialized(_grouped_count(sh_cand, ["doc_id"], "n"))
     sizes_a = sizes.map_batches(
         lambda b: b.rename_columns(["doc_id", "n_a"]), batch_format="pyarrow"
     )
@@ -796,10 +797,12 @@ def connected_components_distributed(
             {"node": b.column("node"), "lbl": pa.array(m, type=pa.int64())}
         )
 
-    labels = _grouped_min(
-        edges.map_batches(self_min, batch_format="pyarrow"),
-        ["node"], "lbl", "label",
-    ).materialize()
+    labels = materialized(
+        _grouped_min(
+            edges.map_batches(self_min, batch_format="pyarrow"),
+            ["node"], "lbl", "label",
+        )
+    )
 
     for it in range(max_iters):
         nbr_labels = labels.map_batches(
@@ -887,7 +890,7 @@ def dd_dedup_corpus(sf_dir: str, max_bucket: int = 4096):
     ``connected_components_distributed``, the same mapping by iterated
     min-label propagation with zero driver state.
     """
-    pairs = dd_ngram_jaccard(sf_dir, max_bucket=max_bucket).materialize()
+    pairs = materialized(dd_ngram_jaccard(sf_dir, max_bucket=max_bucket))
     return fold_components(pairs)
 
 

@@ -20,6 +20,7 @@ import pyarrow.parquet as pq
 from radiant_portal_pipeline_ray.config import EngineConfig
 from radiant_portal_pipeline_ray.functions.text import extract_text
 from radiant_portal_pipeline_ray.pipelines.apply import CdcEngine
+from radiant_portal_pipeline_ray.stages.taskshuffle import materialized
 
 _EPOCH_US = 1_704_067_200_000_000  # 2024-01-01
 
@@ -118,7 +119,7 @@ def run_flagship(sf_dir: str, work_dir: str | None = None, n_parts: int = 8):
         if not report["qa"]["passed"]:
             raise QAGateFailed(report["qa"])
         snap = eng.read_snapshot()
-        return snap if work_dir else snap.materialize()
+        return snap if work_dir else materialized(snap)
     finally:
         if not work_dir:
             shutil.rmtree(work, ignore_errors=True)

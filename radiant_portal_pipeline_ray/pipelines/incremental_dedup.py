@@ -77,6 +77,7 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     exchange_group,
     exchange_join,
     local_dataset,
+    materialized,
     sort_table,
 )
 from radiant_portal_pipeline_ray.state import lakescan
@@ -665,12 +666,14 @@ class SignatureIndex:
         )
         # the same pair can surface under several bands in different buckets
         # → one more keyed exchange for the global distinct
-        cands = exchange_group(
-            cands,
-            ["new_url", "old_url"],
-            self.n_buckets,
-            lambda t: t.group_by(["new_url", "old_url"]).aggregate([]),
-        ).materialize()
+        cands = materialized(
+            exchange_group(
+                cands,
+                ["new_url", "old_url"],
+                self.n_buckets,
+                lambda t: t.group_by(["new_url", "old_url"]).aggregate([]),
+            )
+        )
 
         if cands.count() == 0:
             return local_dataset(_PAIRS_SCHEMA.empty_table())
@@ -798,9 +801,9 @@ class SignatureIndex:
                 c, _ = _join_take(st, rt, "url", "url")
                 return c
 
-            gone_sigs = exchange_join(
-                old_sigs, removed, ["url"], ["url"], self.n_buckets, semi
-            ).materialize()
+            gone_sigs = materialized(
+                exchange_join(old_sigs, removed, ["url"], ["url"], self.n_buckets, semi)
+            )
             n_del = gone_sigs.count()
             band_ds = band_ds.union(
                 gone_sigs.map_batches(self._band_rows(1), batch_format="pyarrow")
@@ -931,7 +934,7 @@ class SignatureIndex:
             return pairs, stats
         # large increment: the extra pass of the sequential full paths is
         # amortized by the increment size itself
-        pairs = self.probe(engine, v_from, v_to).materialize()
+        pairs = materialized(self.probe(engine, v_from, v_to))
         stats = self.update(engine, v_from, v_to)
         return pairs, stats
 
@@ -1076,7 +1079,7 @@ def dd_incremental_neardup(sf_dir: str):
         idx = SignatureIndex(os.path.join(work, "sigindex"), n_buckets=32)
         idx.build(eng, 1)
         # materialized: the lake under /tmp is removed on return
-        return idx.probe(eng, 1, 2, sort_by=["new_url", "old_url"]).materialize()
+        return materialized(idx.probe(eng, 1, 2, sort_by=["new_url", "old_url"]))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -43,6 +43,8 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     exchange_group,
     exchange_join,
     local_dataset,
+    map_blocks,
+    materialized,
 )
 
 QUERIES: dict = {}
@@ -132,7 +134,7 @@ def q1_pricing_summary(sf_dir: str):
         )
 
     return partial_final_groupby(
-        ds.map_batches(revenue, batch_format="pyarrow"),
+        map_blocks(ds, revenue),
         ["l_returnflag", "l_linestatus"],
         [
             ("l_quantity", "sum", "sum_qty_f"),
@@ -177,16 +179,14 @@ def q_region_revenue(sf_dir: str):
     orders = read_parquet_clean(
         _pq(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
     )
-    joined = orders.map_batches(
-        make_broadcast_join(dim, ["o_custkey"], ["c_custkey"], how="inner"),
-        batch_format="pyarrow",
-    )
-    joined = joined.map_batches(
-        lambda b: b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64))),
-        batch_format="pyarrow",
-    )
+    join = make_broadcast_join(dim, ["o_custkey"], ["c_custkey"], how="inner")
+
+    def join_one(b: pa.Table) -> pa.Table:
+        b = join(b)
+        return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
+
     return partial_final_groupby(
-        joined,
+        map_blocks(orders, join_one),
         ["region_name"],
         [("o_totalprice", "sum", "rev_f"), ("one", "sum", "n_orders")],
         finish=lambda b: pa.table(
@@ -261,7 +261,7 @@ def q_parts_shipped_recently(sf_dir: str):
     def batch_distinct(b: pa.Table) -> pa.Table:
         return b.group_by("l_partkey").aggregate([])
 
-    keys_d = keys_ds.map_batches(batch_distinct, batch_format="pyarrow")
+    keys_d = map_blocks(keys_ds, batch_distinct)
     return hash_partitioned_join(
         part, keys_d, "p_partkey", "l_partkey", how="semi",
         finish=lambda t: t.select(["p_partkey", "p_name"]),
@@ -296,24 +296,26 @@ def q_parts_shipped_bloom(sf_dir: str, log2_m: int = 20):
     cutoff = pa.scalar(np.datetime64("2000-06-01T00:00:00", "us"))
     keys_ds = read_parquet_clean(
         _pq(sf_dir, "lineitem"),
-        columns=["l_partkey", "l_shipdate"],
+        columns=["l_partkey"],
         filter=pc.field("l_shipdate") > cutoff,
-    ).select_columns(["l_partkey"])
+    )
     part = read_parquet_clean(_pq(sf_dir, "part"), columns=["p_partkey", "p_name"])
 
-    bf, words_ref = build_bloom(keys_ds, "l_partkey", log2_m=log2_m)
+    def batch_distinct(b: pa.Table) -> pa.Table:
+        return b.group_by("l_partkey").aggregate([])
+
+    # the key side is read and pre-distincted once: it builds the filter
+    # (a Bloom filter of a key set does not depend on duplicates) and is
+    # the semi join's right side
+    keys_d = materialized(map_blocks(keys_ds, batch_distinct))
+    bf, words_ref = build_bloom(keys_d, "l_partkey", log2_m=log2_m)
 
     def bloom_probe(b: pa.Table) -> pa.Table:
         words = ray.get(words_ref)  # zero-copy plasma read, shared per node
         vals = b.column("p_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
         return b.filter(pa.array(bf.might_contain(words, vals)))
 
-    survivors = part.map_batches(bloom_probe, batch_format="pyarrow")
-
-    def batch_distinct(b: pa.Table) -> pa.Table:
-        return b.group_by("l_partkey").aggregate([])
-
-    keys_d = keys_ds.map_batches(batch_distinct, batch_format="pyarrow")
+    survivors = map_blocks(part, bloom_probe)
     return hash_partitioned_join(
         survivors, keys_d, "p_partkey", "l_partkey", how="semi",
         finish=lambda t: t.select(["p_partkey", "p_name"]),

@@ -30,6 +30,7 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     collect,
     collect_where,
     exchange_group,
+    materialized,
 )
 
 from radiant_portal_pipeline_ray.stages.similarity import (
@@ -224,7 +225,7 @@ def _bucketed_ann_pairs(
     )
 
     gen = make_cosine_bucket_pairs(bucket_col, threshold, max_bucket)
-    pairs = exchange_group(ds, [bucket_col], 64, gen).materialize()
+    pairs = materialized(exchange_group(ds, [bucket_col], 64, gen))
     markers = collect_where(
         pairs, lambda b: pc.equal(b.column("vec_a"), -1)
     ).column("cos_r").to_pylist()  # ≤ one row per dropped bucket — tiny

@@ -6,11 +6,13 @@ rolled up globally (`germline_snv_variant_frequency_insert.sql:1-47`) — and
 the rank-1 window pick ``ROW_NUMBER() OVER (PARTITION BY k ORDER BY s) = 1``
 (`radiant/dags/sql/radiant/exomiser_insert_partition_delta.sql:9`).
 
-Scale shape: ``partial_final_groupby`` combines INSIDE each ``map_batches``
-batch first (one output row per key per batch), so the all-to-all shuffle
-moves partial rows, not raw rows — the pre-aggregate pattern the north rule
-asks for. ``topk_per_key`` prunes to k rows per key per batch before the
-shuffle for the same reason.
+Scale shape: ``partial_final_groupby`` combines INSIDE each batch first
+(one output row per key per batch), so the all-to-all shuffle moves
+partial rows, not raw rows — the pre-aggregate pattern the north rule asks
+for. ``topk_per_key`` prunes to k rows per key per batch before the shuffle
+for the same reason. These pre-passes are ``exchange_group``'s ``pre=``:
+on the driver, as ``taskshuffle.map_blocks`` runs a map, when the input is
+small and already there, else in ``map_batches`` tasks.
 
 ``window`` is the one operator behind the ``PARTITION BY … ORDER BY``
 queries: it owns the keyed exchange, one sort per bucket, the group
@@ -82,9 +84,9 @@ def partial_final_groupby(
         mapping = {f"{out}_{_FINAL_FN[f]}": out for _, f, out in aggs}
         return g.rename_columns([mapping.get(n, n) for n in g.column_names])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
     return exchange_group(
-        partials, keys, n_partitions, _then(final_combine, finish), sort_by=sort_by
+        ds, keys, n_partitions, _then(final_combine, finish),
+        pre=partial, batch_size=batch_size, sort_by=sort_by,
     )
 
 
@@ -138,8 +140,10 @@ def topk_per_key(
     def final(group: pa.Table) -> pa.Table:
         return topk_per_key_table(group, keys, order_by, k)
 
-    pruned = ds.map_batches(prune, batch_format="pyarrow", batch_size=batch_size)
-    return exchange_group(pruned, keys, 64, _then(final, finish), sort_by=sort_by)
+    return exchange_group(
+        ds, keys, 64, _then(final, finish),
+        pre=prune, batch_size=batch_size, sort_by=sort_by,
+    )
 
 
 def count_distinct_groupby(
@@ -155,6 +159,8 @@ def count_distinct_groupby(
     per key. ``predicate_cols`` maps extra boolean columns → output names
     for conditional distinct counts (reference A1 shape:
     ``COUNT(DISTINCT CASE WHEN ... THEN patient_id END)``)."""
+    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+
     predicate_cols = predicate_cols or {}
 
     def dedup(batch: pa.Table) -> pa.Table:
@@ -164,10 +170,6 @@ def count_distinct_groupby(
         g = sub.group_by(keys + [distinct_col]).aggregate(spec)
         ren = {f"{p}_max": p for p in predicate_cols}
         return g.rename_columns([ren.get(n, n) for n in g.column_names])
-
-    pairs = ds.map_batches(dedup, batch_format="pyarrow", batch_size=batch_size)
-
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
     def per_bucket(group: pa.Table) -> pa.Table:
         # all of the bucket's keys in one vectorized pass: arrow
@@ -201,7 +203,7 @@ def count_distinct_groupby(
             )
         return g.combine_chunks()
 
-    return exchange_group(pairs, keys, 64, per_bucket)
+    return exchange_group(ds, keys, 64, per_bucket, pre=dedup, batch_size=batch_size)
 
 
 def _changes(col: np.ndarray) -> np.ndarray:
@@ -294,10 +296,11 @@ def window(
     from radiant_portal_pipeline_ray.stages.taskshuffle import (
         exchange_group,
         local_dataset,
+        materialized,
         sort_spec,
     )
 
-    ds = ds.materialize()
+    ds = materialized(ds)
     if ds.count() == 0:
         return local_dataset(schema.empty_table())
     keys = [(partition_by, False)] + sort_spec(order_by)

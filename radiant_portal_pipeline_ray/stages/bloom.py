@@ -77,7 +77,8 @@ def build_bloom(ds, column: str, log2_m: int = 23, k: int = 7):
     already associative and commutative, so only the fold topology changes.
     """
     import ray
-    import ray.data as rd  # noqa: F401
+
+    from radiant_portal_pipeline_ray.stages.taskshuffle import map_blocks, materialized
 
     bf = BloomFilter(log2_m, k)
 
@@ -85,7 +86,7 @@ def build_bloom(ds, column: str, log2_m: int = 23, k: int = 7):
         vals = b.column(column).to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({"bits": pa.array([bf.partial(vals).tobytes()], pa.binary())})
 
-    blobs = ds.map_batches(partial_blob, batch_format="pyarrow")
+    blobs = materialized(map_blocks(ds, partial_blob))
 
     @ray.remote(num_returns=1)
     def fold(*tables) -> np.ndarray:
@@ -95,5 +96,5 @@ def build_bloom(ds, column: str, log2_m: int = 23, k: int = 7):
                 words |= np.frombuffer(blob, dtype=np.uint64)
         return words
 
-    refs = blobs.materialize().to_arrow_refs()
+    refs = blobs.to_arrow_refs()
     return bf, fold.remote(*refs)

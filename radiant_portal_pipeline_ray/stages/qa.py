@@ -6,12 +6,14 @@ cross-table exclusivity (`radiant/data_qa/macros/test_should_be_within_range.sql
 `radiant/data_qa/tests/germline_snv_occurrence__validate_exclusive_with_somatic.sql:1-14`,
 run from the DAG `radiant/dags/data_integrity_starrocks.py:141-185`).
 
-Each check is a streaming aggregate over a Dataset (never a driver-side
-materialization); the suite returns a report dict the engine persists next
-to the manifest, and ``CdcEngine.apply(..)`` runs it post-commit when
-``EngineConfig.run_qa`` is set. Failures are data, not exceptions
-— the caller decides to gate (same known-failure-tolerance shape as the
-reference's Jira-tagged dbt failures).
+Each check is a partial-then-fold aggregate over a Dataset: only the
+per-batch partials reach the driver (a small input, already on the
+driver, maps there: ``exchange_group``'s ``pre=``). The suite returns a
+report dict the engine persists next to the manifest, and
+``CdcEngine.apply(..)`` runs it post-commit when ``EngineConfig.run_qa``
+is set. Failures are data, not exceptions — the caller decides to gate
+(same known-failure-tolerance shape as the reference's Jira-tagged dbt
+failures).
 """
 
 from __future__ import annotations
@@ -57,20 +59,15 @@ def run_checks(
             rows or [{"check": "_none", "key": "_", "val": 0}]
         )
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+    from radiant_portal_pipeline_ray.stages.taskshuffle import collect, exchange_group
 
     def fold(g: pa.Table) -> pa.Table:
         out = g.group_by(["check", "key"]).aggregate([("val", "sum")])
         return out.rename_columns(["check", "key", "val"])
 
-    agg = exchange_group(
-        ds.map_batches(partials, batch_format="pyarrow"),
-        ["check", "key"],
-        16,
-        fold,
-    )
+    agg = exchange_group(ds, ["check", "key"], 16, fold, pre=partials)
     counters: dict[str, dict] = {}
-    for r in agg.take_all():
+    for r in collect(agg).to_pylist():
         counters.setdefault(r["check"], {})[r["key"]] = r["val"]
 
     known = known_failures or {}
@@ -151,7 +148,7 @@ def unique_key_global(ds: Dataset, col: str) -> dict:
     """Exact global uniqueness: keyed task-shuffle, per-bucket duplicate
     count (every value of ``col`` lands in exactly one bucket). A separate
     shuffle — run on demand, not in the streaming pass."""
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+    from radiant_portal_pipeline_ray.stages.taskshuffle import collect, exchange_group
 
     def dup_count(g: pa.Table) -> pa.Table:
         counts = g.group_by(col).aggregate([(col, "count")])
@@ -163,7 +160,10 @@ def unique_key_global(ds: Dataset, col: str) -> dict:
         )
         return pa.table({"dups": pa.array([n_dup], type=pa.int64())})
 
-    dup = int(exchange_group(ds, [col], 64, dup_count).sum("dups") or 0)
+    dups = collect(
+        exchange_group(ds, [col], 64, dup_count), pa.schema([("dups", pa.int64())])
+    )
+    dup = int(pc.sum(dups.column("dups")).as_py() or 0)
     return {"ok": dup == 0, "detail": f"duplicate_keys={dup}"}
 
 
@@ -184,6 +184,7 @@ def cross_exclusive(
     (germline and somatic occurrences must not share (seq_id, locus_id)).
     """
     from radiant_portal_pipeline_ray.stages.joins import hash_partitioned_join
+    from radiant_portal_pipeline_ray.stages.taskshuffle import map_blocks
 
     key_b = key_b or key_a
 
@@ -193,8 +194,8 @@ def cross_exclusive(
 
         return f
 
-    a = ds_a.map_batches(distinct(key_a), batch_format="pyarrow")
-    b = ds_b.map_batches(distinct(key_b), batch_format="pyarrow")
+    a = map_blocks(ds_a, distinct(key_a))
+    b = map_blocks(ds_b, distinct(key_b))
     if a.count() == 0 or b.count() == 0:  # empty side ⇒ trivially exclusive
         return {"ok": True, "detail": "shared_keys=0"}
     both = hash_partitioned_join(
@@ -470,7 +471,6 @@ def partition_checksums(
             }
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    out = exchange_group(partials, [group_col], 8, final)
+    out = exchange_group(ds, [group_col], 8, final, pre=partial)
     t = sort_table(collect(out, out_schema), group_col)
     return stamp_checksum_fingerprint(t, hash_fn)

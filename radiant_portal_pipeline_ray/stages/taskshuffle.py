@@ -373,7 +373,7 @@ def collect(ds, schema: pa.Schema | None = None) -> pa.Table:
     (a folded aggregate, a candidate set, a small increment)."""
     # materialized first: a lazy Dataset's to_arrow_refs runs its plan, then
     # runs it again for the schema when the plan cannot infer one
-    tabs = ray.get(_materialized(ds).to_arrow_refs())
+    tabs = ray.get(materialized(ds).to_arrow_refs())
     if schema is None:
         schema = tabs[0].schema if tabs else pa.schema([])
     return _concat_or_empty(tabs, schema)
@@ -390,7 +390,7 @@ def collect_where(ds, pred) -> pa.Table:
     The filter runs where the blocks are: on the driver when ``ds`` is at
     most ``_DRIVER_LOCAL_BYTES``, else one task per block, so only the kept
     rows travel. A materialized ``ds`` starts no Ray Data execution."""
-    ds = _materialized(ds)
+    ds = materialized(ds)
     refs = ds.to_arrow_refs()
     if int(ds.size_bytes() or 0) <= _DRIVER_LOCAL_BYTES:
         tabs = [t.filter(pred(t)) for t in ray.get(refs)]
@@ -419,11 +419,13 @@ def bucket_task(fn, schemas: list, counts: list[int], *tables: pa.Table | None):
 _TARGET_BUCKET_BYTES = 64 << 20
 
 #: the one driver-or-tasks size threshold: a file read (``state/lakescan``)
-#: planning at most this many bytes reads in-process, and an exchange of at
-#: most this many bytes runs its kernel once on the driver, both returning
-#: their blocks through :func:`local_dataset`. The apply round does not
-#: weigh bytes: it runs its split and merge on the driver whenever Ray has
-#: one CPU
+#: planning at most this many bytes reads in-process, a row-wise map
+#: (:func:`map_blocks`) over a materialized input of at most this many bytes
+#: runs on the driver, and an exchange of at most this many bytes runs its
+#: kernel once on the driver, all returning their blocks through
+#: :func:`local_dataset`: small data read on the driver stays there through
+#: the maps and the exchange. The apply round does not weigh bytes: it runs
+#: its split and merge on the driver whenever Ray has one CPU
 _DRIVER_LOCAL_BYTES = 16 << 20
 
 #: driver ObjectRef budget per exchange: above this the split runs in two
@@ -577,21 +579,83 @@ def sort_table(t: pa.Table, sort_by) -> pa.Table:
 
 
 def local_dataset(*blocks: pa.Table):
-    """``blocks`` as a Dataset of exactly those blocks with its snapshot
-    already computed, so its consumer's ``to_arrow_refs`` or
-    ``materialize`` starts no Ray Data execution (a ``ray.data.from_arrow``
-    table starts one)."""
+    """``blocks`` as a ``MaterializedDataset`` of exactly those blocks,
+    built once with its snapshot already computed, so its consumer's
+    ``to_arrow_refs`` or ``materialize`` starts no Ray Data execution (a
+    ``ray.data.from_arrow`` table starts one).
+
+    ``rd.from_blocks`` puts the blocks; its plan's snapshot is then set to
+    the source's own output, the bookkeeping ``ExecutionPlan.execute``
+    does for an input that is already materialized, without that call's
+    resource and object-store RPCs or the two further ``Dataset`` copies
+    of ``Dataset.materialize``. ``tests/test_driver_finish.py`` pins this
+    use of Ray's internals: one ``Dataset`` construction, no execution."""
     import ray.data as rd
+    from ray.data._internal.execution.interfaces import RefBundle
 
-    return rd.from_blocks(list(blocks)).materialize()
+    ds = rd.from_blocks(list(blocks))
+    plan, src = ds._plan, ds._logical_plan.dag
+    bundles = src.output_data()
+    plan._snapshot_bundle = RefBundle(
+        [b for bundle in bundles for b in bundle.blocks],
+        owns_blocks=False,
+        schema=next((b.schema for b in bundles if b.schema is not None), None),
+    )
+    plan._snapshot_operator = src
+    plan._snapshot_stats = plan._in_stats
+    plan._has_started_execution = True
+    return ds
 
 
-def _materialized(ds):
-    # materialize BEFORE asking for the schema: on a lazy plan ending in
-    # map_batches, schema() would execute the whole plan once more
+def materialized(ds):
+    """``ds`` itself when it is already a ``MaterializedDataset`` (an
+    exchange or driver-path read result), else ``ds.materialize()``: a
+    materialized Dataset is never copied into two more. Materialize BEFORE
+    asking for a schema: on a lazy plan ending in ``map_batches``,
+    ``schema()`` would execute the whole plan once more."""
     from ray.data.dataset import MaterializedDataset
 
     return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+
+
+def _driver_local(ds) -> bool:
+    """Whether ``ds`` is materialized and at most ``_DRIVER_LOCAL_BYTES``:
+    its blocks are ready to use on the driver."""
+    from ray.data.dataset import MaterializedDataset
+
+    return (
+        isinstance(ds, MaterializedDataset)
+        and int(ds.size_bytes() or 0) <= _DRIVER_LOCAL_BYTES
+    )
+
+
+def _map_tables(ds, fn, batch_size: int | None) -> list[pa.Table]:
+    """``fn`` over each block of ``ds`` with rows, in slices of
+    ``batch_size`` rows (whole blocks when None), in this process."""
+    out = []
+    for t in ray.get(ds.to_arrow_refs()):
+        step = batch_size or max(1, t.num_rows)
+        out.extend(fn(t.slice(i, step)) for i in range(0, t.num_rows, step))
+    return out
+
+
+def map_blocks(ds, fn, batch_size: int | None = None):
+    """``ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)``
+    for a row-wise or per-batch ``fn(pa.Table) -> pa.Table``, run on the
+    driver when ``ds`` is materialized and at most ``_DRIVER_LOCAL_BYTES``:
+    ``fn`` over each block with rows, in slices of ``batch_size`` rows
+    (whole blocks when None), and the results one :func:`local_dataset`,
+    so neither the map nor its consumer starts a Ray Data execution. As
+    with ``map_batches``, zero-row blocks are skipped, and an input with no
+    rows maps to a Dataset with no schema. A lazy or larger ``ds`` maps
+    with ``map_batches``, in Ray tasks."""
+    if not _driver_local(ds):
+        return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
+    return local_dataset(*_map_tables(ds, fn, batch_size))
+
+
+def _local_result(t: pa.Table, sort_by):
+    return local_dataset(t if sort_by is None else sort_table(t, sort_by))
 
 
 def _exchange(sides: list, keys: list[list[str]], n_buckets: int, fn, sort_by):
@@ -612,8 +676,7 @@ def _exchange(sides: list, keys: list[list[str]], n_buckets: int, fn, sort_by):
     if max(sizes) <= _DRIVER_LOCAL_BYTES:
         # tiny exchange (pre-combined partials, pruned top-k rows, a small
         # join): one vectorized kernel call beats any task fan-out
-        t = fn(*(collect(d, s) for d, s in zip(sides, schemas)))
-        return local_dataset(t if sort_by is None else sort_table(t, sort_by))
+        return _local_result(fn(*(collect(d, s) for d, s in zip(sides, schemas))), sort_by)
     n_buckets = _clamp_buckets(n_buckets, max(sizes))
     cols = [
         _split_refs(d.to_arrow_refs(), k, n_buckets, n)
@@ -633,7 +696,9 @@ def _exchange(sides: list, keys: list[list[str]], n_buckets: int, fn, sort_by):
     return out.sort([c for c, _ in spec], descending=[d for _, d in spec])
 
 
-def exchange_group(ds, keys: list[str], n_buckets: int, fn, *, sort_by=None):
+def exchange_group(
+    ds, keys: list[str], n_buckets: int, fn, *, pre=None, batch_size=None, sort_by=None
+):
     """Hash-partition ``ds`` on ``keys`` into ``n_buckets`` and apply
     ``fn(bucket_table) -> pa.Table`` once per bucket (every row of a key in
     exactly one call). Returns a Dataset of the concatenated results, in
@@ -641,8 +706,22 @@ def exchange_group(ds, keys: list[str], n_buckets: int, fn, *, sort_by=None):
     "descending")``). One plasma materialization, no sort before the
     kernel; small inputs run on the driver (:func:`_exchange`). A
     zero-block input is returned as is (grouping is a no-op, as
-    ``groupby().map_groups`` on an empty dataset: the kernel never runs)."""
-    ds = _materialized(ds)
+    ``groupby().map_groups`` on an empty dataset: the kernel never runs).
+
+    ``pre``: a per-batch map run first, as :func:`map_blocks` runs it with
+    ``batch_size`` (a group-by's partials, a top-k prune, which shrink what
+    the exchange moves). When both the map and the exchange run on the
+    driver, ``pre``'s tables go straight to ``fn``, with no Dataset between."""
+    if pre is not None and _driver_local(ds):
+        tabs = _map_tables(ds, pre, batch_size)
+        if not tabs:  # no rows: no schema, as map_batches gives
+            return local_dataset()
+        if sum(t.nbytes for t in tabs) <= _DRIVER_LOCAL_BYTES:
+            return _local_result(fn(_concat_or_empty(tabs, tabs[0].schema)), sort_by)
+        ds = local_dataset(*tabs)
+    elif pre is not None:
+        ds = ds.map_batches(pre, batch_format="pyarrow", batch_size=batch_size)
+    ds = materialized(ds)
     if ds.schema() is None:
         return ds
     return _exchange([ds], [keys], n_buckets, fn, sort_by)
@@ -664,7 +743,7 @@ def exchange_join(
     empty tables with the correct schema so outer joins stay exact. A
     zero-block side has no schema to type them with and raises
     ``ValueError``."""
-    left, right = _materialized(left), _materialized(right)
+    left, right = materialized(left), materialized(right)
     for side, d in (("left", left), ("right", right)):
         if d.schema() is None:
             raise ValueError(

@@ -10,21 +10,28 @@ math, the same idea as Delta Lake's file statistics in the log (PAPERS:
 *Delta Lake*, VLDB 2020). A plain file read (``sources/io.py``) uses the
 same planner with one driver-side ``pq.read_schema`` and the files' sizes.
 Footers are opened only inside the read tasks, which push ``columns`` and
-``filter`` into pyarrow and yield one table per row group. Those tables are
-not the blocks the consumer sees: Ray Data may split a read task's output
-further (``ReadLakeScan->SplitBlocks`` when the read plans fewer tasks than
-its parallelism target), so one file of five 100-row row groups can arrive
-as eight blocks of 62-63 rows. Every block, zero-row ones included, carries
-the projected, metadata-free schema; lake files written before a column
-was added read it as nulls.
+``filter`` into pyarrow and yield one table per row group with rows; Ray
+Data gathers a task's tables into its output blocks (one block per task
+below ``DataContext.target_max_block_size``). The read asks Ray for one
+block per read task, a task per file (at most
+``DataContext.read_op_min_num_blocks`` tasks), or one per cluster CPU when
+there are fewer files than CPUs. Without that, Ray would split every
+task's output (``ReadLakeScan->SplitBlocks(k)``) toward twice the CPUs and
+up to 200 blocks of 1 MB, and a later ``map_batches`` would start up to k
+tasks per file, on one CPU too. Every block, zero-row ones
+included, carries the projected, metadata-free schema; lake files written
+before a column was added read it as nulls.
 
 The file sizes also pick where the read runs. One threshold,
 ``taskshuffle._DRIVER_LOCAL_BYTES``, sends small reads and small exchanges
 to the driver: a read planning at most that many bytes runs the read
 tasks' reader in this process and returns its row groups as at most one
 block per cluster CPU, already materialized (``taskshuffle.local_dataset``),
-so neither the read nor its consumer starts a Ray Data execution for it,
-and a later ``map_batches`` still runs on every CPU. The decision is
+so neither the read nor its consumer starts a Ray Data execution for it.
+The data then stays on the driver: a row-wise map over it
+(``taskshuffle.map_blocks``) and a keyed exchange of it run in-process
+under the same threshold, while a plain ``map_batches`` still runs on every
+CPU. The decision is
 made from the sizes alone, without touching storage. Those sizes are
 on-disk bytes of every column, so the decoded read can be several times
 the threshold (BASELINE.md, "Read paths on both sides of the threshold").
@@ -134,12 +141,17 @@ def read(files, schema, filesystem=None, columns=None, filter=None) -> "rd.Datas
     as ``schema``; see :class:`LakeScan`. At most
     ``taskshuffle._DRIVER_LOCAL_BYTES`` in all: read here, already
     materialized, as one block per cluster CPU at most, so a later
-    ``map_batches`` can use every CPU and starts no more tasks than that."""
+    ``map_batches`` can use every CPU and starts no more tasks than that.
+    Above it: one Ray read task per file (at most
+    ``read_op_min_num_blocks``), one block each, split only while there are
+    fewer blocks than cluster CPUs."""
     src = LakeScan(files, schema, filesystem, columns, filter)
     if src.estimate_inmemory_data_size() <= taskshuffle._DRIVER_LOCAL_BYTES:
         cpus = taskshuffle.ray_cpus(default=1)
         return taskshuffle.local_dataset(*src.read_local(max(1, cpus)))
-    return rd.read_datasource(src)
+    n_tasks = min(len(src._files), rd.DataContext.get_current().read_op_min_num_blocks)
+    n_blocks = max(n_tasks, taskshuffle.ray_cpus(default=1))
+    return rd.read_datasource(src, override_num_blocks=n_blocks)
 
 
 def scan(lake, man, files, columns=None, filter=None) -> "rd.Dataset":

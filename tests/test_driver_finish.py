@@ -29,9 +29,9 @@ from tests.test_queries import SF_DIR
 
 #: the twelve queries of the benchmark's read_mix pass, each with its
 #: budget of Ray Data executions (the query plus its consumer's
-#: ``to_arrow_refs``). A query that reads straight into its operator makes
-#: none; one that maps batches before its operator makes one, the
-#: ``map_batches`` the operator materializes.
+#: ``to_arrow_refs``). Each reads in-process, maps its batches in-process
+#: (``taskshuffle.map_blocks`` or ``exchange_group``'s ``pre=``) and
+#: exchanges on the driver, so none makes one.
 READ_MIX_BUDGET = {
     "q_ntile_user_quartiles": 0,
     "q_lead_next_event": 0,
@@ -41,10 +41,10 @@ READ_MIX_BUDGET = {
     "q_trailing_hour_sum": 0,
     "q_price_percent_ranks": 0,
     "q_order_price_ranks": 0,
-    "q_top3_orders_per_customer": 1,
-    "q_latest_order_per_customer": 1,
-    "q1_pricing_summary": 1,
-    "q_region_revenue": 1,
+    "q_top3_orders_per_customer": 0,
+    "q_latest_order_per_customer": 0,
+    "q1_pricing_summary": 0,
+    "q_region_revenue": 0,
 }
 
 
@@ -52,10 +52,8 @@ READ_MIX_BUDGET = {
 #: executions at sf0.001 (the entry plus its consumer's
 #: ``to_arrow_refs``): (executions, why). Every other entry makes at most 2.
 REGISTRY_EXCEPTIONS = {
-    "cdc_flagship_state": (10, "two apply rounds with the QA gate, a snapshot read, then Dataset.sort"),
     "dd_incremental_neardup": (9, "replay, then the signature-index build and probe over lake scans"),
     "q3_shipping_priority": (3, "map_batches before the join and before the group-by, then the per-batch top-k prune"),
-    "q_parts_shipped_bloom": (3, "the Bloom filter is built from its own map_batches before the join"),
     "q_unpivot_event_values": (3, "map_batches after the pivot, then Dataset.sort"),
     "dd_decontaminate": (3, "the eval split's n-grams are collected before the scan that probes them"),
     "dd_embed_corpus": (3, "pair map_batches, then the label map_batches and Dataset.sort"),
@@ -87,10 +85,10 @@ def count_executions(monkeypatch) -> list:
 @pytest.mark.parametrize("name", sorted(READ_MIX_BUDGET))
 def test_query_runs_one_execution_before_its_consumer(ray_session, monkeypatch, name):
     """The query call plus its consumer's ``to_arrow_refs`` start exactly
-    the executions of its budget, at most the one its operator needs for a
-    ``map_batches`` input: an input read as Ray tasks, a
-    ``from_arrow`` result or a ``map_batches(finish).sort(...)`` after the
-    exchange would each add one."""
+    the executions of its budget: an input read as Ray tasks, a pre-pass
+    that maps with ``map_batches``, a ``from_arrow`` result or a
+    ``map_batches(finish).sort(...)`` after the exchange would each add
+    one."""
     from radiant_portal_pipeline_ray.pipelines.relational import QUERIES
 
     calls = count_executions(monkeypatch)
@@ -264,6 +262,106 @@ def test_collect_returns_typed_tables(ray_session):
     calls = []
     lazy = ds.map_batches(lambda t: (calls.append(1), t)[1], batch_format="pyarrow")
     assert collect(lazy).equals(got)
+
+
+def count_datasets(monkeypatch) -> list:
+    """A list that grows by one per ``Dataset`` construction from now on
+    (each one is a round trip to Ray Data's stats actor)."""
+    calls = []
+    init = rd.Dataset.__init__
+
+    def counted(self, *a, **kw):
+        calls.append(1)
+        return init(self, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "__init__", counted)
+    return calls
+
+
+def test_local_dataset_is_one_dataset_that_starts_no_execution(ray_session, monkeypatch):
+    """``local_dataset`` builds one ``MaterializedDataset`` with its snapshot
+    set through Ray Data internals; if a Ray upgrade moves them, its
+    consumer would start an execution here, or the blocks would change."""
+    from ray.data.dataset import MaterializedDataset
+
+    schema = pa.schema([("k", pa.int64()), ("s", pa.string())])
+    blocks = [
+        pa.table({"k": [1, 2], "s": ["a", "b"]}),
+        schema.empty_table(),
+        pa.table({"k": [3], "s": ["c"]}),
+    ]
+    datasets = count_datasets(monkeypatch)
+    ds = taskshuffle.local_dataset(*blocks)
+    assert len(datasets) == 1
+    calls = count_executions(monkeypatch)
+    got = ray.get(ds.to_arrow_refs())
+    assert isinstance(ds, MaterializedDataset)
+    assert taskshuffle.materialized(ds) is ds
+    assert ds.count() == 3 and ds.num_blocks() == 3
+    assert pa.schema(ds.schema().base_schema) == schema
+    assert [t.to_pydict() for t in got] == [t.to_pydict() for t in blocks]
+    assert calls == [] and len(datasets) == 1
+    # a Ray Data op on top still runs from the snapshot
+    assert ds.map_batches(lambda t: t, batch_format="pyarrow").count() == 3
+    empty = taskshuffle.local_dataset()
+    assert empty.schema() is None and ray.get(empty.to_arrow_refs()) == []
+
+
+def _double(seen: list):
+    """A row-wise ``fn`` that records each batch's row count."""
+
+    def fn(t: pa.Table) -> pa.Table:
+        seen.append(t.num_rows)
+        return t.append_column("k2", pc.multiply(t.column("k"), 2))
+
+    return fn
+
+
+@pytest.mark.parametrize("batch_size", [None, 2])
+def test_map_blocks_matches_map_batches(ray_session, monkeypatch, batch_size):
+    """``map_blocks`` returns ``map_batches``' rows on both sides of the
+    threshold: in-process, as slices of at most ``batch_size`` rows that
+    skip the typed zero-row block, with no execution; above it (and on a
+    lazy input), as ``map_batches`` itself."""
+    from ray.data.dataset import MaterializedDataset
+
+    schema = pa.schema([("k", pa.int64())])
+    blocks = [pa.table({"k": [1, 2, 3]}), schema.empty_table(), pa.table({"k": [4, 5]})]
+    want = taskshuffle.collect(
+        rd.from_arrow(blocks).map_batches(
+            _double([]), batch_format="pyarrow", batch_size=batch_size
+        )
+    )
+    assert want.column("k2").to_pylist() == [2, 4, 6, 8, 10]
+
+    seen: list = []
+    calls = count_executions(monkeypatch)
+    local = taskshuffle.map_blocks(taskshuffle.local_dataset(*blocks), _double(seen), batch_size)
+    got = taskshuffle.collect(local)
+    assert isinstance(local, MaterializedDataset) and calls == []
+    assert got.equals(want)
+    assert seen == ([3, 2] if batch_size is None else [2, 1, 2])
+
+    lazy = rd.from_arrow(blocks).map_batches(lambda t: t, batch_format="pyarrow")
+    lazy = taskshuffle.map_blocks(lazy, _double([]), batch_size)
+    assert not isinstance(lazy, MaterializedDataset)
+    assert taskshuffle.collect(lazy).equals(want)
+    monkeypatch.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", -1)
+    tasks = taskshuffle.map_blocks(taskshuffle.local_dataset(*blocks), _double(seen), batch_size)
+    assert not isinstance(tasks, MaterializedDataset)
+    assert taskshuffle.collect(tasks).equals(want)
+    assert len(seen) == (2 if batch_size is None else 3)  # ran in Ray tasks
+
+
+def test_map_blocks_of_no_rows_has_no_schema(ray_session):
+    """An input of typed zero-row blocks maps to no rows and no schema on
+    both paths, as ``map_batches`` does (``fn`` never runs)."""
+    schema = pa.schema([("k", pa.int64())])
+    ds = taskshuffle.local_dataset(schema.empty_table())
+    local = taskshuffle.map_blocks(ds, _double([]))
+    tasks = ds.map_batches(_double([]), batch_format="pyarrow").materialize()
+    for out in (local, tasks):
+        assert out.count() == 0 and out.schema() is None
 
 
 def _no_read_parquet(monkeypatch):

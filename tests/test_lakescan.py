@@ -463,6 +463,31 @@ def test_read_driver_path_matches_task_path(ray_session, tmp_path, monkeypatch, 
     assert got_tasks.equals(want)
 
 
+def test_task_path_read_splits_no_file_below_the_cpu_count(ray_session, tmp_path, monkeypatch):
+    """On the task path each file is one read task and one block: with at
+    least as many files as cluster CPUs (4 here), Ray does not split a
+    task's output (``SplitBlocks``) toward its own parallelism target; with
+    fewer, it splits them only up to one block per CPU."""
+    import pyarrow.parquet as pq
+
+    from radiant_portal_pipeline_ray.stages import taskshuffle
+    from radiant_portal_pipeline_ray.state import lakescan
+
+    rows = pa.table({"k": pa.array(np.arange(1000), pa.int64())})
+    files = []
+    for i in range(5):
+        p = str(tmp_path / f"f{i}.parquet")
+        pq.write_table(rows.slice(200 * i, 200), p, row_group_size=100)
+        files.append((p, os.path.getsize(p)))
+    monkeypatch.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", -1)
+    blocks = ray.get(lakescan.read(files, rows.schema).to_arrow_refs())
+    assert [b.num_rows for b in blocks] == [200] * 5
+    assert pa.concat_tables(blocks).sort_by("k").equals(rows)
+    two = ray.get(lakescan.read(files[:2], rows.schema).to_arrow_refs())
+    assert len(two) == ray.cluster_resources()["CPU"] == 4
+    assert pa.concat_tables(two).sort_by("k").equals(rows.slice(0, 400))
+
+
 def test_s3_read_driver_path_matches_task_path(ray_session, tmp_path, request, monkeypatch):
     """A moto-S3 lake read through ``lake.pyarrow_fs()`` returns the same
     rows on the driver path as through read tasks."""
