@@ -23,30 +23,43 @@ url), and bumps ``index.json`` LAST via atomic replace. Readers fold a
 bucket's files with last-writer-wins (an add at version v survives deletes
 at versions ≤ v — an in-place update deletes old entries and adds new ones
 in the SAME version) and ignore files newer than the acknowledged version,
-so a crashed update is invisible and a retry overwrites its own partial
-files (same deterministic names).
+so a crashed update is invisible. The next update removes its files before
+writing, whether it retries the same version or catches up past it.
 
-Per-commit flow (``probe`` + ``update``):
+Per-commit flow. ``probe``, ``update`` and ``ingest_round`` share one round
+pass (``_round_inputs``, steps 1-3), at every increment size:
 
-1. ``read_changes(v_from, v_to)`` → the I/U urls (O(changed), manifest-pruned
-   — see ``pipelines/changefeed.py``).
+1. ``read_changes(v_from, v_to)`` → the I/U urls (to sign) and the U/D urls
+   (to delete), O(changed) and manifest-pruned (``pipelines/changefeed.py``).
 2. Incoming docs' text is read from ONLY the partitions whose file lists
    changed between the two manifests (a changed row always rewrites its
-   partition) and semi-joined to the changed urls — never a full-lake scan.
+   partition) and semi-joined to the I/U urls — never a full-lake scan.
 3. MinHash + band-explode the incoming docs (same kernels as dd_minhash_lsh:
    ``MinHashStage``, ``make_band_exploder``).
-4. Probe reads ONLY the band-index buckets the incoming band hashes touch,
-   joins on ``band_hash`` for candidates, then attaches both signatures
-   (old side from the sig index — the base documents' TEXT is never read)
-   and keeps pairs with ≥ ``SIG_MATCH_MIN``/64 agreeing components
+4. ``probe``: a bucket wave (``_wave``) routes the incoming band hashes to
+   the band buckets they touch; each touched bucket's files are folded once
+   and joined on ``band_hash`` for candidates. After a keyed distinct, a
+   second wave attaches the old side's signature from the sig buckets (the base
+   documents' TEXT is never read), and a keyed join with the incoming
+   signatures keeps pairs with ≥ ``SIG_MATCH_MIN``/64 agreeing components
    (estimated Jaccard ≥ 0.5).
-5. ``update`` appends delete rows for U/D urls (routed to the buckets of
-   their OLD band hashes, recovered from the sig index) and add rows for the
-   I/U signatures, then bumps the version — index state == fresh rebuild at
-   v_to (pytest-verified parity).
+5. ``update``: a sig wave fetches the U/D urls' OLD signatures, whose band
+   hashes route the delete rows; add rows carry the I/U signatures; both
+   land in one write pass per sidecar, then the version bump — index state
+   == fresh rebuild at v_to (pytest-verified parity).
 
-Driver state is bounded by O(n_buckets) bucket ids — candidate pairs, urls
-and signatures all flow through keyed task exchanges / Ray tasks.
+Every step is a ``taskshuffle`` operator: ``map_blocks`` and the keyed
+exchanges. A wave is an ``exchange_group`` on the rows' index bucket, whose
+kernel folds the files of the buckets its rows reach. So an increment small
+enough for the driver is routed, folded and written there, and a larger one
+runs in the exchange's split and bucket tasks, with O(n_buckets) refs on
+the driver. The index weighs no size of its own.
+
+Catch-up: like any derived state, the index is tied to the lake version it
+reflects (``version``), and ``read_changes`` diffs any two retained
+versions, so one round may advance it over several lake commits. The tail
+loop (``pipelines/tail.py``) does that after a lost update, and rebuilds
+only when gc has pruned the index's base version.
 
 Reference analogue: the variant_lookup dictionary the reference maintains
 incrementally per import round (`radiant/dags/sql/radiant/init/
@@ -61,6 +74,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import shutil
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -69,16 +84,17 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from radiant_portal_pipeline_ray.stages import taskshuffle
 from radiant_portal_pipeline_ray.stages.dedup import MinHashStage, make_band_exploder
 from radiant_portal_pipeline_ray.stages.taskshuffle import (
+    _driver_local,
     bucket_ids,
     collect,
     exchange_group,
     exchange_join,
     local_dataset,
+    map_blocks,
     materialized,
-    sort_table,
+    split_blocks,
 )
 from radiant_portal_pipeline_ray.state import lakescan
 
@@ -107,12 +123,26 @@ _SIGS_SCHEMA = pa.schema(
     ]
 )
 
+_CANDS_SCHEMA = pa.schema(
+    [pa.field("new_url", pa.string()), pa.field("old_url", pa.string())]
+)
+_WITH_OLD_SCHEMA = _CANDS_SCHEMA.append(
+    pa.field("old_minhash", pa.list_(pa.int64()))
+)
 _PAIRS_SCHEMA = pa.schema(
     [
         pa.field("new_url", pa.string()),
         pa.field("old_url", pa.string()),
         pa.field("sig_match", pa.int64()),
         pa.field("est_sim", pa.float64()),
+    ]
+)
+#: one write task's marker per bucket file: its rows, of which deletes
+_MARKERS_SCHEMA = pa.schema(
+    [
+        pa.field("bucket", pa.int64()),
+        pa.field("rows", pa.int64()),
+        pa.field("dels", pa.int64()),
     ]
 )
 
@@ -172,6 +202,12 @@ def _explode_url_bands(b: pa.Table) -> pa.Table:
     return pa.table({"url": urls, "band_hash": e.column("band_hash")})
 
 
+def _payload(kind: str) -> pa.Schema:
+    """A sidecar's live-entry columns: its file schema without ``op``."""
+    schema = _BANDS_SCHEMA if kind == "bands" else _SIGS_SCHEMA
+    return pa.schema([f for f in schema if f.name != "op"])
+
+
 def _fold_lww(t: pa.Table, payload: pa.Schema) -> pa.Table:
     """Fold (version, op, url, …payload) rows to the live entries: an add
     survives iff no delete for its url has a strictly NEWER version."""
@@ -205,9 +241,9 @@ def _fold_lww(t: pa.Table, payload: pa.Schema) -> pa.Table:
     return adds.take(j.filter(keep).column("i")).select(out_cols)
 
 
-def _fold_files(files: list[tuple[int, str]], kind: str) -> pa.Table:
-    schema = _BANDS_SCHEMA if kind == "bands" else _SIGS_SCHEMA
-    payload = pa.schema([f for f in schema if f.name != "op"])
+def _history(files: list[tuple[int, str]]) -> pa.Table | None:
+    """One bucket's ``(version, path)`` files read into one table, each row
+    tagged with its file's ``version``; None without files."""
     tabs = []
     for ver, path in files:
         t = pq.read_table(path)
@@ -216,26 +252,41 @@ def _fold_files(files: list[tuple[int, str]], kind: str) -> pa.Table:
                 "version", pa.array(np.full(t.num_rows, ver), type=pa.int64())
             )
         )
-    if not tabs:
-        return payload.empty_table()
-    all_rows = pa.concat_tables(tabs, promote_options="permissive")
-    return _fold_lww(all_rows, payload).combine_chunks()
+    return pa.concat_tables(tabs, promote_options="permissive") if tabs else None
 
 
-@ray.remote
-def _read_bucket_task(files: list[tuple[int, str]], kind: str) -> pa.Table:
-    """Read one bucket's (version, path) files and fold to live entries."""
-    return _fold_files(files, kind)
+def _fold_files(files: list[tuple[int, str]], kind: str) -> pa.Table:
+    """One bucket's live entries: its files' history folded by
+    :func:`_fold_lww`."""
+    hist = _history(files)
+    if hist is None:
+        return _payload(kind).empty_table()
+    return _fold_lww(hist, _payload(kind)).combine_chunks()
 
 
-@ray.remote
-def _probe_bucket_task(
-    files: list[tuple[int, str]], probe_bands: pa.Table
-) -> pa.Table:
-    """Small-increment probe: fold ONE band bucket and join the (broadcast)
-    incoming band table against it → distinct candidate (new_url, old_url)."""
-    live = _fold_files(files, "bands")
-    pb = probe_bands.rename_columns(["new_url", "band_hash"])
+def _split_by_bucket(keys: list[str], n_buckets: int, *tables) -> list:
+    """``taskshuffle.split_blocks`` as a list: one table (or None) per
+    index bucket, also when there is one bucket."""
+    out = split_blocks(keys, n_buckets, *tables)
+    return list(out) if n_buckets > 1 else [out]
+
+
+def _with_bucket(keys: list[str], n_buckets: int, t: pa.Table) -> pa.Table:
+    """``t`` with its rows' index bucket as a ``bucket`` column: the key an
+    index exchange routes on, so each index bucket's rows meet in one
+    kernel call whatever the exchange's own bucket count."""
+    return t.append_column(
+        "bucket", pa.array(bucket_ids(t, keys, n_buckets), type=pa.int64())
+    )
+
+
+# -- bucket kernels: ``kernel(live, rows)`` over one index bucket's live
+# entries and the rows a wave routed to that bucket ---------------------------
+def _candidates(live: pa.Table, bands: pa.Table) -> pa.Table:
+    """Band bucket: incoming (url, band_hash) rows joined to the live
+    entries on ``band_hash`` → distinct (new_url, old_url), self-pairs (an
+    update colliding with its own old version) dropped."""
+    pb = bands.rename_columns(["new_url", "band_hash"])
     ib = live.rename_columns(["old_url", "band_hash"])
     j = pb.join(ib, keys="band_hash", join_type="inner")
     j = j.filter(pc.not_equal(j.column("new_url"), j.column("old_url")))
@@ -243,24 +294,126 @@ def _probe_bucket_task(
         j.select(["new_url", "old_url"])
         .group_by(["new_url", "old_url"])
         .aggregate([])
-        .combine_chunks()
     )
 
 
-@ray.remote
-def _sig_fetch_task(
-    files: list[tuple[int, str]], urls: pa.Array
+def _with_old_sigs(live: pa.Table, cands: pa.Table) -> pa.Table:
+    """Sig bucket (probe): each candidate pair with its old url's live
+    signature as ``old_minhash``."""
+    c, s = _join_take(cands, live, "old_url", "url")
+    return c.append_column("old_minhash", s.column("minhash"))
+
+
+def _live_sigs(live: pa.Table, removed: pa.Table) -> pa.Table:
+    """Sig bucket (update): the live (url, minhash) entries of the removed
+    urls."""
+    urls = _as_array(removed.column("url"))
+    return live.filter(pc.fill_null(pc.is_in(live.column("url"), value_set=urls), False))
+
+
+def _fold_buckets(
+    kernel, kind: str, files: dict, keys: list[str], n_buckets: int,
+    out: pa.Schema, rows: pa.Table,
 ) -> pa.Table:
-    """Small-increment sig lookup: fold ONE sig bucket, keep rows whose url
-    is in the (broadcast) lookup set."""
-    live = _fold_files(files, "sigs")
-    mask = pc.fill_null(pc.is_in(live.column("url"), value_set=urls), False)
-    return live.filter(mask).combine_chunks()
+    """A wave's exchange kernel: ``rows`` are one or more whole index
+    buckets' rows (:func:`_with_bucket`). Each of those buckets that has
+    ``kind`` files is folded (``files``: bucket → its files) and
+    ``kernel(live, its rows)`` runs; ``out``'s empty table when none
+    does. A bucket no row reached reads no file."""
+    subs = _split_by_bucket(keys, n_buckets, rows.drop_columns(["bucket"]))
+    res = [
+        kernel(_fold_files(files[b], kind), sub)
+        for b, sub in enumerate(subs)
+        if sub is not None and b in files
+    ]
+    return pa.concat_tables(res, promote_options="permissive") if res else out.empty_table()
+
+
+def _score(cands: pa.Table, sigs: pa.Table) -> pa.Table:
+    """Candidate pairs with ``old_minhash`` × incoming (url, minhash) on
+    ``new_url``: the agreeing components, kept at ≥ ``SIG_MATCH_MIN``."""
+    c, s = _join_take(cands, sigs, "new_url", "url")
+    if c.num_rows == 0:
+        return _PAIRS_SCHEMA.empty_table()
+    a = (
+        pc.list_flatten(_as_array(s.column("minhash")))
+        .to_numpy()
+        .reshape(c.num_rows, N_PERM)
+    )
+    b = (
+        pc.list_flatten(_as_array(c.column("old_minhash")))
+        .to_numpy()
+        .reshape(c.num_rows, N_PERM)
+    )
+    match = (a == b).sum(axis=1).astype(np.int64)
+    out = pa.table(
+        {
+            "new_url": c.column("new_url"),
+            "old_url": c.column("old_url"),
+            "sig_match": pa.array(match, pa.int64()),
+            "est_sim": pa.array(match / float(N_PERM), pa.float64()),
+        }
+    )
+    return out.filter(
+        pc.greater_equal(
+            out.column("sig_match"), pa.scalar(SIG_MATCH_MIN, pa.int64())
+        )
+    )
+
+
+def _union(*dss) -> "rd.Dataset":
+    """One materialized Dataset of ``dss``' blocks (``Dataset.union`` would
+    start an execution to materialize it); no blocks give a Dataset with
+    none."""
+    refs = [r for d in dss for r in materialized(d).to_arrow_refs()]
+    return rd.from_arrow_refs(refs).materialize() if refs else local_dataset()
+
+
+@ray.remote
+def _compact_bucket(
+    root: str, kind: str, bkt: int, ver: int, files: list[tuple[int, str]]
+) -> tuple[int, int]:
+    """Fold one bucket's history (two or more files) into one file at
+    version ``ver`` (layout in ``SignatureIndex.compact``), then remove the
+    superseded files. Returns (live rows, files removed)."""
+    schema = _BANDS_SCHEMA if kind == "bands" else _SIGS_SCHEMA
+    hist = _history(files)
+    live = _fold_lww(hist, _payload(kind))
+    all_urls = pc.unique(_as_array(hist.column("url")))
+    n_del, n_add = len(all_urls), live.num_rows
+    cols = {
+        "op": pa.concat_arrays(
+            [
+                pa.array(np.ones(n_del, np.int8), type=pa.int8()),
+                pa.array(np.zeros(n_add, np.int8), type=pa.int8()),
+            ]
+        ),
+        "url": pa.concat_arrays([all_urls, _as_array(live.column("url"))]),
+    }
+    for f in schema:
+        if f.name in ("op", "url"):
+            continue
+        cols[f.name] = pa.concat_arrays(
+            [pa.nulls(n_del, f.type), _as_array(live.column(f.name)).cast(f.type)]
+        )
+    out = pa.table(cols).select([f.name for f in schema])
+    d = os.path.join(root, kind, f"b{bkt:05d}")
+    tmp = os.path.join(d, f".v{ver:06d}.parquet.tmp")
+    pq.write_table(out, tmp, compression="zstd")
+    os.replace(tmp, os.path.join(d, f"v{ver:06d}.parquet"))
+    removed = 0
+    for fver, path in files:
+        if fver != ver:
+            os.remove(path)
+            removed += 1
+    return live.num_rows, removed
 
 
 class SignatureIndex:
     """Persistent, incrementally-maintained LSH+signature sidecar index
-    (layout and crash-safety in the module docstring). ``root`` is a local /
+    (layout, crash-safety and the one round path in the module docstring).
+    ``version`` is the lake version it reflects; a round advances it from
+    there to any later retained version. ``root`` is a local /
     shared-POSIX directory at test scale; the file ops route through plain
     ``os``/pyarrow and are confined to this class, so pointing them at the
     lake's fsspec backend (state/manifest.Lake) is a drop-in swap."""
@@ -304,21 +457,36 @@ class SignatureIndex:
     def _bucket_dir(self, kind: str, bucket: int) -> str:
         return os.path.join(self.root, kind, f"b{bucket:05d}")
 
+    def _all_files(self, kind: str, bucket: int) -> list[tuple[int, str]]:
+        """(version, path) of every file in this bucket, acknowledged or
+        not."""
+        d = self._bucket_dir(kind, bucket)
+        if not os.path.isdir(d):
+            return []
+        return [
+            (int(name[1:-8]), os.path.join(d, name))
+            for name in sorted(os.listdir(d))
+            if name.startswith("v") and name.endswith(".parquet")
+        ]
+
     def _bucket_files(self, kind: str, bucket: int) -> list[tuple[int, str]]:
         """(version, path) of this bucket's files acknowledged by meta."""
-        d = self._bucket_dir(kind, bucket)
-        if not os.path.isdir(d) or self.version is None:
+        if self.version is None:
             return []
-        out = []
-        for name in sorted(os.listdir(d)):
-            if not (name.startswith("v") and name.endswith(".parquet")):
-                continue
-            ver = int(name[1:-8])
-            if ver <= self.version:
-                out.append((ver, os.path.join(d, name)))
-        return out
+        return [(v, p) for v, p in self._all_files(kind, bucket) if v <= self.version]
 
-    def _commit_meta(self, version: int) -> None:
+    def _drop_unacknowledged(self) -> None:
+        """Remove every file newer than ``version``: a round that died
+        before its version bump left them. Readers ignore them already,
+        but a round that advances the version past theirs would fold them
+        in, so each write pass starts by removing them."""
+        for kind in ("bands", "sigs"):
+            for bkt in range(self.n_buckets):
+                for ver, path in self._all_files(kind, bkt):
+                    if ver > self.version:
+                        os.remove(path)
+
+    def _commit_meta(self, version: int | None) -> None:
         self.meta["version"] = version
         tmp = self.meta_path + ".tmp"
         os.makedirs(self.root, exist_ok=True)
@@ -326,89 +494,66 @@ class SignatureIndex:
             json.dump(self.meta, f)
         os.replace(tmp, self.meta_path)
 
-    def _write_rows(self, kind: str, ds: "rd.Dataset", version: int) -> int:
+    def _write_rows(self, kind: str, ds: "rd.Dataset", version: int) -> tuple[int, int]:
         """Hash-partition add/del rows into the index buckets and append ONE
         deterministically-named file per touched bucket (idempotent retry).
         The exchange is keyed on the PRECOMPUTED bucket id so each logical
         bucket lands in exactly one writer — a raw-key exchange could split
         one bucket's keys across writers and have them overwrite each
-        other's (deterministic) file."""
+        other's (deterministic) file. Returns the rows written and, of
+        those, the deletes, summed from the collected write markers."""
         keys = ["band_hash"] if kind == "bands" else ["url"]
         nb = self.n_buckets
         root = self.root
 
-        def add_bucket(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "bucket", pa.array(bucket_ids(t, keys, nb), type=pa.int64())
-            )
-
-        ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-        if ds.schema(fetch_if_missing=True) is None:
-            return 0
-
         def write_buckets(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return pa.table(
-                    {"bucket": pa.array([], pa.int64()),
-                     "rows": pa.array([], pa.int64())}
-                )
-            b = t.column("bucket").to_numpy(zero_copy_only=False)
-            t = t.drop_columns(["bucket"])
-            order = np.argsort(b, kind="stable")
-            ts = t.take(pa.array(order))
-            bs = b[order]
-            cuts = np.flatnonzero(np.diff(bs)) + 1
-            starts = np.concatenate(([0], cuts))
-            ends = np.concatenate((cuts, [len(bs)]))
-            got, cnt = [], []
-            for s, e in zip(starts, ends):
-                bid = int(bs[s])
+            marks = {"bucket": [], "rows": [], "dels": []}
+            subs = _split_by_bucket(keys, nb, t.drop_columns(["bucket"]))
+            for bid, sub in enumerate(subs):
+                if sub is None:
+                    continue
                 d = os.path.join(root, kind, f"b{bid:05d}")
                 os.makedirs(d, exist_ok=True)
-                sub = ts.slice(int(s), int(e - s)).combine_chunks()
                 tmp_path = os.path.join(d, f".v{version:06d}.parquet.tmp")
                 pq.write_table(sub, tmp_path, compression="zstd")
-                os.replace(
-                    tmp_path, os.path.join(d, f"v{version:06d}.parquet")
-                )
-                got.append(bid)
-                cnt.append(sub.num_rows)
-            return pa.table(
-                {
-                    "bucket": pa.array(got, pa.int64()),
-                    "rows": pa.array(cnt, pa.int64()),
-                }
-            )
+                os.replace(tmp_path, os.path.join(d, f"v{version:06d}.parquet"))
+                marks["bucket"].append(bid)
+                marks["rows"].append(sub.num_rows)
+                marks["dels"].append(int(np.count_nonzero(sub.column("op").to_numpy() == 1)))
+            return pa.table(marks, schema=_MARKERS_SCHEMA)
 
-        markers = exchange_group(ds, ["bucket"], nb, write_buckets)
-        return int(markers.sum("rows") or 0)
-
-    def _read_buckets(self, kind: str, buckets: list[int]) -> "rd.Dataset":
-        """Streaming Dataset of the LIVE entries in the given buckets only
-        (one fold task per bucket)."""
-        payload = pa.schema(
-            [f for f in (_BANDS_SCHEMA if kind == "bands" else _SIGS_SCHEMA)
-             if f.name != "op"]
+        markers = collect(
+            exchange_group(
+                ds, ["bucket"], nb, write_buckets, pre=partial(_with_bucket, keys, nb)
+            ),
+            _MARKERS_SCHEMA,
         )
-        refs = []
-        for bkt in sorted(set(buckets)):
-            files = self._bucket_files(kind, bkt)
-            if files:
-                refs.append(_read_bucket_task.remote(files, kind))
-        if not refs:
-            return rd.from_arrow(payload.empty_table())
-        return rd.from_arrow_refs(refs)
+        return (
+            int(pc.sum(markers.column("rows")).as_py() or 0),
+            int(pc.sum(markers.column("dels")).as_py() or 0),
+        )
+
+    def _wave(self, kind: str, ds: "rd.Dataset", keys: list[str], kernel, out: pa.Schema):
+        """``kernel(live, rows)`` per index bucket that ``ds``'s ``keys``
+        touch and that has ``kind`` files: one keyed exchange on the rows'
+        index bucket (:func:`_with_bucket`), whose kernel folds each of its
+        buckets' files (:func:`_fold_buckets`). ``out``'s empty table when
+        ``ds`` has no rows."""
+        nb = self.n_buckets
+        files = {b: f for b in range(nb) if (f := self._bucket_files(kind, b))}
+        res = exchange_group(
+            ds, ["bucket"], nb, partial(_fold_buckets, kernel, kind, files, keys, nb, out),
+            pre=partial(_with_bucket, keys, nb),
+        )
+        return res if res.schema() is not None else local_dataset(out.empty_table())
 
     # -- signature computation --------------------------------------------------
     @staticmethod
     def signatures(docs: "rd.Dataset") -> "rd.Dataset":
         """(url, text) → (url, minhash); rows without a signature (< k
         tokens) are dropped — they can never band-collide."""
-        sigs = docs.map_batches(_UrlMinHash(), batch_format="pyarrow")
-        return sigs.map_batches(
-            lambda b: b.filter(pc.is_valid(b.column("minhash"))),
-            batch_format="pyarrow",
-        )
+        sigs = map_blocks(docs, _UrlMinHash())
+        return map_blocks(sigs, lambda b: b.filter(pc.is_valid(b.column("minhash"))))
 
     @staticmethod
     def _sig_rows(op_val: int):
@@ -437,27 +582,26 @@ class SignatureIndex:
 
     # -- lifecycle ----------------------------------------------------------------
     def build(self, engine, version: int) -> dict:
-        """Full build from the lake snapshot at ``version``."""
+        """Full build from the lake snapshot at ``version``, replacing
+        whatever the root held: an old index's files would fold their stale
+        adds back in. Until the build commits, the index reflects no
+        version, so a crash leaves it to be built again."""
+        self._commit_meta(None)
+        for kind in ("bands", "sigs"):
+            shutil.rmtree(os.path.join(self.root, kind), ignore_errors=True)
         docs = engine.read_snapshot(["url", "text"], version=version)
-        sigs = self.signatures(docs).materialize()
-        n_sig = self._write_rows(
-            "sigs",
-            sigs.map_batches(self._sig_rows(0), batch_format="pyarrow"),
-            version,
-        )
-        n_band = self._write_rows(
-            "bands",
-            sigs.map_batches(self._band_rows(0), batch_format="pyarrow"),
-            version,
-        )
+        sigs = materialized(self.signatures(docs))
+        n_sig, _ = self._write_rows("sigs", map_blocks(sigs, self._sig_rows(0)), version)
+        n_band, _ = self._write_rows("bands", map_blocks(sigs, self._band_rows(0)), version)
         self._commit_meta(version)
         return {"version": version, "sig_rows": n_sig, "band_rows": n_band}
 
     # -- per-commit incremental round -----------------------------------------------
-    def _changed_docs(self, engine, v_from: int, v_to: int) -> "rd.Dataset":
-        """(url, text) of the I/U urls at v_to, reading ONLY the partitions
-        whose file lists differ between the two manifests; small increments
-        push the url set into the scan filter itself."""
+    def _changed_docs(self, engine, v_from: int, v_to: int, incoming) -> "rd.Dataset":
+        """(url, text) at v_to of the ``incoming`` urls, reading ONLY the
+        partitions whose file lists differ between the two manifests; a url
+        set already on the driver is pushed into the scan filter itself,
+        a larger one semi-joins in a keyed exchange."""
         m_from = engine.lake.read_manifest(v_from)
         m_to = engine.lake.read_manifest(v_to)
 
@@ -470,23 +614,15 @@ class SignatureIndex:
         )
         files = lakescan.part_files(m_to, changed_parts)
         if not files:
-            return rd.from_arrow(
+            return local_dataset(
                 pa.schema([("url", pa.string()), ("text", pa.string())]).empty_table()
             )
-        incoming = engine.read_changes(v_from, v_to).map_batches(
-            lambda b: b.filter(
-                pc.not_equal(b.column("change_op"), "D")
-            ).select(["url"]),
-            batch_format="pyarrow",
-        ).materialize()
-        small = self._gather_small(incoming)
-        if small is not None:
-            # small increment: push the url set into the changed-partition
-            # scan itself — no exchange, no second pass
-            urls = _as_array(small.column("url"))
+        incoming = materialized(incoming)
+        if _driver_local(incoming):
+            urls = collect(incoming, pa.schema([("url", pa.string())])).column("url")
             return lakescan.scan(
                 engine.lake, m_to, files, ["url", "text"],
-                (~pc.field("deleted")) & pc.field("url").isin(urls),
+                (~pc.field("deleted")) & pc.field("url").isin(_as_array(urls)),
             )
         snap = lakescan.scan(
             engine.lake, m_to, files, ["url", "text"], ~pc.field("deleted")
@@ -500,322 +636,68 @@ class SignatureIndex:
             snap, incoming, ["url"], ["url"], self.n_buckets, semi
         )
 
-    def _touched(self, ds: "rd.Dataset", keys: list[str]) -> list[int]:
-        """Distinct index buckets a dataset's keys touch (driver list,
-        bounded by n_buckets)."""
-        nb = self.n_buckets
-
-        def per_batch(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return pa.table({"bucket": pa.array([], pa.int64())})
-            u = np.unique(bucket_ids(t, keys, nb))
-            return pa.table({"bucket": pa.array(u, pa.int64())})
-
-        out: set[int] = set()
-        for row in ds.map_batches(per_batch, batch_format="pyarrow").take_all():
-            out.add(int(row["bucket"]))
-        return sorted(out)
-
-    @staticmethod
-    def _gather_small(ds: "rd.Dataset") -> pa.Table | None:
-        """Materialized dataset → one driver table when it fits
-        ``taskshuffle._DRIVER_LOCAL_BYTES``, else None (stay distributed).
-        Increments that fit take the small-increment path: driver tables
-        and one Ray task wave per index touch instead of keyed exchanges."""
-        if int(ds.size_bytes() or 0) > taskshuffle._DRIVER_LOCAL_BYTES:
-            return None
-        sch = ds.schema(fetch_if_missing=True)
-        if sch is None:
-            return None
-        return collect(ds, pa.schema(sch.base_schema))
-
-    def _per_bucket_wave(
-        self, kind: str, table: pa.Table, keys: list[str], task, payload_fn
-    ) -> pa.Table:
-        """Fan one task per index bucket the table's keys touch, shipping
-        each task ONLY its bucket's slice; concat the results."""
-        b = bucket_ids(table, keys, self.n_buckets)
-        order = np.argsort(b, kind="stable")
-        ts = table.take(pa.array(order))
-        bs = b[order]
-        cuts = np.flatnonzero(np.diff(bs)) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [len(bs)]))
-        refs = []
-        for s, e in zip(starts, ends):
-            files = self._bucket_files(kind, int(bs[s]))
-            if files:
-                refs.append(
-                    task.remote(files, payload_fn(ts.slice(int(s), int(e - s))))
-                )
-        tabs = [t for t in ray.get(refs) if t.num_rows]
-        return (
-            pa.concat_tables(tabs, promote_options="permissive").combine_chunks()
-            if tabs
-            else None
-        )
-
-    def _probe_small(self, sigs_t: pa.Table) -> pa.Table:
-        """Small-increment probe: the incoming signature table lives on the
-        driver (bounded by _DRIVER_LOCAL_BYTES); two task waves — candidate
-        generation per touched band bucket, signature fetch per touched sig
-        bucket — then one vectorized local score."""
-        empty = _PAIRS_SCHEMA.empty_table()
-        if sigs_t.num_rows == 0:
-            return empty
-        bands_t = _explode_url_bands(sigs_t)
-        if bands_t.num_rows == 0:
-            return empty
-        cands = self._per_bucket_wave(
-            "bands", bands_t, ["band_hash"], _probe_bucket_task, lambda t: t
-        )
-        if cands is None:
-            return empty
-        cands = cands.group_by(["new_url", "old_url"]).aggregate([])
-        old = self._per_bucket_wave(
-            "sigs",
-            cands,
-            ["old_url"],
-            _sig_fetch_task,
-            lambda t: pc.unique(_as_array(t.column("old_url"))),
-        )
-        if old is None:
-            return empty
-        oi = pc.index_in(cands.column("old_url"), value_set=old.column("url"))
-        ni = pc.index_in(cands.column("new_url"), value_set=sigs_t.column("url"))
-        ok = pc.and_(pc.is_valid(oi), pc.is_valid(ni))
-        cands = cands.filter(ok)
-        oi = pc.filter(oi, ok).to_numpy(zero_copy_only=False).astype(np.int64)
-        ni = pc.filter(ni, ok).to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(oi) == 0:
-            return empty
-        old_m = (
-            pc.list_flatten(_as_array(old.column("minhash")))
-            .to_numpy()
-            .reshape(old.num_rows, N_PERM)[oi]
-        )
-        new_m = (
-            pc.list_flatten(_as_array(sigs_t.column("minhash")))
-            .to_numpy()
-            .reshape(sigs_t.num_rows, N_PERM)[ni]
-        )
-        match = (old_m == new_m).sum(axis=1).astype(np.int64)
-        keep = match >= SIG_MATCH_MIN
-        out = pa.table(
-            {
-                "new_url": pc.filter(
-                    _as_array(cands.column("new_url")), pa.array(keep)
-                ),
-                "old_url": pc.filter(
-                    _as_array(cands.column("old_url")), pa.array(keep)
-                ),
-                "sig_match": pa.array(match[keep], pa.int64()),
-                "est_sim": pa.array(match[keep] / float(N_PERM), pa.float64()),
-            }
-        )
-        return out
-
-    def probe(self, engine, v_from: int, v_to: int, *, sort_by=None) -> "rd.Dataset":
-        """Near-dup pairs (new_url, old_url, sig_match, est_sim) between the
-        v_from→v_to incoming documents and the indexed corpus (state v_from),
-        in ``sort_by`` order when given (as in ``taskshuffle.exchange_join``).
-        Self-pairs (an update colliding with its own old version) are
-        excluded. The base documents' text is never read. Small increments
-        (the common case) run on the broadcast fast path; large ones on
-        keyed task exchanges."""
+    def _round_inputs(self, engine, v_from: int, v_to: int, op: str):
+        """The round pass ``probe``, ``update`` and ``ingest_round`` share:
+        the incoming (I/U) documents' signatures, materialized, and the
+        removed (U/D) urls, from one ``read_changes``."""
         if self.version != v_from:
             raise ValueError(
-                f"index reflects version {self.version}, probe needs {v_from}"
+                f"index reflects version {self.version}, {op} needs {v_from}"
             )
-        incoming = self._changed_docs(engine, v_from, v_to)
-        new_sigs = self.signatures(
-            incoming.select_columns(["url", "text"])
-        ).materialize()
-        small = self._gather_small(new_sigs)
-        if small is not None:
-            t = self._probe_small(small)
-            return local_dataset(t if sort_by is None else sort_table(t, sort_by))
-        probe_bands = new_sigs.map_batches(
-            _explode_url_bands, batch_format="pyarrow"
-        ).materialize()
+        changes = engine.read_changes(v_from, v_to)
 
-        idx_bands = self._read_buckets(
-            "bands", self._touched(probe_bands, ["band_hash"])
+        def urls_except(change_op: str):
+            return lambda b: b.filter(
+                pc.not_equal(b.column("change_op"), change_op)
+            ).select(["url"])
+
+        docs = self._changed_docs(
+            engine, v_from, v_to, map_blocks(changes, urls_except("D"))
         )
+        new_sigs = materialized(self.signatures(docs))
+        return new_sigs, map_blocks(changes, urls_except("I"))
 
-        def cand_kernel(pb: pa.Table, ib: pa.Table) -> pa.Table:
-            pb = pb.rename_columns(["new_url", "band_hash"])
-            ib = ib.rename_columns(["old_url", "band_hash"])
-            j = pb.join(ib, keys="band_hash", join_type="inner")
-            j = j.filter(
-                pc.not_equal(j.column("new_url"), j.column("old_url"))
-            )
-            return (
-                j.select(["new_url", "old_url"])
-                .group_by(["new_url", "old_url"])
-                .aggregate([])
-            )
-
-        cands = exchange_join(
-            probe_bands,
-            idx_bands,
-            ["band_hash"],
-            ["band_hash"],
-            self.n_buckets,
-            cand_kernel,
-        )
-        # the same pair can surface under several bands in different buckets
-        # → one more keyed exchange for the global distinct
-        cands = materialized(
-            exchange_group(
-                cands,
-                ["new_url", "old_url"],
-                self.n_buckets,
-                lambda t: t.group_by(["new_url", "old_url"]).aggregate([]),
-            )
-        )
-
-        if cands.count() == 0:
+    def _pairs(self, new_sigs: "rd.Dataset", sort_by=None) -> "rd.Dataset":
+        """Near-dup pairs of the incoming signatures against the index:
+        candidates per band bucket, a keyed distinct (a pair can collide in
+        several bands, in different buckets), the old signatures per sig
+        bucket, then the score join on ``new_url``."""
+        if new_sigs.schema() is None:  # no incoming document
             return local_dataset(_PAIRS_SCHEMA.empty_table())
-
-        old_sigs = self._read_buckets(
-            "sigs", self._touched(cands, ["old_url"])
+        nb = self.n_buckets
+        cands = self._wave(
+            "bands", map_blocks(new_sigs, _explode_url_bands), ["band_hash"],
+            _candidates, _CANDS_SCHEMA,
         )
-
-        def attach_old(ct: pa.Table, st: pa.Table) -> pa.Table:
-            c, s = _join_take(ct, st, "old_url", "url")
-            return c.append_column("old_minhash", s.column("minhash"))
-
-        with_old = exchange_join(
-            cands, old_sigs, ["old_url"], ["url"], self.n_buckets, attach_old
+        cands = exchange_group(
+            cands, ["new_url", "old_url"], nb,
+            lambda t: t.group_by(["new_url", "old_url"]).aggregate([]),
         )
-
-        def score(ct: pa.Table, st: pa.Table) -> pa.Table:
-            c, s = _join_take(ct, st, "new_url", "url")
-            if c.num_rows == 0:
-                return _PAIRS_SCHEMA.empty_table()
-            a = (
-                pc.list_flatten(_as_array(s.column("minhash")))
-                .to_numpy()
-                .reshape(c.num_rows, N_PERM)
-            )
-            b = (
-                pc.list_flatten(_as_array(c.column("old_minhash")))
-                .to_numpy()
-                .reshape(c.num_rows, N_PERM)
-            )
-            match = (a == b).sum(axis=1).astype(np.int64)
-            out = pa.table(
-                {
-                    "new_url": c.column("new_url"),
-                    "old_url": c.column("old_url"),
-                    "sig_match": pa.array(match, pa.int64()),
-                    "est_sim": pa.array(match / float(N_PERM), pa.float64()),
-                }
-            )
-            return out.filter(
-                pc.greater_equal(
-                    out.column("sig_match"),
-                    pa.scalar(SIG_MATCH_MIN, pa.int64()),
-                )
-            )
-
+        with_old = self._wave(
+            "sigs", cands, ["old_url"], _with_old_sigs, _WITH_OLD_SCHEMA
+        )
         return exchange_join(
-            with_old, new_sigs, ["new_url"], ["url"], self.n_buckets, score,
-            sort_by=sort_by,
+            with_old, new_sigs, ["new_url"], ["url"], nb, _score, sort_by=sort_by
         )
 
-    def _update_small(
-        self, sigs_t: pa.Table, removed_t: pa.Table, v_to: int
-    ) -> dict:
-        """Small-increment update: one sig-fetch task wave for the removed
-        urls' old signatures, then a single driver-side grouped write per
-        sidecar (rows bounded by _DRIVER_LOCAL_BYTES)."""
-        band_parts = [self._band_rows(0)(sigs_t)]
-        sig_parts = [self._sig_rows(0)(sigs_t)]
-        n_del = 0
-        if removed_t.num_rows:
-            gone = self._per_bucket_wave(
-                "sigs",
-                removed_t,
-                ["url"],
-                _sig_fetch_task,
-                lambda t: pc.unique(_as_array(t.column("url"))),
-            )
-            if gone is not None and gone.num_rows:
-                n_del = gone.num_rows
-                band_parts.append(self._band_rows(1)(gone))
-                sig_parts.append(self._sig_rows(1)(gone))
-        band_t = pa.concat_tables(band_parts, promote_options="permissive")
-        sig_t = pa.concat_tables(sig_parts, promote_options="permissive")
-        n_band = self._write_rows("bands", rd.from_arrow(band_t), v_to)
-        n_sig = self._write_rows("sigs", rd.from_arrow(sig_t), v_to)
-        self._commit_meta(v_to)
-        return {
-            "version": v_to,
-            "band_adds": sigs_t.num_rows * N_BANDS,
-            "band_dels": n_del * N_BANDS,
-            "sig_adds": sigs_t.num_rows,
-            "sig_dels": n_del,
-            "band_rows_written": n_band,
-            "sig_rows_written": n_sig,
-        }
-
-    def update(self, engine, v_from: int, v_to: int) -> dict:
-        """Advance the index from v_from to v_to: delete rows for U/D urls
-        (band deletes routed via their OLD signatures — read from the index,
-        not the lake), add rows for the I/U signatures, commit the version
-        bump LAST. Equivalent to a fresh build at v_to (pytest parity)."""
-        if self.version != v_from:
-            raise ValueError(
-                f"index reflects version {self.version}, update needs {v_from}"
-            )
-        removed = engine.read_changes(v_from, v_to).map_batches(
-            lambda b: b.filter(
-                pc.not_equal(b.column("change_op"), "I")
-            ).select(["url"]),
-            batch_format="pyarrow",
-        ).materialize()
-
+    def _update(self, new_sigs: "rd.Dataset", removed: "rd.Dataset", v_to: int) -> dict:
+        """Delete rows for the removed urls (band deletes routed via their
+        OLD signatures — read from the index, not the lake), add rows for
+        the incoming signatures, commit the version bump LAST. A crashed
+        round's files are removed first (:meth:`_drop_unacknowledged`)."""
+        self._drop_unacknowledged()
+        gone = self._wave("sigs", removed, ["url"], _live_sigs, _payload("sigs"))
         # del rows and add rows for one version MUST land in the same write
         # pass per kind — the per-(bucket, version) file name is
         # deterministic (idempotent retry), so two passes would overwrite
         # each other in any bucket both touch
-        incoming = self._changed_docs(engine, v_from, v_to)
-        new_sigs = self.signatures(
-            incoming.select_columns(["url", "text"])
-        ).materialize()
-        small_sigs = self._gather_small(new_sigs)
-        small_removed = self._gather_small(removed)
-        if small_sigs is not None and small_removed is not None:
-            return self._update_small(small_sigs, small_removed, v_to)
-        band_ds = new_sigs.map_batches(self._band_rows(0), batch_format="pyarrow")
-        sig_ds = new_sigs.map_batches(self._sig_rows(0), batch_format="pyarrow")
-        n_del = 0
-        if removed.count() > 0:
-            old_sigs = self._read_buckets(
-                "sigs", self._touched(removed, ["url"])
-            )
+        def rows_of(kind_rows):
+            return _union(map_blocks(new_sigs, kind_rows(0)), map_blocks(gone, kind_rows(1)))
 
-            def semi(st: pa.Table, rt: pa.Table) -> pa.Table:
-                c, _ = _join_take(st, rt, "url", "url")
-                return c
-
-            gone_sigs = materialized(
-                exchange_join(old_sigs, removed, ["url"], ["url"], self.n_buckets, semi)
-            )
-            n_del = gone_sigs.count()
-            band_ds = band_ds.union(
-                gone_sigs.map_batches(self._band_rows(1), batch_format="pyarrow")
-            )
-            sig_ds = sig_ds.union(
-                gone_sigs.map_batches(self._sig_rows(1), batch_format="pyarrow")
-            )
-
-        n_add = new_sigs.count()
-        n_band = self._write_rows("bands", band_ds, v_to)
-        n_sig = self._write_rows("sigs", sig_ds, v_to)
+        n_band, _ = self._write_rows("bands", rows_of(self._band_rows), v_to)
+        n_sig, n_del = self._write_rows("sigs", rows_of(self._sig_rows), v_to)
         self._commit_meta(v_to)
+        n_add = n_sig - n_del
         return {
             "version": v_to,
             "band_adds": n_add * N_BANDS,
@@ -825,6 +707,28 @@ class SignatureIndex:
             "band_rows_written": n_band,
             "sig_rows_written": n_sig,
         }
+
+    def probe(self, engine, v_from: int, v_to: int, *, sort_by=None) -> "rd.Dataset":
+        """Near-dup pairs (new_url, old_url, sig_match, est_sim) between the
+        v_from→v_to incoming documents and the indexed corpus (state v_from),
+        in ``sort_by`` order when given (as in ``taskshuffle.exchange_join``).
+        Self-pairs (an update colliding with its own old version) are
+        excluded. The base documents' text is never read."""
+        new_sigs, _ = self._round_inputs(engine, v_from, v_to, "probe")
+        return self._pairs(new_sigs, sort_by)
+
+    def update(self, engine, v_from: int, v_to: int) -> dict:
+        """Advance the index from v_from to v_to. Equivalent to a fresh
+        build at v_to (pytest parity)."""
+        new_sigs, removed = self._round_inputs(engine, v_from, v_to, "update")
+        return self._update(new_sigs, removed, v_to)
+
+    def ingest_round(self, engine, v_from: int, v_to: int):
+        """The per-commit maintenance step: probe THEN update over one
+        round pass. Returns (pairs Dataset, update stats)."""
+        new_sigs, removed = self._round_inputs(engine, v_from, v_to, "round")
+        pairs = self._pairs(new_sigs)
+        return pairs, self._update(new_sigs, removed, v_to)
 
     def compact(self) -> dict:
         """Fold every bucket's version history into one file per bucket and
@@ -841,110 +745,28 @@ class SignatureIndex:
         if self.version is None:
             raise ValueError("compact before build")
         ver = int(self.version)
-        root = self.root
+        work = [
+            (kind, bkt, files)
+            for kind in ("bands", "sigs")
+            for bkt in range(self.n_buckets)
+            if len(files := self._bucket_files(kind, bkt)) >= 2
+        ]
         stats = {"buckets": 0, "files_removed": 0, "rows": 0}
-        work = []
-        for kind in ("bands", "sigs"):
-            for bkt in range(self.n_buckets):
-                files = self._bucket_files(kind, bkt)
-                if len(files) < 2:
-                    continue
-                work.append((kind, bkt, files))
-
-        @ray.remote
-        def compact_bucket(kind: str, bkt: int, files) -> tuple[int, int]:
-            schema = _BANDS_SCHEMA if kind == "bands" else _SIGS_SCHEMA
-            tabs = []
-            for fver, path in files:
-                t = pq.read_table(path)
-                tabs.append(
-                    t.append_column(
-                        "version",
-                        pa.array(np.full(t.num_rows, fver), type=pa.int64()),
-                    )
-                )
-            hist = pa.concat_tables(tabs, promote_options="permissive")
-            payload = pa.schema([f for f in schema if f.name != "op"])
-            live = _fold_lww(hist, payload)
-            all_urls = pc.unique(_as_array(hist.column("url")))
-            n_del, n_add = len(all_urls), live.num_rows
-            cols = {
-                "op": pa.concat_arrays(
-                    [
-                        pa.array(np.ones(n_del, np.int8), type=pa.int8()),
-                        pa.array(np.zeros(n_add, np.int8), type=pa.int8()),
-                    ]
-                ),
-                "url": pa.concat_arrays(
-                    [all_urls, _as_array(live.column("url"))]
-                ),
-            }
-            for f in schema:
-                if f.name in ("op", "url"):
-                    continue
-                cols[f.name] = pa.concat_arrays(
-                    [
-                        pa.nulls(n_del, f.type),
-                        _as_array(live.column(f.name)).cast(f.type),
-                    ]
-                )
-            out = pa.table(cols).select([f.name for f in schema])
-            d = os.path.join(root, kind, f"b{bkt:05d}")
-            tmp = os.path.join(d, f".v{ver:06d}.parquet.tmp")
-            pq.write_table(out, tmp, compression="zstd")
-            os.replace(tmp, os.path.join(d, f"v{ver:06d}.parquet"))
-            removed = 0
-            for fver, path in files:
-                if fver != ver:
-                    os.remove(path)
-                    removed += 1
-            return live.num_rows, removed
-
         for rows, removed in ray.get(
-            [compact_bucket.remote(k, b, f) for k, b, f in work]
+            [_compact_bucket.remote(self.root, k, b, ver, f) for k, b, f in work]
         ):
             stats["buckets"] += 1
             stats["files_removed"] += removed
             stats["rows"] += rows
         return stats
 
-    def ingest_round(self, engine, v_from: int, v_to: int):
-        """The per-commit maintenance step: probe THEN update, sharing one
-        changed-docs + signature pass on the small-increment path. Returns
-        (pairs Dataset, update stats)."""
-        if self.version != v_from:
-            raise ValueError(
-                f"index reflects version {self.version}, round needs {v_from}"
-            )
-        incoming = self._changed_docs(engine, v_from, v_to)
-        new_sigs = self.signatures(
-            incoming.select_columns(["url", "text"])
-        ).materialize()
-        small_sigs = self._gather_small(new_sigs)
-        removed = engine.read_changes(v_from, v_to).map_batches(
-            lambda b: b.filter(
-                pc.not_equal(b.column("change_op"), "I")
-            ).select(["url"]),
-            batch_format="pyarrow",
-        ).materialize()
-        small_removed = self._gather_small(removed)
-        if small_sigs is not None and small_removed is not None:
-            pairs = local_dataset(self._probe_small(small_sigs))
-            stats = self._update_small(small_sigs, small_removed, v_to)
-            return pairs, stats
-        # large increment: the extra pass of the sequential full paths is
-        # amortized by the increment size itself
-        pairs = materialized(self.probe(engine, v_from, v_to))
-        stats = self.update(engine, v_from, v_to)
-        return pairs, stats
-
     def snapshot_entries(self, kind: str) -> pa.Table:
-        """All live entries of one sidecar (tests / parity checks only)."""
-        payload = pa.schema(
-            [f for f in (_BANDS_SCHEMA if kind == "bands" else _SIGS_SCHEMA)
-             if f.name != "op"]
+        """All live entries of one sidecar, each bucket folded in this
+        process (tests / parity checks only)."""
+        return pa.concat_tables(
+            [_fold_files(self._bucket_files(kind, b), kind) for b in range(self.n_buckets)],
+            promote_options="permissive",
         )
-        return collect(self._read_buckets(kind, list(range(self.n_buckets))), payload)
 
 
 # ---------------------------------------------------------------------------

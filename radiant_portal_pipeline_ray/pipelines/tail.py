@@ -160,6 +160,43 @@ def _unconsumed(man, changelog_dir: str) -> list[str]:
     ]
 
 
+def _follow(engine, sig_index, v_new: int, rep: dict) -> None:
+    """Bring ``sig_index`` to lake version ``v_new`` after a round's commit
+    and record it in ``rep``. The index catches up from the version it
+    reflects, however many commits behind (an update lost between a commit
+    and its index round leaves it there): one ``ingest_round`` over the
+    whole span, whose pairs are the span's. It is built at ``v_new`` when
+    it has no version yet, and rebuilt when gc has pruned its version's
+    manifest, since ``read_changes`` needs both ends."""
+    from radiant_portal_pipeline_ray.stages.taskshuffle import collect
+
+    v_idx = sig_index.version
+    if v_idx == v_new:
+        return
+    base_gone = False
+    if v_idx is not None:
+        try:
+            engine.lake.read_manifest(v_idx)
+        except FileNotFoundError:
+            base_gone = True
+    if v_idx is None or base_gone:
+        sig_index.build(engine, v_new)
+        rep["sig_index"] = {"built_at": v_new}
+        if base_gone:
+            rep["sig_index"]["rebuilt_from"] = v_idx
+        return
+    pairs, stats = sig_index.ingest_round(engine, v_idx, v_new)
+    pt = collect(pairs)
+    if pt.num_rows:
+        pdir = os.path.join(sig_index.root, "pairs")
+        os.makedirs(pdir, exist_ok=True)
+        pq.write_table(
+            pt, os.path.join(pdir, f"v{v_new:06d}.parquet"), compression="zstd"
+        )
+    rep["neardup_pairs"] = pt.num_rows
+    rep["sig_index"] = {**stats, "from_version": v_idx}
+
+
 def tail(
     engine,
     changelog_dir: str,
@@ -183,11 +220,10 @@ def tail(
       (``ingest_round``), so near-duplicates of every incoming document are
       detected AT INGEST TIME in O(changed); each round's pairs persist to
       ``<index root>/pairs/v{version}.parquet`` and the report carries
-      ``neardup_pairs``.
+      ``neardup_pairs``. An index left behind by a lost update catches up
+      in the next round (see :func:`_follow`).
     Returns the apply reports in execution order.
     """
-    from radiant_portal_pipeline_ray.stages.taskshuffle import collect
-
     reports: list[dict] = []
     rounds = 0
     idle = 0
@@ -200,32 +236,11 @@ def tail(
             new = new[:batch_files]
         if new:
             idle = 0
-            v_prev = man.version if man is not None else None
             rep = engine.apply(new, base=man)
             rep["consumed_files"] = [os.path.basename(p) for p in new]
             v_new = rep.get("version")
             if sig_index is not None and v_new is not None:
-                if sig_index.version is None:
-                    sig_index.build(engine, v_new)
-                    rep["sig_index"] = {"built_at": v_new}
-                elif v_prev is not None and v_new != v_prev:
-                    if sig_index.version != v_prev:
-                        raise ValueError(
-                            f"signature index at version {sig_index.version} "
-                            f"cannot follow lake {v_prev}->{v_new}; rebuild it"
-                        )
-                    pairs, stats = sig_index.ingest_round(engine, v_prev, v_new)
-                    pt = collect(pairs)
-                    if pt.num_rows:
-                        pdir = os.path.join(sig_index.root, "pairs")
-                        os.makedirs(pdir, exist_ok=True)
-                        pq.write_table(
-                            pt,
-                            os.path.join(pdir, f"v{v_new:06d}.parquet"),
-                            compression="zstd",
-                        )
-                    rep["neardup_pairs"] = pt.num_rows
-                    rep["sig_index"] = stats
+                _follow(engine, sig_index, v_new, rep)
             reports.append(rep)
             if on_report is not None:
                 on_report(rep)

@@ -336,10 +336,11 @@ def bucket_ids(batch: pa.Table, keys: list[str], n_buckets: int) -> np.ndarray:
     return ((h >> np.uint64(33)) % np.uint64(n_buckets)).astype(np.int64)
 
 
-@ray.remote
-def bucket_split_task(keys: list[str], n_buckets: int, *blocks: pa.Table):
-    """Concat a chunk of Dataset blocks → split by key-hash bucket. Returns
-    one sub-table (or None) per bucket via static multi-returns."""
+def split_blocks(keys: list[str], n_buckets: int, *blocks: pa.Table):
+    """Concat a chunk of Dataset blocks → split by key-hash bucket
+    (:func:`bucket_ids`), rows in input order within a bucket. Returns one
+    sub-table (or None) per bucket, or the one bucket's when ``n_buckets``
+    is 1; as :data:`bucket_split_task` via static multi-returns."""
     tabs = [t for t in blocks if t.num_rows]
     if not tabs:
         return tuple([None] * n_buckets) if n_buckets > 1 else None
@@ -356,6 +357,10 @@ def bucket_split_task(keys: list[str], n_buckets: int, *blocks: pa.Table):
         for i in range(n_buckets)
     ]
     return tuple(out) if n_buckets > 1 else out[0]
+
+
+#: :func:`split_blocks` as a Ray task, one per chunk of an exchange's blocks
+bucket_split_task = ray.remote(split_blocks)
 
 
 def _concat_or_empty(tabs: list, schema: pa.Schema) -> pa.Table:
@@ -668,7 +673,9 @@ def _exchange(sides: list, keys: list[list[str]], n_buckets: int, fn, sort_by):
     block (:func:`local_dataset`) whose consumer starts no execution.
     Above it: the sides split independently into the same power-of-two
     bucket count (no union, no column padding), one :func:`bucket_task`
-    per bucket, then ``Dataset.sort``."""
+    per bucket, then ``Dataset.sort``; unsorted, the bucket results are
+    materialized, which starts no execution (``from_arrow_refs`` already
+    waits for them) and spares the consumer's ``to_arrow_refs`` one."""
     import ray.data as rd
 
     schemas = [pa.schema(d.schema().base_schema) for d in sides]
@@ -691,7 +698,7 @@ def _exchange(sides: list, keys: list[list[str]], n_buckets: int, fn, sort_by):
         ]
     )
     if sort_by is None:
-        return out
+        return out.materialize()
     spec = sort_spec(sort_by)
     return out.sort([c for c, _ in spec], descending=[d for _, d in spec])
 

@@ -52,7 +52,6 @@ READ_MIX_BUDGET = {
 #: executions at sf0.001 (the entry plus its consumer's
 #: ``to_arrow_refs``): (executions, why). Every other entry makes at most 2.
 REGISTRY_EXCEPTIONS = {
-    "dd_incremental_neardup": (9, "replay, then the signature-index build and probe over lake scans"),
     "q3_shipping_priority": (3, "map_batches before the join and before the group-by, then the per-batch top-k prune"),
     "q_unpivot_event_values": (3, "map_batches after the pivot, then Dataset.sort"),
     "dd_decontaminate": (3, "the eval split's n-grams are collected before the scan that probes them"),

@@ -128,25 +128,80 @@ def _pairs_sorted(ds) -> list[tuple]:
     )
 
 
+def _count_split_tasks(monkeypatch) -> list:
+    """A list that grows by one per ``bucket_split_task`` submission."""
+    from radiant_portal_pipeline_ray.stages import taskshuffle
+
+    calls = []
+    orig = taskshuffle.bucket_split_task._remote
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return orig(*a, **kw)
+
+    monkeypatch.setattr(taskshuffle.bucket_split_task, "_remote", counted)
+    return calls
+
+
 def test_distributed_path_parity(lake, monkeypatch):
-    """``taskshuffle._DRIVER_LOCAL_BYTES = -1`` forces the keyed-exchange
-    path for probe, update and the changed-doc read; pairs and the
-    maintained index must match the small-increment path exactly."""
+    """``taskshuffle._DRIVER_LOCAL_BYTES = -1`` routes probe, update and
+    the changed-doc read through split tasks; pairs and the maintained
+    index must match the driver-split route exactly. Each leg's route is
+    asserted by its split-task submissions: none by default, some in both
+    probe and update at ``-1``."""
     from radiant_portal_pipeline_ray.stages import taskshuffle
 
     eng, work = lake
+    splits = _count_split_tasks(monkeypatch)
     a = SignatureIndex(str(work / "idx_small_path"), n_buckets=8)
     a.build(eng, 1)
     pairs_small = _pairs_sorted(a.probe(eng, 1, 2))
     a.update(eng, 1, 2)
+    assert len(splits) == 0
 
     monkeypatch.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", -1)
     b = SignatureIndex(str(work / "idx_dist_path"), n_buckets=8)
     b.build(eng, 1)
+    splits.clear()
     pairs_dist = _pairs_sorted(b.probe(eng, 1, 2))
+    probe_splits = len(splits)
     b.update(eng, 1, 2)
+    assert probe_splits >= 1 and len(splits) > probe_splits
 
     assert pairs_small == pairs_dist and len(pairs_small) > 0
+    for kind in ("bands", "sigs"):
+        assert _canon(a.snapshot_entries(kind)) == _canon(
+            b.snapshot_entries(kind)
+        )
+
+
+def test_any_bucket_count_on_the_two_level_split(lake, monkeypatch):
+    """An index bucket count that is not a power of two (6), routed through
+    split tasks on the two-level split (``_REF_BUDGET = 1``): no row is
+    lost, so the round's pairs and the maintained index equal the driver
+    route's."""
+    from radiant_portal_pipeline_ray.stages import taskshuffle
+
+    eng, work = lake
+    a = SignatureIndex(str(work / "idx_b6_driver"), n_buckets=6)
+    a.build(eng, 1)
+    pairs_driver, _ = a.ingest_round(eng, 1, 2)
+    pairs_driver = _pairs_sorted(pairs_driver)
+
+    fans = []
+    fan = taskshuffle.fan_subsplit
+    monkeypatch.setattr(
+        taskshuffle, "fan_subsplit", lambda *a, **kw: fans.append(1) or fan(*a, **kw)
+    )
+    monkeypatch.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", -1)
+    monkeypatch.setattr(taskshuffle, "_REF_BUDGET", 1)
+    b = SignatureIndex(str(work / "idx_b6_split"), n_buckets=6)
+    b.build(eng, 1)
+    fans.clear()
+    pairs_split, _ = b.ingest_round(eng, 1, 2)
+    assert len(fans) >= 4  # both waves and both write passes went two-level
+
+    assert _pairs_sorted(pairs_split) == pairs_driver and len(pairs_driver) > 0
     for kind in ("bands", "sigs"):
         assert _canon(a.snapshot_entries(kind)) == _canon(
             b.snapshot_entries(kind)

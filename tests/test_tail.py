@@ -236,6 +236,117 @@ def test_tail_with_signature_index(ray_session, tmp_path):
     assert all("doc/01" in u for u in news)  # lsn >= 1000 urls
 
 
+def _index_state(idx) -> dict:
+    """Both sidecars' live entries, sorted: equal for equal index states."""
+    out = {}
+    for kind in ("bands", "sigs"):
+        rows = idx.snapshot_entries(kind).to_pylist()
+        out[kind] = sorted(
+            (r["url"], r.get("band_hash"), tuple(r.get("minhash") or ()))
+            for r in rows
+        )
+    return out
+
+
+def test_tail_catches_up_after_lost_index_update(ray_session, tmp_path):
+    """Round 1 builds the index; round 2 commits the lake without its index
+    update (a process that dies between the two leaves this state); round
+    3 catches the index up over both commits instead of refusing, and it
+    then equals a fresh build at the current version."""
+    from radiant_portal_pipeline_ray.pipelines.incremental_dedup import (
+        SignatureIndex,
+    )
+
+    cl = tmp_path / "cl"
+    cl.mkdir()
+    eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
+    idx = SignatureIndex(str(tmp_path / "sigidx"), n_buckets=8)
+    _write_batch(cl / "b0000.parquet", 1000, 100)
+    r1 = tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=idx)
+    assert r1[0]["sig_index"] == {"built_at": 1}
+
+    _write_batch(cl / "b0001.parquet", 1100, 100)
+    tail(eng, str(cl), poll_s=0.0, idle_exit=1)  # the index update is lost
+    assert (eng.lake.current_version(), idx.version) == (2, 1)
+
+    _write_batch(cl / "b0002.parquet", 1200, 100)
+    r3 = tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=idx)
+    assert r3[0]["version"] == 3 and idx.version == 3
+    assert r3[0]["sig_index"]["from_version"] == 1
+    assert r3[0]["sig_index"]["sig_dels"] > 0  # the rewritten urls' old entries
+
+    fresh = SignatureIndex(str(tmp_path / "fresh"), n_buckets=8)
+    fresh.build(eng, 3)
+    assert _index_state(idx) == _index_state(fresh)
+
+
+def test_tail_catch_up_ignores_a_crashed_rounds_files(ray_session, tmp_path):
+    """An index round that dies after its bucket writes and before its
+    version bump leaves files of a version the index never acknowledged.
+    Catching up over that version must not fold them in: after round 3
+    the index equals a fresh build, though every url was rewritten in both
+    round 2 (whose v2 band adds stay on disk) and round 3."""
+    from radiant_portal_pipeline_ray.pipelines.incremental_dedup import (
+        SignatureIndex,
+    )
+
+    cl = tmp_path / "cl"
+    cl.mkdir()
+    root = str(tmp_path / "sigidx")
+    eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
+    _write_batch(cl / "b0000.parquet", 1000, 100)
+    tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=SignatureIndex(root, n_buckets=8))
+    _write_batch(cl / "b0001.parquet", 1100, 100)
+    tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=SignatureIndex(root, n_buckets=8))
+    # the crash: the v2 files are written, the version bump is not
+    meta_path = os.path.join(root, "index.json")
+    with open(meta_path) as f:
+        meta = json.load(f)
+    meta["version"] = 1
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+
+    idx = SignatureIndex(root, n_buckets=8)
+    _write_batch(cl / "b0002.parquet", 1200, 100)
+    r3 = tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=idx)
+    assert r3[0]["sig_index"]["from_version"] == 1 and idx.version == 3
+
+    fresh = SignatureIndex(str(tmp_path / "fresh"), n_buckets=8)
+    fresh.build(eng, 3)
+    assert _index_state(idx) == _index_state(fresh)
+
+
+def test_tail_rebuilds_index_once_when_its_base_is_pruned(ray_session, tmp_path):
+    """An index whose version gc has pruned cannot catch up
+    (``read_changes`` needs both ends): the tail rebuilds it once at the
+    new version, says so in the report, and the next round ingests."""
+    from radiant_portal_pipeline_ray.pipelines.incremental_dedup import (
+        SignatureIndex,
+    )
+
+    cl = tmp_path / "cl"
+    cl.mkdir()
+    eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
+    idx = SignatureIndex(str(tmp_path / "sigidx"), n_buckets=8)
+    _write_batch(cl / "b0000.parquet", 1000, 100)
+    tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=idx)
+    _write_batch(cl / "b0001.parquet", 1100, 100)
+    tail(eng, str(cl), poll_s=0.0, idle_exit=1)
+    eng.lake.gc_orphans(keep_versions=1)
+    assert 1 not in eng.lake.versions()
+
+    _write_batch(cl / "b0002.parquet", 1200, 100)
+    r3 = tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=idx)
+    assert r3[0]["sig_index"] == {"built_at": 3, "rebuilt_from": 1}
+    fresh = SignatureIndex(str(tmp_path / "fresh"), n_buckets=8)
+    fresh.build(eng, 3)
+    assert _index_state(idx) == _index_state(fresh)
+
+    _write_batch(cl / "b0003.parquet", 1300, 100)
+    r4 = tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=idx)
+    assert r4[0]["sig_index"]["from_version"] == 3 and idx.version == 4
+
+
 def test_batch_files_caps_round_size(ray_session, tmp_path):
     cl = tmp_path / "cl"
     cl.mkdir()
