@@ -29,64 +29,25 @@ def entry() -> Any:
 
 
 def _registry() -> dict[str, tuple]:
-    from radiant_portal_pipeline_ray.pipelines import relational
+    from radiant_portal_pipeline_ray.pipelines import (
+        changefeed,
+        dedup,
+        flagship,
+        incremental_dedup,
+        multimodal_q,
+        relational,
+        similarity,
+        sketches,
+        sourceload,
+        textops,
+    )
 
     reg: dict[str, tuple] = {}
-    reg.update(relational.QUERIES)
-    try:
-        from radiant_portal_pipeline_ray.pipelines import textops
-
-        reg.update(textops.QUERIES)
-    except ImportError:
-        pass
-    try:
-        from radiant_portal_pipeline_ray.pipelines import dedup
-
-        reg.update(dedup.QUERIES)
-    except ImportError:
-        pass
-    try:
-        from radiant_portal_pipeline_ray.pipelines import similarity
-
-        reg.update(similarity.QUERIES)
-    except ImportError:
-        pass
-    try:
-        from radiant_portal_pipeline_ray.pipelines import sourceload
-
-        reg.update(sourceload.QUERIES)
-    except ImportError:
-        pass
-    try:
-        from radiant_portal_pipeline_ray.pipelines import multimodal_q
-
-        reg.update(multimodal_q.QUERIES)
-    except ImportError:
-        pass
-    try:
-        from radiant_portal_pipeline_ray.pipelines import flagship
-
-        reg.update(flagship.QUERIES)
-    except ImportError:
-        pass
-    try:
-        from radiant_portal_pipeline_ray.pipelines import changefeed
-
-        reg.update(changefeed.QUERIES)
-    except ImportError:
-        pass
-    try:
-        from radiant_portal_pipeline_ray.pipelines import sketches
-
-        reg.update(sketches.QUERIES)
-    except ImportError:
-        pass
-    try:
-        from radiant_portal_pipeline_ray.pipelines import incremental_dedup
-
-        reg.update(incremental_dedup.QUERIES)
-    except ImportError:
-        pass
+    for mod in (
+        relational, textops, dedup, similarity, sourceload,
+        multimodal_q, flagship, changefeed, sketches, incremental_dedup,
+    ):
+        reg.update(mod.QUERIES)
     return reg
 
 

@@ -1209,9 +1209,7 @@ class CdcEngine:
                 filt = expr if filt is None else filt & expr
         return lakescan.scan(self.lake, man, files, columns, filt)
 
-    def read_changes(
-        self, v_from: int, v_to: int, n_buckets: int = 64
-    ) -> "rd.Dataset":
+    def read_changes(self, v_from: int, v_to: int) -> "rd.Dataset":
         """Change-data-feed between two retained versions: streaming
         ``(change_op I/U/D, url, lsn_from, lsn_to)``. Partitions whose file
         lists are identical at both versions are pruned from the read
@@ -1220,7 +1218,7 @@ class CdcEngine:
             read_changes,
         )
 
-        return read_changes(self, v_from, v_to, n_buckets)
+        return read_changes(self, v_from, v_to)
 
     def rollback(self, to_version: int) -> dict:
         """Publish a NEW manifest whose state is a verbatim copy of retained

@@ -97,7 +97,7 @@ def _diff_kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
 
 
 def read_changes(
-    engine, v_from: int, v_to: int, n_buckets: int = 64, *, sort_by=None
+    engine, v_from: int, v_to: int, *, sort_by=None
 ) -> "rd.Dataset":
     """Streaming Dataset of ``(change_op, url, lsn_from, lsn_to)`` between
     two retained manifest versions (see module docstring for semantics), in
@@ -114,9 +114,7 @@ def read_changes(
     )
     left = _version_side(engine, m_from, changed)
     right = _version_side(engine, m_to, changed)
-    return exchange_join(
-        left, right, ["url"], ["url"], n_buckets, _diff_kernel, sort_by=sort_by
-    )
+    return exchange_join(left, right, ["url"], ["url"], _diff_kernel, sort_by=sort_by)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +300,7 @@ def _fold_stats(partials: "rd.Dataset") -> pa.Table:
     on the driver — the query-surface/demo step only; the scale path writes
     the folded buckets straight to partitioned parquet."""
     return collect(
-        exchange_group(partials, ["domain"], 64, _fold_domain, sort_by="domain"),
+        exchange_group(partials, ["domain"], _fold_domain, sort_by="domain"),
         _STATS_SCHEMA,
     )
 
@@ -526,7 +524,7 @@ def cdc_incremental_join(sf_dir: str):
             pick = pick.filter(pick.column("live"))
             return pick.select(["url", "lsn", "source_docs"])
 
-        view = exchange_group(seed.union(deltas), ["url"], 64, fold, sort_by="url")
+        view = exchange_group(seed.union(deltas), ["url"], fold, sort_by="url")
         return materialized(view)  # /tmp lake removed on return
     finally:
         shutil.rmtree(work, ignore_errors=True)

@@ -122,7 +122,6 @@ def dd_exact(sf_dir: str):
     return exchange_group(
         ds.map_batches(hash_and_combine, batch_format="pyarrow"),
         ["h"],
-        64,
         finish,
         sort_by="rep_doc_id",
     )
@@ -286,7 +285,7 @@ def distributed_verify(sh: "rd.Dataset", pairs: "rd.Dataset") -> "rd.Dataset":
     `radiant/dags/sql/radiant/variant_lookup_insert_hashes.sql:1-6`.
     """
     # 1. distinct real pairs ---------------------------------------------
-    dp = exchange_group(pairs, ["doc_a", "doc_b"], 64, _real_pairs)
+    dp = exchange_group(pairs, ["doc_a", "doc_b"], _real_pairs)
 
     # 2. candidate-filter the shingle table ------------------------------
     def explode_ids(b: pa.Table) -> pa.Table:
@@ -441,7 +440,7 @@ def dd_ngram_jaccard(sf_dir: str, max_bucket: int = 4096):
             ]
         )
 
-    partial = exchange_group(sh, ["s"], 64, shingle_pairs)
+    partial = exchange_group(sh, ["s"], shingle_pairs)
     if _log_drops(partial, "inter", "dd_ngram_jaccard"):
         return _verify_pairs(
             sf_dir, partial, shingle_ds=sh.select_columns(["doc_id", "s"])
@@ -456,7 +455,7 @@ def dd_ngram_jaccard(sf_dir: str, max_bucket: int = 4096):
         )
 
     return exchange_group(
-        partial, ["doc_a", "doc_b"], 64, threshold, sort_by=["doc_a", "doc_b"]
+        partial, ["doc_a", "doc_b"], threshold, sort_by=["doc_a", "doc_b"]
     )
 
 
@@ -578,7 +577,6 @@ def dd_minhash_lsh(sf_dir: str, max_bucket: int = 4096):
     pairs = exchange_group(
         buckets.select_columns(["band_hash", "doc_id"]),
         ["band_hash"],
-        64,
         make_partitioned_pair_generator("band_hash", "doc_id", max_bucket),
     )
     _log_drops(pairs, "dropped_bucket", "dd_minhash_lsh")
@@ -714,7 +712,7 @@ def dd_simhash(sf_dir: str, max_bucket: int = 4096):
             }
         )
 
-    pairs = exchange_group(buckets, ["chunk_key"], 64, partition_pairs)
+    pairs = exchange_group(buckets, ["chunk_key"], partition_pairs)
     _log_drops(pairs, "hamming", "dd_simhash")
 
     def distinct_pairs(t: pa.Table) -> pa.Table:
@@ -727,7 +725,7 @@ def dd_simhash(sf_dir: str, max_bucket: int = 4096):
         )
 
     return exchange_group(
-        pairs, ["doc_a", "doc_b"], 64, distinct_pairs, sort_by=["doc_a", "doc_b"]
+        pairs, ["doc_a", "doc_b"], distinct_pairs, sort_by=["doc_a", "doc_b"]
     )
 
 
@@ -1000,7 +998,7 @@ def dd_passage_dedup(sf_dir: str, width: int = _PASSAGE_WIDTH):
             }
         )
 
-    partial = exchange_group(exploded, ["h_hi", "h_lo"], 64, bucket_fn)
+    partial = exchange_group(exploded, ["h_hi", "h_lo"], bucket_fn)
 
     def fold(t: pa.Table) -> pa.Table:
         g = t.group_by("doc_id").aggregate(
@@ -1014,7 +1012,7 @@ def dd_passage_dedup(sf_dir: str, width: int = _PASSAGE_WIDTH):
             }
         )
 
-    return exchange_group(partial, ["doc_id"], 16, fold, sort_by="doc_id")
+    return exchange_group(partial, ["doc_id"], fold, sort_by="doc_id")
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,10 @@ Every step is a ``taskshuffle`` operator: ``map_blocks`` and the keyed
 exchanges. A wave is an ``exchange_group`` on the rows' index bucket, whose
 kernel folds the files of the buckets its rows reach. So an increment small
 enough for the driver is routed, folded and written there, and a larger one
-runs in the exchange's split and bucket tasks, with O(n_buckets) refs on
-the driver. The index weighs no size of its own.
+runs in the exchange's split and bucket tasks. The exchange sizes its own
+bucket count from the bytes it moves; the index's ``n_buckets`` is only its
+stored file layout, and an exchange bucket folds every index bucket whose
+rows it gets. The index weighs no size of its own.
 
 Catch-up: like any derived state, the index is tied to the lake version it
 reflects (``version``), and ``read_changes`` diffs any two retained
@@ -524,7 +526,7 @@ class SignatureIndex:
 
         markers = collect(
             exchange_group(
-                ds, ["bucket"], nb, write_buckets, pre=partial(_with_bucket, keys, nb)
+                ds, ["bucket"], write_buckets, pre=partial(_with_bucket, keys, nb)
             ),
             _MARKERS_SCHEMA,
         )
@@ -542,7 +544,7 @@ class SignatureIndex:
         nb = self.n_buckets
         files = {b: f for b in range(nb) if (f := self._bucket_files(kind, b))}
         res = exchange_group(
-            ds, ["bucket"], nb, partial(_fold_buckets, kernel, kind, files, keys, nb, out),
+            ds, ["bucket"], partial(_fold_buckets, kernel, kind, files, keys, nb, out),
             pre=partial(_with_bucket, keys, nb),
         )
         return res if res.schema() is not None else local_dataset(out.empty_table())
@@ -632,9 +634,7 @@ class SignatureIndex:
             # left = snapshot rows, right = changed urls (one row per url)
             return left.join(right, keys="url", join_type="inner")
 
-        return exchange_join(
-            snap, incoming, ["url"], ["url"], self.n_buckets, semi
-        )
+        return exchange_join(snap, incoming, ["url"], ["url"], semi)
 
     def _round_inputs(self, engine, v_from: int, v_to: int, op: str):
         """The round pass ``probe``, ``update`` and ``ingest_round`` share:
@@ -670,14 +670,14 @@ class SignatureIndex:
             _candidates, _CANDS_SCHEMA,
         )
         cands = exchange_group(
-            cands, ["new_url", "old_url"], nb,
+            cands, ["new_url", "old_url"],
             lambda t: t.group_by(["new_url", "old_url"]).aggregate([]),
         )
         with_old = self._wave(
             "sigs", cands, ["old_url"], _with_old_sigs, _WITH_OLD_SCHEMA
         )
         return exchange_join(
-            with_old, new_sigs, ["new_url"], ["url"], nb, _score, sort_by=sort_by
+            with_old, new_sigs, ["new_url"], ["url"], _score, sort_by=sort_by
         )
 
     def _update(self, new_sigs: "rd.Dataset", removed: "rd.Dataset", v_to: int) -> dict:

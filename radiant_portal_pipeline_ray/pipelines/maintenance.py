@@ -233,7 +233,6 @@ def compact(
     meta_rows = exchange_group(
         lakescan.scan(lake, current, lakescan.part_files(current, todo)),
         ["part"],
-        64,
         rewrite_bucket,
     ).take_all()
     lake.promote_staged_files(txn_id)
@@ -401,8 +400,7 @@ def reshard(
     ds = lakescan.scan(lake, current, lakescan.part_files(current)).map_batches(
         route, batch_format="pyarrow"
     )
-    n_buckets = max(16, min(new_n_parts, 256))
-    meta_rows = exchange_group(ds, ["part"], n_buckets, rewrite_bucket).take_all()
+    meta_rows = exchange_group(ds, ["part"], rewrite_bucket).take_all()
     lake.promote_staged_files(txn_id)
 
     now = time.time()

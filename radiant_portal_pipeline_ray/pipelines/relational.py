@@ -454,7 +454,6 @@ def q_distinct_flag_status(sf_dir: str):
     return exchange_group(
         ds.map_batches(dedup, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
-        64,
         dedup,
         sort_by=["l_returnflag", "l_linestatus"],
     )
@@ -496,7 +495,6 @@ def q_union_distinct_custkeys(sf_dir: str):
     counts = exchange_group(
         a.union(b).map_batches(batch_distinct, batch_format="pyarrow"),
         ["custkey"],
-        64,
         bucket_count,
     )
     n = int(counts.sum("c") or 0)  # sum() is None on a zero-block exchange
@@ -516,12 +514,12 @@ def q_union_distinct_custkeys(sf_dir: str):
     GROUP BY token ORDER BY n DESC, token LIMIT 20
     """,
 )
-def q_top_tokens(sf_dir: str, k: int = 20, n_partitions: int = 64):
+def q_top_tokens(sf_dir: str, k: int = 20):
     """Global token top-k WITHOUT materializing the vocabulary anywhere:
     per-batch partial counts → ONE coarse-pkey shuffle (every partial of a
     token lands in the same partition, so per-partition sums are its exact
     global count) → per-partition top-k prune (≤ k rows leave each
-    partition) → tiny driver merge of ≤ n_partitions·k rows. Web-scale
+    partition) → tiny driver merge of ≤ buckets·k rows. Web-scale
     vocabularies (10⁹ tokens) never hit the driver (round-2 review fix)."""
     docs = read_parquet_clean(_pq(sf_dir, "documents"), columns=["text"])
 
@@ -547,10 +545,9 @@ def q_top_tokens(sf_dir: str, k: int = 20, n_partitions: int = 64):
     pruned = exchange_group(
         docs.map_batches(explode_count, batch_format="pyarrow"),
         ["token"],
-        n_partitions,
         partition_topk,
     )
-    t = collect(pruned)  # ≤ n_partitions·k rows
+    t = collect(pruned)  # ≤ buckets·k rows
     t = t.take(
         pc.sort_indices(
             t, sort_keys=[("n", "descending"), ("token", "ascending")]
@@ -877,7 +874,7 @@ def q_nation_segments(sf_dir: str):
         )
 
     return exchange_group(
-        cust, ["c_nationkey"], 16, agg_bucket, sort_by="c_nationkey"
+        cust, ["c_nationkey"], agg_bucket, sort_by="c_nationkey"
     )
 
 
@@ -907,7 +904,7 @@ def q_shipped_within_60d(sf_dir: str):
         _pq(sf_dir, "orders"), columns=["o_orderkey", "o_orderdate", "o_orderpriority"]
     )
     joined = hash_partitioned_join(
-        li, orders, "l_orderkey", "o_orderkey", how="inner", num_buckets=16
+        li, orders, "l_orderkey", "o_orderkey", how="inner"
     )
 
     def range_filter(b: pa.Table) -> pa.Table:
@@ -1027,7 +1024,7 @@ def q_left_join_rank1(sf_dir: str):
     FROM y GROUP BY user_id, session_no ORDER BY user_id, session_no
     """,
 )
-def q_user_sessions(sf_dir: str, gap_us: int = 1_800_000_000, n_partitions: int = 64):
+def q_user_sessions(sf_dir: str, gap_us: int = 1_800_000_000):
     """Sessionize each user's event stream: a gap > 30 min starts a new
     session. One window pass: gap flags split each user into sessions,
     numbered by a per-user count of session starts."""
@@ -1050,7 +1047,7 @@ def q_user_sessions(sf_dir: str, gap_us: int = 1_800_000_000, n_partitions: int 
     return window(
         ev, "user_id", ["ts", "event_id"], sessionize,
         _schema("user_id", "session_no", "n_events", "duration_us"),
-        n_partitions, sort_by=["user_id", "session_no"],
+        sort_by=["user_id", "session_no"],
     )
 
 
@@ -1142,7 +1139,7 @@ def q_sliding_user_windows(sf_dir: str):
     ORDER BY event_id
     """,
 )
-def q_asof_latest_order(sf_dir: str, n_buckets: int = 64):
+def q_asof_latest_order(sf_dir: str):
     ev = read_parquet_clean(
         _pq(sf_dir, "events"), columns=["event_id", "user_id", "ts"]
     )
@@ -1212,7 +1209,7 @@ def q_asof_latest_order(sf_dir: str, n_buckets: int = 64):
         )
 
     return exchange_join(
-        ev, orders, ["user_id"], ["o_custkey"], n_buckets, asof_bucket,
+        ev, orders, ["user_id"], ["o_custkey"], asof_bucket,
         sort_by="event_id",
     )
 
@@ -1388,7 +1385,7 @@ def q_rollup_revenue(sf_dir: str):
     ORDER BY user_id, ts_us, event_id
     """,
 )
-def q_running_total(sf_dir: str, n_partitions: int = 64):
+def q_running_total(sf_dir: str):
     ev = read_parquet_clean(
         _pq(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
     )
@@ -1403,7 +1400,7 @@ def q_running_total(sf_dir: str, n_partitions: int = 64):
     return window(
         ev, "user_id", ["ts", "event_id"], prefix_sums,
         _schema("event_id", "user_id", "ts_us", "running_c"),
-        n_partitions, sort_by=["user_id", "ts_us", "event_id"],
+        sort_by=["user_id", "ts_us", "event_id"],
     )
 
 
@@ -1422,7 +1419,7 @@ def q_running_total(sf_dir: str, n_partitions: int = 64):
     ORDER BY user_id, ts_us, event_id
     """,
 )
-def q_event_gaps(sf_dir: str, n_partitions: int = 64):
+def q_event_gaps(sf_dir: str):
     ev = read_parquet_clean(
         _pq(sf_dir, "events"), columns=["event_id", "user_id", "ts"]
     )
@@ -1435,7 +1432,7 @@ def q_event_gaps(sf_dir: str, n_partitions: int = 64):
     return window(
         ev, "user_id", ["ts", "event_id"], lag_gaps,
         _schema("event_id", "user_id", "ts_us", "gap_us"),
-        n_partitions, sort_by=["user_id", "ts_us", "event_id"],
+        sort_by=["user_id", "ts_us", "event_id"],
     )
 
 
@@ -1521,7 +1518,7 @@ def q_pivot_event_values(sf_dir: str):
     ORDER BY o_orderkey
     """,
 )
-def q_orders_above_customer_avg(sf_dir: str, n_buckets: int = 64):
+def q_orders_above_customer_avg(sf_dir: str):
     orders = read_parquet_clean(
         _pq(sf_dir, "orders"), columns=["o_orderkey", "o_custkey", "o_totalprice"]
     )
@@ -1563,7 +1560,7 @@ def q_orders_above_customer_avg(sf_dir: str, n_buckets: int = 64):
         return j.filter(keep).select(["o_orderkey", "o_custkey", "totalprice_c"])
 
     return exchange_join(
-        fact, agg, ["o_custkey"], ["o_custkey"], n_buckets, above_avg,
+        fact, agg, ["o_custkey"], ["o_custkey"], above_avg,
         sort_by="o_orderkey",
     )
 
@@ -1601,7 +1598,7 @@ def q_orders_above_customer_avg(sf_dir: str, n_buckets: int = 64):
     ORDER BY user_id
     """,
 )
-def q_funnel_users(sf_dir: str, n_partitions: int = 64):
+def q_funnel_users(sf_dir: str):
     ev = read_parquet_clean(
         _pq(sf_dir, "events"), columns=["user_id", "ts", "event_type"]
     )
@@ -1652,7 +1649,7 @@ def q_funnel_users(sf_dir: str, n_partitions: int = 64):
             )
         )
 
-    return exchange_group(ev, ["user_id"], n_partitions, funnel, sort_by="user_id")
+    return exchange_group(ev, ["user_id"], funnel, sort_by="user_id")
 
 
 # ---------------------------------------------------------------------------
@@ -1683,7 +1680,7 @@ def q_funnel_users(sf_dir: str, n_partitions: int = 64):
     ORDER BY n DESC, token
     """,
 )
-def q_heavy_hitter_tokens(sf_dir: str, s: int = 200, n_partitions: int = 32):
+def q_heavy_hitter_tokens(sf_dir: str, s: int = 200):
     docs = read_parquet_clean(_pq(sf_dir, "documents"), columns=["text"])
 
     def _tokens(b: pa.Table) -> pa.ChunkedArray:
@@ -1721,7 +1718,6 @@ def q_heavy_hitter_tokens(sf_dir: str, s: int = 200, n_partitions: int = 32):
     cand = exchange_group(
         docs.map_batches(candidates, batch_format="pyarrow"),
         ["token"],
-        n_partitions,
         dedup,
     )
     # bounded driver materialization: < s candidates per batch, deduped
@@ -1757,7 +1753,6 @@ def q_heavy_hitter_tokens(sf_dir: str, s: int = 200, n_partitions: int = 32):
     exact = exchange_group(
         docs.map_batches(exact_counts, batch_format="pyarrow"),
         ["token"],
-        n_partitions,
         final_sum,
     )
     t = collect(exact)  # ≤ |candidates| rows
@@ -1789,7 +1784,7 @@ def q_heavy_hitter_tokens(sf_dir: str, s: int = 200, n_partitions: int = 32):
     ORDER BY nation_name
     """,
 )
-def q_nation_customer_list(sf_dir: str, n_partitions: int = 16):
+def q_nation_customer_list(sf_dir: str):
     nation = pq.read_table(_pq(sf_dir, "nation"), columns=["n_nationkey", "n_name"])
     dim = nation.rename_columns(["c_nationkey", "nation_name"])
     cust = read_parquet_clean(
@@ -1819,7 +1814,7 @@ def q_nation_customer_list(sf_dir: str, n_partitions: int = 16):
         joined, "nation_name", ["c_name"], fold,
         _schema("nation_name", "n_customers", "customer_names",
                 strings=("nation_name", "customer_names")),
-        n_partitions, sort_by=["nation_name"],
+        sort_by=["nation_name"],
     )
 
 
@@ -1845,7 +1840,7 @@ def q_nation_customer_list(sf_dir: str, n_partitions: int = 16):
     ORDER BY event_type
     """,
 )
-def q_value_percentiles_cont(sf_dir: str, n_partitions: int = 16):
+def q_value_percentiles_cont(sf_dir: str):
     ev = read_parquet_clean(_pq(sf_dir, "events"), columns=["event_type", "value"])
 
     def pct(c, g):
@@ -1862,7 +1857,7 @@ def q_value_percentiles_cont(sf_dir: str, n_partitions: int = 16):
     return window(
         ev, "event_type", ["value"], pct,
         _schema("event_type", "p25_q", "p50_q", "p75_q", strings=("event_type",)),
-        n_partitions, sort_by=["event_type"],
+        sort_by=["event_type"],
     )
 
 
@@ -1948,7 +1943,7 @@ def q_full_outer_activity(sf_dir: str):
     ORDER BY user_id, hour_bucket
     """,
 )
-def q_hourly_ohlc(sf_dir: str, n_partitions: int = 64):
+def q_hourly_ohlc(sf_dir: str):
     ev = read_parquet_clean(
         _pq(sf_dir, "events"), columns=["user_id", "ts", "event_id", "value"]
     )
@@ -1971,7 +1966,7 @@ def q_hourly_ohlc(sf_dir: str, n_partitions: int = 64):
         ev, "user_id", ["ts", "event_id"], bars,
         _schema("user_id", "hour_bucket", "open_c", "high_c", "low_c",
                 "close_c", "n_events"),
-        n_partitions, sort_by=["user_id", "hour_bucket"],
+        sort_by=["user_id", "hour_bucket"],
     )
 
 
@@ -2000,7 +1995,7 @@ def q_hourly_ohlc(sf_dir: str, n_partitions: int = 64):
     ORDER BY lang, n DESC, token
     """,
 )
-def q_top_tokens_per_lang(sf_dir: str, k: int = 5, n_partitions: int = 64):
+def q_top_tokens_per_lang(sf_dir: str, k: int = 5):
     docs = read_parquet_clean(_pq(sf_dir, "documents"), columns=["lang", "text"])
 
     def explode_count(b: pa.Table) -> pa.Table:
@@ -2047,11 +2042,10 @@ def q_top_tokens_per_lang(sf_dir: str, k: int = 5, n_partitions: int = 64):
     pair_counts = exchange_group(
         docs.map_batches(explode_count, batch_format="pyarrow"),
         ["lang", "token"],
-        n_partitions,
         exact_then_prune,
     )
     return exchange_group(
-        pair_counts, ["lang"], 16, top_per_lang,
+        pair_counts, ["lang"], top_per_lang,
         sort_by=["lang", ("n", "descending"), "token"],
     )
 
@@ -2180,7 +2174,7 @@ def q_cube_revenue(sf_dir: str):
     ) ORDER BY custkey
     """,
 )
-def q_except_recent_custkeys(sf_dir: str, n_buckets: int = 32):
+def q_except_recent_custkeys(sf_dir: str):
     cust = read_parquet_clean(_pq(sf_dir, "customer"), columns=["c_custkey"])
     orders = read_parquet_clean(
         _pq(sf_dir, "orders"), columns=["o_custkey", "o_orderdate"]
@@ -2211,7 +2205,7 @@ def q_except_recent_custkeys(sf_dir: str, n_buckets: int = 32):
         return lt.filter(keep)
 
     return exchange_join(
-        l, r, ["custkey"], ["custkey"], n_buckets, except_bucket,
+        l, r, ["custkey"], ["custkey"], except_bucket,
         sort_by="custkey",
     )
 
@@ -2236,7 +2230,7 @@ def q_except_recent_custkeys(sf_dir: str, n_buckets: int = 32):
     ORDER BY o_custkey, totalprice_c DESC, o_orderkey
     """,
 )
-def q_order_price_ranks(sf_dir: str, n_partitions: int = 64):
+def q_order_price_ranks(sf_dir: str):
     orders = read_parquet_clean(
         _pq(sf_dir, "orders"), columns=["o_custkey", "o_orderkey", "o_totalprice"]
     )
@@ -2257,7 +2251,6 @@ def q_order_price_ranks(sf_dir: str, n_partitions: int = 64):
         ranks,
         _schema("o_custkey", "o_orderkey", "totalprice_c", "price_rank",
                 "price_dense_rank"),
-        n_partitions,
         sort_by=["o_custkey", ("totalprice_c", "descending"), "o_orderkey"],
     )
 
@@ -2278,7 +2271,7 @@ def q_order_price_ranks(sf_dir: str, n_partitions: int = 64):
     ) ORDER BY custkey
     """,
 )
-def q_intersect_active_custkeys(sf_dir: str, n_buckets: int = 32):
+def q_intersect_active_custkeys(sf_dir: str):
     orders = read_parquet_clean(
         _pq(sf_dir, "orders"), columns=["o_custkey", "o_orderdate"]
     )
@@ -2316,7 +2309,7 @@ def q_intersect_active_custkeys(sf_dir: str, n_buckets: int = 32):
         )
 
     return exchange_join(
-        l, r, ["custkey"], ["custkey"], n_buckets, intersect_bucket,
+        l, r, ["custkey"], ["custkey"], intersect_bucket,
         sort_by="custkey",
     )
 
@@ -2338,7 +2331,7 @@ def q_intersect_active_custkeys(sf_dir: str, n_buckets: int = 32):
     ORDER BY user_id
     """,
 )
-def q_modal_event_type(sf_dir: str, n_partitions: int = 64):
+def q_modal_event_type(sf_dir: str):
     from radiant_portal_pipeline_ray.stages.aggregates import topk_per_key_table
 
     ev = read_parquet_clean(
@@ -2374,7 +2367,6 @@ def q_modal_event_type(sf_dir: str, n_partitions: int = 64):
     return exchange_group(
         ev.map_batches(partial, batch_format="pyarrow"),
         ["user_id"],
-        n_partitions,
         modal,
         sort_by="user_id",
     )
@@ -2458,7 +2450,7 @@ def q_unpivot_event_values(sf_dir: str):
     ORDER BY user_id, event_id
     """,
 )
-def q_ntile_user_quartiles(sf_dir: str, n_partitions: int = 64):
+def q_ntile_user_quartiles(sf_dir: str):
     """NTILE(k): first (n % k) tiles get ceil(n/k) rows, the rest floor —
     computed from (pos, n) per row with two integer divisions."""
     ev = read_parquet_clean(
@@ -2480,7 +2472,7 @@ def q_ntile_user_quartiles(sf_dir: str, n_partitions: int = 64):
     return window(
         ev, "user_id", ["value", "event_id"], ntile,
         _schema("event_id", "user_id", "quartile"),
-        n_partitions, sort_by=["user_id", "event_id"],
+        sort_by=["user_id", "event_id"],
     )
 
 
@@ -2497,7 +2489,7 @@ def q_ntile_user_quartiles(sf_dir: str, n_partitions: int = 64):
     ORDER BY user_id, ts_us, event_id
     """,
 )
-def q_lead_next_event(sf_dir: str, n_partitions: int = 64):
+def q_lead_next_event(sf_dir: str):
     """LEAD over both an integer and a string column (NULL at each key's
     last row) — the forward twin of q_event_gaps' LAG."""
     ev = read_parquet_clean(
@@ -2519,7 +2511,7 @@ def q_lead_next_event(sf_dir: str, n_partitions: int = 64):
         ev, "user_id", ["ts", "event_id"], lead,
         _schema("event_id", "user_id", "ts_us", "next_gap_us", "next_type",
                 strings=("next_type",)),
-        n_partitions, sort_by=["user_id", "ts_us", "event_id"],
+        sort_by=["user_id", "ts_us", "event_id"],
     )
 
 
@@ -2537,7 +2529,7 @@ def q_lead_next_event(sf_dir: str, n_partitions: int = 64):
     ORDER BY o_custkey, o_orderkey
     """,
 )
-def q_price_percent_ranks(sf_dir: str, n_partitions: int = 64):
+def q_price_percent_ranks(sf_dir: str):
     """PERCENT_RANK ((rank-1)/(n-1), gaps-rank over ties, 0 for n=1) and
     CUME_DIST (rows_le/n) in one pass. Ties share a rank, so the kernel
     tracks VALUE-RUN boundaries, not just row positions. Both engines
@@ -2563,7 +2555,7 @@ def q_price_percent_ranks(sf_dir: str, n_partitions: int = 64):
     return window(
         orders, "o_custkey", ["o_totalprice", "o_orderkey"], ranks,
         _schema("o_orderkey", "o_custkey", "pr_e4", "cd_e4"),
-        n_partitions, sort_by=["o_custkey", "o_orderkey"],
+        sort_by=["o_custkey", "o_orderkey"],
     )
 
 
@@ -2578,7 +2570,7 @@ def q_price_percent_ranks(sf_dir: str, n_partitions: int = 64):
     ORDER BY user_id, ts_us, event_id
     """,
 )
-def q_moving_sum3(sf_dir: str, n_partitions: int = 64):
+def q_moving_sum3(sf_dir: str):
     """Bounded ROWS frame (2 PRECEDING..CURRENT): the frame sum is a
     difference of two exclusive-prefix-sum reads, with the frame's lower
     edge clamped to the key's first row — integer cents, order-exact."""
@@ -2595,7 +2587,7 @@ def q_moving_sum3(sf_dir: str, n_partitions: int = 64):
     return window(
         ev, "user_id", ["ts", "event_id"], moving,
         _schema("event_id", "user_id", "ts_us", "mov3_c"),
-        n_partitions, sort_by=["user_id", "ts_us", "event_id"],
+        sort_by=["user_id", "ts_us", "event_id"],
     )
 
 
@@ -2669,7 +2661,7 @@ def q3_shipping_priority(sf_dir: str, k: int = 10):
     ).map_batches(rev_prep, batch_format="pyarrow")
 
     joined = hash_partitioned_join(
-        li, orders, "l_orderkey", "o_orderkey", how="inner", num_buckets=16
+        li, orders, "l_orderkey", "o_orderkey", how="inner"
     )
 
     def keyed(b: pa.Table) -> pa.Table:
@@ -2739,7 +2731,7 @@ def q3_shipping_priority(sf_dir: str, k: int = 10):
     ORDER BY user_id, ts_us, event_id
     """,
 )
-def q_trailing_hour_sum(sf_dir: str, n_partitions: int = 64):
+def q_trailing_hour_sum(sf_dir: str):
     ev = read_parquet_clean(
         _pq(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
     )
@@ -2754,5 +2746,5 @@ def q_trailing_hour_sum(sf_dir: str, n_partitions: int = 64):
     return window(
         ev, "user_id", ["ts", "event_id"], trailing,
         _schema("event_id", "user_id", "ts_us", "hour_c"),
-        n_partitions, sort_by=["user_id", "ts_us", "event_id"],
+        sort_by=["user_id", "ts_us", "event_id"],
     )

@@ -225,7 +225,7 @@ def _bucketed_ann_pairs(
     )
 
     gen = make_cosine_bucket_pairs(bucket_col, threshold, max_bucket)
-    pairs = materialized(exchange_group(ds, [bucket_col], 64, gen))
+    pairs = materialized(exchange_group(ds, [bucket_col], gen))
     markers = collect_where(
         pairs, lambda b: pc.equal(b.column("vec_a"), -1)
     ).column("cos_r").to_pylist()  # ≤ one row per dropped bucket — tiny

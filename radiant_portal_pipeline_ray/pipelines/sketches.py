@@ -163,7 +163,7 @@ def q_approx_distinct_users(sf_dir: str, p: int = 14):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return exchange_group(partials, ["event_type"], 16, merge, sort_by="event_type")
+    return exchange_group(partials, ["event_type"], merge, sort_by="event_type")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +226,11 @@ def t_split_assign(sf_dir: str, bands=(90, 95)):
 # (native uint64 add) and the oracle (HUGEINT % 2^64), emitted as two
 # BIGINT halves so both engines agree on type.
 # ---------------------------------------------------------------------------
+#: the checksum buckets, ``user_id % 16``: an output value the oracle SQL
+#: below pins, not an exchange setting
+_CHECKSUM_BUCKETS = 16
+
+
 @_register(
     "cdc_bucket_checksums",
     """
@@ -247,7 +252,7 @@ def t_split_assign(sf_dir: str, bands=(90, 95)):
     ORDER BY bucket
     """,
 )
-def cdc_bucket_checksums(sf_dir: str, n_buckets: int = 16):
+def cdc_bucket_checksums(sf_dir: str):
     import pyarrow.compute as pc
 
     from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
@@ -275,7 +280,7 @@ def cdc_bucket_checksums(sf_dir: str, n_buckets: int = 16):
             "|",
         )
         h = md5_hash64(key)  # uint64
-        bucket = b.column("user_id").to_numpy() % n_buckets
+        bucket = b.column("user_id").to_numpy() % _CHECKSUM_BUCKETS
         order = np.argsort(bucket, kind="stable")
         bs, hs = bucket[order], h[order]
         starts = np.concatenate(
@@ -314,4 +319,4 @@ def cdc_bucket_checksums(sf_dir: str, n_buckets: int = 16):
         )
 
     partials = ev.map_batches(partial, batch_format="pyarrow")
-    return exchange_group(partials, ["bucket"], 8, final, sort_by="bucket")
+    return exchange_group(partials, ["bucket"], final, sort_by="bucket")

@@ -350,7 +350,6 @@ def t_mix_token_budget(sf_dir: str, budget: int = 2000):
     return exchange_group(
         pruned,
         ["lang"],
-        16,
         lambda t: _scan(t).rename_columns(["lang", "doc_id", "n_tokens"]),
         sort_by=["lang", "doc_id"],
     )
@@ -422,7 +421,7 @@ def q_quality_quantiles(sf_dir: str, ps=(0.25, 0.5, 0.9)):
         return pa.table(out, schema=schema)
 
     pairs = docs.map_batches(project, batch_format="pyarrow")
-    return exchange_group(pairs, ["lang"], 16, quantiles, sort_by="lang")
+    return exchange_group(pairs, ["lang"], quantiles, sort_by="lang")
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +546,7 @@ def q_quality_quantiles_scalable(sf_dir: str, ps=(0.25, 0.5, 0.9)):
         partial_hist, batch_format="pyarrow"
     )
     # one 32 KB row per language — bounded driver pull
-    hist_rows = exchange_group(partials, ["lang"], 16, merge_hist).take_all()
+    hist_rows = exchange_group(partials, ["lang"], merge_hist).take_all()
 
     # ---- resolve each target rank to (bin, rank-within-bin)
     # targets[lang] = list of (bin, k_within) aligned with ps; n_docs[lang]
@@ -632,7 +631,7 @@ def q_quality_quantiles_scalable(sf_dir: str, ps=(0.25, 0.5, 0.9)):
         )
 
     gathered = docs.map_batches(gather, batch_format="pyarrow")
-    return exchange_group(gathered, ["lang"], 16, pick, sort_by="lang")
+    return exchange_group(gathered, ["lang"], pick, sort_by="lang")
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +772,7 @@ def t_rare_token_frac(sf_dir: str, min_count: int = 5):
         ).select(["tok"])
 
     partials = docs.map_batches(token_rows, batch_format="pyarrow")
-    common_ds = exchange_group(partials, ["tok"], 16, common_only)
+    common_ds = exchange_group(partials, ["tok"], common_only)
     common = (
         collect(common_ds, pa.schema([("tok", pa.string())]))
         .column("tok")
@@ -902,7 +901,6 @@ def t_mix_temperature(sf_dir: str, budget: int = 400):
     return exchange_group(
         pruned,
         ["lang"],
-        16,
         lambda t: pick(t).select(["lang", "doc_id"]),
         sort_by=["lang", "doc_id"],
     )

@@ -55,7 +55,6 @@ def partial_final_groupby(
     keys: list[str],
     aggs: list[tuple[str, str, str]],
     batch_size: int = 65536,
-    n_partitions: int = 64,
     *,
     finish=None,
     sort_by=None,
@@ -66,9 +65,9 @@ def partial_final_groupby(
 
     The final combine avoids Ray's per-group aggregate machinery (Python
     overhead per group — at 10^5+ groups it dominates): the partial rows
-    hash-exchange on the keys into ``n_partitions`` buckets (task shuffle,
-    no sort) and each bucket folds all its keys in ONE vectorized arrow
-    ``group_by`` call."""
+    hash-exchange on the keys (task shuffle, no sort; the bucket count
+    follows from the partial rows' bytes) and each bucket folds all its
+    keys in ONE vectorized arrow ``group_by`` call."""
     from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -85,7 +84,7 @@ def partial_final_groupby(
         return g.rename_columns([mapping.get(n, n) for n in g.column_names])
 
     return exchange_group(
-        ds, keys, n_partitions, _then(final_combine, finish),
+        ds, keys, _then(final_combine, finish),
         pre=partial, batch_size=batch_size, sort_by=sort_by,
     )
 
@@ -141,7 +140,7 @@ def topk_per_key(
         return topk_per_key_table(group, keys, order_by, k)
 
     return exchange_group(
-        ds, keys, 64, _then(final, finish),
+        ds, keys, _then(final, finish),
         pre=prune, batch_size=batch_size, sort_by=sort_by,
     )
 
@@ -203,7 +202,7 @@ def count_distinct_groupby(
             )
         return g.combine_chunks()
 
-    return exchange_group(ds, keys, 64, per_bucket, pre=dedup, batch_size=batch_size)
+    return exchange_group(ds, keys, per_bucket, pre=dedup, batch_size=batch_size)
 
 
 def _changes(col: np.ndarray) -> np.ndarray:
@@ -276,7 +275,6 @@ def window(
     order_by: list,
     kernel,
     schema: pa.Schema,
-    n_partitions: int = 64,
     *,
     sort_by: list,
 ) -> Dataset:
@@ -315,4 +313,4 @@ def window(
         arrays = [pa.array(out.get(f.name, cols.get(f.name)), f.type) for f in schema]
         return pa.Table.from_arrays(arrays, schema=schema)
 
-    return exchange_group(ds, [partition_by], n_partitions, per_bucket, sort_by=sort_by)
+    return exchange_group(ds, [partition_by], per_bucket, sort_by=sort_by)

@@ -192,7 +192,6 @@ def hash_partitioned_join(
     left_on: str | list[str],
     right_on: str | list[str] | None = None,
     how: str = "inner",
-    num_buckets: int = 16,
     *,
     finish=None,
     sort_by=None,
@@ -208,9 +207,10 @@ def hash_partitioned_join(
     table`` per bucket and come back in ``sort_by`` order when given
     (column names or ``(name, "descending")``).
 
-    Skew: a hot key lands in one bucket, and each bucket's two sides must
-    fit one worker; ``num_buckets`` is that knob's ceiling, or pre-salt hot
-    keys (``functions/hashing.assign_parts``)."""
+    Skew: each bucket's two sides must fit one worker. The bucket count
+    follows from the exchanged bytes (``taskshuffle.bucket_count``), but a
+    hot key lands in one bucket whatever the count: pre-salt hot keys
+    (``functions/hashing.assign_parts``)."""
     left_keys = [left_on] if isinstance(left_on, str) else list(left_on)
     right_on = left_on if right_on is None else right_on
     right_keys = [right_on] if isinstance(right_on, str) else list(right_on)
@@ -227,6 +227,6 @@ def hash_partitioned_join(
         return joined if finish is None else finish(joined)
 
     return exchange_join(
-        left, right, left_keys, right_keys, num_buckets, join_bucket,
+        left, right, left_keys, right_keys, join_bucket,
         sort_by=sort_by,
     )

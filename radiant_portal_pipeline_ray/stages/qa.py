@@ -65,7 +65,7 @@ def run_checks(
         out = g.group_by(["check", "key"]).aggregate([("val", "sum")])
         return out.rename_columns(["check", "key", "val"])
 
-    agg = exchange_group(ds, ["check", "key"], 16, fold, pre=partials)
+    agg = exchange_group(ds, ["check", "key"], fold, pre=partials)
     counters: dict[str, dict] = {}
     for r in collect(agg).to_pylist():
         counters.setdefault(r["check"], {})[r["key"]] = r["val"]
@@ -161,7 +161,7 @@ def unique_key_global(ds: Dataset, col: str) -> dict:
         return pa.table({"dups": pa.array([n_dup], type=pa.int64())})
 
     dups = collect(
-        exchange_group(ds, [col], 64, dup_count), pa.schema([("dups", pa.int64())])
+        exchange_group(ds, [col], dup_count), pa.schema([("dups", pa.int64())])
     )
     dup = int(pc.sum(dups.column("dups")).as_py() or 0)
     return {"ok": dup == 0, "detail": f"duplicate_keys={dup}"}
@@ -172,7 +172,6 @@ def cross_exclusive(
     ds_b: Dataset,
     key_a: str,
     key_b: str | None = None,
-    num_buckets: int = 16,
 ) -> dict:
     """CROSS-TABLE exclusivity: keys present in BOTH datasets are
     violations. Distributed: per-batch distinct on each side, then a
@@ -198,9 +197,7 @@ def cross_exclusive(
     b = map_blocks(ds_b, distinct(key_b))
     if a.count() == 0 or b.count() == 0:  # empty side ⇒ trivially exclusive
         return {"ok": True, "detail": "shared_keys=0"}
-    both = hash_partitioned_join(
-        a, b, key_a, key_b, how="semi", num_buckets=num_buckets
-    )
+    both = hash_partitioned_join(a, b, key_a, key_b, how="semi")
     n = both.count()
     return {"ok": n == 0, "detail": f"shared_keys={n}"}
 
@@ -471,6 +468,6 @@ def partition_checksums(
             }
         )
 
-    out = exchange_group(ds, [group_col], 8, final, pre=partial)
+    out = exchange_group(ds, [group_col], final, pre=partial)
     t = sort_table(collect(out, out_schema), group_col)
     return stamp_checksum_fingerprint(t, hash_fn)

@@ -50,12 +50,15 @@ deterministic (stages/merge.py); the round publishes nothing until the
 manifest commit. Reference analogue: per-partition import runs are the
 all-or-nothing retry unit (`radiant/dags/import_part.py`).
 
-Partitioning assumptions (the knobs this operator relies on):
+Partitioning assumptions of the generic keyed exchange below:
 - every row of a key lands in exactly one bucket (``hash(key) % B``), so
   any per-key kernel decomposes exactly over buckets;
-- ONE bucket's rows (both sides, for joins) must fit a worker's heap —
-  ``n_buckets`` / the 64 MB-per-bucket sizing is the skew knob; salt hot
-  keys upstream (state/partitioner.py) when a single key exceeds it;
+- ONE bucket's rows (both sides, for joins) must fit a worker's heap. The
+  bucket count B comes from the exchanged bytes alone
+  (:func:`bucket_count`: at most 2 × ``_TARGET_BUCKET_BYTES`` per bucket
+  on an even key spread), and no caller sets it. A hot key is not
+  spread by any B: salting it upstream is the partitioner's job
+  (state/partitioner.py);
 - driver metadata is O(tasks × buckets) ObjectRefs at level one. When
   (tasks × buckets) exceeds ``_REF_BUDGET`` the exchange automatically
   adds a SECOND level: level-1 tasks split into G groups (G | B, so the
@@ -419,8 +422,8 @@ def bucket_task(fn, schemas: list, counts: list[int], *tables: pa.Table | None):
 
 #: target bytes per bucket/split-task — sized so the (tasks × buckets)
 #: object count stays small for small inputs (a 40 MB partial table gets 4
-#: buckets, not 64×64 = 4096 tiny plasma objects) while large inputs fan out
-#: to the caller's ceiling.
+#: buckets, not 64×64 = 4096 tiny plasma objects) while one bucket of a
+#: large input still fits a worker's heap (:func:`bucket_count`).
 _TARGET_BUCKET_BYTES = 64 << 20
 
 #: the one driver-or-tasks size threshold: a file read (``state/lakescan``)
@@ -522,8 +525,9 @@ def _split_refs(
 ) -> list[list]:
     """Fan a Dataset's block refs through the (possibly two-level) split;
     returns the ``n_buckets`` per-bucket ref columns. ``n_buckets`` is a
-    power of two (``_clamp_buckets``), which a two-level plan keeps. Empty
-    input → empty columns (downstream kernels see typed empty tables)."""
+    power of two (:func:`bucket_count`), which a two-level plan keeps: its
+    power-of-two group count divides it. Empty input → empty columns
+    (downstream kernels see typed empty tables)."""
     global last_split_plan
     if not refs:
         last_split_plan = {"levels": 0, "n_tasks": 0, "n_buckets": n_buckets,
@@ -551,14 +555,14 @@ def _split_refs(
     return [[row[b] for row in mat] for b in range(n_buckets)]
 
 
-def _clamp_buckets(n_buckets: int, total_bytes: int) -> int:
-    """Small inputs don't amortize per-bucket task overhead — scale the
-    bucket count with the exchanged byte volume (the caller's ``n_buckets``
-    stays the ceiling: the partitioning-assumption knob at real scale).
-    Rounded down to a power of two so two-level group counts divide it and
-    the two sides of a join agree on the final B."""
-    by_size = max(4, -(-total_bytes // _TARGET_BUCKET_BYTES))
-    v = max(1, min(n_buckets, by_size))
+def bucket_count(total_bytes: int) -> int:
+    """The bucket count of a keyed exchange of ``total_bytes``: the largest
+    power of two at most ``max(4, ceil(total_bytes / _TARGET_BUCKET_BYTES))``,
+    so one bucket gets at most 2 × ``_TARGET_BUCKET_BYTES`` on an even key
+    spread, and small inputs do not pay per-bucket task overhead. A power
+    of two, so two-level group counts divide it and the two sides of a join
+    agree on the final B."""
+    v = max(4, -(-total_bytes // _TARGET_BUCKET_BYTES))
     return 1 << (v.bit_length() - 1)
 
 
@@ -663,7 +667,7 @@ def _local_result(t: pa.Table, sort_by):
     return local_dataset(t if sort_by is None else sort_table(t, sort_by))
 
 
-def _exchange(sides: list, keys: list[list[str]], n_buckets: int, fn, sort_by):
+def _exchange(sides: list, keys: list[list[str]], fn, sort_by):
     """The keyed exchange of one or more materialized, typed Datasets:
     ``fn(*side_tables)`` once per bucket, each side split on its own
     ``keys``, in ``sort_by`` order when given.
@@ -672,10 +676,11 @@ def _exchange(sides: list, keys: list[list[str]], n_buckets: int, fn, sort_by):
     on the driver over the whole sides, and the result is one materialized
     block (:func:`local_dataset`) whose consumer starts no execution.
     Above it: the sides split independently into the same power-of-two
-    bucket count (no union, no column padding), one :func:`bucket_task`
-    per bucket, then ``Dataset.sort``; unsorted, the bucket results are
-    materialized, which starts no execution (``from_arrow_refs`` already
-    waits for them) and spares the consumer's ``to_arrow_refs`` one."""
+    bucket count, :func:`bucket_count` of the larger side (no union, no
+    column padding), one :func:`bucket_task` per bucket, then
+    ``Dataset.sort``; unsorted, the bucket results are materialized, which
+    starts no execution (``from_arrow_refs`` already waits for them) and
+    spares the consumer's ``to_arrow_refs`` one."""
     import ray.data as rd
 
     schemas = [pa.schema(d.schema().base_schema) for d in sides]
@@ -684,7 +689,7 @@ def _exchange(sides: list, keys: list[list[str]], n_buckets: int, fn, sort_by):
         # tiny exchange (pre-combined partials, pruned top-k rows, a small
         # join): one vectorized kernel call beats any task fan-out
         return _local_result(fn(*(collect(d, s) for d, s in zip(sides, schemas))), sort_by)
-    n_buckets = _clamp_buckets(n_buckets, max(sizes))
+    n_buckets = bucket_count(max(sizes))
     cols = [
         _split_refs(d.to_arrow_refs(), k, n_buckets, n)
         for d, k, n in zip(sides, keys, sizes)
@@ -703,12 +708,11 @@ def _exchange(sides: list, keys: list[list[str]], n_buckets: int, fn, sort_by):
     return out.sort([c for c, _ in spec], descending=[d for _, d in spec])
 
 
-def exchange_group(
-    ds, keys: list[str], n_buckets: int, fn, *, pre=None, batch_size=None, sort_by=None
-):
-    """Hash-partition ``ds`` on ``keys`` into ``n_buckets`` and apply
-    ``fn(bucket_table) -> pa.Table`` once per bucket (every row of a key in
-    exactly one call). Returns a Dataset of the concatenated results, in
+def exchange_group(ds, keys: list[str], fn, *, pre=None, batch_size=None, sort_by=None):
+    """Hash-partition ``ds`` on ``keys`` and apply ``fn(bucket_table) ->
+    pa.Table`` once per bucket (every row of a key in exactly one call;
+    the bucket count follows from the exchanged bytes, see
+    :func:`bucket_count`). Returns a Dataset of the concatenated results, in
     ``sort_by`` order when given (column names or ``(name,
     "descending")``). One plasma materialization, no sort before the
     kernel; small inputs run on the driver (:func:`_exchange`). A
@@ -731,7 +735,7 @@ def exchange_group(
     ds = materialized(ds)
     if ds.schema() is None:
         return ds
-    return _exchange([ds], [keys], n_buckets, fn, sort_by)
+    return _exchange([ds], [keys], fn, sort_by)
 
 
 def exchange_join(
@@ -739,7 +743,6 @@ def exchange_join(
     right,
     left_keys: list[str],
     right_keys: list[str],
-    n_buckets: int,
     fn,
     *,
     sort_by=None,
@@ -757,9 +760,7 @@ def exchange_join(
                 f"exchange_join: {side} side has zero blocks and no schema; "
                 "pass a dataset with at least one (possibly empty) typed block"
             )
-    return _exchange(
-        [left, right], [left_keys, right_keys], n_buckets, fn, sort_by
-    )
+    return _exchange([left, right], [left_keys, right_keys], fn, sort_by)
 
 
 def merge_bucket(

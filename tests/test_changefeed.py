@@ -139,18 +139,18 @@ def test_incremental_agg_forced_exchange_path(ray_session, monkeypatch):
 
     base = changefeed.cdc_incremental_agg("/root/testdata/sf0.001")
 
-    seen: list[tuple[list[str], int]] = []
+    seen: list[list[str]] = []
     orig = taskshuffle.exchange_group
 
-    def spy(ds, keys, n_buckets, fn, **kw):
-        out = orig(ds, keys, n_buckets, fn, **kw)
-        seen.append((list(keys), n_buckets))
+    def spy(ds, keys, fn, **kw):
+        out = orig(ds, keys, fn, **kw)
+        seen.append(list(keys))
         return out
 
     monkeypatch.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", 0)
     monkeypatch.setattr(changefeed, "exchange_group", spy)
     forced = changefeed.cdc_incremental_agg("/root/testdata/sf0.001")
-    assert ["domain"] in [k for k, _ in seen], seen
+    assert ["domain"] in seen, seen
     assert forced.equals(base)
 
 

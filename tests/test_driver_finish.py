@@ -227,7 +227,7 @@ def test_exchange_join_sort_matches_task_path(ray_session, monkeypatch):
 
     def run():
         return taskshuffle.exchange_join(
-            left, right, ["g"], ["g"], 16, kernel, sort_by=["w", ("id", "descending"), "g"]
+            left, right, ["g"], ["g"], kernel, sort_by=["w", ("id", "descending"), "g"]
         )
 
     local, tasks = _both_paths(monkeypatch, run)

@@ -44,9 +44,7 @@ def two_sides(ray_session):
 
 def test_composite_left_outer_join(two_sides):
     left, right = two_sides
-    out = hash_partitioned_join(
-        left, right, ["k1", "k2"], ["r1", "r2"], how="left", num_buckets=4
-    )
+    out = hash_partitioned_join(left, right, ["k1", "k2"], ["r1", "r2"], how="left")
     rows = _sorted_pylist(out, ["k1", "k2", "lv", "rv"])
     assert rows == [
         (1, "a", 10, 100),
@@ -60,13 +58,9 @@ def test_composite_left_outer_join(two_sides):
 
 def test_composite_semi_and_anti(two_sides):
     left, right = two_sides
-    semi = hash_partitioned_join(
-        left, right, ["k1", "k2"], ["r1", "r2"], how="semi", num_buckets=4
-    )
+    semi = hash_partitioned_join(left, right, ["k1", "k2"], ["r1", "r2"], how="semi")
     assert _sorted_pylist(semi, ["k1", "k2"]) == [(1, "a"), (2, "a"), (2, "b")]
-    anti = hash_partitioned_join(
-        left, right, ["k1", "k2"], ["r1", "r2"], how="anti", num_buckets=4
-    )
+    anti = hash_partitioned_join(left, right, ["k1", "k2"], ["r1", "r2"], how="anti")
     assert _sorted_pylist(anti, ["k1", "k2"]) == [(1, "b"), (3, "a"), (4, "z")]
 
 

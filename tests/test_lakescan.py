@@ -239,7 +239,7 @@ def test_exchanges_run_their_input_once(ray_session, tmp_path):
         tagged("r"), batch_format="pyarrow", batch_size=None
     )
     joined = exchange_join(
-        left, right, ["k"], ["k"], 8, lambda a, b: pa.table({"n": [a.num_rows]})
+        left, right, ["k"], ["k"], lambda a, b: pa.table({"n": [a.num_rows]})
     )
     assert sum(_collect(joined).column("n").to_pylist()) == 50 * n_blocks
     assert (calls("l"), calls("r")) == (n_blocks, 2)

@@ -21,11 +21,11 @@ def _table(n=5000, seed=3):
     )
 
 
-def _grouped_sum(ds, n_buckets):
+def _grouped_sum(ds):
     def fn(t: pa.Table) -> pa.Table:
         return t.group_by("k").aggregate([("v", "sum")])
 
-    out = ts.exchange_group(ds, ["k"], n_buckets, fn)
+    out = ts.exchange_group(ds, ["k"], fn)
     t = pa.concat_tables(ray.get(out.to_arrow_refs()))
     import pyarrow.compute as pc
 
@@ -36,10 +36,10 @@ def test_exchange_group_two_level_parity(ray_session, monkeypatch):
     t = _table()
     ds = rd.from_arrow(t).repartition(8)
     monkeypatch.setattr(ts, "_DRIVER_LOCAL_BYTES", 0)
-    single = _grouped_sum(ds, 16)
+    single = _grouped_sum(ds)
     assert ts.last_split_plan["levels"] == 1
     monkeypatch.setattr(ts, "_REF_BUDGET", 1)
-    double = _grouped_sum(ds, 16)
+    double = _grouped_sum(ds)
     assert ts.last_split_plan["levels"] == 2
     assert ts.last_split_plan["n_groups"] >= 2
     plan = ts.last_split_plan
@@ -206,7 +206,7 @@ def test_exchange_join_schema_none_raises(ray_session):
     left = rd.from_arrow_refs([])  # zero blocks → no schema
     right = rd.from_arrow(_table(100))
     with pytest.raises(ValueError, match="zero blocks"):
-        ts.exchange_join(left, right, ["k"], ["k"], 8, lambda a, b: a)
+        ts.exchange_join(left, right, ["k"], ["k"], lambda a, b: a)
 
 
 def test_connected_components_chain_pointer_jumping(ray_session):
@@ -232,3 +232,40 @@ def test_connected_components_chain_pointer_jumping(ray_session):
 
     with pytest.raises(RuntimeError, match="no fixpoint"):
         connected_components_distributed(pairs, max_iters=1)
+
+
+def _sizes():
+    """0 bytes to 1 TB: every power of two, one byte either side of it,
+    and the multiples of the bucket target around the small counts."""
+    t = ts._TARGET_BUCKET_BYTES
+    out = {0, 1 << 40}
+    for e in range(41):
+        out.update({(1 << e) - 1, 1 << e, (1 << e) + 1})
+    out.update(m * t + d for m in range(1, 20) for d in (-1, 0, 1))
+    return sorted(s for s in out if 0 <= s <= 1 << 40)
+
+
+def test_bucket_count_is_a_byte_sized_power_of_two():
+    t = ts._TARGET_BUCKET_BYTES
+    for size in _sizes():
+        b = ts.bucket_count(size)
+        assert b >= 4 and b & (b - 1) == 0, (size, b)
+        assert size <= 2 * t * b, (size, b)  # one bucket: at most 2 targets
+    assert ts.bucket_count(0) == 4
+    assert ts.bucket_count(4 * t) == 4
+    assert ts.bucket_count(16 * t) == 16
+    assert ts.bucket_count(31 * t) == 16
+    assert ts.bucket_count(1 << 40) == (1 << 40) // t
+
+
+def test_two_level_plan_keeps_the_bucket_count():
+    """``_split_refs`` ignores the count ``two_level_plan`` returns, which
+    is safe only when that count is the one it was given: true for every
+    ``bucket_count``, at any task count that forces two levels."""
+    for size in _sizes():
+        b = ts.bucket_count(size)
+        for n_tasks in (1, 2, 8, 64, 1 << 10, 1 << 14):
+            plan = ts.two_level_plan(n_tasks, b, size)
+            if plan is not None:
+                n_groups, b_adj = plan
+                assert b_adj == b and b % n_groups == 0, (size, n_tasks, plan)
