@@ -106,7 +106,14 @@ def main(argv: list[str] | None = None) -> int:
     gp = sub.add_parser("gc", help="prune old manifests + orphaned files")
     _tenant_args(gp)
     gp.add_argument("--keep-versions", type=int, default=2)
-    gp.add_argument("--staging-age-s", type=float, default=3600.0)
+    gp.add_argument(
+        "--staging-age-s",
+        type=float,
+        default=3600.0,
+        help="keep an unreferenced transaction's data files until its "
+        "newest file is this many seconds old (an in-flight writer's files "
+        "are referenced only at its commit)",
+    )
 
     qp = sub.add_parser(
         "qa",

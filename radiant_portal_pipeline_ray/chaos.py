@@ -2,14 +2,14 @@
 
 The CDC apply's fault-tolerance story rests on three mechanical facts:
 Ray retries a task whose worker process dies (default ``max_retries=3``),
-staged snapshot files have deterministic names (``{txn}-{part}-{i:04d}``,
-so a retry OVERWRITES its own partial output instead of orphaning it),
-and the manifest commit is a single put-if-absent CAS. ``maybe_die_once``
-turns those claims into something a test can force: the first task that
-reaches an injection point after the sentinel directory is empty records
-a sentinel file and hard-exits its worker process (``os._exit`` — a real
-worker death, not a retryable Python exception), and every later attempt
-sails through. ``tests/test_chaos.py`` asserts the resulting snapshot is
+snapshot files are written at their final keys under deterministic names
+(``{txn}-{part}-{i:04d}``, so a retry OVERWRITES its own partial output,
+before the publish, instead of orphaning it), and the manifest commit is
+a single put-if-absent CAS. ``maybe_die_once`` turns those claims into
+something a test can force: the first task that reaches an injection
+point after the sentinel directory is empty records a sentinel file and
+hard-exits its worker process (``os._exit`` — a real worker death, not a
+retryable Python exception), and every later attempt sails through. ``tests/test_chaos.py`` asserts the resulting snapshot is
 byte-identical to a no-fault run.
 
 Reference analogue: the reference leans on Airflow task retries plus

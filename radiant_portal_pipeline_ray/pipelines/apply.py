@@ -31,14 +31,16 @@ loop `radiant/dags/import_radiant.py:48-210`):
      caster (``op='S'``)
   6. per-bucket merge tasks run the vectorized LWW merge kernel
      (stages/merge.py): ``text = extract_text(html)`` for the delta's LWW
-     winners only, then each partition writes url-sorted staged Parquet
-     and returns one metadata row
-  7. two-phase commit: promote staged files, then ``Lake.commit_next``
-     publishes manifest v+1 built on the step-1 manifest via atomic
-     put-if-absent (idempotent by txn-id). Only a conflict re-reads the
-     current manifest and rebases, failing fast if a concurrent writer
-     advanced a merged partition or changed the routing state. The
-     post-commit QA reads the committed version
+     winners only, then each partition writes url-sorted Parquet at its
+     final key ``data/part=<P>/<txn>-<P>-<i>.parquet`` and returns one
+     metadata row
+  7. commit: ``Lake.commit_next`` publishes manifest v+1 built on the
+     step-1 manifest via atomic put-if-absent (idempotent by txn-id); that
+     put is the only commit step, the files it references already sit at
+     their keys. Only a conflict re-reads the current manifest and
+     rebases, failing fast if a concurrent writer advanced a merged
+     partition or changed the routing state. The post-commit QA reads the
+     committed version
 
 Only tiny metadata ever reaches the driver; data flows Arrow-zero-copy
 through the object store with ONE keyed exchange carrying the delta — at
@@ -88,7 +90,7 @@ _INTERNAL_NAMES = {f.name for f in INTERNAL_FIELDS}
 
 class ConcurrentWriterConflict(Exception):
     """A concurrent writer advanced a partition this apply merged from —
-    the staged merge output is stale (its carried-forward rows and doc-id
+    the written merge output is stale (its carried-forward rows and doc-id
     ranges were computed against an older base). Fail fast and re-run the
     apply; silently committing would overwrite the other writer's rows and
     could collide doc_id ranges."""
@@ -113,7 +115,7 @@ def _check_rebase(
     newer ``base`` (analogue of the reference's Iceberg commit retry,
     `radiant/tasks/iceberg/utils.py:73-96`).
 
-    The staged files embed carried-forward rows and doc_id ranges computed
+    The written files embed carried-forward rows and doc_id ranges computed
     from ``planned``: if a concurrent writer advanced any merged partition,
     raise ``ConcurrentWriterConflict`` instead of silently overwriting its
     rows (single-writer is the supported mode, same as the reference's
@@ -357,7 +359,7 @@ class CdcEngine:
         other's committed version (valid exactly because the wave is
         partition-disjoint). The one cross-partition coupling is routing
         state: if two writers both make salting decisions, the later commit
-        raises ``ConcurrentWriterConflict``; that job's staged files become
+        raises ``ConcurrentWriterConflict``; that job's written files become
         GC-able orphans (its watermark never advanced) and it is re-run
         sequentially after the wave — a pure re-execution, never a partial
         state.
@@ -422,7 +424,7 @@ class CdcEngine:
                     return _fresh_writer().apply(jobs[i]["paths"])
                 except ConcurrentWriterConflict:
                     # a concurrent writer advanced a merged-from partition;
-                    # the failed writer's staged files are unreferenced
+                    # the failed writer's written files are unreferenced
                     # orphans and its watermarks never advanced — safe to
                     # re-run sequentially after the wave.
                     return None
@@ -780,10 +782,9 @@ class CdcEngine:
 
         txn_id = self.lake.new_txn_id()
         quarantine_info = self._write_quarantine(txn_id, q_tabs, q_dropped)
-        staging = self.lake.staging_dir(txn_id)
         kernel = MergeKernel(
             txn_id=txn_id,
-            staging_dir=staging,
+            staging_dir=self.lake.data_dir,
             snapshot_schema=snapshot_schema,
             next_doc_seq={
                 p: st.next_doc_seq
@@ -851,7 +852,7 @@ class CdcEngine:
         self, txn_id: str, q_tabs: list, q_dropped: int
     ) -> dict | None:
         """Write one dead-letter file for this txn (malformed events +
-        reason column). Same pre-commit contract as promoted data files: a
+        reason column). Same pre-commit contract as the data files: a
         crash before the commit leaves it unreferenced → gc_orphans
         reclaims it after quiescence."""
         if not q_tabs:
@@ -1006,8 +1007,7 @@ class CdcEngine:
             for tp in partitioner.salt_map.get(d, []):
                 wm_seed[tp] = max(wm_seed.get(tp, -1), seed)
 
-        # ---- phase 2: promote + commit (rebase on version conflict) -------
-        self.lake.promote_staged_files(txn_id)
+        # ---- commit (rebase on version conflict) ---------------------------
         totals = {
             k: sum(int(m[k]) for m in meta_rows)
             for k in ("events_in", "rows_upserted", "rows_deleted", "rows_carried")

@@ -3,9 +3,9 @@
 A long-lived CDC lake accumulates (a) many small files per partition (one
 per apply round that touched it) and (b) delete tombstones that only exist
 to beat late out-of-order events. Both are rewritten here as a normal
-exactly-once transaction: per-partition ``map_groups`` rewrite into staged
-files → promote → manifest commit with a ``compacted`` lineage entry and
-the compaction's own metrics (``op: compact``).
+exactly-once transaction: a per-partition rewrite into new files at their
+final keys under ``data/`` → manifest commit with a ``compacted`` lineage
+entry and the compaction's own metrics (``op: compact``).
 Watermarks, doc_id counters and the salt map are untouched, so an apply can
 run before/after/interleaved with compaction and converge identically.
 
@@ -47,7 +47,7 @@ from radiant_portal_pipeline_ray.state.manifest import (
 
 
 class CompactionConflict(Exception):
-    """A concurrent writer changed a partition being compacted; the staged
+    """A concurrent writer changed a partition being compacted; the
     rewrite is stale. Clean abort — re-run compact against the new state."""
 
 _META = pa.schema(
@@ -65,7 +65,7 @@ _META = pa.schema(
 
 
 def _write_counts(meta_rows: list[dict]) -> dict:
-    """Bytes and files a rewrite staged, as ``stage_metrics["write"]``."""
+    """Bytes and files a rewrite wrote, as ``stage_metrics["write"]``."""
     return {
         "bytes": sum(int(m["bytes"]) for m in meta_rows),
         "files": sum(len(m["files"]) for m in meta_rows),
@@ -107,7 +107,7 @@ def _max_warc_ts_us(lake: Lake, manifest: Manifest) -> int | None:
 
 def _make_rewriter(
     txn_id: str,
-    staging_dir: str,
+    data_dir: str,
     schema: pa.Schema,
     target_rows_per_file: int,
     compression: str,
@@ -117,7 +117,8 @@ def _make_rewriter(
 ):
     """The per-bucket rewrite of ``compact`` and ``reshard``: one keyed
     exchange bucket may hold several partitions, each rewritten from its own
-    rows into its own staged files; returns one ``_META`` row per part."""
+    rows into its own files under ``data_dir``; returns one ``_META`` row
+    per part."""
 
     def rewrite(group: pa.Table) -> pa.Table:
         part = group.column("part")[0].as_py()
@@ -137,12 +138,12 @@ def _make_rewriter(
             pc.sum(pc.fill_null(out.column("deleted"), False)).as_py() or 0
         )
         files, total, stats = write_snapshot_files(
-            out, staging_dir, txn_id, part, target_rows_per_file, compression,
+            out, data_dir, txn_id, part, target_rows_per_file, compression,
             filesystem,
         )
         if fault_inject is not None:
-            # tests only: die AFTER staging this partition's rewrite — the
-            # retried task overwrites the same deterministic staged names
+            # tests only: die AFTER writing this partition's rewrite — the
+            # retried task overwrites the same deterministic names
             from radiant_portal_pipeline_ray.chaos import maybe_die_once
 
             maybe_die_once(fault_inject, "compact")
@@ -186,11 +187,12 @@ def compact(
     """Rewrite every partition with ≥ ``min_files`` files (or any tombstones,
     when purging) into ``target_rows_per_file``-sized url-sorted files.
 
-    Exactly-once like apply: staged under ``_staging/{txn}``, promoted, then
-    committed via the manifest's put-if-absent; on a version conflict the
-    commit is retried against the new base iff the rewritten partitions are
-    untouched there, else the compaction aborts cleanly (staged files are
-    inert and reclaimed by ``gc_orphans``). Returns a small report.
+    Exactly-once like apply: the new files are written at their final keys
+    under ``data/``, then committed via the manifest's put-if-absent; on a
+    version conflict the commit is retried against the new base iff the
+    rewritten partitions are untouched there, else the compaction aborts
+    cleanly (the unreferenced files are inert and reclaimed by
+    ``gc_orphans``). Returns a small report.
     """
     cfg = config or EngineConfig()
     lake = Lake(lake_root)
@@ -217,10 +219,9 @@ def compact(
 
     t0 = time.time()
     txn_id = lake.new_txn_id()
-    staging = lake.staging_dir(txn_id)
     rewrite_bucket = _make_rewriter(
         txn_id,
-        staging,
+        lake.data_dir,
         current.schema,
         cfg.target_rows_per_file,
         cfg.compression,
@@ -235,7 +236,6 @@ def compact(
         ["part"],
         rewrite_bucket,
     ).take_all()
-    lake.promote_staged_files(txn_id)
     metrics = {
         "op": "compact",
         "stage_metrics": {
@@ -246,8 +246,8 @@ def compact(
 
     def build(base: Manifest) -> dict:
         # safe to rebase only if nobody touched the partitions we rewrote;
-        # otherwise our staged output is stale → clean abort (staged files
-        # are inert; gc_orphans reclaims them)
+        # otherwise our output is stale → clean abort (its files are
+        # unreferenced and inert; gc_orphans reclaims them)
         if base is not current:
             for p, st in todo.items():
                 if base.partitions.get(p, PartitionState()).files != st.files:
@@ -314,8 +314,8 @@ def reshard(
     reference's analogue is a StarRocks table re-partition (full rewrite
     behind a swap). Here it is one exactly-once transaction: every state
     row (live + tombstones) is re-routed by ``hash(domain) % new_n_parts``
-    through the keyed task exchange and rewritten into staged per-partition
-    files → promote → manifest commit with ``n_parts=new_n_parts``.
+    through the keyed task exchange and rewritten into new per-partition
+    files under ``data/`` → manifest commit with ``n_parts=new_n_parts``.
 
     Invariants preserved:
     - **doc_ids are stable** — rows keep their ids. Uniqueness holds
@@ -377,10 +377,9 @@ def reshard(
 
     t0 = time.time()
     txn_id = lake.new_txn_id()
-    staging = lake.staging_dir(txn_id)
     rewrite_bucket = _make_rewriter(
         txn_id,
-        staging,
+        lake.data_dir,
         current.schema,
         cfg.target_rows_per_file,
         cfg.compression,
@@ -401,7 +400,6 @@ def reshard(
         route, batch_format="pyarrow"
     )
     meta_rows = exchange_group(ds, ["part"], rewrite_bucket).take_all()
-    lake.promote_staged_files(txn_id)
 
     now = time.time()
     lineage_entry = {

@@ -1,5 +1,4 @@
-"""LWW merge + staged Parquet writer: one vectorized pass per batch of
-partitions.
+"""LWW merge + Parquet writer: one vectorized pass per batch of partitions.
 
 Input: the change events of one or more partitions (a merge task's whole
 bucket) plus each partition's carried-forward snapshot rows (``op='S'``),
@@ -15,9 +14,9 @@ deterministic:
   →  re-attach stable doc_ids (existing urls keep theirs; new urls get
      ``part << shift | seq`` allocated deterministically in url order from
      the partition's persisted counter)
-  →  per partition: write url-sorted Parquet file(s) into
-     ``_staging/<txn>/part=<P>/`` and return ONE small metadata dict
-     (files, counts, max lsn, lineage metrics)
+  →  per partition: write url-sorted Parquet file(s) at their final keys
+     ``data/part=<P>/<txn>-<P>-<i>.parquet`` and return ONE small metadata
+     dict (files, counts, max lsn, lineage metrics)
 
 Every step but the write is a segment operation over the sorted rows, so
 its fixed cost is paid once per batch, not once per partition; within a
@@ -28,9 +27,10 @@ event: only the rows that survive the merge pay for it (Delta Lake's MERGE
 rule).
 
 Determinism matters: a retried Ray task re-executes the same bucket and
-writes byte-identical files (same sort, same tie-breaks, same allocation
-order), which is what makes the two-phase commit exactly-once under
-retries (SURVEY §7.5 "Custom LWW semantics under retries").
+rewrites the same file names with byte-identical contents (same sort, same
+tie-breaks, same allocation order), all before the round's manifest
+publish, which is what makes the commit exactly-once under retries
+(SURVEY §7.5 "Custom LWW semantics under retries").
 
 Reference analogue: the rank-1 upsert shape
 ``ROW_NUMBER() OVER (PARTITION BY key ORDER BY ...) = 1``
@@ -58,7 +58,7 @@ from radiant_portal_pipeline_ray.schemas import align_table
 
 #: the merge's in-task layers, in seconds (``merge_parts(..., layers=)``):
 #: carried-row read, LWW kernel, html→text of the delta winners, Parquet
-#: encode + staged write
+#: encode + write
 MERGE_LAYERS = ("carry_read_s", "lww_s", "extract_s", "write_s")
 
 #: heavy-hitter domains reported per partition
@@ -107,25 +107,28 @@ def _leaf_paths(name: str, typ: pa.DataType) -> list[str]:
 
 def write_snapshot_files(
     out: pa.Table,
-    staging_dir: str,
+    data_dir: str,
     txn_id: str,
     part: int,
     target_rows_per_file: int,
     compression: str,
     filesystem=None,
 ) -> tuple[list, int, list]:
-    """Stage one partition's rows ``out`` as ``target_rows_per_file``
-    slices ``<txn_id>-<part>-<i>.parquet`` under ``staging_dir/part=<part>``
+    """Write one partition's rows ``out`` as ``target_rows_per_file``
+    slices ``<txn_id>-<part>-<i>.parquet`` under ``data_dir/part=<part>``
     (``filesystem``: an fsspec filesystem, None = local paths), with
-    statistics for every column but :data:`NO_STATS_COLUMNS`. Returns (file
-    names, bytes, per-file zone maps)."""
+    statistics for every column but :data:`NO_STATS_COLUMNS`. In a commit
+    ``data_dir`` is the lake's ``data/``, so each file lands at the key the
+    manifest will reference; the names depend only on (txn, part, slice),
+    so a retried task rewrites the same names. Returns (file names, bytes,
+    per-file zone maps)."""
     from radiant_portal_pipeline_ray.state.zonemaps import file_stats
 
     if filesystem is None:
-        part_dir = os.path.join(staging_dir, f"part={part}")
+        part_dir = os.path.join(data_dir, f"part={part}")
         os.makedirs(part_dir, exist_ok=True)
     else:
-        part_dir = f"{staging_dir}/part={part}"
+        part_dir = f"{data_dir}/part={part}"
         filesystem.makedirs(part_dir, exist_ok=True)
     with_stats = [
         p
@@ -152,9 +155,13 @@ def write_snapshot_files(
 
 
 class MergeKernel:
-    """The LWW merge + staged-write kernel. The apply round's merge tasks
-    call ``merge_parts`` once per bucket; ``merge_partition`` is the
-    one-partition form (perfbench/layers.py times the kernel with it)."""
+    """The LWW merge + write kernel. The apply round's merge tasks call
+    ``merge_parts`` once per bucket; ``merge_partition`` is the
+    one-partition form (perfbench/layers.py times the kernel with it).
+
+    ``staging_dir`` is the directory the kernel writes ``part=<P>/`` under:
+    the lake's ``data/`` in an apply round, a scratch directory in the
+    benchmark's layer pass."""
 
     def __init__(
         self,
@@ -189,13 +196,13 @@ class MergeKernel:
         #: is driver-only).
         self.filesystem = filesystem
         #: tests only — ``("merge", dir)`` kills the first merge worker ONCE,
-        #: after it has staged a partition's files (the partial-write case a
-        #: retry must overwrite); see chaos.maybe_die_once.
+        #: after it has written a partition's files (the partial-write case
+        #: a retry must overwrite); see chaos.maybe_die_once.
         self.fault_inject = fault_inject
 
     def merge_partition(self, group: pa.Table, part: int) -> dict:
-        """One partition's event rows → url-sorted staged file(s) + one
-        metadata dict."""
+        """One partition's event rows → url-sorted file(s) + one metadata
+        dict."""
         return self.merge_parts(group, [part])[0]
 
     def merge_parts(
@@ -205,10 +212,10 @@ class MergeKernel:
         layers: dict[str, float] | None = None,
         batch_bytes: int | None = None,
     ) -> list[dict]:
-        """Merge and stage every partition in ``parts``; one metadata dict
+        """Merge and write every partition in ``parts``; one metadata dict
         per partition, in ``parts`` order. ``delta`` holds their change rows
         (rows of other partitions are ignored); a partition with none still
-        re-stages its carried rows. ``batch_bytes`` bounds the carried bytes
+        rewrites its carried rows. ``batch_bytes`` bounds the carried bytes
         merged in one pass: consecutive partitions are batched up to it.
         ``layers`` accumulates the seconds of each of ``MERGE_LAYERS``."""
         if layers is None:
@@ -487,16 +494,16 @@ class MergeKernel:
         ]
 
     def _write_part(self, part: int, out: pa.Table) -> tuple[list, int, list]:
-        """Stage one partition's merged rows (:func:`write_snapshot_files`);
+        """Write one partition's merged rows (:func:`write_snapshot_files`);
         returns (file names, bytes, per-file zone maps)."""
         written = write_snapshot_files(
             out, self.staging_dir, self.txn_id, part, self.target_rows_per_file,
             self.compression, self.filesystem,
         )
         if self.fault_inject is not None:
-            # die AFTER staging this partition's files: the retried task
-            # must overwrite the partial staged output (deterministic
-            # txn/part/seq names), not duplicate it
+            # die AFTER writing this partition's files: the retried task
+            # must overwrite the partial output (deterministic txn/part/seq
+            # names), not duplicate it
             from radiant_portal_pipeline_ray.chaos import maybe_die_once
 
             maybe_die_once(self.fault_inject, "merge")

@@ -1,38 +1,45 @@
-"""Copy-on-write Parquet lake: manifests, exactly-once two-phase commit, GC.
+"""Copy-on-write Parquet lake: manifests, exactly-once commit, GC.
 
 The lake layout (SURVEY §7.1):
 
     <root>/
-      data/part=<P>/<txn>-<n>.parquet      # immutable, inert until referenced
-      manifests/manifest-v<K>.json          # atomic snapshot pointer
-      _staging/<txn>/part=<P>/...           # uncommitted writer output
+      data/part=<P>/<txn>-<part>-<i>.parquet  # immutable, inert until referenced
+      data/quarantine/<txn>.parquet          # the round's dead-letter file
+      manifests/manifest-v<K>.json           # atomic snapshot pointer
 
 A snapshot version is ONE manifest file listing, per partition: data files,
 row/byte counts, watermark lsn, doc-id counter, and the lineage entry of the
 commit that last wrote it; the version's own operation metrics sit beside
-them (``Manifest.metrics``), so history is the manifest chain. Commit
-is two-phase: (1) writers stage Parquet under ``_staging/<txn>``; (2) the
-driver moves the files into ``data/`` and publishes
-``manifest-v{K+1}.json`` via a put-if-absent that either atomically creates
-the version or reports it taken, giving CAS semantics without any catalog
-service. Retried commits are idempotent by txn-id (a found manifest with
-our txn_id == success). Every writer (apply, routing, quarantine-only,
+them (``Manifest.metrics``), so history is the manifest chain. Writers put
+each data file straight at its final key, named by the writing transaction;
+the manifest put is the ONLY commit step: ``manifest-v{K+1}.json`` is
+published via a put-if-absent that either atomically creates the version
+or reports it taken, giving CAS semantics without any catalog service.
+Retried commits are idempotent by txn-id (a found manifest with our
+txn_id == success). Every writer (apply, routing, quarantine-only,
 rollback, compact, reshard) publishes through ``Lake.commit_next``, the one
 base → successor → publish → rebase-on-conflict loop.
+
+The rule that keeps final-key writes safe: once a manifest references a
+file name, nothing writes that name again. A transaction writes its files
+only before its publish; a retried merge or rewrite task rewrites the same
+deterministic names, also before the publish; ``clone_to`` writes only
+into a lake with no manifest yet. Until its publish a transaction's files
+are unreferenced and invisible to readers; ``gc_orphans`` removes them
+once the transaction has been quiet for ``staging_age_s``.
 
 Two storage backends share that contract:
 
 - **POSIX** (``Lake("/path")``, the default): put-if-absent is fsync +
-  hard-link (EEXIST = loser); promote is ``os.replace`` (atomic rename).
+  hard-link (EEXIST = loser).
 - **Object store** (``Lake("memory://lake")`` / any fsspec URL, or an
   explicit ``filesystem=``): uses ONLY object-store-safe primitives — no
-  hard links, no rename-is-atomic assumption, no directory mtimes. Promote
-  is copy-then-delete (idempotent: a file already at the final key is
-  re-referenced, the staged copy discarded); manifest publish is the
-  store's conditional put (``Lake._put_manifest_if_absent``).
+  hard links, no rename, no directory mtimes. A data file is one PUT at
+  its final key; manifest publish is the store's conditional put
+  (``Lake._put_manifest_if_absent``).
 
-Reference analogue: Iceberg ``commit_files`` two-phase transaction with a
-20-attempt backoff retry loop (`radiant/tasks/iceberg/utils.py:61-96`),
+Reference analogue: Iceberg ``commit_files`` (data files at their final
+keys, only the catalog pointer swap atomic) with a 20-attempt backoff retry loop (`radiant/tasks/iceberg/utils.py:61-96`),
 single-committer fan-in (`radiant/tasks/iceberg/utils.py:99-114`,
 `radiant/dags/import_snv_vcf.py:47-49`) and the StarRocks temp-partition
 atomic swap (`radiant/tasks/starrocks/operator.py:341-355`).
@@ -366,7 +373,7 @@ class Lake:
 
             # fsspec's LocalFileSystem (a file:// root) is POSIX underneath
             # but deliberately stays on the object-store code path: it is
-            # how tests exercise copy-promote / claim-commit semantics
+            # how tests exercise the object-store commit semantics
             # cross-process without a real object store.
             filesystem, root = fsspec.core.url_to_fs(root)
         #: fsspec AbstractFileSystem, or None for the POSIX fast path
@@ -375,8 +382,7 @@ class Lake:
         join = self._join
         self.manifest_dir = join(root, "manifests")
         self.data_dir = join(root, "data")
-        self.staging_root = join(root, "_staging")
-        for d in (self.manifest_dir, self.data_dir, self.staging_root):
+        for d in (self.manifest_dir, self.data_dir):
             self._makedirs(d)
 
     # -- io primitives (the ONLY fs operations the lake performs) ---------
@@ -422,13 +428,12 @@ class Lake:
     def _mtime(self, path: str, default: float = 0.0) -> float:
         """Modification time, or ``default`` when the backend can't say.
 
-        Callers choose the conservative fallback: GC's quiescence checks on
-        FILES pass ``default=now`` (an unknown-age file must read as brand
-        new, never as infinitely old — deleting an in-flight writer's
-        freshly promoted file would publish a manifest referencing deleted
-        data), while directory probes pass 0.0 so the per-file maximum
-        dominates. On a backend with no ``modified()`` at all, GC therefore
-        deletes nothing — inert, not unsafe.
+        Callers choose the conservative fallback: GC's quiescence check
+        passes ``default=now`` (an unknown-age file must read as brand new,
+        never as infinitely old — deleting an in-flight writer's freshly
+        written file would publish a manifest referencing deleted data). On
+        a backend with no ``modified()`` at all, GC therefore deletes
+        nothing — inert, not unsafe.
         """
         if self.filesystem is not None:
             try:
@@ -438,9 +443,9 @@ class Lake:
         try:
             return os.path.getmtime(path)
         except OSError:
-            # a concurrent committer's async staging cleanup can remove the
-            # path between listdir and this stat — same contract as fsspec:
-            # the caller's conservative default decides
+            # a concurrent gc can remove the path between listdir and this
+            # stat — same contract as fsspec: the caller's conservative
+            # default decides
             return default
 
     def _remove(self, path: str) -> None:
@@ -448,43 +453,6 @@ class Lake:
             self.filesystem.rm_file(path)
         else:
             os.remove(path)
-
-    def _walk_files(self, path: str) -> list[str]:
-        if self.filesystem is not None:
-            try:
-                return sorted(self.filesystem.find(path))
-            except FileNotFoundError:
-                return []
-        out = []
-        for root_, _, files_ in os.walk(path):
-            out.extend(os.path.join(root_, fn) for fn in files_)
-        return sorted(out)
-
-    def _rmtree(self, path: str) -> None:
-        if self.filesystem is not None:
-            try:
-                self.filesystem.rm(path, recursive=True)
-            except FileNotFoundError:
-                pass
-            return
-        # tolerate a racing remover (the committer's async staging cleanup
-        # may be deleting the same tree): every step ignores already-gone
-        for root_, _, files_ in os.walk(path, topdown=False):
-            for fn in files_:
-                try:
-                    os.remove(os.path.join(root_, fn))
-                except FileNotFoundError:
-                    pass
-        for root_, dirs_, _ in os.walk(path, topdown=False):
-            for dd in dirs_:
-                try:
-                    os.rmdir(os.path.join(root_, dd))
-                except (FileNotFoundError, OSError):
-                    pass
-        try:
-            os.rmdir(path)
-        except FileNotFoundError:
-            pass
 
     def pyarrow_fs(self):
         """Wrapped pyarrow FileSystem for lake scans (``state/lakescan.py``)
@@ -501,11 +469,6 @@ class Lake:
 
     def new_txn_id(self) -> str:
         return uuid.uuid4().hex[:16]
-
-    def staging_dir(self, txn_id: str) -> str:
-        d = self._join(self.staging_root, txn_id)
-        self._makedirs(d)
-        return d
 
     # -- manifest chain --------------------------------------------------
     def _manifest_path(self, version: int) -> str:
@@ -546,47 +509,7 @@ class Lake:
                 continue
         return out
 
-    # -- phase 2: publish ------------------------------------------------
-    def promote_staged_files(self, txn_id: str) -> dict[int, list[str]]:
-        """Move ``_staging/<txn>/part=P/*.parquet`` into ``data/part=P/``.
-
-        Returns {part: [relative final paths]}. Idempotent: a file already
-        moved (crash between move and commit) is detected by its presence at
-        the final path and simply re-referenced. POSIX promotes by atomic
-        rename; an object store promotes by server-side copy + delete-src
-        (rename does not exist there — reference analogue: Iceberg data
-        files are written to their final keys and only the catalog pointer
-        swap is atomic, `radiant/tasks/iceberg/utils.py:61-96`).
-        """
-        staged = self.staging_dir(txn_id)
-        out: dict[int, list[str]] = {}
-        for entry in self._listdir(staged):
-            if not entry.startswith("part="):
-                continue
-            part = int(entry.split("=", 1)[1])
-            src_dir = self._join(staged, entry)
-            dst_dir = self._join(self.data_dir, entry)
-            self._makedirs(dst_dir)
-            rels = []
-            for fn in self._listdir(src_dir):
-                src = self._join(src_dir, fn)
-                dst = self._join(dst_dir, fn)
-                if self.filesystem is not None:
-                    if not self.filesystem.exists(dst):
-                        self.filesystem.copy(src, dst)
-                    # staged copy is garbage either way; best-effort delete
-                    try:
-                        self.filesystem.rm_file(src)
-                    except FileNotFoundError:
-                        pass
-                    rels.append(f"data/{entry}/{fn}")
-                else:
-                    if not os.path.exists(dst):
-                        os.replace(src, dst)
-                    rels.append(os.path.relpath(dst, self.root))
-            out[part] = rels
-        return out
-
+    # -- publish ----------------------------------------------------------
     @staticmethod
     def _fs_protocol(fs) -> str:
         p = getattr(fs, "protocol", "")
@@ -728,20 +651,6 @@ class Lake:
             logger.info(
                 json.dumps({**manifest.commit_info(), "txn_id": manifest.txn_id})
             )
-        # cleanup staging dir for this txn — best-effort AND off the commit
-        # critical path: with hundreds of salted part dirs the rmdir storm
-        # costs ~1 s of round wall on this FS (measured), and gc_orphans
-        # reclaims any leftover staging dir anyway.
-        sd = self._join(self.staging_root, manifest.txn_id)
-        if self._isdir(sd):
-
-            def _cleanup(path=sd):
-                try:
-                    self._rmtree(path)
-                except OSError:
-                    pass  # gc_orphans owns stragglers
-
-            threading.Thread(target=_cleanup, daemon=True).start()
         return manifest
 
     def _built_on(self, version: int, manifest: Manifest) -> bool:
@@ -818,7 +727,9 @@ class Lake:
         shared inode lives until the last reference drops. On an fsspec
         backend files are server-side copied within the same filesystem.
         The clone starts with exactly one manifest (the chosen version, same
-        number — lineage/time-travel semantics carry over) and no staging.
+        number — lineage/time-travel semantics carry over), published after
+        every file is in place: the target has no manifest until then, so
+        its file writes precede any reference to them.
         Use case: dev/test forks of a production lake, A/B reprocessing."""
         man = (
             self.read_manifest(version)
@@ -982,24 +893,23 @@ class Lake:
     def gc_orphans(
         self, keep_versions: int = 2, staging_age_s: float = 3600.0
     ) -> list[str]:
-        """Prune old manifests, delete unreferenced data files, and clear
-        QUIESCED staging dirs.
+        """Prune old manifests, then delete unreferenced data files of
+        QUIESCED transactions.
 
         - Manifests older than the newest ``keep_versions`` are removed
           first (time-travel window); data files are then deleted when no
           surviving manifest references them.
-        - A ``_staging/<txn>`` dir is removed only when its newest mtime is
-          older than ``staging_age_s`` — an in-flight apply/compact keeps
-          touching its staging dir, so a concurrent GC must not wipe files
-          that a commit is about to promote.
-        - The same quiescence age applies to unreferenced DATA files: an
-          in-flight apply has a promote→commit window (commit retry can
-          sleep) during which freshly promoted files are referenced by no
-          manifest yet; deleting them would make the subsequent commit
-          publish a manifest pointing at missing files.
+        - Unreferenced files are grouped by the transaction that wrote them
+          (the ``<txn>`` prefix of ``<txn>-<part>-<i>.parquet`` and of the
+          quarantine file ``<txn>.parquet``). A group is removed only when
+          its NEWEST file is older than ``staging_age_s``: an in-flight
+          apply/compact/reshard writes its files over the whole merge and
+          references them only at its publish, so a long writer whose
+          first file is old but whose latest is fresh keeps every file —
+          deleting one would publish a manifest pointing at a missing file.
 
-        Safe after a crash mid-commit: staged/promoted-but-unreferenced files
-        are inert; re-running apply regenerates them deterministically.
+        Safe after a crash before the publish: the crashed transaction's
+        files are inert; re-running the apply writes a new transaction.
         """
         removed: list[str] = []
         now = time.time()
@@ -1021,36 +931,25 @@ class Lake:
             for st in man.partitions.values():
                 referenced.update(st.files)
             referenced.update(man.quarantine_files)
+        # unreferenced files by writing txn: (newest mtime, [(path, rel)])
+        orphans: dict[str, tuple[float, list]] = {}
         for entry in self._listdir(self.data_dir):
             pdir = self._join(self.data_dir, entry)
             if not self._isdir(pdir):
                 continue
             for fn in self._listdir(pdir):
-                path = self._join(pdir, fn)
                 rel = f"data/{entry}/{fn}"
-                if rel not in referenced:
-                    # quiescence guard: a freshly promoted file may belong to
-                    # an in-flight commit (promote→commit window); only
-                    # delete once it is older than staging_age_s
-                    if now - self._mtime(path, default=now) < staging_age_s:
-                        continue
-                    self._remove(path)
-                    removed.append(rel)
-        # staging: only txn dirs quiescent for > staging_age_s (an in-flight
-        # writer's dir has a recent mtime somewhere under it)
-        for txn in self._listdir(self.staging_root):
-            sd = self._join(self.staging_root, txn)
-            files_in = self._walk_files(sd)
-            newest = self._mtime(sd, default=0.0)
-            for fp in files_in:
-                newest = max(newest, self._mtime(fp, default=now))
+                if rel in referenced:
+                    continue
+                path = self._join(pdir, fn)
+                txn = fn.split(".", 1)[0].split("-", 1)[0]
+                newest, files = orphans.get(txn, (0.0, []))
+                files.append((path, rel))
+                orphans[txn] = (max(newest, self._mtime(path, default=now)), files)
+        for newest, files in orphans.values():
             if now - newest < staging_age_s:
                 continue
-            for fp in files_in:
-                removed.append(
-                    f"_staging/{txn}/" + fp.split(f"/{txn}/", 1)[-1]
-                    if self.filesystem is not None
-                    else os.path.relpath(fp, self.root)
-                )
-            self._rmtree(sd)
+            for path, rel in files:
+                self._remove(path)
+                removed.append(rel)
         return removed

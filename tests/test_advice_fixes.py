@@ -96,15 +96,16 @@ def test_gc_spares_recent_staging_and_prunes_versions(ray_session, tmp_path):
         eng.apply([p])
     assert eng.lake.current_version() == 3
 
-    # a fresh staging dir = an in-flight writer; GC must not touch it
-    sd = eng.lake.staging_dir("aaaa000011112222")
-    os.makedirs(os.path.join(sd, "part=0"), exist_ok=True)
-    live_staged = os.path.join(sd, "part=0", "f.parquet")
+    # a fresh unreferenced data file = an in-flight writer; GC must not
+    # touch it
+    live_staged = os.path.join(
+        eng.lake.data_dir, "part=0", "aaaa000011112222-0-0000.parquet"
+    )
     with open(live_staged, "wb") as f:
         f.write(b"in-flight")
 
     removed = eng.lake.gc_orphans(keep_versions=1)
-    assert os.path.exists(live_staged), "recent staging dir must survive GC"
+    assert os.path.exists(live_staged), "recent txn files must survive GC"
     # old manifests pruned to keep_versions=1
     assert eng.lake.versions() == [3]
     assert any("manifest-v" in r for r in removed)
@@ -114,9 +115,9 @@ def test_gc_spares_recent_staging_and_prunes_versions(ray_session, tmp_path):
         for fp in st.files:
             assert os.path.exists(eng.lake.abspath(fp))
 
-    # quiesced staging (age threshold 0) is reclaimed
+    # a quiesced txn (age threshold 0) is reclaimed
     eng.lake.gc_orphans(keep_versions=1, staging_age_s=0.0)
-    assert not os.path.exists(sd)
+    assert not os.path.exists(live_staged)
 
 
 def test_stale_base_commit_raises_concurrent_writer_conflict(

@@ -141,20 +141,19 @@ def test_doc_ids_stable_across_applies(ray_session, tmp_lake, changelog_t1):
 def test_resume_after_crash_between_stage_and_commit(
     ray_session, tmp_lake, changelog_t1
 ):
-    """Simulate a crash after staging/promoting files but before the manifest
+    """Simulate a crash after writing files but before the manifest
     publish: the lake still serves the old version; re-running apply
     converges; GC removes the orphans."""
     eng = CdcEngine(tmp_lake, EngineConfig(n_parts=8))
     eng.apply(changelog_t1[:2])
     v = eng.lake.current_version()
 
-    # fake a dead txn: stage + promote files that never got committed
+    # fake a dead txn: a file at its final key that never got committed
     txn = "deadbeefdeadbeef"
-    sd = eng.lake.staging_dir(txn)
-    os.makedirs(os.path.join(sd, "part=0"), exist_ok=True)
-    with open(os.path.join(sd, "part=0", f"{txn}-0-0000.parquet"), "wb") as f:
+    pdir = os.path.join(eng.lake.data_dir, "part=0")
+    os.makedirs(pdir, exist_ok=True)
+    with open(os.path.join(pdir, f"{txn}-0-0000.parquet"), "wb") as f:
         f.write(b"junk")
-    eng.lake.promote_staged_files(txn)
     assert eng.lake.current_version() == v  # uncommitted → invisible
 
     eng.apply(changelog_t1[2:])
@@ -168,6 +167,62 @@ def test_resume_after_crash_between_stage_and_commit(
     for st in man.partitions.values():
         for fp in st.files:
             assert os.path.exists(eng.lake.abspath(fp))
+
+
+def _data_files(eng: CdcEngine) -> set[str]:
+    root = eng.lake.root
+    return {
+        os.path.relpath(p, root)
+        for p in glob.glob(os.path.join(root, "data", "**", "*.parquet"), recursive=True)
+    }
+
+
+def _referenced_files(eng: CdcEngine) -> set[str]:
+    out: set[str] = set()
+    for v in eng.lake.versions():
+        man = eng.lake.read_manifest(v)
+        out.update(f for st in man.partitions.values() for f in st.files)
+        out.update(man.quarantine_files)
+    return out
+
+
+def test_round_crash_between_writes_and_publish(
+    ray_session, tmp_lake, changelog_t1, monkeypatch
+):
+    """A real round dies after writing its files at their final keys and
+    before its manifest put: the files sit under data/ unreferenced, the
+    next round commits the oracle state, and gc leaves the crashed files
+    alone until they pass the age."""
+    from radiant_portal_pipeline_ray.state.manifest import Lake
+
+    eng = CdcEngine(tmp_lake, EngineConfig(n_parts=8))
+    eng.apply(changelog_t1[:2])
+    v = eng.lake.current_version()
+    before = _data_files(eng)
+
+    real_commit = Lake.commit
+
+    def crash_once(self, manifest):
+        monkeypatch.setattr(Lake, "commit", real_commit)
+        raise RuntimeError("crash before the manifest put")
+
+    monkeypatch.setattr(Lake, "commit", crash_once)
+    with pytest.raises(RuntimeError, match="crash before the manifest put"):
+        eng.apply(changelog_t1[2:])
+    assert eng.lake.current_version() == v
+    crashed = _data_files(eng) - before
+    assert crashed and not crashed & _referenced_files(eng)
+
+    eng.apply(changelog_t1[2:])
+    assert_tables_equal(engine_state(eng), oracle_final_state(changelog_t1))
+
+    eng.lake.gc_orphans()
+    assert all(os.path.exists(eng.lake.abspath(f)) for f in crashed)
+    removed = eng.lake.gc_orphans(staging_age_s=0.0)
+    assert crashed <= set(removed)
+    assert not any(os.path.exists(eng.lake.abspath(f)) for f in crashed)
+    for f in _referenced_files(eng):
+        assert os.path.exists(eng.lake.abspath(f))
 
 
 def test_schema_evolution_add_widen_drop(ray_session, tmp_lake, tmp_path):

@@ -4,13 +4,15 @@ The reference gets this guarantee from Airflow task retries + Iceberg
 optimistic commits (`radiant/tasks/iceberg/utils.py:61-96`; pod OOM-kills
 are routine in its K8s profile, `radiant/dags/operators/k8s.py:34-65`).
 Here the same claim rests on Ray's task retry (worker-death retries are
-on by default), deterministic staged-file names (a retried merge task
-OVERWRITES its partial staging instead of duplicating it) and the
-manifest's put-if-absent CAS. These tests force one worker to hard-exit
+on by default), deterministic data-file names written at their final
+keys (a retried merge task OVERWRITES its partial output, before the
+publish, instead of duplicating it) and the manifest's put-if-absent
+CAS. These tests force one worker to hard-exit
 (`os._exit`, not an exception) mid-scout and mid-merge — the merge
-injection fires AFTER a partition's files are staged, the partial-write
+injection fires AFTER a partition's files are written, the partial-write
 case — and assert the committed snapshot is byte-identical to a no-fault
-run, the version history is single-step, and no orphan data files leak.
+run, the version history is single-step, and no orphan data files leak
+(the retried task's files land in data/, where that check looks).
 """
 
 import glob
@@ -141,9 +143,8 @@ def test_worker_crash_under_two_level_exchange(
 def test_worker_crash_during_compact(
     ray_session, tmp_path, chaos_changelog, monkeypatch
 ):
-    """Chaos × compaction: the rewrite task dies AFTER staging a
-    partition's compacted files; the retry overwrites the same staged
-    names and the committed compacted state equals the pre-compact
+    """Chaos × compaction: the rewrite task dies AFTER writing a
+    partition's compacted files; the retry overwrites the same names and the committed compacted state equals the pre-compact
     snapshot row-for-row. The driver-local fold threshold is forced to 0
     so the rewrite actually runs in Ray workers at fixture scale (the
     chaos hook refuses to kill a driver)."""

@@ -304,11 +304,52 @@ def test_s3_lake_full_cycle(ray_session, moto_s3, tmp_path):
     assert sorted_state(forked).equals(before)
 
 
+def test_s3_round_writes_final_keys_only(ray_session, moto_s3, tmp_path, monkeypatch):
+    """An apply round PUTs its data files at their final keys and publishes
+    with the manifest put alone: no CopyObject, no request on a
+    ``_staging/`` key. Counted by a botocore hook on the driver's client;
+    with one CPU the whole round runs on the driver."""
+    from radiant_portal_pipeline_ray.config import EngineConfig
+    from radiant_portal_pipeline_ray.pipelines.apply import CdcEngine
+    from radiant_portal_pipeline_ray.sources.generator import (
+        ChangelogSpec,
+        generate_changelog,
+    )
+    from radiant_portal_pipeline_ray.stages import taskshuffle
+
+    monkeypatch.setattr(taskshuffle, "ray_cpus", lambda default=8: 1)
+    _mk_bucket("finalkeys")
+    paths = generate_changelog(
+        str(tmp_path / "cl"),
+        ChangelogSpec(n_urls=300, n_events=1200, n_batches=2, seed=61),
+    )
+    eng = CdcEngine("s3://finalkeys/lake", EngineConfig(n_parts=4))
+    eng.apply(paths[:1])
+
+    calls: list[tuple[str, str]] = []
+
+    def hook(model, params, **_kw):
+        where = {k: params.get(k) for k in ("url_path", "query_string", "headers")}
+        calls.append((model.name, str(where)))
+
+    events = eng.lake.filesystem.client.meta.events
+    events.register("before-call.s3.*", hook)
+    try:
+        rep = eng.apply(paths[1:])
+    finally:
+        events.unregister("before-call.s3.*", hook)
+    assert rep["version"] == 2 and rep["path"] == "in_process"
+    ops = [op for op, _ in calls]
+    assert "PutObject" in ops
+    assert "CopyObject" not in ops
+    assert [c for c in calls if "_staging" in c[1]] == []
+
+
 def test_s3_worker_crash_exactly_once(ray_session, moto_s3, tmp_path):
     """Chaos × object store: a worker hard-exits mid-scout / mid-merge
-    (for merge: AFTER staging a partition's files to S3), and the retried
-    task must overwrite the same staged keys — S3 PUTs are idempotent and
-    the staged names are deterministic per (txn, part, seq) — leaving the
+    (for merge: AFTER writing a partition's files to S3), and the retried
+    task must overwrite the same keys — S3 PUTs are idempotent and the
+    names are deterministic per (txn, part, seq) — leaving the
     committed state byte-equal to a POSIX no-fault replay. The object-store
     twin of tests/test_chaos.py."""
     from radiant_portal_pipeline_ray.config import EngineConfig

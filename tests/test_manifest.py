@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pyarrow as pa
 import pytest
@@ -47,23 +48,6 @@ def test_put_if_absent_and_idempotence(tmp_lake):
     assert lake.current_version() == 2
 
 
-def test_promote_staged_files(tmp_lake):
-    lake = Lake(tmp_lake)
-    sd = lake.staging_dir("t1")
-    os.makedirs(os.path.join(sd, "part=3"), exist_ok=True)
-    with open(os.path.join(sd, "part=3", "t1-3-0000.parquet"), "wb") as f:
-        f.write(b"x")
-    out = lake.promote_staged_files("t1")
-    assert out == {3: ["data/part=3/t1-3-0000.parquet"]}
-    assert os.path.exists(lake.abspath(out[3][0]))
-    # idempotent if re-run after partial crash
-    os.makedirs(os.path.join(lake.staging_dir("t1"), "part=3"), exist_ok=True)
-    with open(os.path.join(sd, "part=3", "t1-3-0000.parquet"), "wb") as f:
-        f.write(b"x")
-    out2 = lake.promote_staged_files("t1")
-    assert out2 == out
-
-
 def test_gc_orphans(tmp_lake):
     lake = Lake(tmp_lake)
     man = _manifest(lake, 1, "aaa")
@@ -74,12 +58,40 @@ def test_gc_orphans(tmp_lake):
             f.write(b"x")
     lake.commit(man)
     # default quiescence: a freshly written orphan may belong to an in-flight
-    # promote→commit window and must survive the default-age GC
+    # writer not yet published and must survive the default-age GC
     assert "data/part=0/orphan.parquet" not in lake.gc_orphans()
     assert os.path.exists(lake.abspath("data/part=0/orphan.parquet"))
     removed = lake.gc_orphans(staging_age_s=0.0)
     assert "data/part=0/orphan.parquet" in removed
     assert os.path.exists(lake.abspath("data/part=0/keep.parquet"))
+
+
+def test_gc_age_guard_is_per_transaction(tmp_lake, monkeypatch):
+    """An in-flight writer's first file can be old while its latest is
+    fresh; its publish will reference both, so gc keeps the whole
+    transaction until its NEWEST file passes the age, then removes it all."""
+    lake = Lake(tmp_lake)
+    lake.commit(_manifest(lake, 1, "aaa"))
+    txn = "feedfacefeedface"
+    rels = [f"data/part=0/{txn}-0-{i:04d}.parquet" for i in range(2)]
+    os.makedirs(os.path.join(lake.data_dir, "part=0"), exist_ok=True)
+    for rel in rels:
+        with open(lake.abspath(rel), "wb") as f:
+            f.write(b"x")
+    age_s = {lake.abspath(rels[0]): 7200.0, lake.abspath(rels[1]): 10.0}
+    real_mtime = Lake._mtime
+
+    def mtime(self, path, default=0.0):
+        if path in age_s:
+            return time.time() - age_s[path]
+        return real_mtime(self, path, default)
+
+    monkeypatch.setattr(Lake, "_mtime", mtime)
+    assert not [r for r in lake.gc_orphans() if txn in r]
+    assert all(os.path.exists(lake.abspath(r)) for r in rels)
+    age_s[lake.abspath(rels[1])] = 7200.0
+    assert sorted(r for r in lake.gc_orphans() if txn in r) == rels
+    assert not any(os.path.exists(lake.abspath(r)) for r in rels)
 
 
 def test_precondition_failure_reads_the_structured_status():
