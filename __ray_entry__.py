@@ -8,7 +8,10 @@ initialises or shuts down Ray.
   engine (normalize → partition route → LWW merge → exactly-once commit),
   return the committed snapshot Dataset.
 - ``queries()`` — one callable per implemented operator (SURVEY.md §2 +
-  training-data ops); each takes ``sf_dir``.
+  training-data ops); each takes ``sf_dir`` and returns a Dataset. A
+  registry entry may return a ``pa.Table`` (its work ran on the driver, see
+  ``taskshuffle._DRIVER_LOCAL_BYTES``); ``queries()`` wraps that table once
+  (``taskshuffle.as_dataset``), the one ``Dataset`` the call builds.
 - ``oracle_sql()`` — matching DuckDB SQL with identical column names.
 """
 
@@ -52,7 +55,12 @@ def _registry() -> dict[str, tuple]:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    return {name: fn for name, (fn, _sql) in _registry().items()}
+    from radiant_portal_pipeline_ray.stages.taskshuffle import as_dataset
+
+    def wrap(fn):
+        return lambda *a, **kw: as_dataset(fn(*a, **kw))
+
+    return {name: wrap(fn) for name, (fn, _sql) in _registry().items()}
 
 
 def oracle_sql() -> dict[str, str]:

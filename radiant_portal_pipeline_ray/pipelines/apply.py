@@ -74,7 +74,7 @@ from radiant_portal_pipeline_ray.stages.normalize import (
     make_event_normalizer,
     make_snapshot_caster,
 )
-from radiant_portal_pipeline_ray.stages.taskshuffle import local_dataset
+from radiant_portal_pipeline_ray.stages.taskshuffle import as_dataset
 from radiant_portal_pipeline_ray.state import lakescan
 from radiant_portal_pipeline_ray.state.manifest import (
     CARRIED_FIELDS,
@@ -942,13 +942,13 @@ class CdcEngine:
         files = [self.lake.abspath(f) for f in (man.quarantine_files if man else [])]
         if not files:
             empty = pa.table({"reason": pa.array([], type=pa.string())})
-            return local_dataset(empty)
+            return as_dataset(empty)
         fs = self.lake.pyarrow_fs()
         if fs is None:
             files = [os.path.abspath(f) for f in files]
         sizes = [i.size for i in (fs or pafs.LocalFileSystem()).get_file_info(files)]
         schema = pa.unify_schemas([pq.read_schema(f, filesystem=fs) for f in files])
-        return lakescan.read(list(zip(files, sizes)), schema, fs)
+        return as_dataset(lakescan.read(list(zip(files, sizes)), schema, fs))
 
     def _post_merge(
         self,
@@ -1191,14 +1191,16 @@ class CdcEngine:
         Planning reads no parquet footer either: the read tasks come
         straight from the manifest's file list, bytes and schema
         (``state/lakescan.py``), and every block, zero-row ones included,
-        carries the projected schema."""
+        carries the projected schema. A read of at most
+        ``taskshuffle._DRIVER_LOCAL_BYTES`` runs in this process and comes
+        back as one materialized block: the only ``Dataset`` it builds."""
         man = (
             self.lake.read_manifest(version)
             if version is not None
             else self.lake.current_manifest()
         )
         if not man or man.schema is None:
-            return local_dataset(CHANGELOG_SCHEMA.empty_table())
+            return as_dataset(CHANGELOG_SCHEMA.empty_table())
         files = lakescan.part_files(man)
         filt = None if include_tombstones else ~pc.field("deleted")
         if prune:
@@ -1207,7 +1209,7 @@ class CdcEngine:
             expr = prune_expression(prune)
             if expr is not None:
                 filt = expr if filt is None else filt & expr
-        return lakescan.scan(self.lake, man, files, columns, filt)
+        return as_dataset(lakescan.scan(self.lake, man, files, columns, filt))
 
     def read_changes(self, v_from: int, v_to: int) -> "rd.Dataset":
         """Change-data-feed between two retained versions: streaming
@@ -1218,7 +1220,7 @@ class CdcEngine:
             read_changes,
         )
 
-        return read_changes(self, v_from, v_to)
+        return as_dataset(read_changes(self, v_from, v_to))
 
     def rollback(self, to_version: int) -> dict:
         """Publish a NEW manifest whose state is a verbatim copy of retained

@@ -35,15 +35,16 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     collect,
     exchange_group,
     exchange_join,
-    local_dataset,
+    map_blocks,
     materialized,
+    union,
 )
 from radiant_portal_pipeline_ray.state import lakescan
 
 _DIFF_COLS = ["url", "lsn", "deleted"]
 
 
-def _version_side(engine, man, changed: list[int]) -> "rd.Dataset":
+def _version_side(engine, man, changed: list[int]):
     files = lakescan.part_files(man, changed)
     if not files:
         # a quarantine-only first commit has no schema to project
@@ -54,7 +55,7 @@ def _version_side(engine, man, changed: list[int]) -> "rd.Dataset":
                 "deleted": pa.array([], type=pa.bool_()),
             }
         )
-        return local_dataset(empty)
+        return empty
     return lakescan.scan(engine.lake, man, files, _DIFF_COLS)
 
 
@@ -99,9 +100,10 @@ def _diff_kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
 def read_changes(
     engine, v_from: int, v_to: int, *, sort_by=None
 ) -> "rd.Dataset":
-    """Streaming Dataset of ``(change_op, url, lsn_from, lsn_to)`` between
-    two retained manifest versions (see module docstring for semantics), in
-    ``sort_by`` order when given (as in ``taskshuffle.exchange_join``)."""
+    """``(change_op, url, lsn_from, lsn_to)`` between two retained manifest
+    versions (see module docstring for semantics), in ``sort_by`` order when
+    given: a table when the join ran on the driver, else a Dataset (as in
+    ``taskshuffle.exchange_join``)."""
     m_from = engine.lake.read_manifest(v_from)
     m_to = engine.lake.read_manifest(v_to)
 
@@ -269,7 +271,7 @@ def _domain_partials(ds: "rd.Dataset") -> "rd.Dataset":
             }
         )
 
-    return ds.map_batches(per_batch, batch_format="pyarrow")
+    return map_blocks(ds, per_batch)
 
 
 def _fold_domain(t: pa.Table) -> pa.Table:
@@ -353,7 +355,7 @@ def _delta_partials(changes: "rd.Dataset") -> "rd.Dataset":
             }
         )
 
-    return changes.map_batches(delta, batch_format="pyarrow")
+    return map_blocks(changes, delta)
 
 
 def cdc_incremental_agg(sf_dir: str):
@@ -383,7 +385,7 @@ def cdc_incremental_agg(sf_dir: str):
         # domain. No driver dict: at 10⁸ domains each hash bucket folds
         # its own disjoint slice (VERDICT r4 'What's wrong' #2).
         deltas = _delta_partials(eng.read_changes(1, 2))
-        return _fold_stats(seed.union(deltas))
+        return _fold_stats(union(seed, deltas))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -498,12 +500,8 @@ def cdc_incremental_join(sf_dir: str):
                 }
             )
 
-        seed = eng.read_snapshot(["url", "lsn"], version=1).map_batches(
-            seed_rows, batch_format="pyarrow"
-        )
-        deltas = eng.read_changes(1, 2).map_batches(
-            delta_rows, batch_format="pyarrow"
-        )
+        seed = map_blocks(eng.read_snapshot(["url", "lsn"], version=1), seed_rows)
+        deltas = map_blocks(eng.read_changes(1, 2), delta_rows)
 
         def fold(t: pa.Table) -> pa.Table:
             if t.num_rows == 0:
@@ -524,7 +522,7 @@ def cdc_incremental_join(sf_dir: str):
             pick = pick.filter(pick.column("live"))
             return pick.select(["url", "lsn", "source_docs"])
 
-        view = exchange_group(seed.union(deltas), ["url"], fold, sort_by="url")
+        view = exchange_group(union(seed, deltas), ["url"], fold, sort_by="url")
         return materialized(view)  # /tmp lake removed on return
     finally:
         shutil.rmtree(work, ignore_errors=True)

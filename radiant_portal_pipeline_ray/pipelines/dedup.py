@@ -62,8 +62,10 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     collect,
     collect_where,
     exchange_group,
-    local_dataset,
+    map_blocks,
     materialized,
+    select_columns,
+    sort_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -120,7 +122,7 @@ def dd_exact(sf_dir: str):
         )
 
     return exchange_group(
-        ds.map_batches(hash_and_combine, batch_format="pyarrow"),
+        map_blocks(ds, hash_and_combine),
         ["h"],
         finish,
         sort_by="rep_doc_id",
@@ -149,7 +151,7 @@ def candidate_shingle_table(
         columns=["doc_id", "text"],
         filter=pc.field("doc_id").isin(ids),
     )
-    sh = ds.map_batches(ShingleExplodeStage(k=k), batch_format="pyarrow")
+    sh = map_blocks(ds, ShingleExplodeStage(k=k))
     return collect(sh, empty.schema)
 
 
@@ -255,7 +257,7 @@ def _grouped_count(ds: "rd.Dataset", keys: list[str], out: str) -> "rd.Dataset":
         )
 
     return partial_final_groupby(
-        ds.map_batches(prep, batch_format="pyarrow"), keys,
+        map_blocks(ds, prep), keys,
         [("__one", "sum", out)],
     )
 
@@ -299,15 +301,13 @@ def distributed_verify(sh: "rd.Dataset", pairs: "rd.Dataset") -> "rd.Dataset":
         )
         return pa.table({"doc_id": pa.array(u, type=pa.int64())})
 
-    cand_ids = dp.map_batches(explode_ids, batch_format="pyarrow")
+    cand_ids = map_blocks(dp, explode_ids)
     sh_cand = materialized(
         hash_partitioned_join(sh, cand_ids, left_on="doc_id", how="semi")
     )
 
     # 3./4. shared-shingle count = inter ---------------------------------
-    sh_a = sh_cand.map_batches(
-        lambda b: b.rename_columns(["doc_a", "s"]), batch_format="pyarrow"
-    )
+    sh_a = map_blocks(sh_cand, lambda b: b.rename_columns(["doc_a", "s"]))
     h1 = hash_partitioned_join(dp, sh_a, left_on="doc_a")
     h2 = hash_partitioned_join(
         h1, sh_cand, left_on=["doc_b", "s"], right_on=["doc_id", "s"],
@@ -317,12 +317,8 @@ def distributed_verify(sh: "rd.Dataset", pairs: "rd.Dataset") -> "rd.Dataset":
 
     # 5. sizes + threshold ----------------------------------------------
     sizes = materialized(_grouped_count(sh_cand, ["doc_id"], "n"))
-    sizes_a = sizes.map_batches(
-        lambda b: b.rename_columns(["doc_id", "n_a"]), batch_format="pyarrow"
-    )
-    sizes_b = sizes.map_batches(
-        lambda b: b.rename_columns(["doc_id", "n_b"]), batch_format="pyarrow"
-    )
+    sizes_a = map_blocks(sizes, lambda b: b.rename_columns(["doc_id", "n_a"]))
+    sizes_b = map_blocks(sizes, lambda b: b.rename_columns(["doc_id", "n_b"]))
     ja = hash_partitioned_join(inter, sizes_a, left_on="doc_a", right_on="doc_id")
     return hash_partitioned_join(
         ja, sizes_b, left_on="doc_b", right_on="doc_id",
@@ -344,10 +340,10 @@ def _verify_pairs(
     join plan. Larger pair sets run ``distributed_verify`` over
     ``shingle_ds`` (``(doc_id, s)`` rows; the corpus is shingled when it is
     None) with zero driver state."""
-    if int(pairs.size_bytes() or 0) > taskshuffle._DRIVER_LOCAL_BYTES:
+    if not taskshuffle._driver_local(pairs):
         if shingle_ds is None:
-            shingle_ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-                ShingleExplodeStage(k=3), batch_format="pyarrow"
+            shingle_ds = map_blocks(
+                _docs(sf_dir, ["doc_id", "text"]), ShingleExplodeStage(k=3)
             )
         return distributed_verify(shingle_ds, pairs)
     pairs_t = _real_pairs(collect(pairs))
@@ -355,7 +351,7 @@ def _verify_pairs(
         pairs_t.column("doc_b").to_pylist()
     )
     sh_t = candidate_shingle_table(sf_dir, cand_ids)
-    return local_dataset(_verify_table_driver(pairs_t, sh_t))
+    return _verify_table_driver(pairs_t, sh_t)
 
 
 _NGRAM_SQL = """
@@ -405,10 +401,8 @@ def dd_ngram_jaccard(sf_dir: str, max_bucket: int = 4096):
     the threshold and the sort. When over-cap shingle buckets drop, the
     multiplicities undercount ``inter``, so the surviving candidates are
     recounted against the shingle table by ``_verify_pairs`` instead."""
-    sh = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(_shingles_with_sizes, batch_format="pyarrow")
-        .materialize()
+    sh = materialized(
+        map_blocks(_docs(sf_dir, ["doc_id", "text"]), _shingles_with_sizes)
     )
 
     def shingle_pairs(g: pa.Table) -> pa.Table:
@@ -443,7 +437,7 @@ def dd_ngram_jaccard(sf_dir: str, max_bucket: int = 4096):
     partial = exchange_group(sh, ["s"], shingle_pairs)
     if _log_drops(partial, "inter", "dd_ngram_jaccard"):
         return _verify_pairs(
-            sf_dir, partial, shingle_ds=sh.select_columns(["doc_id", "s"])
+            sf_dir, partial, shingle_ds=select_columns(sh, ["doc_id", "s"])
         )
 
     def threshold(t: pa.Table) -> pa.Table:
@@ -567,15 +561,13 @@ def dd_minhash_lsh(sf_dir: str, max_bucket: int = 4096):
     ONE groupby on (band, band_hash), candidate pairs per bucket, verify
     against semi-filtered candidate shingle sets."""
     docs = _docs(sf_dir, ["doc_id", "text"])
-    sigs = docs.map_batches(MinHashStage(n_perm=64, shingle_k=3), batch_format="pyarrow")
-    buckets = sigs.map_batches(
-        make_band_exploder(n_bands=16, rows_per_band=4), batch_format="pyarrow"
-    )
+    sigs = map_blocks(docs, MinHashStage(n_perm=64, shingle_k=3))
+    buckets = map_blocks(sigs, make_band_exploder(n_bands=16, rows_per_band=4))
     # band identity is folded into band_hash (per-band seed), so the bucket
     # key is the single int64 hash; a cross-band collision only adds a
     # candidate pair that verification rejects
     pairs = exchange_group(
-        buckets.select_columns(["band_hash", "doc_id"]),
+        select_columns(buckets, ["band_hash", "doc_id"]),
         ["band_hash"],
         make_partitioned_pair_generator("band_hash", "doc_id", max_bucket),
     )
@@ -632,7 +624,7 @@ def dd_simhash(sf_dir: str, max_bucket: int = 4096):
     hamming ≤ 6. Chunk exploding, pair generation and hamming are all
     numpy-vectorized; over-cap chunk buckets are dropped and logged."""
     ds = _docs(sf_dir, ["doc_id", "text"])
-    sigs = ds.map_batches(SimHashStage(), batch_format="pyarrow")
+    sigs = map_blocks(ds, SimHashStage())
 
     def explode_chunks(b: pa.Table) -> pa.Table:
         sim = b.column("simhash")
@@ -660,7 +652,7 @@ def dd_simhash(sf_dir: str, max_bucket: int = 4096):
             }
         )
 
-    buckets = sigs.map_batches(explode_chunks, batch_format="pyarrow")
+    buckets = map_blocks(sigs, explode_chunks)
 
     def partition_pairs(group: pa.Table) -> pa.Table:
         """One pkey partition (many chunk buckets) → hamming-verified pairs,
@@ -783,7 +775,7 @@ def connected_components_distributed(
             }
         )
 
-    edges = pairs.map_batches(sym, batch_format="pyarrow").materialize()
+    edges = materialized(map_blocks(pairs, sym))
 
     # round 0: label(node) = min(node, min neighbor id)
     def self_min(b: pa.Table) -> pa.Table:
@@ -797,21 +789,18 @@ def connected_components_distributed(
 
     labels = materialized(
         _grouped_min(
-            edges.map_batches(self_min, batch_format="pyarrow"),
+            map_blocks(edges, self_min),
             ["node"], "lbl", "label",
         )
     )
 
     for it in range(max_iters):
-        nbr_labels = labels.map_batches(
-            lambda b: b.rename_columns(["nbr", "nbr_lbl"]),
-            batch_format="pyarrow",
+        nbr_labels = map_blocks(
+            labels, lambda b: b.rename_columns(["nbr", "nbr_lbl"])
         )
         prop = hash_partitioned_join(edges, nbr_labels, left_on="nbr")
         cand = _grouped_min(
-            prop.map_batches(
-                lambda b: b.select(["node", "nbr_lbl"]), batch_format="pyarrow"
-            ),
+            map_blocks(prop, lambda b: b.select(["node", "nbr_lbl"])),
             ["node"], "nbr_lbl", "m",
         )
         folded = hash_partitioned_join(labels, cand, left_on="node", how="left")
@@ -832,9 +821,12 @@ def connected_components_distributed(
                 }
             )
 
-        folded = folded.map_batches(fold, batch_format="pyarrow").materialize()
-        changed = int(folded.sum("__chg") or 0)
-        labels = folded.drop_columns(["__chg"]).materialize()
+        folded = materialized(map_blocks(folded, fold))
+        if isinstance(folded, pa.Table):
+            changed = pc.sum(folded.column("__chg")).as_py()
+        else:
+            changed = folded.sum("__chg")
+        labels = materialized(select_columns(folded, ["node", "label"]))
         if not changed:
             # hook fixpoint: label(n) ≤ label(m) across every edge in both
             # directions ⇒ labels constant per component ⇒ correct reps
@@ -845,9 +837,8 @@ def connected_components_distributed(
         # chains by doubling each round — convergence scales with
         # log(diameter) instead of diameter (chain-shaped graphs were the
         # silent-wrong-answer case at max_iters).
-        as_node = labels.map_batches(
-            lambda b: b.rename_columns(["j_node", "j_label"]),
-            batch_format="pyarrow",
+        as_node = map_blocks(
+            labels, lambda b: b.rename_columns(["j_node", "j_label"])
         )
         jumped = hash_partitioned_join(
             labels, as_node, left_on="label", right_on="j_node", how="left"
@@ -863,16 +854,14 @@ def connected_components_distributed(
                 {"node": b.column("node"), "label": pa.array(new, type=pa.int64())}
             )
 
-        labels = jumped.map_batches(jump_fold, batch_format="pyarrow").materialize()
+        labels = materialized(map_blocks(jumped, jump_fold))
     else:
         raise RuntimeError(
             f"connected_components: no fixpoint after max_iters={max_iters} "
             "rounds — raise max_iters (labels would be silently wrong)"
         )
-    return labels.map_batches(
-        lambda b: b.rename_columns(["doc_id", "rep_doc_id"]),
-        batch_format="pyarrow",
-    ).sort("doc_id")
+    labels = map_blocks(labels, lambda b: b.rename_columns(["doc_id", "rep_doc_id"]))
+    return sort_table(labels, "doc_id")
 
 
 @_register("dd_dedup_corpus", _DEDUP_CORPUS_SQL)
@@ -899,9 +888,9 @@ def fold_components(pairs: "rd.Dataset") -> "rd.Dataset":
     ``connected_components_distributed`` (identical output; union-find is
     the faster of the two by far at small sizes). ``pairs`` must be
     materialized with ``doc_a``/``doc_b`` int64 columns."""
-    if int(pairs.size_bytes() or 0) > taskshuffle._DRIVER_LOCAL_BYTES:
+    if not taskshuffle._driver_local(pairs):
         return connected_components_distributed(
-            pairs.select_columns(["doc_a", "doc_b"])
+            select_columns(pairs, ["doc_a", "doc_b"])
         )
     pt = collect(pairs)
     a = pt.column("doc_a").to_numpy()
@@ -929,13 +918,11 @@ def fold_components(pairs: "rd.Dataset") -> "rd.Dataset":
 
     nodes = sorted(set(a.tolist()) | set(b.tolist()))
     reps = [find(n) for n in nodes]
-    return local_dataset(
-        pa.table(
-            {
-                "doc_id": pa.array(nodes, type=pa.int64()),
-                "rep_doc_id": pa.array(reps, type=pa.int64()),
-            }
-        )
+    return pa.table(
+        {
+            "doc_id": pa.array(nodes, type=pa.int64()),
+            "rep_doc_id": pa.array(reps, type=pa.int64()),
+        }
     )
 
 
@@ -978,9 +965,7 @@ def dd_passage_dedup(sf_dir: str, width: int = _PASSAGE_WIDTH):
     contribute no passages (and no output row), matching the oracle."""
     from radiant_portal_pipeline_ray.stages.passages import explode_fixed_passages
     ds = _docs(sf_dir, ["doc_id", "text"])
-    exploded = ds.map_batches(
-        lambda b: explode_fixed_passages(b, width), batch_format="pyarrow"
-    )
+    exploded = map_blocks(ds, lambda b: explode_fixed_passages(b, width))
 
     def bucket_fn(t: pa.Table) -> pa.Table:
         mins = t.group_by(["h_hi", "h_lo"]).aggregate([("okey", "min")])
@@ -1066,7 +1051,7 @@ def dd_decontaminate(
         return pa.table({"g64": pc.unique(g.column("g64"))})
 
     gram_schema = pa.schema([pa.field("g64", pa.uint64())])
-    grams = collect(docs.map_batches(eval_grams, batch_format="pyarrow"), gram_schema)
+    grams = collect(map_blocks(docs, eval_grams), gram_schema)
     eval_h = np.unique(grams.column("g64").to_numpy(zero_copy_only=False))
     if len(eval_h) > _DECON_MAX_EVAL_GRAMS:
         raise ValueError(
@@ -1092,4 +1077,4 @@ def dd_decontaminate(
             }
         )
 
-    return docs.map_batches(flag, batch_format="pyarrow").sort("doc_id")
+    return sort_table(map_blocks(docs, flag), "doc_id")

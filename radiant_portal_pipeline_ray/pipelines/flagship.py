@@ -20,7 +20,11 @@ import pyarrow.parquet as pq
 from radiant_portal_pipeline_ray.config import EngineConfig
 from radiant_portal_pipeline_ray.functions.text import extract_text
 from radiant_portal_pipeline_ray.pipelines.apply import CdcEngine
-from radiant_portal_pipeline_ray.stages.taskshuffle import materialized
+from radiant_portal_pipeline_ray.stages.taskshuffle import (
+    materialized,
+    select_columns,
+    sort_table,
+)
 
 _EPOCH_US = 1_704_067_200_000_000  # 2024-01-01
 
@@ -162,7 +166,7 @@ def cdc_flagship_state(sf_dir: str):
     """Run the flagship CDC replay and return (url, lsn, text) of the
     committed snapshot — value-compared against the SQL oracle above."""
     ds = run_flagship(sf_dir)
-    return ds.select_columns(["url", "lsn", "text"]).sort("url")
+    return select_columns(sort_table(ds, "url"), ["url", "lsn", "text"])
 
 
 QUERIES["cdc_flagship_state"] = (cdc_flagship_state, _FLAGSHIP_SQL)

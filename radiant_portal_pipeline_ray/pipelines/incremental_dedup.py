@@ -93,10 +93,11 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     collect,
     exchange_group,
     exchange_join,
-    local_dataset,
     map_blocks,
     materialized,
+    schema_of,
     split_blocks,
+    union,
 )
 from radiant_portal_pipeline_ray.state import lakescan
 
@@ -363,14 +364,6 @@ def _score(cands: pa.Table, sigs: pa.Table) -> pa.Table:
     )
 
 
-def _union(*dss) -> "rd.Dataset":
-    """One materialized Dataset of ``dss``' blocks (``Dataset.union`` would
-    start an execution to materialize it); no blocks give a Dataset with
-    none."""
-    refs = [r for d in dss for r in materialized(d).to_arrow_refs()]
-    return rd.from_arrow_refs(refs).materialize() if refs else local_dataset()
-
-
 @ray.remote
 def _compact_bucket(
     root: str, kind: str, bkt: int, ver: int, files: list[tuple[int, str]]
@@ -547,7 +540,7 @@ class SignatureIndex:
             ds, ["bucket"], partial(_fold_buckets, kernel, kind, files, keys, nb, out),
             pre=partial(_with_bucket, keys, nb),
         )
-        return res if res.schema() is not None else local_dataset(out.empty_table())
+        return res if schema_of(res) is not None else out.empty_table()
 
     # -- signature computation --------------------------------------------------
     @staticmethod
@@ -616,9 +609,7 @@ class SignatureIndex:
         )
         files = lakescan.part_files(m_to, changed_parts)
         if not files:
-            return local_dataset(
-                pa.schema([("url", pa.string()), ("text", pa.string())]).empty_table()
-            )
+            return pa.schema([("url", pa.string()), ("text", pa.string())]).empty_table()
         incoming = materialized(incoming)
         if _driver_local(incoming):
             urls = collect(incoming, pa.schema([("url", pa.string())])).column("url")
@@ -662,8 +653,8 @@ class SignatureIndex:
         candidates per band bucket, a keyed distinct (a pair can collide in
         several bands, in different buckets), the old signatures per sig
         bucket, then the score join on ``new_url``."""
-        if new_sigs.schema() is None:  # no incoming document
-            return local_dataset(_PAIRS_SCHEMA.empty_table())
+        if schema_of(new_sigs) is None:  # no incoming document
+            return _PAIRS_SCHEMA.empty_table()
         nb = self.n_buckets
         cands = self._wave(
             "bands", map_blocks(new_sigs, _explode_url_bands), ["band_hash"],
@@ -692,7 +683,7 @@ class SignatureIndex:
         # deterministic (idempotent retry), so two passes would overwrite
         # each other in any bucket both touch
         def rows_of(kind_rows):
-            return _union(map_blocks(new_sigs, kind_rows(0)), map_blocks(gone, kind_rows(1)))
+            return union(map_blocks(new_sigs, kind_rows(0)), map_blocks(gone, kind_rows(1)))
 
         n_band, _ = self._write_rows("bands", rows_of(self._band_rows), v_to)
         n_sig, n_del = self._write_rows("sigs", rows_of(self._sig_rows), v_to)

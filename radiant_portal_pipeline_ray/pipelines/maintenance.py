@@ -229,13 +229,13 @@ def compact(
         filesystem=lake.filesystem,
         fault_inject=cfg.fault_inject,
     )
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+    from radiant_portal_pipeline_ray.stages.taskshuffle import collect, exchange_group
 
-    meta_rows = exchange_group(
+    meta_rows = collect(exchange_group(
         lakescan.scan(lake, current, lakescan.part_files(current, todo)),
         ["part"],
         rewrite_bucket,
-    ).take_all()
+    )).to_pylist()
     metrics = {
         "op": "compact",
         "stage_metrics": {
@@ -344,7 +344,11 @@ def reshard(
         assign_parts,
         extract_domain,
     )
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+    from radiant_portal_pipeline_ray.stages.taskshuffle import (
+        collect,
+        exchange_group,
+        map_blocks,
+    )
 
     cfg = config or EngineConfig()
     if new_n_parts < 1:
@@ -396,10 +400,8 @@ def reshard(
             pc.cast(newp, pa.int32()),
         )
 
-    ds = lakescan.scan(lake, current, lakescan.part_files(current)).map_batches(
-        route, batch_format="pyarrow"
-    )
-    meta_rows = exchange_group(ds, ["part"], rewrite_bucket).take_all()
+    ds = map_blocks(lakescan.scan(lake, current, lakescan.part_files(current)), route)
+    meta_rows = collect(exchange_group(ds, ["part"], rewrite_bucket)).to_pylist()
 
     now = time.time()
     lineage_entry = {

@@ -16,6 +16,11 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
+from radiant_portal_pipeline_ray.stages.taskshuffle import (
+    map_blocks,
+    select_columns,
+    sort_table,
+)
 
 from radiant_portal_pipeline_ray.stages.multimodal import (
     FrameSampleStage,
@@ -48,7 +53,18 @@ def _media_from_documents(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return docs.map_batches(to_media, batch_format="pyarrow")
+    return map_blocks(docs, to_media)
+
+
+def _media_map(media, stage):
+    """``stage`` over ``media`` in batches of 256 wide binary rows: on the
+    driver for a table, else in two concurrent Ray Data workers (batch ×
+    concurrency bounded)."""
+    if isinstance(media, pa.Table):
+        return map_blocks(media, stage, 256)
+    return media.map_batches(
+        stage, batch_format="pyarrow", concurrency=2, batch_size=256
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +86,7 @@ def _media_from_documents(sf_dir: str) -> rd.Dataset:
 )
 def mm_frame_samples(sf_dir: str):
     media = _media_from_documents(sf_dir)
-    sampled = media.map_batches(
-        FrameSampleStage(every_n_bytes=1024, max_frames=8),
-        batch_format="pyarrow",
-        concurrency=2,
-        batch_size=256,  # wide binary rows: keep batch × concurrency bounded
-    )
+    sampled = _media_map(media, FrameSampleStage(every_n_bytes=1024, max_frames=8))
 
     def widen(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -86,9 +97,7 @@ def mm_frame_samples(sf_dir: str):
             }
         )
 
-    return sampled.map_batches(widen, batch_format="pyarrow").sort(
-        ["media_id", "frame_no"]
-    )
+    return sort_table(map_blocks(sampled, widen), ["media_id", "frame_no"])
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +118,8 @@ def mm_frame_samples(sf_dir: str):
 )
 def mm_image_features(sf_dir: str):
     media = _media_from_documents(sf_dir)
-    feats = media.map_batches(
-        ImageFeatureStage(),
-        batch_format="pyarrow",
-        concurrency=2,
-        batch_size=256,
-    )
-    return feats.select_columns(["media_id", "features"]).sort("media_id")
+    feats = _media_map(media, ImageFeatureStage())
+    return sort_table(select_columns(feats, ["media_id", "features"]), "media_id")
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +169,7 @@ def mm_resize(sf_dir: str):
             "height", pa.array((n * 7 % 960 + 64).astype(np.int32))
         )
 
-    resized = media.map_batches(with_dims, batch_format="pyarrow").map_batches(
-        ImageResizeStage(target_w=224, target_h=224),
-        batch_format="pyarrow",
-        concurrency=2,
-        batch_size=256,  # wide binary rows: bounded batch x concurrency
+    resized = _media_map(
+        map_blocks(media, with_dims), ImageResizeStage(target_w=224, target_h=224)
     )
-    return resized.sort("media_id")
+    return sort_table(resized, "media_id")

@@ -42,9 +42,10 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     collect,
     exchange_group,
     exchange_join,
-    local_dataset,
     map_blocks,
     materialized,
+    sort_table,
+    union,
 )
 
 QUERIES: dict = {}
@@ -452,7 +453,7 @@ def q_distinct_flag_status(sf_dir: str):
         return b.group_by(["l_returnflag", "l_linestatus"]).aggregate([])
 
     return exchange_group(
-        ds.map_batches(dedup, batch_format="pyarrow"),
+        map_blocks(ds, dedup),
         ["l_returnflag", "l_linestatus"],
         dedup,
         sort_by=["l_returnflag", "l_linestatus"],
@@ -476,11 +477,13 @@ def q_union_distinct_custkeys(sf_dir: str):
     """Distributed distinct count: per-batch dedup (combiner) → one keyed
     groupby.count() → count of groups. Only the scalar reaches the driver —
     never the distinct key set itself."""
-    a = read_parquet_clean(_pq(sf_dir, "orders"), columns=["o_custkey"]).map_batches(
-        lambda b: b.rename_columns(["custkey"]), batch_format="pyarrow"
+    a = map_blocks(
+        read_parquet_clean(_pq(sf_dir, "orders"), columns=["o_custkey"]),
+        lambda b: b.rename_columns(["custkey"]),
     )
-    b = read_parquet_clean(_pq(sf_dir, "customer"), columns=["c_custkey"]).map_batches(
-        lambda t: t.rename_columns(["custkey"]), batch_format="pyarrow"
+    b = map_blocks(
+        read_parquet_clean(_pq(sf_dir, "customer"), columns=["c_custkey"]),
+        lambda t: t.rename_columns(["custkey"]),
     )
 
     def batch_distinct(t: pa.Table) -> pa.Table:
@@ -493,11 +496,12 @@ def q_union_distinct_custkeys(sf_dir: str):
     # every custkey lands in exactly one bucket → the global distinct count
     # is the sum of per-bucket distinct counts (scalar-only driver result)
     counts = exchange_group(
-        a.union(b).map_batches(batch_distinct, batch_format="pyarrow"),
+        map_blocks(union(a, b), batch_distinct),
         ["custkey"],
         bucket_count,
     )
-    n = int(counts.sum("c") or 0)  # sum() is None on a zero-block exchange
+    counts = collect(counts, pa.schema([("c", pa.int64())]))
+    n = int(pc.sum(counts.column("c")).as_py() or 0)  # None with no buckets
     return pa.table({"n_keys": pa.array([n], type=pa.int64())})
 
 
@@ -543,7 +547,7 @@ def q_top_tokens(sf_dir: str, k: int = 20):
         ).slice(0, k)
 
     pruned = exchange_group(
-        docs.map_batches(explode_count, batch_format="pyarrow"),
+        map_blocks(docs, explode_count),
         ["token"],
         partition_topk,
     )
@@ -582,7 +586,7 @@ def q_hourly_user_activity(sf_dir: str):
         return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
 
     return partial_final_groupby(
-        ev.map_batches(bucket, batch_format="pyarrow"),
+        map_blocks(ev, bucket),
         ["user_id", "hour_bucket"],
         [("one", "sum", "n_events"), ("value", "sum", "value_f")],
         finish=lambda b: pa.table(
@@ -620,7 +624,7 @@ def q_event_type_stats(sf_dir: str):
         b = b.append_column("big", pc.greater(b.column("value"), 100.0))
         return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
 
-    prepped = ev.map_batches(prep, batch_format="pyarrow")
+    prepped = map_blocks(ev, prep)
     distincts = count_distinct_groupby(
         prepped,
         ["event_type"],
@@ -681,7 +685,7 @@ def q_scalar_projection(sf_dir: str):
             }
         )
 
-    return cust.map_batches(project, batch_format="pyarrow").sort("c_custkey")
+    return sort_table(map_blocks(cust, project), "c_custkey")
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +836,7 @@ def q_priority_window_labels(sf_dir: str):
             }
         )
 
-    return orders.map_batches(run, batch_format="pyarrow").sort("o_orderkey")
+    return sort_table(map_blocks(orders, run), "o_orderkey")
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +926,7 @@ def q_shipped_within_60d(sf_dir: str):
         return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
 
     return partial_final_groupby(
-        joined.map_batches(range_filter, batch_format="pyarrow"),
+        map_blocks(joined, range_filter),
         ["o_orderpriority"],
         [("one", "sum", "n"), ("rev", "sum", "rev_f")],
         finish=lambda b: pa.table(
@@ -1102,7 +1106,7 @@ def q_sliding_user_windows(sf_dir: str):
         return t
 
     return partial_final_groupby(
-        ev.map_batches(explode_windows, batch_format="pyarrow"),
+        map_blocks(ev, explode_windows),
         ["user_id", "win_start_q"],
         [("one", "sum", "n_events"), ("value", "sum", "value_f")],
         finish=lambda b: pa.table(
@@ -1294,9 +1298,8 @@ def q_rollup_revenue(sf_dir: str):
     orders = read_parquet_clean(
         _pq(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
     )
-    joined = orders.map_batches(
-        make_broadcast_join(dim, ["o_custkey"], ["c_custkey"], how="inner"),
-        batch_format="pyarrow",
+    joined = map_blocks(
+        orders, make_broadcast_join(dim, ["o_custkey"], ["c_custkey"], how="inner")
     )
 
     def to_int(b: pa.Table) -> pa.Table:
@@ -1320,7 +1323,7 @@ def q_rollup_revenue(sf_dir: str):
         )
 
     fine = partial_final_groupby(
-        joined.map_batches(to_int, batch_format="pyarrow"),
+        map_blocks(joined, to_int),
         ["region_name", "nation_name"],
         [("price_c", "sum", "revenue_c"), ("one", "sum", "n_orders")],
         finish=normalize_types,
@@ -1364,9 +1367,7 @@ def q_rollup_revenue(sf_dir: str):
 
     # the fine grain is O(#nations) rows — fold the rollup on the driver
     names = ("region_name", "nation_name")
-    return local_dataset(
-        rollup(collect(fine, _schema(*names, "revenue_c", "n_orders", strings=names)))
-    )
+    return rollup(collect(fine, _schema(*names, "revenue_c", "n_orders", strings=names)))
 
 
 # ---------------------------------------------------------------------------
@@ -1480,7 +1481,7 @@ def q_pivot_event_values(sf_dir: str):
         return pa.table(cols)
 
     return partial_final_groupby(
-        ev.map_batches(widen, batch_format="pyarrow"),
+        map_blocks(ev, widen),
         ["user_id"],
         [(f"{t}_c", "sum", f"{t}_c") for t in _PIVOT_TYPES]
         + [("one", "sum", "n_events")],
@@ -1532,7 +1533,7 @@ def q_orders_above_customer_avg(sf_dir: str):
             }
         )
 
-    fact = orders.map_batches(to_int, batch_format="pyarrow")
+    fact = map_blocks(orders, to_int)
 
     def widen(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -1544,7 +1545,7 @@ def q_orders_above_customer_avg(sf_dir: str):
         )
 
     agg = partial_final_groupby(
-        fact.map_batches(widen, batch_format="pyarrow"),
+        map_blocks(fact, widen),
         ["o_custkey"],
         [("sum_c", "sum", "sum_c"), ("one", "sum", "cnt")],
     )
@@ -1716,7 +1717,7 @@ def q_heavy_hitter_tokens(sf_dir: str, s: int = 200):
         return g.rename_columns(["token", "cnt"])
 
     cand = exchange_group(
-        docs.map_batches(candidates, batch_format="pyarrow"),
+        map_blocks(docs, candidates),
         ["token"],
         dedup,
     )
@@ -1751,7 +1752,7 @@ def q_heavy_hitter_tokens(sf_dir: str, s: int = 200):
         return g.rename_columns(["token", "n"])
 
     exact = exchange_group(
-        docs.map_batches(exact_counts, batch_format="pyarrow"),
+        map_blocks(docs, exact_counts),
         ["token"],
         final_sum,
     )
@@ -1795,9 +1796,9 @@ def q_nation_customer_list(sf_dir: str):
         b = b.filter(pc.greater(b.column("c_acctbal"), 9000.0))
         return b.select(["c_name", "c_nationkey"])
 
-    joined = cust.map_batches(prep, batch_format="pyarrow").map_batches(
+    joined = map_blocks(
+        map_blocks(cust, prep),
         make_broadcast_join(dim, ["c_nationkey"], ["c_nationkey"], how="inner"),
-        batch_format="pyarrow",
     )
 
     def fold(c, g):
@@ -1896,7 +1897,7 @@ def q_full_outer_activity(sf_dir: str):
         return fn
 
     u = partial_final_groupby(
-        ev.map_batches(count_side("user_id", "n_events"), batch_format="pyarrow"),
+        map_blocks(ev, count_side("user_id", "n_events")),
         ["id"],
         [("n_events", "sum", "n_events")],
         finish=lambda b: pa.table(
@@ -1910,8 +1911,8 @@ def q_full_outer_activity(sf_dir: str):
         )
 
     o = partial_final_groupby(
-        orders.map_batches(range_filter, batch_format="pyarrow").map_batches(
-            count_side("o_custkey", "n_orders"), batch_format="pyarrow"
+        map_blocks(
+            map_blocks(orders, range_filter), count_side("o_custkey", "n_orders")
         ),
         ["id"],
         [("n_orders", "sum", "n_orders")],
@@ -2040,7 +2041,7 @@ def q_top_tokens_per_lang(sf_dir: str, k: int = 5):
         return top_per_lang(g)
 
     pair_counts = exchange_group(
-        docs.map_batches(explode_count, batch_format="pyarrow"),
+        map_blocks(docs, explode_count),
         ["lang", "token"],
         exact_then_prune,
     )
@@ -2084,9 +2085,8 @@ def q_cube_revenue(sf_dir: str):
     orders = read_parquet_clean(
         _pq(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
     )
-    joined = orders.map_batches(
-        make_broadcast_join(dim, ["o_custkey"], ["c_custkey"], how="inner"),
-        batch_format="pyarrow",
+    joined = map_blocks(
+        orders, make_broadcast_join(dim, ["o_custkey"], ["c_custkey"], how="inner")
     )
 
     def to_int(b: pa.Table) -> pa.Table:
@@ -2100,7 +2100,7 @@ def q_cube_revenue(sf_dir: str):
         )
 
     fine = partial_final_groupby(
-        joined.map_batches(to_int, batch_format="pyarrow"),
+        map_blocks(joined, to_int),
         ["region_name", "segment"],
         [("price_c", "sum", "revenue_c"), ("one", "sum", "n_orders")],
     )
@@ -2154,9 +2154,7 @@ def q_cube_revenue(sf_dir: str):
         )
 
     names = ("region_name", "segment")
-    return local_dataset(
-        cube(collect(fine, _schema(*names, "revenue_c", "n_orders", strings=names)))
-    )
+    return cube(collect(fine, _schema(*names, "revenue_c", "n_orders", strings=names)))
 
 
 # ---------------------------------------------------------------------------
@@ -2194,8 +2192,8 @@ def q_except_recent_custkeys(sf_dir: str):
         g = b.group_by(["o_custkey"]).aggregate([])
         return g.rename_columns(["custkey"])
 
-    l = cust.map_batches(left_prep, batch_format="pyarrow")
-    r = orders.map_batches(right_prep, batch_format="pyarrow")
+    l = map_blocks(cust, left_prep)
+    r = map_blocks(orders, right_prep)
 
     def except_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
         lt = lt.group_by(["custkey"]).aggregate([])
@@ -2291,14 +2289,10 @@ def q_intersect_active_custkeys(sf_dir: str):
 
         return prep
 
-    l = orders.map_batches(
-        side(lambda b: pc.greater_equal(b.column("o_orderdate"), lo)),
-        batch_format="pyarrow",
+    l = map_blocks(
+        orders, side(lambda b: pc.greater_equal(b.column("o_orderdate"), lo))
     )
-    r = orders.map_batches(
-        side(lambda b: pc.less(b.column("o_orderdate"), hi)),
-        batch_format="pyarrow",
-    )
+    r = map_blocks(orders, side(lambda b: pc.less(b.column("o_orderdate"), hi)))
 
     def intersect_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
         lt = lt.group_by(["custkey"]).aggregate([])
@@ -2365,7 +2359,7 @@ def q_modal_event_type(sf_dir: str):
         )
 
     return exchange_group(
-        ev.map_batches(partial, batch_format="pyarrow"),
+        map_blocks(ev, partial),
         ["user_id"],
         modal,
         sort_by="user_id",
@@ -2419,9 +2413,7 @@ def q_unpivot_event_values(sf_dir: str):
             )
         return pa.concat_tables(parts)
 
-    return wide.map_batches(melt, batch_format="pyarrow").sort(
-        ["user_id", "event_type"]
-    )
+    return sort_table(map_blocks(wide, melt), ["user_id", "event_type"])
 
 
 # ---------------------------------------------------------------------------
@@ -2658,10 +2650,10 @@ def q3_shipping_priority(sf_dir: str, k: int = 10):
         _pq(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"],
         filter=pc.field("l_shipdate") > cutoff,
-    ).map_batches(rev_prep, batch_format="pyarrow")
+    )
 
     joined = hash_partitioned_join(
-        li, orders, "l_orderkey", "o_orderkey", how="inner"
+        map_blocks(li, rev_prep), orders, "l_orderkey", "o_orderkey", how="inner"
     )
 
     def keyed(b: pa.Table) -> pa.Table:
@@ -2674,7 +2666,7 @@ def q3_shipping_priority(sf_dir: str, k: int = 10):
         )
 
     agg = partial_final_groupby(
-        joined.map_batches(keyed, batch_format="pyarrow"),
+        map_blocks(joined, keyed),
         ["l_orderkey", "orderdate_us"],
         [("rev_e4", "sum", "revenue_e4")],
     )
@@ -2707,7 +2699,7 @@ def q3_shipping_priority(sf_dir: str, k: int = 10):
         )
 
     # per-batch prune (≤k rows survive each batch) → one driver final pick
-    return local_dataset(topk(collect(agg.map_batches(topk, batch_format="pyarrow"))))
+    return topk(collect(map_blocks(agg, topk)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     collect,
     collect_where,
     exchange_group,
+    map_blocks,
     materialized,
+    sort_table,
 )
 
 from radiant_portal_pipeline_ray.stages.similarity import (
@@ -113,7 +115,7 @@ def sim_topk_cosine(sf_dir: str):
     Q, qids = _query_vectors(sf_dir, N_QUERIES)
 
     stage = BruteForceTopK(Q, qids, k=TOP_K, margin=1e-6)
-    partials = _emb_ds(sf_dir).map_batches(stage, batch_format="pyarrow")
+    partials = map_blocks(_emb_ds(sf_dir), stage)
     merged = collect(partials)
     merged = merged.set_column(
         merged.schema.get_field_index("cosine"),
@@ -199,9 +201,7 @@ def sim_neardup_pairs_q(sf_dir: str):
             }
         )
 
-    return _emb_ds(sf_dir).map_batches(pairs, batch_format="pyarrow").sort(
-        ["vec_a", "vec_b"]
-    )
+    return sort_table(map_blocks(_emb_ds(sf_dir), pairs), ["vec_a", "vec_b"])
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +236,8 @@ def _bucketed_ann_pairs(
             len(markers),
             sorted((int(m) for m in markers), reverse=True)[:5],
         )
-    real = pairs.map_batches(
-        lambda b: b.filter(pc.not_equal(b.column("vec_a"), -1)),
-        batch_format="pyarrow",
+    real = map_blocks(
+        pairs, lambda b: b.filter(pc.not_equal(b.column("vec_a"), -1))
     )
     return partial_final_groupby(
         real,
@@ -266,9 +265,8 @@ def sim_ann_lsh(
     of this synthetic corpus the data-adaptive ``sim_ann_ivf`` is the
     recall-tested scale path."""
     dim = _emb_dim(sf_dir)
-    ds = _emb_ds(sf_dir).map_batches(
-        HyperplaneLSHStage(dim, n_planes=n_planes, n_tables=n_tables),
-        batch_format="pyarrow",
+    ds = map_blocks(
+        _emb_ds(sf_dir), HyperplaneLSHStage(dim, n_planes=n_planes, n_tables=n_tables)
     )
     return _bucketed_ann_pairs(
         ds, "lsh_bucket", threshold, max_bucket, "sim_ann_lsh"
@@ -401,7 +399,7 @@ def sim_ann_ivf(
             "cell", pa.array(top.ravel().astype(np.int64), type=pa.int64())
         )
 
-    ds = _emb_ds(sf_dir).map_batches(assign_cells, batch_format="pyarrow")
+    ds = map_blocks(_emb_ds(sf_dir), assign_cells)
     return _bucketed_ann_pairs(ds, "cell", threshold, max_cell, "sim_ann_ivf")
 
 
@@ -463,14 +461,9 @@ def dd_embed_corpus(sf_dir: str):
         )
     else:
         src = sim_neardup_pairs_q(sf_dir)
-    pairs = src.map_batches(
-        lambda b: pa.table(
-            {"doc_a": b.column("vec_a"), "doc_b": b.column("vec_b")}
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-    labels = fold_components(pairs)
-    return labels.map_batches(
-        lambda b: b.rename_columns(["vec_id", "rep_vec_id"]),
-        batch_format="pyarrow",
-    ).sort("vec_id")
+    pairs = map_blocks(
+        src, lambda b: pa.table({"doc_a": b.column("vec_a"), "doc_b": b.column("vec_b")})
+    )
+    labels = fold_components(materialized(pairs))
+    labels = map_blocks(labels, lambda b: b.rename_columns(["vec_id", "rep_vec_id"]))
+    return sort_table(labels, "vec_id")

@@ -101,7 +101,7 @@ def q_approx_distinct_users(sf_dir: str, p: int = 14):
     import ray.data as rd
 
     from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group, map_blocks
 
     hll = HllSketch(p)
 
@@ -162,7 +162,7 @@ def q_approx_distinct_users(sf_dir: str, p: int = 14):
             }
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
+    partials = map_blocks(ds, partial)
     return exchange_group(partials, ["event_type"], merge, sort_by="event_type")
 
 
@@ -194,6 +194,7 @@ def q_approx_distinct_users(sf_dir: str, p: int = 14):
 def t_split_assign(sf_dir: str, bands=(90, 95)):
     from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
     from radiant_portal_pipeline_ray.stages.dedup import md5_hash64
+    from radiant_portal_pipeline_ray.stages.taskshuffle import map_blocks, sort_table
 
     ds = read_parquet_clean(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "lang"]
@@ -213,7 +214,7 @@ def t_split_assign(sf_dir: str, bands=(90, 95)):
             pa.field("split", pa.string()), pa.array(split, pa.string())
         )
 
-    return ds.map_batches(assign, batch_format="pyarrow").sort("doc_id")
+    return sort_table(map_blocks(ds, assign), "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,7 @@ def cdc_bucket_checksums(sf_dir: str):
 
     from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
     from radiant_portal_pipeline_ray.stages.dedup import md5_hash64
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
+    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group, map_blocks
 
     ev = read_parquet_clean(
         os.path.join(sf_dir, "events.parquet"),
@@ -318,5 +319,5 @@ def cdc_bucket_checksums(sf_dir: str):
             }
         )
 
-    partials = ev.map_batches(partial, batch_format="pyarrow")
+    partials = map_blocks(ev, partial)
     return exchange_group(partials, ["bucket"], final, sort_by="bucket")

@@ -11,7 +11,13 @@ import os
 import pyarrow as pa
 
 from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
-
+from radiant_portal_pipeline_ray.stages.taskshuffle import (
+    collect,
+    exchange_group,
+    map_blocks,
+    select_columns,
+    sort_table,
+)
 from radiant_portal_pipeline_ray.stages.textstages import (
     FingerprintStage,
     LangIdStage,
@@ -50,10 +56,8 @@ _STOPLIST_SQL = (
     """,
 )
 def t_token_counts(sf_dir: str):
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        TokenizeStage(), batch_format="pyarrow"
-    )
-    return ds.select_columns(["doc_id", "n_tokens_ws"]).sort("doc_id")
+    ds = map_blocks(_docs(sf_dir, ["doc_id", "text"]), TokenizeStage())
+    return sort_table(select_columns(ds, ["doc_id", "n_tokens_ws"]), "doc_id")
 
 
 @_register(
@@ -70,12 +74,9 @@ def t_token_counts(sf_dir: str):
     """,
 )
 def t_quality_scores(sf_dir: str):
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        QualityScoreStage(), batch_format="pyarrow"
-    )
-    return ds.select_columns(["doc_id", "n_chars_q", "n_words", "n_stopwords"]).sort(
-        "doc_id"
-    )
+    ds = map_blocks(_docs(sf_dir, ["doc_id", "text"]), QualityScoreStage())
+    cols = ["doc_id", "n_chars_q", "n_words", "n_stopwords"]
+    return sort_table(select_columns(ds, cols), "doc_id")
 
 
 def _lang_count_sql(lang: str, words: list[str]) -> str:
@@ -135,18 +136,14 @@ def _lang_id_sql() -> str:
 def t_token_counts_bpe(sf_dir: str):
     """GPT-2-style pre-tokenizer counts (word fragments / numbers / punct) —
     vectorized RE2 non-overlapping match count."""
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        TokenizeStage(mode="bpe"), batch_format="pyarrow"
-    )
-    return ds.select_columns(["doc_id", "n_tokens_bpe"]).sort("doc_id")
+    ds = map_blocks(_docs(sf_dir, ["doc_id", "text"]), TokenizeStage(mode="bpe"))
+    return sort_table(select_columns(ds, ["doc_id", "n_tokens_bpe"]), "doc_id")
 
 
 @_register("t_lang_id", _lang_id_sql())
 def t_lang_id(sf_dir: str):
-    ds = _docs(sf_dir, ["doc_id", "text", "lang"]).map_batches(
-        LangIdStage(), batch_format="pyarrow"
-    )
-    return ds.select_columns(["doc_id", "lang", "lang_pred"]).sort("doc_id")
+    ds = map_blocks(_docs(sf_dir, ["doc_id", "text", "lang"]), LangIdStage())
+    return sort_table(select_columns(ds, ["doc_id", "lang", "lang_pred"]), "doc_id")
 
 
 @_register(
@@ -157,10 +154,8 @@ def t_lang_id(sf_dir: str):
     """,
 )
 def t_fingerprints(sf_dir: str):
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        FingerprintStage(), batch_format="pyarrow"
-    )
-    return ds.select_columns(["doc_id", "fingerprint"]).sort("doc_id")
+    ds = map_blocks(_docs(sf_dir, ["doc_id", "text"]), FingerprintStage())
+    return sort_table(select_columns(ds, ["doc_id", "fingerprint"]), "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +198,7 @@ def t_mix_language_quota(sf_dir: str, quota: int = 40):
         return b.append_column(pa.field("h_u", pa.int64()), pa.array(h_u))
 
     return topk_per_key(
-        docs.map_batches(add_hash, batch_format="pyarrow"),
+        map_blocks(docs, add_hash),
         ["lang"],
         [("h_u", "ascending"), ("doc_id", "ascending")],
         k=quota,
@@ -245,7 +240,7 @@ def t_hash_sample(sf_dir: str, rate_pct: int = 10):
         keep = (md5_hash64(ids) % np.uint64(100)) < np.uint64(rate_pct)
         return b.filter(pa.array(keep))
 
-    return docs.map_batches(sample, batch_format="pyarrow").sort("doc_id")
+    return sort_table(map_blocks(docs, sample), "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +271,8 @@ def t_hash_sample(sf_dir: str, rate_pct: int = 10):
 def t_repetition_stats(sf_dir: str):
     from radiant_portal_pipeline_ray.stages.passages import repetition_stats
 
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        repetition_stats, batch_format="pyarrow"
-    )
-    return ds.sort("doc_id")
+    ds = map_blocks(_docs(sf_dir, ["doc_id", "text"]), repetition_stats)
+    return sort_table(ds, "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +310,8 @@ def t_mix_token_budget(sf_dir: str, budget: int = 2000):
     import pyarrow.compute as pc
 
     from radiant_portal_pipeline_ray.stages.dedup import md5_hash64
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
-    docs = _docs(sf_dir, ["lang", "doc_id", "text"]).map_batches(
-        TokenizeStage(), batch_format="pyarrow"
-    )
+    docs = map_blocks(_docs(sf_dir, ["lang", "doc_id", "text"]), TokenizeStage())
 
     def _scan(t: pa.Table) -> pa.Table:
         """Sort by (lang, h, doc_id), per-lang prefix-sum n_tokens, keep
@@ -343,9 +333,8 @@ def t_mix_token_budget(sf_dir: str, budget: int = 2000):
         seg_cum = cum - np.maximum.accumulate(base)
         return t.filter(pa.array(seg_cum <= budget)).drop_columns(["h_u"])
 
-    pruned = docs.map_batches(
-        lambda b: _scan(b.select(["lang", "doc_id", "n_tokens_ws"])),
-        batch_format="pyarrow",
+    pruned = map_blocks(
+        docs, lambda b: _scan(b.select(["lang", "doc_id", "n_tokens_ws"]))
     )
     return exchange_group(
         pruned,
@@ -384,7 +373,6 @@ def q_quality_quantiles(sf_dir: str, ps=(0.25, 0.5, 0.9)):
     import numpy as np
     import pyarrow.compute as pc
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
     docs = _docs(sf_dir, ["lang", "text"])
 
@@ -420,7 +408,7 @@ def q_quality_quantiles(sf_dir: str, ps=(0.25, 0.5, 0.9)):
                 out[nm].append(int(vals[lo + k]))
         return pa.table(out, schema=schema)
 
-    pairs = docs.map_batches(project, batch_format="pyarrow")
+    pairs = map_blocks(docs, project)
     return exchange_group(pairs, ["lang"], quantiles, sort_by="lang")
 
 
@@ -476,7 +464,6 @@ def q_quality_quantiles_scalable(sf_dir: str, ps=(0.25, 0.5, 0.9)):
     import numpy as np
     import pyarrow.compute as pc
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
     names = ["p25_chars", "p50_chars", "p90_chars"]
 
@@ -542,11 +529,9 @@ def q_quality_quantiles_scalable(sf_dir: str, ps=(0.25, 0.5, 0.9)):
         )
 
     docs = _docs(sf_dir, ["lang", "text"])
-    partials = docs.map_batches(project, batch_format="pyarrow").map_batches(
-        partial_hist, batch_format="pyarrow"
-    )
+    partials = map_blocks(map_blocks(docs, project), partial_hist)
     # one 32 KB row per language — bounded driver pull
-    hist_rows = exchange_group(partials, ["lang"], merge_hist).take_all()
+    hist_rows = collect(exchange_group(partials, ["lang"], merge_hist)).to_pylist()
 
     # ---- resolve each target rank to (bin, rank-within-bin)
     # targets[lang] = list of (bin, k_within) aligned with ps; n_docs[lang]
@@ -630,7 +615,7 @@ def q_quality_quantiles_scalable(sf_dir: str, ps=(0.25, 0.5, 0.9)):
             }
         )
 
-    gathered = docs.map_batches(gather, batch_format="pyarrow")
+    gathered = map_blocks(docs, gather)
     return exchange_group(gathered, ["lang"], pick, sort_by="lang")
 
 
@@ -700,14 +685,11 @@ def t_pii_redact(sf_dir: str):
         )
         return t.set_column(t.schema.get_field_index("text"), "text", m)
 
-    ds = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(inject, batch_format="pyarrow")
-        .map_batches(PiiRedactStage(), batch_format="pyarrow")
+    ds = map_blocks(
+        map_blocks(_docs(sf_dir, ["doc_id", "text"]), inject), PiiRedactStage()
     )
-    return ds.select_columns(
-        ["doc_id", "n_emails", "n_ips", "n_phones", "redacted"]
-    ).sort("doc_id")
+    cols = ["doc_id", "n_emails", "n_ips", "n_phones", "redacted"]
+    return sort_table(select_columns(ds, cols), "doc_id")
 
 
 def _mod(a, m: int):
@@ -752,7 +734,6 @@ def t_rare_token_frac(sf_dir: str, min_count: int = 5):
     import pyarrow.compute as pc
     import ray
 
-    from radiant_portal_pipeline_ray.stages.taskshuffle import collect, exchange_group
 
     docs = _docs(sf_dir, ["doc_id", "text"])
 
@@ -771,7 +752,7 @@ def t_rare_token_frac(sf_dir: str, min_count: int = 5):
             pc.greater_equal(g.column("n_sum"), min_count)
         ).select(["tok"])
 
-    partials = docs.map_batches(token_rows, batch_format="pyarrow")
+    partials = map_blocks(docs, token_rows)
     common_ds = exchange_group(partials, ["tok"], common_only)
     common = (
         collect(common_ds, pa.schema([("tok", pa.string())]))
@@ -809,8 +790,8 @@ def t_rare_token_frac(sf_dir: str, min_count: int = 5):
             # the oracle's GROUP BY drops token-less docs; mirror that
             return out.filter(pc.greater(out.column("n_tokens"), 0))
 
-    scored = docs.map_batches(RareFrac(common_ref), batch_format="pyarrow")
-    return scored.sort("doc_id")
+    scored = map_blocks(docs, RareFrac(common_ref))
+    return sort_table(scored, "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +843,6 @@ def t_mix_temperature(sf_dir: str, budget: int = 400):
     import pyarrow.compute as pc
 
     from radiant_portal_pipeline_ray.stages.dedup import md5_hash64
-    from radiant_portal_pipeline_ray.stages.taskshuffle import exchange_group
 
     docs = _docs(sf_dir, ["lang", "doc_id"])
 
@@ -872,7 +852,7 @@ def t_mix_temperature(sf_dir: str, budget: int = 400):
         return g.rename_columns(["lang", "n"])
 
     n_by_lang: dict[str, int] = {}
-    for row in docs.map_batches(counts, batch_format="pyarrow").take_all():
+    for row in collect(map_blocks(docs, counts)).to_pylist():
         n_by_lang[row["lang"]] = n_by_lang.get(row["lang"], 0) + int(row["n"])
     sq = {l: math.isqrt(n) for l, n in n_by_lang.items()}
     ssum = sum(sq.values())
@@ -897,7 +877,7 @@ def t_mix_temperature(sf_dir: str, budget: int = 400):
             keep[s : min(s + k_by_lang.get(ls[s], 0), e)] = True
         return t.take(pa.array(order[keep]))
 
-    pruned = docs.map_batches(pick, batch_format="pyarrow")  # ≤ Σk per batch
+    pruned = map_blocks(docs, pick)  # ≤ Σk per batch
     return exchange_group(
         pruned,
         ["lang"],
@@ -957,7 +937,7 @@ def t_stratified_sample(sf_dir: str):
             rates[mask] = rate
         return b.filter(pa.array(h < rates))
 
-    return docs.map_batches(sample, batch_format="pyarrow").sort("doc_id")
+    return sort_table(map_blocks(docs, sample), "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -1055,7 +1035,7 @@ def t_url_canonicalize(sf_dir: str):
             }
         )
 
-    return docs.map_batches(canonicalize, batch_format="pyarrow").sort("doc_id")
+    return sort_table(map_blocks(docs, canonicalize), "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -1094,4 +1074,4 @@ def t_weighted_sample(sf_dir: str):
         w = (b.column("n_chars").to_numpy() // 2).astype(np.uint64)
         return b.filter(pa.array(h < w))
 
-    return docs.map_batches(sample, batch_format="pyarrow").sort("doc_id")
+    return sort_table(map_blocks(docs, sample), "doc_id")

@@ -5,8 +5,8 @@ the files' sizes: no footer pass over every file and none of
 ``ray.data.read_parquet``'s plan-time sampling tasks. The sizes also pick
 where the read runs: one threshold, ``taskshuffle._DRIVER_LOCAL_BYTES``,
 sends small reads and small exchanges to the driver, so files of at most
-that many bytes in all are read in-process, into at most one block per
-cluster CPU, and larger ones by Ray read tasks. The schema it reads
+that many bytes in all are read in-process, into one ``pa.Table``, and
+larger ones by Ray read tasks, into a Dataset. The schema it reads
 with is metadata-free. Pandas-written parquet carries a ``b'pandas'``
 schema-metadata key, and a ``pa.Schema`` with schema-level metadata is
 unhashable in this pyarrow version, which silently defeats Ray Data's
@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 
 import pyarrow.parquet as pq
-import ray.data as rd
 
 from radiant_portal_pipeline_ray.state import lakescan
 
@@ -47,10 +46,11 @@ def _parquet_files(paths: str | list[str]) -> list[tuple[str, int]]:
 
 def read_parquet_clean(
     paths: str | list[str], *, columns: list[str] | None = None, filter=None
-) -> "rd.Dataset":
-    """Local parquet files (or directories of them) as a Dataset with a
-    metadata-free schema, ``columns`` projected and ``filter`` (a
-    ``pyarrow.compute`` expression) pushed into the scan."""
+):
+    """Local parquet files (or directories of them) with a metadata-free
+    schema, ``columns`` projected and ``filter`` (a ``pyarrow.compute``
+    expression) pushed into the scan: a table when the read runs on the
+    driver, else a Dataset (``lakescan.read``)."""
     files = _parquet_files(paths)
     schema = pq.read_schema(files[0][0])
     return lakescan.read(files, schema, None, columns, filter)

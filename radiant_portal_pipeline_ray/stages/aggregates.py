@@ -24,8 +24,9 @@ first two its finish: ``finish=`` (a row-wise ``table -> table``, run after
 the final kernel) and ``sort_by=`` (column names or ``(name,
 "descending")``) pass down to ``taskshuffle.exchange_group``. On a small exchange the kernel, the finish
 and the sort run once on the driver's table, with no trailing
-``map_batches``/``Dataset.sort`` executions; on a large one they run per
-bucket and ``Dataset.sort`` orders the result.
+``map_batches``/``Dataset.sort`` executions, and the result is that table;
+on a large one they run per bucket and ``Dataset.sort`` orders the
+resulting Dataset.
 """
 
 from __future__ import annotations
@@ -290,17 +291,17 @@ def window(
     column it does not return is the sorted input column of that name. The
     result is sorted by ``sort_by``. A bucket with no rows yields
     ``schema``'s empty table without calling the kernel, and an input with
-    no rows a typed empty Dataset (Ray's sort would drop its schema)."""
+    no rows ``schema``'s empty table (Ray's sort would drop its schema)."""
     from radiant_portal_pipeline_ray.stages.taskshuffle import (
         exchange_group,
-        local_dataset,
         materialized,
+        num_rows,
         sort_spec,
     )
 
     ds = materialized(ds)
-    if ds.count() == 0:
-        return local_dataset(schema.empty_table())
+    if num_rows(ds) == 0:
+        return schema.empty_table()
     keys = [(partition_by, False)] + sort_spec(order_by)
 
     def per_bucket(t: pa.Table) -> pa.Table:

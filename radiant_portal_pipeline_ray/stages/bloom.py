@@ -86,7 +86,7 @@ def build_bloom(ds, column: str, log2_m: int = 23, k: int = 7):
         vals = b.column(column).to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({"bits": pa.array([bf.partial(vals).tobytes()], pa.binary())})
 
-    blobs = materialized(map_blocks(ds, partial_blob))
+    blobs = map_blocks(ds, partial_blob)
 
     @ray.remote(num_returns=1)
     def fold(*tables) -> np.ndarray:
@@ -96,5 +96,8 @@ def build_bloom(ds, column: str, log2_m: int = 23, k: int = 7):
                 words |= np.frombuffer(blob, dtype=np.uint64)
         return words
 
-    refs = blobs.to_arrow_refs()
+    if isinstance(blobs, pa.Table):
+        refs = [blobs] if blobs.num_rows else []
+    else:
+        refs = materialized(blobs).to_arrow_refs()
     return bf, fold.remote(*refs)

@@ -141,14 +141,18 @@ def write_snapshot_files(
         chunk = out.slice(i * target_rows_per_file, target_rows_per_file)
         fn = f"{txn_id}-{part}-{i:04d}.parquet"
         path = os.path.join(part_dir, fn) if filesystem is None else f"{part_dir}/{fn}"
-        pq.write_table(
-            chunk, path, compression=compression, filesystem=filesystem,
-            write_statistics=with_stats,
-        )
         if filesystem is None:
+            pq.write_table(
+                chunk, path, compression=compression, write_statistics=with_stats
+            )
             total_bytes += os.path.getsize(path)
         else:
-            total_bytes += int(filesystem.info(path)["size"])
+            # the stream's position is the size written: no HEAD request
+            with filesystem.open(path, "wb") as f:
+                pq.write_table(
+                    chunk, f, compression=compression, write_statistics=with_stats
+                )
+                total_bytes += f.tell()
         files.append(fn)
         stats.append(file_stats(chunk))
     return files, total_bytes, stats
@@ -251,8 +255,8 @@ class MergeKernel:
             if self.filesystem is None:
                 with pq.ParquetFile(path) as pf:
                     return pf.read()
-            with self.filesystem.open(path, "rb") as fh:
-                return pq.ParquetFile(fh).read()
+            # one whole-object GET: no HEAD for the size, no ranged reads
+            return pq.ParquetFile(pa.BufferReader(self.filesystem.cat_file(path))).read()
 
         if len(files) > 1:
             from concurrent.futures import ThreadPoolExecutor

@@ -176,14 +176,15 @@ def cross_exclusive(
     """CROSS-TABLE exclusivity: keys present in BOTH datasets are
     violations. Distributed: per-batch distinct on each side, then a
     hash-partitioned semi join — only matching keys (the violations)
-    survive, and only their count reaches the driver.
+    survive, and only their count reaches the driver. Driver-local sides
+    stay tables, so no count starts an execution.
 
     Reference analogue: the dbt cross-table test
     `radiant/data_qa/tests/germline_snv_occurrence__validate_exclusive_with_somatic.sql:1-14`
     (germline and somatic occurrences must not share (seq_id, locus_id)).
     """
     from radiant_portal_pipeline_ray.stages.joins import hash_partitioned_join
-    from radiant_portal_pipeline_ray.stages.taskshuffle import map_blocks
+    from radiant_portal_pipeline_ray.stages.taskshuffle import map_blocks, num_rows
 
     key_b = key_b or key_a
 
@@ -195,10 +196,9 @@ def cross_exclusive(
 
     a = map_blocks(ds_a, distinct(key_a))
     b = map_blocks(ds_b, distinct(key_b))
-    if a.count() == 0 or b.count() == 0:  # empty side ⇒ trivially exclusive
+    if num_rows(a) == 0 or num_rows(b) == 0:  # empty side ⇒ trivially exclusive
         return {"ok": True, "detail": "shared_keys=0"}
-    both = hash_partitioned_join(a, b, key_a, key_b, how="semi")
-    n = both.count()
+    n = num_rows(hash_partitioned_join(a, b, key_a, key_b, how="semi"))
     return {"ok": n == 0, "detail": f"shared_keys={n}"}
 
 

@@ -374,17 +374,57 @@ def _concat_or_empty(tabs: list, schema: pa.Schema) -> pa.Table:
 
 
 def collect(ds, schema: pa.Schema | None = None) -> pa.Table:
-    """Every row of ``ds`` as one Arrow table on the driver, in block
-    order. With no rows it is the typed empty table of ``schema`` when
-    given, else of ``ds``'s first block (no columns when ``ds`` has no
-    blocks). The one driver collect of the package: callers bound its size
-    (a folded aggregate, a candidate set, a small increment)."""
+    """Every row of ``ds`` (a driver-local table or a Dataset) as one Arrow
+    table on the driver, in block order. With no rows it is the typed empty
+    table of ``schema`` when given, else of ``ds``'s own (its first block's;
+    no columns when a Dataset has no blocks). The one driver collect of the
+    package: callers bound its size (a folded aggregate, a candidate set, a
+    small increment)."""
+    if isinstance(ds, pa.Table):
+        return _concat_or_empty([ds], schema or ds.schema)
     # materialized first: a lazy Dataset's to_arrow_refs runs its plan, then
     # runs it again for the schema when the plan cannot infer one
     tabs = ray.get(materialized(ds).to_arrow_refs())
     if schema is None:
         schema = tabs[0].schema if tabs else pa.schema([])
     return _concat_or_empty(tabs, schema)
+
+
+def num_rows(ds) -> int:
+    """Rows of a driver-local table, or ``ds.count()`` of a Dataset (no
+    execution once it is materialized)."""
+    return ds.num_rows if isinstance(ds, pa.Table) else ds.count()
+
+
+def schema_of(ds) -> pa.Schema | None:
+    """The schema of a table or a Dataset; None for a Dataset with no
+    blocks and for a table of no columns, the no-rows result of a map."""
+    if isinstance(ds, pa.Table):
+        return ds.schema if ds.num_columns else None
+    sch = ds.schema()
+    return None if sch is None else pa.schema(sch.base_schema)
+
+
+def select_columns(ds, cols: list[str]):
+    """``ds`` projected to ``cols``: ``Dataset.select_columns`` of a
+    Dataset, ``Table.select`` of a table; a table of no columns (a map's
+    no-rows result) stays as is, as a Dataset without a schema does."""
+    if not isinstance(ds, pa.Table):
+        return ds.select_columns(cols)
+    return ds.select(cols) if ds.num_columns else ds
+
+
+def union(*parts):
+    """``parts`` as one value, their rows in order: the concatenated tables
+    when every part is a table, else one materialized Dataset of every
+    part's blocks, each table wrapped once (``Dataset.union`` would start
+    an execution to materialize it); no blocks give a Dataset with none."""
+    import ray.data as rd
+
+    if all(isinstance(p, pa.Table) for p in parts):
+        return pa.concat_tables(parts, promote_options="permissive")
+    refs = [r for p in parts for r in materialized(as_dataset(p)).to_arrow_refs()]
+    return rd.from_arrow_refs(refs).materialize() if refs else local_dataset()
 
 
 @ray.remote
@@ -395,16 +435,19 @@ def _filter_task(pred, t: pa.Table) -> pa.Table:
 def collect_where(ds, pred) -> pa.Table:
     """The rows of ``ds`` where the mask ``pred(table)`` holds, as one
     driver table typed as ``ds`` (the over-cap markers of a pair set, say).
-    The filter runs where the blocks are: on the driver when ``ds`` is at
-    most ``_DRIVER_LOCAL_BYTES``, else one task per block, so only the kept
-    rows travel. A materialized ``ds`` starts no Ray Data execution."""
+    The filter runs where the rows are: on the driver for a table or a
+    Dataset of at most ``_DRIVER_LOCAL_BYTES``, else one task per block, so
+    only the kept rows travel. A materialized ``ds`` starts no Ray Data
+    execution."""
+    if isinstance(ds, pa.Table):
+        return collect(ds.filter(pred(ds)), ds.schema)
     ds = materialized(ds)
     refs = ds.to_arrow_refs()
     if int(ds.size_bytes() or 0) <= _DRIVER_LOCAL_BYTES:
         tabs = [t.filter(pred(t)) for t in ray.get(refs)]
     else:
         tabs = ray.get([_filter_task.remote(pred, r) for r in refs])
-    return _concat_or_empty(tabs, pa.schema(ds.schema().base_schema))
+    return _concat_or_empty(tabs, schema_of(ds))
 
 
 @ray.remote
@@ -427,13 +470,17 @@ def bucket_task(fn, schemas: list, counts: list[int], *tables: pa.Table | None):
 _TARGET_BUCKET_BYTES = 64 << 20
 
 #: the one driver-or-tasks size threshold: a file read (``state/lakescan``)
-#: planning at most this many bytes reads in-process, a row-wise map
-#: (:func:`map_blocks`) over a materialized input of at most this many bytes
-#: runs on the driver, and an exchange of at most this many bytes runs its
-#: kernel once on the driver, all returning their blocks through
-#: :func:`local_dataset`: small data read on the driver stays there through
-#: the maps and the exchange. The apply round does not weigh bytes: it runs
-#: its split and merge on the driver whenever Ray has one CPU
+#: planning at most this many bytes reads in-process into one ``pa.Table``,
+#: and an exchange of at most this many bytes runs its kernel once on the
+#: driver. A driver-local value is that table: a row-wise map
+#: (:func:`map_blocks`), a sort (:func:`sort_table`), :func:`collect` and
+#: the exchanges take it and return a table, so small data read on the
+#: driver stays there, and no ``Dataset`` is built between two operators.
+#: A ``Dataset`` is built once, at a public boundary
+#: (``CdcEngine.read_snapshot``, ``__ray_entry__.queries()``), or when a
+#: table past this size goes to a task-path exchange. The apply round does
+#: not weigh bytes: it runs its split and merge on the driver whenever Ray
+#: has one CPU
 _DRIVER_LOCAL_BYTES = 16 << 20
 
 #: driver ObjectRef budget per exchange: above this the split runs in two
@@ -577,12 +624,22 @@ def sort_spec(cols) -> list[tuple[str, bool]]:
     ]
 
 
-def sort_table(t: pa.Table, sort_by) -> pa.Table:
-    """``t`` in ``sort_by`` order: the stable sort with nulls last that
-    ``Dataset.sort`` runs on each of its blocks, so a one-block result is
-    the same either way."""
+def sort_table(t, sort_by):
+    """``t`` in ``sort_by`` order. A table, or a materialized Dataset of at
+    most ``_DRIVER_LOCAL_BYTES``, sorts on the driver into a table:
+    the stable sort with nulls last that ``Dataset.sort`` runs on each of
+    its blocks, so the result is the same either way. Any other Dataset
+    sorts with ``Dataset.sort``. A table of no columns (no rows, no
+    schema) is returned as is."""
     import pyarrow.compute as pc
 
+    if not isinstance(t, pa.Table):
+        if not _driver_local(t):
+            spec = sort_spec(sort_by)
+            return t.sort([c for c, _ in spec], descending=[d for _, d in spec])
+        t = collect(t)
+    if not t.num_columns:
+        return t
     keys = [(c, "descending" if d else "ascending") for c, d in sort_spec(sort_by)]
     return t.take(pc.sort_indices(t, sort_keys=keys))
 
@@ -591,7 +648,8 @@ def local_dataset(*blocks: pa.Table):
     """``blocks`` as a ``MaterializedDataset`` of exactly those blocks,
     built once with its snapshot already computed, so its consumer's
     ``to_arrow_refs`` or ``materialize`` starts no Ray Data execution (a
-    ``ray.data.from_arrow`` table starts one).
+    ``ray.data.from_arrow`` table starts one). Each call costs a stats-actor
+    round trip and a ``ray.put``: driver-local operators pass tables.
 
     ``rd.from_blocks`` puts the blocks; its plan's snapshot is then set to
     the source's own output, the bookkeeping ``ExecutionPlan.execute``
@@ -616,79 +674,82 @@ def local_dataset(*blocks: pa.Table):
     return ds
 
 
+def as_dataset(ds):
+    """``ds`` as a Dataset, for a public boundary that hands one out: a
+    driver-local table wrapped once (:func:`local_dataset`), a Dataset as
+    is."""
+    return local_dataset(ds) if isinstance(ds, pa.Table) else ds
+
+
 def materialized(ds):
-    """``ds`` itself when it is already a ``MaterializedDataset`` (an
-    exchange or driver-path read result), else ``ds.materialize()``: a
-    materialized Dataset is never copied into two more. Materialize BEFORE
-    asking for a schema: on a lazy plan ending in ``map_batches``,
-    ``schema()`` would execute the whole plan once more."""
+    """``ds`` itself when it is a driver-local table or already a
+    ``MaterializedDataset`` (an exchange or task-path read result), else
+    ``ds.materialize()``: a materialized Dataset is never copied into two
+    more. Materialize BEFORE asking for a schema: on a lazy plan ending in
+    ``map_batches``, ``schema()`` would execute the whole plan once more."""
     from ray.data.dataset import MaterializedDataset
 
-    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+    return ds if isinstance(ds, (pa.Table, MaterializedDataset)) else ds.materialize()
 
 
 def _driver_local(ds) -> bool:
-    """Whether ``ds`` is materialized and at most ``_DRIVER_LOCAL_BYTES``:
-    its blocks are ready to use on the driver."""
+    """Whether ``ds`` is a table, or a materialized Dataset of at most
+    ``_DRIVER_LOCAL_BYTES``: its rows are ready to use on the driver."""
     from ray.data.dataset import MaterializedDataset
 
-    return (
+    return isinstance(ds, pa.Table) or (
         isinstance(ds, MaterializedDataset)
         and int(ds.size_bytes() or 0) <= _DRIVER_LOCAL_BYTES
     )
 
 
-def _map_tables(ds, fn, batch_size: int | None) -> list[pa.Table]:
-    """``fn`` over each block of ``ds`` with rows, in slices of
-    ``batch_size`` rows (whole blocks when None), in this process."""
-    out = []
-    for t in ray.get(ds.to_arrow_refs()):
-        step = batch_size or max(1, t.num_rows)
-        out.extend(fn(t.slice(i, step)) for i in range(0, t.num_rows, step))
-    return out
-
-
 def map_blocks(ds, fn, batch_size: int | None = None):
     """``ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)``
     for a row-wise or per-batch ``fn(pa.Table) -> pa.Table``, run on the
-    driver when ``ds`` is materialized and at most ``_DRIVER_LOCAL_BYTES``:
-    ``fn`` over each block with rows, in slices of ``batch_size`` rows
-    (whole blocks when None), and the results one :func:`local_dataset`,
-    so neither the map nor its consumer starts a Ray Data execution. As
-    with ``map_batches``, zero-row blocks are skipped, and an input with no
-    rows maps to a Dataset with no schema. A lazy or larger ``ds`` maps
-    with ``map_batches``, in Ray tasks."""
+    driver when ``ds`` is driver-local (:func:`_driver_local`): ``fn`` over
+    each block with rows, in slices of ``batch_size`` rows (whole blocks
+    when None), the results concatenated into one table, so neither the
+    map nor its consumer builds a Dataset or starts a Ray Data execution.
+    As with ``map_batches``, zero-row blocks are skipped, and an input with
+    no rows maps to a table with no columns (``map_batches`` gives a
+    Dataset with no schema). A lazy or larger Dataset maps with
+    ``map_batches``, in Ray tasks."""
     if not _driver_local(ds):
         return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
-    return local_dataset(*_map_tables(ds, fn, batch_size))
-
-
-def _local_result(t: pa.Table, sort_by):
-    return local_dataset(t if sort_by is None else sort_table(t, sort_by))
+    blocks = [ds] if isinstance(ds, pa.Table) else ray.get(ds.to_arrow_refs())
+    out = []
+    for t in blocks:
+        step = batch_size or max(1, t.num_rows)
+        out.extend(fn(t.slice(i, step)) for i in range(0, t.num_rows, step))
+    return _concat_or_empty(out, out[0].schema) if out else pa.table({})
 
 
 def _exchange(sides: list, keys: list[list[str]], fn, sort_by):
-    """The keyed exchange of one or more materialized, typed Datasets:
-    ``fn(*side_tables)`` once per bucket, each side split on its own
-    ``keys``, in ``sort_by`` order when given.
+    """The keyed exchange of one or more typed tables or materialized
+    Datasets: ``fn(*side_tables)`` once per bucket, each side split on its
+    own ``keys``, in ``sort_by`` order when given.
 
     At most ``_DRIVER_LOCAL_BYTES`` per side: ``fn`` and the sort run once
-    on the driver over the whole sides, and the result is one materialized
-    block (:func:`local_dataset`) whose consumer starts no execution.
-    Above it: the sides split independently into the same power-of-two
-    bucket count, :func:`bucket_count` of the larger side (no union, no
-    column padding), one :func:`bucket_task` per bucket, then
-    ``Dataset.sort``; unsorted, the bucket results are materialized, which
+    on the driver over the whole sides, and the result is a table, so its
+    consumer builds no Dataset and starts no execution. Above it: a table
+    side is wrapped once (:func:`local_dataset`), the sides split
+    independently into the same power-of-two bucket count,
+    :func:`bucket_count` of the larger side (no union, no column padding),
+    one :func:`bucket_task` per bucket, then :func:`sort_table` (on the
+    driver when the result is at most the threshold, else
+    ``Dataset.sort``); unsorted, the bucket results are materialized, which
     starts no execution (``from_arrow_refs`` already waits for them) and
     spares the consumer's ``to_arrow_refs`` one."""
     import ray.data as rd
 
-    schemas = [pa.schema(d.schema().base_schema) for d in sides]
-    sizes = [int(d.size_bytes() or 0) for d in sides]
+    schemas = [schema_of(d) for d in sides]
+    sizes = [d.nbytes if isinstance(d, pa.Table) else int(d.size_bytes() or 0) for d in sides]
     if max(sizes) <= _DRIVER_LOCAL_BYTES:
         # tiny exchange (pre-combined partials, pruned top-k rows, a small
         # join): one vectorized kernel call beats any task fan-out
-        return _local_result(fn(*(collect(d, s) for d, s in zip(sides, schemas))), sort_by)
+        t = fn(*(collect(d, s) for d, s in zip(sides, schemas)))
+        return t if sort_by is None else sort_table(t, sort_by)
+    sides = [local_dataset(d) if isinstance(d, pa.Table) else d for d in sides]
     n_buckets = bucket_count(max(sizes))
     cols = [
         _split_refs(d.to_arrow_refs(), k, n_buckets, n)
@@ -702,38 +763,29 @@ def _exchange(sides: list, keys: list[list[str]], fn, sort_by):
             for b in range(n_buckets)
         ]
     )
-    if sort_by is None:
-        return out.materialize()
-    spec = sort_spec(sort_by)
-    return out.sort([c for c, _ in spec], descending=[d for _, d in spec])
+    return out.materialize() if sort_by is None else sort_table(out, sort_by)
 
 
 def exchange_group(ds, keys: list[str], fn, *, pre=None, batch_size=None, sort_by=None):
-    """Hash-partition ``ds`` on ``keys`` and apply ``fn(bucket_table) ->
-    pa.Table`` once per bucket (every row of a key in exactly one call;
-    the bucket count follows from the exchanged bytes, see
-    :func:`bucket_count`). Returns a Dataset of the concatenated results, in
+    """Hash-partition ``ds`` (a table or a Dataset) on ``keys`` and apply
+    ``fn(bucket_table) -> pa.Table`` once per bucket (every row of a key in
+    exactly one call; the bucket count follows from the exchanged bytes,
+    see :func:`bucket_count`). Returns the concatenated results, in
     ``sort_by`` order when given (column names or ``(name,
-    "descending")``). One plasma materialization, no sort before the
-    kernel; small inputs run on the driver (:func:`_exchange`). A
-    zero-block input is returned as is (grouping is a no-op, as
+    "descending")``): a table when the exchange ran on the driver, else a
+    Dataset. One plasma materialization, no sort before the kernel; small
+    inputs run on the driver (:func:`_exchange`). An input without a
+    schema is returned as is (grouping is a no-op, as
     ``groupby().map_groups`` on an empty dataset: the kernel never runs).
 
     ``pre``: a per-batch map run first, as :func:`map_blocks` runs it with
     ``batch_size`` (a group-by's partials, a top-k prune, which shrink what
-    the exchange moves). When both the map and the exchange run on the
-    driver, ``pre``'s tables go straight to ``fn``, with no Dataset between."""
-    if pre is not None and _driver_local(ds):
-        tabs = _map_tables(ds, pre, batch_size)
-        if not tabs:  # no rows: no schema, as map_batches gives
-            return local_dataset()
-        if sum(t.nbytes for t in tabs) <= _DRIVER_LOCAL_BYTES:
-            return _local_result(fn(_concat_or_empty(tabs, tabs[0].schema)), sort_by)
-        ds = local_dataset(*tabs)
-    elif pre is not None:
-        ds = ds.map_batches(pre, batch_format="pyarrow", batch_size=batch_size)
+    the exchange moves). On a driver-local input its table goes straight
+    to ``fn``, with no Dataset between."""
+    if pre is not None:
+        ds = map_blocks(ds, pre, batch_size)
     ds = materialized(ds)
-    if ds.schema() is None:
+    if schema_of(ds) is None:
         return ds
     return _exchange([ds], [keys], fn, sort_by)
 
@@ -747,15 +799,16 @@ def exchange_join(
     *,
     sort_by=None,
 ):
-    """Hash-co-partition two Datasets and apply ``fn(left_bucket,
+    """Hash-co-partition two tables or Datasets and apply ``fn(left_bucket,
     right_bucket) -> pa.Table`` per aligned bucket pair, in ``sort_by``
-    order when given (as in :func:`exchange_group`). Empty sides arrive as
-    empty tables with the correct schema so outer joins stay exact. A
-    zero-block side has no schema to type them with and raises
-    ``ValueError``."""
+    order when given (as in :func:`exchange_group`; a table when the join
+    ran on the driver). Empty sides arrive as empty tables with the correct
+    schema so outer joins stay exact. A side without a schema (a Dataset
+    of zero blocks, a table of no columns) has nothing to type them with
+    and raises ``ValueError``."""
     left, right = materialized(left), materialized(right)
     for side, d in (("left", left), ("right", right)):
-        if d.schema() is None:
+        if schema_of(d) is None:
             raise ValueError(
                 f"exchange_join: {side} side has zero blocks and no schema; "
                 "pass a dataset with at least one (possibly empty) typed block"

@@ -25,13 +25,11 @@ before a column was added read it as nulls.
 The file sizes also pick where the read runs. One threshold,
 ``taskshuffle._DRIVER_LOCAL_BYTES``, sends small reads and small exchanges
 to the driver: a read planning at most that many bytes runs the read
-tasks' reader in this process and returns its row groups as at most one
-block per cluster CPU, already materialized (``taskshuffle.local_dataset``),
-so neither the read nor its consumer starts a Ray Data execution for it.
-The data then stays on the driver: a row-wise map over it
-(``taskshuffle.map_blocks``) and a keyed exchange of it run in-process
-under the same threshold, while a plain ``map_batches`` still runs on every
-CPU. The decision is
+tasks' reader in this process and returns its row groups, in file order,
+as one ``pa.Table``, so the read starts no Ray Data execution and builds
+no ``Dataset``. The data then stays on the driver: a row-wise map over the
+table (``taskshuffle.map_blocks``), a sort (``taskshuffle.sort_table``) and
+a keyed exchange of it take the table and return one. The decision is
 made from the sizes alone, without touching storage. Those sizes are
 on-disk bytes of every column, so the decoded read can be several times
 the threshold (BASELINE.md, "Read paths on both sides of the threshold").
@@ -105,17 +103,11 @@ class LakeScan(Datasource):
     def estimate_inmemory_data_size(self) -> int:
         return sum(b for _, b in self._files)
 
-    def read_local(self, n_blocks: int) -> list[pa.Table]:
-        """Every file read in this process: the read tasks' row-group
-        blocks, in file order, concatenated into at most ``n_blocks``."""
-        paths = [p for p, _ in self._files]
+    def read_local(self) -> pa.Table:
+        """Every file read in this process: the read tasks' row groups, in
+        file order, as one table."""
         args = (self._fs, self._schema, self.schema, self._columns, self._filter)
-        blocks = list(_read_files(paths, *args))
-        return [
-            pa.concat_tables(blocks[i[0] : i[-1] + 1])
-            for i in np.array_split(np.arange(len(blocks)), n_blocks)
-            if len(i)
-        ]
+        return pa.concat_tables(_read_files([p for p, _ in self._files], *args))
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
         args = (self._fs, self._schema, self.schema, self._columns, self._filter)
@@ -136,29 +128,26 @@ class LakeScan(Datasource):
         return tasks
 
 
-def read(files, schema, filesystem=None, columns=None, filter=None) -> "rd.Dataset":
-    """Dataset over ``files`` (``(path, bytes)`` pairs, at least one) read
-    as ``schema``; see :class:`LakeScan`. At most
-    ``taskshuffle._DRIVER_LOCAL_BYTES`` in all: read here, already
-    materialized, as one block per cluster CPU at most, so a later
-    ``map_batches`` can use every CPU and starts no more tasks than that.
-    Above it: one Ray read task per file (at most
+def read(files, schema, filesystem=None, columns=None, filter=None):
+    """``files`` (``(path, bytes)`` pairs, at least one) read as
+    ``schema``; see :class:`LakeScan`. At most
+    ``taskshuffle._DRIVER_LOCAL_BYTES`` in all: read here, as one table.
+    Above it: a Dataset of one Ray read task per file (at most
     ``read_op_min_num_blocks``), one block each, split only while there are
     fewer blocks than cluster CPUs."""
     src = LakeScan(files, schema, filesystem, columns, filter)
     if src.estimate_inmemory_data_size() <= taskshuffle._DRIVER_LOCAL_BYTES:
-        cpus = taskshuffle.ray_cpus(default=1)
-        return taskshuffle.local_dataset(*src.read_local(max(1, cpus)))
+        return src.read_local()
     n_tasks = min(len(src._files), rd.DataContext.get_current().read_op_min_num_blocks)
     n_blocks = max(n_tasks, taskshuffle.ray_cpus(default=1))
     return rd.read_datasource(src, override_num_blocks=n_blocks)
 
 
-def scan(lake, man, files, columns=None, filter=None) -> "rd.Dataset":
-    """Dataset over ``files`` (:func:`part_files` pairs) of manifest
-    ``man``; an empty file list yields one empty block with the projected
-    schema."""
+def scan(lake, man, files, columns=None, filter=None):
+    """:func:`read` of ``files`` (:func:`part_files` pairs) of manifest
+    ``man``; an empty file list yields the projected schema's empty
+    table."""
     if not files:
-        return taskshuffle.local_dataset(_project(man.schema, columns).empty_table())
+        return _project(man.schema, columns).empty_table()
     paths = [(lake.abspath(f), b) for f, b in files]
     return read(paths, man.schema, lake.pyarrow_fs(), columns, filter)

@@ -4,9 +4,10 @@ The keyed operators own a query's row-wise ``finish`` and its final
 ``sort_by``: below ``taskshuffle._DRIVER_LOCAL_BYTES`` both run on the
 driver's table, and the result must equal the task path's, row order
 included. Under the same threshold file reads and lake scans read
-in-process, so a query that reads straight into its operator starts no Ray
-Data execution at all. File reads plan through ``state/lakescan.py`` and
-never call ``ray.data.read_parquet``."""
+in-process into one table, and the operators hand that table on, so a
+query that reads straight into its operator starts no Ray Data execution
+and builds no ``Dataset`` at all. File reads plan through
+``state/lakescan.py`` and never call ``ray.data.read_parquet``."""
 
 import os
 
@@ -51,16 +52,12 @@ READ_MIX_BUDGET = {
 #: registry entries that make more than the default budget of 2 Ray Data
 #: executions at sf0.001 (the entry plus its consumer's
 #: ``to_arrow_refs``): (executions, why). Every other entry makes at most 2.
-REGISTRY_EXCEPTIONS = {
-    "q3_shipping_priority": (3, "map_batches before the join and before the group-by, then the per-batch top-k prune"),
-    "q_unpivot_event_values": (3, "map_batches after the pivot, then Dataset.sort"),
-    "dd_decontaminate": (3, "the eval split's n-grams are collected before the scan that probes them"),
-    "dd_embed_corpus": (3, "pair map_batches, then the label map_batches and Dataset.sort"),
-    "t_rare_token_frac": (3, "the common-token set is collected before scoring, then Dataset.sort"),
-}
+REGISTRY_EXCEPTIONS: dict[str, tuple[int, str]] = {}
 
 
 def _collect(ds) -> pa.Table:
+    if isinstance(ds, pa.Table):
+        return ds.combine_chunks()
     tabs = ray.get(ds.to_arrow_refs())
     return pa.concat_tables(tabs, promote_options="permissive").combine_chunks()
 
@@ -110,6 +107,61 @@ def test_registry_entry_execution_budget(ray_session, monkeypatch, name):
         assert len(calls) == REGISTRY_EXCEPTIONS[name][0], (name, len(calls))
     else:
         assert len(calls) <= 2, (name, len(calls))
+
+
+@pytest.mark.parametrize("name", sorted(READ_MIX_BUDGET))
+def test_read_mix_query_builds_one_dataset_at_the_boundary(ray_session, monkeypatch, name):
+    """Driver-local operators hand tables to each other: a read_mix query
+    called through the registry builds no ``Dataset``, and through the
+    driver contract (``__ray_entry__.queries()``) exactly one, the wrap of
+    its final table. On the task path it still returns a Dataset, with the
+    same rows."""
+    from radiant_portal_pipeline_ray.pipelines.relational import QUERIES
+
+    datasets = count_datasets(monkeypatch)
+    local = QUERIES[name][0](SF_DIR)
+    assert isinstance(local, pa.Table) and local.num_rows > 0
+    assert datasets == [], (name, len(datasets))
+    wrapped = __ray_entry__.queries()[name](SF_DIR)
+    assert isinstance(wrapped, rd.Dataset)
+    assert len(datasets) == 1, (name, len(datasets))
+    assert _collect(wrapped).equals(local.combine_chunks())
+    monkeypatch.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", -1)
+    tasks = QUERIES[name][0](SF_DIR)
+    assert isinstance(tasks, rd.Dataset)
+    assert _collect(tasks).equals(local.combine_chunks())
+
+
+def test_engine_reads_build_one_dataset(ray_session, monkeypatch, tmp_path):
+    """On a driver-local lake the public reads hand out a ``Dataset``
+    built once, at return, whose consumer starts no execution;
+    ``snapshot_checksums_incremental`` builds none."""
+    from ray.data.dataset import MaterializedDataset
+
+    from radiant_portal_pipeline_ray import EngineConfig
+    from radiant_portal_pipeline_ray.pipelines.apply import CdcEngine
+    from radiant_portal_pipeline_ray.sources.generator import (
+        ChangelogSpec,
+        generate_changelog,
+    )
+
+    paths = generate_changelog(
+        str(tmp_path / "cl"), ChangelogSpec(n_urls=300, n_events=1200, n_batches=2, seed=5)
+    )
+    eng = CdcEngine(str(tmp_path / "lake"), EngineConfig(n_parts=4))
+    eng.apply(paths[:1])
+    prior = eng.snapshot_checksums()
+    eng.apply(paths[1:])
+    datasets = count_datasets(monkeypatch)
+    calls = count_executions(monkeypatch)
+    for read in (lambda: eng.read_snapshot(["url", "lsn"]), lambda: eng.read_changes(1, 2)):
+        before = len(datasets)
+        out = read()
+        assert isinstance(out, MaterializedDataset) and len(datasets) == before + 1
+        assert sum(t.num_rows for t in ray.get(out.to_arrow_refs())) > 0
+    cks = eng.snapshot_checksums_incremental(1, prior, version=2)
+    assert len(datasets) == 2 and calls == []
+    assert cks.equals(eng.snapshot_checksums(version=2))
 
 
 def _ties_and_nulls(n: int = 3000, seed: int = 5) -> rd.Dataset:
@@ -320,8 +372,9 @@ def _double(seen: list):
 def test_map_blocks_matches_map_batches(ray_session, monkeypatch, batch_size):
     """``map_blocks`` returns ``map_batches``' rows on both sides of the
     threshold: in-process, as slices of at most ``batch_size`` rows that
-    skip the typed zero-row block, with no execution; above it (and on a
-    lazy input), as ``map_batches`` itself."""
+    skip the typed zero-row block, into one table with no execution (a
+    table input maps the same way); above it (and on a lazy input), as
+    ``map_batches`` itself."""
     from ray.data.dataset import MaterializedDataset
 
     schema = pa.schema([("k", pa.int64())])
@@ -336,10 +389,13 @@ def test_map_blocks_matches_map_batches(ray_session, monkeypatch, batch_size):
     seen: list = []
     calls = count_executions(monkeypatch)
     local = taskshuffle.map_blocks(taskshuffle.local_dataset(*blocks), _double(seen), batch_size)
-    got = taskshuffle.collect(local)
-    assert isinstance(local, MaterializedDataset) and calls == []
-    assert got.equals(want)
+    assert isinstance(local, pa.Table) and calls == []
+    assert local.equals(want)
     assert seen == ([3, 2] if batch_size is None else [2, 1, 2])
+    table_seen: list = []
+    table = taskshuffle.map_blocks(pa.concat_tables(blocks), _double(table_seen), batch_size)
+    assert isinstance(table, pa.Table) and table.equals(want)
+    assert table_seen == ([5] if batch_size is None else [2, 2, 1])
 
     lazy = rd.from_arrow(blocks).map_batches(lambda t: t, batch_format="pyarrow")
     lazy = taskshuffle.map_blocks(lazy, _double([]), batch_size)
@@ -353,14 +409,23 @@ def test_map_blocks_matches_map_batches(ray_session, monkeypatch, batch_size):
 
 
 def test_map_blocks_of_no_rows_has_no_schema(ray_session):
-    """An input of typed zero-row blocks maps to no rows and no schema on
-    both paths, as ``map_batches`` does (``fn`` never runs)."""
+    """An input of typed zero-row blocks, or a typed empty table, maps to
+    no rows and no schema on both paths, as ``map_batches`` does (``fn``
+    never runs); on the driver that is a table of no columns."""
     schema = pa.schema([("k", pa.int64())])
     ds = taskshuffle.local_dataset(schema.empty_table())
     local = taskshuffle.map_blocks(ds, _double([]))
+    table = taskshuffle.map_blocks(schema.empty_table(), _double([]))
     tasks = ds.map_batches(_double([]), batch_format="pyarrow").materialize()
-    for out in (local, tasks):
-        assert out.count() == 0 and out.schema() is None
+    assert isinstance(local, pa.Table) and isinstance(table, pa.Table)
+    for out in (local, table, tasks):
+        assert taskshuffle.num_rows(out) == 0 and taskshuffle.schema_of(out) is None
+    # a projection of it stays empty, as Dataset.select_columns' does
+    assert taskshuffle.select_columns(table, ["k"]) is table
+
+
+def _refuse_ray_cpus(default=8):
+    raise AssertionError("ray_cpus called")
 
 
 def _no_read_parquet(monkeypatch):
@@ -371,7 +436,7 @@ def _no_read_parquet(monkeypatch):
 
 
 def _blocks(ds) -> list[pa.Table]:
-    return ray.get(ds.to_arrow_refs())
+    return [ds] if isinstance(ds, pa.Table) else ray.get(ds.to_arrow_refs())
 
 
 def test_read_parquet_clean_plans_without_read_parquet(ray_session, tmp_path, monkeypatch):
@@ -435,9 +500,8 @@ def test_read_parquet_clean_relative_paths(ray_session, tmp_path, monkeypatch):
 
 def test_read_parquet_clean_relative_paths_driver_path(ray_session, tmp_path, monkeypatch):
     """A small read of a relative path runs in-process, from the caller's
-    working directory: its row groups, in order, in at most one block per
-    cluster CPU (4 in this session), so a later ``map_batches`` still runs
-    on every CPU."""
+    working directory: its row groups, in order, as one table, with no
+    execution, no ``Dataset`` and no cluster-resources lookup."""
     from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
 
     _no_read_parquet(monkeypatch)
@@ -447,10 +511,12 @@ def test_read_parquet_clean_relative_paths_driver_path(ray_session, tmp_path, mo
     )
     monkeypatch.chdir(tmp_path)
     calls = count_executions(monkeypatch)
-    blocks = _blocks(read_parquet_clean(["r.parquet"]))
-    assert ray.cluster_resources()["CPU"] == 4
-    assert [b.column("a").to_pylist() for b in blocks] == [[1, 2], [3, 4], [5], [6]]
-    assert calls == []
+    datasets = count_datasets(monkeypatch)
+    monkeypatch.setattr(taskshuffle, "ray_cpus", _refuse_ray_cpus)
+    got = read_parquet_clean(["r.parquet"])
+    assert isinstance(got, pa.Table)
+    assert [c.to_pylist() for c in got.column("a").chunks] == [[i] for i in range(1, 7)]
+    assert calls == [] and datasets == []
 
 
 def test_partition_checksums_task_path_with_empty_buckets(ray_session, monkeypatch):

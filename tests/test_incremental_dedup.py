@@ -13,6 +13,7 @@ import pytest
 from radiant_portal_pipeline_ray.config import EngineConfig
 from radiant_portal_pipeline_ray.pipelines.apply import CdcEngine
 from radiant_portal_pipeline_ray.pipelines.flagship import documents_changelog
+from radiant_portal_pipeline_ray.stages.taskshuffle import collect
 from radiant_portal_pipeline_ray.pipelines.incremental_dedup import (
     SIG_MATCH_MIN,
     SignatureIndex,
@@ -66,11 +67,7 @@ def test_probe_pairs_sane(lake):
     eng, work = lake
     idx = SignatureIndex(str(work / "idx_probe"), n_buckets=8)
     idx.build(eng, 1)
-    import ray
-
-    pairs = idx.probe(eng, 1, 2).materialize()
-    tabs = [b for b in ray.get(pairs.to_arrow_refs()) if b.num_rows]
-    t = pa.concat_tables(tabs, promote_options="permissive")
+    t = collect(idx.probe(eng, 1, 2))
     assert t.num_rows > 0  # sf0.001 plants near-dup docs
     rows = t.to_pylist()
     for r in rows:
@@ -117,14 +114,8 @@ def test_crash_safety_and_idempotent_retry(lake):
 
 
 def _pairs_sorted(ds) -> list[tuple]:
-    import ray
-
-    tabs = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
-    if not tabs:
-        return []
-    t = pa.concat_tables(tabs, promote_options="permissive")
     return sorted(
-        (r["new_url"], r["old_url"], r["sig_match"]) for r in t.to_pylist()
+        (r["new_url"], r["old_url"], r["sig_match"]) for r in collect(ds).to_pylist()
     )
 
 

@@ -22,6 +22,7 @@ from radiant_portal_pipeline_ray.sources.generator import (
     ChangelogSpec,
     generate_changelog,
 )
+from radiant_portal_pipeline_ray.stages.taskshuffle import union
 
 
 def test_incremental_agg_composes_across_versions(ray_session, tmp_path):
@@ -41,7 +42,7 @@ def test_incremental_agg_composes_across_versions(ray_session, tmp_path):
             view.rename_columns(["domain", "n", "s"])
         )
         deltas = _delta_partials(eng.read_changes(k - 1, k))
-        view = _fold_stats(seed_ds.union(deltas))
+        view = _fold_stats(union(seed_ds, deltas))
         want = domain_stats_table(eng.read_snapshot(["url", "lsn"], version=k))
         assert view.equals(want), f"diverged at version {k}"
 

@@ -11,9 +11,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-import ray
 
 from radiant_portal_pipeline_ray.pipelines import similarity as sim
+from radiant_portal_pipeline_ray.stages.taskshuffle import collect, map_blocks
 
 
 def _write_embeddings(path: str, ids: np.ndarray, E: np.ndarray) -> None:
@@ -77,12 +77,8 @@ def test_hash_sample_beats_first_n_on_sorted_corpus(ray_session, tmp_path):
     )
     first = sim.sim_ann_ivf(sf, sample_strategy="first", **kw)
     hashd = sim.sim_ann_ivf(sf, sample_strategy="hash", **kw)
-    r_first = _pair_recall(
-        pa.concat_tables(ray.get(first.to_arrow_refs())), labels
-    )
-    r_hash = _pair_recall(
-        pa.concat_tables(ray.get(hashd.to_arrow_refs())), labels
-    )
+    r_first = _pair_recall(collect(first), labels)
+    r_hash = _pair_recall(collect(hashd), labels)
     assert r_hash >= 0.9, f"hash-sample recall {r_hash:.2f}"
     assert r_hash - r_first >= 0.2, (
         f"first-N should measurably underperform on a sorted corpus "
@@ -129,7 +125,7 @@ def test_dd_embed_corpus_ann_path_recall(ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "_EMBED_ANN_CELL_ROWS", 512)
 
     mapping = dd = sim.dd_embed_corpus(full)
-    mt = pa.concat_tables(ray.get(mapping.to_arrow_refs()))
+    mt = collect(mapping)
     rep = dict(
         zip(
             mt.column("vec_id").to_pylist(),
@@ -139,13 +135,11 @@ def test_dd_embed_corpus_ann_path_recall(ray_session, tmp_path, monkeypatch):
 
     from radiant_portal_pipeline_ray.pipelines.dedup import fold_components
 
-    exact_pairs = sim.sim_neardup_pairs_q(sub).map_batches(
-        lambda b: pa.table(
-            {"doc_a": b.column("vec_a"), "doc_b": b.column("vec_b")}
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-    et = pa.concat_tables(ray.get(fold_components(exact_pairs).to_arrow_refs()))
+    exact_pairs = map_blocks(
+        sim.sim_neardup_pairs_q(sub),
+        lambda b: pa.table({"doc_a": b.column("vec_a"), "doc_b": b.column("vec_b")}),
+    )
+    et = collect(fold_components(exact_pairs))
     exact_rep: dict[int, int] = dict(
         zip(et.column("doc_id").to_pylist(), et.column("rep_doc_id").to_pylist())
     )
@@ -174,9 +168,7 @@ def test_dd_embed_corpus_exact_path_below_gate(ray_session, tmp_path):
     ids, E, labels = _clusters(n_clusters=20, per=5, dim=16, seed=3)
     sf = str(tmp_path / "small")
     _write_embeddings(sf, ids, E)
-    out = pa.concat_tables(
-        ray.get(sim.dd_embed_corpus(sf).to_arrow_refs())
-    )
+    out = collect(sim.dd_embed_corpus(sf))
     rep = dict(
         zip(out.column("vec_id").to_pylist(), out.column("rep_vec_id").to_pylist())
     )

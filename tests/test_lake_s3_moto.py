@@ -307,8 +307,9 @@ def test_s3_lake_full_cycle(ray_session, moto_s3, tmp_path):
 def test_s3_round_writes_final_keys_only(ray_session, moto_s3, tmp_path, monkeypatch):
     """An apply round PUTs its data files at their final keys and publishes
     with the manifest put alone: no CopyObject, no request on a
-    ``_staging/`` key. Counted by a botocore hook on the driver's client;
-    with one CPU the whole round runs on the driver."""
+    ``_staging/`` key, and no HeadObject on a ``data/`` key (a file's size
+    is the bytes its write put). Counted by a botocore hook on the driver's
+    client; with one CPU the whole round runs on the driver."""
     from radiant_portal_pipeline_ray.config import EngineConfig
     from radiant_portal_pipeline_ray.pipelines.apply import CdcEngine
     from radiant_portal_pipeline_ray.sources.generator import (
@@ -343,6 +344,8 @@ def test_s3_round_writes_final_keys_only(ray_session, moto_s3, tmp_path, monkeyp
     assert "PutObject" in ops
     assert "CopyObject" not in ops
     assert [c for c in calls if "_staging" in c[1]] == []
+    heads = [c for c in calls if c[0] == "HeadObject" and "/data/" in c[1]]
+    assert heads == []
 
 
 def test_s3_worker_crash_exactly_once(ray_session, moto_s3, tmp_path):

@@ -33,6 +33,8 @@ def _sorted(t: pa.Table, key: str = "url") -> pa.Table:
 
 
 def _collect(ds) -> pa.Table:
+    if isinstance(ds, pa.Table):
+        return ds
     tabs = ray.get(ds.to_arrow_refs())
     return pa.concat_tables(tabs, promote_options="permissive")
 
@@ -417,14 +419,16 @@ def _evolved_files(tmp_path) -> tuple[list, pa.Schema, pa.Table]:
 
 
 def _both_read_paths(monkeypatch, read) -> tuple[list, list]:
-    """``read()``'s blocks on the driver path, then on the task path."""
+    """``read()``'s blocks on the driver path (one table), then on the task
+    path."""
     from radiant_portal_pipeline_ray.stages import taskshuffle
 
-    driver = ray.get(read().to_arrow_refs())
+    driver = read()
+    assert isinstance(driver, pa.Table)
     with monkeypatch.context() as m:
         m.setattr(taskshuffle, "_DRIVER_LOCAL_BYTES", -1)
         tasks = ray.get(read().to_arrow_refs())
-    return driver, tasks
+    return [driver], tasks
 
 
 @pytest.mark.parametrize(

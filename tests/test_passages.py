@@ -9,6 +9,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from radiant_portal_pipeline_ray.stages.taskshuffle import collect
 from radiant_portal_pipeline_ray.stages.passages import (
     explode_fixed_passages,
     repetition_stats,
@@ -109,7 +110,7 @@ def test_passage_dedup_first_wins(ray_session, tmp_path):
         ),
         str(tmp_path / "documents.parquet"),
     )
-    rows = dd_passage_dedup(str(tmp_path)).take_all()
+    rows = collect(dd_passage_dedup(str(tmp_path))).to_pylist()
     got = {r["doc_id"]: (r["n_passages"], r["n_dup_passages"]) for r in rows}
     assert got == {0: (2, 0), 1: (2, 1), 2: (2, 2)}
 
@@ -138,6 +139,6 @@ def test_decontaminate_flags_only_eval_overlap(ray_session, tmp_path):
         ),
         str(tmp_path / "documents.parquet"),
     )
-    rows = dd_decontaminate(str(tmp_path)).take_all()
+    rows = collect(dd_decontaminate(str(tmp_path))).to_pylist()
     got = {r["doc_id"]: r["n_contaminated"] for r in rows}
     assert got == {1: 1, 2: 2}

@@ -226,7 +226,7 @@ def test_connected_components_chain_pointer_jumping(ray_session):
         )
     )
     labels = connected_components_distributed(pairs, max_iters=12)
-    t = pa.concat_tables(ray.get(labels.to_arrow_refs()))
+    t = ts.collect(labels)
     assert t.num_rows == n
     assert set(t.column("rep_doc_id").to_pylist()) == {0}
 

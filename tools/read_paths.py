@@ -7,13 +7,14 @@ so a read has several files as a lake scan does), then reads them with
 ``sources.io.read_parquet_clean`` on each path: ``driver`` (threshold
 raised above the size: read in-process) and ``tasks`` (threshold -1: Ray
 read tasks). Each timed operation is the read plus a consumer that hashes
-every ``text`` value in ``map_batches`` (the shape of ``dd_exact``'s sha256
-pass) and fetches the result blocks. Every (size, path) runs in its own
-process and Ray session, after one untimed warm-up operation on the same
-files, and prints one JSON line:
+every ``text`` value through ``taskshuffle.map_blocks`` (the shape of
+``dd_exact``'s sha256 pass: in-process over the driver path's table,
+``map_batches`` tasks over the task path's Dataset) and collects the
+result. Every (size, path) runs in its own process and Ray session, after
+one untimed warm-up operation on the same files, and prints one JSON line:
 
-    size_mb, path, files, rows, decoded_mb, blocks_in (driver path),
-    cpu_s (median), wall_s (median), peak_rss_mb
+    size_mb, path, files, rows, decoded_mb, cpu_s (median), wall_s
+    (median), peak_rss_mb
 
 CPU is that of the driver and every Ray process below it
 (``perfbench.tracing.Clock``); ``peak_rss_mb`` is the largest resident
@@ -104,10 +105,8 @@ def measure_one(paths: list[str], path: str, reps: int, cpus: int) -> dict:
     taskshuffle._DRIVER_LOCAL_BYTES = size if path == "driver" else -1
 
     def op():
-        ds = read_parquet_clean(paths)
-        blocks_in = ds.num_blocks() if path == "driver" else None
-        out = ray.get(ds.map_batches(_hash_texts, batch_format="pyarrow").to_arrow_refs())
-        return blocks_in, sum(b.num_rows for b in out)
+        out = taskshuffle.map_blocks(read_parquet_clean(paths), _hash_texts)
+        return taskshuffle.collect(out).num_rows
 
     try:
         op()
@@ -116,12 +115,10 @@ def measure_one(paths: list[str], path: str, reps: int, cpus: int) -> dict:
             for _ in range(reps):
                 clock = Clock()
                 with clock.part():
-                    blocks_in, rows = op()
+                    rows = op()
                 cpu.append(clock.cpu)
                 wall.append(clock.wall)
-        decoded = sum(
-            b.nbytes for b in ray.get(read_parquet_clean(paths).to_arrow_refs())
-        )
+        decoded = taskshuffle.collect(read_parquet_clean(paths)).nbytes
     finally:
         ray.shutdown()
     return {
@@ -130,7 +127,6 @@ def measure_one(paths: list[str], path: str, reps: int, cpus: int) -> dict:
         "files": len(paths),
         "rows": rows,
         "decoded_mb": round(decoded / 2**20, 1),
-        "blocks_in": blocks_in,
         "cpu_s": round(statistics.median(cpu), 3),
         "wall_s": round(statistics.median(wall), 3),
         "peak_rss_mb": round(rss.peak_mb),
