@@ -29,12 +29,9 @@ class EngineConfig:
     #: a domain whose cumulative row count exceeds this is salted across
     #: multiple partitions (hot-key handling, north rule axes A+B).
     salt_threshold_rows: int = 250_000
-    #: target rows per salted sub-partition when splitting a hot domain.
+    #: target rows per salted sub-partition when splitting a hot domain
+    #: (allocated with ``state/partitioner.SALT_HEADROOM``× growth room).
     salt_target_rows: int = 150_000
-    #: growth factor for one-shot salting: allocate enough salt partitions
-    #: for ``salt_headroom``× the observed volume so a growing hot domain
-    #: migrates once, not once per doubling (state/partitioner.py).
-    salt_headroom: float = 4.0
 
     # --- merge / write --------------------------------------------------
     #: split a partition's snapshot into multiple files above this row count

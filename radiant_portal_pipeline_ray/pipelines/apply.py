@@ -81,6 +81,7 @@ from radiant_portal_pipeline_ray.state.manifest import (
     Lake,
     Manifest,
     PartitionState,
+    changed_partitions,
 )
 from radiant_portal_pipeline_ray.state.partitioner import Partitioner
 from radiant_portal_pipeline_ray.state.zonemaps import plan_files, prune_expression
@@ -140,17 +141,11 @@ def _check_rebase(
             )
 
     def route(man: Manifest | None) -> tuple:
-        # next_part=None (a pre-field manifest) routes identically to
-        # n_parts, the partitioner's starting counter: coalesce, or an
-        # empty-lake plan false-positives against a first concurrent commit
-        # that published the default counter
+        # an empty lake routes as the partitioner starts: no salting, and
+        # its counter at n_parts, the one a first commit publishes
         if man is None:
             return {}, {}, n_parts
-        return (
-            man.salt_map,
-            man.pending_migrations,
-            man.next_part if man.next_part is not None else n_parts,
-        )
+        return man.salt_map, man.pending_migrations, man.next_part
 
     if route(planned) != route(base):
         raise ConcurrentWriterConflict(
@@ -263,14 +258,10 @@ class CdcEngine:
         watermarks = current.watermarks() if current else {}
         min_wm = current.min_watermark() if current else -1
 
-        partitioner = Partitioner(
-            n_parts=cfg.n_parts,
-            salt_map=dict(current.salt_map) if current else {},
-            next_part=current.next_part if current else cfg.n_parts,
+        partitioner = Partitioner.from_manifest(
+            current,
+            cfg,
             hot_counts=dict(current.metrics.get("hot_counts", {})) if current else {},
-            salt_threshold_rows=cfg.salt_threshold_rows,
-            salt_target_rows=cfg.salt_target_rows,
-            salt_headroom=cfg.salt_headroom,
         )
         # Bootstrap pre-salting: on an EMPTY lake every domain is new, so a
         # hot domain can be salted BEFORE any row routes — no committed rows
@@ -370,11 +361,7 @@ class CdcEngine:
         )
 
         current = self.lake.current_manifest()
-        partitioner = Partitioner(
-            n_parts=self.cfg.n_parts,
-            salt_map=dict(current.salt_map) if current else {},
-            next_part=current.next_part if current else self.cfg.n_parts,
-        )
+        partitioner = Partitioner.from_manifest(current, self.cfg)
         job_parts: list[set[int]] = []
         for j in jobs:
             parts: set[int] = set()
@@ -507,18 +494,7 @@ class CdcEngine:
 
         def build(base: Manifest) -> dict | None:
             nonlocal decisions
-            partitioner = Partitioner(
-                n_parts=self.cfg.n_parts,
-                salt_map=dict(base.salt_map),
-                next_part=(
-                    base.next_part
-                    if base.next_part is not None
-                    else self.cfg.n_parts
-                ),
-                salt_threshold_rows=self.cfg.salt_threshold_rows,
-                salt_target_rows=self.cfg.salt_target_rows,
-                salt_headroom=self.cfg.salt_headroom,
-            )
+            partitioner = Partitioner.from_manifest(base, self.cfg)
             decisions = partitioner.observe_domain_rows(domain_totals)
             if not decisions:
                 return None
@@ -1194,13 +1170,22 @@ class CdcEngine:
         carries the projected schema. A read of at most
         ``taskshuffle._DRIVER_LOCAL_BYTES`` runs in this process and comes
         back as one materialized block: the only ``Dataset`` it builds."""
+        return as_dataset(
+            self._scan_snapshot(columns, include_tombstones, version, prune)
+        )
+
+    def _scan_snapshot(
+        self, columns=None, include_tombstones=False, version=None, prune=None
+    ):
+        """:meth:`read_snapshot`'s rows as ``lakescan.scan`` returns them:
+        a table when the read ran on the driver, else a Dataset."""
         man = (
             self.lake.read_manifest(version)
             if version is not None
             else self.lake.current_manifest()
         )
         if not man or man.schema is None:
-            return as_dataset(CHANGELOG_SCHEMA.empty_table())
+            return CHANGELOG_SCHEMA.empty_table()
         files = lakescan.part_files(man)
         filt = None if include_tombstones else ~pc.field("deleted")
         if prune:
@@ -1209,7 +1194,7 @@ class CdcEngine:
             expr = prune_expression(prune)
             if expr is not None:
                 filt = expr if filt is None else filt & expr
-        return as_dataset(lakescan.scan(self.lake, man, files, columns, filt))
+        return lakescan.scan(self.lake, man, files, columns, filt)
 
     def read_changes(self, v_from: int, v_to: int) -> "rd.Dataset":
         """Change-data-feed between two retained versions: streaming
@@ -1263,10 +1248,8 @@ class CdcEngine:
         ever moves (per-batch partials are O(partitions))."""
         from radiant_portal_pipeline_ray.stages.qa import partition_checksums
 
-        ds = self.read_snapshot(
-            columns=["part", "url", "lsn", "text"], version=version
-        )
-        return partition_checksums(ds, "part", ["url", "lsn", "text"])
+        snap = self._scan_snapshot(["part", "url", "lsn", "text"], version=version)
+        return partition_checksums(snap, "part", ["url", "lsn", "text"])
 
     def snapshot_checksums_incremental(
         self, prior_version: int, prior: pa.Table, version: int | None = None
@@ -1294,15 +1277,8 @@ class CdcEngine:
             if version is not None
             else self.lake.current_manifest()
         )
-        from_files = {
-            p: list(st.files) for p, st in man_from.partitions.items()
-        }
-        changed, kept = [], []
-        for p, st in man_to.partitions.items():
-            if from_files.get(p) == list(st.files):
-                kept.append(p)
-            else:
-                changed.append(p)
+        changed = changed_partitions(man_from, man_to)
+        kept = sorted(set(man_to.partitions) - set(changed))
         prior_kept = prior.filter(
             pc.is_in(prior.column("part"), value_set=pa.array(kept, pa.int64()))
         )

@@ -40,6 +40,7 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     union,
 )
 from radiant_portal_pipeline_ray.state import lakescan
+from radiant_portal_pipeline_ray.state.manifest import changed_partitions
 
 _DIFF_COLS = ["url", "lsn", "deleted"]
 
@@ -106,14 +107,7 @@ def read_changes(
     ``taskshuffle.exchange_join``)."""
     m_from = engine.lake.read_manifest(v_from)
     m_to = engine.lake.read_manifest(v_to)
-
-    def _files(man, p):
-        return man.partitions[p].files if p in man.partitions else []
-
-    parts = set(m_from.partitions) | set(m_to.partitions)
-    changed = sorted(
-        p for p in parts if _files(m_from, p) != _files(m_to, p)
-    )
+    changed = changed_partitions(m_from, m_to)
     left = _version_side(engine, m_from, changed)
     right = _version_side(engine, m_to, changed)
     return exchange_join(left, right, ["url"], ["url"], _diff_kernel, sort_by=sort_by)

@@ -7,24 +7,25 @@ new/updated documents are near-duplicates of documents already in the lake?*
 At 10^10 events, re-running corpus dedup per commit is impossible; the probe
 must be O(changed), not O(lake).
 
-Design — a persistent **LSH signature index** sidecar next to the lake:
+Design — a persistent **LSH signature index**, a lake of its own
+(``state/manifest.Lake`` at the index root) next to the data lake:
 
-- ``bands/b{bucket}/…``: ``(op, url, band_hash)`` — the 16 LSH band hashes
-  per live document, hash-partitioned into ``n_buckets`` by ``band_hash``.
-- ``sigs/b{bucket}/…``: ``(op, url, minhash)`` — the 64-permutation MinHash
-  signature per live document, hash-partitioned by ``url``.
-- ``index.json``: immutable params (perms/bands/seed/buckets) + the lake
+- bands bucket ``b`` is partition ``b``: ``(op, url, band_hash)``, the 16
+  LSH band hashes per live document, hash-partitioned by ``band_hash``;
+- sigs bucket ``b`` is partition ``n_buckets + b``: ``(op, url, minhash)``,
+  the 64-permutation MinHash signature per live document, by ``url``;
+- every index commit's ``metrics`` holds the signature params and the lake
   version the index reflects.
 
-The index is **LSM-shaped and crash-safe**, mirroring the lake's own merge
-semantics: every maintenance round appends one deterministically-named file
-``v{version:06d}.parquet`` per touched bucket (op 0 = add, op 1 = delete by
-url), and bumps ``index.json`` LAST via atomic replace. Readers fold a
-bucket's files with last-writer-wins (an add at version v survives deletes
-at versions ≤ v — an in-place update deletes old entries and adds new ones
-in the SAME version) and ignore files newer than the acknowledged version,
-so a crashed update is invisible. The next update removes its files before
-writing, whether it retries the same version or catches up past it.
+The index is **LSM-shaped**: a round writes one file per touched bucket
+(op 0 = add, op 1 = delete by url) with the lake's writer at its final key,
+appended to the partition's ``files``, oldest first. Readers fold a
+bucket's files last-writer-wins by file position: an add survives deletes
+in its own or an older file (an update deletes old entries and adds new
+ones in the SAME file). Crash safety is the lake's rule: the manifest put
+is the only commit step, so a round or compaction that dies before it
+leaves files no reader sees, which ``Lake.gc_orphans`` reclaims; of two
+maintainers advancing one version, the loser raises ``CommitConflict``.
 
 Per-commit flow. ``probe``, ``update`` and ``ingest_round`` share one round
 pass (``_round_inputs``, steps 1-3), at every increment size:
@@ -45,7 +46,7 @@ pass (``_round_inputs``, steps 1-3), at every increment size:
    (estimated Jaccard ≥ 0.5).
 5. ``update``: a sig wave fetches the U/D urls' OLD signatures, whose band
    hashes route the delete rows; add rows carry the I/U signatures; both
-   land in one write pass per sidecar, then the version bump — index state
+   land in one write pass per sidecar, then one index commit — index state
    == fresh rebuild at v_to (pytest-verified parity).
 
 Every step is a ``taskshuffle`` operator: ``map_blocks`` and the keyed
@@ -57,11 +58,11 @@ bucket count from the bytes it moves; the index's ``n_buckets`` is only its
 stored file layout, and an exchange bucket folds every index bucket whose
 rows it gets. The index weighs no size of its own.
 
-Catch-up: like any derived state, the index is tied to the lake version it
-reflects (``version``), and ``read_changes`` diffs any two retained
-versions, so one round may advance it over several lake commits. The tail
-loop (``pipelines/tail.py``) does that after a lost update, and rebuilds
-only when gc has pruned the index's base version.
+Catch-up: like any derived state, the index is snapshotted together with
+the lake version it reflects (``version``), and ``read_changes`` diffs any
+two retained versions, so one round may advance it over several lake
+commits. The tail loop (``pipelines/tail.py``) does that after a lost
+update, and rebuilds only when gc has pruned the index's base version.
 
 Reference analogue: the variant_lookup dictionary the reference maintains
 incrementally per import round (`radiant/dags/sql/radiant/init/
@@ -73,10 +74,7 @@ construction reuses `_minhash_sql`'s bit-exact HUGEINT arithmetic
 
 from __future__ import annotations
 
-import json
-import logging
 import os
-import shutil
 from functools import partial
 
 import numpy as np
@@ -87,6 +85,7 @@ import ray
 import ray.data as rd
 
 from radiant_portal_pipeline_ray.stages.dedup import MinHashStage, make_band_exploder
+from radiant_portal_pipeline_ray.stages.merge import write_snapshot_files
 from radiant_portal_pipeline_ray.stages.taskshuffle import (
     _driver_local,
     bucket_ids,
@@ -100,8 +99,12 @@ from radiant_portal_pipeline_ray.stages.taskshuffle import (
     union,
 )
 from radiant_portal_pipeline_ray.state import lakescan
-
-logger = logging.getLogger(__name__)
+from radiant_portal_pipeline_ray.state.manifest import (
+    CommitConflict,
+    Lake,
+    PartitionState,
+    changed_partitions,
+)
 
 N_PERM = 64
 N_BANDS = 16
@@ -140,14 +143,22 @@ _PAIRS_SCHEMA = pa.schema(
         pa.field("est_sim", pa.float64()),
     ]
 )
-#: one write task's marker per bucket file: its rows, of which deletes
+#: one write task's marker per file: its index partition, its lake-relative
+#: path, its rows, of which deletes, and its bytes
 _MARKERS_SCHEMA = pa.schema(
     [
-        pa.field("bucket", pa.int64()),
+        pa.field("part", pa.int64()),
+        pa.field("file", pa.string()),
         pa.field("rows", pa.int64()),
         pa.field("dels", pa.int64()),
+        pa.field("bytes", pa.int64()),
     ]
 )
+#: the signature params every index commit records; a root built with
+#: other params is refused
+_PARAMS = {"n_perm": N_PERM, "n_bands": N_BANDS, "rows_per_band": ROWS_PER_BAND,
+           "shingle_k": SHINGLE_K, "seed": SEED}
+_DOCS_SCHEMA = pa.schema([pa.field("url", pa.string()), pa.field("text", pa.string())])
 
 
 def _as_array(col):
@@ -212,59 +223,77 @@ def _payload(kind: str) -> pa.Schema:
 
 
 def _fold_lww(t: pa.Table, payload: pa.Schema) -> pa.Table:
-    """Fold (version, op, url, …payload) rows to the live entries: an add
-    survives iff no delete for its url has a strictly NEWER version."""
+    """Fold (seq, op, url, …payload) rows to the live entries: an add
+    survives iff no delete for its url is in a strictly LATER file."""
     adds = t.filter(pc.equal(t.column("op"), pa.scalar(0, pa.int8())))
     dels = t.filter(pc.equal(t.column("op"), pa.scalar(1, pa.int8())))
-    out_cols = [f.name for f in payload if f.name != "version"]
+    out_cols = [f.name for f in payload]
     if dels.num_rows == 0:
         return adds.select(out_cols)
     dmax = (
-        dels.select(["url", "version"])
+        dels.select(["url", "seq"])
         .group_by("url")
-        .aggregate([("version", "max")])
-        .rename_columns(["url", "dv"])
+        .aggregate([("seq", "max")])
+        .rename_columns(["url", "dseq"])
     )
     # index-join: adds carries a list column (sigs), so key+index then take
     ai = pa.table(
         {
             "url": _as_array(adds.column("url")),
-            "v": _as_array(adds.column("version")),
+            "seq": _as_array(adds.column("seq")),
             "i": _arange(adds.num_rows),
         }
     )
     j = ai.join(dmax, keys="url", join_type="left outer")
     keep = pc.fill_null(
         pc.or_kleene(
-            pc.is_null(j.column("dv")),
-            pc.greater_equal(j.column("v"), j.column("dv")),
+            pc.is_null(j.column("dseq")),
+            pc.greater_equal(j.column("seq"), j.column("dseq")),
         ),
         False,
     )
     return adds.take(j.filter(keep).column("i")).select(out_cols)
 
 
-def _history(files: list[tuple[int, str]]) -> pa.Table | None:
-    """One bucket's ``(version, path)`` files read into one table, each row
-    tagged with its file's ``version``; None without files."""
+def _fold_files(files: list[str], kind: str, filesystem) -> pa.Table:
+    """One bucket's live entries: its files (paths on ``filesystem``, the
+    index lake's fsspec filesystem or None for local paths; oldest first)
+    read into one table, each row tagged with its file's position as
+    ``seq``, folded by :func:`_fold_lww`."""
     tabs = []
-    for ver, path in files:
-        t = pq.read_table(path)
+    for seq, path in enumerate(files):
+        # on an object store, one whole-object GET, as the merge reads a
+        # carried file
+        src = path if filesystem is None else pa.BufferReader(filesystem.cat_file(path))
+        with pq.ParquetFile(src) as pf:
+            t = pf.read()
         tabs.append(
-            t.append_column(
-                "version", pa.array(np.full(t.num_rows, ver), type=pa.int64())
-            )
+            t.append_column("seq", pa.array(np.full(t.num_rows, seq), type=pa.int64()))
         )
-    return pa.concat_tables(tabs, promote_options="permissive") if tabs else None
-
-
-def _fold_files(files: list[tuple[int, str]], kind: str) -> pa.Table:
-    """One bucket's live entries: its files' history folded by
-    :func:`_fold_lww`."""
-    hist = _history(files)
-    if hist is None:
+    if not tabs:
         return _payload(kind).empty_table()
+    hist = pa.concat_tables(tabs, promote_options="permissive")
     return _fold_lww(hist, _payload(kind)).combine_chunks()
+
+
+def _appended(parts: dict, marks: pa.Table) -> dict:
+    """``parts`` (index partition → ``PartitionState``) with each marked
+    file appended to its partition's history: ``rows`` counts the add rows
+    of its files, ``tombstones`` the delete rows."""
+    out = dict(parts)
+    for m in marks.to_pylist():
+        old = out.get(m["part"]) or PartitionState()
+        out[m["part"]] = PartitionState(
+            files=[*old.files, m["file"]],
+            rows=old.rows + m["rows"] - m["dels"],
+            tombstones=old.tombstones + m["dels"],
+            bytes=old.bytes + m["bytes"],
+        )
+    return out
+
+
+def _total(marks: pa.Table, col: str) -> int:
+    return int(pc.sum(marks.column(col)).as_py() or 0)
 
 
 def _split_by_bucket(keys: list[str], n_buckets: int, *tables) -> list:
@@ -315,17 +344,17 @@ def _live_sigs(live: pa.Table, removed: pa.Table) -> pa.Table:
 
 
 def _fold_buckets(
-    kernel, kind: str, files: dict, keys: list[str], n_buckets: int,
+    kernel, kind: str, files: dict, filesystem, keys: list[str], n_buckets: int,
     out: pa.Schema, rows: pa.Table,
 ) -> pa.Table:
     """A wave's exchange kernel: ``rows`` are one or more whole index
     buckets' rows (:func:`_with_bucket`). Each of those buckets that has
-    ``kind`` files is folded (``files``: bucket → its files) and
-    ``kernel(live, its rows)`` runs; ``out``'s empty table when none
-    does. A bucket no row reached reads no file."""
+    ``kind`` files is folded (``files``: bucket → its files' paths on
+    ``filesystem``) and ``kernel(live, its rows)`` runs; ``out``'s empty
+    table when none does. A bucket no row reached reads no file."""
     subs = _split_by_bucket(keys, n_buckets, rows.drop_columns(["bucket"]))
     res = [
-        kernel(_fold_files(files[b], kind), sub)
+        kernel(_fold_files(files[b], kind, filesystem), sub)
         for b, sub in enumerate(subs)
         if sub is not None and b in files
     ]
@@ -366,166 +395,125 @@ def _score(cands: pa.Table, sigs: pa.Table) -> pa.Table:
 
 @ray.remote
 def _compact_bucket(
-    root: str, kind: str, bkt: int, ver: int, files: list[tuple[int, str]]
-) -> tuple[int, int]:
-    """Fold one bucket's history (two or more files) into one file at
-    version ``ver`` (layout in ``SignatureIndex.compact``), then remove the
-    superseded files. Returns (live rows, files removed)."""
+    data_dir: str, filesystem, txn: str, part: int, kind: str, files: list[str]
+) -> tuple[int, list[str], int, int]:
+    """Fold one index partition's files (two or more) into one file of its
+    live entries at its final key in transaction ``txn``. Returns (part,
+    file names, live rows, bytes); no file when nothing is live."""
     schema = _BANDS_SCHEMA if kind == "bands" else _SIGS_SCHEMA
-    hist = _history(files)
-    live = _fold_lww(hist, _payload(kind))
-    all_urls = pc.unique(_as_array(hist.column("url")))
-    n_del, n_add = len(all_urls), live.num_rows
-    cols = {
-        "op": pa.concat_arrays(
-            [
-                pa.array(np.ones(n_del, np.int8), type=pa.int8()),
-                pa.array(np.zeros(n_add, np.int8), type=pa.int8()),
-            ]
-        ),
-        "url": pa.concat_arrays([all_urls, _as_array(live.column("url"))]),
-    }
-    for f in schema:
-        if f.name in ("op", "url"):
-            continue
-        cols[f.name] = pa.concat_arrays(
-            [pa.nulls(n_del, f.type), _as_array(live.column(f.name)).cast(f.type)]
-        )
-    out = pa.table(cols).select([f.name for f in schema])
-    d = os.path.join(root, kind, f"b{bkt:05d}")
-    tmp = os.path.join(d, f".v{ver:06d}.parquet.tmp")
-    pq.write_table(out, tmp, compression="zstd")
-    os.replace(tmp, os.path.join(d, f"v{ver:06d}.parquet"))
-    removed = 0
-    for fver, path in files:
-        if fver != ver:
-            os.remove(path)
-            removed += 1
-    return live.num_rows, removed
+    live = _fold_files(files, kind, filesystem)
+    op = pa.array(np.zeros(live.num_rows, np.int8), type=pa.int8())
+    out = live.append_column("op", op).select(schema.names).cast(schema)
+    names, size, _ = write_snapshot_files(
+        out, data_dir, txn, part, max(out.num_rows, 1), "zstd", filesystem
+    )
+    return part, names, live.num_rows, size
 
 
 class SignatureIndex:
     """Persistent, incrementally-maintained LSH+signature sidecar index
-    (layout, crash-safety and the one round path in the module docstring).
-    ``version`` is the lake version it reflects; a round advances it from
-    there to any later retained version. ``root`` is a local /
-    shared-POSIX directory at test scale; the file ops route through plain
-    ``os``/pyarrow and are confined to this class, so pointing them at the
-    lake's fsspec backend (state/manifest.Lake) is a drop-in swap."""
+    (layout, crash safety and the one round path in the module docstring):
+    a ``Lake`` at ``root``, which may be a local path or any ``proto://``
+    root the lake accepts. ``version`` is the lake version it reflects,
+    None until built; a round advances it from there to any later retained
+    version and publishes through ``Lake.commit_next``. An index written in
+    a layout without a manifest reads as unbuilt."""
 
     def __init__(self, root: str, n_buckets: int = 32):
         self.root = root
-        self.meta_path = os.path.join(root, "index.json")
-        if os.path.exists(self.meta_path):
-            with open(self.meta_path) as f:
-                self.meta = json.load(f)
-            if (
-                self.meta["n_perm"] != N_PERM
-                or self.meta["n_bands"] != N_BANDS
-                or self.meta["seed"] != SEED
-            ):
-                raise ValueError(
-                    f"index at {root} was built with different signature "
-                    f"params: {self.meta}"
-                )
-        else:
-            self.meta = {
-                "n_perm": N_PERM,
-                "n_bands": N_BANDS,
-                "rows_per_band": ROWS_PER_BAND,
-                "shingle_k": SHINGLE_K,
-                "seed": SEED,
-                "n_buckets": n_buckets,
-                "version": None,  # lake version the index reflects
-            }
+        self.lake = Lake(root)
+        #: the index's current manifest; None until built
+        self.manifest = self.lake.current_manifest()
+        self.params = (
+            self.manifest.metrics["params"]
+            if self.manifest is not None
+            else {**_PARAMS, "n_buckets": n_buckets}
+        )
+        if {k: self.params.get(k) for k in _PARAMS} != _PARAMS:
+            raise ValueError(
+                f"index at {root} was built with different signature "
+                f"params: {self.params}"
+            )
 
     # -- bucket math (identical at build/probe/update time) ------------------
     @property
     def n_buckets(self) -> int:
-        return int(self.meta["n_buckets"])
+        return int(self.params["n_buckets"])
 
     @property
     def version(self) -> int | None:
-        return self.meta["version"]
+        return None if self.manifest is None else self.manifest.metrics["lake_version"]
 
     # -- file layout ----------------------------------------------------------
-    def _bucket_dir(self, kind: str, bucket: int) -> str:
-        return os.path.join(self.root, kind, f"b{bucket:05d}")
+    def _part(self, kind: str, bucket: int) -> int:
+        """The index partition of ``kind`` bucket ``bucket``."""
+        return bucket + (self.n_buckets if kind == "sigs" else 0)
 
-    def _all_files(self, kind: str, bucket: int) -> list[tuple[int, str]]:
-        """(version, path) of every file in this bucket, acknowledged or
-        not."""
-        d = self._bucket_dir(kind, bucket)
-        if not os.path.isdir(d):
-            return []
-        return [
-            (int(name[1:-8]), os.path.join(d, name))
-            for name in sorted(os.listdir(d))
-            if name.startswith("v") and name.endswith(".parquet")
-        ]
+    def _bucket_files(self, kind: str) -> dict[int, list[str]]:
+        """bucket → its files' paths, oldest first, for each ``kind``
+        bucket that has files."""
+        parts = self.manifest.partitions if self.manifest is not None else {}
+        out = {}
+        for b in range(self.n_buckets):
+            st = parts.get(self._part(kind, b))
+            if st is not None and st.files:
+                out[b] = [self.lake.abspath(f) for f in st.files]
+        return out
 
-    def _bucket_files(self, kind: str, bucket: int) -> list[tuple[int, str]]:
-        """(version, path) of this bucket's files acknowledged by meta."""
-        if self.version is None:
-            return []
-        return [(v, p) for v, p in self._all_files(kind, bucket) if v <= self.version]
+    def _publish(self, txn: str, parts: dict, lake_version: int, metrics: dict) -> None:
+        """The index's one commit step: publish ``parts`` as the successor
+        of ``self.manifest``, reflecting ``lake_version``, with the
+        signature params. One attempt (``retries=1``): when another
+        maintainer advanced the index first, this raises ``CommitConflict``
+        and the round's files stay unreferenced."""
+        v_from = self.version
 
-    def _drop_unacknowledged(self) -> None:
-        """Remove every file newer than ``version``: a round that died
-        before its version bump left them. Readers ignore them already,
-        but a round that advances the version past theirs would fold them
-        in, so each write pass starts by removing them."""
-        for kind in ("bands", "sigs"):
-            for bkt in range(self.n_buckets):
-                for ver, path in self._all_files(kind, bkt):
-                    if ver > self.version:
-                        os.remove(path)
+        def build(base):
+            if (None if base is None else base.metrics["lake_version"]) != v_from:
+                raise CommitConflict(f"index no longer reflects lake version {v_from}")
+            return {
+                "partitions": parts,
+                "metrics": {
+                    **metrics, "params": self.params, "lake_version": lake_version,
+                },
+            }
 
-    def _commit_meta(self, version: int | None) -> None:
-        self.meta["version"] = version
-        tmp = self.meta_path + ".tmp"
-        os.makedirs(self.root, exist_ok=True)
-        with open(tmp, "w") as f:
-            json.dump(self.meta, f)
-        os.replace(tmp, self.meta_path)
+        self.manifest, _ = self.lake.commit_next(self.manifest, txn, build, retries=1)
 
-    def _write_rows(self, kind: str, ds: "rd.Dataset", version: int) -> tuple[int, int]:
-        """Hash-partition add/del rows into the index buckets and append ONE
-        deterministically-named file per touched bucket (idempotent retry).
-        The exchange is keyed on the PRECOMPUTED bucket id so each logical
-        bucket lands in exactly one writer — a raw-key exchange could split
-        one bucket's keys across writers and have them overwrite each
-        other's (deterministic) file. Returns the rows written and, of
-        those, the deletes, summed from the collected write markers."""
+    def _write_rows(self, kind: str, ds: "rd.Dataset", txn: str) -> pa.Table:
+        """Hash-partition add/del rows into the index buckets and write ONE
+        file per touched bucket at its final key in transaction ``txn``
+        (``stages/merge.write_snapshot_files``); a retried task rewrites the
+        same name. The exchange is keyed on the PRECOMPUTED bucket id so
+        each bucket lands in exactly one writer — a raw-key exchange could
+        split one bucket's keys across writers and have them overwrite each
+        other's file. Returns the collected write markers."""
         keys = ["band_hash"] if kind == "bands" else ["url"]
-        nb = self.n_buckets
-        root = self.root
+        nb, first = self.n_buckets, self._part(kind, 0)
+        data_dir, fs = self.lake.data_dir, self.lake.filesystem
 
         def write_buckets(t: pa.Table) -> pa.Table:
-            marks = {"bucket": [], "rows": [], "dels": []}
+            marks = {f.name: [] for f in _MARKERS_SCHEMA}
             subs = _split_by_bucket(keys, nb, t.drop_columns(["bucket"]))
             for bid, sub in enumerate(subs):
                 if sub is None:
                     continue
-                d = os.path.join(root, kind, f"b{bid:05d}")
-                os.makedirs(d, exist_ok=True)
-                tmp_path = os.path.join(d, f".v{version:06d}.parquet.tmp")
-                pq.write_table(sub, tmp_path, compression="zstd")
-                os.replace(tmp_path, os.path.join(d, f"v{version:06d}.parquet"))
-                marks["bucket"].append(bid)
+                part = first + bid
+                (name,), size, _ = write_snapshot_files(
+                    sub, data_dir, txn, part, sub.num_rows, "zstd", fs
+                )
+                marks["part"].append(part)
+                marks["file"].append(f"data/part={part}/{name}")
                 marks["rows"].append(sub.num_rows)
                 marks["dels"].append(int(np.count_nonzero(sub.column("op").to_numpy() == 1)))
+                marks["bytes"].append(size)
             return pa.table(marks, schema=_MARKERS_SCHEMA)
 
-        markers = collect(
+        return collect(
             exchange_group(
                 ds, ["bucket"], write_buckets, pre=partial(_with_bucket, keys, nb)
             ),
             _MARKERS_SCHEMA,
-        )
-        return (
-            int(pc.sum(markers.column("rows")).as_py() or 0),
-            int(pc.sum(markers.column("dels")).as_py() or 0),
         )
 
     def _wave(self, kind: str, ds: "rd.Dataset", keys: list[str], kernel, out: pa.Schema):
@@ -535,9 +523,10 @@ class SignatureIndex:
         buckets' files (:func:`_fold_buckets`). ``out``'s empty table when
         ``ds`` has no rows."""
         nb = self.n_buckets
-        files = {b: f for b in range(nb) if (f := self._bucket_files(kind, b))}
+        files = self._bucket_files(kind)
         res = exchange_group(
-            ds, ["bucket"], partial(_fold_buckets, kernel, kind, files, keys, nb, out),
+            ds, ["bucket"],
+            partial(_fold_buckets, kernel, kind, files, self.lake.filesystem, keys, nb, out),
             pre=partial(_with_bucket, keys, nb),
         )
         return res if schema_of(res) is not None else out.empty_table()
@@ -577,19 +566,28 @@ class SignatureIndex:
 
     # -- lifecycle ----------------------------------------------------------------
     def build(self, engine, version: int) -> dict:
-        """Full build from the lake snapshot at ``version``, replacing
-        whatever the root held: an old index's files would fold their stale
-        adds back in. Until the build commits, the index reflects no
-        version, so a crash leaves it to be built again."""
-        self._commit_meta(None)
-        for kind in ("bands", "sigs"):
-            shutil.rmtree(os.path.join(self.root, kind), ignore_errors=True)
-        docs = engine.read_snapshot(["url", "text"], version=version)
+        """Full build from the lake snapshot at ``version``. Its commit
+        starts every bucket's history over, so nothing the index held
+        before stays referenced."""
+        man = engine.lake.read_manifest(version)
+        files = lakescan.part_files(man)
+        docs = (
+            lakescan.scan(engine.lake, man, files, ["url", "text"], ~pc.field("deleted"))
+            if files
+            else _DOCS_SCHEMA.empty_table()
+        )
         sigs = materialized(self.signatures(docs))
-        n_sig, _ = self._write_rows("sigs", map_blocks(sigs, self._sig_rows(0)), version)
-        n_band, _ = self._write_rows("bands", map_blocks(sigs, self._band_rows(0)), version)
-        self._commit_meta(version)
-        return {"version": version, "sig_rows": n_sig, "band_rows": n_band}
+        txn = self.lake.new_txn_id()
+        sig_marks = self._write_rows("sigs", map_blocks(sigs, self._sig_rows(0)), txn)
+        band_marks = self._write_rows("bands", map_blocks(sigs, self._band_rows(0)), txn)
+        stats = {
+            "version": version,
+            "sig_rows": _total(sig_marks, "rows"),
+            "band_rows": _total(band_marks, "rows"),
+        }
+        parts = _appended({}, pa.concat_tables([sig_marks, band_marks]))
+        self._publish(txn, parts, version, {"op": "index_build", "stats": stats})
+        return stats
 
     # -- per-commit incremental round -----------------------------------------------
     def _changed_docs(self, engine, v_from: int, v_to: int, incoming) -> "rd.Dataset":
@@ -597,19 +595,11 @@ class SignatureIndex:
         partitions whose file lists differ between the two manifests; a url
         set already on the driver is pushed into the scan filter itself,
         a larger one semi-joins in a keyed exchange."""
-        m_from = engine.lake.read_manifest(v_from)
         m_to = engine.lake.read_manifest(v_to)
-
-        def files_of(man, p):
-            return man.partitions[p].files if p in man.partitions else []
-
-        parts = set(m_from.partitions) | set(m_to.partitions)
-        changed_parts = sorted(
-            p for p in parts if files_of(m_from, p) != files_of(m_to, p)
-        )
-        files = lakescan.part_files(m_to, changed_parts)
+        changed = changed_partitions(engine.lake.read_manifest(v_from), m_to)
+        files = lakescan.part_files(m_to, changed)
         if not files:
-            return pa.schema([("url", pa.string()), ("text", pa.string())]).empty_table()
+            return _DOCS_SCHEMA.empty_table()
         incoming = materialized(incoming)
         if _driver_local(incoming):
             urls = collect(incoming, pa.schema([("url", pa.string())])).column("url")
@@ -674,30 +664,32 @@ class SignatureIndex:
     def _update(self, new_sigs: "rd.Dataset", removed: "rd.Dataset", v_to: int) -> dict:
         """Delete rows for the removed urls (band deletes routed via their
         OLD signatures — read from the index, not the lake), add rows for
-        the incoming signatures, commit the version bump LAST. A crashed
-        round's files are removed first (:meth:`_drop_unacknowledged`)."""
-        self._drop_unacknowledged()
+        the incoming signatures, then one index commit (:meth:`_publish`)."""
         gone = self._wave("sigs", removed, ["url"], _live_sigs, _payload("sigs"))
-        # del rows and add rows for one version MUST land in the same write
-        # pass per kind — the per-(bucket, version) file name is
-        # deterministic (idempotent retry), so two passes would overwrite
-        # each other in any bucket both touch
+        # del rows and add rows MUST land in the same write pass per kind —
+        # a bucket's file name in a txn is deterministic (idempotent
+        # retry), so two passes would overwrite each other in any bucket
+        # both touch
         def rows_of(kind_rows):
             return union(map_blocks(new_sigs, kind_rows(0)), map_blocks(gone, kind_rows(1)))
 
-        n_band, _ = self._write_rows("bands", rows_of(self._band_rows), v_to)
-        n_sig, n_del = self._write_rows("sigs", rows_of(self._sig_rows), v_to)
-        self._commit_meta(v_to)
+        txn = self.lake.new_txn_id()
+        band_marks = self._write_rows("bands", rows_of(self._band_rows), txn)
+        sig_marks = self._write_rows("sigs", rows_of(self._sig_rows), txn)
+        n_sig, n_del = _total(sig_marks, "rows"), _total(sig_marks, "dels")
         n_add = n_sig - n_del
-        return {
+        stats = {
             "version": v_to,
             "band_adds": n_add * N_BANDS,
             "band_dels": n_del * N_BANDS,
             "sig_adds": n_add,
             "sig_dels": n_del,
-            "band_rows_written": n_band,
+            "band_rows_written": _total(band_marks, "rows"),
             "sig_rows_written": n_sig,
         }
+        parts = _appended(self.manifest.partitions, pa.concat_tables([band_marks, sig_marks]))
+        self._publish(txn, parts, v_to, {"op": "index_round", "stats": stats})
+        return stats
 
     def probe(self, engine, v_from: int, v_to: int, *, sort_by=None) -> "rd.Dataset":
         """Near-dup pairs (new_url, old_url, sig_match, est_sim) between the
@@ -722,40 +714,48 @@ class SignatureIndex:
         return pairs, self._update(new_sigs, removed, v_to)
 
     def compact(self) -> dict:
-        """Fold every bucket's version history into one file per bucket and
-        drop the history — the index analogue of the lake's ``compact``.
-
-        Crash-safety: the compacted file is written under the CURRENT
-        version's deterministic name and contains (a) a delete row for
-        EVERY url that ever appeared in the bucket and (b) add rows for the
-        live entries. The dels shadow all older adds (add@v < del@ver) while
-        the same-version adds survive (the >= fold rule), so a fold over the
-        compacted file plus ANY subset of the superseded files — the state a
-        crash between the write and the removals leaves behind — equals the
-        live state. Removals can then proceed in any order."""
-        if self.version is None:
+        """Fold every bucket with two or more files into one file of its
+        live entries, one Ray task per bucket, and publish the index with
+        those files in place of their history: the index analogue of the
+        lake's ``compact``. The live entries and ``version`` stay. The
+        superseded files are unreferenced from the new index version on,
+        and ``Lake.gc_orphans`` reclaims them."""
+        if self.manifest is None:
             raise ValueError("compact before build")
-        ver = int(self.version)
         work = [
-            (kind, bkt, files)
+            (kind, self._part(kind, b), files)
             for kind in ("bands", "sigs")
-            for bkt in range(self.n_buckets)
-            if len(files := self._bucket_files(kind, bkt)) >= 2
+            for b, files in self._bucket_files(kind).items()
+            if len(files) >= 2
         ]
-        stats = {"buckets": 0, "files_removed": 0, "rows": 0}
-        for rows, removed in ray.get(
-            [_compact_bucket.remote(self.root, k, b, ver, f) for k, b, f in work]
+        stats = {"buckets": len(work), "files_removed": sum(len(f) for *_, f in work), "rows": 0}
+        if not work:
+            return stats
+        txn = self.lake.new_txn_id()
+        parts = dict(self.manifest.partitions)
+        data_dir, fs = self.lake.data_dir, self.lake.filesystem
+        for p, names, live, size in ray.get(
+            [
+                _compact_bucket.remote(data_dir, fs, txn, p, kind, files)
+                for kind, p, files in work
+            ]
         ):
-            stats["buckets"] += 1
-            stats["files_removed"] += removed
-            stats["rows"] += rows
+            parts[p] = PartitionState(
+                files=[f"data/part={p}/{n}" for n in names], rows=live, bytes=size
+            )
+            stats["rows"] += live
+        self._publish(txn, parts, self.version, {"op": "index_compact", "stats": stats})
         return stats
 
     def snapshot_entries(self, kind: str) -> pa.Table:
         """All live entries of one sidecar, each bucket folded in this
         process (tests / parity checks only)."""
+        files = self._bucket_files(kind)
         return pa.concat_tables(
-            [_fold_files(self._bucket_files(kind, b), kind) for b in range(self.n_buckets)],
+            [
+                _fold_files(files.get(b, []), kind, self.lake.filesystem)
+                for b in range(self.n_buckets)
+            ],
             promote_options="permissive",
         )
 
@@ -874,7 +874,6 @@ def dd_incremental_neardup(sf_dir: str):
     """Flagship replay → signature index at v1 → probe the v1→v2 changes.
     O(changed) end to end: manifest-pruned change feed, changed-partition
     text read, touched-bucket index reads; base text never read."""
-    import shutil
     import tempfile
 
     from radiant_portal_pipeline_ray.config import EngineConfig
@@ -883,8 +882,7 @@ def dd_incremental_neardup(sf_dir: str):
         documents_changelog,
     )
 
-    work = tempfile.mkdtemp(prefix="dd_incr_")
-    try:
+    with tempfile.TemporaryDirectory(prefix="dd_incr_", ignore_cleanup_errors=True) as work:
         paths = documents_changelog(sf_dir, os.path.join(work, "changelog"))
         eng = CdcEngine(os.path.join(work, "lake"), EngineConfig(n_parts=8))
         for p in paths:
@@ -893,8 +891,6 @@ def dd_incremental_neardup(sf_dir: str):
         idx.build(eng, 1)
         # materialized: the lake under /tmp is removed on return
         return materialized(idx.probe(eng, 1, 2, sort_by=["new_url", "old_url"]))
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
 
 
 QUERIES["dd_incremental_neardup"] = (dd_incremental_neardup, _incremental_sql())

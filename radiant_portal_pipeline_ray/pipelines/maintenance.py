@@ -455,10 +455,7 @@ def reshard(
         "partitions": parts,
         "salt_map": {},
         "pending_migrations": {},
-        "next_part": max(
-            new_n_parts,
-            (current.next_part if current.next_part is not None else 0),
-        ),
+        "next_part": max(new_n_parts, current.next_part),
         "metrics": {
             "op": "reshard",
             "resharded_from": current.n_parts,

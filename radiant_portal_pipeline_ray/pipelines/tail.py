@@ -166,8 +166,10 @@ def _follow(engine, sig_index, v_new: int, rep: dict) -> None:
     reflects, however many commits behind (an update lost between a commit
     and its index round leaves it there): one ``ingest_round`` over the
     whole span, whose pairs are the span's. It is built at ``v_new`` when
-    it has no version yet, and rebuilt when gc has pruned its version's
-    manifest, since ``read_changes`` needs both ends."""
+    it has no version yet (an index root without an index manifest reads
+    so), and rebuilt when gc has pruned its version's manifest, since
+    ``read_changes`` needs both ends. The pairs are written through the
+    index lake's filesystem."""
     from radiant_portal_pipeline_ray.stages.taskshuffle import collect
 
     v_idx = sig_index.version
@@ -188,10 +190,11 @@ def _follow(engine, sig_index, v_new: int, rep: dict) -> None:
     pairs, stats = sig_index.ingest_round(engine, v_idx, v_new)
     pt = collect(pairs)
     if pt.num_rows:
-        pdir = os.path.join(sig_index.root, "pairs")
-        os.makedirs(pdir, exist_ok=True)
+        lake = sig_index.lake
+        lake._makedirs(lake.abspath("pairs"))
         pq.write_table(
-            pt, os.path.join(pdir, f"v{v_new:06d}.parquet"), compression="zstd"
+            pt, lake.abspath(f"pairs/v{v_new:06d}.parquet"),
+            compression="zstd", filesystem=lake.pyarrow_fs(),
         )
     rep["neardup_pairs"] = pt.num_rows
     rep["sig_index"] = {**stats, "from_version": v_idx}

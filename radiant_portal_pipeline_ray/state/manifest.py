@@ -17,8 +17,10 @@ published via a put-if-absent that either atomically creates the version
 or reports it taken, giving CAS semantics without any catalog service.
 Retried commits are idempotent by txn-id (a found manifest with our
 txn_id == success). Every writer (apply, routing, quarantine-only,
-rollback, compact, reshard) publishes through ``Lake.commit_next``, the one
-base → successor → publish → rebase-on-conflict loop.
+rollback, compact, reshard, and the signature index of
+``pipelines/incremental_dedup.py``, itself a lake) publishes through
+``Lake.commit_next``, the one base → successor → publish →
+rebase-on-conflict loop.
 
 The rule that keeps final-key writes safe: once a manifest references a
 file name, nothing writes that name again. A transaction writes its files
@@ -356,6 +358,18 @@ class Manifest:
             },
             quarantine_files=list(d.get("quarantine_files", [])),
         )
+
+
+def changed_partitions(m_from: Manifest, m_to: Manifest) -> list[int]:
+    """The partitions whose file lists differ between two manifests, in
+    order: added, dropped and rewritten ones. A commit rewrites a
+    partition's files whenever any of its rows change, so a partition
+    outside this list holds the same rows at both versions."""
+    def files(man: Manifest, p: int) -> list[str]:
+        return man.partitions[p].files if p in man.partitions else []
+
+    parts = set(m_from.partitions) | set(m_to.partitions)
+    return sorted(p for p in parts if files(m_from, p) != files(m_to, p))
 
 
 class Lake:

@@ -16,6 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: over-allocate salt partitions by this growth factor so a steadily growing
+#: hot domain migrates ONCE instead of re-salting (and re-migrating its full
+#: history) every time its count doubles — the repeated-migration rounds
+#: were the measured straggler spikes in the replay bench. Re-salt only
+#: happens after the domain outgrows the headroom.
+SALT_HEADROOM = 4.0
+
 
 @dataclass
 class SaltDecision:
@@ -32,17 +39,24 @@ class Partitioner:
     hot_counts: dict[str, int] = field(default_factory=dict)
     salt_threshold_rows: int = 250_000
     salt_target_rows: int = 150_000
-    #: over-allocate salt partitions by this growth factor so a steadily
-    #: growing hot domain migrates ONCE instead of re-salting (and
-    #: re-migrating its full history) every time its count doubles — the
-    #: repeated-migration rounds were the measured straggler spikes in the
-    #: replay bench. Re-salt only happens after the domain outgrows the
-    #: headroom.
-    salt_headroom: float = 4.0
 
     def __post_init__(self):
         if self.next_part < self.n_parts:
             self.next_part = self.n_parts
+
+    @classmethod
+    def from_manifest(cls, man, cfg, hot_counts=None) -> "Partitioner":
+        """The routing state committed in ``man`` (None: an empty lake)
+        under ``cfg``'s partitioning, its counter lifted to ``n_parts`` as
+        every partitioner's is."""
+        return cls(
+            n_parts=cfg.n_parts,
+            salt_map=dict(man.salt_map) if man is not None else {},
+            next_part=man.next_part if man is not None else 0,
+            hot_counts=hot_counts or {},
+            salt_threshold_rows=cfg.salt_threshold_rows,
+            salt_target_rows=cfg.salt_target_rows,
+        )
 
     def base_part(self, domain: str) -> int:
         from radiant_portal_pipeline_ray.functions.hashing import stable_hash64
@@ -64,7 +78,7 @@ class Partitioner:
             if cum < self.salt_threshold_rows:
                 continue
             # re-salt only when CURRENT need outgrows the allocated capacity;
-            # the allocation itself is oversized by salt_headroom so steady
+            # the allocation itself is oversized by SALT_HEADROOM so steady
             # growth triggers one migration, not one per doubling
             need_now = max(2, -(-cum // self.salt_target_rows))
             cur = self.salt_map.get(d)
@@ -72,7 +86,7 @@ class Partitioner:
                 continue
             want_k = max(
                 2,
-                -(-int(cum * self.salt_headroom) // self.salt_target_rows),
+                -(-int(cum * SALT_HEADROOM) // self.salt_target_rows),
             )
             old_parts = list(cur) if cur else [self.base_part(d)]
             new_parts = [self.base_part(d)] + [

@@ -135,7 +135,8 @@ def test_read_mix_query_builds_one_dataset_at_the_boundary(ray_session, monkeypa
 def test_engine_reads_build_one_dataset(ray_session, monkeypatch, tmp_path):
     """On a driver-local lake the public reads hand out a ``Dataset``
     built once, at return, whose consumer starts no execution;
-    ``snapshot_checksums_incremental`` builds none."""
+    ``snapshot_checksums_incremental`` and ``snapshot_checksums`` build
+    none."""
     from ray.data.dataset import MaterializedDataset
 
     from radiant_portal_pipeline_ray import EngineConfig
@@ -161,7 +162,9 @@ def test_engine_reads_build_one_dataset(ray_session, monkeypatch, tmp_path):
         assert sum(t.num_rows for t in ray.get(out.to_arrow_refs())) > 0
     cks = eng.snapshot_checksums_incremental(1, prior, version=2)
     assert len(datasets) == 2 and calls == []
-    assert cks.equals(eng.snapshot_checksums(version=2))
+    full = eng.snapshot_checksums(version=2)
+    assert len(datasets) == 2 and calls == []
+    assert cks.equals(full)
 
 
 def _ties_and_nulls(n: int = 3000, seed: int = 5) -> rd.Dataset:

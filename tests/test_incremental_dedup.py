@@ -3,9 +3,7 @@ crash-safety of the LSM sidecar, probe semantics."""
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 
 import pyarrow as pa
 import pytest
@@ -18,6 +16,7 @@ from radiant_portal_pipeline_ray.pipelines.incremental_dedup import (
     SIG_MATCH_MIN,
     SignatureIndex,
 )
+from radiant_portal_pipeline_ray.state.manifest import CommitConflict, Lake, Manifest
 
 SF = "/root/testdata/sf0.001"
 
@@ -79,36 +78,65 @@ def test_probe_pairs_sane(lake):
         idx.probe(eng, 2, 2)
 
 
-def test_crash_safety_and_idempotent_retry(lake):
-    """Files written for an unacknowledged version are invisible to readers;
-    re-running the update overwrites its own partial files and converges to
-    the same state."""
+def crash_next_commit(monkeypatch, root: str) -> None:
+    """``Lake.commit`` of the lake at ``root`` raises once: a round that
+    dies after its file writes and before its publish."""
+    orig = Lake.commit
+    left = [1]
+
+    def commit(self, manifest):
+        if self.root == root and left:
+            left.pop()
+            raise RuntimeError("crash before the index commit")
+        return orig(self, manifest)
+
+    monkeypatch.setattr(Lake, "commit", commit)
+
+
+def _data_files(root: str) -> set[str]:
+    return {
+        os.path.relpath(os.path.join(d, f), root)
+        for d, _, fs in os.walk(os.path.join(root, "data"))
+        for f in fs
+    }
+
+
+def test_crash_safety_and_idempotent_retry(lake, monkeypatch):
+    """Files a crashed round wrote are referenced by no index manifest, so
+    readers do not see them; re-running the update converges to a fresh
+    build, and gc reclaims the crashed round's files."""
     eng, work = lake
     root = str(work / "idx_crash")
     idx = SignatureIndex(root, n_buckets=8)
     idx.build(eng, 1)
     before = _canon(idx.snapshot_entries("bands"))
+    built_files = _data_files(root)
 
-    # simulate a crashed update: run it fully, then roll the meta back
-    idx.update(eng, 1, 2)
-    meta_path = os.path.join(root, "index.json")
-    with open(meta_path) as f:
-        meta = json.load(f)
-    meta["version"] = 1
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
+    # simulate a crashed update: its writes land, its commit raises
+    crash_next_commit(monkeypatch, root)
+    with pytest.raises(RuntimeError, match="crash"):
+        idx.update(eng, 1, 2)
+    crashed = _data_files(root) - built_files
+    assert crashed and idx.version == 1
 
     rolled = SignatureIndex(root, n_buckets=8)
     assert rolled.version == 1
-    # v2 files exist on disk but are not acknowledged → reads see v1 state
+    # the crashed round's files exist on disk but are unreferenced → reads
+    # see the v1 state
     assert _canon(rolled.snapshot_entries("bands")) == before
 
-    # retry the update: deterministic filenames overwrite the orphans
+    # retry the update: a new transaction, published once
     rolled.update(eng, 1, 2)
     fresh = SignatureIndex(str(work / "idx_crash_fresh"), n_buckets=8)
     fresh.build(eng, 2)
     for kind in ("bands", "sigs"):
         assert _canon(rolled.snapshot_entries(kind)) == _canon(
+            fresh.snapshot_entries(kind)
+        )
+    removed = set(rolled.lake.gc_orphans(keep_versions=1, staging_age_s=0))
+    assert crashed <= removed and not (removed & built_files)
+    for kind in ("bands", "sigs"):
+        assert _canon(SignatureIndex(root).snapshot_entries(kind)) == _canon(
             fresh.snapshot_entries(kind)
         )
 
@@ -217,11 +245,11 @@ def test_ingest_round_equals_probe_then_update(lake):
         )
 
 
-def test_compact_preserves_state(lake):
-    """compact() folds history to one file per bucket without changing the
-    live entries; re-adding the superseded files (the crash window between
-    the compacted write and the removals) must ALSO fold to the same state
-    — the compacted file's url-level dels shadow every older add."""
+def test_compact_preserves_state(lake, monkeypatch):
+    """compact() folds history to one file per bucket in the index manifest
+    without changing the live entries; a compaction that dies between its
+    writes and its commit (the compacted files on disk beside the
+    superseded ones) leaves readers the same state."""
     eng, work = lake
     root = str(work / "idx_compact")
     idx = SignatureIndex(root, n_buckets=8)
@@ -229,38 +257,98 @@ def test_compact_preserves_state(lake):
     idx.update(eng, 1, 2)
     before = {k: _canon(idx.snapshot_entries(k)) for k in ("bands", "sigs")}
 
-    # stash the pre-compaction files to replay the crash window later
-    stash = {}
+    # crash window: the compacted files are written, the commit is not
+    crash_next_commit(monkeypatch, root)
+    with pytest.raises(RuntimeError, match="crash"):
+        idx.compact()
+    reread = SignatureIndex(root, n_buckets=8)
+    assert reread.version == 2
     for kind in ("bands", "sigs"):
-        for bdir in sorted(os.listdir(os.path.join(root, kind))):
-            d = os.path.join(root, kind, bdir)
-            for name in os.listdir(d):
-                with open(os.path.join(d, name), "rb") as f:
-                    stash[(kind, bdir, name)] = f.read()
+        assert _canon(reread.snapshot_entries(kind)) == before[kind]
 
     stats = idx.compact()
     assert stats["files_removed"] > 0
     for kind in ("bands", "sigs"):
         assert _canon(idx.snapshot_entries(kind)) == before[kind]
-        for bdir in os.listdir(os.path.join(root, kind)):
-            files = os.listdir(os.path.join(root, kind, bdir))
-            assert len(files) == 1, f"{kind}/{bdir} not compacted: {files}"
-
-    # crash window: superseded files coexist with the compacted file
-    for (kind, bdir, name), data in stash.items():
-        path = os.path.join(root, kind, bdir, name)
-        if not os.path.exists(path):
-            with open(path, "wb") as f:
-                f.write(data)
-    reread = SignatureIndex(root, n_buckets=8)
-    for kind in ("bands", "sigs"):
-        assert _canon(reread.snapshot_entries(kind)) == before[kind]
+    for p, st in SignatureIndex(root).manifest.partitions.items():
+        assert len(st.files) == 1, f"partition {p} not compacted: {st.files}"
 
 
 def test_index_param_mismatch_rejected(lake, tmp_path):
     root = str(tmp_path / "idx_params")
-    idx = SignatureIndex(root, n_buckets=8)
-    idx.meta["n_perm"] = 32  # corrupt params, then persist
-    idx._commit_meta(0)
+    params = {**SignatureIndex(root, n_buckets=8).params, "n_perm": 32}
+    # an index manifest committed with other params
+    Lake(root).commit(
+        Manifest(
+            version=1, txn_id="other-params", parent_version=None, schema=None,
+            metrics={"params": params, "lake_version": 0},
+        )
+    )
     with pytest.raises(ValueError, match="different signature params"):
         SignatureIndex(root)
+
+
+def test_two_maintainers_racing_one_version_leave_one_winner(lake):
+    """Two index objects on one root advance it from the same version: the
+    first commit wins, the other raises ``CommitConflict`` without
+    publishing, and the index equals a fresh build at the new version."""
+    eng, work = lake
+    root = str(work / "idx_race")
+    a = SignatureIndex(root, n_buckets=8)
+    a.build(eng, 1)
+    b = SignatureIndex(root, n_buckets=8)
+    assert b.version == 1
+    a.update(eng, 1, 2)
+    with pytest.raises(CommitConflict):
+        b.update(eng, 1, 2)
+    assert b.version == 1
+
+    winner = SignatureIndex(root, n_buckets=8)
+    assert winner.version == 2 and winner.manifest.txn_id == a.manifest.txn_id
+    fresh = SignatureIndex(str(work / "idx_race_fresh"), n_buckets=8)
+    fresh.build(eng, 2)
+    for kind in ("bands", "sigs"):
+        assert _canon(winner.snapshot_entries(kind)) == _canon(
+            fresh.snapshot_entries(kind)
+        )
+
+
+def test_s3_index_matches_a_posix_index(lake, moto_s3):
+    """On the moto S3 server an ``s3://`` index goes through build →
+    ingest_round → compact, with its manifests and files in the bucket,
+    and holds the same pairs and entries as a POSIX index."""
+    import boto3
+
+    eng, work = lake
+    client = boto3.client("s3", endpoint_url=moto_s3, region_name="us-east-1")
+    client.create_bucket(Bucket="sigidx")
+    s3 = SignatureIndex("s3://sigidx/idx", n_buckets=8)
+    posix = SignatureIndex(str(work / "idx_posix_twin"), n_buckets=8)
+    pairs = {}
+    for name, idx in (("s3", s3), ("posix", posix)):
+        idx.build(eng, 1)
+        got, stats = idx.ingest_round(eng, 1, 2)
+        pairs[name] = (_pairs_sorted(got), stats)
+        assert idx.compact()["files_removed"] > 0
+    assert pairs["s3"] == pairs["posix"] and pairs["s3"][0]
+
+    keys = [o["Key"] for o in client.list_objects_v2(Bucket="sigidx")["Contents"]]
+    assert any(k.startswith("idx/manifests/manifest-v") for k in keys)
+    assert any(k.startswith("idx/data/part=") for k in keys)
+    reopened = SignatureIndex("s3://sigidx/idx")
+    assert reopened.version == 2
+    for kind in ("bands", "sigs"):
+        assert _canon(reopened.snapshot_entries(kind)) == _canon(
+            posix.snapshot_entries(kind)
+        )
+
+
+def test_old_layout_reads_as_unbuilt(tmp_path):
+    """A root holding an index written before the index was a lake
+    (``index.json`` plus bucket directories) has no index manifest, so it
+    reads as unbuilt and the tail rebuilds it."""
+    root = tmp_path / "idx_old"
+    (root / "bands" / "b00000").mkdir(parents=True)
+    (root / "index.json").write_text('{"version": 3, "n_buckets": 8}')
+    idx = SignatureIndex(str(root), n_buckets=8)
+    assert idx.version is None and idx.manifest is None

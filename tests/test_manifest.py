@@ -11,6 +11,7 @@ from radiant_portal_pipeline_ray.state.manifest import (
     Lake,
     Manifest,
     PartitionState,
+    changed_partitions,
 )
 
 
@@ -124,3 +125,31 @@ def test_precondition_failure_reads_the_structured_status():
     assert lost(OSError("412 Precondition Failed"))
     assert lost(OSError("conditionNotMet"))
 
+
+
+def test_changed_partitions_of_a_manifest_pair():
+    """Added, dropped and rewritten partitions differ between two
+    manifests; a partition with the same file list does not, and neither
+    does one whose other fields alone changed."""
+
+    def man(version, parts):
+        return Manifest(
+            version=version, txn_id=f"t{version}", parent_version=None,
+            schema=None, partitions=parts,
+        )
+
+    a = man(1, {
+        0: PartitionState(files=["data/part=0/a-0-0000.parquet"], rows=3),
+        1: PartitionState(files=["data/part=1/a-1-0000.parquet"]),
+        2: PartitionState(files=["data/part=2/a-2-0000.parquet"]),
+        3: PartitionState(files=["data/part=3/a-3-0000.parquet"]),
+    })
+    b = man(2, {
+        0: PartitionState(files=["data/part=0/a-0-0000.parquet"], rows=5),
+        1: PartitionState(files=["data/part=1/b-1-0000.parquet"]),
+        3: PartitionState(files=["data/part=3/a-3-0000.parquet", "data/part=3/b-3-0000.parquet"]),
+        5: PartitionState(files=["data/part=5/b-5-0000.parquet"]),
+    })
+    assert changed_partitions(a, b) == [1, 2, 3, 5]
+    assert changed_partitions(b, a) == [1, 2, 3, 5]
+    assert changed_partitions(a, a) == []

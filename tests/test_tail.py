@@ -280,15 +280,16 @@ def test_tail_catches_up_after_lost_index_update(ray_session, tmp_path):
     assert _index_state(idx) == _index_state(fresh)
 
 
-def test_tail_catch_up_ignores_a_crashed_rounds_files(ray_session, tmp_path):
+def test_tail_catch_up_ignores_a_crashed_rounds_files(ray_session, tmp_path, monkeypatch):
     """An index round that dies after its bucket writes and before its
-    version bump leaves files of a version the index never acknowledged.
-    Catching up over that version must not fold them in: after round 3
-    the index equals a fresh build, though every url was rewritten in both
-    round 2 (whose v2 band adds stay on disk) and round 3."""
+    index commit leaves files no index manifest references. Catching up
+    over that version must not fold them in: after round 3 the index
+    equals a fresh build, though every url was rewritten in both round 2
+    (whose band adds stay on disk) and round 3."""
     from radiant_portal_pipeline_ray.pipelines.incremental_dedup import (
         SignatureIndex,
     )
+    from tests.test_incremental_dedup import crash_next_commit
 
     cl = tmp_path / "cl"
     cl.mkdir()
@@ -297,16 +298,14 @@ def test_tail_catch_up_ignores_a_crashed_rounds_files(ray_session, tmp_path):
     _write_batch(cl / "b0000.parquet", 1000, 100)
     tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=SignatureIndex(root, n_buckets=8))
     _write_batch(cl / "b0001.parquet", 1100, 100)
-    tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=SignatureIndex(root, n_buckets=8))
-    # the crash: the v2 files are written, the version bump is not
-    meta_path = os.path.join(root, "index.json")
-    with open(meta_path) as f:
-        meta = json.load(f)
-    meta["version"] = 1
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
+    # the crash: the round's index files are written, its index commit is not
+    crash_next_commit(monkeypatch, root)
+    with pytest.raises(RuntimeError, match="crash"):
+        tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=SignatureIndex(root, n_buckets=8))
+    assert eng.lake.current_version() == 2
 
     idx = SignatureIndex(root, n_buckets=8)
+    assert idx.version == 1
     _write_batch(cl / "b0002.parquet", 1200, 100)
     r3 = tail(eng, str(cl), poll_s=0.0, idle_exit=1, sig_index=idx)
     assert r3[0]["sig_index"]["from_version"] == 1 and idx.version == 3
