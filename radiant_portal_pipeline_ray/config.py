@@ -38,8 +38,8 @@ class EngineConfig:
     #: (resumable, scan-parallel output; reference flushed at 500MB —
     #: `radiant/tasks/iceberg/table_accumulator.py:16`).
     target_rows_per_file: int = 1_000_000
-    #: parquet compression for snapshot files.
-    compression: str = "zstd"
+    #: parquet compression for snapshot files; not a knob.
+    compression: ClassVar[str] = "zstd"
 
     # --- commit ---------------------------------------------------------
     #: manifest commit retry budget (reference: 20 attempts w/ backoff,
@@ -49,8 +49,10 @@ class EngineConfig:
     # --- doc-id allocation ----------------------------------------------
     #: the apply pipeline allocates doc_ids deterministically inside the
     #: merge from per-partition counters persisted in the manifest (no
-    #: coordination — ids are ``part << doc_id_part_shift | seq``).
-    doc_id_part_shift: int = 40
+    #: coordination — ids are ``part << doc_id_part_shift | seq``). Not a
+    #: knob: every committed doc id holds it, and the manifest does not
+    #: record it, so a lake read with another shift would misread its ids.
+    doc_id_part_shift: ClassVar[int] = 40
 
     # --- maintenance ----------------------------------------------------
     #: event-time horizon for tombstone purge: a delete tombstone may be

@@ -816,7 +816,6 @@ class CdcEngine:
             txn_id,
             snapshot_schema,
             watermarks,
-            noop_report,
             quarantine=quarantine_info,
             exchange=exchange,
         )
@@ -938,16 +937,15 @@ class CdcEngine:
         txn_id,
         snapshot_schema,
         watermarks,
-        noop_report,
         quarantine: dict | None = None,
         exchange: dict | None = None,
     ) -> dict:
         """Tail of an apply round: salting decisions from merge metadata,
         watermark seeding, two-phase commit, report assembly, optional
-        post-commit QA."""
+        post-commit QA. ``meta_rows`` is never empty: every active merge
+        bucket owns at least one changed partition, and ``merge_bucket``
+        returns one row per changed partition."""
         events_seen = sum(int(m["events_in"]) for m in meta_rows)
-        if not meta_rows:
-            return noop_report(events_seen)
 
         # ---- deferred salting: decide from the merge's heavy-hitter counts;
         # migrations execute on the NEXT apply via pending_migrations -------

@@ -56,7 +56,9 @@ from radiant_portal_pipeline_ray.stages.dedup import (
     make_partitioned_pair_generator,
     shingle_hash_table,
 )
+from radiant_portal_pipeline_ray.pipelines.textops import _docs
 from radiant_portal_pipeline_ray.stages import taskshuffle
+from radiant_portal_pipeline_ray.stages.aggregates import partial_final_groupby
 from radiant_portal_pipeline_ray.stages.joins import hash_partitioned_join
 from radiant_portal_pipeline_ray.stages.taskshuffle import (
     collect,
@@ -81,12 +83,6 @@ def _register(name: str, sql: str | None):
     return deco
 
 
-def _docs(sf_dir: str, columns=None):
-    return read_parquet_clean(
-        os.path.join(sf_dir, "documents.parquet"), columns=columns
-    )
-
-
 # ---------------------------------------------------------------------------
 @_register(
     "dd_exact",
@@ -100,31 +96,15 @@ def dd_exact(sf_dir: str):
     The shuffle moves 64-byte hashes + ids, never the text payload."""
     ds = _docs(sf_dir, ["doc_id", "text"])
 
-    def hash_and_combine(b: pa.Table) -> pa.Table:
+    def hash_text(b: pa.Table) -> pa.Table:
         h = sha256_hex_array(b.column("text"))
-        t = pa.table({"h": h, "doc_id": b.column("doc_id")})
-        g = t.group_by("h").aggregate([("doc_id", "min"), ("doc_id", "count")])
-        return g.rename_columns(["h", "rep_doc_id", "n_copies"])
+        return pa.table({"h": h, "doc_id": b.column("doc_id")})
 
-    def final_combine(g: pa.Table) -> pa.Table:
-        out = g.group_by("h").aggregate(
-            [("rep_doc_id", "min"), ("n_copies", "sum")]
-        )
-        return out.rename_columns(["h", "rep_doc_id", "n_copies"])
-
-    def finish(g: pa.Table) -> pa.Table:
-        out = final_combine(g)
-        return pa.table(
-            {
-                "rep_doc_id": pc.cast(out.column("rep_doc_id"), pa.int64()),
-                "n_copies": pc.cast(out.column("n_copies"), pa.int64()),
-            }
-        )
-
-    return exchange_group(
-        map_blocks(ds, hash_and_combine),
+    return partial_final_groupby(
+        map_blocks(ds, hash_text),
         ["h"],
-        finish,
+        [("doc_id", "min", "rep_doc_id"), ([], "count_all", "n_copies")],
+        finish=lambda g: g.select(["rep_doc_id", "n_copies"]),
         sort_by="rep_doc_id",
     )
 
@@ -244,24 +224,6 @@ def _verify_table_driver(pairs_t: pa.Table, sh_t: pa.Table) -> pa.Table:
     )
 
 
-def _grouped_count(ds: "rd.Dataset", keys: list[str], out: str) -> "rd.Dataset":
-    """Distributed COUNT(*) GROUP BY keys via partial-before-shuffle +
-    coarse-pkey vectorized combine (stages/aggregates.partial_final_groupby)."""
-    from radiant_portal_pipeline_ray.stages.aggregates import (
-        partial_final_groupby,
-    )
-
-    def prep(b: pa.Table) -> pa.Table:
-        return b.select(keys).append_column(
-            "__one", pa.array(np.ones(b.num_rows, dtype=np.int64))
-        )
-
-    return partial_final_groupby(
-        map_blocks(ds, prep), keys,
-        [("__one", "sum", out)],
-    )
-
-
 def distributed_verify(sh: "rd.Dataset", pairs: "rd.Dataset") -> "rd.Dataset":
     """Fully distributed exact-Jaccard verification — ZERO driver state.
 
@@ -313,10 +275,12 @@ def distributed_verify(sh: "rd.Dataset", pairs: "rd.Dataset") -> "rd.Dataset":
         h1, sh_cand, left_on=["doc_b", "s"], right_on=["doc_id", "s"],
         how="semi",
     )
-    inter = _grouped_count(h2, ["doc_a", "doc_b"], "inter")
+    inter = partial_final_groupby(h2, ["doc_a", "doc_b"], [([], "count_all", "inter")])
 
     # 5. sizes + threshold ----------------------------------------------
-    sizes = materialized(_grouped_count(sh_cand, ["doc_id"], "n"))
+    sizes = materialized(
+        partial_final_groupby(sh_cand, ["doc_id"], [([], "count_all", "n")])
+    )
     sizes_a = map_blocks(sizes, lambda b: b.rename_columns(["doc_id", "n_a"]))
     sizes_b = map_blocks(sizes, lambda b: b.rename_columns(["doc_id", "n_b"]))
     ja = hash_partitioned_join(inter, sizes_a, left_on="doc_a", right_on="doc_id")
@@ -742,14 +706,6 @@ _DEDUP_CORPUS_SQL = (
 )
 
 
-def _grouped_min(ds: "rd.Dataset", keys: list[str], col: str, out: str):
-    from radiant_portal_pipeline_ray.stages.aggregates import (
-        partial_final_groupby,
-    )
-
-    return partial_final_groupby(ds, keys, [(col, "min", out)])
-
-
 def connected_components_distributed(
     pairs: "rd.Dataset", max_iters: int = 64
 ) -> "rd.Dataset":
@@ -788,9 +744,8 @@ def connected_components_distributed(
         )
 
     labels = materialized(
-        _grouped_min(
-            map_blocks(edges, self_min),
-            ["node"], "lbl", "label",
+        partial_final_groupby(
+            map_blocks(edges, self_min), ["node"], [("lbl", "min", "label")]
         )
     )
 
@@ -799,10 +754,7 @@ def connected_components_distributed(
             labels, lambda b: b.rename_columns(["nbr", "nbr_lbl"])
         )
         prop = hash_partitioned_join(edges, nbr_labels, left_on="nbr")
-        cand = _grouped_min(
-            map_blocks(prop, lambda b: b.select(["node", "nbr_lbl"])),
-            ["node"], "nbr_lbl", "m",
-        )
+        cand = partial_final_groupby(prop, ["node"], [("nbr_lbl", "min", "m")])
         folded = hash_partitioned_join(labels, cand, left_on="node", how="left")
 
         def fold(b: pa.Table) -> pa.Table:

@@ -6,6 +6,13 @@ DuckDB (column names match 1:1). Float aggregates are emitted as
 fixed-point BIGINTs (``*_c`` cents, ``*_e4`` ten-thousandths) so Ray and
 DuckDB agree bit-for-bit regardless of summation order.
 
+Every grouped aggregate is one ``aggregates.partial_final_groupby`` call,
+COUNT(*) included (its ``([], "count_all", name)`` entry): no entry builds
+a column of ones or hand-writes a partial and a final fold. ROLLUP and
+CUBE pass their grouping sets to one fold of one finest-grain aggregate
+(``_grouping_sets``), over one customer→nation→region dimension join
+(``_orders_with_region``).
+
 Every ``PARTITION BY … ORDER BY`` entry (windows, sessions, ordered
 per-group picks) is one ``aggregates.window`` call. The operator owns the
 keyed exchange, one lexsort per bucket, the group geometry (``Groups``,
@@ -119,8 +126,7 @@ def q1_pricing_summary(sf_dir: str):
         disc = pc.multiply(
             b.column("l_extendedprice"), pc.subtract(1.0, b.column("l_discount"))
         )
-        b = b.append_column("disc_price", disc)
-        return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
+        return b.append_column("disc_price", disc)
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -130,7 +136,7 @@ def q1_pricing_summary(sf_dir: str):
                 "sum_qty": _to_cents(b.column("sum_qty_f"), 1),
                 "sum_base_price_c": _to_cents(b.column("sum_base_f"), 100),
                 "sum_disc_price_e4": _to_cents(b.column("sum_disc_f"), 10000),
-                "count_order": pc.cast(b.column("count_order"), pa.int64()),
+                "count_order": b.column("count_order"),
             }
         )
 
@@ -141,10 +147,77 @@ def q1_pricing_summary(sf_dir: str):
             ("l_quantity", "sum", "sum_qty_f"),
             ("l_extendedprice", "sum", "sum_base_f"),
             ("disc_price", "sum", "sum_disc_f"),
-            ("one", "sum", "count_order"),
+            ([], "count_all", "count_order"),
         ],
         finish=finish,
         sort_by=["l_returnflag", "l_linestatus"],
+    )
+
+
+def _orders_with_region(sf_dir: str, **extra: str):
+    """``orders`` (``o_custkey``, ``o_totalprice``) with ``region_name`` and
+    each ``extra`` output name from its ``c_``/``n_`` source column: the
+    dimension chain customer→nation→region is pre-joined on the driver
+    (small tables) and broadcast-joined once."""
+    src = {"region_name": "r_name", **extra}
+    more = {t: [c for c in extra.values() if c.startswith(t)] for t in ("c_", "n_")}
+    cust = pq.read_table(
+        _pq(sf_dir, "customer"), columns=["c_custkey", "c_nationkey", *more["c_"]]
+    )
+    nation = pq.read_table(
+        _pq(sf_dir, "nation"), columns=["n_nationkey", "n_regionkey", *more["n_"]]
+    )
+    region = pq.read_table(_pq(sf_dir, "region"), columns=["r_regionkey", "r_name"])
+    dim = cust.join(nation, keys=["c_nationkey"], right_keys=["n_nationkey"]).join(
+        region, keys=["n_regionkey"], right_keys=["r_regionkey"]
+    )
+    dim = dim.select(["c_custkey", *src.values()]).rename_columns(["c_custkey", *src])
+    orders = read_parquet_clean(
+        _pq(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
+    )
+    return map_blocks(
+        orders, make_broadcast_join(dim, ["o_custkey"], ["c_custkey"], how="inner")
+    )
+
+
+def _grouping_sets(sf_dir: str, sets: list[list[str]], **extra: str) -> pa.Table:
+    """Orders' ``SUM(cents(o_totalprice)) AS revenue_c, COUNT(*) AS
+    n_orders`` by ``GROUPING SETS (sets)`` over ``region_name`` and the
+    ``extra`` dimension columns, sorted by those names, nulls first. ONE
+    grouped aggregate at the finest grain scans the fact table once; each
+    set folds from its O(#groups) rows on the driver, and a name outside
+    the set reads null. The empty set is one row, with zero sums on no
+    rows."""
+    names = ["region_name", *extra]
+    schema = _schema(*names, "revenue_c", "n_orders", strings=names)
+
+    def cents(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {k: b.column(k) for k in names}
+            | {"price_c": _to_cents(b.column("o_totalprice"))}
+        )
+
+    fine = collect(
+        partial_final_groupby(
+            map_blocks(_orders_with_region(sf_dir, **extra), cents),
+            names,
+            [("price_c", "sum", "revenue_c"), ([], "count_all", "n_orders")],
+        ),
+        schema,
+    )
+
+    def fold(keys: list[str]) -> pa.Table:
+        g = fine.group_by(keys).aggregate([("revenue_c", "sum"), ("n_orders", "sum")])
+        return pa.table(
+            {k: g.column(k) if k in keys else pa.nulls(g.num_rows) for k in names}
+            | {c: pc.fill_null(g.column(f"{c}_sum"), 0) for c in ("revenue_c", "n_orders")}
+        ).cast(schema)
+
+    out = pa.concat_tables([fold(k) for k in sets])
+    return out.take(
+        pc.sort_indices(
+            out, sort_keys=[(k, "ascending") for k in names], null_placement="at_start"
+        )
     )
 
 
@@ -167,34 +240,15 @@ def q1_pricing_summary(sf_dir: str):
     """,
 )
 def q_region_revenue(sf_dir: str):
-    cust = pq.read_table(_pq(sf_dir, "customer"), columns=["c_custkey", "c_nationkey"])
-    nation = pq.read_table(_pq(sf_dir, "nation"), columns=["n_nationkey", "n_regionkey"])
-    region = pq.read_table(_pq(sf_dir, "region"), columns=["r_regionkey", "r_name"])
-    # pre-join the dimension chain on the driver (small), broadcast once
-    dim = cust.join(nation, keys=["c_nationkey"], right_keys=["n_nationkey"]).join(
-        region, keys=["n_regionkey"], right_keys=["r_regionkey"]
-    )
-    dim = dim.select(["c_custkey", "r_name"]).rename_columns(
-        ["c_custkey", "region_name"]
-    )
-    orders = read_parquet_clean(
-        _pq(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
-    )
-    join = make_broadcast_join(dim, ["o_custkey"], ["c_custkey"], how="inner")
-
-    def join_one(b: pa.Table) -> pa.Table:
-        b = join(b)
-        return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
-
     return partial_final_groupby(
-        map_blocks(orders, join_one),
+        _orders_with_region(sf_dir),
         ["region_name"],
-        [("o_totalprice", "sum", "rev_f"), ("one", "sum", "n_orders")],
+        [("o_totalprice", "sum", "rev_f"), ([], "count_all", "n_orders")],
         finish=lambda b: pa.table(
             {
                 "region_name": b.column("region_name"),
                 "revenue_c": _to_cents(b.column("rev_f")),
-                "n_orders": pc.cast(b.column("n_orders"), pa.int64()),
+                "n_orders": b.column("n_orders"),
             }
         ),
         sort_by="region_name",
@@ -582,18 +636,17 @@ def q_hourly_user_activity(sf_dir: str):
     def bucket(b: pa.Table) -> pa.Table:
         us = pc.cast(b.column("ts"), pa.int64())
         hb = pc.cast(pc.floor(pc.divide(us, 3_600_000_000)), pa.int64())
-        b = b.append_column("hour_bucket", hb)
-        return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
+        return b.append_column("hour_bucket", hb)
 
     return partial_final_groupby(
         map_blocks(ev, bucket),
         ["user_id", "hour_bucket"],
-        [("one", "sum", "n_events"), ("value", "sum", "value_f")],
+        [([], "count_all", "n_events"), ("value", "sum", "value_f")],
         finish=lambda b: pa.table(
             {
                 "user_id": b.column("user_id"),
                 "hour_bucket": b.column("hour_bucket"),
-                "n_events": pc.cast(b.column("n_events"), pa.int64()),
+                "n_events": b.column("n_events"),
                 "value_c": _to_cents(b.column("value_f")),
             }
         ),
@@ -621,8 +674,7 @@ def q_event_type_stats(sf_dir: str):
     )
 
     def prep(b: pa.Table) -> pa.Table:
-        b = b.append_column("big", pc.greater(b.column("value"), 100.0))
-        return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
+        return b.append_column("big", pc.greater(b.column("value"), 100.0))
 
     prepped = map_blocks(ev, prep)
     distincts = count_distinct_groupby(
@@ -633,7 +685,7 @@ def q_event_type_stats(sf_dir: str):
         predicate_cols={"big": "n_users_big"},
     )
     counts = partial_final_groupby(
-        prepped, ["event_type"], [("one", "sum", "n_events")]
+        prepped, ["event_type"], [([], "count_all", "n_events")]
     )
     dt = collect(distincts)
     ct = collect(counts)
@@ -642,7 +694,7 @@ def q_event_type_stats(sf_dir: str):
     out = pa.table(
         {
             "event_type": out.column("event_type"),
-            "n_events": out.column("n_events").cast(pa.int64()),
+            "n_events": out.column("n_events"),
             "n_users": out.column("n_users").cast(pa.int64()),
             "n_users_big": out.column("n_users_big").cast(pa.int64()),
         }
@@ -922,17 +974,16 @@ def q_shipped_within_60d(sf_dir: str):
         rev = pc.multiply(
             b.column("l_extendedprice"), pc.subtract(1.0, b.column("l_discount"))
         )
-        b = b.append_column("rev", rev)
-        return b.append_column("one", pa.array(np.ones(b.num_rows, dtype=np.int64)))
+        return b.append_column("rev", rev)
 
     return partial_final_groupby(
         map_blocks(joined, range_filter),
         ["o_orderpriority"],
-        [("one", "sum", "n"), ("rev", "sum", "rev_f")],
+        [([], "count_all", "n"), ("rev", "sum", "rev_f")],
         finish=lambda b: pa.table(
             {
                 "o_orderpriority": b.column("o_orderpriority"),
-                "n": pc.cast(b.column("n"), pa.int64()),
+                "n": b.column("n"),
                 "revenue_e4": _to_cents(b.column("rev_f"), 10000),
             }
         ),
@@ -1100,7 +1151,6 @@ def q_sliding_user_windows(sf_dir: str):
                 "user_id": pa.array(np.repeat(user, 4)[keep], type=pa.int64()),
                 "win_start_q": pa.array(win[keep], type=pa.int64()),
                 "value": pa.array(np.repeat(val, 4)[keep]),
-                "one": pa.array(np.ones(int(keep.sum()), dtype=np.int64)),
             }
         )
         return t
@@ -1108,12 +1158,12 @@ def q_sliding_user_windows(sf_dir: str):
     return partial_final_groupby(
         map_blocks(ev, explode_windows),
         ["user_id", "win_start_q"],
-        [("one", "sum", "n_events"), ("value", "sum", "value_f")],
+        [([], "count_all", "n_events"), ("value", "sum", "value_f")],
         finish=lambda b: pa.table(
             {
                 "user_id": b.column("user_id"),
                 "win_start_q": b.column("win_start_q"),
-                "n_events": pc.cast(b.column("n_events"), pa.int64()),
+                "n_events": b.column("n_events"),
                 "value_c": _to_cents(b.column("value_f")),
             }
         ),
@@ -1284,90 +1334,8 @@ def q_top3_orders_per_customer(sf_dir: str):
     """,
 )
 def q_rollup_revenue(sf_dir: str):
-    cust = pq.read_table(_pq(sf_dir, "customer"), columns=["c_custkey", "c_nationkey"])
-    nation = pq.read_table(
-        _pq(sf_dir, "nation"), columns=["n_nationkey", "n_name", "n_regionkey"]
-    )
-    region = pq.read_table(_pq(sf_dir, "region"), columns=["r_regionkey", "r_name"])
-    dim = cust.join(nation, keys=["c_nationkey"], right_keys=["n_nationkey"]).join(
-        region, keys=["n_regionkey"], right_keys=["r_regionkey"]
-    )
-    dim = dim.select(["c_custkey", "r_name", "n_name"]).rename_columns(
-        ["c_custkey", "region_name", "nation_name"]
-    )
-    orders = read_parquet_clean(
-        _pq(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
-    )
-    joined = map_blocks(
-        orders, make_broadcast_join(dim, ["o_custkey"], ["c_custkey"], how="inner")
-    )
-
-    def to_int(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "region_name": b.column("region_name"),
-                "nation_name": b.column("nation_name"),
-                "price_c": _to_cents(b.column("o_totalprice")),
-                "one": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-            }
-        )
-
-    def normalize_types(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "region_name": b.column("region_name"),
-                "nation_name": b.column("nation_name"),
-                "revenue_c": pc.cast(b.column("revenue_c"), pa.int64()),
-                "n_orders": pc.cast(b.column("n_orders"), pa.int64()),
-            }
-        )
-
-    fine = partial_final_groupby(
-        map_blocks(joined, to_int),
-        ["region_name", "nation_name"],
-        [("price_c", "sum", "revenue_c"), ("one", "sum", "n_orders")],
-        finish=normalize_types,
-    )
-
-    def rollup(t: pa.Table) -> pa.Table:
-        # coarser grouping sets fold from the finest grain (≤ #nations rows)
-        lvl1 = t.select(["region_name", "nation_name", "revenue_c", "n_orders"])
-        by_region = t.group_by(["region_name"]).aggregate(
-            [("revenue_c", "sum"), ("n_orders", "sum")]
-        )
-        lvl2 = pa.table(
-            {
-                "region_name": by_region.column("region_name"),
-                "nation_name": pa.nulls(by_region.num_rows, pa.string()),
-                "revenue_c": by_region.column("revenue_c_sum"),
-                "n_orders": by_region.column("n_orders_sum"),
-            }
-        )
-        lvl3 = pa.table(
-            {
-                "region_name": pa.nulls(1, pa.string()),
-                "nation_name": pa.nulls(1, pa.string()),
-                "revenue_c": pa.array(
-                    [pc.sum(t.column("revenue_c")).as_py() or 0], pa.int64()
-                ),
-                "n_orders": pa.array(
-                    [pc.sum(t.column("n_orders")).as_py() or 0], pa.int64()
-                ),
-            }
-        )
-        out = pa.concat_tables(
-            [lvl3, lvl2, lvl1.cast(lvl2.schema)]
-        )
-        idx = pc.sort_indices(
-            out,
-            sort_keys=[("region_name", "ascending"), ("nation_name", "ascending")],
-            null_placement="at_start",
-        )
-        return out.take(idx)
-
-    # the fine grain is O(#nations) rows — fold the rollup on the driver
-    names = ("region_name", "nation_name")
-    return rollup(collect(fine, _schema(*names, "revenue_c", "n_orders", strings=names)))
+    r, n = "region_name", "nation_name"
+    return _grouping_sets(sf_dir, [[r, n], [r], []], nation_name="n_name")
 
 
 # ---------------------------------------------------------------------------
@@ -1477,18 +1445,17 @@ def q_pivot_event_values(sf_dir: str):
         cols = {"user_id": b.column("user_id")}
         for t in _PIVOT_TYPES:
             cols[f"{t}_c"] = pc.if_else(pc.equal(et, t), cents, zero)
-        cols["one"] = pa.array(np.ones(b.num_rows, dtype=np.int64))
         return pa.table(cols)
 
     return partial_final_groupby(
         map_blocks(ev, widen),
         ["user_id"],
         [(f"{t}_c", "sum", f"{t}_c") for t in _PIVOT_TYPES]
-        + [("one", "sum", "n_events")],
+        + [([], "count_all", "n_events")],
         finish=lambda b: pa.table(
             {"user_id": b.column("user_id")}
             | {f"{t}_c": pc.cast(b.column(f"{t}_c"), pa.int64()) for t in _PIVOT_TYPES}
-            | {"n_events": pc.cast(b.column("n_events"), pa.int64())}
+            | {"n_events": b.column("n_events")}
         ),
         sort_by="user_id",
     )
@@ -1534,29 +1501,17 @@ def q_orders_above_customer_avg(sf_dir: str):
         )
 
     fact = map_blocks(orders, to_int)
-
-    def widen(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_custkey": b.column("o_custkey"),
-                "sum_c": b.column("totalprice_c"),
-                "one": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-            }
-        )
-
     agg = partial_final_groupby(
-        map_blocks(fact, widen),
+        fact,
         ["o_custkey"],
-        [("sum_c", "sum", "sum_c"), ("one", "sum", "cnt")],
+        [("totalprice_c", "sum", "sum_c"), ([], "count_all", "cnt")],
     )
 
     def above_avg(l: pa.Table, r: pa.Table) -> pa.Table:
         j = l.join(r, keys=["o_custkey"], join_type="inner")
         keep = pc.greater(
-            pc.multiply_checked(
-                j.column("totalprice_c"), pc.cast(j.column("cnt"), pa.int64())
-            ),
-            pc.cast(j.column("sum_c"), pa.int64()),
+            pc.multiply_checked(j.column("totalprice_c"), j.column("cnt")),
+            j.column("sum_c"),
         )
         return j.filter(keep).select(["o_orderkey", "o_custkey", "totalprice_c"])
 
@@ -1886,39 +1841,19 @@ def q_full_outer_activity(sf_dir: str):
     ev = read_parquet_clean(_pq(sf_dir, "events"), columns=["user_id"])
     orders = read_parquet_clean(_pq(sf_dir, "orders"), columns=["o_custkey"])
 
-    def count_side(key: str, out: str):
-        def fn(b: pa.Table) -> pa.Table:
-            g = b.group_by([key]).aggregate([(key, "count")])
-            g = g.rename_columns(["id", out])
-            return g.set_column(
-                1, pa.field(out, pa.int64()), pc.cast(g.column(out), pa.int64())
-            )
-
-        return fn
-
-    u = partial_final_groupby(
-        map_blocks(ev, count_side("user_id", "n_events")),
-        ["id"],
-        [("n_events", "sum", "n_events")],
-        finish=lambda b: pa.table(
-            {"id": b.column("id"), "n_events": pc.cast(b.column("n_events"), pa.int64())}
-        ),
-    )
     def range_filter(b: pa.Table) -> pa.Table:
         k = b.column("o_custkey")
         return b.filter(
             pc.and_(pc.greater_equal(k, 100), pc.less_equal(k, 300))
         )
 
+    u = partial_final_groupby(
+        ev, ["user_id"], [([], "count_all", "n_events")],
+        finish=lambda b: b.rename_columns(["id", "n_events"]),
+    )
     o = partial_final_groupby(
-        map_blocks(
-            map_blocks(orders, range_filter), count_side("o_custkey", "n_orders")
-        ),
-        ["id"],
-        [("n_orders", "sum", "n_orders")],
-        finish=lambda b: pa.table(
-            {"id": b.column("id"), "n_orders": pc.cast(b.column("n_orders"), pa.int64())}
-        ),
+        map_blocks(orders, range_filter), ["o_custkey"], [([], "count_all", "n_orders")],
+        finish=lambda b: b.rename_columns(["id", "n_orders"]),
     )
     return hash_partitioned_join(u, o, "id", how="full outer", sort_by="id")
 
@@ -2071,90 +2006,8 @@ def q_top_tokens_per_lang(sf_dir: str, k: int = 5):
     """,
 )
 def q_cube_revenue(sf_dir: str):
-    cust = pq.read_table(
-        _pq(sf_dir, "customer"), columns=["c_custkey", "c_nationkey", "c_mktsegment"]
-    )
-    nation = pq.read_table(_pq(sf_dir, "nation"), columns=["n_nationkey", "n_regionkey"])
-    region = pq.read_table(_pq(sf_dir, "region"), columns=["r_regionkey", "r_name"])
-    dim = cust.join(nation, keys=["c_nationkey"], right_keys=["n_nationkey"]).join(
-        region, keys=["n_regionkey"], right_keys=["r_regionkey"]
-    )
-    dim = dim.select(["c_custkey", "r_name", "c_mktsegment"]).rename_columns(
-        ["c_custkey", "region_name", "segment"]
-    )
-    orders = read_parquet_clean(
-        _pq(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
-    )
-    joined = map_blocks(
-        orders, make_broadcast_join(dim, ["o_custkey"], ["c_custkey"], how="inner")
-    )
-
-    def to_int(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "region_name": b.column("region_name"),
-                "segment": b.column("segment"),
-                "price_c": _to_cents(b.column("o_totalprice")),
-                "one": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-            }
-        )
-
-    fine = partial_final_groupby(
-        map_blocks(joined, to_int),
-        ["region_name", "segment"],
-        [("price_c", "sum", "revenue_c"), ("one", "sum", "n_orders")],
-    )
-
-    def cube(t: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "region_name": t.column("region_name"),
-                "segment": t.column("segment"),
-                "revenue_c": pc.cast(t.column("revenue_c"), pa.int64()),
-                "n_orders": pc.cast(t.column("n_orders"), pa.int64()),
-            }
-        )
-
-        def fold(keys: list[str]) -> pa.Table:
-            if keys:
-                g = t.group_by(keys).aggregate(
-                    [("revenue_c", "sum"), ("n_orders", "sum")]
-                )
-                cols = {}
-                for k in ("region_name", "segment"):
-                    cols[k] = (
-                        g.column(k)
-                        if k in keys
-                        else pa.nulls(g.num_rows, pa.string())
-                    )
-                cols["revenue_c"] = g.column("revenue_c_sum")
-                cols["n_orders"] = g.column("n_orders_sum")
-                return pa.table(cols)
-            return pa.table(
-                {
-                    "region_name": pa.nulls(1, pa.string()),
-                    "segment": pa.nulls(1, pa.string()),
-                    "revenue_c": pa.array(
-                        [pc.sum(t.column("revenue_c")).as_py() or 0], pa.int64()
-                    ),
-                    "n_orders": pa.array(
-                        [pc.sum(t.column("n_orders")).as_py() or 0], pa.int64()
-                    ),
-                }
-            )
-
-        sets = [["region_name", "segment"], ["region_name"], ["segment"], []]
-        out = pa.concat_tables([fold(k).cast(fold([]).schema) for k in sets])
-        return out.take(
-            pc.sort_indices(
-                out,
-                sort_keys=[("region_name", "ascending"), ("segment", "ascending")],
-                null_placement="at_start",
-            )
-        )
-
-    names = ("region_name", "segment")
-    return cube(collect(fine, _schema(*names, "revenue_c", "n_orders", strings=names)))
+    r, m = "region_name", "segment"
+    return _grouping_sets(sf_dir, [[r, m], [r], [m], []], segment="c_mktsegment")
 
 
 # ---------------------------------------------------------------------------

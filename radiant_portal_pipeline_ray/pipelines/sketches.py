@@ -26,6 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from radiant_portal_pipeline_ray.stages.bloom import _splitmix64
+
 QUERIES: dict = {}
 
 
@@ -35,15 +37,6 @@ def _register(name: str, sql: str | None):
         return fn
 
     return deco
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 over int64/uint64 — the fixed value hash."""
-    z = x.astype(np.uint64, copy=True)
-    z += np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 class HllSketch:

@@ -11,6 +11,7 @@ import os
 import pyarrow as pa
 
 from radiant_portal_pipeline_ray.sources.io import read_parquet_clean
+from radiant_portal_pipeline_ray.stages.aggregates import partial_final_groupby
 from radiant_portal_pipeline_ray.stages.taskshuffle import (
     collect,
     exchange_group,
@@ -802,7 +803,7 @@ def t_rare_token_frac(sf_dir: str, min_count: int = 5):
 # — so the per-language quotas are bit-exactly reproducible in SQL with no
 # float pow/sum ordering hazards. Selection within a language is ascending
 # md5(doc_id) (same stable rule as t_mix_language_quota). Distributed shape:
-# O(langs) driver counts (per-batch partial group-count fold), per-batch
+# O(langs) driver counts (one grouped aggregate), per-batch
 # top-k_l prune, ONE keyed exchange on lang for the exact final pick.
 # ---------------------------------------------------------------------------
 @_register(
@@ -846,15 +847,9 @@ def t_mix_temperature(sf_dir: str, budget: int = 400):
 
     docs = _docs(sf_dir, ["lang", "doc_id"])
 
-    # phase 1: per-language counts (per-batch partials, O(langs) driver fold)
-    def counts(b: pa.Table) -> pa.Table:
-        g = b.group_by("lang").aggregate([("doc_id", "count")])
-        return g.rename_columns(["lang", "n"])
-
-    n_by_lang: dict[str, int] = {}
-    for row in collect(map_blocks(docs, counts)).to_pylist():
-        n_by_lang[row["lang"]] = n_by_lang.get(row["lang"], 0) + int(row["n"])
-    sq = {l: math.isqrt(n) for l, n in n_by_lang.items()}
+    # phase 1: per-language counts (one grouped aggregate, O(langs) rows)
+    counts = collect(partial_final_groupby(docs, ["lang"], [([], "count_all", "n")]))
+    sq = {r["lang"]: math.isqrt(r["n"]) for r in counts.to_pylist()}
     ssum = sum(sq.values())
     k_by_lang = {l: (budget * s) // ssum for l, s in sq.items()} if ssum else {}
 

@@ -27,6 +27,8 @@ import pyarrow as pa
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 over int64/uint64 — the fixed value hash (the
+    bloom probes here, the HLL registers in ``pipelines/sketches``)."""
     z = x.astype(np.uint64, copy=True)
     z += np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)

@@ -81,7 +81,7 @@ def test_unknown_protocol_refuses_unsafe_probe(monkeypatch, tmp_path):
         lake._put_manifest_if_absent(lake._manifest_path(1), b"x", "t")
 
 
-def test_gc_mtime_fallback_is_conservative(tmp_path):
+def test_gc_mtime_fallback_is_conservative(tmp_path, monkeypatch):
     """_mtime returns the caller's default when the backend can't say; GC
     passes now for files so an unknown-age file reads as brand new."""
     lake = Lake(f"file://{tmp_path}/lake3")
@@ -89,7 +89,9 @@ def test_gc_mtime_fallback_is_conservative(tmp_path):
     def boom(path):
         raise NotImplementedError
 
-    lake.filesystem.modified = boom
+    # fsspec caches filesystem instances: a plain assignment would outlive
+    # this test on the LocalFileSystem every later file:// lake shares
+    monkeypatch.setattr(lake.filesystem, "modified", boom)
     assert lake._mtime("anything", default=123.5) == 123.5
     assert lake._mtime("anything") == 0.0
 
